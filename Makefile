@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check agree fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench benchdiff bench-smoke loadgen
+.PHONY: all build vet test race lint lint-fixtures check agree fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench benchdiff bench-smoke bench-e2e bench-pair loadgen
 
 all: check
 
@@ -120,3 +120,22 @@ benchdiff:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkMonitorRoundBatch' -benchmem -benchtime=$(BENCHTIME) -count=3 ./internal/monitor | $(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -runs 3 -o /tmp/bench_smoke.json
 	$(GO) run ./cmd/benchjson -diff -threshold 1.5 -noise-ns 100 BENCH_pr10.json /tmp/bench_smoke.json
+
+# bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
+# every workload untraced for the end-to-end metrics and traced for the
+# per-layer ones. Performance claims rest on this, not on `make bench`.
+bench-e2e:
+	$(GO) run ./bench
+
+# bench-pair measures the working tree against BASE on one workload the way
+# a performance claim has to be measured (choosing-metrics guide, section
+# 8): both sides' ./bench built once, PAIRS alternating pairs of untraced
+# runs, medians with quartiles and the pair win count per end-to-end metric.
+#   make bench-pair WORKLOAD=truth-7d BASE=HEAD~1 PAIRS=10
+WORKLOAD ?= truth-7d
+BASE ?= HEAD
+PAIRS ?= 10
+BENCH_SEED ?= 42
+BENCH_SECONDS ?= 20
+bench-pair:
+	$(GO) run ./cmd/benchpair -workload $(WORKLOAD) -base $(BASE) -pairs $(PAIRS) -seed $(BENCH_SEED) -seconds $(BENCH_SECONDS)

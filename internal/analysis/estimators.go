@@ -7,6 +7,7 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/stats"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/world"
 )
 
@@ -45,85 +46,107 @@ const (
 // comparisons, as the paper excludes the "inaccurate initial value".
 const warmupRounds = 200
 
+// surveyor is the per-block work of the truth validations: the adaptive
+// measurement and the exhaustive survey. core.Pipeline in production; the
+// tests substitute one whose survey fails.
+type surveyor interface {
+	RunBlock(netsim.BlockID) (*core.BlockRun, error)
+	Survey(netsim.BlockID) (timeseries.Series, error)
+}
+
+// forEachSurveyed probes and surveys every block on workers goroutines and
+// hands each (run, survey) pair to fn, which is called concurrently. Blocks
+// below Trinocular's policy floor are skipped, by design; any other
+// failure, fn's included, is reported once every block has been tried —
+// the first one wins.
+func forEachSurveyed(pl surveyor, blocks []*world.BlockInfo, workers int, fn func(*core.BlockRun, timeseries.Series) error) error {
+	if workers <= 0 {
+		workers = 4
+	}
+	var (
+		wg       sync.WaitGroup
+		errOnce  sync.Once
+		firstErr error
+	)
+	one := func(id netsim.BlockID) error {
+		run, err := pl.RunBlock(id)
+		if err != nil {
+			if isSparse(err) {
+				return nil
+			}
+			return err
+		}
+		sv, err := pl.Survey(id)
+		if err != nil {
+			return err
+		}
+		return fn(run, sv)
+	}
+	ch := make(chan netsim.BlockID)
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := range ch {
+				if err := one(id); err != nil {
+					errOnce.Do(func() { firstErr = err })
+				}
+			}
+		}()
+	}
+	for _, b := range blocks {
+		ch <- b.ID
+	}
+	close(ch)
+	wg.Wait()
+	return firstErr
+}
+
 // CompareEstimatorToTruth reproduces Figs 4 and 5: it probes every block of
 // the world adaptively, surveys it exhaustively for ground truth, pools the
 // per-round (A, estimate) pairs, and summarizes them. For the operational
 // estimate, rounds where Âo sits at the 0.1 policy floor are excluded, as
 // the paper omits non-probed very-sparse cases.
 func CompareEstimatorToTruth(w *world.World, cfg core.PipelineConfig, kind EstimatorKind, workers int) (*EstimatorCorrelation, error) {
-	if workers <= 0 {
-		workers = 4
-	}
-	pl := core.NewPipeline(w.Net, cfg)
 	grid, err := stats.NewGrid2D(0, 1.0001, 50, 0, 1.0001, 50)
 	if err != nil {
 		return nil, err
 	}
 	var mu sync.Mutex
-	var xs, ys []float64
-	var under, pairs, nblocks int
+	// Sized for every block contributing every round: grown by append, the
+	// pool's abandoned halves were the peak of the whole comparison's
+	// memory.
+	n := len(w.Blocks) * max(0, cfg.Rounds-warmupRounds)
+	xs, ys := make([]float64, 0, n), make([]float64, 0, n)
+	var under, nblocks int
 
-	var wg sync.WaitGroup
-	ch := make(chan netsim.BlockID)
-	errCh := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ch {
-				run, err := pl.RunBlock(id)
-				if err != nil {
-					if isSparse(err) {
-						continue
-					}
-					select {
-					case errCh <- err:
-					default:
-					}
-					continue
-				}
-				sv, err := pl.Survey(id)
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					continue
-				}
-				est := run.Short.Values
-				if kind == OperationalEstimate {
-					est = run.Operational
-				}
-				mu.Lock()
-				nblocks++
-				for r := warmupRounds; r < len(est) && r < sv.Len(); r++ {
-					truth := sv.Values[r]
-					e := est[r]
-					if kind == OperationalEstimate && e <= core.OperationalFloor {
-						continue
-					}
-					grid.Add(truth, e)
-					xs = append(xs, truth)
-					ys = append(ys, e)
-					pairs++
-					if e <= truth+1e-9 {
-						under++
-					}
-				}
-				mu.Unlock()
+	err = forEachSurveyed(core.NewPipeline(w.Net, cfg), w.Blocks, workers, func(run *core.BlockRun, sv timeseries.Series) error {
+		est := run.Short.Values
+		if kind == OperationalEstimate {
+			est = run.Operational
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		nblocks++
+		for r := warmupRounds; r < len(est) && r < sv.Len(); r++ {
+			truth := sv.Values[r]
+			e := est[r]
+			if kind == OperationalEstimate && e <= core.OperationalFloor {
+				continue
 			}
-		}()
-	}
-	for _, b := range w.Blocks {
-		ch <- b.ID
-	}
-	close(ch)
-	wg.Wait()
-	select {
-	case err := <-errCh:
+			grid.Add(truth, e)
+			xs = append(xs, truth)
+			ys = append(ys, e)
+			if e <= truth+1e-9 {
+				under++
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
+	pairs := len(xs)
 	if pairs == 0 {
 		return nil, fmt.Errorf("analysis: no comparable pairs")
 	}
@@ -191,66 +214,35 @@ func (v DiurnalValidation) Recall() float64 {
 // shows 1 c/d peaks in ~25% of blocks while only 11% pass strict), and
 // only the strict test yields the paper's high-precision regime.
 func ValidateDiurnalDetection(w *world.World, cfg core.PipelineConfig, workers int) (*DiurnalValidation, error) {
-	if workers <= 0 {
-		workers = 4
-	}
-	pl := core.NewPipeline(w.Net, cfg)
+	return validateDetection(core.NewPipeline(w.Net, cfg), w.Blocks, workers)
+}
+
+func validateDetection(pl surveyor, blocks []*world.BlockInfo, workers int) (*DiurnalValidation, error) {
 	var mu sync.Mutex
 	var v DiurnalValidation
-
-	var wg sync.WaitGroup
-	ch := make(chan netsim.BlockID)
-	errCh := make(chan error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ch {
-				run, err := pl.RunBlock(id)
-				if err != nil {
-					if isSparse(err) {
-						continue
-					}
-					select {
-					case errCh <- err:
-					default:
-					}
-					continue
-				}
-				sv, err := pl.Survey(id)
-				if err != nil {
-					continue
-				}
-				truthRes, _, err := core.ClassifySeries(sv)
-				if err != nil {
-					continue
-				}
-				truth := truthRes.Class == core.StrictDiurnal
-				pred := run.Result.Class == core.StrictDiurnal
-				mu.Lock()
-				switch {
-				case truth && pred:
-					v.TruePos++
-				case !truth && !pred:
-					v.TrueNeg++
-				case truth && !pred:
-					v.FalseNeg++
-				default:
-					v.FalsePos++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, b := range w.Blocks {
-		ch <- b.ID
-	}
-	close(ch)
-	wg.Wait()
-	select {
-	case err := <-errCh:
+	err := forEachSurveyed(pl, blocks, workers, func(run *core.BlockRun, sv timeseries.Series) error {
+		truthRes, _, err := core.ClassifySeries(sv)
+		if err != nil {
+			return fmt.Errorf("analysis: classifying the survey of %s: %w", run.ID, err)
+		}
+		truth := truthRes.Class == core.StrictDiurnal
+		pred := run.Result.Class == core.StrictDiurnal
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case truth && pred:
+			v.TruePos++
+		case !truth && !pred:
+			v.TrueNeg++
+		case truth && !pred:
+			v.FalseNeg++
+		default:
+			v.FalsePos++
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	default:
 	}
 	if v.Total() == 0 {
 		return nil, fmt.Errorf("analysis: no blocks validated")

@@ -1,10 +1,13 @@
 package analysis
 
 import (
+	"errors"
 	"testing"
 	"time"
 
 	"sleepnet/internal/core"
+	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/world"
 )
 
@@ -87,6 +90,41 @@ func TestValidateDiurnalDetection(t *testing.T) {
 	}
 	if r := v.Recall(); r <= 0 || r > 1 {
 		t.Fatalf("recall = %v", r)
+	}
+}
+
+// failingSurvey is a pipeline whose survey of one block fails.
+type failingSurvey struct {
+	*core.Pipeline
+	bad netsim.BlockID
+}
+
+var errSurveyLost = errors.New("survey lost")
+
+func (f failingSurvey) Survey(id netsim.BlockID) (timeseries.Series, error) {
+	if id == f.bad {
+		return timeseries.Series{}, errSurveyLost
+	}
+	return f.Pipeline.Survey(id)
+}
+
+// A block whose survey (or survey classification) fails must fail the
+// validation, not quietly shrink the confusion matrix.
+func TestValidateDiurnalDetectionReportsSurveyFailure(t *testing.T) {
+	w := smallWorld(t, 20, 47)
+	pl := core.NewPipeline(w.Net, surveyCfg(3, 9))
+	blocks := w.Blocks[:min(len(w.Blocks), 12)]
+	var bad netsim.BlockID
+	for _, b := range blocks {
+		if _, err := pl.RunBlock(b.ID); err == nil {
+			bad = b.ID // a block the validation does not skip as sparse
+		}
+	}
+	if _, err := validateDetection(failingSurvey{pl, bad}, blocks, 2); !errors.Is(err, errSurveyLost) {
+		t.Fatalf("validation with a failed survey returned %v, want %v", err, errSurveyLost)
+	}
+	if _, err := validateDetection(pl, blocks, 2); err != nil {
+		t.Fatalf("validation over the same blocks with a working survey: %v", err)
 	}
 }
 

@@ -127,11 +127,10 @@ func AddressCensus(w *world.World, start time.Time, duration, step time.Duration
 			if blk == nil {
 				continue
 			}
-			ever := len(blk.EverActive())
-			active := blk.TrueA(ts) * float64(ever)
-			pt.Active += active
+			up, _ := blk.TrueCounts(ts)
+			pt.Active += float64(up)
 			if !info.DesignedDiurnal {
-				pt.ActiveNonDiurnal += active
+				pt.ActiveNonDiurnal += float64(up)
 			}
 		}
 		out = append(out, pt)

@@ -272,3 +272,22 @@ func TestClassifySeriesErrors(t *testing.T) {
 		t.Fatal("short series should error")
 	}
 }
+
+// BenchmarkSurvey7d enumerates a week of ground truth for one diurnal and
+// one intermittent block, the two populations the world generator builds.
+func BenchmarkSurvey7d(b *testing.B) {
+	diurnal := mkDiurnalBlock(netsim.MakeBlockID(27, 186, 9), 100)
+	stable := mkStableBlock(netsim.MakeBlockID(27, 186, 10), 100, 0.6)
+	net := netsim.NewNetwork(99)
+	net.AddBlock(diurnal)
+	net.AddBlock(stable)
+	pl := NewPipeline(net, PipelineConfig{Start: start, Rounds: 7 * 86400 / 660, Seed: 5})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, id := range []netsim.BlockID{diurnal.ID, stable.ID} {
+			if _, err := pl.Survey(id); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

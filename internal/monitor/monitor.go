@@ -459,6 +459,7 @@ func (m *Monitor) supervise(ctx context.Context, s *shard) shardOutcome {
 	for {
 		s.newAttempt()
 		err := s.runAttempt(ctx)
+		s.endAttempt()
 		switch {
 		case err == nil:
 			out.completed = true
@@ -498,11 +499,13 @@ func (m *Monitor) supervise(ctx context.Context, s *shard) shardOutcome {
 	}
 }
 
-// watchdog strikes shards whose heartbeat stalls across tick intervals:
-// WatchdogStrikes consecutive silent intervals abort the attempt (the
-// supervisor restarts it); twice that without progress means the shard is
-// wedged beyond recovery and the monitor dies loudly rather than reporting
-// a silently incomplete study.
+// watchdog strikes shards whose running attempt's heartbeat stalls across
+// tick intervals: WatchdogStrikes consecutive silent intervals abort the
+// attempt (the supervisor restarts it); as many again without that same
+// attempt exiting means the shard is wedged beyond recovery and the monitor
+// dies loudly rather than reporting a silently incomplete study. Only a
+// running attempt can be wedged: the supervisor's back-off between attempts
+// is not counted, however many ticks it spans.
 func (m *Monitor) watchdog(ctx context.Context) {
 	last := make([]int64, len(m.shards))
 	strikes := make([]int, len(m.shards))
@@ -518,7 +521,7 @@ func (m *Monitor) watchdog(ctx context.Context) {
 				return
 			}
 			for i, s := range m.shards {
-				if s.done.Load() {
+				if s.done.Load() || !s.attemptLive() {
 					strikes[i] = 0
 					continue
 				}

@@ -373,15 +373,18 @@ func TestChaosEquivalence(t *testing.T) {
 }
 
 func TestWatchdogAbortsStalledShard(t *testing.T) {
-	ref := runStudy(t, baseConfig(testNet(13), 8))
+	const rounds = 8
+	ref := runStudy(t, baseConfig(testNet(13), rounds))
 
 	tick := make(chan time.Time)
-	cfg := baseConfig(testNet(13), 8)
+	cfg := baseConfig(testNet(13), rounds)
 	cfg.WALDir = t.TempDir()
 	cfg.SnapshotEvery = 3
 	cfg.Chaos = &faults.ChaosPlan{Stalls: []faults.ShardRound{{Shard: 0, Round: 2}}}
 	cfg.WatchdogTick = tick
 	cfg.WatchdogStrikes = 2
+	// Long against the burst of ticks sent into it below.
+	cfg.BackoffBase, cfg.BackoffMax = 50*time.Millisecond, 50*time.Millisecond
 	reg := metrics.New()
 	cfg.Metrics = reg
 	m, err := New(cfg)
@@ -396,34 +399,65 @@ func TestWatchdogAbortsStalledShard(t *testing.T) {
 		defer close(done)
 		res, runErr = m.Run(context.Background())
 	}()
-	// Feed watchdog ticks until the run finishes: the stalled shard stops
-	// heartbeating, accumulates strikes, is aborted, restarts from its WAL,
-	// and completes (the stall fires only on the first attempt).
-	for {
+	// The ticks follow the run's events, not the wall clock, so the test
+	// holds however slowly the shards are scheduled. await polls the
+	// monitor's state; sendTick returns once the watchdog has taken the
+	// tick, which is also when it has finished with the one before.
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for !cond() {
+			select {
+			case <-done:
+				t.Fatalf("run ended waiting for %s: %v", what, runErr)
+			default:
+				time.Sleep(200 * time.Microsecond)
+			}
+		}
+	}
+	sendTick := func() {
+		t.Helper()
 		select {
 		case tick <- time.Time{}:
-			time.Sleep(time.Millisecond)
 		case <-done:
+			t.Fatalf("run ended with ticks still to send: %v", runErr)
 		}
-		select {
-		case <-done:
-		default:
-			continue
-		}
-		break
 	}
+	// Time stands still until the healthy shards are through and shard 0
+	// has reached its stall at round 2; then it passes until the watchdog
+	// has aborted the stalled attempt.
+	await("the healthy shards to finish and shard 0 to stall", func() bool {
+		for _, s := range m.shards[1:] {
+			if !s.done.Load() {
+				return false
+			}
+		}
+		return m.shards[0].committed.Load() == 2
+	})
+	aborts := reg.Counter("monitor.watchdog_aborts")
+	for aborts.Value() == 0 {
+		sendTick()
+	}
+	// The abort worked once the attempt has exited. While the supervisor
+	// backs off, more ticks pass than a wedge verdict takes; none of them
+	// may count against the shard, which restarts from its WAL and
+	// completes (the stall fires only on the first attempt).
+	restarts := reg.Counter("monitor.shard_restarts")
+	await("the aborted attempt to exit", func() bool { return restarts.Value() == 1 })
+	for i := 0; i < 3*cfg.WatchdogStrikes; i++ {
+		sendTick()
+	}
+	<-done
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
 	if !res.Completed {
 		t.Fatalf("run not completed: %+v", res)
 	}
-	if res.Restarts < 1 {
-		t.Fatal("stalled shard was never restarted")
+	if res.Restarts != 1 {
+		t.Fatalf("restarts = %d, want the stalled shard's one", res.Restarts)
 	}
-	snap := reg.Snapshot()
-	if snap.Counter("monitor.watchdog_aborts") < 1 {
-		t.Fatal("watchdog recorded no abort")
+	if n := aborts.Value(); n != 1 {
+		t.Fatalf("watchdog aborts = %d, want 1", n)
 	}
 	st, err := res.Study()
 	if err != nil {

@@ -77,8 +77,8 @@ type shard struct {
 	rec    walRecord  // staging buffer reused across commits
 	pub    []RoundPub // sink staging buffer reused across rounds
 
-	// hb is the watchdog heartbeat: bumped on every completed round and
-	// every completed rebuild.
+	// hb is the watchdog heartbeat: bumped on every completed round, every
+	// completed rebuild and every attempt's exit.
 	hb atomic.Int64
 	// committed is the high-water mark of durably committed rounds,
 	// monotonic across restarts; the simulated-kill trigger reads it.
@@ -110,6 +110,25 @@ func (s *shard) abortAttempt() {
 		s.aborted = true
 	}
 	s.attemptMu.Unlock()
+}
+
+// endAttempt marks the attempt over. Until newAttempt there is nothing the
+// watchdog could abort: the supervisor is backing off or giving up, and the
+// heartbeat bump tells the watchdog that whatever attempt it next sees
+// silent is not the one it was counting strikes against.
+func (s *shard) endAttempt() {
+	s.attemptMu.Lock()
+	s.abort = nil
+	s.attemptMu.Unlock()
+	s.hb.Add(1)
+}
+
+// attemptLive reports whether an attempt is running (between newAttempt
+// and endAttempt).
+func (s *shard) attemptLive() bool {
+	s.attemptMu.Lock()
+	defer s.attemptMu.Unlock()
+	return s.abort != nil
 }
 
 func (s *shard) abortCh() <-chan struct{} {

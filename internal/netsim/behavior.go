@@ -47,11 +47,18 @@ type Intermittent struct {
 	Seed    uint64
 }
 
-func (b Intermittent) quantum() float64 {
+// roundSeconds is the default consistency window: the 11-minute round.
+const roundSeconds = 660
+
+// roundQuantum returns the index of the default window sec falls in.
+func roundQuantum(sec float64) uint64 { return uint64(sec / roundSeconds) }
+
+// quantumAt returns the index of the host's consistency window at sec.
+func (b Intermittent) quantumAt(sec float64) uint64 {
 	if b.Quantum <= 0 {
-		return 660
+		return roundQuantum(sec)
 	}
-	return b.Quantum.Seconds()
+	return uint64(sec / b.Quantum.Seconds())
 }
 
 func (b Intermittent) Up(t time.Time) bool {
@@ -61,9 +68,13 @@ func (b Intermittent) Up(t time.Time) bool {
 	if b.P >= 1 {
 		return true
 	}
-	q := uint64(secondsSinceEpoch(t) / b.quantum())
-	return prfFloat(b.Seed, q, 0x1a7e) < b.P
+	return b.draw(b.quantumAt(secondsSinceEpoch(t)))
 }
+
+// draw is window q's availability draw, which decides Up when 0 < P < 1.
+// The truth plan sorts the other hosts out once and then calls it
+// directly, with one q for every host on the default window.
+func (b *Intermittent) draw(q uint64) bool { return prfFloat2(b.Seed, q, 0x1a7e) < b.P }
 
 func (b Intermittent) EverActive() bool { return b.P > 0 }
 
@@ -78,7 +89,7 @@ func (b Intermittent) upMemo(t time.Time, m *hostMemo) bool {
 	if b.P >= 1 {
 		return true
 	}
-	q := uint64(secondsSinceEpoch(t) / b.quantum())
+	q := b.quantumAt(secondsSinceEpoch(t))
 	if !m.qSet || m.q != q {
 		m.q, m.qVal, m.qSet = q, prfFloat2(b.Seed, q, 0x1a7e), true
 	}
@@ -107,32 +118,53 @@ func (b Diurnal) Up(t time.Time) bool {
 		return false
 	}
 	sec := secondsSinceEpoch(t)
+	day := simDay(sec)
+	return b.upAt(sec, roundQuantum(sec), b.onPeriod(day), b.onPeriod(day-1))
+}
+
+// simDay returns the day index of simulation second sec.
+func simDay(sec float64) int64 {
 	day := int64(sec) / 86400
 	if sec < 0 {
 		day--
 	}
-	// A probe at time t can fall in today's period or the tail of
-	// yesterday's period when it spills past midnight.
-	if b.inPeriod(sec, day) || b.inPeriod(sec, day-1) {
-		if b.UpProb <= 0 || b.UpProb >= 1 {
-			return true
-		}
-		q := uint64(sec / 660)
-		return prfFloat(b.Seed, q, 0xd1a2) < b.UpProb
+	return day
+}
+
+// onPeriod is one day's realized on-period [start, end) in simulation
+// seconds.
+type onPeriod struct {
+	start, end float64
+}
+
+func (p onPeriod) contains(sec float64) bool { return sec >= p.start && sec < p.end }
+
+// upAt is the one definition of "this diurnal host (Duration > 0) answers
+// at sec": sec falls in today's on-period or in the tail of yesterday's
+// that spilled past midnight, and the host's answer draw for sec's round
+// quantum q admits it. Up, upMemo and the block's truth plan all run this
+// body; they differ only in where the two on-periods come from (drawn
+// afresh, the per-host probe memo, the plan's per-day table), so they
+// cannot drift apart.
+func (b *Diurnal) upAt(sec float64, q uint64, today, yesterday onPeriod) bool {
+	return (today.contains(sec) || yesterday.contains(sec)) && b.answers(q)
+}
+
+// answers draws whether a host inside its on-period replies in round
+// quantum q: always, unless UpProb is in (0,1), when each quantum answers
+// independently with that probability.
+func (b *Diurnal) answers(q uint64) bool {
+	if b.UpProb <= 0 || b.UpProb >= 1 {
+		return true
 	}
-	return false
+	return prfFloat2(b.Seed, q, 0xd1a2) < b.UpProb
 }
 
-// inPeriod reports whether sec falls within day d's on-period.
-func (b Diurnal) inPeriod(sec float64, d int64) bool {
-	start, dur := b.bounds(d)
-	return sec >= start && sec < start+dur
-}
-
-// bounds returns day d's realized on-period (start, dur) after the per-day
-// noise draws — a pure function of (Seed, d), which is what makes the
-// per-host day memo below exact rather than approximate.
-func (b Diurnal) bounds(d int64) (float64, float64) {
+// onPeriod returns day d's realized on-period after the per-day noise
+// draws — a pure function of (Seed, d), which is what makes the per-host
+// day memo below and the truth plan's day table exact rather than
+// approximate.
+func (b *Diurnal) onPeriod(d int64) onPeriod {
 	start := float64(d)*86400 + b.Phase.Seconds()
 	if b.StartSigma > 0 {
 		start += prfNorm(b.Seed, uint64(d), 0x57a7) * b.StartSigma.Seconds()
@@ -144,24 +176,22 @@ func (b Diurnal) bounds(d int64) (float64, float64) {
 			dur = 0
 		}
 	}
-	return start, dur
+	return onPeriod{start, start + dur}
 }
 
 // dayBounds caches one realized on-period so a day's two Box-Muller draws
 // happen once per (host, day) instead of once per probe.
 type dayBounds struct {
-	day   int64
-	start float64
-	dur   float64
-	set   bool
+	day    int64
+	period onPeriod
+	set    bool
 }
 
-// hostMemo caches one host's per-quantum and per-day draws. days holds the
-// two day slots a diurnal probe can touch (today and the spillover tail of
-// yesterday), indexed day&1 so consecutive days never evict each other
-// mid-round; q/qVal cache the newest per-quantum uniform draw (Diurnal's
-// UpProb draw or Intermittent's availability draw — a host has exactly one
-// behavior, so the slot is never shared).
+// hostMemo caches one host's per-day and per-quantum draws on the probe
+// path. days holds the two day slots a diurnal probe touches (today and
+// the spillover tail of yesterday), indexed day&1 so consecutive days never
+// evict each other mid-round; q/qVal cache an Intermittent host's newest
+// per-quantum availability draw.
 type hostMemo struct {
 	days [2]dayBounds
 	q    uint64
@@ -169,40 +199,26 @@ type hostMemo struct {
 	qSet bool
 }
 
-// upMemo is Up with the per-day and per-quantum draws routed through m.
-// The cached values are pure functions of (Seed, day) and (Seed, quantum),
-// so the answer is bit-identical to Up — the memo only skips recomputing
-// the same deviates for every probe of the same host-day or host-quantum.
+// onPeriod is b.onPeriod(d) cached in d's slot.
+func (m *hostMemo) onPeriod(b *Diurnal, d int64) onPeriod {
+	s := &m.days[d&1]
+	if !s.set || s.day != d {
+		s.day, s.period, s.set = d, b.onPeriod(d), true
+	}
+	return s.period
+}
+
+// upMemo is Up with the per-day draws routed through m. The cached values
+// are pure functions of (Seed, day), so the answer is bit-identical to Up —
+// the memo only skips recomputing the same deviates for every probe of the
+// same host-day.
 func (b Diurnal) upMemo(t time.Time, m *hostMemo) bool {
 	if b.Duration <= 0 {
 		return false
 	}
 	sec := secondsSinceEpoch(t)
-	day := int64(sec) / 86400
-	if sec < 0 {
-		day--
-	}
-	if b.inPeriodMemo(sec, day, &m.days[day&1]) || b.inPeriodMemo(sec, day-1, &m.days[(day-1)&1]) {
-		if b.UpProb <= 0 || b.UpProb >= 1 {
-			return true
-		}
-		q := uint64(sec / 660)
-		if !m.qSet || m.q != q {
-			m.q, m.qVal, m.qSet = q, prfFloat2(b.Seed, q, 0xd1a2), true
-		}
-		return m.qVal < b.UpProb
-	}
-	return false
-}
-
-// inPeriodMemo is inPeriod with day d's bounds cached in s.
-func (b Diurnal) inPeriodMemo(sec float64, d int64, s *dayBounds) bool {
-	if !s.set || s.day != d {
-		s.day = d
-		s.start, s.dur = b.bounds(d)
-		s.set = true
-	}
-	return sec >= s.start && sec < s.start+s.dur
+	day := simDay(sec)
+	return b.upAt(sec, roundQuantum(sec), m.onPeriod(&b, day), m.onPeriod(&b, day-1))
 }
 
 // Periodic answers during a fraction of every period P — used to model

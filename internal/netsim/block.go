@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -59,6 +60,12 @@ func (iv Interval) Contains(t time.Time) bool {
 
 // Block is one simulated /24: 256 address behaviours plus path
 // characteristics and an outage schedule.
+//
+// Register the block with Network.AddBlock, and again after changing
+// Behaviors: delivery and ground truth both cache what they derive from
+// them. Probes to one block are delivered by one goroutine at a time;
+// ground truth (TrueA, TrueCounts) may be asked by any number of
+// goroutines, alongside delivery. Neither may race with AddBlock.
 type Block struct {
 	ID BlockID
 	// Behaviors maps host octet to behaviour; nil entries never respond.
@@ -94,8 +101,14 @@ type Block struct {
 	dmemo *[256]hostMemo
 	// hops caches the effective path length (set by AddBlock), so the
 	// per-packet TTL check does not rederive it. Zero means "not yet
-	// registered": PathHops falls back to the live computation.
+	// registered": PathHops falls back to the live computation, and
+	// ground truth to the reference loop.
 	hops int
+	// plan is the ground-truth enumeration plan: nil until the first
+	// TrueCounts of a registered block, cleared by AddBlock. Unlike rl and
+	// dmemo it is never touched by delivery and is safe for concurrent
+	// callers (see truthPlan).
+	plan atomic.Pointer[truthPlan]
 }
 
 // hostUp evaluates host's behavior at now, routing Diurnal and
@@ -174,22 +187,47 @@ func (b *Block) EverActive() []byte {
 	return out
 }
 
-// RespondsAt reports whether host h answers a probe at t, accounting for
-// block outages but not path loss.
-func (b *Block) RespondsAt(h byte, t time.Time) bool {
-	bh := b.Behaviors[h]
-	if bh == nil || b.InOutage(t) {
-		return false
-	}
-	return bh.Up(t)
-}
-
 // TrueA returns ground-truth availability at t: the fraction of E(b)
 // answering, as a survey probing every address would measure. Blocks with
 // empty E(b) report 0.
 func (b *Block) TrueA(t time.Time) float64 {
-	ever := 0
-	up := 0
+	up, ever := b.TrueCounts(t)
+	if ever == 0 {
+		return 0
+	}
+	return float64(up) / float64(ever)
+}
+
+// TrueCounts returns how many addresses of E(b) answer at t, accounting
+// for block outages but not path loss, and |E(b)| itself.
+//
+// A registered block answers from its truth plan, built on the first call
+// after AddBlock from the Behaviors of that moment: changing Behaviors
+// afterwards takes a fresh AddBlock to be seen here. TrueCounts may be
+// called from any number of goroutines, also while probes are being
+// delivered to the block; like probing, it must not race with AddBlock. A
+// block literal that was never registered is enumerated host by host.
+func (b *Block) TrueCounts(t time.Time) (up, ever int) {
+	if b.hops == 0 {
+		return b.trueCountsRef(t)
+	}
+	p := b.plan.Load()
+	if p == nil {
+		// Racing first callers build equal plans; whichever is stored last
+		// serves from then on.
+		p = newTruthPlan(&b.Behaviors)
+		b.plan.Store(p)
+	}
+	if b.InOutage(t) {
+		return 0, p.ever
+	}
+	return p.up(t), p.ever
+}
+
+// trueCountsRef is TrueCounts by definition: ask every behaviour in turn.
+// It serves unregistered blocks and is the oracle the plan is tested
+// against.
+func (b *Block) trueCountsRef(t time.Time) (up, ever int) {
 	down := b.InOutage(t)
 	for h := 0; h < 256; h++ {
 		bh := b.Behaviors[h]
@@ -201,23 +239,107 @@ func (b *Block) TrueA(t time.Time) float64 {
 			up++
 		}
 	}
-	if ever == 0 {
-		return 0
-	}
-	return float64(up) / float64(ever)
+	return up, ever
 }
 
-// SurveyRow records every address's response at one instant — one row of
-// the survey strip charts at the top of Figures 1–3.
-func (b *Block) SurveyRow(t time.Time) [256]bool {
-	var row [256]bool
-	if b.InOutage(t) {
-		return row
-	}
-	for h := 0; h < 256; h++ {
-		if bh := b.Behaviors[h]; bh != nil && bh.Up(t) {
-			row[h] = true
+// truthPlan is E(b) sorted once by behaviour type, so that enumerating
+// ground truth converts the instant once and then runs a tight typed loop
+// per column instead of two interface calls and a full redraw per host.
+// The columns are immutable after construction. days is the only mutable
+// part: an immutable table swapped in whole, so concurrent callers on
+// different days cost each other rebuilds but never see a mixed table.
+type truthPlan struct {
+	ever     int // |E(b)|
+	alwaysUp int // AlwaysOn, and Intermittent with P >= 1
+	diurnal  []Diurnal
+	inter    []Intermittent // 0 < P < 1 on the default quantum
+	other    []Behavior     // Periodic, custom quanta, behaviours defined elsewhere
+	days     atomic.Pointer[dayTable]
+}
+
+// dayTable holds every diurnal host's realized on-period for one day and
+// the day before (whose tail may spill past midnight), indexed like
+// truthPlan.diurnal: the per-day noise is drawn once per host-day instead
+// of on every query.
+type dayTable struct {
+	day              int64
+	today, yesterday []onPeriod
+}
+
+func newTruthPlan(behaviors *[256]Behavior) *truthPlan {
+	p := new(truthPlan)
+	for _, bh := range behaviors {
+		if bh == nil || !bh.EverActive() {
+			continue
+		}
+		p.ever++
+		switch v := bh.(type) {
+		case AlwaysOn:
+			p.alwaysUp++
+		case Diurnal:
+			p.diurnal = append(p.diurnal, v)
+		case Intermittent:
+			switch {
+			case v.P >= 1:
+				p.alwaysUp++
+			case v.Quantum <= 0:
+				p.inter = append(p.inter, v)
+			default:
+				p.other = append(p.other, bh)
+			}
+		default:
+			p.other = append(p.other, bh)
 		}
 	}
-	return row
+	return p
+}
+
+// up counts the hosts answering at t, outages aside.
+func (p *truthPlan) up(t time.Time) int {
+	sec := secondsSinceEpoch(t)
+	q := roundQuantum(sec)
+	up := p.alwaysUp
+	if len(p.diurnal) > 0 {
+		day := simDay(sec)
+		tab := p.days.Load()
+		if tab == nil || tab.day != day {
+			tab = &dayTable{day: day, today: p.onPeriods(tab, day), yesterday: p.onPeriods(tab, day-1)}
+			p.days.Store(tab)
+		}
+		for i := range p.diurnal {
+			if p.diurnal[i].upAt(sec, q, tab.today[i], tab.yesterday[i]) {
+				up++
+			}
+		}
+	}
+	for i := range p.inter {
+		if p.inter[i].draw(q) {
+			up++
+		}
+	}
+	for _, bh := range p.other {
+		if bh.Up(t) {
+			up++
+		}
+	}
+	return up
+}
+
+// onPeriods returns every diurnal host's on-period of day d, taken from
+// old when it already holds that day: a survey walking forward in time
+// draws each day once and carries today over to yesterday.
+func (p *truthPlan) onPeriods(old *dayTable, d int64) []onPeriod {
+	if old != nil {
+		switch d {
+		case old.day:
+			return old.today
+		case old.day - 1:
+			return old.yesterday
+		}
+	}
+	out := make([]onPeriod, len(p.diurnal))
+	for i := range p.diurnal {
+		out[i] = p.diurnal[i].onPeriod(d)
+	}
+	return out
 }

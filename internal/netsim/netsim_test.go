@@ -206,29 +206,8 @@ func TestBlockOutage(t *testing.T) {
 	if got := b.TrueA(at(12, 30)); got != 0 {
 		t.Fatalf("TrueA during outage = %v", got)
 	}
-	if b.RespondsAt(0, at(12, 30)) {
-		t.Fatal("no responses during outage")
-	}
-	row := b.SurveyRow(at(12, 30))
-	for h, up := range row {
-		if up {
-			t.Fatalf("survey row during outage has host %d up", h)
-		}
-	}
-}
-
-func TestSurveyRow(t *testing.T) {
-	b := newTestBlock()
-	row := b.SurveyRow(at(12, 0))
-	for h := 0; h < 100; h++ {
-		if !row[h] {
-			t.Fatalf("host %d should be up at noon", h)
-		}
-	}
-	for h := 100; h < 256; h++ {
-		if row[h] {
-			t.Fatalf("host %d should be silent", h)
-		}
+	if up, ever := b.TrueCounts(at(12, 30)); up != 0 || ever != 100 {
+		t.Fatalf("TrueCounts during outage = %d of %d, want 0 of 100", up, ever)
 	}
 }
 
@@ -385,15 +364,15 @@ func TestDeterminismProperty(t *testing.T) {
 }
 
 func TestPRFUniformity(t *testing.T) {
-	// Rough uniformity check on prfFloat.
+	// Rough uniformity check on the per-quantum draw.
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += prfFloat(123, uint64(i))
+		sum += prfFloat2(123, uint64(i), 0x1a7e)
 	}
 	mean := sum / n
 	if math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("prfFloat mean = %v", mean)
+		t.Fatalf("prfFloat2 mean = %v", mean)
 	}
 }
 
@@ -421,15 +400,6 @@ func BenchmarkNetworkProbe(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		n.Probe(blk.ID.Addr(byte(i)), pkt, when)
-	}
-}
-
-func BenchmarkTrueA(b *testing.B) {
-	blk := newTestBlock()
-	when := at(12, 0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		blk.TrueA(when)
 	}
 }
 

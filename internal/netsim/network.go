@@ -251,7 +251,11 @@ func (n *Network) SetTap(t Tap) {
 // AddBlock registers a block. Re-adding a BlockID replaces it.
 func (n *Network) AddBlock(b *Block) {
 	b.hops = b.PathHops()
-	if b.dmemo == nil {
+	// What was cached from the previous registration's Behaviors goes.
+	b.plan.Store(nil)
+	if b.dmemo != nil {
+		*b.dmemo = [256]hostMemo{}
+	} else {
 		for _, bh := range b.Behaviors {
 			switch bh.(type) {
 			case Diurnal, Intermittent:
@@ -413,7 +417,8 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 		}
 	}
 
-	// RespondsAt, with the outage lookup routed through the per-round memo.
+	// Does the host answer now? The outage lookup goes through the
+	// per-round memo, the behaviour through the per-host one.
 	bh := blk.Behaviors[dst.Host]
 	if bh == nil || oc.inOutage(blk, now) || !blk.hostUp(dst.Host, bh, now) {
 		// During an outage an upstream gateway may answer on the block's

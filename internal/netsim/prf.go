@@ -14,13 +14,8 @@ package netsim
 
 import "sleepnet/internal/prf"
 
-// prfFloat returns a uniform float64 in [0, 1).
-func prfFloat(seed uint64, parts ...uint64) float64 {
-	return prf.Float(seed, parts...)
-}
-
-// prfFloat2 and prfFloat3 are the fixed-arity forms for per-probe draws;
-// bit-identical to prfFloat with the same parts.
+// prfFloat2 and prfFloat3 return a uniform float64 in [0, 1): the
+// fixed-arity forms of prf.Float, bit-identical to it with the same parts.
 func prfFloat2(seed, a, b uint64) float64 { return prf.Float2(seed, a, b) }
 
 func prfFloat3(seed, a, b, c uint64) float64 { return prf.Float3(seed, a, b, c) }
