@@ -132,6 +132,14 @@ bench-e2e:
 # 8): both sides' ./bench built once, PAIRS alternating pairs of untraced
 # runs, medians with quartiles and the pair win count per end-to-end metric.
 #   make bench-pair WORKLOAD=truth-7d BASE=HEAD~1 PAIRS=10
+# A claim is measured on its workload at the default seed and once more at a
+# seed nobody looked at while writing the change, and every other workload is
+# run as a control. PR 13 (binary WAL payloads, DESIGN section 11) was:
+#   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10
+#   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
+#   make bench-pair WORKLOAD=study-14d   BASE=HEAD~1 PAIRS=5    (and truth-7d, serve-mixed)
+# cmd/benchpair keeps BASE's export under $TMPDIR; nothing else should be
+# running on the host while pairs are measured.
 WORKLOAD ?= truth-7d
 BASE ?= HEAD
 PAIRS ?= 10

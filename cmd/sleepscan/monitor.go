@@ -24,6 +24,17 @@ import (
 	"sleepnet/internal/world"
 )
 
+// explainWALError adds, to a monitor error that means the -wal directory
+// cannot be resumed by this campaign, the one line an operator needs: what
+// is wrong with the directory and what to do about it. Other errors (and
+// nil) pass through.
+func explainWALError(err error, walDir string) error {
+	if errors.Is(err, monitor.ErrMismatch) {
+		return fmt.Errorf("%w\n-wal %s was written by a different campaign (seed, rounds, shards or block set) or by an older on-disk format; use a fresh directory", err, walDir)
+	}
+	return err
+}
+
 func runMonitor(argv []string) {
 	fs := flag.NewFlagSet("sleepscan monitor", flag.ExitOnError)
 	blocks := fs.Int("blocks", 500, "number of /24 blocks in the world")
@@ -64,7 +75,7 @@ func runMonitor(argv []string) {
 		WatchdogTick:  tick.C,
 		Metrics:       reg,
 	})
-	fatal(err)
+	fatal(explainWALError(err, *walDir))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -104,9 +115,7 @@ func runMonitor(argv []string) {
 	case errors.Is(err, monitor.ErrQuarantine), errors.Is(err, monitor.ErrWatchdog):
 		fatal(err)
 	default:
-		if err != nil {
-			fatal(err)
-		}
+		fatal(explainWALError(err, *walDir))
 		fmt.Printf("stopped after %v without completing (%d shards quarantined)\n", elapsed, len(res.Quarantined))
 	}
 

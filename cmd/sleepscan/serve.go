@@ -76,7 +76,7 @@ func runServe(argv []string) {
 		Metrics:       reg,
 		Sink:          eng,
 	})
-	fatal(err)
+	fatal(explainWALError(err, *walDir))
 
 	ln, err := net.Listen("tcp", *listen)
 	fatal(err)

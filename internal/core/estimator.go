@@ -136,13 +136,20 @@ func (e *Estimator) State() EstimatorState {
 	}
 }
 
-// EstimatorFromState rebuilds an estimator from a snapshot.
-func EstimatorFromState(s EstimatorState) *Estimator {
-	return &Estimator{
+// Restore overwrites the estimator with a snapshot, in place.
+func (e *Estimator) Restore(s EstimatorState) {
+	*e = Estimator{
 		alphaS: s.AlphaS, alphaL: s.AlphaL,
 		pS: s.PS, tS: s.TS, pL: s.PL, tL: s.TL, dL: s.DL,
 		rounds: s.Rounds,
 	}
+}
+
+// EstimatorFromState rebuilds an estimator from a snapshot.
+func EstimatorFromState(s EstimatorState) *Estimator {
+	e := new(Estimator)
+	e.Restore(s)
+	return e
 }
 
 func ratio(p, t float64) float64 {

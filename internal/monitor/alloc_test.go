@@ -5,24 +5,31 @@ import (
 	"testing"
 )
 
-// TestMonitorRoundAllocFree pins the warm hot path: with durability off, a
-// monitor round over a shard — probe every block (a whole batched wavefront
-// by default, per-probe under ScalarProbe), observe into the estimators,
-// extend the preallocated series — must not touch the heap. probeRound is
-// exactly the per-round work; commit and snapshot are the durable (and
-// allocating) cold path by design.
+// TestMonitorRoundAllocFree pins the warm hot path: a monitor round over a
+// shard — probe every block (a whole batched wavefront by default, per-probe
+// under ScalarProbe), observe into the estimators, extend the preallocated
+// series — must not touch the heap. With durability on the committed round
+// is held to the same budget: commitRound encodes into the shard's reused
+// frame buffer and hands it to one write(2), so as long as the round neither
+// rotates the segment nor snapshots, it allocates nothing either.
 func TestMonitorRoundAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		scalar bool
+		wal    bool
 	}{
-		{"batched", false},
-		{"scalar", true},
+		{"batched", false, false},
+		{"scalar", true, false},
+		{"wal", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := baseConfig(testNet(8), 128)
 			cfg.Shards = 1
 			cfg.ScalarProbe = tc.scalar
+			if tc.wal {
+				cfg.WALDir = t.TempDir()
+				cfg.SegmentBytes = 1 << 30 // no rotation inside the test
+			}
 			m, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -31,12 +38,18 @@ func TestMonitorRoundAllocFree(t *testing.T) {
 			if err := s.rebuild(); err != nil {
 				t.Fatal(err)
 			}
+			if tc.wal {
+				defer s.wal.abandon()
+			}
 
 			// Warm-up: the initial up transitions land in the event slices
 			// and the probe scratch grows its arenas here.
 			r := 0
 			roundOnce := func() {
 				s.probeRound(r)
+				if err := s.commitRound(r); err != nil {
+					t.Fatal(err)
+				}
 				r++
 			}
 			for i := 0; i < 4; i++ {
@@ -48,6 +61,48 @@ func TestMonitorRoundAllocFree(t *testing.T) {
 				t.Fatalf("warm monitor round allocates %.2f times per 8-block round, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestReplayAllocFree pins the recovery side of the codec: decoding a record
+// into the shard's staging record and applying it restores estimators in
+// place and stages prober states through a reused slice, so a warm replay
+// step allocates nothing, however many records and blocks a recovery covers.
+func TestReplayAllocFree(t *testing.T) {
+	cfg := baseConfig(testNet(8), 128)
+	cfg.Shards = 1
+	cfg.WALDir = t.TempDir()
+	m, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := m.shards[0]
+	if err := s.rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	defer s.wal.abandon()
+	for r := 0; r < 4; r++ {
+		s.probeRound(r)
+		if err := s.commitRound(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := append([]byte(nil), s.recBuf[walFrameSize:]...)
+
+	replayOnce := func() {
+		if err := decodeRecord(payload, &s.rec); err != nil {
+			t.Fatal(err)
+		}
+		for _, mon := range s.mons {
+			mon.short, mon.events = mon.short[:0], mon.events[:0]
+		}
+		if err := s.applyRecord(&s.rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replayOnce()
+	if avg := testing.AllocsPerRun(100, replayOnce); avg != 0 {
+		t.Fatalf("warm replay step allocates %.2f times per 8-block record, want 0", avg)
 	}
 }
 

@@ -15,11 +15,11 @@ package monitor
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,8 +74,13 @@ type shard struct {
 	mons   []*blockMon
 	round  int // next round to execute
 	wal    *walWriter
-	rec    walRecord  // staging buffer reused across commits
 	pub    []RoundPub // sink staging buffer reused across rounds
+
+	// Codec buffers, reused across rounds, snapshots and attempts.
+	recBuf  []byte                  // commitRound's frame: header + record payload
+	snapBuf []byte                  // writeSnapshot's file image
+	rec     walRecord               // replay staging: decodeRecord fills it
+	states  []trinocular.BlockState // replay staging for Prober.RestoreState
 
 	// hb is the watchdog heartbeat: bumped on every completed round, every
 	// completed rebuild and every attempt's exit.
@@ -198,7 +203,7 @@ func (s *shard) recoverWAL() error {
 	cfg := &s.m.cfg
 
 	recovered := false
-	snapPath := filepath.Join(dir, "snap.json")
+	snapPath := filepath.Join(dir, snapName)
 	if data, err := os.ReadFile(snapPath); err == nil {
 		snap, derr := decodeSnapshot(data)
 		if derr != nil {
@@ -225,6 +230,7 @@ func (s *shard) recoverWAL() error {
 	// segRounds remembers each surviving sealed segment's max round so the
 	// new writer's snapshot GC covers pre-crash history too.
 	segRounds := make(map[int]int)
+	rec := &s.rec // every record decodes into the one staging record
 	for i, sf := range segs {
 		maxSeq = sf.seq
 		data, rerr := os.ReadFile(sf.path)
@@ -257,8 +263,7 @@ func (s *shard) recoverWAL() error {
 		}
 		segMax := -1
 		for _, payload := range recs {
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
+			if derr := decodeRecord(payload, rec); derr != nil {
 				return fmt.Errorf("monitor: shard %d segment %s: %w", s.idx, sf.path, derr)
 			}
 			if rec.Round > segMax {
@@ -309,30 +314,34 @@ func (s *shard) applySnapshot(snap *shardSnapshot) error {
 		return fmt.Errorf("monitor: shard %d snapshot has %d blocks, monitor %d: %w",
 			s.idx, len(snap.Blocks), len(s.mons), ErrCorrupt)
 	}
-	for i, bs := range snap.Blocks {
-		mon := s.mons[i]
-		if mon.id != bs.ID {
+	s.states = s.states[:0]
+	for i := range snap.Blocks {
+		bs, mon := &snap.Blocks[i], s.mons[i]
+		if mon.id != bs.Prober.ID {
 			return fmt.Errorf("monitor: shard %d snapshot block %s, monitor %s: %w",
-				s.idx, bs.ID, mon.id, ErrCorrupt)
+				s.idx, bs.Prober.ID, mon.id, ErrCorrupt)
 		}
-		mon.est = core.EstimatorFromState(bs.Est)
+		mon.est.Restore(bs.Est)
 		mon.short = append(mon.short[:0], bs.Short...)
 		mon.events = append(mon.events[:0], bs.Events...)
 		mon.failed = bs.Failed
+		s.states = append(s.states, bs.Prober)
 	}
-	if err := s.prober.RestoreState(trinocular.State{Blocks: snap.Prober}); err != nil {
+	if err := s.prober.RestoreState(trinocular.State{Blocks: s.states}); err != nil {
 		return fmt.Errorf("monitor: shard %d snapshot: %v: %w", s.idx, err, ErrCorrupt)
 	}
 	return nil
 }
 
-// applyRecord replays one committed round into the in-memory state.
+// applyRecord replays one committed round into the in-memory state. A warm
+// replay allocates nothing: estimators are restored in place and the prober
+// states stage through the shard's reused slice.
 func (s *shard) applyRecord(rec *walRecord) error {
 	if len(rec.Deltas) != len(s.mons) {
 		return fmt.Errorf("monitor: shard %d record round %d has %d blocks, monitor %d: %w",
 			s.idx, rec.Round, len(rec.Deltas), len(s.mons), ErrCorrupt)
 	}
-	states := make([]trinocular.BlockState, len(rec.Deltas))
+	s.states = s.states[:0]
 	for i := range rec.Deltas {
 		d := &rec.Deltas[i]
 		mon := s.mons[i]
@@ -340,7 +349,7 @@ func (s *shard) applyRecord(rec *walRecord) error {
 			return fmt.Errorf("monitor: shard %d record block %s, monitor %s: %w",
 				s.idx, d.Prober.ID, mon.id, ErrCorrupt)
 		}
-		mon.est = core.EstimatorFromState(d.Est)
+		mon.est.Restore(d.Est)
 		mon.short = append(mon.short, d.Short)
 		switch d.Event {
 		case eventDown:
@@ -351,9 +360,9 @@ func (s *shard) applyRecord(rec *walRecord) error {
 		if d.Failed {
 			mon.failed++
 		}
-		states[i] = d.Prober
+		s.states = append(s.states, d.Prober)
 	}
-	if err := s.prober.RestoreState(trinocular.State{Blocks: states}); err != nil {
+	if err := s.prober.RestoreState(trinocular.State{Blocks: s.states}); err != nil {
 		return fmt.Errorf("monitor: shard %d replay: %v: %w", s.idx, err, ErrCorrupt)
 	}
 	return nil
@@ -466,9 +475,10 @@ func (s *shard) abandonWith(reason error) error {
 }
 
 // probeRound executes one round over the shard's blocks. This is the hot
-// path: with durability off a warm round performs no allocations (series
-// capacity is preallocated; the shard's one BatchContext — or ProbeContext
-// in scalar mode — carries the wire scratch). By default the whole shard's
+// path: a warm round performs no allocations (series capacity is
+// preallocated; the shard's one BatchContext — or ProbeContext in scalar
+// mode — carries the wire scratch), and commitRound holds the durable half
+// of the round to the same budget. By default the whole shard's
 // round crosses the netsim boundary through the batched delivery path;
 // Config.ScalarProbe falls back to per-probe delivery, with identical
 // results either way (the trinocular equivalence contract).
@@ -545,41 +555,43 @@ func (s *shard) applyObs(mon *blockMon, obs *trinocular.RoundObs, r int) {
 // commitRound appends the round's deltas to the WAL. A crash before this
 // append loses the round entirely (it re-executes identically on restart);
 // a crash after it makes the round durable. There is no in-between: the
-// frame is a single write.
+// frame is a single write. The frame is encoded straight from the mons and
+// the prober into the shard's reused buffer, so a warm commit that neither
+// rotates nor snapshots performs no allocation.
+//
+//lint:hotpath: warm commit 0 allocs/op budget pinned by TestMonitorRoundAllocFree/wal
 func (s *shard) commitRound(r int) error {
 	if s.wal == nil {
 		return nil
 	}
-	s.rec.Round = r
-	s.rec.Deltas = s.rec.Deltas[:0]
+	buf := slices.Grow(s.recBuf[:0], walFrameSize+recordHeaderSize+len(s.blocks)*deltaSize)
+	buf = appendRecordHeader(beginFrame(buf), r, len(s.blocks))
+	var d blockDelta
 	for i, id := range s.blocks {
 		mon := s.mons[i]
-		ps, ok := s.prober.BlockStateOf(id)
-		if !ok {
+		var ok bool
+		if d.Prober, ok = s.prober.BlockStateOf(id); !ok {
 			return fmt.Errorf("monitor: shard %d: block %s lost from prober", s.idx, id)
 		}
-		s.rec.Deltas = append(s.rec.Deltas, blockDelta{
-			Prober: ps,
-			Est:    mon.est.State(),
-			Short:  mon.short[len(mon.short)-1],
-			Event:  mon.lastEvent,
-			Failed: mon.lastFailed,
-		})
+		d.Est = mon.est.State()
+		d.Short = mon.short[len(mon.short)-1]
+		d.Event = mon.lastEvent
+		d.Failed = mon.lastFailed
+		buf = appendDelta(buf, &d)
 	}
-	payload, err := json.Marshal(&s.rec)
-	if err != nil {
-		return fmt.Errorf("monitor: shard %d commit: %w", s.idx, err)
-	}
-	return s.wal.append(payload, r)
+	finishFrame(buf, 0)
+	s.recBuf = buf
+	return s.wal.append(buf, r)
 }
 
 // writeSnapshot persists the shard's cumulative committed state atomically
-// and garbage-collects sealed segments the snapshot covers.
+// and garbage-collects sealed segments the snapshot covers. The snapshot
+// aliases the live series; encodeSnapshot copies them as bulk float bits
+// into the shard's reused image buffer.
 func (s *shard) writeSnapshot() error {
 	snap := shardSnapshot{
 		Shard:  s.idx,
 		Round:  s.round,
-		Prober: make([]trinocular.BlockState, 0, len(s.blocks)),
 		Blocks: make([]blockSnapshot, 0, len(s.blocks)),
 	}
 	for i, id := range s.blocks {
@@ -588,20 +600,16 @@ func (s *shard) writeSnapshot() error {
 			return fmt.Errorf("monitor: shard %d: block %s lost from prober", s.idx, id)
 		}
 		mon := s.mons[i]
-		snap.Prober = append(snap.Prober, ps)
 		snap.Blocks = append(snap.Blocks, blockSnapshot{
-			ID:     id,
+			Prober: ps,
 			Est:    mon.est.State(),
 			Short:  mon.short,
 			Events: mon.events,
 			Failed: mon.failed,
 		})
 	}
-	data, err := encodeSnapshot(&snap)
-	if err != nil {
-		return err
-	}
-	if err := durable.WriteFileAtomic(filepath.Join(s.dir(), "snap.json"), data, 0o644); err != nil {
+	s.snapBuf = encodeSnapshot(s.snapBuf, &snap)
+	if err := durable.WriteFileAtomic(filepath.Join(s.dir(), snapName), s.snapBuf, 0o644); err != nil {
 		return fmt.Errorf("monitor: shard %d snapshot: %w", s.idx, err)
 	}
 	s.m.met.snapshots.Inc()

@@ -5,18 +5,26 @@ package monitor
 //
 // Layout (one directory per shard under the monitor's WAL root):
 //
-//	wal/meta.json                  — campaign identity, written atomically
+//	wal/meta.json                  — campaign identity (JSON), written atomically
 //	wal/shard-0003/seg-00000007.wal   — sealed segment (immutable)
 //	wal/shard-0003/seg-00000008.open  — the segment being appended to
-//	wal/shard-0003/snap.json          — latest shard snapshot (atomic rename)
+//	wal/shard-0003/snap.json          — latest shard snapshot (atomic rename;
+//	                                    binary despite the name, see snapName)
 //
 // Segment format: a 16-byte header (magic, version, shard), then framed
 // records: 4-byte big-endian payload length, 4-byte big-endian CRC-32C of
-// the payload, payload bytes. A record is committed once its frame is fully
-// on disk (fsynced when the monitor runs with Sync). Sealing a segment
-// fsyncs it and renames seg-N.open → seg-N.wal (atomic), so a reader can
-// trust every sealed segment completely and must only tolerate damage at
-// the tail of the single .open segment.
+// the payload, payload bytes. This file owns the frames and knows nothing of
+// what a payload holds; record.go owns the payloads (fixed-layout binary
+// since version 2). A record is committed once its frame is fully on disk
+// (fsynced when the monitor runs with Sync). Sealing a segment fsyncs it and
+// renames seg-N.open → seg-N.wal (atomic), so a reader can trust every
+// sealed segment completely and must only tolerate damage at the tail of
+// the single .open segment.
+//
+// Version 2 replaced version 1's JSON payloads outright: there is no v1
+// read path. A v1 directory is refused by the meta.json comparison
+// (ErrMismatch) before any segment is opened, and a stray v1 segment or
+// snapshot by the header check below (ErrCorrupt).
 //
 // Recovery policy (the classic one): scan records forward; the first
 // damaged frame ends the segment. Damage in a sealed (non-final) segment is
@@ -31,6 +39,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -42,7 +51,12 @@ import (
 
 const (
 	walMagic   = "SLPWAL01"
-	walVersion = 1
+	walVersion = 2
+	// snapName is the shard snapshot's file name. The payload has not been
+	// JSON since version 2; the name stays because bench/monitorwal.go globs
+	// it for durable.write_atomic_ms and bench/ may not change in a PR that
+	// claims a gain — renaming it is left to a later benchmark PR.
+	snapName = "snap.json"
 	// walHeaderSize is magic(8) + version(4) + shard(4).
 	walHeaderSize = 16
 	// walFrameSize is length(4) + crc(4).
@@ -60,13 +74,22 @@ var ErrCorrupt = errors.New("monitor: wal corrupt")
 // castagnoli is the CRC-32C table; the same polynomial storage systems use.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends one framed record to buf and returns the result.
-func appendFrame(buf, payload []byte) []byte {
+// beginFrame reserves a frame header at the end of buf. The caller appends
+// the payload behind it and then calls finishFrame with the offset the
+// header sits at (len(buf) before the call), so a payload is encoded once,
+// in place, with no staging copy.
+func beginFrame(buf []byte) []byte {
 	var hdr [walFrameSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
 	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+	return buf
+}
+
+// finishFrame fills in the header reserved at buf[start:] for the payload
+// that follows it to the end of buf.
+func finishFrame(buf []byte, start int) {
+	payload := buf[start+walFrameSize:]
+	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.BigEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
 }
 
 // encodeSegmentHeader writes the 16-byte segment header.
@@ -131,6 +154,7 @@ func segName(seq int, sealed bool) string {
 	if sealed {
 		ext = ".wal"
 	}
+	//lint:allow hotalloc: commitRound reaches this only when a segment rotates, once per SegmentBytes
 	return fmt.Sprintf("seg-%08d%s", seq, ext)
 }
 
@@ -168,7 +192,6 @@ type walWriter struct {
 	written  int64 // bytes in the open segment
 	segBytes int64
 	sync     bool
-	frameBuf []byte // reusable frame staging
 
 	// lastRound tracks the highest round appended to the open segment, and
 	// sealedMax the same per sealed segment (for snapshot-driven GC).
@@ -217,13 +240,13 @@ func (w *walWriter) openSegment() error {
 	return nil
 }
 
-// append commits one record: frame, single write call (so an in-process
-// crash can never leave a half-written frame), optional fsync, rotate when
-// the segment is full. round is the record's round number, tracked for
-// snapshot-driven segment GC.
-func (w *walWriter) append(payload []byte, round int) error {
-	w.frameBuf = appendFrame(w.frameBuf[:0], payload)
-	if _, err := w.f.Write(w.frameBuf); err != nil {
+// append commits one record — frame is a finished frame, header and
+// payload — with a single write call (so an in-process crash can never leave
+// a half-written frame), optional fsync, and a rotation when the segment is
+// full. round is the record's round number, tracked for snapshot-driven
+// segment GC.
+func (w *walWriter) append(frame []byte, round int) error {
+	if _, err := w.f.Write(frame); err != nil {
 		return fmt.Errorf("monitor: wal append: %w", err)
 	}
 	if w.sync {
@@ -231,12 +254,12 @@ func (w *walWriter) append(payload []byte, round int) error {
 			return fmt.Errorf("monitor: wal sync: %w", err)
 		}
 	}
-	w.written += int64(len(w.frameBuf))
+	w.written += int64(len(frame))
 	if round > w.lastRound {
 		w.lastRound = round
 	}
 	w.m.walRecords.Inc()
-	w.m.walBytes.Add(int64(len(w.frameBuf)))
+	w.m.walBytes.Add(int64(len(frame)))
 	if w.written >= w.segBytes {
 		return w.rotate()
 	}
@@ -281,9 +304,10 @@ func (w *walWriter) seal() error {
 }
 
 // gc deletes sealed segments whose every record is covered by a snapshot at
-// snapRound. Only segments sealed by this writer are considered; leftover
-// segments from earlier processes are skipped by the recovery reader anyway
-// and cost only disk.
+// snapRound: the ones this writer sealed and the ones recovery handed it.
+// A segment whose removal fails stays registered, so the next snapshot's gc
+// retries it instead of leaking it for the rest of the campaign; only a
+// segment that is already gone is forgotten without being counted.
 func (w *walWriter) gc(snapRound int) {
 	seqs := make([]int, 0, len(w.sealedMax))
 	for seq := range w.sealedMax {
@@ -294,8 +318,11 @@ func (w *walWriter) gc(snapRound int) {
 		if w.sealedMax[seq] > snapRound {
 			continue
 		}
-		if err := os.Remove(filepath.Join(w.dir, segName(seq, true))); err == nil {
+		switch err := os.Remove(filepath.Join(w.dir, segName(seq, true))); {
+		case err == nil:
 			w.m.segmentsDeleted.Inc()
+		case !errors.Is(err, fs.ErrNotExist):
+			continue // still on disk: stays registered for the next gc
 		}
 		delete(w.sealedMax, seq)
 	}
@@ -345,9 +372,10 @@ func listSegments(dir string) ([]segmentFile, error) {
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	for i := 1; i < len(segs); i++ {
 		if segs[i].seq == segs[i-1].seq {
-			// Both seg-N.open and seg-N.wal exist: the process died between
-			// the rename and the directory sync, or during a crash-looped
-			// seal. The sealed file is the trustworthy one.
+			// Both seg-N.open and seg-N.wal exist. Sealing is one rename(2),
+			// which leaves the old name or the new one behind a crash, never
+			// both, so the pair was not written by a monitor: refuse the
+			// directory rather than guess which file is the history.
 			return nil, fmt.Errorf("monitor: wal: duplicate segment %d in %s: %w", segs[i].seq, dir, ErrCorrupt)
 		}
 	}

@@ -10,9 +10,18 @@ import (
 	"testing"
 
 	"sleepnet/internal/faults"
+	"sleepnet/internal/metrics"
 )
 
 func testMetrics() *monitorMetrics { return &monitorMetrics{} }
+
+// appendFrame appends payload to buf as one finished frame.
+func appendFrame(buf, payload []byte) []byte {
+	start := len(buf)
+	buf = append(beginFrame(buf), payload...)
+	finishFrame(buf, start)
+	return buf
+}
 
 // readAll decodes every segment of a shard dir in order and returns the
 // concatenated record payloads.
@@ -48,7 +57,7 @@ func TestWALRoundTripWithRotation(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		p := []byte(fmt.Sprintf(`{"round":%d,"payload":"abcdefghij"}`, i))
 		want = append(want, p)
-		if err := w.append(p, i); err != nil {
+		if err := w.append(appendFrame(nil, p), i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,7 +95,7 @@ func TestWALGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := w.append([]byte(`{"r":1234567890}`), i); err != nil {
+		if err := w.append(appendFrame(nil, []byte(`{"r":1234567890}`)), i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +130,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	}
 	recs := [][]byte{[]byte(`{"a":1}`), []byte(`{"b":2}`), []byte(`{"c":3}`)}
 	for i, p := range recs {
-		if err := w.append(p, i); err != nil {
+		if err := w.append(appendFrame(nil, p), i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -232,76 +241,64 @@ func TestParseSegName(t *testing.T) {
 	}
 }
 
-func TestSnapshotRoundTripAndDamage(t *testing.T) {
-	snap := &shardSnapshot{Shard: 2, Round: 5}
-	data, err := encodeSnapshot(snap)
+// TestWALGCRetriesFailedRemoval: a sealed segment that gc could not remove
+// stays registered, so the next snapshot's gc tries again; forgetting it
+// would leave it on disk, uncounted, for the rest of the campaign.
+func TestWALGCRetriesFailedRemoval(t *testing.T) {
+	dir := t.TempDir()
+	reg := metrics.New()
+	w, err := newWALWriter(dir, 0, 0, 64, false, newMonitorMetrics(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSnapshot(data)
-	if err != nil {
+	for i := 0; i < 10; i++ {
+		if err := w.append(appendFrame(nil, []byte(`{"r":1234567890}`)), i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sealed := len(w.sealedMax)
+	if sealed < 2 {
+		t.Fatalf("expected rotations before gc, sealed=%d", sealed)
+	}
+	// Stand a non-empty directory at segment 0's name: os.Remove fails on
+	// it with something other than not-exist. Segment 1 is simply gone.
+	stuck := filepath.Join(dir, segName(0, true))
+	if err := os.Remove(stuck); err != nil {
 		t.Fatal(err)
 	}
-	if got.Shard != 2 || got.Round != 5 {
-		t.Fatalf("round-trip = %+v", got)
+	if err := os.MkdirAll(filepath.Join(stuck, "occupant"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, segName(1, true))); err != nil {
+		t.Fatal(err)
 	}
 
-	for i := range data {
-		mut := append([]byte(nil), data...)
-		mut[i] ^= 0x01
-		if _, err := decodeSnapshot(mut); err == nil {
-			// A flip inside the shard-id header field changes the decoded
-			// shard but stays structurally valid; every other byte is
-			// covered by magic, version, length, or CRC checks.
-			if i < 12 || i >= walHeaderSize {
-				t.Errorf("bit flip at byte %d went undetected", i)
-			}
-		} else if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("flip at %d: %v is not ErrCorrupt", i, err)
-		}
+	w.gc(9)
+	if _, kept := w.sealedMax[0]; !kept || len(w.sealedMax) != 1 {
+		t.Fatalf("after a failed removal sealedMax = %v, want only segment 0 kept", w.sealedMax)
 	}
-}
-
-// FuzzWALDecode is the decoder's no-panic/typed-error contract: arbitrary
-// bytes fed to the segment and snapshot decoders must produce either a
-// clean decode or an error chained to ErrCorrupt — never a panic, never an
-// unbounded allocation, never an untyped failure. Seeds cover the known
-// crash shapes (torn tail, bit flip, truncated header, hostile length
-// field); new crashers found by fuzzing land in testdata/fuzz as
-// regression seeds automatically.
-func FuzzWALDecode(f *testing.F) {
-	valid := encodeValidSegment(1, [][]byte{[]byte(`{"Round":0,"Deltas":[]}`)})
-	f.Add(valid)
-	f.Add(valid[:len(valid)-4]) // torn tail
-	f.Add(valid[:12])           // truncated header
-	f.Add([]byte{})
-	flip := append([]byte(nil), valid...)
-	flip[walHeaderSize+2] ^= 0x10
-	f.Add(flip)
-	hostile := append([]byte(nil), valid[:walHeaderSize]...)
-	hostile = append(hostile, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0)
-	f.Add(hostile) // length field claims 4 GiB
-	snap, err := encodeSnapshot(&shardSnapshot{Shard: 0, Round: 1})
-	if err != nil {
-		f.Fatal(err)
+	deleted := func() int64 { return reg.Snapshot().Counter("monitor.wal_segments_deleted") }
+	// Segment 0 failed and segment 1 was already gone: neither counts.
+	if got, want := deleted(), int64(sealed-2); got != want {
+		t.Fatalf("segments deleted = %d, want %d", got, want)
 	}
-	f.Add(snap)
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		_, recs, off, damage := decodeSegment(data)
-		if damage != nil && !errors.Is(damage, ErrCorrupt) {
-			t.Fatalf("segment damage not typed: %v", damage)
-		}
-		if off > int64(len(data)) {
-			t.Fatalf("offset %d past input length %d", off, len(data))
-		}
-		for _, r := range recs {
-			if _, err := decodeRecord(r); err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("record error not typed: %v", err)
-			}
-		}
-		if _, err := decodeSnapshot(data); err != nil && !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("snapshot error not typed: %v", err)
-		}
-	})
+	// Clear the obstruction down to something os.Remove can take; the next
+	// snapshot's gc must retry, succeed, count it, and forget it.
+	if err := os.Remove(filepath.Join(stuck, "occupant")); err != nil {
+		t.Fatal(err)
+	}
+	w.gc(9)
+	if len(w.sealedMax) != 0 {
+		t.Fatalf("retry left sealedMax = %v", w.sealedMax)
+	}
+	if got, want := deleted(), int64(sealed-1); got != want {
+		t.Fatalf("segments deleted after retry = %d, want %d", got, want)
+	}
+	if _, err := os.Stat(stuck); !os.IsNotExist(err) {
+		t.Fatalf("segment 0 still on disk after retry: %v", err)
+	}
+	if err := w.close(); err != nil {
+		t.Fatal(err)
+	}
 }
