@@ -138,6 +138,10 @@ bench-e2e:
 #   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10
 #   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
 #   make bench-pair WORKLOAD=study-14d   BASE=HEAD~1 PAIRS=5    (and truth-7d, serve-mixed)
+# A claim on another metric is read off the same table: PR 17 (the host
+# table) claimed peak_rss_mb on study-14d, with the other three as controls:
+#   make bench-pair WORKLOAD=study-14d BASE=HEAD~1 PAIRS=10
+#   make bench-pair WORKLOAD=study-14d BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
 # cmd/benchpair keeps BASE's export under $TMPDIR; nothing else should be
 # running on the host while pairs are measured.
 WORKLOAD ?= truth-7d

@@ -64,23 +64,25 @@ func sampleBlockBench(b *testing.B, kind string, days int, wantDiurnal bool) {
 	b.Helper()
 	net := netsim.NewNetwork(1)
 	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 0, 1), Seed: 1}
+	var hosts netsim.Hosts
 	switch kind {
 	case "sparse":
 		for h := 0; h < 42; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.735, Seed: uint64(h)}
+			hosts[h] = netsim.Intermittent{P: 0.735, Seed: uint64(h)}
 		}
 	case "dense":
 		for h := 0; h < 245; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.191, Seed: uint64(h)}
+			hosts[h] = netsim.Intermittent{P: 0.191, Seed: uint64(h)}
 		}
 	case "diurnal":
 		for h := 0; h < 100; h++ {
-			blk.Behaviors[h] = netsim.AlwaysOn{}
+			hosts[h] = netsim.AlwaysOn{}
 		}
 		for h := 100; h < 256; h++ {
-			blk.Behaviors[h] = netsim.Diurnal{Phase: time.Hour, Duration: 10 * time.Hour, Seed: uint64(h)}
+			hosts[h] = netsim.Diurnal{Phase: time.Hour, Duration: 10 * time.Hour, Seed: uint64(h)}
 		}
 	}
+	blk.SetHosts(&hosts)
 	net.AddBlock(blk)
 	pl := core.NewPipeline(net, core.PipelineConfig{
 		Start: analysis.DefaultStart, Rounds: analysis.RoundsForDays(days), Seed: 1,
@@ -408,9 +410,11 @@ func BenchmarkAblationRatioEWMA(b *testing.B) {
 	const trueA = 0.5
 	net := netsim.NewNetwork(2)
 	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 9, 9), Seed: 2}
+	var hosts netsim.Hosts
 	for h := 0; h < 200; h++ {
-		blk.Behaviors[h] = netsim.Intermittent{P: trueA, Seed: uint64(h)}
+		hosts[h] = netsim.Intermittent{P: trueA, Seed: uint64(h)}
 	}
+	blk.SetHosts(&hosts)
 	net.AddBlock(blk)
 	b.ResetTimer()
 	var biasRatio, biasSep float64
@@ -457,12 +461,14 @@ func BenchmarkAblationGain(b *testing.B) {
 		b.Run(gainName(gain), func(b *testing.B) {
 			net := netsim.NewNetwork(3)
 			blk := &netsim.Block{ID: netsim.MakeBlockID(11, 0, 0), Seed: 3}
+			var hosts netsim.Hosts
 			for h := 0; h < 100; h++ {
-				blk.Behaviors[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: uint64(h)}
+				hosts[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: uint64(h)}
 			}
 			for h := 100; h < 150; h++ {
-				blk.Behaviors[h] = netsim.AlwaysOn{}
+				hosts[h] = netsim.AlwaysOn{}
 			}
+			blk.SetHosts(&hosts)
 			net.AddBlock(blk)
 			b.ResetTimer()
 			var rmse float64
@@ -512,9 +518,11 @@ func BenchmarkAblationProbePolicy(b *testing.B) {
 	mk := func(fixed int) (float64, float64) {
 		net := netsim.NewNetwork(4)
 		blk := &netsim.Block{ID: netsim.MakeBlockID(12, 0, 0), Seed: 4}
+		var hosts netsim.Hosts
 		for h := 0; h < 200; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.6, Seed: uint64(h)}
+			hosts[h] = netsim.Intermittent{P: 0.6, Seed: uint64(h)}
 		}
+		blk.SetHosts(&hosts)
 		net.AddBlock(blk)
 		prober := trinocular.New(net, trinocular.Config{FixedProbes: fixed}, 9)
 		if err := prober.AddBlock(blk.ID, blk.EverActive()); err != nil {
@@ -551,12 +559,14 @@ func BenchmarkAblationMidnightTrim(b *testing.B) {
 	mkRun := func(startOffset time.Duration, seed uint64) *core.BlockRun {
 		net := netsim.NewNetwork(seed)
 		blk := &netsim.Block{ID: netsim.MakeBlockID(13, 0, 0), Seed: seed}
+		var hosts netsim.Hosts
 		for h := 0; h < 50; h++ {
-			blk.Behaviors[h] = netsim.AlwaysOn{}
+			hosts[h] = netsim.AlwaysOn{}
 		}
 		for h := 50; h < 170; h++ {
-			blk.Behaviors[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: seed + uint64(h)}
+			hosts[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: seed + uint64(h)}
 		}
+		blk.SetHosts(&hosts)
 		net.AddBlock(blk)
 		pl := core.NewPipeline(net, core.PipelineConfig{
 			Start:  analysis.DefaultStart.Add(startOffset),

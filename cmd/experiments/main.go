@@ -218,31 +218,33 @@ func experimentRunners() map[string]func(*ctx) {
 func sampleBlock(kind string, days int) (*core.BlockRun, []float64) {
 	net := netsim.NewNetwork(*flagSeed)
 	blk := &netsim.Block{Seed: *flagSeed}
+	var hosts netsim.Hosts
 	switch kind {
 	case "sparse":
 		blk.ID = netsim.MakeBlockID(1, 9, 21)
 		for h := 0; h < 42; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.735, Seed: uint64(h) + 5}
+			hosts[h] = netsim.Intermittent{P: 0.735, Seed: uint64(h) + 5}
 		}
 		oStart := analysis.DefaultStart.Add(957 * 660 * time.Second)
 		blk.Outages = []netsim.Interval{{Start: oStart, End: oStart.Add(6 * time.Hour)}}
 	case "dense":
 		blk.ID = netsim.MakeBlockID(93, 208, 233)
 		for h := 0; h < 245; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.191, Seed: uint64(h) + 7}
+			hosts[h] = netsim.Intermittent{P: 0.191, Seed: uint64(h) + 7}
 		}
 	case "diurnal":
 		blk.ID = netsim.MakeBlockID(27, 186, 9)
 		for h := 0; h < 100; h++ {
-			blk.Behaviors[h] = netsim.AlwaysOn{}
+			hosts[h] = netsim.AlwaysOn{}
 		}
 		for h := 100; h < 256; h++ {
-			blk.Behaviors[h] = netsim.Diurnal{
+			hosts[h] = netsim.Diurnal{
 				Phase: 1 * time.Hour, Duration: 10 * time.Hour,
 				StartSigma: 30 * time.Minute, Seed: uint64(h),
 			}
 		}
 	}
+	blk.SetHosts(&hosts)
 	net.AddBlock(blk)
 	pl := core.NewPipeline(net, core.PipelineConfig{
 		Start:  analysis.DefaultStart,

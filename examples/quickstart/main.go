@@ -19,17 +19,19 @@ func main() {
 	// 1. A simulated /24: 60 always-on servers and 120 office machines
 	//    that are switched on around 09:00 local time for ~9 hours.
 	blk := &netsim.Block{ID: netsim.MakeBlockID(192, 0, 2), Seed: 1}
+	var hosts netsim.Hosts
 	for h := 1; h <= 60; h++ {
-		blk.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
 	for h := 61; h <= 180; h++ {
-		blk.Behaviors[h] = netsim.Diurnal{
+		hosts[h] = netsim.Diurnal{
 			Phase:      9 * time.Hour,
 			Duration:   9 * time.Hour,
 			StartSigma: 30 * time.Minute,
 			Seed:       uint64(h),
 		}
 	}
+	blk.SetHosts(&hosts)
 	net := netsim.NewNetwork(7)
 	net.AddBlock(blk)
 

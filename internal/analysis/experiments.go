@@ -251,27 +251,33 @@ func (s *Study) LinkTypes(seed uint64) (*LinkTypeResult, error) {
 		return nil, fmt.Errorf("analysis: no measured blocks")
 	}
 	synth := rdns.NewSynthesizer(seed)
-	type agg struct{ n, d int }
-	byKw := make(map[string]*agg)
+	// Blocks and strictly diurnal blocks per keyword, indexed like
+	// rdns.ConsideredKeywords.
+	n := make([]int, len(rdns.ConsideredKeywords))
+	d := make([]int, len(rdns.ConsideredKeywords))
+	domains := make(map[string]string) // organisation -> rdns.Domain
+	var scratch []byte
 	classified, multi := 0, 0
 	for _, b := range m {
-		names := synth.BlockNames(b.Info.ID, b.Info.LinkType, rdns.Domain(b.Info.OrgName))
-		cls := rdns.ClassifyBlock(names)
-		if len(cls.Features) > 0 {
+		domain, ok := domains[b.Info.OrgName]
+		if !ok {
+			domain = rdns.Domain(b.Info.OrgName)
+			domains[b.Info.OrgName] = domain
+		}
+		var feats rdns.FeatureSet
+		feats, scratch = synth.BlockFeatures(scratch, b.Info.ID, b.Info.LinkType, domain)
+		if feats != 0 {
 			classified++
 		}
-		if cls.Multi() {
+		if feats.Len() > 1 {
 			multi++
 		}
-		for _, f := range cls.Features {
-			a := byKw[f]
-			if a == nil {
-				a = &agg{}
-				byKw[f] = a
-			}
-			a.n++
-			if b.Class == core.StrictDiurnal {
-				a.d++
+		for i := range n {
+			if feats.Has(i) {
+				n[i]++
+				if b.Class == core.StrictDiurnal {
+					d[i]++
+				}
 			}
 		}
 	}
@@ -279,15 +285,16 @@ func (s *Study) LinkTypes(seed uint64) (*LinkTypeResult, error) {
 		ClassifiedFrac: float64(classified) / float64(len(m)),
 		MultiFrac:      float64(multi) / float64(len(m)),
 	}
-	for _, kw := range rdns.KeptKeywords {
-		a := byKw[kw]
-		if a == nil || a.n == 0 {
+	// A block's features are kept keywords only, and ConsideredKeywords
+	// lists those in KeptKeywords order.
+	for i, kw := range rdns.ConsideredKeywords {
+		if n[i] == 0 {
 			continue
 		}
 		out.Rows = append(out.Rows, LinkTypeRow{
 			Keyword:     kw,
-			Blocks:      a.n,
-			FracDiurnal: float64(a.d) / float64(a.n),
+			Blocks:      n[i],
+			FracDiurnal: float64(d[i]) / float64(n[i]),
 		})
 	}
 	return out, nil

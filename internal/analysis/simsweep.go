@@ -157,14 +157,15 @@ func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 	r := rand.New(rand.NewSource(int64(seed)))
 	id := netsim.MakeBlockID(172, byte(batch), byte(exp))
 	blk := &netsim.Block{ID: id, Seed: seed}
+	var hosts netsim.Hosts
 	h := 0
 	for ; h < cfg.Stable; h++ {
-		blk.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
 	// Base on-time 09:00 plus a per-address uniform offset in [0, Φ].
 	for i := 0; i < cfg.NDiurnal; i++ {
 		phi := time.Duration(r.Float64() * float64(cfg.PhaseSpread))
-		blk.Behaviors[h] = netsim.Diurnal{
+		hosts[h] = netsim.Diurnal{
 			Phase:         9*time.Hour + phi,
 			Duration:      time.Duration(cfg.UpHours * float64(time.Hour)),
 			StartSigma:    cfg.StartSigma,
@@ -173,6 +174,7 @@ func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 		}
 		h++
 	}
+	blk.SetHosts(&hosts)
 	net := netsim.NewNetwork(seed ^ 0xbeef)
 	net.AddBlock(blk)
 	pl := core.NewPipeline(net, core.PipelineConfig{

@@ -18,25 +18,29 @@ const testRounds = 14*86400/660 + 60 // a bit over 14 days
 // mkDiurnalBlock: 50 always-on + nd diurnal (9:00 for 8h) addresses.
 func mkDiurnalBlock(id netsim.BlockID, nd int) *netsim.Block {
 	b := &netsim.Block{ID: id, Seed: uint64(id)}
+	var hosts netsim.Hosts
 	h := 0
 	for ; h < 50; h++ {
-		b.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
 	for ; h < 50+nd; h++ {
-		b.Behaviors[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: uint64(id) + uint64(h)}
+		hosts[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: uint64(id) + uint64(h)}
 	}
+	b.SetHosts(&hosts)
 	return b
 }
 
 func mkStableBlock(id netsim.BlockID, n int, p float64) *netsim.Block {
 	b := &netsim.Block{ID: id, Seed: uint64(id)}
+	var hosts netsim.Hosts
 	for h := 0; h < n; h++ {
 		if p >= 1 {
-			b.Behaviors[h] = netsim.AlwaysOn{}
+			hosts[h] = netsim.AlwaysOn{}
 		} else {
-			b.Behaviors[h] = netsim.Intermittent{P: p, Seed: uint64(id) + uint64(h)}
+			hosts[h] = netsim.Intermittent{P: p, Seed: uint64(id) + uint64(h)}
 		}
 	}
+	b.SetHosts(&hosts)
 	return b
 }
 

@@ -177,9 +177,11 @@ func TestCorruptionBreaksParsing(t *testing.T) {
 func TestNetworkIntegration(t *testing.T) {
 	net := netsim.NewNetwork(42)
 	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 1, 1), Seed: 5}
+	var hosts netsim.Hosts
 	for h := 0; h < 30; h++ {
-		blk.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
+	blk.SetHosts(&hosts)
 	net.AddBlock(blk)
 	probeOnce := func(seq uint16, now time.Time) netsim.Response {
 		pkt, err := (&icmp.Echo{ID: 9, Seq: seq}).Marshal()
@@ -280,9 +282,11 @@ func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 		n := netsim.NewNetwork(9)
 		for bi := 0; bi < 3; bi++ {
 			b := &netsim.Block{ID: netsim.MakeBlockID(10, 2, byte(bi)), Seed: uint64(bi), LatencyBase: 20 * time.Millisecond}
+			var hosts netsim.Hosts
 			for h := 0; h < 200; h++ {
-				b.Behaviors[h] = netsim.AlwaysOn{}
+				hosts[h] = netsim.AlwaysOn{}
 			}
+			b.SetHosts(&hosts)
 			n.AddBlock(b)
 		}
 		in := New(cfg)

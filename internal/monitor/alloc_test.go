@@ -3,6 +3,9 @@ package monitor
 import (
 	"context"
 	"testing"
+	"time"
+
+	"sleepnet/internal/netsim"
 )
 
 // TestMonitorRoundAllocFree pins the warm hot path: a monitor round over a
@@ -11,7 +14,9 @@ import (
 // series — must not touch the heap. With durability on the committed round
 // is held to the same budget: commitRound encodes into the shard's reused
 // frame buffer and hands it to one write(2), so as long as the round neither
-// rotates the segment nor snapshots, it allocates nothing either.
+// rotates the segment nor snapshots, it allocates nothing either. One block
+// has diurnal hosts and the measured rounds run past the first midnight, so
+// drawing a new day's on-periods is inside the budget.
 func TestMonitorRoundAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -23,7 +28,15 @@ func TestMonitorRoundAllocFree(t *testing.T) {
 		{"wal", false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := baseConfig(testNet(8), 128)
+			net := testNet(7)
+			office := &netsim.Block{ID: netsim.MakeBlockID(11, 0, 0), Seed: 11}
+			var hosts netsim.Hosts
+			for h := 1; h <= 30; h++ {
+				hosts[h] = netsim.Diurnal{Phase: 22 * time.Hour, Duration: 6 * time.Hour, StartSigma: time.Hour, Seed: uint64(h)}
+			}
+			office.SetHosts(&hosts)
+			net.AddBlock(office)
+			cfg := baseConfig(net, 160)
 			cfg.Shards = 1
 			cfg.ScalarProbe = tc.scalar
 			if tc.wal {
@@ -56,7 +69,10 @@ func TestMonitorRoundAllocFree(t *testing.T) {
 				roundOnce()
 			}
 
-			avg := testing.AllocsPerRun(100, roundOnce)
+			avg := testing.AllocsPerRun(140, roundOnce)
+			if r <= 131 {
+				t.Fatalf("%d rounds from midnight do not reach the next", r)
+			}
 			if avg != 0 {
 				t.Fatalf("warm monitor round allocates %.2f times per 8-block round, want 0", avg)
 			}

@@ -253,7 +253,7 @@ func New(cfg Config) (*Monitor, error) {
 		if blk == nil {
 			return nil, fmt.Errorf("monitor: block %s not in network", id)
 		}
-		if len(blk.EverActive()) < minActive {
+		if blk.NumEverActive() < minActive {
 			continue // too sparse to probe; excluded by policy
 		}
 		eligible = append(eligible, id)

@@ -25,13 +25,15 @@ func testNet(n int) *netsim.Network {
 	for i := 0; i < n; i++ {
 		id := netsim.MakeBlockID(byte(10+i/65536), byte(i/256%256), byte(i%256))
 		blk := &netsim.Block{ID: id, Seed: uint64(id) ^ 0xbeef}
+		var hosts netsim.Hosts
 		for h := 1; h <= 20; h++ {
-			blk.Behaviors[h] = netsim.AlwaysOn{}
+			hosts[h] = netsim.AlwaysOn{}
 		}
 		// A few flappy hosts so estimates move.
 		for h := 21; h <= 26; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.6, Seed: uint64(id) + uint64(h)*257}
+			hosts[h] = netsim.Intermittent{P: 0.6, Seed: uint64(id) + uint64(h)*257}
 		}
+		blk.SetHosts(&hosts)
 		net.AddBlock(blk)
 	}
 	return net

@@ -34,7 +34,7 @@ type routeEntry struct {
 	blk    *Block        // nil for unrouted space
 	cnt    *atomic.Int64 // per-block probe counter; registered lazily for unrouted blocks
 	probes int64         // probes accumulated this batch, flushed in pass 5
-	oc     outageCache   // per-(block, instant) outage memo
+	memo   blockInstant  // what this block's probes of one instant share
 }
 
 // pktMeta is the per-packet parse/resolve state DeliverBatch carries
@@ -101,7 +101,7 @@ func (b *BatchBuffer) RetainedBytes() int {
 		return 0
 	}
 	per := int(0)
-	per += cap(b.entries) * (16 + 8 + 8 + 8 + 24) // routeEntry: id+pads, blk, cnt, probes, oc
+	per += cap(b.entries) * (8 + 8 + 8 + 8 + 64) // routeEntry: id+pad, blk, cnt, probes, memo
 	per += len(b.routes) * (4 + 4)
 	per += cap(b.metas) * 48
 	per += cap(b.resps) * 48
@@ -197,10 +197,8 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 			buf.routes[m.dst.Block] = ri
 		}
 		m.route = ri
-		if blk := buf.entries[ri].blk; blk != nil {
-			if hops := blk.PathHops(); hops > 0 && int(m.hdr.TTL) <= hops {
-				m.ttlDead = true
-			}
+		if blk := buf.entries[ri].blk; blk != nil && int(m.hdr.TTL) <= blk.hops {
+			m.ttlDead = true
 		}
 	}
 	n.mu.RUnlock()
@@ -277,7 +275,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		// in pass 5 once the arena has settled.
 		buf.resps = append(buf.resps, Response{})
 		resp := &buf.resps[len(buf.resps)-1]
-		icmpOut, ipOut := n.deliverCore(e.blk, tap, buf.icmp[:0], buf.arena, &m.hdr, m.dst, payload, &echo, m.echoOK, now, pre, &e.oc, &acc, resp)
+		icmpOut, ipOut := n.deliverCore(e.blk, tap, buf.icmp[:0], buf.arena, &m.hdr, m.dst, payload, &echo, m.echoOK, now, pre, &e.memo, &acc, resp)
 		buf.icmp = icmpOut
 		buf.arena = ipOut
 		end := start
@@ -289,11 +287,15 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 	}
 
 	// Pass 5: flush counters — one atomic add per global counter and per
-	// touched block — and materialize Response.Data views from the settled
-	// arena.
+	// touched block, found through the batch's own metas rather than a walk
+	// of the whole route cache — and materialize Response.Data views from
+	// the settled arena.
 	acc.flush(&n.Stats)
-	for i := range buf.entries {
-		if e := &buf.entries[i]; e.probes != 0 {
+	for i := range metas {
+		if metas[i].route < 0 {
+			continue
+		}
+		if e := &buf.entries[metas[i].route]; e.probes != 0 {
 			e.cnt.Add(e.probes)
 			e.probes = 0
 		}

@@ -24,9 +24,7 @@ func buildBatchWorld() *Network {
 	n.AddBlock(plain)
 
 	lossy := &Block{ID: MakeBlockID(10, 0, 2), Seed: 5, Loss: 0.3, LatencyBase: 40 * time.Millisecond}
-	for h := 0; h < 256; h++ {
-		lossy.Behaviors[h] = AlwaysOn{}
-	}
+	lossy.SetHosts(alwaysOn(256))
 	n.AddBlock(lossy)
 
 	outage := &Block{
@@ -35,21 +33,15 @@ func buildBatchWorld() *Network {
 		GatewayUnreachableProb: 0.5,
 		Outages:                []Interval{{Start: at(11, 0), End: at(13, 0)}},
 	}
-	for h := 0; h < 128; h++ {
-		outage.Behaviors[h] = AlwaysOn{}
-	}
+	outage.SetHosts(alwaysOn(128))
 	n.AddBlock(outage)
 
 	limited := &Block{ID: MakeBlockID(10, 0, 4), Seed: 13, ReplyRateLimit: 3, LatencyBase: 10 * time.Millisecond}
-	for h := 0; h < 256; h++ {
-		limited.Behaviors[h] = AlwaysOn{}
-	}
+	limited.SetHosts(alwaysOn(256))
 	n.AddBlock(limited)
 
 	far := &Block{ID: MakeBlockID(10, 0, 5), Seed: 21, Hops: 40, LatencyBase: 90 * time.Millisecond}
-	for h := 0; h < 256; h++ {
-		far.Behaviors[h] = AlwaysOn{}
-	}
+	far.SetHosts(alwaysOn(256))
 	n.AddBlock(far)
 
 	return n
@@ -323,9 +315,7 @@ func TestDeliverBatchTopologyMutation(t *testing.T) {
 	lateID := MakeBlockID(20, 0, 1)
 	mkLate := func() *Block {
 		late := &Block{ID: lateID, Seed: 33, LatencyBase: 5 * time.Millisecond}
-		for h := 0; h < 16; h++ {
-			late.Behaviors[h] = AlwaysOn{}
-		}
+		late.SetHosts(alwaysOn(16))
 		return late
 	}
 	probeLate := func(r int) [][]byte {
@@ -403,16 +393,24 @@ func TestDeliverBatchAllocFree(t *testing.T) {
 	var pkts [][]byte
 	for i := 0; i < 40; i++ {
 		for _, id := range []BlockID{MakeBlockID(10, 0, 1), MakeBlockID(10, 0, 4), MakeBlockID(10, 0, 5), MakeBlockID(99, 9, 9)} {
-			pkts = append(pkts, mkBatchPkt(t, id.Addr(byte(i%120)), 7, uint16(i), 64, []byte("probe-payload")))
+			pkts = append(pkts, mkBatchPkt(t, id.Addr(byte(i*3)), 7, uint16(i), 64, []byte("probe-payload")))
 		}
 	}
-	now := at(12, 0)
-	for i := 0; i < 3; i++ {
+	// Rounds advance from 20:00, so the measured ones cross midnight: the
+	// diurnal hosts of 10.0.1/24 draw a new day's on-periods into their day
+	// memo, which must not allocate either.
+	now := at(20, 0)
+	round := func() {
 		n.DeliverBatch(&bb, pkts, now)
+		now = now.Add(11 * time.Minute)
 	}
-	avg := testing.AllocsPerRun(50, func() {
-		n.DeliverBatch(&bb, pkts, now)
-	})
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	avg := testing.AllocsPerRun(50, round)
+	if !now.After(at(24, 0)) {
+		t.Fatal("the measured rounds did not cross midnight")
+	}
 	if avg != 0 {
 		t.Fatalf("warm DeliverBatch allocates %.1f allocs/op, want 0", avg)
 	}

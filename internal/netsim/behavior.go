@@ -12,7 +12,8 @@ type Behavior interface {
 	// Up reports whether the address answers a probe arriving at t.
 	Up(t time.Time) bool
 	// EverActive reports whether the address responds at least sometimes;
-	// never-active addresses are outside E(b) and outside ground-truth A.
+	// never-active addresses are outside E(b) and outside ground-truth A. A
+	// block stores nothing for them and never asks them Up.
 	EverActive() bool
 }
 
@@ -20,10 +21,18 @@ type Behavior interface {
 // one matches the A12w collection start date for cosmetic familiarity.
 var simEpoch = time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC)
 
-// secondsSinceEpoch converts t to simulation seconds.
-func secondsSinceEpoch(t time.Time) float64 {
-	return t.Sub(simEpoch).Seconds()
-}
+// simEpochNS is simEpoch on the Unix nanosecond clock the PRF timestamp
+// keys already use.
+var simEpochNS = simEpoch.UnixNano()
+
+// secondsSinceEpoch converts t to simulation seconds: t.Sub(simEpoch) in
+// seconds, taken on the Unix nanosecond clock, which gives the same
+// nanosecond count wherever Sub does not saturate (292 years either side of
+// the epoch) without Sub's monotonic-reading and overflow handling.
+func secondsSinceEpoch(t time.Time) float64 { return nsSinceEpoch(t.UnixNano()) }
+
+// nsSinceEpoch is secondsSinceEpoch of the instant at Unix nanosecond ns.
+func nsSinceEpoch(ns int64) float64 { return time.Duration(ns - simEpochNS).Seconds() }
 
 // AlwaysOn is an address that answers every probe.
 type AlwaysOn struct{}
@@ -72,29 +81,11 @@ func (b Intermittent) Up(t time.Time) bool {
 }
 
 // draw is window q's availability draw, which decides Up when 0 < P < 1.
-// The truth plan sorts the other hosts out once and then calls it
-// directly, with one q for every host on the default window.
+// The host table sorts the other hosts out once and then calls it
+// directly, with the block-round's q for every host on the default window.
 func (b *Intermittent) draw(q uint64) bool { return prfFloat2(b.Seed, q, 0x1a7e) < b.P }
 
 func (b Intermittent) EverActive() bool { return b.P > 0 }
-
-// upMemo is Up with the per-quantum draw routed through m. The draw is a
-// pure function of (Seed, quantum), so the answer is bit-identical to Up —
-// the memo only skips redrawing the same uniform for every probe of the
-// same host-quantum.
-func (b Intermittent) upMemo(t time.Time, m *hostMemo) bool {
-	if b.P <= 0 {
-		return false
-	}
-	if b.P >= 1 {
-		return true
-	}
-	q := b.quantumAt(secondsSinceEpoch(t))
-	if !m.qSet || m.q != q {
-		m.q, m.qVal, m.qSet = q, prfFloat2(b.Seed, q, 0x1a7e), true
-	}
-	return m.qVal < b.P
-}
 
 // Diurnal answers during one contiguous on-period per day and is silent
 // otherwise — the §3.2.2 controlled model. The on-period of day d starts at
@@ -142,9 +133,9 @@ func (p onPeriod) contains(sec float64) bool { return sec >= p.start && sec < p.
 // upAt is the one definition of "this diurnal host (Duration > 0) answers
 // at sec": sec falls in today's on-period or in the tail of yesterday's
 // that spilled past midnight, and the host's answer draw for sec's round
-// quantum q admits it. Up, upMemo and the block's truth plan all run this
-// body; they differ only in where the two on-periods come from (drawn
-// afresh, the per-host probe memo, the plan's per-day table), so they
+// quantum q admits it. Up and the block's host table both run this body;
+// they differ only in where the two on-periods come from (drawn afresh,
+// delivery's per-host day memo, ground truth's per-day table), so they
 // cannot drift apart.
 func (b *Diurnal) upAt(sec float64, q uint64, today, yesterday onPeriod) bool {
 	return (today.contains(sec) || yesterday.contains(sec)) && b.answers(q)
@@ -161,9 +152,8 @@ func (b *Diurnal) answers(q uint64) bool {
 }
 
 // onPeriod returns day d's realized on-period after the per-day noise
-// draws — a pure function of (Seed, d), which is what makes the per-host
-// day memo below and the truth plan's day table exact rather than
-// approximate.
+// draws — a pure function of (Seed, d), which is what makes the host
+// table's day memo and day table exact rather than approximate.
 func (b *Diurnal) onPeriod(d int64) onPeriod {
 	start := float64(d)*86400 + b.Phase.Seconds()
 	if b.StartSigma > 0 {
@@ -177,48 +167,6 @@ func (b *Diurnal) onPeriod(d int64) onPeriod {
 		}
 	}
 	return onPeriod{start, start + dur}
-}
-
-// dayBounds caches one realized on-period so a day's two Box-Muller draws
-// happen once per (host, day) instead of once per probe.
-type dayBounds struct {
-	day    int64
-	period onPeriod
-	set    bool
-}
-
-// hostMemo caches one host's per-day and per-quantum draws on the probe
-// path. days holds the two day slots a diurnal probe touches (today and
-// the spillover tail of yesterday), indexed day&1 so consecutive days never
-// evict each other mid-round; q/qVal cache an Intermittent host's newest
-// per-quantum availability draw.
-type hostMemo struct {
-	days [2]dayBounds
-	q    uint64
-	qVal float64
-	qSet bool
-}
-
-// onPeriod is b.onPeriod(d) cached in d's slot.
-func (m *hostMemo) onPeriod(b *Diurnal, d int64) onPeriod {
-	s := &m.days[d&1]
-	if !s.set || s.day != d {
-		s.day, s.period, s.set = d, b.onPeriod(d), true
-	}
-	return s.period
-}
-
-// upMemo is Up with the per-day draws routed through m. The cached values
-// are pure functions of (Seed, day), so the answer is bit-identical to Up —
-// the memo only skips recomputing the same deviates for every probe of the
-// same host-day.
-func (b Diurnal) upMemo(t time.Time, m *hostMemo) bool {
-	if b.Duration <= 0 {
-		return false
-	}
-	sec := secondsSinceEpoch(t)
-	day := simDay(sec)
-	return b.upAt(sec, roundQuantum(sec), m.onPeriod(&b, day), m.onPeriod(&b, day-1))
 }
 
 // Periodic answers during a fraction of every period P — used to model

@@ -167,14 +167,22 @@ func TestPeriodicBehavior(t *testing.T) {
 	}
 }
 
+// alwaysOn returns a spec whose first n hosts always answer.
+func alwaysOn(n int) *Hosts {
+	var hosts Hosts
+	for h := 0; h < n; h++ {
+		hosts[h] = AlwaysOn{}
+	}
+	return &hosts
+}
+
 func newTestBlock() *Block {
 	b := &Block{ID: MakeBlockID(10, 0, 1), Seed: 77}
-	for h := 0; h < 42; h++ {
-		b.Behaviors[h] = AlwaysOn{}
-	}
+	hosts := alwaysOn(42)
 	for h := 42; h < 100; h++ {
-		b.Behaviors[h] = Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: uint64(h)}
+		hosts[h] = Diurnal{Phase: 9 * time.Hour, Duration: 8 * time.Hour, Seed: uint64(h)}
 	}
+	b.SetHosts(hosts)
 	return b
 }
 
@@ -287,9 +295,7 @@ func TestNetworkMalformedDropped(t *testing.T) {
 func TestNetworkLossRate(t *testing.T) {
 	n := NewNetwork(2)
 	b := &Block{ID: MakeBlockID(10, 1, 0), Loss: 0.25, Seed: 5}
-	for h := 0; h < 256; h++ {
-		b.Behaviors[h] = AlwaysOn{}
-	}
+	b.SetHosts(alwaysOn(256))
 	n.AddBlock(b)
 	total, lost := 4000, 0
 	for i := 0; i < total; i++ {
@@ -338,9 +344,11 @@ func TestDeterminismProperty(t *testing.T) {
 		run := func() []bool {
 			n := NewNetwork(seed)
 			b := &Block{ID: MakeBlockID(10, 2, 0), Loss: 0.3, Seed: seed ^ 0xabc}
+			var hosts Hosts
 			for h := 0; h < 64; h++ {
-				b.Behaviors[h] = Intermittent{P: 0.6, Seed: seed + uint64(h)}
+				hosts[h] = Intermittent{P: 0.6, Seed: seed + uint64(h)}
 			}
+			b.SetHosts(&hosts)
 			n.AddBlock(b)
 			var outs []bool
 			for i := 0; i < 50; i++ {
@@ -527,6 +535,22 @@ func TestReplyRateLimit(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		if resp := probeOnce(t, n, b2.ID.Addr(1), uint16(i), base); resp.Timeout {
 			t.Fatal("unlimited block should always reply")
+		}
+	}
+}
+
+// TestSecondsSinceEpochIsSub pins the simulation clock to its definition,
+// t.Sub(simEpoch) in seconds, bit for bit: before and after the epoch, off
+// the second grid, and for a time that carries a monotonic reading.
+func TestSecondsSinceEpochIsSub(t *testing.T) {
+	ts := []time.Time{simEpoch, time.Now(), time.Unix(0, 0), time.Date(2200, 1, 1, 0, 0, 0, 999999999, time.UTC)}
+	for i := int64(-4000); i < 4000; i++ {
+		// Twenty years either side, off every grid.
+		ts = append(ts, simEpoch.Add(time.Duration(i*i*i)*10*time.Millisecond+time.Duration(i)))
+	}
+	for _, at := range ts {
+		if got, want := secondsSinceEpoch(at), at.Sub(simEpoch).Seconds(); got != want {
+			t.Fatalf("secondsSinceEpoch(%v) = %v, Sub gives %v", at, got, want)
 		}
 	}
 }

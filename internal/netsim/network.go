@@ -205,29 +205,27 @@ type tapPre struct {
 	ok bool
 }
 
-// outageCache memoizes Block.InOutage per (block, instant): every probe of
-// a block within one batched round shares the same delivery timestamp, so
-// the outage schedule is walked once per (block, round) instead of once or
-// twice per probe. Keying on the exact instant makes the cache self-
-// invalidating across rounds and immune to per-destination clock skew from
-// a tap. A nil cache disables memoization (the scalar path).
-type outageCache struct {
-	at  int64
-	in  bool
-	set bool
+// blockInstant memoizes what delivery derives from (block, delivery time)
+// alone — the converted instant and whether the block is in an outage.
+// Every probe of a block within one batched round shares the same delivery
+// timestamp, so the time conversions and the outage schedule walk happen
+// once per (block, round) instead of once or twice per probe. Keying on the
+// exact instant makes the memo self-invalidating across rounds and immune
+// to per-destination clock skew from a tap. The scalar path hands probeCore
+// a fresh one per probe.
+type blockInstant struct {
+	instant
+	down bool // the block is in an outage
+	ok   bool // filled in: the zero value holds no instant
 }
 
-func (c *outageCache) inOutage(blk *Block, now time.Time) bool {
-	if c == nil {
-		return blk.InOutage(now)
+func (c *blockInstant) at(blk *Block, now time.Time) *blockInstant {
+	if !c.ok || c.now != now {
+		c.instant.set(now)
+		c.down = blk.downAt(c.ns)
+		c.ok = true
 	}
-	ns := now.UnixNano()
-	if !c.set || c.at != ns {
-		c.at = ns
-		c.in = blk.InOutage(now)
-		c.set = true
-	}
-	return c.in
+	return c
 }
 
 // NewNetwork creates an empty simulated network with the given seed.
@@ -251,20 +249,9 @@ func (n *Network) SetTap(t Tap) {
 // AddBlock registers a block. Re-adding a BlockID replaces it.
 func (n *Network) AddBlock(b *Block) {
 	b.hops = b.PathHops()
-	// What was cached from the previous registration's Behaviors goes.
-	b.plan.Store(nil)
-	if b.dmemo != nil {
-		*b.dmemo = [256]hostMemo{}
-	} else {
-		for _, bh := range b.Behaviors {
-			switch bh.(type) {
-			case Diurnal, Intermittent:
-				b.dmemo = new([256]hostMemo)
-			}
-			if b.dmemo != nil {
-				break
-			}
-		}
+	b.outages = b.outages[:0]
+	for _, iv := range b.Outages {
+		b.outages = append(b.outages, nsSpan{iv.Start.UnixNano(), iv.End.UnixNano()})
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -331,7 +318,8 @@ func (n *Network) probe(buf *ReplyBuffer, dst Addr, pkt []byte, now time.Time) R
 	n.mu.RUnlock()
 
 	var resp Response
-	sc := n.probeCore(blk, tap, buf.icmpScratch(), dst, pkt, &echo, echoOK, now, tapPre{}, nil, &acc, &resp)
+	var memo blockInstant
+	sc := n.probeCore(blk, tap, buf.icmpScratch(), dst, pkt, &echo, echoOK, now, tapPre{}, &memo, &acc, &resp)
 	if buf != nil {
 		buf.icmp = sc
 	}
@@ -346,8 +334,8 @@ func (n *Network) probe(buf *ReplyBuffer, dst Addr, pkt []byte, now time.Time) R
 // append the reply into (nil allocates fresh); the possibly-grown backing
 // is returned so the owner keeps its capacity. Counter deltas accumulate in
 // acc — the caller flushes. pre, when set, replaces the inline tap.Outbound
-// consultation (batched taps); oc, when non-nil, memoizes the block's
-// outage lookups.
+// consultation (batched taps); memo holds what the block's probes of one
+// instant share.
 //
 // Both the scalar probe path and DeliverBatch run through this one body:
 // the batch path's byte-identical contract is equivalence by construction,
@@ -355,7 +343,7 @@ func (n *Network) probe(buf *ReplyBuffer, dst Addr, pkt []byte, now time.Time) R
 // lands in *resp (an out-parameter so per-probe results are written once
 // instead of copied up the call chain); the ICMP scratch backing is the
 // return value.
-func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, oc *outageCache, acc *statsAcc, resp *Response) []byte {
+func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, memo *blockInstant, acc *statsAcc, resp *Response) []byte {
 	*resp = Response{}
 	if !echoOK {
 		acc.malformed++
@@ -405,10 +393,12 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 		return scratch
 	}
 
+	in := memo.at(blk, now)
+
 	// Path loss, one Bernoulli draw per round trip, keyed so retransmissions
 	// (new seq) redraw but duplicates (same seq) are consistent.
 	if blk.Loss > 0 {
-		k := prfFloat3(n.seed^blk.Seed, dst.key(), uint64(echo.ID)<<16|uint64(echo.Seq), uint64(now.UnixNano()))
+		k := prfFloat3(n.seed^blk.Seed, dst.key(), uint64(echo.ID)<<16|uint64(echo.Seq), uint64(in.ns))
 		if k < blk.Loss {
 			acc.lost++
 			acc.timeouts++
@@ -417,14 +407,12 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 		}
 	}
 
-	// Does the host answer now? The outage lookup goes through the
-	// per-round memo, the behaviour through the per-host one.
-	bh := blk.Behaviors[dst.Host]
-	if bh == nil || oc.inOutage(blk, now) || !blk.hostUp(dst.Host, bh, now) {
+	// Does the host answer now?
+	if in.down || blk.hosts == nil || !blk.hosts.up(dst.Host, &in.instant) {
 		// During an outage an upstream gateway may answer on the block's
 		// behalf with destination-unreachable.
-		if blk.GatewayUnreachableProb > 0 && oc.inOutage(blk, now) {
-			u := prfFloat3(n.seed^blk.Seed^0x6a7e, dst.key(), uint64(echo.Seq), uint64(now.UnixNano()))
+		if blk.GatewayUnreachableProb > 0 && in.down {
+			u := prfFloat3(n.seed^blk.Seed^0x6a7e, dst.key(), uint64(echo.Seq), uint64(in.ns))
 			if u < blk.GatewayUnreachableProb {
 				unreach := icmp.Unreachable{Code: icmp.CodeHostUnreachable, Original: pkt}
 				un, err := unreach.MarshalAppend(scratch)
@@ -461,7 +449,7 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 	}
 	rtt := blk.LatencyBase
 	if blk.LatencyJitter > 0 {
-		j := prfFloat3(n.seed^blk.Seed^0x9badcafe, dst.key(), uint64(echo.Seq), uint64(now.UnixNano()))
+		j := prfFloat3(n.seed^blk.Seed^0x9badcafe, dst.key(), uint64(echo.Seq), uint64(in.ns))
 		rtt += time.Duration(j * float64(blk.LatencyJitter))
 	}
 	acc.replies++
@@ -527,7 +515,8 @@ func (n *Network) deliverIP(buf *ReplyBuffer, pkt []byte, now time.Time) Respons
 	}
 
 	var resp Response
-	icmpOut, ipOut := n.deliverCore(blk, tap, buf.icmpScratch(), buf.ipScratch(), &hdr, dst, payload, &echo, echoOK, now, tapPre{}, nil, &acc, &resp)
+	var memo blockInstant
+	icmpOut, ipOut := n.deliverCore(blk, tap, buf.icmpScratch(), buf.ipScratch(), &hdr, dst, payload, &echo, echoOK, now, tapPre{}, &memo, &acc, &resp)
 	if buf != nil {
 		buf.icmp = icmpOut
 		buf.ip = ipOut
@@ -544,19 +533,19 @@ func (n *Network) deliverIP(buf *ReplyBuffer, pkt []byte, now time.Time) Respons
 // probeCore); it returns the possibly-grown ICMP and IP scratch backings
 // so the owner keeps their capacity. Shared verbatim by the scalar
 // DeliverIP path and DeliverBatch.
-func (n *Network) deliverCore(blk *Block, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, oc *outageCache, acc *statsAcc, resp *Response) ([]byte, []byte) {
+func (n *Network) deliverCore(blk *Block, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, memo *blockInstant, acc *statsAcc, resp *Response) ([]byte, []byte) {
 	acc.probes++
 	hops := 0
 	if blk != nil {
-		hops = blk.PathHops()
+		hops = blk.hops
 		// The packet must survive the path.
-		if hops > 0 && int(hdr.TTL) <= hops {
+		if int(hdr.TTL) <= hops {
 			acc.timeouts++
 			*resp = Response{Timeout: true}
 			return icmpScratch, ipScratch
 		}
 	}
-	icmpOut := n.probeCore(blk, tap, icmpScratch, dst, payload, echo, echoOK, now, pre, oc, acc, resp)
+	icmpOut := n.probeCore(blk, tap, icmpScratch, dst, payload, echo, echoOK, now, pre, memo, acc, resp)
 	if resp.Timeout || resp.Data == nil {
 		return icmpOut, ipScratch
 	}

@@ -1,6 +1,6 @@
 package netsim_test
 
-// The truth plan behind Block.TrueCounts against the reference loop. The
+// The host table behind Block.TrueCounts against the reference loop. The
 // tests live outside the package so they can enumerate generated worlds
 // (internal/world imports netsim).
 
@@ -17,19 +17,21 @@ import (
 
 const round = 660 * time.Second
 
-// oddHours is a behaviour the plan knows nothing about.
+// oddHours is a behaviour the host table knows nothing about.
 type oddHours struct{}
 
 func (oddHours) Up(t time.Time) bool { return t.Hour()%2 == 1 }
 func (oddHours) EverActive() bool    { return true }
 
-// everyBranchBlock holds one host (or a few) for each way the plan sorts
-// or evaluates a behaviour; hosts not named stay nil.
-func everyBranchBlock() *netsim.Block {
+// everyBranchBlock holds one host (or a few) for each way the host table
+// sorts or evaluates a behaviour; hosts not named stay nil. The spec the
+// block was given comes back with it.
+func everyBranchBlock() (*netsim.Block, *netsim.Hosts) {
 	b := &netsim.Block{ID: netsim.MakeBlockID(10, 9, 8), Seed: 3, ReplyRateLimit: 30}
+	var hosts netsim.Hosts
 	h := 3
 	add := func(bh netsim.Behavior) {
-		b.Behaviors[h] = bh
+		hosts[h] = bh
 		h += 2
 	}
 	for i := 0; i < 5; i++ {
@@ -66,10 +68,11 @@ func everyBranchBlock() *netsim.Block {
 	add(netsim.Periodic{Period: 7 * time.Hour, Duty: 0.5, Offset: 90 * time.Minute})
 	add(netsim.Periodic{})
 	add(oddHours{})
-	// A pointer is not the plan's Diurnal column type: remainder.
+	// A pointer is not the Diurnal column's type: remainder.
 	add(&netsim.Diurnal{Phase: 3 * time.Hour, Duration: 5 * time.Hour, StartSigma: time.Hour, Seed: 11})
+	b.SetHosts(&hosts)
 	b.Outages = []netsim.Interval{{Start: netsim.SimEpoch.Add(26 * time.Hour), End: netsim.SimEpoch.Add(29 * time.Hour)}}
-	return b
+	return b, &hosts
 }
 
 // wanderingInstants walks a week of rounds that starts three days before
@@ -96,12 +99,13 @@ func wanderingInstants() []time.Time {
 	return ts
 }
 
-// checkAgainstReference compares the plan with the reference loop at t.
-func checkAgainstReference(t *testing.T, blk *netsim.Block, at time.Time) (up, ever int) {
+// checkAgainstReference compares the table with the reference loop over
+// the block's spec at t.
+func checkAgainstReference(t *testing.T, blk *netsim.Block, hosts *netsim.Hosts, at time.Time) (up, ever int) {
 	t.Helper()
 	up, ever = blk.TrueCounts(at)
-	if refUp, refEver := blk.TrueCountsRef(at); up != refUp || ever != refEver {
-		t.Fatalf("%s at %v: plan says %d of %d up, reference %d of %d", blk.ID, at, up, ever, refUp, refEver)
+	if refUp, refEver := blk.TrueCountsRef(hosts, at); up != refUp || ever != refEver {
+		t.Fatalf("%s at %v: table says %d of %d up, reference %d of %d", blk.ID, at, up, ever, refUp, refEver)
 	}
 	want := 0.0
 	if ever > 0 {
@@ -115,11 +119,11 @@ func checkAgainstReference(t *testing.T, blk *netsim.Block, at time.Time) (up, e
 
 func TestTruthPlanMatchesReference(t *testing.T) {
 	t.Run("every-branch", func(t *testing.T) {
-		blk := everyBranchBlock()
+		blk, hosts := everyBranchBlock()
 		netsim.NewNetwork(1).AddBlock(blk)
 		seen := make(map[int]bool)
 		for _, at := range wanderingInstants() {
-			up, ever := checkAgainstReference(t, blk, at)
+			up, ever := checkAgainstReference(t, blk, hosts, at)
 			if ever != 46 {
 				t.Fatalf("ever = %d, want 46", ever)
 			}
@@ -142,9 +146,10 @@ func TestTruthPlanMatchesReference(t *testing.T) {
 				diurnal++
 			}
 			blk := w.Net.Block(info.ID)
+			hosts := blk.HostSpec()
 			for r := 0; r < 14*131; r++ {
 				at := start.Add(time.Duration(r) * round)
-				if up, _ := checkAgainstReference(t, blk, at); up == 0 && blk.InOutage(at) {
+				if up, _ := checkAgainstReference(t, blk, hosts, at); up == 0 && blk.InOutage(at) {
 					dark++
 				}
 			}
@@ -170,57 +175,93 @@ func echoPacket(t *testing.T, dst netsim.Addr, seq uint16) []byte {
 	return pkt
 }
 
-// TestReAddBlockSeesNewBehaviors pins what a block caches from Behaviors
-// to its registration: a literal follows its fields call by call, a
-// registered block answers — to surveys and to probes — for the Behaviors
-// it was last registered with.
+// TestReAddBlockSeesNewBehaviors pins a block's answers — to surveys and
+// to probes — to the hosts it was last given: nothing derived from an
+// earlier spec (delivery's day memo, ground truth's day table, the route a
+// batch buffer cached) survives SetHosts and a fresh AddBlock.
 func TestReAddBlockSeesNewBehaviors(t *testing.T) {
 	noon := netsim.SimEpoch.Add(12 * time.Hour)
 	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 9, 7)}
+	if up, ever := blk.TrueCounts(noon); up != 0 || ever != 0 || blk.EverActive() != nil {
+		t.Fatalf("no hosts yet: %d of %d, E(b) = %v", up, ever, blk.EverActive())
+	}
+	var hosts netsim.Hosts
 	for h := 0; h < 10; h++ {
-		blk.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
 	for h := 10; h < 40; h++ {
-		blk.Behaviors[h] = netsim.Diurnal{Phase: 20 * time.Hour, Duration: 2 * time.Hour, Seed: uint64(h)}
+		hosts[h] = netsim.Diurnal{Phase: 20 * time.Hour, Duration: 2 * time.Hour, Seed: uint64(h)}
 	}
-	if up, ever := blk.TrueCounts(noon); up != 10 || ever != 40 {
-		t.Fatalf("literal: %d of %d, want 10 of 40", up, ever)
-	}
-	blk.Behaviors[40] = netsim.AlwaysOn{}
-	if up, ever := blk.TrueCounts(noon); up != 11 || ever != 41 {
-		t.Fatalf("literal after edit: %d of %d, want 11 of 41", up, ever)
+	blk.SetHosts(&hosts)
+	hosts[40] = netsim.AlwaysOn{} // the spec is not retained: no effect
+	if up, ever := blk.TrueCounts(noon); up != 10 || ever != 40 || blk.NumEverActive() != 40 {
+		t.Fatalf("first hosts: %d of %d, want 10 of 40", up, ever)
 	}
 
 	n := netsim.NewNetwork(1)
 	n.AddBlock(blk)
-	if up, ever := blk.TrueCounts(noon); up != 11 || ever != 41 {
-		t.Fatalf("registered: %d of %d, want 11 of 41", up, ever)
+	var bb netsim.BatchBuffer
+	probe20 := func(seq uint16) bool {
+		return !n.DeliverBatch(&bb, [][]byte{echoPacket(t, blk.ID.Addr(20), seq)}, noon)[0].Timeout
 	}
-	if !n.DeliverIP(echoPacket(t, blk.ID.Addr(20), 1), noon).Timeout {
+	if probe20(1) {
 		t.Fatal("host 20 answered at noon, hours before its on-period")
 	}
 
 	for h := 10; h < 40; h++ {
-		blk.Behaviors[h] = netsim.Diurnal{Phase: 10 * time.Hour, Duration: 4 * time.Hour, Seed: uint64(h)}
+		hosts[h] = netsim.Diurnal{Phase: 10 * time.Hour, Duration: 4 * time.Hour, Seed: uint64(h)}
 	}
-	blk.Behaviors[41] = netsim.Intermittent{P: 1}
+	hosts[41] = netsim.Intermittent{P: 1}
+	blk.SetHosts(&hosts)
 	n.AddBlock(blk)
 	if up, ever := blk.TrueCounts(noon); up != 42 || ever != 42 {
-		t.Fatalf("re-registered: %d of %d, want 42 of 42", up, ever)
+		t.Fatalf("new hosts: %d of %d, want 42 of 42", up, ever)
 	}
-	checkAgainstReference(t, blk, noon)
-	if n.DeliverIP(echoPacket(t, blk.ID.Addr(20), 2), noon).Timeout {
+	checkAgainstReference(t, blk, &hosts, noon)
+	if !probe20(2) {
 		t.Fatal("host 20 silent at noon, inside its new on-period")
+	}
+}
+
+// TestReAddBlockSeesNewHops: the path length delivery charges against the
+// TTL is derived afresh from Hops by every AddBlock.
+func TestReAddBlockSeesNewHops(t *testing.T) {
+	noon := netsim.SimEpoch.Add(12 * time.Hour)
+	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 9, 5), Hops: 40}
+	blk.SetHosts(&netsim.Hosts{1: netsim.AlwaysOn{}})
+	n := netsim.NewNetwork(1)
+	n.AddBlock(blk)
+	pkt := echoPacket(t, blk.ID.Addr(1), 1) // TTL 64
+	var bb netsim.BatchBuffer
+	if n.DeliverIP(pkt, noon).Timeout || n.DeliverBatch(&bb, [][]byte{pkt}, noon)[0].Timeout {
+		t.Fatal("TTL 64 must cover 40 hops")
+	}
+	blk.Hops = 90
+	n.AddBlock(blk)
+	if blk.PathHops() != 90 {
+		t.Fatalf("PathHops = %d after Hops = 90", blk.PathHops())
+	}
+	if !n.DeliverIP(pkt, noon).Timeout || !n.DeliverBatch(&bb, [][]byte{pkt}, noon)[0].Timeout {
+		t.Fatal("TTL 64 covered a path re-registered at 90 hops")
+	}
+	blk.Hops = 0
+	n.AddBlock(blk)
+	if h := blk.PathHops(); h < 8 || h > 23 {
+		t.Fatalf("derived PathHops = %d, want 8..23", h)
+	}
+	if n.DeliverIP(pkt, noon).Timeout {
+		t.Fatal("TTL 64 must cover a derived path")
 	}
 }
 
 // TestTruthPlanConcurrent surveys one block from several goroutines, each
 // on its own day so the day table is swapped under the others' feet, while
-// another goroutine delivers probes to the same block. Under -race this
-// pins that TrueCounts shares no unsynchronized state with delivery (the
-// probe memo and the rate limiter) or with itself.
+// another goroutine delivers batches of probes to the same block across
+// day boundaries. Under -race this pins that TrueCounts shares no
+// unsynchronized state with delivery (the day memo and the rate limiter)
+// or with itself.
 func TestTruthPlanConcurrent(t *testing.T) {
-	blk := everyBranchBlock()
+	blk, hosts := everyBranchBlock()
 	n := netsim.NewNetwork(1)
 	n.AddBlock(blk)
 
@@ -229,7 +270,7 @@ func TestTruthPlanConcurrent(t *testing.T) {
 	var want [surveyors][rounds][2]int
 	for g := range want {
 		for r := range want[g] {
-			want[g][r][0], want[g][r][1] = blk.TrueCountsRef(dayStart(g).Add(time.Duration(r) * round))
+			want[g][r][0], want[g][r][1] = blk.TrueCountsRef(hosts, dayStart(g).Add(time.Duration(r)*round))
 		}
 	}
 
@@ -255,11 +296,9 @@ func TestTruthPlanConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		var buf netsim.ReplyBuffer
-		for r := 0; r < rounds; r++ {
-			for _, pkt := range probes {
-				n.DeliverIPInto(&buf, pkt, dayStart(1).Add(time.Duration(r)*round))
-			}
+		var buf netsim.BatchBuffer
+		for r := 0; r < 2*rounds; r++ {
+			n.DeliverBatch(&buf, probes, dayStart(1).Add(time.Duration(r)*round))
 		}
 	}()
 	wg.Wait()
@@ -269,7 +308,7 @@ func TestTruthPlanConcurrent(t *testing.T) {
 }
 
 func TestTrueAWarmPlanAllocatesNothing(t *testing.T) {
-	blk := everyBranchBlock()
+	blk, _ := everyBranchBlock()
 	netsim.NewNetwork(1).AddBlock(blk)
 	morning := netsim.SimEpoch.Add(50 * time.Hour)
 	blk.TrueA(morning)
@@ -290,22 +329,27 @@ var sinkCounts int
 // sweep through the host-by-host loop.
 func BenchmarkTrueA(b *testing.B) {
 	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 9, 6)}
+	var hosts netsim.Hosts
 	for h := 1; h < 41; h++ {
-		blk.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
 	for h := 41; h < 141; h++ {
-		blk.Behaviors[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 9 * time.Hour, StartSigma: 20 * time.Minute, DurationSigma: 40 * time.Minute, Seed: uint64(h)}
+		hosts[h] = netsim.Diurnal{Phase: 9 * time.Hour, Duration: 9 * time.Hour, StartSigma: 20 * time.Minute, DurationSigma: 40 * time.Minute, Seed: uint64(h)}
 	}
 	for h := 141; h < 171; h++ {
-		blk.Behaviors[h] = netsim.Intermittent{P: 0.6, Seed: uint64(h)}
+		hosts[h] = netsim.Intermittent{P: 0.6, Seed: uint64(h)}
 	}
+	blk.SetHosts(&hosts)
 	netsim.NewNetwork(1).AddBlock(blk)
 	start := time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
 	const week = 7 * 131
 	for _, bc := range []struct {
 		name   string
 		counts func(time.Time) (int, int)
-	}{{"plan", blk.TrueCounts}, {"reference", blk.TrueCountsRef}} {
+	}{
+		{"plan", blk.TrueCounts},
+		{"reference", func(at time.Time) (int, int) { return blk.TrueCountsRef(&hosts, at) }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

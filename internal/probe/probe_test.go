@@ -81,9 +81,11 @@ func campaignNet(nBlocks int) (*netsim.Network, []netsim.BlockID) {
 	var ids []netsim.BlockID
 	for i := 0; i < nBlocks; i++ {
 		blk := &netsim.Block{ID: netsim.MakeBlockID(10, byte(i>>8), byte(i)), Seed: uint64(i)}
+		var hosts netsim.Hosts
 		for h := 0; h < 60; h++ {
-			blk.Behaviors[h] = netsim.Intermittent{P: 0.7, Seed: uint64(i*256 + h)}
+			hosts[h] = netsim.Intermittent{P: 0.7, Seed: uint64(i*256 + h)}
 		}
+		blk.SetHosts(&hosts)
 		net.AddBlock(blk)
 		ids = append(ids, blk.ID)
 	}
@@ -117,7 +119,7 @@ func TestCampaignRun(t *testing.T) {
 func TestCampaignSparseExcluded(t *testing.T) {
 	net, ids := campaignNet(3)
 	sparse := &netsim.Block{ID: netsim.MakeBlockID(99, 0, 0), Seed: 1}
-	sparse.Behaviors[0] = netsim.AlwaysOn{}
+	sparse.SetHosts(&netsim.Hosts{0: netsim.AlwaysOn{}})
 	net.AddBlock(sparse)
 	ids = append(ids, sparse.ID)
 	c := &Campaign{Net: net, Start: t0, Seed: 3}
@@ -182,9 +184,11 @@ func TestCampaignErrors(t *testing.T) {
 func TestCampaignEventsRecorded(t *testing.T) {
 	net := netsim.NewNetwork(5)
 	blk := &netsim.Block{ID: netsim.MakeBlockID(20, 0, 0), Seed: 2}
+	var hosts netsim.Hosts
 	for h := 0; h < 50; h++ {
-		blk.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
+	blk.SetHosts(&hosts)
 	oStart := t0.Add(100 * 660 * time.Second)
 	blk.Outages = []netsim.Interval{{Start: oStart, End: oStart.Add(4 * time.Hour)}}
 	net.AddBlock(blk)

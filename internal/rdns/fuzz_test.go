@@ -3,20 +3,25 @@ package rdns
 import (
 	"strings"
 	"testing"
+
+	"sleepnet/internal/netsim"
 )
 
 // FuzzClassify throws arbitrary reverse names at the keyword classifier and
 // checks its invariants, mirroring the icmp FuzzParse pattern: no panics,
 // deterministic output, features drawn only from the kept keywords in
-// canonical order, the 1/15th suppression rule honored, and the
-// synthesizer's Domain never injecting features through the zone name. Run
-// with `go test -fuzz=FuzzClassify ./internal/rdns`.
+// canonical order, the 1/15th suppression rule honored, the synthesizer's
+// Domain never injecting features through the zone name, and the streaming
+// BlockFeatures equal to classifying the materialized BlockNames. Run with
+// `go test -fuzz=FuzzClassify ./internal/rdns`.
 func FuzzClassify(f *testing.F) {
 	f.Add("dhcp-dialup-001.example.com", "host-001.example.net")
 	f.Add("STA-007.big-isp.org", "")
 	f.Add("dyn.dyn.dyn", "cable-res-9")
 	f.Add("University of Pakistan", "wireless-sql-gw")
 	f.Add(strings.Repeat("dsl", 100), "\x00\xff not a hostname \t")
+	f.Add("dsl", "wIFi.CLIENT-ded.isp.example.net")
+	f.Add("cable", "")
 
 	kept := make(map[string]bool, len(KeptKeywords))
 	for _, kw := range KeptKeywords {
@@ -27,6 +32,8 @@ func FuzzClassify(f *testing.F) {
 		order[kw] = i
 	}
 
+	var stream FeatureSet
+	var scratch []byte // reused across inputs, as LinkTypes reuses it across blocks
 	f.Fuzz(func(t *testing.T, a, b string) {
 		// FeaturesOf: deterministic, canonical order, real substrings.
 		fa := FeaturesOf(a)
@@ -34,6 +41,19 @@ func FuzzClassify(f *testing.F) {
 			t.Fatalf("FeaturesOf(%q) not deterministic: %v vs %v", a, fa, again)
 		}
 		low := strings.ToLower(a)
+		if isASCII(a) {
+			// On ASCII, which is all DNS has, the one-pass matcher is
+			// exactly lowercase-then-search for each keyword.
+			var naive []string
+			for _, kw := range ConsideredKeywords {
+				if strings.Contains(low, kw) {
+					naive = append(naive, kw)
+				}
+			}
+			if strings.Join(fa, ",") != strings.Join(naive, ",") {
+				t.Fatalf("FeaturesOf(%q) = %v, keyword-by-keyword search finds %v", a, fa, naive)
+			}
+		}
 		for i, kw := range fa {
 			if _, known := order[kw]; !known {
 				t.Fatalf("FeaturesOf(%q) produced unknown keyword %q", a, kw)
@@ -91,5 +111,24 @@ func FuzzClassify(f *testing.F) {
 		if got := FeaturesOf(Domain(a)); len(got) != 0 {
 			t.Fatalf("Domain(%q) = %q injects features %v", a, Domain(a), got)
 		}
+
+		// Streaming a block's names through one buffer classifies it as
+		// materializing them does, whatever the link type and domain are.
+		synth := &Synthesizer{NamedFrac: 0.6, MultiFrac: 0.3, Seed: uint64(len(a))}
+		id := netsim.MakeBlockID(byte(len(b)), byte(len(a)), 7)
+		slice := ClassifyBlock(synth.BlockNames(id, a, b))
+		stream, scratch = synth.BlockFeatures(scratch, id, a, b)
+		if got := stream.names(); strings.Join(got, ",") != strings.Join(slice.Features, ",") || stream.Len() != len(slice.Features) {
+			t.Fatalf("BlockFeatures(%q, %q) = %v, ClassifyBlock(BlockNames) = %v", a, b, got, slice.Features)
+		}
 	})
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= 0x80 {
+			return false
+		}
+	}
+	return true
 }

@@ -13,6 +13,7 @@ package rdns
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"sleepnet/internal/netsim"
@@ -38,18 +39,114 @@ var KeptKeywords = []string{"sta", "dyn", "srv", "dhcp", "ppp", "dsl", "dial", "
 // suppressionRatio drops features rarer than 1/15th of the dominant one.
 const suppressionRatio = 15
 
-// FeaturesOf returns the keywords found in one reverse name
-// (non-exclusive substring matching, lowercased). A name like
-// "dhcp-dialup-001.example.com" yields both "dhcp" and "dial".
-func FeaturesOf(name string) []string {
-	n := strings.ToLower(name)
+// FeatureSet is a set of ConsideredKeywords: bit i stands for
+// ConsideredKeywords[i].
+type FeatureSet uint16
+
+// Len returns the number of keywords in the set.
+func (f FeatureSet) Len() int { return bits.OnesCount16(uint16(f)) }
+
+// Has reports whether ConsideredKeywords[i] is in the set.
+func (f FeatureSet) Has(i int) bool { return f&(1<<i) != 0 }
+
+// names lists the set in ConsideredKeywords order.
+func (f FeatureSet) names() []string {
 	var out []string
-	for _, kw := range ConsideredKeywords {
-		if strings.Contains(n, kw) {
+	for i, kw := range ConsideredKeywords {
+		if f.Has(i) {
 			out = append(out, kw)
 		}
 	}
 	return out
+}
+
+// byFirst lists, for every byte, the ConsideredKeywords that start with it,
+// and discarded is the starred subset as a set; both are derived once from
+// the tables above.
+var (
+	byFirst   [256][]uint8
+	discarded FeatureSet
+)
+
+func init() {
+	for i, kw := range ConsideredKeywords {
+		byFirst[kw[0]] = append(byFirst[kw[0]], uint8(i))
+		if DiscardedKeywords[kw] {
+			discarded |= 1 << i
+		}
+	}
+}
+
+// lower folds an ASCII capital to its small letter. DNS names are ASCII; no
+// other letter case is folded.
+func lower(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		return c + 'a' - 'A'
+	}
+	return c
+}
+
+// match returns the keywords found in one reverse name: non-exclusive
+// substring matching, ASCII case folded. It is the one matcher behind
+// FeaturesOf, ClassifyBlock and BlockFeatures: a single pass over the name
+// that tries, at each byte, only the keywords starting with it.
+func match[T string | []byte](name T) FeatureSet {
+	var found FeatureSet
+	for i := 0; i < len(name); i++ {
+	next:
+		for _, k := range byFirst[lower(name[i])] {
+			kw := ConsideredKeywords[k]
+			if len(name)-i < len(kw) {
+				continue
+			}
+			for j := 1; j < len(kw); j++ {
+				if lower(name[i+j]) != kw[j] {
+					continue next
+				}
+			}
+			found |= 1 << k
+		}
+	}
+	return found
+}
+
+// FeaturesOf returns the keywords found in one reverse name, in
+// ConsideredKeywords order. A name like "dhcp-dialup-001.example.com"
+// yields both "dhcp" and "dial".
+func FeaturesOf(name string) []string { return match(name).names() }
+
+// tally counts, over the named addresses of one block, how many carry each
+// keyword.
+type tally struct {
+	counts [16]int
+	named  int
+}
+
+// add records one named address carrying the keywords in f.
+func (t *tally) add(f FeatureSet) {
+	t.named++
+	for ; f != 0; f &= f - 1 {
+		t.counts[bits.TrailingZeros16(uint16(f))]++
+	}
+}
+
+// features applies the paper's rules to the counts: suppress features rarer
+// than 1/15th of the most frequent one, discard the seven starred keywords,
+// and label the block with the rest.
+func (t *tally) features() FeatureSet {
+	max := 0
+	for _, c := range t.counts {
+		if c > max {
+			max = c
+		}
+	}
+	var out FeatureSet
+	for i, c := range t.counts {
+		if c > 0 && c*suppressionRatio >= max {
+			out |= 1 << i
+		}
+	}
+	return out &^ discarded
 }
 
 // BlockClassification is the outcome of classifying one /24.
@@ -83,34 +180,17 @@ func (c BlockClassification) Multi() bool { return len(c.Features) > 1 }
 // most frequent, discard the seven starred keywords, and label with the
 // rest.
 func ClassifyBlock(names []string) BlockClassification {
-	out := BlockClassification{Counts: make(map[string]int)}
+	var t tally
 	for _, n := range names {
-		if n == "" {
-			continue
-		}
-		out.Named++
-		for _, f := range FeaturesOf(n) {
-			out.Counts[f]++
+		if n != "" {
+			t.add(match(n))
 		}
 	}
-	max := 0
-	for _, c := range out.Counts {
-		if c > max {
-			max = c
+	out := BlockClassification{Features: t.features().names(), Counts: make(map[string]int), Named: t.named}
+	for i, c := range t.counts {
+		if c > 0 {
+			out.Counts[ConsideredKeywords[i]] = c
 		}
-	}
-	if max == 0 {
-		return out
-	}
-	for _, kw := range ConsideredKeywords {
-		c := out.Counts[kw]
-		if c == 0 || DiscardedKeywords[kw] {
-			continue
-		}
-		if c*suppressionRatio < max {
-			continue // suppressed minor feature
-		}
-		out.Features = append(out.Features, kw)
 	}
 	return out
 }
@@ -158,52 +238,75 @@ var secondFeature = map[string]string{
 	"srv":   "static",
 }
 
+// namer writes one block's reverse names: the block's deterministic draw
+// decides once whether its operator publishes keyword names, dual-keyword
+// names, or generic names with no keywords (the unclassifiable majority).
+type namer struct {
+	seed, id      uint64
+	token, second string // "second" is empty unless the style is dual-keyword
+	domain        string
+}
+
+func (s *Synthesizer) namer(id netsim.BlockID, linkType, domain string) namer {
+	n := namer{seed: s.Seed, id: uint64(id), token: "host", domain: domain}
+	u := hashUnit(s.Seed, uint64(id), 1)
+	multi := u < s.MultiFrac
+	if !multi && u >= s.NamedFrac {
+		return n // generic: host-hhh.domain whatever the link type
+	}
+	if t := linkKeywordToken[linkType]; t != "" {
+		n.token = t
+	}
+	if multi {
+		if n.second = secondFeature[linkType]; n.second == "" {
+			n.second = "dynamic"
+		}
+	}
+	return n
+}
+
+// appendName appends address h's reverse name to dst — token[-second]-hhh.domain
+// — or nothing when the address has no PTR record at all.
+func (n *namer) appendName(dst []byte, h int) []byte {
+	if hashUnit(n.seed, n.id, uint64(h), 2) < 0.15 {
+		return dst
+	}
+	dst = append(append(dst, n.token...), '-')
+	if n.second != "" {
+		dst = append(append(dst, n.second...), '-')
+	}
+	dst = append(dst, byte('0'+h/100), byte('0'+h/10%10), byte('0'+h%10), '.')
+	return append(dst, n.domain...)
+}
+
 // BlockNames synthesizes the 256 reverse names for a block with the given
-// true link type and an ISP domain. Depending on the block's deterministic
-// draw it emits keyword names, dual-keyword names, or generic names with no
-// keywords (the unclassifiable majority).
+// true link type and an ISP domain; addresses without a PTR record get the
+// empty string.
 func (s *Synthesizer) BlockNames(id netsim.BlockID, linkType, domain string) []string {
 	names := make([]string, 256)
-	u := hashUnit(s.Seed, uint64(id), 1)
-	token := linkKeywordToken[linkType]
-	if token == "" {
-		token = "host"
-	}
-	style := styleGeneric
-	switch {
-	case u < s.MultiFrac:
-		style = styleMulti
-	case u < s.NamedFrac:
-		style = styleKeyword
-	}
-	for h := 0; h < 256; h++ {
-		// Some addresses have no PTR at all.
-		if hashUnit(s.Seed, uint64(id), uint64(h), 2) < 0.15 {
-			continue
-		}
-		switch style {
-		case styleMulti:
-			second := secondFeature[linkType]
-			if second == "" {
-				second = "dynamic"
-			}
-			names[h] = fmt.Sprintf("%s-%s-%03d.%s", token, second, h, domain)
-		case styleKeyword:
-			names[h] = fmt.Sprintf("%s-%03d.%s", token, h, domain)
-		default:
-			names[h] = fmt.Sprintf("host-%03d.%s", h, domain)
-		}
+	n := s.namer(id, linkType, domain)
+	var buf []byte
+	for h := range names {
+		buf = n.appendName(buf[:0], h)
+		names[h] = string(buf)
 	}
 	return names
 }
 
-type nameStyle int
-
-const (
-	styleGeneric nameStyle = iota
-	styleKeyword
-	styleMulti
-)
+// BlockFeatures classifies the block BlockNames would name without keeping
+// the names: each is written into scratch, matched and overwritten by the
+// next. The result is ClassifyBlock(s.BlockNames(id, linkType, domain))'s
+// Features as a set; the possibly grown scratch is returned for reuse.
+func (s *Synthesizer) BlockFeatures(scratch []byte, id netsim.BlockID, linkType, domain string) (FeatureSet, []byte) {
+	n := s.namer(id, linkType, domain)
+	var t tally
+	for h := 0; h < 256; h++ {
+		if scratch = n.appendName(scratch[:0], h); len(scratch) > 0 {
+			t.add(match(scratch))
+		}
+	}
+	return t.features(), scratch
+}
 
 // Domain derives a plausible ISP reverse-zone domain from an organization
 // name ("Brazil Telecom" -> "brazil-telecom.example.net"). Tokens that
@@ -217,11 +320,8 @@ func Domain(org string) string {
 		return "example.net"
 	}
 	for i, f := range fields {
-		for _, kw := range ConsideredKeywords {
-			if strings.Contains(f, kw) {
-				fields[i] = fmt.Sprintf("z%06d", uint32(hashUnit(0xd011a1, uint64(len(f)), uint64(f[0]))*999999))
-				break
-			}
+		if match(f) != 0 {
+			fields[i] = fmt.Sprintf("z%06d", uint32(hashUnit(0xd011a1, uint64(len(f)), uint64(f[0]))*999999))
 		}
 	}
 	return strings.Join(fields, "-") + ".example.net"

@@ -204,4 +204,44 @@ func TestKeywordTables(t *testing.T) {
 			t.Fatalf("%q both kept and discarded", kw)
 		}
 	}
+	// Kept is considered minus discarded, in the same order: Fig 17's rows
+	// rely on it.
+	var kept []string
+	for _, kw := range ConsideredKeywords {
+		if !DiscardedKeywords[kw] {
+			kept = append(kept, kw)
+		}
+	}
+	if strings.Join(kept, ",") != strings.Join(KeptKeywords, ",") {
+		t.Fatalf("considered minus discarded = %v, kept = %v", kept, KeptKeywords)
+	}
+}
+
+// TestBlockFeaturesMatchesClassifyBlock pins the streaming classification
+// Fig 17 uses to the materialized one over the synthesizer's three naming
+// styles, and its reused scratch to zero allocations a block.
+func TestBlockFeaturesMatchesClassifyBlock(t *testing.T) {
+	s := NewSynthesizer(42)
+	var scratch []byte
+	styles := make(map[int]int)
+	for i := 0; i < 3000; i++ {
+		id := netsim.MakeBlockID(byte(i>>16), byte(i>>8), byte(i))
+		link := KeptKeywords[i%len(KeptKeywords)]
+		want := ClassifyBlock(s.BlockNames(id, link, "isp.example.net")).Features
+		var got FeatureSet
+		got, scratch = s.BlockFeatures(scratch, id, link, "isp.example.net")
+		if strings.Join(got.names(), ",") != strings.Join(want, ",") {
+			t.Fatalf("block %s (%s): BlockFeatures = %v, ClassifyBlock(BlockNames) = %v", id, link, got.names(), want)
+		}
+		styles[got.Len()]++
+	}
+	if styles[0] == 0 || styles[1] == 0 || styles[2] == 0 {
+		t.Fatalf("blocks by feature count = %v; want generic, keyword and dual-keyword styles", styles)
+	}
+	id := netsim.MakeBlockID(1, 2, 3)
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, scratch = s.BlockFeatures(scratch, id, "dsl", "isp.example.net")
+	}); allocs != 0 {
+		t.Fatalf("BlockFeatures allocates %v times a block with a warm scratch, want 0", allocs)
+	}
 }

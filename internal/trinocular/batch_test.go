@@ -460,16 +460,31 @@ func TestProbeRoundsBatchGroupFallbackAndErrors(t *testing.T) {
 }
 
 // TestProbeRoundsBatchGroupAllocFree pins the grouped warm-round budget at
-// zero allocations, matching the single-prober batch path.
+// zero allocations, matching the single-prober batch path. A fifth block of
+// diurnal hosts is probed from 20:00 across midnight, so netsim drawing a
+// new day's on-periods is inside the budget.
 func TestProbeRoundsBatchGroupAllocFree(t *testing.T) {
 	w := buildGroupWorld(t, false)
+	office := &netsim.Block{ID: netsim.MakeBlockID(10, 3, 5), Seed: 5}
+	var hosts netsim.Hosts
+	for h := 1; h <= 40; h++ {
+		hosts[h] = netsim.Diurnal{Phase: 22 * time.Hour, Duration: 6 * time.Hour, StartSigma: time.Hour, Seed: uint64(h)}
+	}
+	office.SetHosts(&hosts)
+	w.net.AddBlock(office)
+	p := New(w.net, Config{}, 5)
+	if err := p.AddBlock(office.ID, office.EverActive()); err != nil {
+		t.Fatal(err)
+	}
+	w.probers, w.ids = append(w.probers, p), append(w.ids, office.ID)
+
 	bc := NewBatchContext()
-	aOps := []float64{0.9, 0.4, 0.8, 0.3}
+	aOps := []float64{0.9, 0.4, 0.8, 0.3, 0.5}
 	out := make([]RoundObs, len(w.ids))
 
 	round := 0
 	probeAll := func() {
-		now := epoch.Add(time.Duration(round) * 660 * time.Second)
+		now := at(0, 20, 0).Add(time.Duration(round) * 660 * time.Second)
 		if err := ProbeRoundsBatchGroup(bc, w.probers, w.ids, aOps, now, out); err != nil {
 			t.Fatal(err)
 		}

@@ -19,13 +19,15 @@ func at(d int, h, m int) time.Time {
 // hosts of probability pInt.
 func buildBlock(id netsim.BlockID, nOn, nInt int, pInt float64) *netsim.Block {
 	b := &netsim.Block{ID: id, Seed: uint64(id)}
+	var hosts netsim.Hosts
 	h := 0
 	for ; h < nOn; h++ {
-		b.Behaviors[h] = netsim.AlwaysOn{}
+		hosts[h] = netsim.AlwaysOn{}
 	}
 	for ; h < nOn+nInt; h++ {
-		b.Behaviors[h] = netsim.Intermittent{P: pInt, Seed: uint64(id) + uint64(h)}
+		hosts[h] = netsim.Intermittent{P: pInt, Seed: uint64(id) + uint64(h)}
 	}
+	b.SetHosts(&hosts)
 	return b
 }
 
@@ -272,10 +274,11 @@ func TestWalkCoversAllHosts(t *testing.T) {
 	// With MaxProbes=1 and a dead block, each round probes the next host in
 	// the walk: after len(E) rounds every host must have been probed once.
 	n := netsim.NewNetwork(8)
+	// The block is given no hosts, so none answers; all thirty are still
+	// "ever active" per the prober's history.
 	blk := &netsim.Block{ID: netsim.MakeBlockID(10, 0, 8), Seed: 3}
 	var hosts []byte
 	for h := 0; h < 30; h++ {
-		blk.Behaviors[h] = netsim.Dead{} // never answers; still "ever active" per history
 		hosts = append(hosts, byte(h))
 	}
 	n.AddBlock(blk)

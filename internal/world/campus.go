@@ -99,11 +99,12 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 	// 15-address probing floor.
 	for i := 0; i < cfg.Wireless; i++ {
 		blk := &netsim.Block{ID: mkID(), Seed: cfg.Seed + uint64(next)}
+		var hosts netsim.Hosts
 		active := 6 + r.Intn(18) // 6..23 ever-active; many < 15
 		for h := 1; h <= active; h++ {
 			// Wifi clients: on campus during the day, sparse within it.
 			phase := time.Duration((8.5+r.Float64()*2+utcShift)*3600) * time.Second
-			blk.Behaviors[h] = netsim.Diurnal{
+			hosts[h] = netsim.Diurnal{
 				Phase:      phase,
 				Duration:   time.Duration((4 + r.Float64()*5) * float64(time.Hour)),
 				StartSigma: time.Hour,
@@ -111,6 +112,7 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 				Seed:       cfg.Seed + uint64(next*337+h),
 			}
 		}
+		blk.SetHosts(&hosts)
 		c.Net.AddBlock(blk)
 		c.Blocks = append(c.Blocks, &CampusBlock{
 			ID: blk.ID, Category: CampusWireless, ActiveAddrs: active, TrulyDiurnal: true,
@@ -120,16 +122,18 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 	// Dynamic pools: densely used, assigned sequentially, strongly diurnal.
 	for i := 0; i < cfg.Dynamic; i++ {
 		blk := &netsim.Block{ID: mkID(), Seed: cfg.Seed + uint64(next)}
+		var hosts netsim.Hosts
 		active := 60 + r.Intn(120)
 		for h := 1; h <= active; h++ {
 			phase := time.Duration((8+r.Float64()*1.5+utcShift)*3600) * time.Second
-			blk.Behaviors[h] = netsim.Diurnal{
+			hosts[h] = netsim.Diurnal{
 				Phase:      phase,
 				Duration:   time.Duration((8 + r.Float64()*2) * float64(time.Hour)),
 				StartSigma: 30 * time.Minute,
 				Seed:       cfg.Seed + uint64(next*337+h),
 			}
 		}
+		blk.SetHosts(&hosts)
 		c.Net.AddBlock(blk)
 		c.Blocks = append(c.Blocks, &CampusBlock{
 			ID: blk.ID, Category: CampusDynamic, ActiveAddrs: active, TrulyDiurnal: true,
@@ -140,10 +144,11 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 	// a pocket of dynamic addresses (decentralized address management).
 	for i := 0; i < cfg.General; i++ {
 		blk := &netsim.Block{ID: mkID(), Seed: cfg.Seed + uint64(next)}
+		var hosts netsim.Hosts
 		stable := 25 + r.Intn(60)
 		h := 1
 		for ; h <= stable; h++ {
-			blk.Behaviors[h] = netsim.AlwaysOn{}
+			hosts[h] = netsim.AlwaysOn{}
 		}
 		cat := CampusGeneral
 		diurnal := false
@@ -153,7 +158,7 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 			pocket := 16 + r.Intn(30)
 			phase := time.Duration((8.5+r.Float64()+utcShift)*3600) * time.Second
 			for j := 0; j < pocket && h < 255; j++ {
-				blk.Behaviors[h] = netsim.Diurnal{
+				hosts[h] = netsim.Diurnal{
 					Phase:      phase,
 					Duration:   time.Duration((8 + r.Float64()*2) * float64(time.Hour)),
 					StartSigma: 45 * time.Minute,
@@ -162,6 +167,7 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 				h++
 			}
 		}
+		blk.SetHosts(&hosts)
 		c.Net.AddBlock(blk)
 		c.Blocks = append(c.Blocks, &CampusBlock{
 			ID: blk.ID, Category: cat, ActiveAddrs: h - 1, TrulyDiurnal: diurnal,

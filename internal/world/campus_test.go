@@ -3,8 +3,6 @@ package world
 import (
 	"testing"
 	"time"
-
-	"sleepnet/internal/netsim"
 )
 
 func TestGenerateCampusDefaults(t *testing.T) {
@@ -145,14 +143,19 @@ func TestLeaseCycleBlocksExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ~2% of non-diurnal blocks cycle with a DHCP lease period; find at
-	// least a few by checking for Periodic behaviors.
+	// least a few, and see their availability repeat with that period.
 	lease := 0
 	for _, info := range w.Blocks {
+		if info.LeasePeriod == 0 {
+			continue
+		}
+		lease++
 		blk := w.Net.Block(info.ID)
-		for h := 0; h < 256; h++ {
-			if _, ok := blk.Behaviors[h].(netsim.Periodic); ok {
-				lease++
-				break
+		at := time.Date(2013, time.April, 3, 1, 0, 0, 0, time.UTC)
+		for i := 0; i < 40; i++ {
+			at = at.Add(37 * time.Minute)
+			if a, b := blk.TrueA(at), blk.TrueA(at.Add(info.LeasePeriod)); a != b {
+				t.Fatalf("%s: A(%v) = %v but %v one lease period later", info.ID, at, a, b)
 			}
 		}
 	}

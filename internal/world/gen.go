@@ -73,6 +73,10 @@ type BlockInfo struct {
 	NumStable, NumDiurnal, NumIntermittent int
 	// LocalOnHour is the local-time start of the diurnal on-period.
 	LocalOnHour float64
+	// LeasePeriod is non-zero when the generator made the block cycle with
+	// a DHCP lease period that is not 24 hours (ground truth, like
+	// DesignedDiurnal).
+	LeasePeriod time.Duration
 }
 
 // ISP describes one operator in the synthetic world.
@@ -296,10 +300,11 @@ func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 		LatencyBase:   time.Duration(20+r.Intn(250)) * time.Millisecond,
 		LatencyJitter: time.Duration(5+r.Intn(40)) * time.Millisecond,
 	}
+	var hosts netsim.Hosts
 	host := 1 // leave .0 unused, as in real blocks
 	info.NumStable = 20 + r.Intn(41)
 	for i := 0; i < info.NumStable && host < 255; i++ {
-		blk.Behaviors[host] = netsim.AlwaysOn{}
+		hosts[host] = netsim.AlwaysOn{}
 		host++
 	}
 	if info.DesignedDiurnal {
@@ -310,7 +315,7 @@ func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 			jitter := r.NormFloat64() * 0.75 // hours
 			phase := math.Mod(utcOn+jitter+48, 24)
 			dur := clampF(9+1.5*r.NormFloat64(), 4, 16)
-			blk.Behaviors[host] = netsim.Diurnal{
+			hosts[host] = netsim.Diurnal{
 				Phase:         time.Duration(phase * float64(time.Hour)),
 				Duration:      time.Duration(dur * float64(time.Hour)),
 				StartSigma:    20 * time.Minute,
@@ -326,9 +331,10 @@ func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 		// period p show usage with period p). These populate the Fig 10
 		// distribution away from 1 cycle/day.
 		lease := []time.Duration{7 * time.Hour, 9 * time.Hour, 14 * time.Hour}[r.Intn(3)]
+		info.LeasePeriod = lease
 		info.NumIntermittent = 60 + r.Intn(80)
 		for i := 0; i < info.NumIntermittent && host < 255; i++ {
-			blk.Behaviors[host] = netsim.Periodic{
+			hosts[host] = netsim.Periodic{
 				Period: lease,
 				Duty:   0.4 + 0.3*r.Float64(),
 				Offset: time.Duration(r.Int63n(int64(lease))),
@@ -344,10 +350,11 @@ func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 		p := 0.3 + 0.65*r.Float64()
 		for i := 0; i < info.NumIntermittent && host < 255; i++ {
 			pi := clampF(p+0.12*(r.Float64()-0.5), 0.05, 0.98)
-			blk.Behaviors[host] = netsim.Intermittent{P: pi, Seed: uint64(info.ID) + uint64(host)*257}
+			hosts[host] = netsim.Intermittent{P: pi, Seed: uint64(info.ID) + uint64(host)*257}
 			host++
 		}
 	}
+	blk.SetHosts(&hosts)
 	return blk
 }
 

@@ -2,6 +2,7 @@ package world
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -322,5 +323,34 @@ func BenchmarkGenerate2000(b *testing.B) {
 		if _, err := Generate(Config{Blocks: 2000, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// liveHeap is the heap in use once everything unreachable has been swept.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestWorldHeapBudget holds a generated world — the benchmark's study-14d
+// shape — to 4.5 KB of live heap a block, everything counted: the netsim
+// block and its host table, BlockInfo, the network's and the world's maps.
+// At 31 KB a block (256 interface-valued behaviours and a per-host memo
+// array, until PR 17) the paper's 3.7M /24s could not be held in memory at
+// all; at this budget they fit in 17 GB.
+func TestWorldHeapBudget(t *testing.T) {
+	before := liveHeap()
+	w, err := Generate(Config{Blocks: 2500, Seed: 42, OutagesPerBlockWeek: 0.15})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perBlock := float64(liveHeap()-before) / float64(len(w.Blocks))
+	runtime.KeepAlive(w)
+	t.Logf("%d blocks, %.0f B of live heap a block", len(w.Blocks), perBlock)
+	if perBlock > 4.5*1024 {
+		t.Fatalf("world holds %.0f B of live heap a block, budget 4608", perBlock)
 	}
 }
