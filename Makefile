@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check agree fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench benchdiff bench-smoke bench-e2e bench-pair loadgen
+.PHONY: all build vet test race lint lint-fixtures check agree fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair loadgen
 
 all: check
 
@@ -86,44 +86,11 @@ serve-chaos:
 loadgen:
 	$(GO) run ./cmd/loadgen -duration 3s
 
-# bench runs the top-level paper benchmarks and persists the parsed
-# measurements (ns/op, B/op, allocs/op per benchmark) for cross-commit
-# regression diffing. The default 300ms benchtime gives sub-100ms
-# benchmarks at least 3 iterations, so their numbers are an average rather
-# than a single noisy sample; benchjson records the benchtime used in the
-# output. BENCH_seed.json is the committed baseline — don't overwrite it in
-# day-to-day work; write new measurements to a fresh BENCH_*.json and diff
-# with benchdiff. Refreshing the baseline is a deliberate act: rerun on a
-# quiet host with BENCH_OUT=BENCH_seed.json and commit the diff explicitly.
-BENCHTIME ?= 300ms
-BENCH_OUT ?= BENCH_pr10.json
-# BENCH_RUNS > 1 repeats every benchmark (go test -count) and records the
-# per-metric median plus the ns/op spread — use it when the host is noisy.
-BENCH_RUNS ?= 1
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -benchtime=$(BENCHTIME) -count=$(BENCH_RUNS) . ./internal/monitor | $(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -runs $(BENCH_RUNS) -o $(BENCH_OUT)
-
-# benchdiff compares a fresh benchmark run against the committed seed
-# baseline and exits nonzero when any shared benchmark regressed more than
-# 10% on ns/op, B/op, or allocs/op. Increases under BENCH_NOISE_NS ns/op
-# are never flagged regardless of ratio (absolute noise floor).
-BENCH_NOISE_NS ?= 50
-benchdiff:
-	$(GO) run ./cmd/benchjson -diff -noise-ns $(BENCH_NOISE_NS) BENCH_seed.json $(BENCH_OUT)
-
-# bench-smoke is the CI perf gate for the batched delivery path: the warm
-# monitor round (batched and scalar) is re-measured with 3-run medians and
-# diffed against the committed BENCH_pr10.json baseline. The 1.5x threshold
-# plus the 100 ns/op absolute floor absorbs host-to-host variance while
-# still catching a wholesale regression — e.g. the batch path silently
-# degrading to per-probe delivery, which roughly doubles the round cost.
-bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkMonitorRoundBatch' -benchmem -benchtime=$(BENCHTIME) -count=3 ./internal/monitor | $(GO) run ./cmd/benchjson -benchtime $(BENCHTIME) -runs 3 -o /tmp/bench_smoke.json
-	$(GO) run ./cmd/benchjson -diff -threshold 1.5 -noise-ns 100 BENCH_pr10.json /tmp/bench_smoke.json
-
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the
-# per-layer ones. Performance claims rest on this, not on `make bench`.
+# per-layer ones. Performance claims rest on this and on bench-pair. The
+# root bench_test.go / serve_bench_test.go are the per-figure regenerators
+# of DESIGN section 4, run with plain `go test -bench`; nothing gates on them.
 bench-e2e:
 	$(GO) run ./bench
 

@@ -24,16 +24,17 @@ func blockJSON(t *testing.T, mb MeasuredBlock) string {
 	return string(data)
 }
 
-// TestMeasureWorldBatchScalarEquivalence is the study-level gate on batched
-// probe delivery: over a faulty world, a ScalarProbe study and batched
-// studies at several group sizes must agree block for block — same
-// classifications, same degradation counters, same fault accounting.
-func TestMeasureWorldBatchScalarEquivalence(t *testing.T) {
+// TestMeasureWorldGroupSizeInvariance is the study-level gate on the
+// wavefront: over a faulty world, studies measured in lockstep groups of 7
+// and 64 blocks must agree block for block with the study that measures
+// every block alone — same classifications, same degradation counters,
+// same fault accounting.
+func TestMeasureWorldGroupSizeInvariance(t *testing.T) {
 	w, err := world.Generate(world.Config{Blocks: 40, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := StudyConfig{
+	cfg := StudyConfig{
 		Days: 3,
 		Seed: 41,
 		Faults: faults.Config{
@@ -45,26 +46,22 @@ func TestMeasureWorldBatchScalarEquivalence(t *testing.T) {
 		Retry: trinocular.RetryConfig{MaxAttempts: 2},
 	}
 
-	scalar := base
-	scalar.ScalarProbe = true
-	want, err := MeasureWorld(w, scalar)
+	want, err := measureWorld(w, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.FaultTotals().Probes == 0 {
-		t.Fatal("fault fixture saw no probes; the equivalence is vacuous")
+		t.Fatal("fault fixture saw no probes; the invariance is vacuous")
 	}
 
-	for _, group := range []int{1, 7, 64} {
-		cfg := base
-		cfg.BatchGroup = group
-		got, err := MeasureWorld(w, cfg)
+	for _, group := range []int{7, 64} {
+		got, err := measureWorld(w, cfg, group)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range want.Blocks {
 			if blockJSON(t, got.Blocks[i]) != blockJSON(t, want.Blocks[i]) {
-				t.Fatalf("group size %d, block %d: batched study diverged from scalar", group, i)
+				t.Fatalf("group size %d, block %d: the study diverged from the one measured block by block", group, i)
 			}
 		}
 	}

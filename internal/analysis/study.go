@@ -117,15 +117,6 @@ type StudyConfig struct {
 	// QuarantineFailedFrac is the failed-round fraction above which a block
 	// is quarantined instead of classified (default 0.25).
 	QuarantineFailedFrac float64
-	// ScalarProbe forces per-probe delivery instead of the default batched
-	// wavefronts. Results are identical either way (the batch path only
-	// amortizes the netsim boundary cost); the knob exists for A/B
-	// benchmarks and equivalence tests.
-	ScalarProbe bool
-	// BatchGroup is how many blocks one worker measures in lockstep so
-	// their rounds share a batched boundary crossing (default 64). Ignored
-	// under ScalarProbe.
-	BatchGroup int
 	// CheckpointPath, when set, appends each measured block to a JSONL
 	// checkpoint file as it completes.
 	CheckpointPath string
@@ -150,15 +141,24 @@ func (c StudyConfig) withDefaults() StudyConfig {
 	if c.QuarantineFailedFrac == 0 {
 		c.QuarantineFailedFrac = 0.25
 	}
-	if c.BatchGroup <= 0 {
-		c.BatchGroup = 64
-	}
 	return c
 }
+
+// studyGroupSize is how many blocks one worker measures in lockstep so their
+// rounds share a wavefront's boundary crossing. Per-block results do not
+// depend on it (TestMeasureWorldGroupSizeInvariance); 64 amortizes the
+// crossing while keeping a worker's in-flight records small.
+const studyGroupSize = 64
 
 // MeasureWorld runs the full §2 pipeline over every block of the world in
 // parallel and returns the per-block classifications.
 func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
+	return measureWorld(w, sc, studyGroupSize)
+}
+
+// measureWorld is MeasureWorld with the lockstep group size a parameter, so
+// the invariance test can vary it.
+func measureWorld(w *world.World, sc StudyConfig, groupSize int) (*Study, error) {
 	sc = sc.withDefaults()
 	if len(w.Blocks) == 0 {
 		return nil, fmt.Errorf("analysis: world has no blocks")
@@ -204,12 +204,7 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 
 	// Work is dealt in groups: one worker measures a group of blocks in
 	// lockstep so every round of the group crosses the netsim boundary as
-	// one batched wavefront (RunBlocks). Under ScalarProbe each group is
-	// measured block by block through the per-probe path instead.
-	groupSize := sc.BatchGroup
-	if sc.ScalarProbe {
-		groupSize = 1
-	}
+	// one batched wavefront (RunBlocks).
 	var groups [][]int
 	var cur []int
 	for i := range w.Blocks {
@@ -248,15 +243,6 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 			defer wg.Done()
 			ids := make([]netsim.BlockID, 0, groupSize)
 			for idxs := range groupCh {
-				if sc.ScalarProbe {
-					for _, i := range idxs {
-						stop := sm.blockSeconds.Time()
-						mb := measureOne(pl, w.Blocks[i])
-						stop()
-						commit(i, mb)
-					}
-					continue
-				}
 				ids = ids[:0]
 				for _, i := range idxs {
 					ids = append(ids, w.Blocks[i].ID)
@@ -342,13 +328,8 @@ func finishBlock(mb *MeasuredBlock, inj *faults.Injector, rounds int, quarantine
 	}
 }
 
-func measureOne(pl *core.Pipeline, info *world.BlockInfo) MeasuredBlock {
-	run, err := pl.RunBlock(info.ID)
-	return blockFromRun(info, run, err)
-}
-
-// blockFromRun converts one block's pipeline result (from RunBlock or a
-// RunBlocks group slot) into its study record.
+// blockFromRun converts one block's pipeline result (a RunBlocks group slot)
+// into its study record.
 func blockFromRun(info *world.BlockInfo, run *core.BlockRun, err error) MeasuredBlock {
 	mb := MeasuredBlock{Info: info}
 	if err != nil {

@@ -136,10 +136,9 @@ func NewPipeline(net *netsim.Network, cfg PipelineConfig) *Pipeline {
 func (pl *Pipeline) Config() PipelineConfig { return pl.cfg }
 
 // blockRunner is one block's measurement in flight: the per-block prober,
-// estimator, and accumulating record. RunBlock drives one runner round by
-// round; RunBlocks drives a group of them in lockstep so a whole group's
-// round crosses the netsim boundary as one batched wavefront. Both paths
-// share step and finish, so they cannot drift.
+// estimator, and accumulating record. RunBlocks drives a group of them in
+// lockstep so a whole group's round crosses the netsim boundary as one
+// batched wavefront.
 type blockRunner struct {
 	pl      *Pipeline
 	id      netsim.BlockID
@@ -253,36 +252,22 @@ func (br *blockRunner) finish() (*BlockRun, error) {
 	return run, nil
 }
 
-// RunBlock measures one block end to end. The block must be registered in
-// the pipeline's network. Sparse blocks (fewer ever-active addresses than
-// the Trinocular policy floor) return trinocular.ErrTooSparse.
+// RunBlock measures one block end to end: RunBlocks over a group of one.
+// The block must be registered in the pipeline's network. Sparse blocks
+// (fewer ever-active addresses than the Trinocular policy floor) return
+// trinocular.ErrTooSparse.
 func (pl *Pipeline) RunBlock(id netsim.BlockID) (*BlockRun, error) {
-	br, err := pl.newBlockRunner(id)
-	if err != nil {
-		return nil, err
-	}
-	stopProbe := pl.pm.probeSeconds.Time()
-	for r := 0; r < pl.cfg.Rounds; r++ {
-		now := pl.cfg.Start.Add(time.Duration(r) * pl.cfg.Period)
-		obs, err := br.prober.ProbeRound(id, now, br.est.Operational())
-		if err != nil {
-			return nil, err
-		}
-		br.step(r, &obs)
-	}
-	stopProbe()
-	return br.finish()
+	runs, errs := pl.RunBlocks([]netsim.BlockID{id})
+	return runs[0], errs[0]
 }
 
 // RunBlocks measures a group of blocks in lockstep: every round, the whole
 // group's probes cross the netsim boundary as one batched wavefront
 // (trinocular.ProbeRoundsBatchGroup), amortizing the per-packet routing,
-// locking, and counter cost RunBlock pays. Each block keeps its own prober
+// locking, and counter cost over the group. Each block keeps its own prober
 // (its own walk seed) and its own record; runs[i]/errs[i] report block
-// ids[i], exactly what RunBlock(ids[i]) would have returned — block state
-// never crosses lanes, so the lockstep interleaving is unobservable. Over a
-// network without the batched fast path the group degrades to scalar
-// rounds.
+// ids[i], and are the same whatever group the block is measured in — block
+// state never crosses lanes, so the lockstep interleaving is unobservable.
 func (pl *Pipeline) RunBlocks(ids []netsim.BlockID) (runs []*BlockRun, errs []error) {
 	runs = make([]*BlockRun, len(ids))
 	errs = make([]error, len(ids))

@@ -216,7 +216,7 @@ func (in *Injector) outboundLocked(dst netsim.Addr, now time.Time) (time.Time, n
 // (ErrTruncated for short messages, ErrChecksum otherwise), a single bit
 // flip (ErrChecksum), and payload bloat past the size bound (ErrPayloadSize).
 //
-// The reply slice may be a prober's reusable netsim.ReplyBuffer storage, so
+// The reply slice may be a prober's reusable netsim.BatchBuffer storage, so
 // the Tap contract applies: it is never retained past the call and every
 // corruption mode returns a fresh copy (copy-on-corrupt) instead of
 // mutating the caller's bytes in place.

@@ -141,13 +141,13 @@ func TestCorruptionBreaksParsing(t *testing.T) {
 	in := New(Config{Seed: 9, CorruptRate: 1})
 	sawErr := map[string]bool{}
 	for i := 0; i < 300; i++ {
-		reply, err := (&icmp.Echo{Reply: true, ID: 7, Seq: uint16(i), Payload: []byte("ping")}).Marshal()
+		reply, err := (&icmp.Echo{Reply: true, ID: 7, Seq: uint16(i), Payload: []byte("ping")}).MarshalAppend(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		now := epoch.Add(time.Duration(i) * time.Second)
 		got := in.Inbound(addr(byte(i)), reply, now)
-		if _, perr := icmp.ParseEcho(got); perr != nil {
+		if perr := icmp.ParseEchoInto(new(icmp.Echo), got); perr != nil {
 			switch {
 			case errors.Is(perr, icmp.ErrTruncated):
 				sawErr["truncated"] = true
@@ -183,12 +183,28 @@ func TestNetworkIntegration(t *testing.T) {
 	}
 	blk.SetHosts(&hosts)
 	net.AddBlock(blk)
+	// probeOnce sends one IPv4-wrapped echo as a one-packet batch and hands
+	// back the reply's ICMP message.
 	probeOnce := func(seq uint16, now time.Time) netsim.Response {
-		pkt, err := (&icmp.Echo{ID: 9, Seq: seq}).Marshal()
+		echo, err := (&icmp.Echo{ID: 9, Seq: seq}).MarshalAppend(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return net.Probe(netsim.Addr{Block: blk.ID, Host: 3}, pkt, now)
+		dst := netsim.Addr{Block: blk.ID, Host: 3}
+		pkt, err := (&ipv4.Header{TTL: 64, Protocol: ipv4.ProtoICMP,
+			Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}).MarshalAppend(nil, echo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bb netsim.BatchBuffer
+		r := net.DeliverBatch(&bb, [][]byte{pkt}, now)[0]
+		if r.Data != nil {
+			var hdr ipv4.Header
+			if r.Data, err = ipv4.ParseHeader(&hdr, r.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r
 	}
 
 	// Total loss: every probe times out without SendFailed.
@@ -213,15 +229,15 @@ func TestNetworkIntegration(t *testing.T) {
 	if r.Timeout || r.Data == nil {
 		t.Fatalf("rate limit: got %+v, want a reply", r)
 	}
-	un, err := icmp.ParseUnreachable(r.Data)
-	if err != nil {
+	var un icmp.Unreachable
+	if err := icmp.ParseUnreachableInto(&un, r.Data); err != nil {
 		t.Fatalf("rate limit reply did not parse: %v", err)
 	}
 	if un.Code != icmp.CodeAdminProhibited {
 		t.Fatalf("rate limit code = %d, want %d", un.Code, icmp.CodeAdminProhibited)
 	}
-	orig, err := icmp.ParseEcho(un.Original)
-	if err != nil || orig.Seq != 4 {
+	var orig icmp.Echo
+	if err := icmp.ParseEchoInto(&orig, un.Original); err != nil || orig.Seq != 4 {
 		t.Fatalf("quoted original wrong: %v %+v", err, orig)
 	}
 
@@ -268,9 +284,9 @@ func TestOutboundBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestInjectorBatchDeliveryEquivalence runs the real injector under
-// netsim.DeliverBatch vs the scalar path: byte-identical responses and
-// identical fault accounting.
+// TestInjectorBatchDeliveryEquivalence runs the real injector under one
+// N-packet netsim.DeliverBatch vs N one-packet batches: byte-identical
+// responses and identical fault accounting.
 func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 	cfg := Config{
 		Seed: 3, LossRate: 0.15, CorruptRate: 0.2, RateLimitPerRound: 4,
@@ -294,12 +310,12 @@ func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 		return n, in
 	}
 	mkPkt := func(dst netsim.Addr, s uint16) []byte {
-		echo, err := (&icmp.Echo{ID: 7, Seq: s, Payload: []byte("pp")}).Marshal()
+		echo, err := (&icmp.Echo{ID: 7, Seq: s, Payload: []byte("pp")}).MarshalAppend(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pkt, err := (&ipv4.Header{ID: s, TTL: 64, Protocol: ipv4.ProtoICMP,
-			Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}).Marshal(echo)
+			Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}).MarshalAppend(nil, echo)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,8 +323,7 @@ func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 	}
 	sNet, sIn := mkNet()
 	bNet, bIn := mkNet()
-	var rb netsim.ReplyBuffer
-	var bb netsim.BatchBuffer
+	var sb, bb netsim.BatchBuffer
 	for round := 0; round < 10; round++ {
 		now := epoch.Add(time.Duration(round) * 11 * time.Minute)
 		var pkts [][]byte
@@ -319,8 +334,8 @@ func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 			s++
 		}
 		want := make([]netsim.Response, 0, len(pkts))
-		for _, pkt := range pkts {
-			r := sNet.DeliverIPInto(&rb, pkt, now)
+		for i := range pkts {
+			r := sNet.DeliverBatch(&sb, pkts[i:i+1], now)[0]
 			if r.Data != nil {
 				r.Data = append([]byte(nil), r.Data...)
 			}
@@ -330,11 +345,11 @@ func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 		for i := range want {
 			w, g := want[i], got[i]
 			if w.Timeout != g.Timeout || w.SendFailed != g.SendFailed || w.RTT != g.RTT || !bytes.Equal(w.Data, g.Data) {
-				t.Fatalf("round %d probe %d diverged:\n scalar %+v\n batch  %+v", round, i, w, g)
+				t.Fatalf("round %d probe %d diverged:\n one by one %+v\n batch      %+v", round, i, w, g)
 			}
 		}
 	}
 	if st, bt := sIn.Totals(), bIn.Totals(); st != bt {
-		t.Fatalf("injector stats diverged: scalar %v, batch %v", st, bt)
+		t.Fatalf("injector stats diverged: one by one %v, batch %v", st, bt)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // oversized payloads, and unknown types. Every case must be rejected with
 // the right error class — never a panic, never a silently wrong message.
 func TestParseMalformedTable(t *testing.T) {
-	valid, err := (&Echo{ID: 0x1234, Seq: 7, Payload: []byte("probe")}).Marshal()
+	valid, err := (&Echo{ID: 0x1234, Seq: 7, Payload: []byte("probe")}).MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +39,17 @@ func TestParseMalformedTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := ParseEcho(tc.in)
+			err := ParseEchoInto(new(Echo), tc.in)
 			if err == nil {
-				t.Fatalf("ParseEcho accepted %q input", tc.name)
+				t.Fatalf("ParseEchoInto accepted %q input", tc.name)
 			}
 			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
-				t.Fatalf("ParseEcho error = %v, want %v", err, tc.wantErr)
+				t.Fatalf("ParseEchoInto error = %v, want %v", err, tc.wantErr)
 			}
 		})
 	}
 
-	un, err := (&Unreachable{Code: CodeAdminProhibited, Original: valid}).Marshal()
+	un, err := (&Unreachable{Code: CodeAdminProhibited, Original: valid}).MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func TestParseMalformedTable(t *testing.T) {
 	}
 	for _, tc := range unCases {
 		t.Run("unreachable "+tc.name, func(t *testing.T) {
-			_, err := ParseUnreachable(tc.in)
+			err := ParseUnreachableInto(new(Unreachable), tc.in)
 			if err == nil {
-				t.Fatalf("ParseUnreachable accepted %q input", tc.name)
+				t.Fatalf("ParseUnreachableInto accepted %q input", tc.name)
 			}
 			if tc.wantErr != nil && !errors.Is(err, tc.wantErr) {
-				t.Fatalf("ParseUnreachable error = %v, want %v", err, tc.wantErr)
+				t.Fatalf("ParseUnreachableInto error = %v, want %v", err, tc.wantErr)
 			}
 		})
 	}
@@ -85,11 +85,11 @@ func TestParseMalformedTable(t *testing.T) {
 // validate yet re-marshal as 0x0000.) Run with
 // `go test -fuzz=FuzzParse ./internal/icmp`.
 func FuzzParse(f *testing.F) {
-	seed, _ := (&Echo{ID: 1, Seq: 2, Payload: []byte("x")}).Marshal()
+	seed, _ := (&Echo{ID: 1, Seq: 2, Payload: []byte("x")}).MarshalAppend(nil)
 	f.Add(seed)
-	reply, _ := (&Echo{Reply: true, ID: 0xffff, Seq: 0}).Marshal()
+	reply, _ := (&Echo{Reply: true, ID: 0xffff, Seq: 0}).MarshalAppend(nil)
 	f.Add(reply)
-	un, _ := (&Unreachable{Code: CodeHostUnreachable, Original: seed}).Marshal()
+	un, _ := (&Unreachable{Code: CodeHostUnreachable, Original: seed}).MarshalAppend(nil)
 	f.Add(un)
 	f.Add([]byte{})
 	f.Add([]byte{TypeEchoRequest, 0, 0, 0})
@@ -102,33 +102,35 @@ func FuzzParse(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if e, err := ParseEcho(data); err == nil {
+		var e Echo
+		if err := ParseEchoInto(&e, data); err == nil {
 			if Checksum(data) != 0 {
 				t.Fatalf("accepted echo with nonzero checksum: %x", data)
 			}
-			out, merr := e.Marshal()
+			out, merr := e.MarshalAppend(nil)
 			if merr != nil {
 				t.Fatalf("parsed echo failed to re-marshal: %v", merr)
 			}
 			if !sameOutsideChecksum(out, data) {
 				t.Fatalf("echo round-trip changed bytes: %x -> %x", data, out)
 			}
-			if _, rerr := ParseEcho(out); rerr != nil {
+			if rerr := ParseEchoInto(new(Echo), out); rerr != nil {
 				t.Fatalf("re-marshalled echo rejected: %v", rerr)
 			}
 		}
-		if u, err := ParseUnreachable(data); err == nil {
+		var u Unreachable
+		if err := ParseUnreachableInto(&u, data); err == nil {
 			if Checksum(data) != 0 {
 				t.Fatalf("accepted unreachable with nonzero checksum: %x", data)
 			}
-			out, merr := u.Marshal()
+			out, merr := u.MarshalAppend(nil)
 			if merr != nil {
 				t.Fatalf("parsed unreachable failed to re-marshal: %v", merr)
 			}
 			if !sameOutsideChecksum(out, data) {
 				t.Fatalf("unreachable round-trip changed bytes: %x -> %x", data, out)
 			}
-			if _, rerr := ParseUnreachable(out); rerr != nil {
+			if rerr := ParseUnreachableInto(new(Unreachable), out); rerr != nil {
 				t.Fatalf("re-marshalled unreachable rejected: %v", rerr)
 			}
 		}

@@ -10,12 +10,12 @@ import (
 
 func TestEchoRoundTrip(t *testing.T) {
 	e := &Echo{ID: 0x1234, Seq: 42, Payload: []byte("trinocular-probe")}
-	b, err := e.Marshal()
+	b, err := e.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseEcho(b)
-	if err != nil {
+	var got Echo
+	if err := ParseEchoInto(&got, b); err != nil {
 		t.Fatal(err)
 	}
 	if got.Reply != false || got.ID != 0x1234 || got.Seq != 42 || !bytes.Equal(got.Payload, e.Payload) {
@@ -29,15 +29,15 @@ func TestEchoReplyRoundTrip(t *testing.T) {
 	if !rep.Reply || rep.ID != 7 || rep.Seq != 9 || !bytes.Equal(rep.Payload, req.Payload) {
 		t.Fatalf("ReplyTo = %+v", rep)
 	}
-	b, err := rep.Marshal()
+	b, err := rep.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if TypeOf(b) != TypeEchoReply {
 		t.Fatalf("TypeOf = %d", TypeOf(b))
 	}
-	got, err := ParseEcho(b)
-	if err != nil {
+	var got Echo
+	if err := ParseEchoInto(&got, b); err != nil {
 		t.Fatal(err)
 	}
 	if !got.Matches(7, 9) {
@@ -61,62 +61,63 @@ func TestReplyToCopiesPayload(t *testing.T) {
 }
 
 func TestParseEchoErrors(t *testing.T) {
-	if _, err := ParseEcho([]byte{8, 0, 0}); !errors.Is(err, ErrTruncated) {
+	var got Echo
+	if err := ParseEchoInto(&got, []byte{8, 0, 0}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated: %v", err)
 	}
 	e := &Echo{ID: 1, Seq: 2}
-	b, _ := e.Marshal()
+	b, _ := e.MarshalAppend(nil)
 	b[4] ^= 0xff // corrupt ID
-	if _, err := ParseEcho(b); !errors.Is(err, ErrChecksum) {
+	if err := ParseEchoInto(&got, b); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupted: %v", err)
 	}
 	// Wrong type.
 	u := &Unreachable{Code: CodeHostUnreachable}
-	ub, _ := u.Marshal()
-	if _, err := ParseEcho(ub); err == nil {
+	ub, _ := u.MarshalAppend(nil)
+	if err := ParseEchoInto(&got, ub); err == nil {
 		t.Fatal("unreachable parsed as echo")
 	}
 	// Non-zero code.
-	b2, _ := (&Echo{}).Marshal()
+	b2, _ := (&Echo{}).MarshalAppend(nil)
 	b2[1] = 5
 	// Recompute checksum so only the code is wrong.
 	b2[2], b2[3] = 0, 0
 	ck := Checksum(b2)
 	b2[2], b2[3] = byte(ck>>8), byte(ck)
-	if _, err := ParseEcho(b2); err == nil {
+	if err := ParseEchoInto(&got, b2); err == nil {
 		t.Fatal("non-zero code should fail")
 	}
 }
 
 func TestPayloadTooLarge(t *testing.T) {
 	e := &Echo{Payload: make([]byte, MaxPayload+1)}
-	if _, err := e.Marshal(); !errors.Is(err, ErrPayloadSize) {
+	if _, err := e.MarshalAppend(nil); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("oversize marshal: %v", err)
 	}
 	huge := make([]byte, 8+MaxPayload+1)
 	huge[0] = TypeEchoRequest
-	if _, err := ParseEcho(huge); !errors.Is(err, ErrPayloadSize) {
+	if err := ParseEchoInto(new(Echo), huge); !errors.Is(err, ErrPayloadSize) {
 		t.Fatalf("oversize parse: %v", err)
 	}
 }
 
 func TestUnreachableRoundTrip(t *testing.T) {
-	orig, _ := (&Echo{ID: 3, Seq: 4}).Marshal()
+	orig, _ := (&Echo{ID: 3, Seq: 4}).MarshalAppend(nil)
 	u := &Unreachable{Code: CodeNetUnreachable, Original: orig}
-	b, err := u.Marshal()
+	b, err := u.MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ParseUnreachable(b)
-	if err != nil {
+	var got Unreachable
+	if err := ParseUnreachableInto(&got, b); err != nil {
 		t.Fatal(err)
 	}
 	if got.Code != CodeNetUnreachable || !bytes.Equal(got.Original, orig) {
 		t.Fatalf("unreachable round trip = %+v", got)
 	}
 	// The quoted original should parse back as the probe.
-	inner, err := ParseEcho(got.Original)
-	if err != nil {
+	var inner Echo
+	if err := ParseEchoInto(&inner, got.Original); err != nil {
 		t.Fatal(err)
 	}
 	if inner.ID != 3 || inner.Seq != 4 {
@@ -125,16 +126,17 @@ func TestUnreachableRoundTrip(t *testing.T) {
 }
 
 func TestParseUnreachableErrors(t *testing.T) {
-	if _, err := ParseUnreachable([]byte{3}); !errors.Is(err, ErrTruncated) {
+	var got Unreachable
+	if err := ParseUnreachableInto(&got, []byte{3}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated: %v", err)
 	}
-	b, _ := (&Unreachable{Code: 1}).Marshal()
+	b, _ := (&Unreachable{Code: 1}).MarshalAppend(nil)
 	b[1] ^= 0xff
-	if _, err := ParseUnreachable(b); !errors.Is(err, ErrChecksum) {
+	if err := ParseUnreachableInto(&got, b); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt: %v", err)
 	}
-	eb, _ := (&Echo{}).Marshal()
-	if _, err := ParseUnreachable(eb); err == nil {
+	eb, _ := (&Echo{}).MarshalAppend(nil)
+	if err := ParseUnreachableInto(&got, eb); err == nil {
 		t.Fatal("echo parsed as unreachable")
 	}
 }
@@ -162,7 +164,7 @@ func TestChecksumSelfVerifyingProperty(t *testing.T) {
 			Payload: make([]byte, r.Intn(64)),
 		}
 		r.Read(e.Payload)
-		b, err := e.Marshal()
+		b, err := e.MarshalAppend(nil)
 		if err != nil {
 			return false
 		}
@@ -170,8 +172,8 @@ func TestChecksumSelfVerifyingProperty(t *testing.T) {
 		if Checksum(b) != 0 {
 			return false
 		}
-		got, err := ParseEcho(b)
-		if err != nil {
+		var got Echo
+		if ParseEchoInto(&got, b) != nil {
 			return false
 		}
 		return got.ID == e.ID && got.Seq == e.Seq && got.Reply == e.Reply && bytes.Equal(got.Payload, e.Payload)
@@ -186,7 +188,7 @@ func TestBitFlipDetectedProperty(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		e := &Echo{ID: uint16(r.Uint32()), Seq: uint16(r.Uint32()), Payload: make([]byte, 1+r.Intn(32))}
 		r.Read(e.Payload)
-		b, err := e.Marshal()
+		b, err := e.MarshalAppend(nil)
 		if err != nil {
 			return false
 		}
@@ -195,8 +197,7 @@ func TestBitFlipDetectedProperty(t *testing.T) {
 		pos := 1 + r.Intn(len(b)-1)
 		bit := byte(1) << uint(r.Intn(8))
 		b[pos] ^= bit
-		_, err = ParseEcho(b)
-		return err != nil
+		return ParseEchoInto(new(Echo), b) != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -212,22 +213,29 @@ func TestTypeOf(t *testing.T) {
 	}
 }
 
+// BenchmarkEchoMarshal times the encode the delivery path runs: append into
+// a reused scratch.
 func BenchmarkEchoMarshal(b *testing.B) {
 	e := &Echo{ID: 1, Seq: 2, Payload: []byte("trinocular-probe")}
+	var scratch []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Marshal(); err != nil {
+		var err error
+		if scratch, err = e.MarshalAppend(scratch[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkEchoParse times the decode the delivery path runs: parse into a
+// caller-owned Echo whose payload aliases the buffer.
 func BenchmarkEchoParse(b *testing.B) {
 	e := &Echo{ID: 1, Seq: 2, Payload: []byte("trinocular-probe")}
-	buf, _ := e.Marshal()
+	buf, _ := e.MarshalAppend(nil)
+	var got Echo
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := ParseEcho(buf); err != nil {
+		if err := ParseEchoInto(&got, buf); err != nil {
 			b.Fatal(err)
 		}
 	}

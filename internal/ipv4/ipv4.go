@@ -63,24 +63,14 @@ type Header struct {
 	TTL      byte
 	Protocol byte
 	Src, Dst Addr
-	// TotalLen is filled on parse; Marshal computes it from the payload.
+	// TotalLen is filled on parse; MarshalAppend computes it from the payload.
 	TotalLen uint16
 }
 
-// Marshal encodes the header followed by the payload, computing lengths
-// and the header checksum.
-func (h *Header) Marshal(payload []byte) ([]byte, error) {
-	b, err := h.MarshalAppend(make([]byte, 0, HeaderLen+len(payload)), payload)
-	if err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
 // MarshalAppend appends the encoded header followed by the payload to dst
-// and returns the extended slice. Passing a scratch slice with spare
-// capacity makes encoding allocation-free; the payload may not alias the
-// spare capacity of dst.
+// and returns the extended slice, computing lengths and the header
+// checksum. Passing a scratch slice with spare capacity makes encoding
+// allocation-free; the payload may not alias the spare capacity of dst.
 //
 //lint:hotpath: per-packet encode path shares the probe 0 allocs/op budget
 func (h *Header) MarshalAppend(dst []byte, payload []byte) ([]byte, error) {
@@ -112,20 +102,8 @@ func (h *Header) MarshalAppend(dst []byte, payload []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// Parse decodes and validates a packet, returning the header and a view of
-// the payload (not copied).
-func Parse(b []byte) (*Header, []byte, error) {
-	h := new(Header)
-	payload, err := ParseHeader(h, b)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, payload, nil
-}
-
 // ParseHeader decodes and validates a packet into the caller's header,
-// returning a view of the payload (not copied). It is the allocation-free
-// form of Parse.
+// returning a view of the payload (not copied), without allocating.
 //
 //lint:hotpath: per-packet decode path shares the probe 0 allocs/op budget
 //lint:aliases return: the returned payload is a view into b, valid only while the caller's buffer is

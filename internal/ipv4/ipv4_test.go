@@ -19,11 +19,12 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 		Dst:      Addr{10, 9, 8, 7},
 	}
 	payload := []byte("icmp goes here")
-	pkt, err := h.Marshal(payload)
+	pkt, err := h.MarshalAppend(nil, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, pl, err := Parse(pkt)
+	var got Header
+	pl, err := ParseHeader(&got, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,12 +42,12 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 
 func TestMarshalDefaultTTL(t *testing.T) {
 	h := &Header{Protocol: ProtoICMP}
-	pkt, err := h.Marshal(nil)
+	pkt, err := h.MarshalAppend(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := Parse(pkt)
-	if err != nil {
+	var got Header
+	if _, err := ParseHeader(&got, pkt); err != nil {
 		t.Fatal(err)
 	}
 	if got.TTL != DefaultTTL {
@@ -55,23 +56,24 @@ func TestMarshalDefaultTTL(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	if _, _, err := Parse([]byte{0x45, 0}); !errors.Is(err, ErrTruncated) {
+	var h Header
+	if _, err := ParseHeader(&h, []byte{0x45, 0}); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated: %v", err)
 	}
-	pkt, _ := (&Header{Protocol: 1}).Marshal([]byte("x"))
+	pkt, _ := (&Header{Protocol: 1}).MarshalAppend(nil, []byte("x"))
 	bad := append([]byte(nil), pkt...)
 	bad[0] = 0x65 // version 6
-	if _, _, err := Parse(bad); !errors.Is(err, ErrVersion) {
+	if _, err := ParseHeader(&h, bad); !errors.Is(err, ErrVersion) {
 		t.Fatalf("version: %v", err)
 	}
 	bad = append([]byte(nil), pkt...)
 	bad[0] = 0x46 // IHL 6 (options)
-	if _, _, err := Parse(bad); !errors.Is(err, ErrOptions) {
+	if _, err := ParseHeader(&h, bad); !errors.Is(err, ErrOptions) {
 		t.Fatalf("options: %v", err)
 	}
 	bad = append([]byte(nil), pkt...)
 	bad[16] ^= 0xff // corrupt dst
-	if _, _, err := Parse(bad); !errors.Is(err, ErrChecksum) {
+	if _, err := ParseHeader(&h, bad); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("checksum: %v", err)
 	}
 	// Total length beyond the buffer.
@@ -80,33 +82,33 @@ func TestParseErrors(t *testing.T) {
 	bad[10], bad[11] = 0, 0
 	cksum := headerChecksum(bad[:HeaderLen])
 	bad[10], bad[11] = byte(cksum>>8), byte(cksum)
-	if _, _, err := Parse(bad); !errors.Is(err, ErrLength) {
+	if _, err := ParseHeader(&h, bad); !errors.Is(err, ErrLength) {
 		t.Fatalf("length: %v", err)
 	}
 }
 
 func TestMarshalTooBig(t *testing.T) {
 	h := &Header{Protocol: ProtoICMP}
-	if _, err := h.Marshal(make([]byte, MaxPacket)); !errors.Is(err, ErrLength) {
+	if _, err := h.MarshalAppend(nil, make([]byte, MaxPacket)); !errors.Is(err, ErrLength) {
 		t.Fatalf("oversize: %v", err)
 	}
 }
 
 func TestDecrementTTL(t *testing.T) {
-	pkt, _ := (&Header{TTL: 10, Protocol: 1}).Marshal([]byte("p"))
+	pkt, _ := (&Header{TTL: 10, Protocol: 1}).MarshalAppend(nil, []byte("p"))
 	out, ok := DecrementTTL(pkt, 3)
 	if !ok {
 		t.Fatal("should survive 3 hops")
 	}
-	h, _, err := Parse(out)
-	if err != nil {
+	var h Header
+	if _, err := ParseHeader(&h, out); err != nil {
 		t.Fatalf("decremented packet invalid: %v", err)
 	}
 	if h.TTL != 7 {
 		t.Fatalf("TTL = %d", h.TTL)
 	}
 	// Original untouched.
-	if orig, _, _ := Parse(pkt); orig.TTL != 10 {
+	if _, err := ParseHeader(&h, pkt); err != nil || h.TTL != 10 {
 		t.Fatal("DecrementTTL must not mutate input")
 	}
 	// Dies in transit.
@@ -142,11 +144,12 @@ func TestHeaderChecksumSelfVerifying(t *testing.T) {
 		r.Read(h.Dst[:])
 		payload := make([]byte, r.Intn(100))
 		r.Read(payload)
-		pkt, err := h.Marshal(payload)
+		pkt, err := h.MarshalAppend(nil, payload)
 		if err != nil {
 			return false
 		}
-		got, pl, err := Parse(pkt)
+		var got Header
+		pl, err := ParseHeader(&got, pkt)
 		if err != nil {
 			return false
 		}
@@ -161,7 +164,7 @@ func TestBitFlipsDetected(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		h := &Header{TTL: 64, Protocol: ProtoICMP, Src: Addr{1, 2, 3, 4}, Dst: Addr{5, 6, 7, 8}}
-		pkt, err := h.Marshal([]byte("payload"))
+		pkt, err := h.MarshalAppend(nil, []byte("payload"))
 		if err != nil {
 			return false
 		}
@@ -170,7 +173,7 @@ func TestBitFlipsDetected(t *testing.T) {
 		positions := []int{4, 5, 12, 13, 14, 15, 16, 17, 18, 19}
 		pos := positions[r.Intn(len(positions))]
 		pkt[pos] ^= byte(1) << uint(r.Intn(8))
-		_, _, err = Parse(pkt)
+		_, err = ParseHeader(new(Header), pkt)
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -178,23 +181,30 @@ func TestBitFlipsDetected(t *testing.T) {
 	}
 }
 
+// BenchmarkMarshal times the encode the delivery path runs: append into a
+// reused scratch.
 func BenchmarkMarshal(b *testing.B) {
 	h := &Header{TTL: 64, Protocol: ProtoICMP, Src: Addr{1, 2, 3, 4}, Dst: Addr{5, 6, 7, 8}}
 	payload := []byte("trinocular-probe")
+	var scratch []byte
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.Marshal(payload); err != nil {
+		var err error
+		if scratch, err = h.MarshalAppend(scratch[:0], payload); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkParse times the decode the delivery path runs: parse into a
+// caller-owned header, the payload a view of the packet.
 func BenchmarkParse(b *testing.B) {
 	h := &Header{TTL: 64, Protocol: ProtoICMP, Src: Addr{1, 2, 3, 4}, Dst: Addr{5, 6, 7, 8}}
-	pkt, _ := h.Marshal([]byte("trinocular-probe"))
+	pkt, _ := h.MarshalAppend(nil, []byte("trinocular-probe"))
+	var got Header
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Parse(pkt); err != nil {
+		if _, err := ParseHeader(&got, pkt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,12 +1,12 @@
 package lint
 
 // ctxleak enforces the supervision-tree contract of the long-running
-// subsystems: a goroutine spawned inside internal/monitor, internal/serve,
-// or internal/probe must observe a cancellation signal on some path — a
-// context.Context value, or a channel receive (a closed work/done channel
-// is the other shutdown idiom here). A goroutine observing neither can
-// outlive its supervisor, which is exactly the leak the -race SIGTERM soak
-// hunts for dynamically; this rule refuses it at build time.
+// subsystems: a goroutine spawned inside internal/monitor or internal/serve
+// must observe a cancellation signal on some path — a context.Context
+// value, or a channel receive (a closed work/done channel is the other
+// shutdown idiom here). A goroutine observing neither can outlive its
+// supervisor, which is exactly the leak the -race SIGTERM soak hunts for
+// dynamically; this rule refuses it at build time.
 //
 // Resolution is one level deep: a `go` of a function literal scans the
 // literal (and the call's arguments); a `go` of a same-package function
@@ -25,7 +25,7 @@ type CtxLeak struct{}
 
 func (CtxLeak) Name() string { return "ctxleak" }
 func (CtxLeak) Doc() string {
-	return "goroutines spawned in monitor/serve/probe must observe a ctx or done channel on some path"
+	return "goroutines spawned in monitor/serve must observe a ctx or done channel on some path"
 }
 
 // ctxLeakPkgs are the supervised subsystems (plus fixtures).
@@ -34,7 +34,7 @@ func ctxLeakApplies(pkgPath string) bool {
 		pkgPath = strings.TrimPrefix(pkgPath, "fixture/")
 	}
 	switch pkgPath[strings.LastIndex(pkgPath, "/")+1:] {
-	case "monitor", "serve", "probe", "ctxleak":
+	case "monitor", "serve", "ctxleak":
 		return true
 	}
 	return false

@@ -9,9 +9,8 @@ import (
 )
 
 // TestMonitorRoundAllocFree pins the warm hot path: a monitor round over a
-// shard — probe every block (a whole batched wavefront by default, per-probe
-// under ScalarProbe), observe into the estimators, extend the preallocated
-// series — must not touch the heap. With durability on the committed round
+// shard — probe every block as one batched wavefront, observe into the
+// estimators, extend the preallocated series — must not touch the heap. With durability on the committed round
 // is held to the same budget: commitRound encodes into the shard's reused
 // frame buffer and hands it to one write(2), so as long as the round neither
 // rotates the segment nor snapshots, it allocates nothing either. One block
@@ -19,13 +18,11 @@ import (
 // drawing a new day's on-periods is inside the budget.
 func TestMonitorRoundAllocFree(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		scalar bool
-		wal    bool
+		name string
+		wal  bool
 	}{
-		{"batched", false, false},
-		{"scalar", true, false},
-		{"wal", false, true},
+		{"batched", false},
+		{"wal", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net := testNet(7)
@@ -38,7 +35,6 @@ func TestMonitorRoundAllocFree(t *testing.T) {
 			net.AddBlock(office)
 			cfg := baseConfig(net, 160)
 			cfg.Shards = 1
-			cfg.ScalarProbe = tc.scalar
 			if tc.wal {
 				cfg.WALDir = t.TempDir()
 				cfg.SegmentBytes = 1 << 30 // no rotation inside the test
@@ -123,13 +119,12 @@ func TestReplayAllocFree(t *testing.T) {
 }
 
 // TestMonitorHeapIsWorkerBound pins the O(workers) steady-state memory
-// claim: probe scratch lives in one long-lived ProbeContext per shard, so a
-// 100x larger world must not change what the contexts retain, and the
-// prober's internal context pool must never be touched (the monitor threads
-// its own). The per-block series are the measurement output and necessarily
-// scale with the world — the bound under test is the probing machinery.
+// claim: probe scratch lives in one long-lived BatchContext per shard, so a
+// 100x larger world must not change what the contexts retain. The per-block
+// series are the measurement output and necessarily scale with the world —
+// the bound under test is the probing machinery.
 func TestMonitorHeapIsWorkerBound(t *testing.T) {
-	measure := func(blocks int) (retained int, created int64) {
+	measure := func(blocks int) (retained int) {
 		cfg := baseConfig(testNet(blocks), 2)
 		m, err := New(cfg)
 		if err != nil {
@@ -143,20 +138,12 @@ func TestMonitorHeapIsWorkerBound(t *testing.T) {
 			t.Fatalf("run over %d blocks not completed: %+v", blocks, res)
 		}
 		for _, s := range m.shards {
-			retained += s.pc.RetainedBytes() + s.bc.RetainedBytes()
-			created += s.prober.ContextsCreated()
+			retained += s.bc.RetainedBytes()
 		}
-		return retained, created
+		return retained
 	}
 
-	small, createdSmall := measure(100)
-	big, createdBig := measure(10000)
-	bigger, createdBigger := measure(20000)
-
-	if createdSmall != 0 || createdBig != 0 || createdBigger != 0 {
-		t.Errorf("prober context pool was touched (%d/%d/%d contexts): shards must probe through their own context",
-			createdSmall, createdBig, createdBigger)
-	}
+	small, big, bigger := measure(100), measure(10000), measure(20000)
 	if small == 0 {
 		t.Fatal("contexts retain no scratch; the measurement is vacuous")
 	}

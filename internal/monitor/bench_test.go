@@ -9,46 +9,31 @@ import (
 )
 
 // BenchmarkMonitorRoundBatch measures one warm monitor round over a
-// 64-block shard — the steady-state unit of continuous monitoring — on the
-// default batched wavefront path and on the ScalarProbe fallback. The CI
-// perf-smoke gate diffs the batched number against BENCH_pr10.json, so a
-// regression in the vectorized delivery path fails the build rather than
-// landing silently; the scalar sub-benchmark keeps the fallback honest and
-// makes the batch-vs-scalar gap visible in every bench run.
+// 64-block shard — the steady-state unit of continuous monitoring: one
+// batched wavefront, observed into the estimators.
 func BenchmarkMonitorRoundBatch(b *testing.B) {
-	for _, bc := range []struct {
-		name   string
-		scalar bool
-	}{
-		{"batched", false},
-		{"scalar", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			cfg := baseConfig(testNet(64), 1<<20)
-			cfg.Shards = 1
-			cfg.ScalarProbe = bc.scalar
-			m, err := New(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := m.shards[0]
-			if err := s.rebuild(); err != nil {
-				b.Fatal(err)
-			}
-			// Warm up arenas and event slices so the loop measures the
-			// steady state the alloc-free contract pins.
-			r := 0
-			for i := 0; i < 4; i++ {
-				s.probeRound(r)
-				r++
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.probeRound(r)
-				r++
-			}
-		})
+	cfg := baseConfig(testNet(64), 1<<20)
+	cfg.Shards = 1
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := m.shards[0]
+	if err := s.rebuild(); err != nil {
+		b.Fatal(err)
+	}
+	// Warm up arenas and event slices so the loop measures the steady state
+	// the alloc-free contract pins.
+	r := 0
+	for i := 0; i < 4; i++ {
+		s.probeRound(r)
+		r++
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.probeRound(r)
+		r++
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package monitor runs the paper's measurement as a crash-tolerant
 // continuous service: the sorted block set is partitioned across worker
-// shards, each shard probes its blocks round after round with one pooled
-// ProbeContext (steady-state memory O(shards), not O(blocks)), commits
+// shards, each shard probes its blocks round after round with one reused
+// BatchContext (steady-state memory O(shards), not O(blocks)), commits
 // every round to a per-shard write-ahead log, and snapshots periodically. A
 // supervision tree restarts crashed shards with exponential backoff —
 // rebuilding state from the WAL, never from the wreckage — and escalates:
@@ -72,11 +72,6 @@ type Config struct {
 	// InitialA seeds the estimators (default 0.5).
 	InitialA float64
 	Seed     uint64
-	// ScalarProbe forces the per-probe delivery path instead of the default
-	// batched one. Results are identical either way (the batch path only
-	// amortizes the netsim boundary cost); the knob exists for A/B
-	// benchmarks and equivalence tests.
-	ScalarProbe bool
 
 	// WALDir enables durability: per-shard segmented WALs and snapshots
 	// live under it. Empty runs the monitor in-memory only.

@@ -89,34 +89,6 @@ func TestStudyDeterministicAcrossShardCounts(t *testing.T) {
 	}
 }
 
-func TestStudyEquivalentAcrossProbePaths(t *testing.T) {
-	// Batched delivery is a boundary-cost optimization, not a semantic
-	// change: the default (batched) run and a ScalarProbe run of the same
-	// seed must produce byte-identical studies — on a clean world and under
-	// wire faults, whose injector keeps order-sensitive per-block state.
-	t.Run("clean", func(t *testing.T) {
-		ref := runStudy(t, baseConfig(testNet(23), 6))
-		cfg := baseConfig(testNet(23), 6)
-		cfg.ScalarProbe = true
-		if got := runStudy(t, cfg); !bytes.Equal(got, ref) {
-			t.Fatal("scalar-probe study diverges from batched reference on a clean world")
-		}
-	})
-	t.Run("faulty", func(t *testing.T) {
-		mkCfg := func(net *netsim.Network) Config {
-			cfg := baseConfig(net, 16)
-			cfg.Shards = 3
-			return cfg
-		}
-		ref := runStudy(t, mkCfg(chaosWorld(t)))
-		cfg := mkCfg(chaosWorld(t))
-		cfg.ScalarProbe = true
-		if got := runStudy(t, cfg); !bytes.Equal(got, ref) {
-			t.Fatal("scalar-probe study diverges from batched reference under wire faults")
-		}
-	})
-}
-
 func TestHaltAndResumeFromWAL(t *testing.T) {
 	ref := runStudy(t, baseConfig(testNet(17), 12))
 

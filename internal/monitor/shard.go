@@ -2,7 +2,7 @@ package monitor
 
 // shard.go — one worker shard of the monitor: a contiguous slice of the
 // sorted block set, probed round by round with a single long-lived
-// ProbeContext (the O(shards) memory bound), committed to the shard's WAL,
+// BatchContext (the O(shards) memory bound), committed to the shard's WAL,
 // snapshotted every SnapshotEvery rounds.
 //
 // The crash-recovery invariant is that a shard attempt NEVER patches
@@ -30,11 +30,11 @@ import (
 	"sleepnet/internal/trinocular"
 )
 
-// probeBatchGroup caps how many blocks one batched wavefront carries. Large
+// probeGroupSize caps how many blocks one batched wavefront carries. Large
 // enough to amortize the per-batch boundary crossing, small enough that the
 // per-lane scratch keeps the shard's steady-state memory O(shards) rather
 // than O(blocks) (TestMonitorHeapIsWorkerBound pins the bound).
-const probeBatchGroup = 64
+const probeGroupSize = 64
 
 // Internal control-flow sentinels for a shard attempt's exit.
 var (
@@ -67,8 +67,7 @@ type shard struct {
 
 	// Rebuilt from durable state at the start of every attempt.
 	prober *trinocular.Prober
-	pc     *trinocular.ProbeContext
-	bc     *trinocular.BatchContext // batched-delivery scratch (default path)
+	bc     *trinocular.BatchContext // the wavefront's scratch
 	aOps   []float64                // per-round availability inputs, reused
 	obsBuf []trinocular.RoundObs    // per-round observations, reused
 	mons   []*blockMon
@@ -148,11 +147,10 @@ func (s *shard) abortCh() <-chan struct{} {
 func (s *shard) rebuild() error {
 	cfg := &s.m.cfg
 	s.prober = trinocular.New(cfg.Net, cfg.Prober, cfg.Seed)
-	s.pc = trinocular.NewProbeContext()
 	s.bc = trinocular.NewBatchContext()
 	group := len(s.blocks)
-	if group > probeBatchGroup {
-		group = probeBatchGroup
+	if group > probeGroupSize {
+		group = probeGroupSize
 	}
 	if cap(s.aOps) < group {
 		s.aOps = make([]float64, group)
@@ -476,38 +474,21 @@ func (s *shard) abandonWith(reason error) error {
 
 // probeRound executes one round over the shard's blocks. This is the hot
 // path: a warm round performs no allocations (series capacity is
-// preallocated; the shard's one BatchContext — or ProbeContext in scalar
-// mode — carries the wire scratch), and commitRound holds the durable half
-// of the round to the same budget. By default the whole shard's
-// round crosses the netsim boundary through the batched delivery path;
-// Config.ScalarProbe falls back to per-probe delivery, with identical
-// results either way (the trinocular equivalence contract).
+// preallocated; the shard's one BatchContext carries the wire scratch),
+// and commitRound holds the durable half of the round to the same budget.
+// The shard's round crosses the netsim boundary as batched wavefronts.
 //
-//lint:hotpath: warm-round 0 allocs/op budget pinned by TestWarmRoundAllocations
+//lint:hotpath: warm-round 0 allocs/op budget pinned by TestMonitorRoundAllocFree
 func (s *shard) probeRound(r int) {
 	cfg := &s.m.cfg
 	now := cfg.Start.Add(time.Duration(r) * cfg.Period)
-	if cfg.ScalarProbe {
-		for i, id := range s.blocks {
-			mon := s.mons[i]
-			obs, err := s.prober.ProbeRoundWith(s.pc, id, now, mon.est.Operational())
-			if err != nil {
-				// Only possible for an untracked id — a construction
-				// invariant violation, surfaced through the supervisor's
-				// panic recovery.
-				panic(err)
-			}
-			s.applyObs(mon, &obs, r)
-		}
-		return
-	}
 	// Wavefronts run over bounded groups, not the whole shard at once: the
 	// batch scratch (lanes, packet arena, reply arena) grows with the
 	// largest batch, so capping the group keeps the shard's retained probe
-	// scratch O(1) no matter the world size — the same memory bound the
-	// scalar path has. Per-block results don't depend on grouping.
-	for g := 0; g < len(s.blocks); g += probeBatchGroup {
-		e := g + probeBatchGroup
+	// scratch O(1) no matter the world size. Per-block results don't depend
+	// on grouping.
+	for g := 0; g < len(s.blocks); g += probeGroupSize {
+		e := g + probeGroupSize
 		if e > len(s.blocks) {
 			e = len(s.blocks)
 		}
@@ -527,8 +508,7 @@ func (s *shard) probeRound(r int) {
 }
 
 // applyObs folds one block's round observation into its in-memory
-// accumulation — shared by the batched and scalar probe paths so the two
-// cannot drift. obs is a pointer only to avoid a per-round struct copy; it
+// accumulation. obs is a pointer only to avoid a per-round struct copy; it
 // is read, never mutated.
 func (s *shard) applyObs(mon *blockMon, obs *trinocular.RoundObs, r int) {
 	cfg := &s.m.cfg

@@ -1,21 +1,22 @@
 package netsim
 
-// Batched delivery: DeliverBatch crosses the netsim boundary once for a
-// whole round of probes, amortizing the route lookup, lock acquisition,
-// tap walk, outage-schedule evaluation, and per-block counter updates that
-// the scalar DeliverIPInto path pays per packet.
+// Batched delivery: DeliverBatch is the one way a packet enters the
+// simulated edge. It crosses the netsim boundary once for a whole wavefront
+// of probes, amortizing the route lookup, lock acquisition, tap walk,
+// outage-schedule evaluation, and per-block counter updates over the batch.
 //
 // Determinism contract: a batch produces byte-identical Responses, in
-// order, to delivering pkts[0], pkts[1], ... sequentially through
-// DeliverIPInto at the same now. Batching only reorders *work* — routing
+// order, to delivering pkts[0], pkts[1], ... one at a time at the same now
+// — whether as one-packet batches or through the tests' sequential oracle
+// (DeliverIPRef in export_test.go). Batching only reorders *work* — routing
 // is resolved once per destination block, the tap is consulted once per
 // batch, outage schedules are memoized per (block, instant) — never
 // observable *results*: every PRF draw is keyed by (seed, destination,
-// probe identity, timestamp) exactly as on the scalar path, and the only
+// probe identity, timestamp), not by position in a batch, and the only
 // order-dependent state in the simulator (per-block reply rate limits,
 // per-block tap state) sees its block's packets in the same relative
-// order either way. The per-packet delivery logic itself is the shared
-// probeCore/deliverCore — there is no second implementation to drift.
+// order either way. The per-packet delivery logic is probeCore/deliverCore
+// for every packet — there is no second implementation to drift.
 
 import (
 	"sync/atomic"
@@ -65,11 +66,10 @@ type span struct {
 // grows to the largest batch seen and is reused afterwards.
 //
 // A BatchBuffer belongs to exactly one prober (one probing goroutine) and
-// to the first Network it is used with. Its lifetime contract extends
-// ReplyBuffer's: every Response.Data returned by DeliverBatch is a view
-// into the buffer's reply arena, valid only until the next DeliverBatch
-// call on the same buffer — callers that retain reply bytes must copy
-// them first.
+// to the first Network it is used with. Every Response.Data returned by
+// DeliverBatch is a view into the buffer's reply arena, valid only until
+// the next DeliverBatch call on the same buffer — callers that retain
+// reply bytes must copy them first.
 type BatchBuffer struct {
 	owner *Network
 	gen   uint64
@@ -81,9 +81,10 @@ type BatchBuffer struct {
 	resps []Response
 	spans []span
 
-	// icmp is the per-packet ICMP-layer scratch (reset per packet, like
-	// ReplyBuffer.icmp); arena accumulates every IP-encapsulated reply of
-	// the batch so all Responses stay valid together.
+	// icmp is the per-packet ICMP-layer scratch (reset per packet); arena
+	// accumulates every IP-encapsulated reply of the batch so all Responses
+	// stay valid together. They are distinct so wrapping a reply never
+	// copies a slice over itself.
 	icmp  []byte
 	arena []byte
 
@@ -94,8 +95,8 @@ type BatchBuffer struct {
 }
 
 // RetainedBytes reports the heap bytes the buffer retains across calls —
-// the per-worker steady-state cost of batched delivery, pinned by the
-// monitor's memory-bound test alongside ReplyBuffer.RetainedBytes.
+// the per-worker steady-state cost of delivery, pinned by the monitor's
+// memory-bound test.
 func (b *BatchBuffer) RetainedBytes() int {
 	if b == nil {
 		return 0
@@ -130,13 +131,17 @@ func (b *BatchBuffer) init() {
 }
 
 // DeliverBatch routes a batch of full IPv4 packets into the simulated edge
-// at virtual time now, returning one Response per packet in input order.
-// It is exactly equivalent to calling DeliverIPInto(pkts[i], now) for i in
-// order (see the package comment above for the determinism argument), but
-// resolves routing once per destination block, consults a TapBatch fault
-// tap once per batch, evaluates each block's outage schedule once per
-// (block, instant), and flushes global and per-block counters once per
-// batch.
+// at virtual time now, returning one Response per packet in input order:
+// each header is parsed and validated, the destination is taken from it,
+// the path's hop count is charged against the TTL, the ICMP payload is
+// answered by the destination block, and replies come back
+// IPv4-encapsulated with source and destination swapped. The result is
+// exactly that of delivering pkts[i] one at a time in order (see the
+// comment at the top of this file for the determinism argument), but
+// routing is resolved once per destination block, a TapBatch fault tap is
+// consulted once per batch, each block's outage schedule is evaluated once
+// per (block, instant), and global and per-block counters are flushed once
+// per batch.
 //
 // The returned slice and every Response.Data in it are views into buf,
 // valid only until the next DeliverBatch on the same buffer.
@@ -205,15 +210,15 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 	for i := newFrom; i < len(buf.entries); i++ {
 		if buf.entries[i].cnt == nil {
 			// Unrouted destination: register its counter outside the read
-			// lock, exactly as the scalar path's lazy registration does.
+			// lock (registration takes the write lock).
 			buf.entries[i].cnt = n.registerBlockCounter(buf.entries[i].id)
 		}
 	}
 
 	// Pass 3: one outbound tap consultation for the whole batch. Only
-	// packets the scalar path would consult the tap for participate: an
+	// packets deliverCore would consult the tap for participate: an
 	// IP-malformed, echo-malformed, or TTL-dead packet never reaches
-	// tap.Outbound sequentially, so it must not here either (the tap may
+	// tap.Outbound one at a time, so it must not here either (the tap may
 	// keep per-block state, e.g. the fault injector's rate-limit window).
 	if tb, ok := tap.(TapBatch); ok {
 		buf.tapDsts = buf.tapDsts[:0]
@@ -236,9 +241,9 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		}
 	}
 
-	// Pass 4: deliver in input order through the shared scalar core,
-	// appending replies to the arena. Response.Data is recorded as a span
-	// because arena growth may move the backing mid-batch.
+	// Pass 4: deliver in input order through deliverCore, appending replies
+	// to the arena. Response.Data is recorded as a span because arena growth
+	// may move the backing mid-batch.
 	var acc statsAcc
 	buf.arena = buf.arena[:0]
 	buf.resps = buf.resps[:0]

@@ -13,8 +13,8 @@ import (
 // buildBatchWorld constructs a fresh network exercising every delivery
 // branch: plain blocks, loss, latency jitter, outages with gateway
 // unreachables, reply rate limits, long paths that kill small TTLs.
-// Called once per network under comparison so scalar and batch runs own
-// identical but independent state (rate-limit windows, counters).
+// Called once per network under comparison so the reference and batch runs
+// own identical but independent state (rate-limit windows, counters).
 func buildBatchWorld() *Network {
 	n := NewNetwork(42)
 
@@ -100,13 +100,13 @@ func (o *orderTap) Inbound(dst Addr, reply []byte, now time.Time) []byte {
 // mkBatchPkt marshals one full probe packet.
 func mkBatchPkt(t testing.TB, dst Addr, id, seq uint16, ttl byte, payload []byte) []byte {
 	t.Helper()
-	echo, err := (&icmp.Echo{ID: id, Seq: seq, Payload: payload}).Marshal()
+	echo, err := (&icmp.Echo{ID: id, Seq: seq, Payload: payload}).MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hdr := &ipv4.Header{ID: seq, TTL: ttl, Protocol: ipv4.ProtoICMP,
 		Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}
-	pkt, err := hdr.Marshal(echo)
+	pkt, err := hdr.MarshalAppend(nil, echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,17 +140,17 @@ func batchSchedule(t testing.TB, r int) [][]byte {
 	// Malformed: truncated IP header.
 	pkts = append(pkts, []byte{0x45, 0, 0})
 	// Malformed: non-ICMP protocol.
-	udp, err := (&ipv4.Header{TTL: 64, Protocol: ipv4.ProtoUDP, Dst: ipv4.Addr(blocks[0].Addr(1).IP())}).Marshal([]byte("x"))
+	udp, err := (&ipv4.Header{TTL: 64, Protocol: ipv4.ProtoUDP, Dst: ipv4.Addr(blocks[0].Addr(1).IP())}).MarshalAppend(nil, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	pkts = append(pkts, udp)
 	// Malformed: echo reply sent as a probe.
-	rep, err := (&icmp.Echo{Reply: true, ID: 7, Seq: seq}).Marshal()
+	rep, err := (&icmp.Echo{Reply: true, ID: 7, Seq: seq}).MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped, err := (&ipv4.Header{TTL: 64, Protocol: ipv4.ProtoICMP, Dst: ipv4.Addr(blocks[1].Addr(2).IP())}).Marshal(rep)
+	wrapped, err := (&ipv4.Header{TTL: 64, Protocol: ipv4.ProtoICMP, Dst: ipv4.Addr(blocks[1].Addr(2).IP())}).MarshalAppend(nil, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func ownedResp(r Response) Response {
 	return r
 }
 
-// scalarDeliverAll runs the reference path: one DeliverIPInto per packet.
-func scalarDeliverAll(n *Network, buf *ReplyBuffer, pkts [][]byte, now time.Time) []Response {
+// refDeliverAll runs the reference path: one DeliverIPRef per packet.
+func refDeliverAll(n *Network, pkts [][]byte, now time.Time) []Response {
 	out := make([]Response, 0, len(pkts))
 	for _, pkt := range pkts {
-		out = append(out, ownedResp(n.DeliverIPInto(buf, pkt, now)))
+		out = append(out, n.DeliverIPRef(pkt, now))
 	}
 	return out
 }
@@ -185,22 +185,22 @@ func respEqual(a, b Response) bool {
 }
 
 // checkNetsEqual compares all observable per-network accounting.
-func checkNetsEqual(t *testing.T, scalar, batch *Network) {
+func checkNetsEqual(t *testing.T, ref, batch *Network) {
 	t.Helper()
-	s, b := &scalar.Stats, &batch.Stats
+	s, b := &ref.Stats, &batch.Stats
 	if s.Probes.Load() != b.Probes.Load() || s.Replies.Load() != b.Replies.Load() ||
 		s.Timeouts.Load() != b.Timeouts.Load() || s.Lost.Load() != b.Lost.Load() ||
 		s.Malformed.Load() != b.Malformed.Load() || s.RateLimited.Load() != b.RateLimited.Load() {
-		t.Fatalf("stats diverged:\n scalar %s rate=%d\n batch  %s rate=%d",
+		t.Fatalf("stats diverged:\n ref   %s rate=%d\n batch %s rate=%d",
 			s.String(), s.RateLimited.Load(), b.String(), b.RateLimited.Load())
 	}
-	for _, id := range scalar.BlockIDs() {
-		if sc, bc := scalar.ProbesToBlock(id), batch.ProbesToBlock(id); sc != bc {
-			t.Fatalf("block %v probe count: scalar %d batch %d", id, sc, bc)
+	for _, id := range ref.BlockIDs() {
+		if rc, bc := ref.ProbesToBlock(id), batch.ProbesToBlock(id); rc != bc {
+			t.Fatalf("block %v probe count: ref %d batch %d", id, rc, bc)
 		}
 	}
-	if sc, bc := scalar.ProbesToBlock(MakeBlockID(99, 9, 9)), batch.ProbesToBlock(MakeBlockID(99, 9, 9)); sc != bc {
-		t.Fatalf("unrouted probe count: scalar %d batch %d", sc, bc)
+	if rc, bc := ref.ProbesToBlock(MakeBlockID(99, 9, 9)), batch.ProbesToBlock(MakeBlockID(99, 9, 9)); rc != bc {
+		t.Fatalf("unrouted probe count: ref %d batch %d", rc, bc)
 	}
 }
 
@@ -209,26 +209,25 @@ func checkNetsEqual(t *testing.T, scalar, batch *Network) {
 // call), and fails on the first divergent response.
 func deliverRounds(t *testing.T, chunk, rounds int, withTap bool) {
 	t.Helper()
-	scalarNet, batchNet := buildBatchWorld(), buildBatchWorld()
+	refNet, bNet := buildBatchWorld(), buildBatchWorld()
 	if withTap {
-		scalarNet.SetTap(newOrderTap())
-		batchNet.SetTap(newOrderTap())
+		refNet.SetTap(newOrderTap())
+		bNet.SetTap(newOrderTap())
 	}
-	var rb ReplyBuffer
 	var bb BatchBuffer
 	for r := 0; r < rounds; r++ {
 		// 40s steps cross rate-limit minute windows mid-sequence; rounds 16+
 		// land inside the outage window of block 10.0.3 (11:00–13:00).
 		now := at(10, 50).Add(time.Duration(r) * 40 * time.Second)
 		pkts := batchSchedule(t, r)
-		want := scalarDeliverAll(scalarNet, &rb, pkts, now)
+		want := refDeliverAll(refNet, pkts, now)
 		var got []Response
 		for start := 0; start < len(pkts); {
 			end := len(pkts)
 			if chunk > 0 && start+chunk < end {
 				end = start + chunk
 			}
-			for _, resp := range batchNet.DeliverBatch(&bb, pkts[start:end], now) {
+			for _, resp := range bNet.DeliverBatch(&bb, pkts[start:end], now) {
 				got = append(got, ownedResp(resp))
 			}
 			start = end
@@ -238,11 +237,11 @@ func deliverRounds(t *testing.T, chunk, rounds int, withTap bool) {
 		}
 		for i := range want {
 			if !respEqual(got[i], want[i]) {
-				t.Fatalf("round %d pkt %d diverged:\n scalar %+v\n batch  %+v", r, i, want[i], got[i])
+				t.Fatalf("round %d pkt %d diverged:\n ref   %+v\n batch %+v", r, i, want[i], got[i])
 			}
 		}
 	}
-	checkNetsEqual(t, scalarNet, batchNet)
+	checkNetsEqual(t, refNet, bNet)
 }
 
 func TestDeliverBatchEquivalence(t *testing.T) {
@@ -265,14 +264,13 @@ func TestDeliverBatchEquivalence(t *testing.T) {
 }
 
 // TestDeliverBatchRandomSplits is the quick property: any partition of a
-// round into consecutive DeliverBatch calls yields the scalar byte
+// round into consecutive DeliverBatch calls yields the reference byte
 // sequence.
 func TestDeliverBatchRandomSplits(t *testing.T) {
 	prop := func(seed uint64) bool {
-		scalarNet, batchNet := buildBatchWorld(), buildBatchWorld()
-		scalarNet.SetTap(newOrderTap())
-		batchNet.SetTap(newOrderTap())
-		var rb ReplyBuffer
+		refNet, bNet := buildBatchWorld(), buildBatchWorld()
+		refNet.SetTap(newOrderTap())
+		bNet.SetTap(newOrderTap())
 		var bb BatchBuffer
 		state := seed
 		next := func(n int) int { // tiny deterministic LCG over the quick seed
@@ -282,11 +280,11 @@ func TestDeliverBatchRandomSplits(t *testing.T) {
 		for r := 0; r < 6; r++ {
 			now := at(10, 50).Add(time.Duration(r) * 40 * time.Second)
 			pkts := batchSchedule(t, r)
-			want := scalarDeliverAll(scalarNet, &rb, pkts, now)
+			want := refDeliverAll(refNet, pkts, now)
 			var got []Response
 			for start := 0; start < len(pkts); {
 				end := start + 1 + next(len(pkts)-start)
-				for _, resp := range batchNet.DeliverBatch(&bb, pkts[start:end], now) {
+				for _, resp := range bNet.DeliverBatch(&bb, pkts[start:end], now) {
 					got = append(got, ownedResp(resp))
 				}
 				start = end
@@ -309,8 +307,7 @@ func TestDeliverBatchRandomSplits(t *testing.T) {
 // the topology generation moves: blocks added between batches must be
 // visible, and stale cached routes must never be used.
 func TestDeliverBatchTopologyMutation(t *testing.T) {
-	scalarNet, batchNet := buildBatchWorld(), buildBatchWorld()
-	var rb ReplyBuffer
+	refNet, bNet := buildBatchWorld(), buildBatchWorld()
 	var bb BatchBuffer
 	lateID := MakeBlockID(20, 0, 1)
 	mkLate := func() *Block {
@@ -326,8 +323,8 @@ func TestDeliverBatchTopologyMutation(t *testing.T) {
 	}
 	now := at(12, 0)
 	// Round 1: lateID is unrouted — cached as nil route.
-	want := scalarDeliverAll(scalarNet, &rb, probeLate(1), now)
-	got := batchNet.DeliverBatch(&bb, probeLate(1), now)
+	want := refDeliverAll(refNet, probeLate(1), now)
+	got := bNet.DeliverBatch(&bb, probeLate(1), now)
 	for i := range want {
 		if !respEqual(got[i], want[i]) {
 			t.Fatalf("pre-mutation pkt %d diverged", i)
@@ -337,11 +334,11 @@ func TestDeliverBatchTopologyMutation(t *testing.T) {
 		t.Fatal("unrouted block should time out")
 	}
 	// Mutate: the block appears.
-	scalarNet.AddBlock(mkLate())
-	batchNet.AddBlock(mkLate())
+	refNet.AddBlock(mkLate())
+	bNet.AddBlock(mkLate())
 	now = now.Add(time.Minute)
-	want = scalarDeliverAll(scalarNet, &rb, probeLate(2), now)
-	got = batchNet.DeliverBatch(&bb, probeLate(2), now)
+	want = refDeliverAll(refNet, probeLate(2), now)
+	got = bNet.DeliverBatch(&bb, probeLate(2), now)
 	for i := range want {
 		if !respEqual(got[i], want[i]) {
 			t.Fatalf("post-mutation pkt %d diverged", i)
@@ -350,32 +347,38 @@ func TestDeliverBatchTopologyMutation(t *testing.T) {
 	if want[0].Timeout {
 		t.Fatal("late block should reply after AddBlock")
 	}
-	checkNetsEqual(t, scalarNet, batchNet)
+	checkNetsEqual(t, refNet, bNet)
 }
 
 // TestDeliverBatchBufferLifetime pins the arena contract: all responses of
-// one batch stay valid together, and the next batch overwrites them.
+// one batch stay valid together — through a delivery on another buffer in
+// between, which is what a prober's mid-phase retry is — and the same
+// buffer's next batch overwrites them.
 func TestDeliverBatchBufferLifetime(t *testing.T) {
-	n := buildBatchWorld()
-	var bb BatchBuffer
+	refNet, n := buildBatchWorld(), buildBatchWorld()
+	var bb, retry BatchBuffer
 	pkts := [][]byte{
 		mkBatchPkt(t, MakeBlockID(10, 0, 1).Addr(1), 7, 1, 64, []byte("aaaa")),
 		mkBatchPkt(t, MakeBlockID(10, 0, 1).Addr(2), 7, 2, 64, []byte("bbbb")),
 		mkBatchPkt(t, MakeBlockID(10, 0, 1).Addr(3), 7, 3, 64, []byte("cccc")),
 	}
+	want := refDeliverAll(refNet, pkts, at(12, 0))
 	resps := n.DeliverBatch(&bb, pkts, at(12, 0))
-	copies := make([][]byte, len(resps))
+	if r := n.DeliverBatch(&retry, pkts[1:2], at(12, 0).Add(2*time.Second)); r[0].Timeout {
+		t.Fatal("the delivery on the second buffer timed out")
+	}
 	for i, r := range resps {
 		if r.Timeout {
 			t.Fatalf("pkt %d timed out", i)
 		}
-		copies[i] = append([]byte(nil), r.Data...)
-	}
-	// All views must still match their copies after the whole batch is read.
-	for i, r := range resps {
-		if !bytes.Equal(r.Data, copies[i]) {
-			t.Fatalf("response %d mutated within its batch lifetime", i)
+		if !respEqual(r, want[i]) {
+			t.Fatalf("response %d changed within its batch lifetime:\n ref   %+v\n batch %+v", i, want[i], r)
 		}
+	}
+	first := ownedResp(resps[0])
+	n.DeliverBatch(&bb, pkts[2:], at(12, 0))
+	if respEqual(resps[0], first) {
+		t.Fatal("the buffer's next batch left the previous batch's view intact: the arena is not being reused")
 	}
 	if bb.RetainedBytes() <= 0 {
 		t.Fatal("warm BatchBuffer should report retained bytes")
@@ -385,8 +388,8 @@ func TestDeliverBatchBufferLifetime(t *testing.T) {
 // TestDeliverBatchAllocFree pins the warm-batch budget: after warmup, a
 // DeliverBatch round of well-formed probes allocates nothing. (Malformed
 // packets are excluded deliberately: parser error construction allocates
-// on the scalar path too and is the lint budget's exempt cold path — a
-// real prober's warm round sends only packets it marshalled itself.)
+// and is the lint budget's exempt cold path — a real prober's warm round
+// sends only packets it marshalled itself.)
 func TestDeliverBatchAllocFree(t *testing.T) {
 	n := buildBatchWorld()
 	var bb BatchBuffer

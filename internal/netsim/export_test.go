@@ -1,6 +1,11 @@
 package netsim
 
-import "time"
+import (
+	"time"
+
+	"sleepnet/internal/icmp"
+	"sleepnet/internal/ipv4"
+)
 
 // SimEpoch lets the external tests aim instants at negative simulation days.
 var SimEpoch = simEpoch
@@ -40,4 +45,40 @@ func (b *Block) HostSpec() *Hosts {
 		}
 	}
 	return &hosts
+}
+
+// DeliverIPRef delivers one packet by definition — parse, route, run
+// deliverCore with no batch state (the tap asked inline, a fresh instant
+// memo, fresh reply bytes), flush the counters — and is the sequential
+// oracle DeliverBatch is tested against. It is the body of the per-packet
+// entry point the program had before DeliverBatch became the only one.
+func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
+	var hdr ipv4.Header
+	payload, err := ipv4.ParseHeader(&hdr, pkt)
+	if err != nil || hdr.Protocol != ipv4.ProtoICMP {
+		n.Stats.Probes.Add(1)
+		n.Stats.Malformed.Add(1)
+		return Response{Timeout: true}
+	}
+	dst := AddrFromIP(hdr.Dst)
+
+	var echo icmp.Echo
+	echoOK := icmp.ParseEchoInto(&echo, payload) == nil && !echo.Reply
+
+	var acc statsAcc
+	n.mu.RLock()
+	blk := n.blocks[dst.Block]
+	tap := n.tap
+	cnt := n.perBlockProbes[dst.Block]
+	n.mu.RUnlock()
+	if cnt == nil {
+		cnt = n.registerBlockCounter(dst.Block)
+	}
+
+	var resp Response
+	var memo blockInstant
+	n.deliverCore(blk, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, now, tapPre{}, &memo, &acc, &resp)
+	cnt.Add(1)
+	acc.flush(&n.Stats)
+	return resp
 }

@@ -13,16 +13,16 @@ import (
 // octets, a probe is answered exactly when the block is not in an outage
 // and the octet's behaviour says Up — on the batched path (whose per-block
 // instant and per-host day memos carry over from round to round, and are
-// churned by instants that wander backwards) and on the scalar one.
+// churned by instants that wander backwards) and through the sequential
+// oracle the batch tests compare against.
 func TestHostTableMatchesBehaviors(t *testing.T) {
-	check := func(t *testing.T, n *netsim.Network, blk *netsim.Block, hosts *netsim.Hosts, instants []time.Time, scalarEvery int) (answered int) {
+	check := func(t *testing.T, n *netsim.Network, blk *netsim.Block, hosts *netsim.Hosts, instants []time.Time, refEvery int) (answered int) {
 		t.Helper()
 		pkts := make([][]byte, 256)
 		for h := range pkts {
 			pkts[h] = echoPacket(t, blk.ID.Addr(byte(h)), uint16(h))
 		}
 		var bb netsim.BatchBuffer
-		var rb netsim.ReplyBuffer
 		for i, at := range instants {
 			down := blk.InOutage(at)
 			batch := n.DeliverBatch(&bb, pkts, at)
@@ -31,9 +31,9 @@ func TestHostTableMatchesBehaviors(t *testing.T) {
 				if got := !batch[h].Timeout; got != want {
 					t.Fatalf("%s at %v: batched probe answered = %v, Behavior.Up = %v (outage: %v)", blk.ID.Addr(byte(h)), at, got, want, down)
 				}
-				if i%scalarEvery == 0 {
-					if got := !n.DeliverIPInto(&rb, pkts[h], at).Timeout; got != want {
-						t.Fatalf("%s at %v: scalar probe answered = %v, Behavior.Up = %v (outage: %v)", blk.ID.Addr(byte(h)), at, got, want, down)
+				if i%refEvery == 0 {
+					if got := !n.DeliverIPRef(pkts[h], at).Timeout; got != want {
+						t.Fatalf("%s at %v: reference probe answered = %v, Behavior.Up = %v (outage: %v)", blk.ID.Addr(byte(h)), at, got, want, down)
 					}
 				}
 				if want {

@@ -219,13 +219,41 @@ func TestBlockOutage(t *testing.T) {
 	}
 }
 
-func probeOnce(t *testing.T, n *Network, dst Addr, seq uint16, when time.Time) Response {
+// deliverPkt sends one full IPv4 packet the way every probe travels — as a
+// one-packet batch — and returns an owned copy of the response.
+func deliverPkt(n *Network, pkt []byte, when time.Time) Response {
+	var bb BatchBuffer
+	return ownedResp(n.DeliverBatch(&bb, [][]byte{pkt}, when)[0])
+}
+
+// probeICMP carries one ICMP-layer message to dst for the tests that work
+// below the IP layer: it wraps msg in an IPv4 datagram, delivers it, and
+// unwraps the reply, so resp.Data is the ICMP message that came back.
+func probeICMP(t testing.TB, n *Network, dst Addr, msg []byte, when time.Time) Response {
 	t.Helper()
-	pkt, err := (&icmp.Echo{ID: 1, Seq: seq}).Marshal()
+	hdr := &ipv4.Header{TTL: ipv4.DefaultTTL, Protocol: ipv4.ProtoICMP,
+		Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}
+	pkt, err := hdr.MarshalAppend(nil, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return n.Probe(dst, pkt, when)
+	resp := deliverPkt(n, pkt, when)
+	if resp.Data != nil {
+		var rh ipv4.Header
+		if resp.Data, err = ipv4.ParseHeader(&rh, resp.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp
+}
+
+func probeOnce(t *testing.T, n *Network, dst Addr, seq uint16, when time.Time) Response {
+	t.Helper()
+	pkt, err := (&icmp.Echo{ID: 1, Seq: seq}).MarshalAppend(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return probeICMP(t, n, dst, pkt, when)
 }
 
 func TestNetworkProbeReply(t *testing.T) {
@@ -238,8 +266,8 @@ func TestNetworkProbeReply(t *testing.T) {
 	if resp.Timeout {
 		t.Fatal("always-on host should reply")
 	}
-	e, err := icmp.ParseEcho(resp.Data)
-	if err != nil {
+	var e icmp.Echo
+	if err := icmp.ParseEchoInto(&e, resp.Data); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Matches(1, 9) {
@@ -278,13 +306,13 @@ func TestNetworkMalformedDropped(t *testing.T) {
 	n := NewNetwork(1)
 	b := newTestBlock()
 	n.AddBlock(b)
-	resp := n.Probe(b.ID.Addr(1), []byte{8, 0, 0}, at(12, 0))
+	resp := probeICMP(t, n, b.ID.Addr(1), []byte{8, 0, 0}, at(12, 0))
 	if !resp.Timeout {
 		t.Fatal("malformed probe should time out")
 	}
 	// Echo replies sent as probes are also dropped.
-	rep, _ := (&icmp.Echo{Reply: true, ID: 1, Seq: 1}).Marshal()
-	if resp := n.Probe(b.ID.Addr(1), rep, at(12, 0)); !resp.Timeout {
+	rep, _ := (&icmp.Echo{Reply: true, ID: 1, Seq: 1}).MarshalAppend(nil)
+	if resp := probeICMP(t, n, b.ID.Addr(1), rep, at(12, 0)); !resp.Timeout {
 		t.Fatal("reply-as-probe should time out")
 	}
 	if n.Stats.Malformed.Load() != 2 {
@@ -352,8 +380,8 @@ func TestDeterminismProperty(t *testing.T) {
 			n.AddBlock(b)
 			var outs []bool
 			for i := 0; i < 50; i++ {
-				pkt, _ := (&icmp.Echo{ID: 9, Seq: uint16(i)}).Marshal()
-				resp := n.Probe(b.ID.Addr(byte(i%64)), pkt, at(0, i))
+				pkt, _ := (&icmp.Echo{ID: 9, Seq: uint16(i)}).MarshalAppend(nil)
+				resp := probeICMP(t, n, b.ID.Addr(byte(i%64)), pkt, at(0, i))
 				outs = append(outs, resp.Timeout)
 			}
 			return outs
@@ -399,31 +427,28 @@ func TestPRFNormMoments(t *testing.T) {
 	}
 }
 
+// BenchmarkNetworkProbe times one probe crossing the boundary alone: a
+// one-packet batch through a warm buffer, what a retried probe costs.
 func BenchmarkNetworkProbe(b *testing.B) {
 	n := NewNetwork(1)
 	blk := newTestBlock()
 	n.AddBlock(blk)
-	pkt, _ := (&icmp.Echo{ID: 1, Seq: 1}).Marshal()
+	pkts := make([][]byte, 256)
+	for h := range pkts {
+		pkts[h] = mkBatchPkt(b, blk.ID.Addr(byte(h)), 1, 1, ipv4.DefaultTTL, nil)
+	}
+	var bb BatchBuffer
 	when := at(12, 0)
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		n.Probe(blk.ID.Addr(byte(i)), pkt, when)
+		n.DeliverBatch(&bb, pkts[i%256:i%256+1], when)
 	}
 }
 
 func deliverOnce(t *testing.T, n *Network, dst Addr, seq uint16, ttl byte, when time.Time) Response {
 	t.Helper()
-	echo, err := (&icmp.Echo{ID: 7, Seq: seq}).Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := &ipv4.Header{ID: seq, TTL: ttl, Protocol: ipv4.ProtoICMP,
-		Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}
-	pkt, err := hdr.Marshal(echo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n.DeliverIP(pkt, when)
+	return deliverPkt(n, mkBatchPkt(t, dst, 7, seq, ttl, nil), when)
 }
 
 func TestDeliverIPRoundTrip(t *testing.T) {
@@ -434,7 +459,8 @@ func TestDeliverIPRoundTrip(t *testing.T) {
 	if resp.Timeout {
 		t.Fatal("always-on host should reply over IPv4")
 	}
-	hdr, payload, err := ipv4.Parse(resp.Data)
+	var hdr ipv4.Header
+	payload, err := ipv4.ParseHeader(&hdr, resp.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,8 +470,8 @@ func TestDeliverIPRoundTrip(t *testing.T) {
 	if hdr.TTL == 0 || hdr.TTL >= ipv4.DefaultTTL {
 		t.Fatalf("reply TTL = %d, want decremented by path", hdr.TTL)
 	}
-	e, err := icmp.ParseEcho(payload)
-	if err != nil {
+	var e icmp.Echo
+	if err := icmp.ParseEchoInto(&e, payload); err != nil {
 		t.Fatal(err)
 	}
 	if !e.Matches(7, 3) {
@@ -471,13 +497,13 @@ func TestDeliverIPMalformed(t *testing.T) {
 	b := newTestBlock()
 	n.AddBlock(b)
 	before := n.Stats.Malformed.Load()
-	if resp := n.DeliverIP([]byte{0x45, 0, 0}, at(12, 0)); !resp.Timeout {
+	if resp := deliverPkt(n, []byte{0x45, 0, 0}, at(12, 0)); !resp.Timeout {
 		t.Fatal("truncated IPv4 should time out")
 	}
 	// Wrong protocol.
 	hdr := &ipv4.Header{TTL: 64, Protocol: ipv4.ProtoUDP, Dst: ipv4.Addr(b.ID.Addr(1).IP())}
-	pkt, _ := hdr.Marshal([]byte("x"))
-	if resp := n.DeliverIP(pkt, at(12, 0)); !resp.Timeout {
+	pkt, _ := hdr.MarshalAppend(nil, []byte("x"))
+	if resp := deliverPkt(n, pkt, at(12, 0)); !resp.Timeout {
 		t.Fatal("non-ICMP should time out")
 	}
 	if n.Stats.Malformed.Load() != before+2 {

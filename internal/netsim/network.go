@@ -15,11 +15,8 @@ import (
 type Response struct {
 	// Data is the raw reply packet; nil when the probe timed out.
 	//
-	// Lifetime: when the probe was issued through ProbeInto/DeliverIPInto,
-	// Data aliases the caller's ReplyBuffer and is only valid until the next
-	// Probe/DeliverIP call for the same prober (the same buffer). Probe and
-	// DeliverIP without a buffer return freshly allocated Data with no such
-	// restriction.
+	// Lifetime: Data is a view into the BatchBuffer the probe was delivered
+	// through, valid only until the next DeliverBatch on that buffer.
 	Data []byte
 	// RTT is the simulated round-trip time for delivered replies.
 	RTT time.Duration
@@ -76,56 +73,12 @@ type Tap interface {
 	// Inbound may corrupt or replace a reply on its way back. Returning nil
 	// drops the reply (the probe times out).
 	//
-	// The reply slice may be a prober's reusable ReplyBuffer storage that is
-	// overwritten by its next probe: implementations must not retain it past
+	// The reply slice is a prober's reusable BatchBuffer storage that is
+	// overwritten by its next batch: implementations must not retain it past
 	// the call, and must copy-on-corrupt (return a fresh slice) rather than
 	// mutate it in place, so a tap never scribbles on buffers it does not
 	// own. internal/faults follows this contract.
 	Inbound(dst Addr, reply []byte, now time.Time) []byte
-}
-
-// ReplyBuffer is the reusable reply storage one prober threads through
-// ProbeInto/DeliverIPInto so that reply construction allocates nothing in
-// steady state. The zero value is ready to use; the buffer grows to the
-// largest reply seen and is reused afterwards.
-//
-// A ReplyBuffer belongs to exactly one prober (one probing goroutine): the
-// Response.Data returned through it is only valid until that prober's next
-// ProbeInto/DeliverIPInto call, and the buffer itself must not be shared
-// across goroutines.
-type ReplyBuffer struct {
-	// icmp holds the ICMP-layer reply Probe builds; ip holds the IPv4
-	// encapsulation DeliverIP wraps around it. They are distinct so the
-	// wrap step never copies a slice over itself.
-	icmp []byte
-	ip   []byte
-}
-
-// RetainedBytes reports the heap bytes the buffer currently retains across
-// calls — what a long-lived prober worker holds onto per reply buffer. The
-// monitor's O(workers) memory contract is pinned against this.
-func (rb *ReplyBuffer) RetainedBytes() int {
-	if rb == nil {
-		return 0
-	}
-	return cap(rb.icmp) + cap(rb.ip)
-}
-
-// icmpScratch returns the empty ICMP-layer scratch to append into, or nil
-// (allocate fresh) when no buffer is in play.
-func (rb *ReplyBuffer) icmpScratch() []byte {
-	if rb == nil {
-		return nil
-	}
-	return rb.icmp[:0]
-}
-
-// ipScratch is icmpScratch for the IPv4 encapsulation layer.
-func (rb *ReplyBuffer) ipScratch() []byte {
-	if rb == nil {
-		return nil
-	}
-	return rb.ip[:0]
 }
 
 // Counters accumulates network-wide accounting, used to check the paper's
@@ -140,8 +93,9 @@ type Counters struct {
 }
 
 // Network is the simulated Internet edge: a set of /24 blocks addressable
-// by ICMP echo probes. Probe is safe for concurrent use; topology mutation
-// (AddBlock) must not race with probing.
+// by ICMP echo probes. DeliverBatch is safe for concurrent use (one
+// BatchBuffer per goroutine); topology mutation (AddBlock) must not race
+// with probing.
 type Network struct {
 	mu     sync.RWMutex
 	blocks map[BlockID]*Block
@@ -198,7 +152,8 @@ func (a *statsAcc) flush(c *Counters) {
 
 // tapPre carries a pre-computed outbound tap decision into the delivery
 // core, so a batch can consult a TapBatch once for many probes. The zero
-// value (ok == false) means "ask the tap inline" — the scalar path.
+// value (ok == false) means "ask the tap inline" — a tap that is not a
+// TapBatch.
 type tapPre struct {
 	t  time.Time
 	v  TapVerdict
@@ -211,8 +166,7 @@ type tapPre struct {
 // timestamp, so the time conversions and the outage schedule walk happen
 // once per (block, round) instead of once or twice per probe. Keying on the
 // exact instant makes the memo self-invalidating across rounds and immune
-// to per-destination clock skew from a tap. The scalar path hands probeCore
-// a fresh one per probe.
+// to per-destination clock skew from a tap.
 type blockInstant struct {
 	instant
 	down bool // the block is in an outage
@@ -289,44 +243,6 @@ func (n *Network) BlockIDs() []BlockID {
 	return out
 }
 
-// Probe sends the marshalled ICMP packet pkt to dst at virtual time now and
-// returns the outcome. Malformed probes are dropped (counted, timeout), as
-// a real network stack would discard them. Response.Data is freshly
-// allocated; ProbeInto is the buffer-reusing form.
-func (n *Network) Probe(dst Addr, pkt []byte, now time.Time) Response {
-	return n.probe(nil, dst, pkt, now)
-}
-
-// ProbeInto is Probe with reply construction into the caller's reusable
-// buffer: Response.Data aliases buf and is only valid until the caller's
-// next ProbeInto/DeliverIPInto call with the same buffer.
-func (n *Network) ProbeInto(buf *ReplyBuffer, dst Addr, pkt []byte, now time.Time) Response {
-	return n.probe(buf, dst, pkt, now)
-}
-
-func (n *Network) probe(buf *ReplyBuffer, dst Addr, pkt []byte, now time.Time) Response {
-	var acc statsAcc
-	acc.probes++
-	n.countBlockProbe(dst.Block)
-
-	var echo icmp.Echo
-	echoOK := icmp.ParseEchoInto(&echo, pkt) == nil && !echo.Reply
-
-	n.mu.RLock()
-	blk := n.blocks[dst.Block]
-	tap := n.tap
-	n.mu.RUnlock()
-
-	var resp Response
-	var memo blockInstant
-	sc := n.probeCore(blk, tap, buf.icmpScratch(), dst, pkt, &echo, echoOK, now, tapPre{}, &memo, &acc, &resp)
-	if buf != nil {
-		buf.icmp = sc
-	}
-	acc.flush(&n.Stats)
-	return resp
-}
-
 // probeCore is the ICMP-layer delivery path with routing already resolved:
 // consult the tap, evaluate the block's behavior at now, and build the
 // reply. echo is the caller-parsed request (echoOK false marks a malformed
@@ -337,12 +253,9 @@ func (n *Network) probe(buf *ReplyBuffer, dst Addr, pkt []byte, now time.Time) R
 // consultation (batched taps); memo holds what the block's probes of one
 // instant share.
 //
-// Both the scalar probe path and DeliverBatch run through this one body:
-// the batch path's byte-identical contract is equivalence by construction,
-// not by parallel maintenance of two delivery implementations. The outcome
-// lands in *resp (an out-parameter so per-probe results are written once
-// instead of copied up the call chain); the ICMP scratch backing is the
-// return value.
+// The outcome lands in *resp (an out-parameter so per-probe results are
+// written once instead of copied up the call chain); the ICMP scratch
+// backing is the return value.
 func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, memo *blockInstant, acc *statsAcc, resp *Response) []byte {
 	*resp = Response{}
 	if !echoOK {
@@ -473,66 +386,14 @@ func (n *Network) inbound(tap Tap, dst Addr, resp *Response, now time.Time, acc 
 	resp.Data = data
 }
 
-// DeliverIP routes a full IPv4 packet into the simulated edge: the header
-// is parsed and validated, the destination is taken from it, the path's
-// hop count is charged against the TTL, and the ICMP payload is delivered
-// as Probe would. Replies come back IPv4-encapsulated with source and
-// destination swapped. This is the path real probes take; Probe remains
-// for callers that operate below the IP layer. Response.Data is freshly
-// allocated; DeliverIPInto is the buffer-reusing form.
-func (n *Network) DeliverIP(pkt []byte, now time.Time) Response {
-	return n.deliverIP(nil, pkt, now)
-}
-
-// DeliverIPInto is DeliverIP with reply construction into the caller's
-// reusable buffer: Response.Data aliases buf and is only valid until the
-// caller's next ProbeInto/DeliverIPInto call with the same buffer.
-func (n *Network) DeliverIPInto(buf *ReplyBuffer, pkt []byte, now time.Time) Response {
-	return n.deliverIP(buf, pkt, now)
-}
-
-func (n *Network) deliverIP(buf *ReplyBuffer, pkt []byte, now time.Time) Response {
-	var hdr ipv4.Header
-	payload, err := ipv4.ParseHeader(&hdr, pkt)
-	if err != nil || hdr.Protocol != ipv4.ProtoICMP {
-		n.Stats.Probes.Add(1)
-		n.Stats.Malformed.Add(1)
-		return Response{Timeout: true}
-	}
-	dst := AddrFromIP(hdr.Dst)
-
-	var echo icmp.Echo
-	echoOK := icmp.ParseEchoInto(&echo, payload) == nil && !echo.Reply
-
-	var acc statsAcc
-	n.mu.RLock()
-	blk := n.blocks[dst.Block]
-	tap := n.tap
-	cnt := n.perBlockProbes[dst.Block]
-	n.mu.RUnlock()
-	if cnt == nil {
-		cnt = n.registerBlockCounter(dst.Block)
-	}
-
-	var resp Response
-	var memo blockInstant
-	icmpOut, ipOut := n.deliverCore(blk, tap, buf.icmpScratch(), buf.ipScratch(), &hdr, dst, payload, &echo, echoOK, now, tapPre{}, &memo, &acc, &resp)
-	if buf != nil {
-		buf.icmp = icmpOut
-		buf.ip = ipOut
-	}
-	cnt.Add(1)
-	acc.flush(&n.Stats)
-	return resp
-}
-
 // deliverCore is the IP-layer delivery path with routing resolved and the
 // payload echo pre-parsed: charge the path's hop count against the TTL,
 // run the ICMP core, and wrap any reply back into an IPv4 datagram with
 // source and destination swapped. The outcome lands in *resp (see
 // probeCore); it returns the possibly-grown ICMP and IP scratch backings
-// so the owner keeps their capacity. Shared verbatim by the scalar
-// DeliverIP path and DeliverBatch.
+// so the owner keeps their capacity. DeliverBatch runs every packet through
+// it; so does the tests' sequential oracle (DeliverIPRef), which is what
+// makes batching a reordering of work, never of results.
 func (n *Network) deliverCore(blk *Block, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, memo *blockInstant, acc *statsAcc, resp *Response) ([]byte, []byte) {
 	acc.probes++
 	hops := 0
@@ -583,16 +444,6 @@ func (n *Network) registerBlockCounter(id BlockID) *atomic.Int64 {
 		n.perBlockProbes[id] = c
 	}
 	return c
-}
-
-func (n *Network) countBlockProbe(id BlockID) {
-	n.mu.RLock()
-	c := n.perBlockProbes[id]
-	n.mu.RUnlock()
-	if c == nil {
-		c = n.registerBlockCounter(id)
-	}
-	c.Add(1)
 }
 
 // ProbesToBlock returns how many probes were addressed to the block.

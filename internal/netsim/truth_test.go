@@ -163,12 +163,12 @@ func TestTruthPlanMatchesReference(t *testing.T) {
 // echoPacket is an IPv4-wrapped echo request to dst.
 func echoPacket(t *testing.T, dst netsim.Addr, seq uint16) []byte {
 	t.Helper()
-	echo, err := (&icmp.Echo{ID: 1, Seq: seq}).Marshal()
+	echo, err := (&icmp.Echo{ID: 1, Seq: seq}).MarshalAppend(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	hdr := ipv4.Header{ID: seq, TTL: 64, Protocol: ipv4.ProtoICMP, Src: ipv4.Addr{198, 51, 100, 1}, Dst: ipv4.Addr(dst.IP())}
-	pkt, err := hdr.Marshal(echo)
+	pkt, err := hdr.MarshalAppend(nil, echo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,8 @@ func TestReAddBlockSeesNewHops(t *testing.T) {
 	n.AddBlock(blk)
 	pkt := echoPacket(t, blk.ID.Addr(1), 1) // TTL 64
 	var bb netsim.BatchBuffer
-	if n.DeliverIP(pkt, noon).Timeout || n.DeliverBatch(&bb, [][]byte{pkt}, noon)[0].Timeout {
+	lost := func() bool { return n.DeliverBatch(&bb, [][]byte{pkt}, noon)[0].Timeout }
+	if lost() {
 		t.Fatal("TTL 64 must cover 40 hops")
 	}
 	blk.Hops = 90
@@ -241,7 +242,7 @@ func TestReAddBlockSeesNewHops(t *testing.T) {
 	if blk.PathHops() != 90 {
 		t.Fatalf("PathHops = %d after Hops = 90", blk.PathHops())
 	}
-	if !n.DeliverIP(pkt, noon).Timeout || !n.DeliverBatch(&bb, [][]byte{pkt}, noon)[0].Timeout {
+	if !lost() {
 		t.Fatal("TTL 64 covered a path re-registered at 90 hops")
 	}
 	blk.Hops = 0
@@ -249,7 +250,7 @@ func TestReAddBlockSeesNewHops(t *testing.T) {
 	if h := blk.PathHops(); h < 8 || h > 23 {
 		t.Fatalf("derived PathHops = %d, want 8..23", h)
 	}
-	if n.DeliverIP(pkt, noon).Timeout {
+	if lost() {
 		t.Fatal("TTL 64 must cover a derived path")
 	}
 }

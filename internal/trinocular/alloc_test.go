@@ -2,16 +2,18 @@ package trinocular
 
 import (
 	"testing"
+	"time"
 
 	"sleepnet/internal/netsim"
 )
 
 // TestProbeRoundAllocFree pins the steady-state allocation budget of the
-// wire path at zero: after the first round has grown the per-block scratch
-// buffers, a ProbeRound — marshal echo, IPv4-encapsulate, deliver, build
-// the reply into the block's ReplyBuffer, parse it back — must not touch
-// the heap. A failure here means a future change reintroduced garbage on
-// the hot path (the whole point of the append/Into APIs).
+// probe-at-a-time wire path at zero: after the first rounds have grown the
+// prober's send scratch, a ProbeRound — patch the template, deliver a
+// one-packet batch, parse the reply back — must not touch the heap, and
+// neither must a round whose first send fails and is retried. A failure
+// here means a future change reintroduced garbage on the hot path (the
+// whole point of the append/Into APIs).
 func TestProbeRoundAllocFree(t *testing.T) {
 	n := netsim.NewNetwork(1)
 	up := buildBlock(netsim.MakeBlockID(10, 0, 1), 100, 0, 0)
@@ -19,8 +21,10 @@ func TestProbeRoundAllocFree(t *testing.T) {
 	// An intermittent block exercises the multi-probe negative path too.
 	flaky := buildBlock(netsim.MakeBlockID(10, 0, 2), 0, 100, 0.3)
 	n.AddBlock(flaky)
+	// Every round's first send to the flaky block dies at the vantage point.
+	n.SetTap(sendBlackout{blk: flaky.ID, every: 11 * time.Minute})
 
-	p := New(n, Config{}, 7)
+	p := New(n, Config{Retry: RetryConfig{MaxAttempts: 3}}, 7)
 	for _, blk := range []*netsim.Block{up, flaky} {
 		if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 			t.Fatal(err)
@@ -28,20 +32,26 @@ func TestProbeRoundAllocFree(t *testing.T) {
 	}
 
 	// Warm-up: grow scratch buffers and settle beliefs.
-	round := 0
+	round, retries := 0, 0
 	probeAll := func() {
 		for _, blk := range []*netsim.Block{up, flaky} {
-			if _, err := p.ProbeRound(blk.ID, at(0, 0, round*11), 0.5); err != nil {
+			obs, err := p.ProbeRound(blk.ID, at(0, 0, round*11), 0.5)
+			if err != nil {
 				t.Fatal(err)
 			}
+			retries += obs.Retries
 		}
 		round++
 	}
 	probeAll()
 	probeAll()
 
+	retries = 0
 	avg := testing.AllocsPerRun(50, probeAll)
 	if avg != 0 {
 		t.Fatalf("ProbeRound allocates %.2f times per two-block round, want 0", avg)
+	}
+	if retries < 50 {
+		t.Fatalf("%d retries in the measured rounds: the retrying round is not inside the budget", retries)
 	}
 }

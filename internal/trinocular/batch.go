@@ -1,24 +1,30 @@
 package trinocular
 
-// Batched probing: ProbeRoundsBatch runs one round for many blocks as a
-// wavefront — probe k of every still-active round is marshalled into one
-// packet batch and crosses the netsim boundary in a single DeliverBatch
-// call, amortizing the per-packet boundary cost the scalar path pays.
+// The wavefront: ProbeRoundsBatch runs one round for many blocks at once.
+// Each phase marshals probe k of every still-active round into one packet
+// batch, crosses the netsim boundary in a single DeliverBatch call, and
+// folds the responses back into the lanes' round machines; lanes whose
+// round is over drop out, and the phases repeat until none is left.
 //
-// The wavefront reproduces the scalar schedule exactly. Every probe's
+// The wavefront reproduces ProbeRound's schedule exactly. Every probe's
 // inputs — target host, sequence number, issue timestamp — are fixed by
 // prepareProbe before any outcome of the round is known, and all probes of
 // a round are issued at the round's virtual now until a retry shifts the
 // clock (backoffUsed). A retry only ever follows a vantage-local send
 // failure, and the first send failure in a round necessarily happens with
-// zero backoff used — exactly where the scalar schedule stands — so a lane
-// that sees one simply leaves the wavefront and finishes its round through
-// the scalar path, probe for probe identical. Blocks never share netsim or
-// fault-injector state across lanes (rate-limit windows, reply budgets,
-// and tap counters are all per block; global counters are order-free
-// sums), so interleaving lanes is unobservable. The round logic itself is
-// the roundState machine shared with ProbeRoundWith — there is no second
-// belief/stop/debounce implementation to drift.
+// zero backoff used — exactly where the sequential schedule stands — so a
+// lane that sees one simply leaves the wavefront and finishes its round
+// probe by probe (retrySendErrors, then sequentialRound), identically.
+// Blocks never share netsim or fault-injector state across lanes
+// (rate-limit windows, reply budgets, and tap counters are all per block;
+// global counters are order-free sums), so interleaving lanes is
+// unobservable. The round logic itself is the roundState machine ProbeRound
+// runs — there is no second belief/stop/debounce implementation to drift.
+//
+// Buffer lifetimes: a phase's responses are views into the BatchContext's
+// netsim buffer, valid until the next phase's DeliverBatch on it. A lane
+// that retries mid-phase sends through its prober's own send scratch, never
+// through that buffer, so the lanes after it still classify live views.
 
 import (
 	"fmt"
@@ -27,19 +33,6 @@ import (
 	"sleepnet/internal/ipv4"
 	"sleepnet/internal/netsim"
 )
-
-// ProbeNetworkBatched is the optional vectorized fast path: networks that
-// can deliver a whole batch of packets in one boundary crossing.
-// *netsim.Network implements it. New detects it once; ProbeRoundsBatch
-// uses it when present and degrades to scalar rounds when not.
-type ProbeNetworkBatched interface {
-	ProbeNetworkBuffered
-	// DeliverBatch delivers pkts in order at virtual time now, returning
-	// one Response per packet, equivalent to sequential DeliverIPInto calls.
-	//
-	//lint:aliases return: every Response.Data (and the slice itself) is a view into buf's reply arena, valid only until the next DeliverBatch on the same buffer
-	DeliverBatch(buf *netsim.BatchBuffer, pkts [][]byte, now time.Time) []netsim.Response
-}
 
 // pktSpan locates one marshalled probe inside the batch packet arena.
 type pktSpan struct {
@@ -50,7 +43,7 @@ type pktSpan struct {
 // plus the per-phase probe bookkeeping (target, packet index) needed to
 // match the batch response back to the round. Lanes of one wavefront may
 // belong to different probers (the pipeline runs one prober per block) as
-// long as all of them sit on the same batched network.
+// long as all of them sit on the same network.
 type lane struct {
 	p      *Prober
 	rs     roundState
@@ -63,14 +56,9 @@ type lane struct {
 // BatchContext is the reusable state one probing worker threads through
 // ProbeRoundsBatch: the lanes, the packet arena one wavefront phase
 // marshals into, and the netsim-side batch buffer. The zero value is ready
-// to use; everything grows to the largest batch seen and is reused. Like a
-// ProbeContext, a BatchContext belongs to one worker at a time.
+// to use; everything grows to the largest batch seen and is reused. A
+// BatchContext belongs to one worker at a time.
 type BatchContext struct {
-	// scalar is the fallback wire scratch: lanes that hit a vantage-local
-	// send failure finish their round through the scalar path, and probers
-	// over non-batched networks run whole rounds through it. Its echo
-	// buffer doubles as the wavefront's per-probe ICMP marshal scratch.
-	scalar ProbeContext
 	// net is the netsim-side batch state (route cache, reply arena).
 	net netsim.BatchBuffer
 
@@ -114,13 +102,13 @@ func (bc *BatchContext) stateFor(i int, p *Prober, id netsim.BlockID) (*blockSta
 func NewBatchContext() *BatchContext { return &BatchContext{} }
 
 // RetainedBytes reports the heap bytes the context retains across calls —
-// the per-worker steady-state cost of batched probing, pinned by the
-// monitor's memory-bound test alongside ProbeContext.RetainedBytes.
+// the per-worker steady-state cost of probing, pinned by the monitor's
+// memory-bound test.
 func (bc *BatchContext) RetainedBytes() int {
 	if bc == nil {
 		return 0
 	}
-	n := bc.scalar.RetainedBytes() + bc.net.RetainedBytes()
+	n := bc.net.RetainedBytes()
 	n += cap(bc.pktArena)
 	n += cap(bc.spans) * 8
 	n += cap(bc.pkts) * 24
@@ -135,41 +123,24 @@ func (bc *BatchContext) RetainedBytes() int {
 // caller's operational availability estimate for ids[i], clamped exactly
 // as ProbeRound clamps it. The observations, every block's prober memory,
 // the network's counters, and any fault injector's state end up
-// byte-identical to calling ProbeRoundWith(ids[0]), ProbeRoundWith(ids[1]),
-// ... in order at the same now (see the package comment for the argument);
-// only the boundary-crossing cost changes.
+// byte-identical to calling ProbeRound(ids[0]), ProbeRound(ids[1]), ... in
+// order at the same now (see the comment at the top of this file for the
+// argument); only the boundary-crossing cost changes. A call that returns
+// an error has probed nothing and changed no prober memory.
 //
 //lint:hotpath: batched warm-round probing path, 0 allocs/op pinned by TestProbeRoundsBatchAllocFree
 func (p *Prober) ProbeRoundsBatch(bc *BatchContext, ids []netsim.BlockID, aOps []float64, now time.Time, out []RoundObs) error {
 	if len(aOps) != len(ids) || len(out) < len(ids) {
 		return fmt.Errorf("trinocular: batch shape mismatch: %d ids, %d aOps, %d out", len(ids), len(aOps), len(out))
 	}
-	if p.batchNet == nil {
-		for i, id := range ids {
-			obs, err := p.ProbeRoundWith(&bc.scalar, id, now, aOps[i])
-			if err != nil {
-				return err
-			}
-			out[i] = obs
-		}
-		return nil
-	}
-	//lint:allow hotalloc: once-guarded epoch capture; the closure is live only on the prober's very first round
-	p.epochOnce.Do(func() { p.epoch = now })
-
 	bc.growLanes(len(ids))
 	for i, id := range ids {
-		st, ok := bc.stateFor(i, p, id)
-		if !ok {
-			return fmt.Errorf("trinocular: block %s not tracked", id)
+		if err := bc.bindLane(i, p, id); err != nil {
+			return err
 		}
-		ln := &bc.lanes[i]
-		ln.p = p
-		ln.out = int32(i)
-		p.beginRound(&ln.rs, st, now, aOps[i])
-		bc.active = append(bc.active, int32(i))
 	}
-	runWavefront(bc, p.batchNet, now, out)
+	bc.beginLanes(aOps, now)
+	runWavefront(bc, p.net, now, out)
 	return nil
 }
 
@@ -178,12 +149,10 @@ func (p *Prober) ProbeRoundsBatch(bc *BatchContext, ids []netsim.BlockID, aOps [
 // time now, writing the i-th observation to out[i]. The measurement pipeline
 // uses it — there every block has its own prober (its own walk seed), yet a
 // group of blocks should still cross the netsim boundary as one wavefront.
-// Every prober must sit on the same network; when any of them lacks the
-// batched fast path the whole group degrades to scalar rounds. The
-// per-lane equivalence contract is ProbeRoundsBatch's: prober and network
-// state end up byte-identical to sequential ProbeRound calls in slice order
-// (probers own disjoint block state, so the package-comment argument
-// applies lane by lane).
+// Every prober must sit on the same network. The per-lane equivalence
+// contract is ProbeRoundsBatch's: prober and network state end up
+// byte-identical to sequential ProbeRound calls in slice order (probers own
+// disjoint block state, so the argument applies lane by lane).
 //
 //lint:hotpath: batched warm-round probing path, 0 allocs/op pinned by TestProbeRoundsBatchGroupAllocFree
 func ProbeRoundsBatchGroup(bc *BatchContext, probers []*Prober, ids []netsim.BlockID, aOps []float64, now time.Time, out []RoundObs) error {
@@ -194,46 +163,51 @@ func ProbeRoundsBatchGroup(bc *BatchContext, probers []*Prober, ids []netsim.Blo
 	if len(ids) == 0 {
 		return nil
 	}
-	bn := probers[0].batchNet
-	for _, p := range probers {
-		if p.batchNet == nil || p.batchNet != bn {
-			bn = nil
-			break
-		}
-	}
-	if bn == nil {
-		for i, p := range probers {
-			obs, err := p.ProbeRoundWith(&bc.scalar, ids[i], now, aOps[i])
-			if err != nil {
-				return err
-			}
-			out[i] = obs
-		}
-		return nil
-	}
 	bc.growLanes(len(ids))
 	for i, id := range ids {
-		p := probers[i]
-		st, ok := bc.stateFor(i, p, id)
-		if !ok {
-			return fmt.Errorf("trinocular: block %s not tracked", id)
+		if probers[i].net != probers[0].net {
+			return fmt.Errorf("trinocular: batch group spans networks: the prober of %s sits on another one", id)
 		}
-		//lint:allow hotalloc: once-guarded epoch capture; the closure is live only on each prober's very first round
-		p.epochOnce.Do(func() { p.epoch = now })
-		ln := &bc.lanes[i]
-		ln.p = p
-		ln.out = int32(i)
-		p.beginRound(&ln.rs, st, now, aOps[i])
-		bc.active = append(bc.active, int32(i))
+		if err := bc.bindLane(i, probers[i], id); err != nil {
+			return err
+		}
 	}
-	runWavefront(bc, bn, now, out)
+	bc.beginLanes(aOps, now)
+	runWavefront(bc, probers[0].net, now, out)
 	return nil
 }
 
+// bindLane binds lane i to its prober and its block's state. It reads
+// prober memory and writes none: every lane is bound before beginLanes
+// opens the first round, so an untracked id fails the call with no round
+// consumed.
+func (bc *BatchContext) bindLane(i int, p *Prober, id netsim.BlockID) error {
+	st, ok := bc.stateFor(i, p, id)
+	if !ok {
+		return fmt.Errorf("trinocular: block %s not tracked", id)
+	}
+	ln := &bc.lanes[i]
+	ln.p = p
+	ln.out = int32(i)
+	ln.rs.st = st
+	return nil
+}
+
+// beginLanes opens a round on every bound lane and makes it active.
+func (bc *BatchContext) beginLanes(aOps []float64, now time.Time) {
+	for i := range bc.lanes {
+		ln := &bc.lanes[i]
+		//lint:allow hotalloc: once-guarded epoch capture; the closure is live only on each prober's very first round
+		ln.p.epochOnce.Do(func() { ln.p.epoch = now })
+		ln.p.beginRound(&ln.rs, ln.rs.st, now, aOps[i])
+		bc.active = append(bc.active, int32(i))
+	}
+}
+
 // growLanes resizes the lane slice to n and resets the active set. Lane
-// fields are not cleared: beginRound rewrites rs in full, p/out are
-// assigned by the caller, and host/target/pkt are set every wavefront
-// phase before they are read, so stale values are never observed. Indexed
+// fields are not cleared: bindLane assigns p/out, beginRound rewrites
+// rs in full, and host/target/pkt are set every wavefront phase before
+// they are read, so stale values are never observed. Indexed
 // initialization (instead of appending a lane literal per block) avoids a
 // ~176-byte struct copy per lane per round.
 func (bc *BatchContext) growLanes(n int) {
@@ -248,7 +222,7 @@ func (bc *BatchContext) growLanes(n int) {
 // iteration marshals the next probe of every active lane into one packet
 // batch, crosses the boundary once, and folds the responses back into the
 // lanes' round machines.
-func runWavefront(bc *BatchContext, bn ProbeNetworkBatched, now time.Time, out []RoundObs) {
+func runWavefront(bc *BatchContext, bn ProbeNetwork, now time.Time, out []RoundObs) {
 	for len(bc.active) > 0 {
 		// Marshal the next probe of every active lane into one packet batch.
 		bc.pktArena = bc.pktArena[:0]
@@ -260,7 +234,7 @@ func runWavefront(bc *BatchContext, bn ProbeNetworkBatched, now time.Time, out [
 			ln.target = ipv4.Addr(st.id.Addr(ln.host).IP())
 			start := int32(len(bc.pktArena))
 			// The block's prefab template plus checksum folding — the same
-			// bytes the scalar path's sendProbe puts on the wire.
+			// bytes sendProbe puts on the wire.
 			bc.pktArena = st.appendProbe(bc.pktArena, ln.host)
 			ln.pkt = int32(len(bc.spans))
 			bc.spans = append(bc.spans, pktSpan{start, int32(len(bc.pktArena))})
@@ -289,14 +263,15 @@ func runWavefront(bc *BatchContext, bn ProbeNetworkBatched, now time.Time, out [
 			if outcome == outcomeSendError {
 				// A vantage-local failure shifts the lane's remaining probes
 				// to backoff-adjusted times, so it leaves the wavefront and
-				// finishes through the scalar path. Equivalent by
-				// construction: the round's first send error always happens
-				// with zero backoff used, exactly where the scalar schedule
-				// stands.
-				outcome = ln.p.retrySendErrors(&ln.rs, &bc.scalar, ln.host, now)
+				// finishes probe by probe, through its prober's own send
+				// scratch (resps stays valid for the lanes still to come).
+				// Equivalent by construction: the round's first send error
+				// always happens with zero backoff used, exactly where the
+				// sequential schedule stands.
+				outcome = ln.p.retrySendErrors(&ln.rs, ln.host, now)
 				ln.p.applyOutcome(&ln.rs, outcome)
 				if !ln.rs.done {
-					ln.p.scalarRound(&ln.rs, &bc.scalar, now)
+					ln.p.sequentialRound(&ln.rs, now)
 				}
 			} else {
 				ln.p.applyOutcome(&ln.rs, outcome)

@@ -1,6 +1,7 @@
 package trinocular
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,7 +11,7 @@ import (
 )
 
 // batchWorld is one independently-built copy of the equivalence fixture:
-// identical worlds are built for the scalar and batch probers so the two
+// identical worlds are built for the reference and batch probers so the two
 // runs share no state and every counter can be compared at the end.
 type batchWorld struct {
 	net *netsim.Network
@@ -25,8 +26,8 @@ type batchWorld struct {
 // (multi-probe negative runs), an outage block whose gateway sometimes
 // answers unreachable, and a reply-rate-limited block. The fault injector
 // adds loss, reply corruption, admin-prohibited rate limiting, clock skew,
-// and periodic vantage blackouts (send errors → retries → the batch path's
-// scalar-fallback lanes).
+// and periodic vantage blackouts (send errors → retries → lanes that leave
+// the wavefront).
 func buildBatchWorld(t *testing.T, withFaults bool) *batchWorld {
 	t.Helper()
 	n := netsim.NewNetwork(42)
@@ -76,6 +77,58 @@ func buildBatchWorld(t *testing.T, withFaults bool) *batchWorld {
 	return w
 }
 
+// sendBlackout is a tap that fails every send to blk made in the first
+// second of a round (rounds start every `every` since epoch): the first
+// attempt of the round's first probe dies at the vantage point, and the
+// retry, backed off by seconds, gets through. Unlike the fault injector's
+// blackouts it hits one block only, so in a wavefront one lane retries
+// while the others carry on. It is not a TapBatch: DeliverBatch asks it
+// packet by packet.
+type sendBlackout struct {
+	blk   netsim.BlockID
+	every time.Duration
+}
+
+func (b sendBlackout) Outbound(dst netsim.Addr, now time.Time) (time.Time, netsim.TapVerdict) {
+	if dst.Block == b.blk && now.Sub(epoch)%b.every < time.Second {
+		return now, netsim.TapSendError
+	}
+	return now, netsim.TapDeliver
+}
+
+func (sendBlackout) Inbound(_ netsim.Addr, reply []byte, _ time.Time) []byte { return reply }
+
+// equivalenceCases are the fixtures both equivalence gates run. In
+// "lane-retry" the flaky block is probed first and every fourth round its
+// first send fails: lane 0 retries in the middle of phase one while lane 1,
+// the always-up block, holds that phase's first reply — the bytes a retry
+// through the wavefront's own buffer would overwrite.
+var equivalenceCases = []struct {
+	name       string
+	withFaults bool
+	laneRetry  bool
+}{
+	{"clean", false, false},
+	{"faulty", true, false},
+	{"lane-retry", false, true},
+}
+
+// armLaneRetry turns a clean fixture into the lane-retry one: the flaky
+// block moves to the front of the probing order and gets the blackout tap.
+func armLaneRetry(n *netsim.Network, ids []netsim.BlockID) {
+	ids[0], ids[1] = ids[1], ids[0]
+	n.SetTap(sendBlackout{blk: ids[0], every: 4 * 660 * time.Second})
+}
+
+// checkLaneRetry is the lane-retry fixture's own tameness check: lane 0
+// retried in a round whose lane 1 was answered by its first probe.
+func checkLaneRetry(t *testing.T, retriedBesidePositive int) {
+	t.Helper()
+	if retriedBesidePositive == 0 {
+		t.Fatal("lane-retry fixture too tame: lane 0 never retried in a phase lane 1 answered")
+	}
+}
+
 // netCounters snapshots a network's global counters for comparison.
 func netCounters(n *netsim.Network) [6]int64 {
 	return [6]int64{
@@ -86,36 +139,38 @@ func netCounters(n *netsim.Network) [6]int64 {
 
 // TestProbeRoundsBatchMatchesScalar is the prober-level equivalence gate:
 // the batched wavefront must produce, round for round and block for block,
-// the exact observations of sequential ProbeRoundWith calls — and leave
-// prober memory, network counters, fault-injector state, and the metrics
-// registry identical too. Runs with and without the fault tap; the faulty
-// run covers retries, scalar-fallback lanes, corrupted replies, and
-// admin-prohibited cut-offs, and the fixture asserts each actually fired.
+// the exact observations of sequential ProbeRound calls — and leave prober
+// memory, network counters, fault-injector state, and the metrics registry
+// identical too. Runs with and without the fault tap; the faulty run covers
+// retries, lanes leaving the wavefront, corrupted replies, and
+// admin-prohibited cut-offs, the lane-retry run a retry beside live reply
+// views, and the fixture asserts each actually fired.
 func TestProbeRoundsBatchMatchesScalar(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		withFaults bool
-	}{
-		{"clean", false},
-		{"faulty", true},
-	} {
+	for _, tc := range equivalenceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := buildBatchWorld(t, tc.withFaults)
 			wb := buildBatchWorld(t, tc.withFaults)
+			if tc.laneRetry {
+				armLaneRetry(ws.net, ws.ids)
+				armLaneRetry(wb.net, wb.ids)
+			}
 
-			pc := NewProbeContext()
 			bc := NewBatchContext()
 			aOps := []float64{0.9, 0.4, 0.8, 0.3}
 			outB := make([]RoundObs, len(wb.ids))
 
 			var agg RoundObs
+			retriedBesidePositive := 0
 			for r := 0; r < 64; r++ {
 				now := epoch.Add(time.Duration(r) * 660 * time.Second)
 				if err := wb.p.ProbeRoundsBatch(bc, wb.ids, aOps, now, outB); err != nil {
 					t.Fatal(err)
 				}
+				if outB[0].Retries > 0 && outB[1].Positive == 1 && outB[1].Total == 1 {
+					retriedBesidePositive++
+				}
 				for i, id := range ws.ids {
-					obsS, err := ws.p.ProbeRoundWith(pc, id, now, aOps[i])
+					obsS, err := ws.p.ProbeRound(id, now, aOps[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -141,6 +196,9 @@ func TestProbeRoundsBatchMatchesScalar(t *testing.T) {
 			}
 			if tc.withFaults && (agg.Retries == 0 || agg.SendErrors == 0 || agg.RateLimited == 0) {
 				t.Fatalf("fault fixture too tame: %+v", agg)
+			}
+			if tc.laneRetry {
+				checkLaneRetry(t, retriedBesidePositive)
 			}
 
 			sState, bState := ws.p.ExportState(), wb.p.ExportState()
@@ -186,87 +244,38 @@ func TestProbeRoundsBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// scalarOnlyNet hides *netsim.Network's batch capability, leaving only the
-// buffered scalar interface.
-type scalarOnlyNet struct{ n *netsim.Network }
-
-func (s scalarOnlyNet) DeliverIP(pkt []byte, now time.Time) netsim.Response {
-	return s.n.DeliverIP(pkt, now)
-}
-func (s scalarOnlyNet) DeliverIPInto(buf *netsim.ReplyBuffer, pkt []byte, now time.Time) netsim.Response {
-	return s.n.DeliverIPInto(buf, pkt, now)
-}
-
-// TestProbeRoundsBatchScalarNetworkFallback pins the degradation path: over
-// a network without DeliverBatch, ProbeRoundsBatch must still work and
-// still match per-block scalar rounds exactly.
-func TestProbeRoundsBatchScalarNetworkFallback(t *testing.T) {
-	build := func(batched bool) (*Prober, []netsim.BlockID) {
-		n := netsim.NewNetwork(42)
-		blkA := buildBlock(netsim.MakeBlockID(10, 4, 1), 50, 50, 0.5)
-		blkB := buildBlock(netsim.MakeBlockID(10, 4, 2), 0, 80, 0.3)
-		n.AddBlock(blkA)
-		n.AddBlock(blkB)
-		var pn ProbeNetwork = n
-		if !batched {
-			pn = scalarOnlyNet{n}
-		}
-		p := New(pn, Config{}, 13)
-		for _, blk := range []*netsim.Block{blkA, blkB} {
-			if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return p, []netsim.BlockID{blkA.ID, blkB.ID}
-	}
-
-	pScalar, ids := build(false)
-	pBatch, _ := build(true)
-	if pScalar.batchNet != nil {
-		t.Fatal("wrapper still exposes DeliverBatch")
-	}
-	if pBatch.batchNet == nil {
-		t.Fatal("*netsim.Network should be detected as batched")
-	}
-
-	bcS, bcB := NewBatchContext(), NewBatchContext()
-	aOps := []float64{0.6, 0.4}
-	outS := make([]RoundObs, len(ids))
-	outB := make([]RoundObs, len(ids))
-	for r := 0; r < 32; r++ {
-		now := epoch.Add(time.Duration(r) * 660 * time.Second)
-		if err := pScalar.ProbeRoundsBatch(bcS, ids, aOps, now, outS); err != nil {
-			t.Fatal(err)
-		}
-		if err := pBatch.ProbeRoundsBatch(bcB, ids, aOps, now, outB); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ids {
-			if outS[i] != outB[i] {
-				t.Fatalf("round %d block %s: fallback %+v vs batch %+v", r, ids[i], outS[i], outB[i])
-			}
-		}
-	}
-}
-
 // TestProbeRoundsBatchErrors pins the argument contract: mismatched shapes
-// and untracked blocks fail up front.
+// and untracked blocks fail up front, before any lane has begun its round —
+// the tracked blocks ahead of an untracked id keep their round counter,
+// their walk position and the prober its unset epoch.
 func TestProbeRoundsBatchErrors(t *testing.T) {
 	n := netsim.NewNetwork(1)
 	blk := buildBlock(netsim.MakeBlockID(10, 5, 1), 40, 0, 0)
 	n.AddBlock(blk)
-	p := New(n, Config{}, 1)
+	p := New(n, Config{RestartInterval: time.Hour, RestartDowntimeFrac: 1}, 1)
 	if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 		t.Fatal(err)
 	}
 	bc := NewBatchContext()
 	out := make([]RoundObs, 2)
-	if err := p.ProbeRoundsBatch(bc, []netsim.BlockID{blk.ID}, []float64{0.5, 0.5}, at(0, 0, 0), out); err == nil {
+	// A few good rounds first, so that the failing calls — an hour after the
+	// first round, on the restart boundary, hence cold — have a walk position
+	// to reset.
+	for r := 0; r < 3; r++ {
+		if err := p.ProbeRoundsBatch(bc, []netsim.BlockID{blk.ID}, []float64{0.5}, at(0, 5, r*11), out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := p.ExportState()
+	if err := p.ProbeRoundsBatch(bc, []netsim.BlockID{blk.ID}, []float64{0.5, 0.5}, at(0, 6, 0), out); err == nil {
 		t.Fatal("shape mismatch should error")
 	}
 	ids := []netsim.BlockID{blk.ID, netsim.MakeBlockID(1, 2, 3)}
-	if err := p.ProbeRoundsBatch(bc, ids, []float64{0.5, 0.5}, at(0, 0, 0), out); err == nil {
+	if err := p.ProbeRoundsBatch(bc, ids, []float64{0.5, 0.5}, at(0, 6, 0), out); err == nil {
 		t.Fatal("untracked block should error")
+	}
+	if after := p.ExportState(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a failed call changed prober memory:\nbefore %+v\nafter  %+v", before, after)
 	}
 }
 
@@ -331,33 +340,36 @@ func buildGroupWorld(t *testing.T, withFaults bool) *groupWorld {
 // TestProbeRoundsBatchGroupMatchesScalar extends the equivalence gate to
 // mixed-prober wavefronts: with one prober per block (the pipeline's
 // arrangement), the grouped wavefront must reproduce sequential per-prober
-// scalar rounds exactly — observations, prober memory, ProbesSent, network
-// counters, and injector state.
+// ProbeRound calls exactly — observations, prober memory, ProbesSent,
+// network counters, and injector state.
 func TestProbeRoundsBatchGroupMatchesScalar(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		withFaults bool
-	}{
-		{"clean", false},
-		{"faulty", true},
-	} {
+	for _, tc := range equivalenceCases {
 		t.Run(tc.name, func(t *testing.T) {
 			ws := buildGroupWorld(t, tc.withFaults)
 			wb := buildGroupWorld(t, tc.withFaults)
+			if tc.laneRetry {
+				for _, w := range []*groupWorld{ws, wb} {
+					armLaneRetry(w.net, w.ids)
+					w.probers[0], w.probers[1] = w.probers[1], w.probers[0]
+				}
+			}
 
-			pc := NewProbeContext()
 			bc := NewBatchContext()
 			aOps := []float64{0.9, 0.4, 0.8, 0.3}
 			outB := make([]RoundObs, len(wb.ids))
 
 			var agg RoundObs
+			retriedBesidePositive := 0
 			for r := 0; r < 64; r++ {
 				now := epoch.Add(time.Duration(r) * 660 * time.Second)
 				if err := ProbeRoundsBatchGroup(bc, wb.probers, wb.ids, aOps, now, outB); err != nil {
 					t.Fatal(err)
 				}
+				if outB[0].Retries > 0 && outB[1].Positive == 1 && outB[1].Total == 1 {
+					retriedBesidePositive++
+				}
 				for i, id := range ws.ids {
-					obsS, err := ws.probers[i].ProbeRoundWith(pc, id, now, aOps[i])
+					obsS, err := ws.probers[i].ProbeRound(id, now, aOps[i])
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -377,6 +389,9 @@ func TestProbeRoundsBatchGroupMatchesScalar(t *testing.T) {
 			}
 			if tc.withFaults && (agg.Retries == 0 || agg.SendErrors == 0 || agg.RateLimited == 0) {
 				t.Fatalf("fault fixture too tame: %+v", agg)
+			}
+			if tc.laneRetry {
+				checkLaneRetry(t, retriedBesidePositive)
 			}
 
 			for i := range ws.probers {
@@ -400,61 +415,37 @@ func TestProbeRoundsBatchGroupMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestProbeRoundsBatchGroupFallbackAndErrors pins the group contract: shape
-// mismatches and untracked blocks error, and a group over a non-batched
-// network still matches the batched result exactly.
-func TestProbeRoundsBatchGroupFallbackAndErrors(t *testing.T) {
-	build := func(batched bool) *groupWorld {
-		n := netsim.NewNetwork(42)
-		blkA := buildBlock(netsim.MakeBlockID(10, 4, 1), 50, 50, 0.5)
-		blkB := buildBlock(netsim.MakeBlockID(10, 4, 2), 0, 80, 0.3)
-		w := &groupWorld{net: n}
-		var pn ProbeNetwork = n
-		for _, blk := range []*netsim.Block{blkA, blkB} {
-			n.AddBlock(blk)
-			if !batched {
-				pn = scalarOnlyNet{n}
-			}
-			p := New(pn, Config{}, 13^uint64(blk.ID))
-			if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
-				t.Fatal(err)
-			}
-			w.probers = append(w.probers, p)
-			w.ids = append(w.ids, blk.ID)
-		}
-		return w
-	}
-
-	wf := build(false)
-	wb := build(true)
-	bcF, bcB := NewBatchContext(), NewBatchContext()
-	aOps := []float64{0.6, 0.4}
-	outF := make([]RoundObs, 2)
-	outB := make([]RoundObs, 2)
-	for r := 0; r < 32; r++ {
-		now := epoch.Add(time.Duration(r) * 660 * time.Second)
-		if err := ProbeRoundsBatchGroup(bcF, wf.probers, wf.ids, aOps, now, outF); err != nil {
-			t.Fatal(err)
-		}
-		if err := ProbeRoundsBatchGroup(bcB, wb.probers, wb.ids, aOps, now, outB); err != nil {
-			t.Fatal(err)
-		}
-		for i := range wf.ids {
-			if outF[i] != outB[i] {
-				t.Fatalf("round %d block %s: fallback %+v vs group %+v", r, wf.ids[i], outF[i], outB[i])
-			}
-		}
-	}
-
+// TestProbeRoundsBatchGroupErrors pins the group contract: shape
+// mismatches, untracked blocks and probers on different networks error
+// before any lane has begun its round, and an empty group is a no-op.
+func TestProbeRoundsBatchGroupErrors(t *testing.T) {
+	w := buildGroupWorld(t, false)
 	bc := NewBatchContext()
-	if err := ProbeRoundsBatchGroup(bc, wb.probers[:1], wb.ids, aOps, at(0, 0, 0), outB); err == nil {
+	aOps := []float64{0.9, 0.4, 0.8, 0.3}
+	out := make([]RoundObs, len(w.ids))
+	if err := ProbeRoundsBatchGroup(bc, w.probers, w.ids, aOps, at(0, 0, 0), out); err != nil {
+		t.Fatal(err)
+	}
+	before := w.probers[0].ExportState()
+
+	if err := ProbeRoundsBatchGroup(bc, w.probers[:1], w.ids, aOps, at(0, 0, 11), out); err == nil {
 		t.Fatal("shape mismatch should error")
 	}
-	badIDs := []netsim.BlockID{wb.ids[0], netsim.MakeBlockID(1, 2, 3)}
-	if err := ProbeRoundsBatchGroup(bc, wb.probers, badIDs, aOps, at(0, 0, 0), outB); err == nil {
+	badIDs := append([]netsim.BlockID(nil), w.ids...)
+	badIDs[3] = netsim.MakeBlockID(1, 2, 3)
+	if err := ProbeRoundsBatchGroup(bc, w.probers, badIDs, aOps, at(0, 0, 11), out); err == nil {
 		t.Fatal("untracked block should error")
 	}
-	if err := ProbeRoundsBatchGroup(bc, nil, nil, nil, at(0, 0, 0), outB); err != nil {
+	elsewhere := buildGroupWorld(t, false)
+	mixed := append([]*Prober(nil), w.probers...)
+	mixed[3] = elsewhere.probers[3]
+	if err := ProbeRoundsBatchGroup(bc, mixed, w.ids, aOps, at(0, 0, 11), out); err == nil {
+		t.Fatal("probers on different networks should error")
+	}
+	if after := w.probers[0].ExportState(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("a failed call changed the first lane's prober memory:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if err := ProbeRoundsBatchGroup(bc, nil, nil, nil, at(0, 0, 11), out); err != nil {
 		t.Fatalf("empty group should be a no-op, got %v", err)
 	}
 }
@@ -503,7 +494,7 @@ func TestProbeRoundsBatchGroupAllocFree(t *testing.T) {
 // round over four blocks — marshal the wavefront, cross the boundary once,
 // classify, update beliefs — must not touch the heap. Runs without the
 // fault tap: reply corruption is copy-on-corrupt by contract and so pays
-// its allocation on the scalar path too.
+// its allocation whatever the path.
 func TestProbeRoundsBatchAllocFree(t *testing.T) {
 	w := buildBatchWorld(t, false)
 	bc := NewBatchContext()

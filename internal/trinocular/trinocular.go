@@ -32,21 +32,20 @@ import (
 )
 
 // ProbeNetwork is the slice of the network the prober needs: delivery of a
-// full IPv4 packet. *netsim.Network implements it; a raw-socket adapter
-// could too.
+// batch of full IPv4 packets in one boundary crossing. *netsim.Network
+// implements it; a raw-socket adapter could too.
 type ProbeNetwork interface {
-	DeliverIP(pkt []byte, now time.Time) netsim.Response
+	// DeliverBatch delivers pkts in order at virtual time now, returning
+	// one Response per packet.
+	//
+	//lint:aliases return: every Response.Data (and the slice itself) is a view into buf's reply arena, valid only until the next DeliverBatch on the same buffer
+	DeliverBatch(buf *netsim.BatchBuffer, pkts [][]byte, now time.Time) []netsim.Response
 }
 
-// ProbeNetworkBuffered is the optional fast path: networks that can build
-// the reply into a caller-owned ReplyBuffer instead of allocating it.
-// *netsim.Network implements it. New detects it once and routes every probe
-// through it, making the steady-state wire path allocation-free; plain
-// ProbeNetwork implementations keep working unchanged.
-type ProbeNetworkBuffered interface {
-	ProbeNetwork
-	DeliverIPInto(buf *netsim.ReplyBuffer, pkt []byte, now time.Time) netsim.Response
-}
+// ProbeNetworkBatched is ProbeNetwork under the name it had while a
+// per-packet interface existed beside it. Kept because bench/enact.go names
+// it, and a change to the program may not edit the benchmark.
+type ProbeNetworkBatched = ProbeNetwork
 
 // Config tunes the prober. The zero value is completed by defaults matching
 // the paper's deployment.
@@ -293,54 +292,28 @@ func (st *blockState) appendProbe(dst []byte, host byte) []byte {
 	return dst
 }
 
-// ProbeContext is the reusable wire scratch one probing worker threads
-// through its rounds: the marshalled probe packet and the network's reply
-// buffer. It used to live inside blockState, which retained
-// grown buffers per tracked block — O(blocks) steady-state memory. A
-// context belongs to one worker at a time (rounds sharing a context must not
-// run concurrently), so a monitor over a million blocks retains O(workers)
-// probe-context bytes, not O(blocks).
-type ProbeContext struct {
-	pktBuf []byte
-	reply  netsim.ReplyBuffer
+// sendScratch is the wire scratch behind sendProbe: a one-packet batch and
+// a BatchBuffer of its own. It is deliberately not the wavefront's buffer:
+// a lane that retries in the middle of a phase delivers through this one,
+// so the phase's reply views — which later lanes are still to be classified
+// from — stay valid.
+type sendScratch struct {
+	pkts [1][]byte
+	net  netsim.BatchBuffer
 }
 
-// NewProbeContext returns an empty context; buffers grow on first use and
-// are reused afterwards.
-func NewProbeContext() *ProbeContext { return &ProbeContext{} }
-
-// RetainedBytes reports the heap bytes the context currently retains — the
-// quantity the monitor's O(workers) memory contract is pinned against.
-func (pc *ProbeContext) RetainedBytes() int {
-	return cap(pc.pktBuf) + pc.reply.RetainedBytes()
-}
-
-// Prober drives adaptive probing over a set of blocks. After all blocks
-// are added, ProbeRound may be called concurrently for *distinct* blocks;
-// concurrent rounds for the same block are not supported (a real prober
-// never probes one block twice in a round either).
+// Prober drives adaptive probing over a set of blocks. A prober is driven
+// by one goroutine at a time: its rounds share the blocks' memory and one
+// send scratch. Workers that probe concurrently each own a prober (the
+// monitor's shards, the pipeline's per-block probers).
 type Prober struct {
-	cfg Config
-	net ProbeNetwork
-	// bufNet is net when it also implements ProbeNetworkBuffered (detected
-	// once in New), nil otherwise.
-	bufNet ProbeNetworkBuffered
-	// batchNet is net when it also implements ProbeNetworkBatched (detected
-	// once in New), nil otherwise; without it ProbeRoundsBatch degrades to
-	// scalar rounds.
-	batchNet  ProbeNetworkBatched
+	cfg       Config
+	net       ProbeNetwork
 	seed      uint64
 	epoch     time.Time // established on first round; restart phase reference
 	epochOnce sync.Once
 	states    map[netsim.BlockID]*blockState
-
-	// ctxMu guards the free-list of pooled probe contexts backing the
-	// context-less ProbeRound entry point. A plain free-list (not a
-	// sync.Pool) so the retained set is never GC-cleared and stays exactly
-	// at the peak number of concurrent rounds — the O(workers) bound.
-	ctxMu      sync.Mutex
-	ctxFree    []*ProbeContext
-	ctxCreated int64
+	wire      sendScratch
 
 	probesSent atomic.Int64
 	m          proberMetrics
@@ -393,12 +366,6 @@ func New(net ProbeNetwork, cfg Config, seed uint64) *Prober {
 		seed:   seed,
 		states: make(map[netsim.BlockID]*blockState),
 		m:      newProberMetrics(cfg.Metrics),
-	}
-	if bn, ok := net.(ProbeNetworkBuffered); ok {
-		p.bufNet = bn
-	}
-	if bn, ok := net.(ProbeNetworkBatched); ok {
-		p.batchNet = bn
 	}
 	return p
 }
@@ -466,74 +433,30 @@ func (p *Prober) inDowntimeWindow(id netsim.BlockID) bool {
 	return off < p.cfg.RestartDowntimeFrac
 }
 
-// getContext borrows a pooled probe context, creating one only when every
-// pooled context is already in flight.
-func (p *Prober) getContext() *ProbeContext {
-	p.ctxMu.Lock()
-	defer p.ctxMu.Unlock()
-	if n := len(p.ctxFree); n > 0 {
-		pc := p.ctxFree[n-1]
-		p.ctxFree[n-1] = nil
-		p.ctxFree = p.ctxFree[:n-1]
-		return pc
-	}
-	p.ctxCreated++
-	return NewProbeContext()
-}
-
-// putContext returns a borrowed context to the pool.
-func (p *Prober) putContext(pc *ProbeContext) {
-	p.ctxMu.Lock()
-	p.ctxFree = append(p.ctxFree, pc)
-	p.ctxMu.Unlock()
-}
-
-// ContextsCreated reports how many probe contexts the internal pool has ever
-// built: with k workers calling ProbeRound concurrently it converges to k
-// regardless of how many blocks are tracked. Callers that thread their own
-// context through ProbeRoundWith never touch the pool.
-func (p *Prober) ContextsCreated() int64 {
-	p.ctxMu.Lock()
-	defer p.ctxMu.Unlock()
-	return p.ctxCreated
-}
-
 // ProbeRound probes one block once, at virtual time now, using the caller's
 // current operational availability estimate aOp (clamped to [0.1, 1] as the
-// paper's policy requires). It returns the round's biased observation. Wire
-// scratch comes from the prober's internal context pool; workers that own a
-// long-lived context should call ProbeRoundWith instead.
+// paper's policy requires). It returns the round's biased observation. It
+// is the round by definition — one probe after another, each a one-packet
+// batch — and the reference ProbeRoundsBatch is tested against.
 func (p *Prober) ProbeRound(id netsim.BlockID, now time.Time, aOp float64) (RoundObs, error) {
-	pc := p.getContext()
-	defer p.putContext(pc)
-	return p.ProbeRoundWith(pc, id, now, aOp)
-}
-
-// ProbeRoundWith is ProbeRound with caller-owned wire scratch: the monitor's
-// shards each hold one ProbeContext for the lifetime of the shard, so probing
-// a million blocks retains O(shards) buffer bytes. The context must not be
-// shared with a concurrently probing worker.
-func (p *Prober) ProbeRoundWith(pc *ProbeContext, id netsim.BlockID, now time.Time, aOp float64) (RoundObs, error) {
 	st, ok := p.states[id]
 	if !ok {
 		return RoundObs{}, fmt.Errorf("trinocular: block %s not tracked", id)
 	}
-	//lint:allow hotalloc: once-guarded epoch capture; the closure is live only on the prober's very first round
 	p.epochOnce.Do(func() { p.epoch = now })
 	var rs roundState
 	p.beginRound(&rs, st, now, aOp)
-	p.scalarRound(&rs, pc, now)
+	p.sequentialRound(&rs, now)
 	p.finishRound(&rs)
 	return rs.obs, nil
 }
 
-// roundState is the in-flight state of one block's probing round, shared by
-// the scalar path (ProbeRoundWith) and the batch path (ProbeRoundsBatch):
+// roundState is the in-flight state of one block's probing round:
 // beginRound opens it, prepareProbe/applyOutcome advance it one probe at a
-// time, finishRound folds it back into the block's memory. Because both
-// paths drive the same probes through the same state machine, a batched
-// round is equivalent to a scalar round by construction — there is no
-// second belief/stop/debounce implementation to drift.
+// time, finishRound folds it back into the block's memory. ProbeRound and
+// the wavefront (ProbeRoundsBatch) drive the same probes through this one
+// state machine — there is no second belief/stop/debounce implementation
+// to drift.
 type roundState struct {
 	st        *blockState
 	obs       RoundObs
@@ -598,8 +521,8 @@ func (p *Prober) beginRound(rs *roundState, st *blockState, now time.Time, aOp f
 // prepareProbe advances the walk and sequence number for the round's next
 // probe and returns the host octet to target. The inputs of every probe —
 // target, sequence, timestamp — are fixed here, before any outcome is
-// known, which is what lets the batch path marshal a whole wavefront of
-// probes up front without changing the schedule.
+// known, which is what lets a wavefront phase marshal the next probe of
+// every lane up front without changing the schedule.
 func (rs *roundState) prepareProbe() byte {
 	st := rs.st
 	host := st.walk[st.pos]
@@ -608,17 +531,17 @@ func (rs *roundState) prepareProbe() byte {
 	return host
 }
 
-// scalarRound drives rs to completion through the scalar wire path, from
-// wherever it currently stands: ProbeRoundWith runs whole rounds through
-// it, and the batch path hands over lanes that hit a vantage-local send
-// failure (whose remaining probes happen at backoff-shifted times and so
-// leave the batch wavefront).
-func (p *Prober) scalarRound(rs *roundState, pc *ProbeContext, now time.Time) {
+// sequentialRound drives rs to completion one probe at a time, from
+// wherever it currently stands: ProbeRound runs whole rounds through it,
+// and the wavefront hands over lanes that hit a vantage-local send failure
+// (whose remaining probes happen at backoff-shifted times and so leave the
+// wavefront).
+func (p *Prober) sequentialRound(rs *roundState, now time.Time) {
 	for !rs.done {
 		host := rs.prepareProbe()
-		outcome := p.sendProbe(pc, rs, host, now.Add(rs.backoffUsed))
+		outcome := p.sendProbe(rs, host, now.Add(rs.backoffUsed))
 		if outcome == outcomeSendError {
-			outcome = p.retrySendErrors(rs, pc, host, now)
+			outcome = p.retrySendErrors(rs, host, now)
 		}
 		p.applyOutcome(rs, outcome)
 	}
@@ -628,7 +551,7 @@ func (p *Prober) scalarRound(rs *roundState, pc *ProbeContext, now time.Time) {
 // exponential backoff, jitter, and the round's cumulative backoff budget.
 // It returns the final outcome — still outcomeSendError when the attempt
 // cap or budget is exhausted first.
-func (p *Prober) retrySendErrors(rs *roundState, pc *ProbeContext, host byte, now time.Time) probeOutcome {
+func (p *Prober) retrySendErrors(rs *roundState, host byte, now time.Time) probeOutcome {
 	st := rs.st
 	outcome := outcomeSendError
 	for attempt := 1; attempt < p.cfg.Retry.MaxAttempts; attempt++ {
@@ -643,7 +566,7 @@ func (p *Prober) retrySendErrors(rs *roundState, pc *ProbeContext, host byte, no
 		rs.backoffUsed += d
 		rs.obs.Retries++
 		st.seq++
-		outcome = p.sendProbe(pc, rs, host, now.Add(rs.backoffUsed))
+		outcome = p.sendProbe(rs, host, now.Add(rs.backoffUsed))
 		if outcome != outcomeSendError {
 			break
 		}
@@ -764,31 +687,26 @@ const (
 )
 
 // sendProbe emits one IPv4-encapsulated ICMP echo for the round's current
-// sequence number and classifies the answer. Wire scratch comes from the
-// worker's ProbeContext, not the block; the attempt is tallied in rs.sent
-// so the probe counters flush once per round instead of once per probe.
-func (p *Prober) sendProbe(pc *ProbeContext, rs *roundState, host byte, now time.Time) probeOutcome {
+// sequence number, alone — a one-packet batch through the prober's own
+// send scratch — and classifies the answer. The attempt is tallied in
+// rs.sent so the probe counters flush once per round instead of once per
+// probe.
+func (p *Prober) sendProbe(rs *roundState, host byte, now time.Time) probeOutcome {
 	st := rs.st
-	pkt := st.appendProbe(pc.pktBuf[:0], host)
-	pc.pktBuf = pkt
+	w := &p.wire
+	w.pkts[0] = st.appendProbe(w.pkts[0][:0], host)
 	rs.sent++
-	var resp netsim.Response
-	if p.bufNet != nil {
-		// resp.Data aliases pc.reply: valid until this context's next probe,
-		// which is after every use below.
-		resp = p.bufNet.DeliverIPInto(&pc.reply, pkt, now)
-	} else {
-		resp = p.net.DeliverIP(pkt, now)
-	}
-	return p.classifyResponse(resp, ipv4.Addr(st.id.Addr(host).IP()), st.seq)
+	// The response is a view into w.net: valid until this prober's next
+	// sendProbe, which is after its only use below.
+	resps := p.net.DeliverBatch(&w.net, w.pkts[:], now)
+	return p.classifyResponse(resps[0], ipv4.Addr(st.id.Addr(host).IP()), st.seq)
 }
 
 // classifyResponse decides what one probe's round trip produced: a matching
 // echo reply from the probed address is positive; a destination-unreachable
 // quoting our probe is an informative negative (admin-prohibited meaning
 // rate limiting); anything else (timeout, malformed, mismatched) counts as
-// silence. Shared verbatim by the scalar and batch wire paths, so the two
-// cannot disagree about what a reply means.
+// silence.
 func (p *Prober) classifyResponse(resp netsim.Response, target ipv4.Addr, seq uint16) probeOutcome {
 	if resp.SendFailed {
 		return outcomeSendError
@@ -870,8 +788,8 @@ func clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// BlockState is the serializable per-block prober memory, used by the
-// campaign supervisor's checkpoint files. The pseudorandom walk itself is
+// BlockState is the serializable per-block prober memory, carried by the
+// monitor's WAL records and snapshots. The pseudorandom walk itself is
 // not stored: it is a pure function of (seed, ever-active set) and is
 // rebuilt by AddBlock; only the cursor position travels.
 type BlockState struct {
