@@ -16,6 +16,11 @@
 //
 //	sleepscan monitor [-blocks N] [-rounds N] [-shards N] [-seed N]
 //	                  [-wal DIR] [-sync] [-snapshot-every N] [-o FILE]
+//
+// The serve subcommand runs the same campaign (same flags, campaign.go)
+// behind the live HTTP query layer:
+//
+//	sleepscan serve [campaign flags] [-listen ADDR]
 package main
 
 import (

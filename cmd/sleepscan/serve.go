@@ -26,61 +26,27 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"sleepnet/internal/analysis"
-	"sleepnet/internal/metrics"
 	"sleepnet/internal/monitor"
-	"sleepnet/internal/report"
 	"sleepnet/internal/serve"
-	"sleepnet/internal/world"
 )
 
 func runServe(argv []string) {
 	fs := flag.NewFlagSet("sleepscan serve", flag.ExitOnError)
-	blocks := fs.Int("blocks", 500, "number of /24 blocks in the world")
-	rounds := fs.Int("rounds", 131, "rounds to monitor (131 x 11 min is about one day)")
-	shards := fs.Int("shards", 4, "worker shards")
-	seed := fs.Uint64("seed", 42, "seed")
-	outages := fs.Float64("outages", 0.15, "base outage episodes per block-week (0 disables)")
-	walDir := fs.String("wal", "", "durability directory; re-run with the same value to resume")
-	syncWAL := fs.Bool("sync", false, "fsync every WAL record (power-cut safe, slower)")
-	snapEvery := fs.Int("snapshot-every", 16, "snapshot each shard every N rounds")
+	c := campaignFlags(fs)
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
-	withMetrics := fs.Bool("metrics", false, "report run-cost metrics on stdout when done")
-	metricsOut := fs.String("metricsout", "", "write the metrics snapshot (JSON) to this file")
 	_ = fs.Parse(argv) // ExitOnError: Parse never returns an error
 
-	w, err := world.Generate(world.Config{
-		Blocks:              *blocks,
-		Seed:                *seed,
-		OutagesPerBlockWeek: *outages,
-	})
-	fatal(err)
-
-	reg := metrics.New()
-	eng := serve.NewEngine(serve.EngineConfig{Metrics: reg})
-	tick := time.NewTicker(2 * time.Second)
-	defer tick.Stop()
-
-	m, err := monitor.New(monitor.Config{
-		Net:           w.Net,
-		Start:         analysis.DefaultStart,
-		Rounds:        *rounds,
-		Shards:        *shards,
-		Seed:          *seed,
-		WALDir:        *walDir,
-		SyncWAL:       *syncWAL,
-		SnapshotEvery: *snapEvery,
-		WatchdogTick:  tick.C,
-		Metrics:       reg,
-		Sink:          eng,
-	})
-	fatal(explainWALError(err, *walDir))
+	cfg, stopTick := c.monitorConfig()
+	defer stopTick()
+	eng := serve.NewEngine(serve.EngineConfig{Metrics: c.reg})
+	cfg.Sink = eng
+	m, err := monitor.New(cfg)
+	fatal(explainWALError(err, *c.walDir))
 
 	ln, err := net.Listen("tcp", *listen)
 	fatal(err)
-	srv := serve.NewServer(eng, serve.ServerConfig{Metrics: reg})
+	srv := serve.NewServer(eng, serve.ServerConfig{Metrics: c.reg})
 	srvCtx, srvStop := context.WithCancel(context.Background())
 	defer srvStop()
 	srvDone := make(chan error, 1)
@@ -89,7 +55,7 @@ func runServe(argv []string) {
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	fmt.Printf("monitoring %d blocks across %d shards for %d rounds\n",
-		m.NumBlocks(), m.NumShards(), *rounds)
+		m.NumBlocks(), m.NumShards(), *c.rounds)
 	res, err := m.Run(ctx)
 	stop()
 
@@ -107,9 +73,7 @@ func runServe(argv []string) {
 		fmt.Fprintf(os.Stderr, "monitor failed: %v — serving last epoch degraded\n", err)
 		eng.SetDegraded()
 	default:
-		if err != nil {
-			fatal(err)
-		}
+		fatal(explainWALError(err, *c.walDir))
 		fmt.Printf("stopped without completing (%d shards quarantined); serving degraded\n",
 			len(res.Quarantined))
 		eng.SetDegraded()
@@ -122,15 +86,5 @@ func runServe(argv []string) {
 	srvStop()
 	fatal(<-srvDone)
 
-	if *withMetrics {
-		fmt.Println("\nrun metrics:")
-		fmt.Print(report.Metrics(reg.Snapshot()))
-	}
-	if *metricsOut != "" {
-		f, ferr := os.Create(*metricsOut)
-		fatal(ferr)
-		fatal(reg.Snapshot().WriteJSON(f))
-		fatal(f.Close())
-		fmt.Printf("metrics snapshot written to %s\n", *metricsOut)
-	}
+	c.dumpMetrics()
 }

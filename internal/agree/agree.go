@@ -17,15 +17,15 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"sleepnet/internal/analysis"
 	"sleepnet/internal/core"
 	"sleepnet/internal/faults"
+	"sleepnet/internal/netsim"
 	"sleepnet/internal/serve"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 	"sleepnet/internal/world"
 )
@@ -69,16 +69,11 @@ type Config struct {
 	Seed uint64
 	// Workers bounds per-condition parallelism (default GOMAXPROCS).
 	Workers int
-	// MinClassifyRounds is the streaming classification floor; 0 selects the
-	// engine default (one virtual day of rounds).
-	MinClassifyRounds int
-	// Retry is the prober's retry policy (default: 3 attempts, matching the
-	// fault sweep's resilient configuration).
-	Retry trinocular.RetryConfig
-	// QuarantineFailedFrac excludes blocks whose failed-round fraction
-	// exceeds it, mirroring the study quarantine policy (default 0.25).
-	QuarantineFailedFrac float64
 }
+
+// retryAttempts is the prober's retry policy, matching the fault sweep's
+// resilient configuration.
+const retryAttempts = 3
 
 func (c Config) withDefaults() Config {
 	if c.Scenarios == nil {
@@ -95,15 +90,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Days == 0 {
 		c.Days = 7
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Retry.MaxAttempts == 0 {
-		c.Retry.MaxAttempts = 3
-	}
-	if c.QuarantineFailedFrac == 0 {
-		c.QuarantineFailedFrac = 0.25
 	}
 	return c
 }
@@ -322,7 +308,10 @@ type blockOutcome struct {
 // given Config regardless of Workers.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	rep := &Report{Seed: cfg.Seed, Blocks: cfg.Blocks, Days: cfg.Days}
+	// The streaming classification floor is the engine's default: one
+	// virtual day of rounds.
+	minClassify := serve.NewBasis(timeseries.DefaultRound).DefaultMinClassify()
+	rep := &Report{Seed: cfg.Seed, Blocks: cfg.Blocks, Days: cfg.Days, MinClassify: minClassify}
 	levels := faults.SweepLevels(cfg.Seed, cfg.LossRates, cfg.RateLimits)
 	for si, sc := range cfg.Scenarios {
 		wc := sc.World
@@ -335,12 +324,7 @@ func Run(cfg Config) (*Report, error) {
 			return nil, fmt.Errorf("agree: scenario %s: %w", sc.Name, err)
 		}
 		for _, lvl := range levels {
-			cond, minClassify, err := runCondition(cfg, sc.Name, w, lvl)
-			if err != nil {
-				return nil, fmt.Errorf("agree: %s/%s: %w", sc.Name, lvl.Label, err)
-			}
-			rep.MinClassify = minClassify
-			rep.Conditions = append(rep.Conditions, cond)
+			rep.Conditions = append(rep.Conditions, runCondition(cfg, sc.Name, w, lvl, minClassify))
 		}
 	}
 	return rep, nil
@@ -348,44 +332,26 @@ func Run(cfg Config) (*Report, error) {
 
 // runCondition measures one world under one fault level and replays every
 // block through both detectors.
-func runCondition(cfg Config, scenario string, w *world.World, lvl faults.Level) (Condition, int, error) {
+func runCondition(cfg Config, scenario string, w *world.World, lvl faults.Level, minClassify int) Condition {
 	pcfg := core.PipelineConfig{
 		Start:  analysis.DefaultStart,
 		Rounds: analysis.RoundsForDays(cfg.Days),
 		Seed:   cfg.Seed,
-		Prober: trinocular.Config{Retry: cfg.Retry},
+		Prober: trinocular.Config{Retry: trinocular.RetryConfig{MaxAttempts: retryAttempts}},
 	}
 	pl := core.NewPipeline(w.Net, pcfg)
 
-	if lvl.Config.Active() {
-		fc := lvl.Config
-		fc.Epoch = pcfg.Start
-		w.Net.SetTap(faults.New(fc))
-		defer w.Net.SetTap(nil)
-	}
+	_, detach := faults.Attach(w.Net, lvl.Config, pcfg.Start)
+	defer detach()
 
-	minClassify := cfg.MinClassifyRounds
-	if minClassify <= 0 {
-		minClassify = serve.NewBasis(pl.Config().Period).DefaultMinClassify()
+	ids := make([]netsim.BlockID, len(w.Blocks))
+	for i, b := range w.Blocks {
+		ids[i] = b.ID
 	}
-
 	outcomes := make([]blockOutcome, len(w.Blocks))
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for wk := 0; wk < cfg.Workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				outcomes[i] = replayBlock(pl, w.Blocks[i], cfg, minClassify)
-			}
-		}()
-	}
-	for i := range w.Blocks {
-		idxCh <- i
-	}
-	close(idxCh)
-	wg.Wait()
+	pl.RunAll(ids, cfg.Workers, func(i int, run *core.BlockRun, err error) {
+		outcomes[i] = replayBlock(pcfg, run, err, minClassify)
+	})
 
 	cond := Condition{Scenario: scenario, Fault: lvl.Label, Blocks: len(w.Blocks)}
 	var phaseErrs, sleepDeltas, stables []float64
@@ -421,16 +387,15 @@ func runCondition(cfg Config, scenario string, w *world.World, lvl faults.Level)
 	cond.PhaseErrRad = summarize(phaseErrs)
 	cond.SleepDeltaHours = summarize(sleepDeltas)
 	cond.RoundsToStable = summarize(stables)
-	return cond, minClassify, nil
+	return cond
 }
 
-// replayBlock measures one block through the batch pipeline and replays its
-// cleaned Âs series through the streaming classifier. Both detectors see
-// the identical per-round series; disagreement is therefore attributable to
-// the classifiers, not their inputs.
-func replayBlock(pl *core.Pipeline, info *world.BlockInfo, cfg Config, minClassify int) blockOutcome {
+// replayBlock takes one block's batch measurement and replays its cleaned Âs
+// series through the streaming classifier. Both detectors see the identical
+// per-round series; disagreement is therefore attributable to the
+// classifiers, not their inputs.
+func replayBlock(pcfg core.PipelineConfig, run *core.BlockRun, err error, minClassify int) blockOutcome {
 	var o blockOutcome
-	run, err := pl.RunBlock(info.ID)
 	if err != nil {
 		if isSparse(err) {
 			o.sparse = true
@@ -439,9 +404,8 @@ func replayBlock(pl *core.Pipeline, info *world.BlockInfo, cfg Config, minClassi
 		}
 		return o
 	}
-	rounds := pl.Config().Rounds
-	if rounds > 0 && float64(run.FailedRounds)/float64(rounds) > cfg.QuarantineFailedFrac {
-		// The study layer would quarantine this block; its classification is
+	if analysis.Quarantined(run.FailedRounds, pcfg.Rounds) {
+		// The study layer quarantines this block; its classification is
 		// unreliable on both paths, so it does not enter the matrix.
 		o.quarantined = true
 		return o
@@ -454,7 +418,7 @@ func replayBlock(pl *core.Pipeline, info *world.BlockInfo, cfg Config, minClassi
 	// Streaming path: replay the same cleaned series round by round, the
 	// way the monitor would publish it into the serve engine, tracking when
 	// the class last changed.
-	rp := serve.NewReplayer(pl.Config().Start, pl.Config().Period, minClassify)
+	rp := serve.NewReplayer(pcfg.Start, timeseries.DefaultRound, minClassify)
 	cur := serve.ClassUnknown
 	lastChange := 0
 	for r, v := range run.Short.Values {
@@ -476,7 +440,7 @@ func replayBlock(pl *core.Pipeline, info *world.BlockInfo, cfg Config, minClassi
 		// The batch phase is anchored at midnight UTC (the trim); the
 		// streaming phase at the campaign start. Re-anchor the streaming
 		// phase to midnight before comparing angles.
-		startHour := startOfDayHourUTC(pl.Config().Start)
+		startHour := startOfDayHourUTC(pcfg.Start)
 		streamAtMidnight := streamPhase - 2*math.Pi*startHour/24
 		o.phaseErrRad = circDistRad(streamAtMidnight, run.Result.Phase)
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"sleepnet/internal/core"
+	"sleepnet/internal/netsim"
 	"sleepnet/internal/world"
 )
 
@@ -31,65 +32,49 @@ type CampusCategoryResult struct {
 }
 
 // ValidateCampus measures a campus with the standard pipeline and
-// cross-tabulates detection against the generator's ground truth.
+// cross-tabulates detection against the generator's ground truth. The
+// campus is measured in one pass on a clean wire: sc's fault model and
+// checkpoint fields do not apply.
 func ValidateCampus(c *world.Campus, sc StudyConfig) (*CampusResult, error) {
 	sc = sc.withDefaults()
-	cfg := core.PipelineConfig{
-		Start:  sc.Start,
-		Rounds: RoundsForDays(sc.Days),
-		Seed:   sc.Seed,
+	pl := core.NewPipeline(c.Net, sc.pipelineConfig())
+	ids := make([]netsim.BlockID, len(c.Blocks))
+	for i, cb := range c.Blocks {
+		ids[i] = cb.ID
 	}
-	pl := core.NewPipeline(c.Net, cfg)
 	res := &CampusResult{PerCategory: make(map[world.CampusCategory]*CampusCategoryResult)}
 	var mu sync.Mutex
-	var wg sync.WaitGroup
-	ch := make(chan *world.CampusBlock)
-	errCh := make(chan error, sc.Workers)
-	for i := 0; i < sc.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for cb := range ch {
-				run, err := pl.RunBlock(cb.ID)
-				mu.Lock()
-				cat := res.PerCategory[cb.Category]
-				if cat == nil {
-					cat = &CampusCategoryResult{}
-					res.PerCategory[cb.Category] = cat
-				}
-				cat.Total++
-				switch {
-				case err != nil && isSparse(err):
-					cat.Excluded++
-					res.Excluded++
-				case err != nil:
-					select {
-					case errCh <- err:
-					default:
-					}
-				default:
-					cat.Probed++
-					res.Measured++
-					if run.Result.Class.IsDiurnal() {
-						cat.Detected++
-					}
-					if run.Result.Class == core.StrictDiurnal {
-						cat.Strict++
-					}
-				}
-				mu.Unlock()
+	var firstErr error
+	pl.RunAll(ids, sc.Workers, func(i int, run *core.BlockRun, err error) {
+		mu.Lock()
+		defer mu.Unlock()
+		cat := res.PerCategory[c.Blocks[i].Category]
+		if cat == nil {
+			cat = &CampusCategoryResult{}
+			res.PerCategory[c.Blocks[i].Category] = cat
+		}
+		cat.Total++
+		switch {
+		case err != nil && isSparse(err):
+			cat.Excluded++
+			res.Excluded++
+		case err != nil:
+			if firstErr == nil {
+				firstErr = err
 			}
-		}()
-	}
-	for _, cb := range c.Blocks {
-		ch <- cb
-	}
-	close(ch)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
+		default:
+			cat.Probed++
+			res.Measured++
+			if run.Result.Class.IsDiurnal() {
+				cat.Detected++
+			}
+			if run.Result.Class == core.StrictDiurnal {
+				cat.Strict++
+			}
+		}
+	})
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if res.Measured == 0 {
 		return nil, fmt.Errorf("analysis: no campus blocks measured")

@@ -3,6 +3,7 @@ package analysis
 import (
 	"testing"
 
+	"sleepnet/internal/metrics"
 	"sleepnet/internal/world"
 )
 
@@ -39,9 +40,14 @@ func TestCampusValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ValidateCampus(c, StudyConfig{Days: 14, Seed: 9})
+	reg := metrics.New()
+	res, err := ValidateCampus(c, StudyConfig{Days: 14, Seed: 9, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The campus run is configured like any study: the registry sees it.
+	if got := reg.Snapshot().Counter("pipeline.blocks_measured"); got != int64(res.Measured) {
+		t.Fatalf("pipeline.blocks_measured = %d, want the %d measured blocks", got, res.Measured)
 	}
 	// The paper's §3.2.4 structural findings:
 	// 1. Most wireless blocks are excluded by the 15-active probing floor.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -107,39 +108,17 @@ func openCheckpoint(path string, w *world.World, sc StudyConfig, study *Study) (
 
 	// Rewrite the file from the header plus recovered lines (atomically, so
 	// a kill during the rewrite cannot lose them), then reopen for append.
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
-	}
-	bw := bufio.NewWriter(f)
-	enc := json.NewEncoder(bw)
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
 	if err := enc.Encode(&header); err != nil {
-		_ = f.Close() // best effort on the error path; the temp file is abandoned
 		return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
 	}
 	for i := range recovered {
 		if err := enc.Encode(&recovered[i]); err != nil {
-			_ = f.Close() // best effort on the error path; the temp file is abandoned
 			return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		_ = f.Close() // best effort on the error path; the temp file is abandoned
-		return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
-	}
-	// The rename only makes the rewrite durable if the temp file hits disk
-	// first and the directory entry after (caught by sleeplint fsyncorder:
-	// a crash between rename and dir sync could lose the recovered lines
-	// the comment above promises to keep).
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // best effort on the error path; the temp file is abandoned
-		return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
-	}
-	if err := durable.Rename(tmp, path); err != nil {
+	if err := durable.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
 		return nil, nil, fmt.Errorf("analysis: checkpoint: %w", err)
 	}
 	af, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)

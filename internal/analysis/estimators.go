@@ -46,60 +46,40 @@ const (
 // comparisons, as the paper excludes the "inaccurate initial value".
 const warmupRounds = 200
 
-// surveyor is the per-block work of the truth validations: the adaptive
-// measurement and the exhaustive survey. core.Pipeline in production; the
-// tests substitute one whose survey fails.
+// surveyor is what the truth validations need of a pipeline: the adaptive
+// measurement of every block and the exhaustive survey of one.
+// core.Pipeline in production; the tests substitute one whose survey fails.
 type surveyor interface {
-	RunBlock(netsim.BlockID) (*core.BlockRun, error)
+	RunAll(ids []netsim.BlockID, workers int, fn func(i int, run *core.BlockRun, err error))
 	Survey(netsim.BlockID) (timeseries.Series, error)
 }
 
-// forEachSurveyed probes and surveys every block on workers goroutines and
-// hands each (run, survey) pair to fn, which is called concurrently. Blocks
-// below Trinocular's policy floor are skipped, by design; any other
-// failure, fn's included, is reported once every block has been tried —
-// the first one wins.
+// forEachSurveyed probes and surveys every block and hands each (run,
+// survey) pair to fn, which is called concurrently. Blocks below
+// Trinocular's policy floor are skipped, by design; any other failure, fn's
+// included, is reported once every block has been tried — the first one
+// wins.
 func forEachSurveyed(pl surveyor, blocks []*world.BlockInfo, workers int, fn func(*core.BlockRun, timeseries.Series) error) error {
-	if workers <= 0 {
-		workers = 4
+	ids := make([]netsim.BlockID, len(blocks))
+	for i, b := range blocks {
+		ids[i] = b.ID
 	}
-	var (
-		wg       sync.WaitGroup
-		errOnce  sync.Once
-		firstErr error
-	)
-	one := func(id netsim.BlockID) error {
-		run, err := pl.RunBlock(id)
+	var first firstError
+	pl.RunAll(ids, workers, func(i int, run *core.BlockRun, err error) {
 		if err != nil {
-			if isSparse(err) {
-				return nil
+			if !isSparse(err) {
+				first.set(err)
 			}
-			return err
+			return
 		}
-		sv, err := pl.Survey(id)
+		sv, err := pl.Survey(ids[i])
 		if err != nil {
-			return err
+			first.set(err)
+			return
 		}
-		return fn(run, sv)
-	}
-	ch := make(chan netsim.BlockID)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for id := range ch {
-				if err := one(id); err != nil {
-					errOnce.Do(func() { firstErr = err })
-				}
-			}
-		}()
-	}
-	for _, b := range blocks {
-		ch <- b.ID
-	}
-	close(ch)
-	wg.Wait()
-	return firstErr
+		first.set(fn(run, sv))
+	})
+	return first.err
 }
 
 // CompareEstimatorToTruth reproduces Figs 4 and 5: it probes every block of

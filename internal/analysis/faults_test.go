@@ -24,49 +24,6 @@ func blockJSON(t *testing.T, mb MeasuredBlock) string {
 	return string(data)
 }
 
-// TestMeasureWorldGroupSizeInvariance is the study-level gate on the
-// wavefront: over a faulty world, studies measured in lockstep groups of 7
-// and 64 blocks must agree block for block with the study that measures
-// every block alone — same classifications, same degradation counters,
-// same fault accounting.
-func TestMeasureWorldGroupSizeInvariance(t *testing.T) {
-	w, err := world.Generate(world.Config{Blocks: 40, Seed: 41})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := StudyConfig{
-		Days: 3,
-		Seed: 41,
-		Faults: faults.Config{
-			Seed:              41 ^ 0xfa17,
-			LossRate:          0.02,
-			CorruptRate:       0.01,
-			RateLimitPerRound: 12,
-		},
-		Retry: trinocular.RetryConfig{MaxAttempts: 2},
-	}
-
-	want, err := measureWorld(w, cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.FaultTotals().Probes == 0 {
-		t.Fatal("fault fixture saw no probes; the invariance is vacuous")
-	}
-
-	for _, group := range []int{7, 64} {
-		got, err := measureWorld(w, cfg, group)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want.Blocks {
-			if blockJSON(t, got.Blocks[i]) != blockJSON(t, want.Blocks[i]) {
-				t.Fatalf("group size %d, block %d: the study diverged from the one measured block by block", group, i)
-			}
-		}
-	}
-}
-
 // TestMeasureWorldCheckpointResume simulates a killed study: a complete
 // checkpoint file is truncated to a prefix plus a torn trailing line, and the
 // resumed run must reproduce the uninterrupted study exactly.

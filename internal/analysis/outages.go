@@ -7,6 +7,7 @@ import (
 
 	"sleepnet/internal/outage"
 	"sleepnet/internal/stats"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/world"
 )
 
@@ -41,7 +42,7 @@ func (s *Study) OutageTable(minBlocks int, excludeDiurnal bool) []OutageRow {
 		code := b.Info.Country.Code
 		byCountry[code] = append(byCountry[code], b.Outage)
 	}
-	weeks := float64(s.Cfg.Rounds) * s.Cfg.Period.Hours() / (24 * 7)
+	weeks := float64(s.Cfg.Rounds) * timeseries.DefaultRound.Hours() / (24 * 7)
 	var rows []OutageRow
 	for _, code := range s.sortedCountryCodes() {
 		sums := byCountry[code]

@@ -13,8 +13,8 @@ import (
 
 // SweepConfig describes the controlled diurnal-block simulation of §3.2.2:
 // one /24 with Stable always-on addresses and NDiurnal addresses that are
-// up for UpHours and down the rest of each day, with phase spread Φ and
-// per-day start/duration noise. The sweep repeats the experiment
+// up for upHours and down the rest of each day, with phase spread Φ and
+// per-day duration noise. The sweep repeats the experiment
 // PerBatch times in each of Batches batches and reports detection accuracy
 // (fraction of experiments classified strictly diurnal).
 type SweepConfig struct {
@@ -26,14 +26,14 @@ type SweepConfig struct {
 	// PhaseSpread is Φ: each address's daily on-time is drawn once,
 	// uniformly in [0, Φ] after the base hour.
 	PhaseSpread time.Duration
-	// StartSigma (σs) and DurationSigma (σd) are per-day noise.
-	StartSigma    time.Duration
+	// DurationSigma (σd) is per-day noise on the on-period's length.
 	DurationSigma time.Duration
-	// UpHours is the daily on-period length (default 8).
-	UpHours float64
-	Seed    uint64
-	Workers int
+	Seed          uint64
+	Workers       int
 }
+
+// upHours is the daily on-period length.
+const upHours = 8
 
 func (c SweepConfig) withDefaults() SweepConfig {
 	if c.Batches == 0 {
@@ -50,9 +50,6 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	}
 	if c.NDiurnal == 0 {
 		c.NDiurnal = 100
-	}
-	if c.UpHours == 0 {
-		c.UpHours = 8
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -75,6 +72,12 @@ type SweepPoint struct {
 
 // RunSweepPoint runs Batches x PerBatch controlled experiments and scores
 // strict-diurnal detection accuracy.
+//
+// It keeps a worker pool of its own, the one batch campaign that does not go
+// through core.Pipeline.RunAll: its jobs are not blocks of one network but
+// whole single-block networks, each with a pipeline seeded per experiment,
+// so regrouping them into one campaign would re-seed every prober and move
+// Figs 7–9.
 func RunSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 	cfg = cfg.withDefaults()
 	if cfg.NDiurnal < 1 || cfg.NDiurnal+cfg.Stable > 255 {
@@ -167,8 +170,7 @@ func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 		phi := time.Duration(r.Float64() * float64(cfg.PhaseSpread))
 		hosts[h] = netsim.Diurnal{
 			Phase:         9*time.Hour + phi,
-			Duration:      time.Duration(cfg.UpHours * float64(time.Hour)),
-			StartSigma:    cfg.StartSigma,
+			Duration:      upHours * time.Hour,
 			DurationSigma: cfg.DurationSigma,
 			Seed:          seed + uint64(h)*977,
 		}

@@ -13,7 +13,6 @@ package analysis
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -23,6 +22,7 @@ import (
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/outage"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 	"sleepnet/internal/world"
 )
@@ -107,24 +107,20 @@ type StudyConfig struct {
 	RestartInterval time.Duration
 	// MissingRate/DuplicateRate forward collection artifacts.
 	MissingRate, DuplicateRate float64
-	// Start overrides the campaign start time.
-	Start time.Time
 	// Faults, when active, attaches a fault injector to the world's network
-	// for the duration of the measurement. Its Epoch defaults to Start.
+	// for the duration of the measurement. Its Epoch defaults to the
+	// campaign start (DefaultStart).
 	Faults faults.Config
 	// Retry forwards the prober's retry policy for vantage-local failures.
 	Retry trinocular.RetryConfig
-	// QuarantineFailedFrac is the failed-round fraction above which a block
-	// is quarantined instead of classified (default 0.25).
-	QuarantineFailedFrac float64
 	// CheckpointPath, when set, appends each measured block to a JSONL
 	// checkpoint file as it completes.
 	CheckpointPath string
 	// Resume skips blocks already present in CheckpointPath.
 	Resume bool
 	// Metrics, when non-nil, receives study-level counters (blocks measured,
-	// sparse, failed, partial, quarantined) plus a per-block wall-time
-	// histogram, and is forwarded to the pipeline and prober underneath.
+	// sparse, failed, partial, quarantined) and is forwarded to the pipeline
+	// and prober underneath.
 	Metrics *metrics.Registry
 }
 
@@ -132,61 +128,54 @@ func (c StudyConfig) withDefaults() StudyConfig {
 	if c.Days == 0 {
 		c.Days = 14
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Start.IsZero() {
-		c.Start = DefaultStart
-	}
-	if c.QuarantineFailedFrac == 0 {
-		c.QuarantineFailedFrac = 0.25
-	}
 	return c
 }
 
-// studyGroupSize is how many blocks one worker measures in lockstep so their
-// rounds share a wavefront's boundary crossing. Per-block results do not
-// depend on it (TestMeasureWorldGroupSizeInvariance); 64 amortizes the
-// crossing while keeping a worker's in-flight records small.
-const studyGroupSize = 64
+// pipelineConfig is the one mapping from a (defaulted) study configuration
+// to the pipeline's.
+func (c StudyConfig) pipelineConfig() core.PipelineConfig {
+	return core.PipelineConfig{
+		Start:         DefaultStart,
+		Rounds:        RoundsForDays(c.Days),
+		Seed:          c.Seed,
+		MissingRate:   c.MissingRate,
+		DuplicateRate: c.DuplicateRate,
+		Prober:        trinocular.Config{RestartInterval: c.RestartInterval, Retry: c.Retry},
+		Metrics:       c.Metrics,
+	}
+}
+
+// firstError keeps the first error reported by RunAll's concurrent
+// callbacks; later ones, and nil, are dropped.
+type firstError struct {
+	mu  sync.Mutex
+	err error
+}
+
+func (f *firstError) set(err error) {
+	if err == nil {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		f.err = err
+	}
+}
 
 // MeasureWorld runs the full §2 pipeline over every block of the world in
 // parallel and returns the per-block classifications.
 func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
-	return measureWorld(w, sc, studyGroupSize)
-}
-
-// measureWorld is MeasureWorld with the lockstep group size a parameter, so
-// the invariance test can vary it.
-func measureWorld(w *world.World, sc StudyConfig, groupSize int) (*Study, error) {
 	sc = sc.withDefaults()
 	if len(w.Blocks) == 0 {
 		return nil, fmt.Errorf("analysis: world has no blocks")
 	}
-	cfg := core.PipelineConfig{
-		Start:         sc.Start,
-		Rounds:        RoundsForDays(sc.Days),
-		Seed:          sc.Seed,
-		MissingRate:   sc.MissingRate,
-		DuplicateRate: sc.DuplicateRate,
-		Prober:        trinocular.Config{RestartInterval: sc.RestartInterval, Retry: sc.Retry},
-		Metrics:       sc.Metrics,
-	}
-	pl := core.NewPipeline(w.Net, cfg)
+	pl := core.NewPipeline(w.Net, sc.pipelineConfig())
 	sm := newStudyMetrics(sc.Metrics)
 	study := &Study{World: w, Cfg: pl.Config(), Blocks: make([]MeasuredBlock, len(w.Blocks))}
 
-	// Attach the fault injector for the duration of the measurement.
-	var inj *faults.Injector
-	if sc.Faults.Active() {
-		fc := sc.Faults
-		if fc.Epoch.IsZero() {
-			fc.Epoch = sc.Start
-		}
-		inj = faults.New(fc)
-		w.Net.SetTap(inj)
-		defer w.Net.SetTap(nil)
-	}
+	inj, detach := faults.Attach(w.Net, sc.Faults, study.Cfg.Start)
+	defer detach()
 
 	// Block-level checkpointing: blocks measured by a previous (killed) run
 	// are loaded from the JSONL file and skipped; newly measured blocks are
@@ -202,69 +191,27 @@ func measureWorld(w *world.World, sc StudyConfig, groupSize int) (*Study, error)
 		defer cw.Close()
 	}
 
-	// Work is dealt in groups: one worker measures a group of blocks in
-	// lockstep so every round of the group crosses the netsim boundary as
-	// one batched wavefront (RunBlocks).
-	var groups [][]int
-	var cur []int
-	for i := range w.Blocks {
-		if done[i] {
-			continue
-		}
-		cur = append(cur, i)
-		if len(cur) == groupSize {
-			groups = append(groups, cur)
-			cur = nil
+	todo := make([]int, 0, len(w.Blocks)) // world indexes still to measure
+	ids := make([]netsim.BlockID, 0, len(w.Blocks))
+	for i, b := range w.Blocks {
+		if !done[i] {
+			todo = append(todo, i)
+			ids = append(ids, b.ID)
 		}
 	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-
-	var wg sync.WaitGroup
-	groupCh := make(chan []int)
-	errCh := make(chan error, sc.Workers)
-	commit := func(i int, mb MeasuredBlock) {
-		finishBlock(&mb, inj, cfg.Rounds, sc.QuarantineFailedFrac)
+	var ckptErr firstError
+	pl.RunAll(ids, sc.Workers, func(k int, run *core.BlockRun, err error) {
+		i := todo[k]
+		mb := blockFromRun(w.Blocks[i], run, err)
+		finishBlock(&mb, inj, study.Cfg.Rounds)
 		sm.record(mb)
 		study.Blocks[i] = mb
 		if cw != nil {
-			if err := cw.Append(i, mb); err != nil {
-				select {
-				case errCh <- err:
-				default:
-				}
-			}
+			ckptErr.set(cw.Append(i, mb))
 		}
-	}
-	for wk := 0; wk < sc.Workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			ids := make([]netsim.BlockID, 0, groupSize)
-			for idxs := range groupCh {
-				ids = ids[:0]
-				for _, i := range idxs {
-					ids = append(ids, w.Blocks[i].ID)
-				}
-				stop := sm.blockSeconds.Time()
-				runs, errs := pl.RunBlocks(ids)
-				stop()
-				for k, i := range idxs {
-					commit(i, blockFromRun(w.Blocks[i], runs[k], errs[k]))
-				}
-			}
-		}()
-	}
-	for _, g := range groups {
-		groupCh <- g
-	}
-	close(groupCh)
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
+	})
+	if ckptErr.err != nil {
+		return nil, ckptErr.err
 	}
 	return study, nil
 }
@@ -272,12 +219,11 @@ func measureWorld(w *world.World, sc StudyConfig, groupSize int) (*Study, error)
 // studyMetrics caches the study-level instruments; all handles are nil (and
 // every use a no-op) when the study is uninstrumented.
 type studyMetrics struct {
-	measured     *metrics.Counter
-	sparse       *metrics.Counter
-	failed       *metrics.Counter
-	partial      *metrics.Counter
-	quarantined  *metrics.Counter
-	blockSeconds *metrics.Histogram
+	measured    *metrics.Counter
+	sparse      *metrics.Counter
+	failed      *metrics.Counter
+	partial     *metrics.Counter
+	quarantined *metrics.Counter
 }
 
 func newStudyMetrics(r *metrics.Registry) studyMetrics {
@@ -287,8 +233,6 @@ func newStudyMetrics(r *metrics.Registry) studyMetrics {
 		failed:      r.Counter("analysis.blocks_failed"),
 		partial:     r.Counter("analysis.blocks_partial"),
 		quarantined: r.Counter("analysis.blocks_quarantined"),
-		blockSeconds: r.Histogram("analysis.block_seconds",
-			metrics.UnitSeconds, metrics.ExpBuckets(1e-4, 10, 7)),
 	}
 }
 
@@ -309,27 +253,35 @@ func (m studyMetrics) record(mb MeasuredBlock) {
 	}
 }
 
+// quarantineFailedFrac is the failed-round fraction above which a block is
+// quarantined instead of classified.
+const quarantineFailedFrac = 0.25
+
+// Quarantined is the study's quarantine rule: a block that lost more than
+// quarantineFailedFrac of its rounds has no trustworthy classification.
+func Quarantined(failedRounds, rounds int) bool {
+	return rounds > 0 && float64(failedRounds)/float64(rounds) > quarantineFailedFrac
+}
+
 // finishBlock attaches the injector's per-block accounting and applies the
 // quarantine policy.
-func finishBlock(mb *MeasuredBlock, inj *faults.Injector, rounds int, quarantineFrac float64) {
+func finishBlock(mb *MeasuredBlock, inj *faults.Injector, rounds int) {
 	if inj != nil {
 		mb.Faults = inj.BlockStats(mb.Info.ID)
 	}
-	if mb.ErrMsg != "" || mb.Sparse || rounds <= 0 {
+	if mb.ErrMsg != "" || mb.Sparse {
 		return
 	}
-	frac := float64(mb.FailedRounds) / float64(rounds)
 	switch {
-	case frac > quarantineFrac:
+	case Quarantined(mb.FailedRounds, rounds):
 		mb.Quarantined = true
-		mb.Partial = false
 	case mb.FailedRounds > 0:
 		mb.Partial = true
 	}
 }
 
-// blockFromRun converts one block's pipeline result (a RunBlocks group slot)
-// into its study record.
+// blockFromRun converts one block's pipeline result (what RunAll hands its
+// callback) into its study record.
 func blockFromRun(info *world.BlockInfo, run *core.BlockRun, err error) MeasuredBlock {
 	mb := MeasuredBlock{Info: info}
 	if err != nil {
@@ -482,7 +434,7 @@ func (s *Study) ProbeBudget() float64 {
 	for _, b := range m {
 		total += b.ProbesSent
 	}
-	hours := float64(s.Cfg.Rounds) * s.Cfg.Period.Hours()
+	hours := float64(s.Cfg.Rounds) * timeseries.DefaultRound.Hours()
 	return float64(total) / float64(len(m)) / hours
 }
 

@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"sleepnet/internal/metrics"
@@ -12,16 +15,12 @@ import (
 )
 
 // PipelineConfig describes one measurement campaign: when it starts, how
-// many 11-minute rounds it runs, and the collection-artifact rates observed
-// in the real datasets (§2.2 reports ~5% of rounds missing or duplicated).
+// many 11-minute rounds (timeseries.DefaultRound) it runs, and the
+// collection-artifact rates observed in the real datasets (§2.2 reports ~5%
+// of rounds missing or duplicated).
 type PipelineConfig struct {
 	Start  time.Time
 	Rounds int
-	// Period is the probing round length; zero means the paper's 660 s.
-	Period time.Duration
-	// InitialA seeds the estimators, standing in for the years-old census
-	// history the paper used (deliberately allowed to be wrong).
-	InitialA float64
 	// MissingRate and DuplicateRate inject collection artifacts: a missing
 	// round records no observation (later gap-filled), a duplicated round
 	// records the observation twice.
@@ -37,15 +36,9 @@ type PipelineConfig struct {
 	Metrics *metrics.Registry
 }
 
-func (c PipelineConfig) withDefaults() PipelineConfig {
-	if c.Period <= 0 {
-		c.Period = timeseries.DefaultRound
-	}
-	if c.InitialA == 0 {
-		c.InitialA = 0.5
-	}
-	return c
-}
+// initialA seeds the estimators, standing in for the years-old census
+// history the paper used (deliberately allowed to be wrong).
+const initialA = 0.5
 
 // OutageEvent is a block state transition observed by the prober.
 type OutageEvent struct {
@@ -125,14 +118,13 @@ type Pipeline struct {
 
 // NewPipeline creates a pipeline over the network.
 func NewPipeline(net *netsim.Network, cfg PipelineConfig) *Pipeline {
-	cfg = cfg.withDefaults()
 	if cfg.Prober.Metrics == nil {
 		cfg.Prober.Metrics = cfg.Metrics
 	}
 	return &Pipeline{cfg: cfg, net: net, pm: newPipelineMetrics(cfg.Metrics)}
 }
 
-// Config returns the effective (defaulted) configuration.
+// Config returns the effective configuration.
 func (pl *Pipeline) Config() PipelineConfig { return pl.cfg }
 
 // blockRunner is one block's measurement in flight: the per-block prober,
@@ -165,7 +157,7 @@ func (pl *Pipeline) newBlockRunner(id netsim.BlockID) (*blockRunner, error) {
 		pl:     pl,
 		id:     id,
 		prober: prober,
-		est:    NewEstimator(pl.cfg.InitialA),
+		est:    NewEstimator(initialA),
 		run: &BlockRun{
 			ID:          id,
 			Operational: make([]float64, 0, pl.cfg.Rounds),
@@ -230,7 +222,7 @@ func (br *blockRunner) finish() (*BlockRun, error) {
 		return nil, fmt.Errorf("core: cleaning block %s: %w", id, err)
 	}
 	run.CleanStats = st
-	run.Short = timeseries.New(pl.cfg.Start, pl.cfg.Period, cleaned)
+	run.Short = timeseries.New(pl.cfg.Start, timeseries.DefaultRound, cleaned)
 
 	trimmed, err := timeseries.TrimToMidnightUTC(run.Short)
 	if err != nil {
@@ -291,7 +283,7 @@ func (pl *Pipeline) RunBlocks(ids []netsim.BlockID) (runs []*BlockRun, errs []er
 
 	stopProbe := pl.pm.probeSeconds.Time()
 	for r := 0; r < pl.cfg.Rounds && len(live) > 0; r++ {
-		now := pl.cfg.Start.Add(time.Duration(r) * pl.cfg.Period)
+		now := pl.cfg.Start.Add(time.Duration(r) * timeseries.DefaultRound)
 		probers, bids, aOps = probers[:0], bids[:0], aOps[:0]
 		for _, i := range live {
 			br := runners[i]
@@ -317,6 +309,58 @@ func (pl *Pipeline) RunBlocks(ids []netsim.BlockID) (runs []*BlockRun, errs []er
 		runs[i], errs[i] = runners[i].finish()
 	}
 	return runs, errs
+}
+
+// maxGroupSize caps a lockstep group: 64 lanes amortize the netsim boundary
+// crossing while keeping a worker's in-flight records small.
+const maxGroupSize = 64
+
+// groupSizeFor is how many blocks one RunAll worker measures in lockstep: as
+// many as maxGroupSize, but never so many that a worker gets fewer than 16
+// groups — small campaigns keep every worker busy, and a caller that holds
+// on to what fn sees bounds its in-flight memory by the group.
+func groupSizeFor(n, workers int) int {
+	return min(max(n/(16*workers), 1), maxGroupSize)
+}
+
+// RunAll measures every block of ids on workers goroutines (GOMAXPROCS when
+// workers <= 0) and is the one driver of a batch campaign: it alone decides
+// how blocks are grouped and dealt. Groups are contiguous slices of ids
+// measured in lockstep by RunBlocks, sized by groupSizeFor. fn is called
+// exactly once per index i with the outcome of ids[i] — concurrently, from
+// the worker that measured it — and the record is dropped as soon as fn
+// returns. Per-block outcomes do not depend on workers or on the grouping
+// (see RunBlocks).
+func (pl *Pipeline) RunAll(ids []netsim.BlockID, workers int, fn func(i int, run *BlockRun, err error)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	pl.runAll(ids, workers, groupSizeFor(len(ids), workers), fn)
+}
+
+// runAll is RunAll with the group size a parameter, so the invariance test
+// can vary it.
+func (pl *Pipeline) runAll(ids []netsim.BlockID, workers, groupSize int, fn func(i int, run *BlockRun, err error)) {
+	var next atomic.Int64 // start of the next undealt group
+	var wg sync.WaitGroup
+	for w := min(workers, (len(ids)+groupSize-1)/groupSize); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(int64(groupSize))) - groupSize
+				if lo >= len(ids) {
+					return
+				}
+				runs, errs := pl.RunBlocks(ids[lo:min(lo+groupSize, len(ids))])
+				for k := range runs {
+					fn(lo+k, runs[k], errs[k])
+					runs[k] = nil
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 type artifactKind int
@@ -358,10 +402,10 @@ func (pl *Pipeline) Survey(id netsim.BlockID) (timeseries.Series, error) {
 	}
 	vals := make([]float64, pl.cfg.Rounds)
 	for r := 0; r < pl.cfg.Rounds; r++ {
-		now := pl.cfg.Start.Add(time.Duration(r) * pl.cfg.Period)
+		now := pl.cfg.Start.Add(time.Duration(r) * timeseries.DefaultRound)
 		vals[r] = blk.TrueA(now)
 	}
-	return timeseries.New(pl.cfg.Start, pl.cfg.Period, vals), nil
+	return timeseries.New(pl.cfg.Start, timeseries.DefaultRound, vals), nil
 }
 
 // ClassifySeries trims a (survey or estimated) series to midnight UTC and

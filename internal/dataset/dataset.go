@@ -7,6 +7,7 @@
 package dataset
 
 import (
+	"bytes"
 	"compress/gzip"
 	"encoding/csv"
 	"encoding/gob"
@@ -21,6 +22,7 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/durable"
 	"sleepnet/internal/metrics"
+	"sleepnet/internal/timeseries"
 )
 
 // magic and version identify the file format.
@@ -74,7 +76,7 @@ func FromStudy(st *analysis.Study) *Dataset {
 		CreatedAt: st.Cfg.Start,
 		Seed:      st.Cfg.Seed,
 		Rounds:    st.Cfg.Rounds,
-		Days:      int(float64(st.Cfg.Rounds) * st.Cfg.Period.Hours() / 24),
+		Days:      int(float64(st.Cfg.Rounds) * timeseries.DefaultRound.Hours() / 24),
 		Blocks:    make([]BlockRecord, 0, len(st.Blocks)),
 	}
 	for _, b := range st.Blocks {
@@ -151,31 +153,18 @@ func Read(r io.Reader) (*Dataset, error) {
 	return &d, nil
 }
 
-// Save writes the dataset to a file, atomically via a temp file rename.
-// The temp file is fsynced before the rename and the directory after it
-// (via durable.Rename) so a power cut cannot leave the final path pointing
-// at a half-written dataset — the gap sleeplint's fsyncorder rule flagged.
+// Save writes the dataset to a file crash-safely (durable.WriteFileAtomic):
+// a power cut cannot leave the final path pointing at a half-written
+// dataset.
 func (d *Dataset) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("dataset: %w", err)
-	}
-	if err := d.Write(f); err != nil {
-		_ = f.Close()      // best effort: the write error is the one to surface
-		_ = os.Remove(tmp) // temp file is already orphaned
+	var buf bytes.Buffer
+	if err := d.Write(&buf); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		_ = os.Remove(tmp) // temp file is already orphaned
+	if err := durable.WriteFileAtomic(path, buf.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("dataset: %w", err)
 	}
-	if err := f.Close(); err != nil {
-		_ = os.Remove(tmp) // temp file is already orphaned
-		return fmt.Errorf("dataset: %w", err)
-	}
-	return durable.Rename(tmp, path)
+	return nil
 }
 
 // Load reads a dataset from a file.

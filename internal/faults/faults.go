@@ -120,6 +120,23 @@ func New(cfg Config) *Injector {
 // Config returns the effective configuration.
 func (in *Injector) Config() Config { return in.cfg }
 
+// Attach installs an injector for cfg on net for a campaign that begins at
+// start — cfg.Epoch defaults to it — and returns the injector with the
+// function that removes it again. An inactive cfg attaches nothing: the
+// injector is nil and detach does nothing. Like SetTap, neither call may
+// race with probing.
+func Attach(net *netsim.Network, cfg Config, start time.Time) (inj *Injector, detach func()) {
+	if !cfg.Active() {
+		return nil, func() {}
+	}
+	if cfg.Epoch.IsZero() {
+		cfg.Epoch = start
+	}
+	inj = New(cfg)
+	net.SetTap(inj)
+	return inj, func() { net.SetTap(nil) }
+}
+
 func (in *Injector) block(id netsim.BlockID) *blockState {
 	if in.blocks == nil {
 		in.blocks = make(map[netsim.BlockID]*blockState)
@@ -158,22 +175,12 @@ func (in *Injector) blackedOut(now time.Time) bool {
 	return false
 }
 
-// Outbound implements netsim.Tap: it decides the probe's fate and skews its
-// delivery timestamp.
-func (in *Injector) Outbound(dst netsim.Addr, now time.Time) (time.Time, netsim.TapVerdict) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.outboundLocked(dst, now)
-}
-
-// OutboundBatch implements netsim.TapBatch: one lock acquisition decides a
-// whole batch of probes, filling times[i]/verdicts[i] with exactly what
-// sequential Outbound calls would have returned in slice order. Legal
+// OutboundBatch implements netsim.Tap: one lock acquisition decides the
+// fate of a whole batch of probes and skews their delivery timestamps.
+// Deciding every outbound fate before any inbound processing is safe here
 // because every draw is PRF-pure per (destination, timestamp) and the only
 // stateful decision — the per-block rate-limit window — sees each block's
-// probes in the same relative order either way; Inbound's corruption draw
-// is likewise pure, so deciding all outbound fates before any inbound
-// processing cannot change any decision.
+// probes in slice order; Inbound's corruption draw is likewise pure.
 func (in *Injector) OutboundBatch(dsts []netsim.Addr, now time.Time, times []time.Time, verdicts []netsim.TapVerdict) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
@@ -182,7 +189,7 @@ func (in *Injector) OutboundBatch(dsts []netsim.Addr, now time.Time, times []tim
 	}
 }
 
-// outboundLocked is Outbound's body; in.mu must be held.
+// outboundLocked decides one probe; in.mu must be held.
 func (in *Injector) outboundLocked(dst netsim.Addr, now time.Time) (time.Time, netsim.TapVerdict) {
 	st := in.block(dst.Block)
 	st.stats.Probes++
@@ -269,7 +276,4 @@ func (in *Injector) Totals() Stats {
 	return total
 }
 
-var (
-	_ netsim.Tap      = (*Injector)(nil)
-	_ netsim.TapBatch = (*Injector)(nil)
-)
+var _ netsim.Tap = (*Injector)(nil)

@@ -17,11 +17,21 @@ func addr(host byte) netsim.Addr {
 	return netsim.Addr{Block: netsim.MakeBlockID(10, 1, 1), Host: host}
 }
 
+// outbound1 asks the injector for the fate of one probe: a batch of one.
+func outbound1(in *Injector, dst netsim.Addr, now time.Time) (time.Time, netsim.TapVerdict) {
+	var (
+		times    [1]time.Time
+		verdicts [1]netsim.TapVerdict
+	)
+	in.OutboundBatch([]netsim.Addr{dst}, now, times[:], verdicts[:])
+	return times[0], verdicts[0]
+}
+
 func TestZeroValueIsNoOp(t *testing.T) {
 	var in Injector
 	now := epoch
 	for i := 0; i < 100; i++ {
-		ts, v := in.Outbound(addr(byte(i)), now)
+		ts, v := outbound1(&in, addr(byte(i)), now)
 		if v != netsim.TapDeliver {
 			t.Fatalf("zero injector verdict = %v, want deliver", v)
 		}
@@ -49,8 +59,8 @@ func TestDeterministicAndLossRate(t *testing.T) {
 	const n = 5000
 	for i := 0; i < n; i++ {
 		now := epoch.Add(time.Duration(i) * time.Second)
-		_, va := a.Outbound(addr(byte(i)), now)
-		_, vb := b.Outbound(addr(byte(i)), now)
+		_, va := outbound1(a, addr(byte(i)), now)
+		_, vb := outbound1(b, addr(byte(i)), now)
 		if va != vb {
 			t.Fatalf("draw %d: verdicts diverge (%v vs %v)", i, va, vb)
 		}
@@ -72,7 +82,7 @@ func TestRateLimitWindow(t *testing.T) {
 	now := epoch
 	var limited int
 	for i := 0; i < 10; i++ {
-		if _, v := in.Outbound(addr(1), now.Add(time.Duration(i)*time.Second)); v == netsim.TapAdminProhibited {
+		if _, v := outbound1(in, addr(1), now.Add(time.Duration(i)*time.Second)); v == netsim.TapAdminProhibited {
 			limited++
 		}
 	}
@@ -81,12 +91,12 @@ func TestRateLimitWindow(t *testing.T) {
 	}
 	// A fresh window resets the count.
 	later := now.Add(2 * 660 * time.Second)
-	if _, v := in.Outbound(addr(1), later); v != netsim.TapDeliver {
+	if _, v := outbound1(in, addr(1), later); v != netsim.TapDeliver {
 		t.Fatalf("first probe of new window got %v, want deliver", v)
 	}
 	// Other blocks are counted independently.
 	other := netsim.Addr{Block: netsim.MakeBlockID(10, 2, 2), Host: 1}
-	if _, v := in.Outbound(other, now); v != netsim.TapDeliver {
+	if _, v := outbound1(in, other, now); v != netsim.TapDeliver {
 		t.Fatalf("other block rate limited immediately: %v", v)
 	}
 	if got := in.BlockStats(addr(1).Block).RateLimited; got != 7 {
@@ -101,18 +111,18 @@ func TestBlackouts(t *testing.T) {
 		BlackoutFor:   10 * time.Minute,
 		Epoch:         epoch,
 	})
-	if _, v := in.Outbound(addr(1), epoch.Add(5*time.Minute)); v != netsim.TapSendError {
+	if _, v := outbound1(in, addr(1), epoch.Add(5*time.Minute)); v != netsim.TapSendError {
 		t.Fatalf("inside blackout window: %v, want send error", v)
 	}
-	if _, v := in.Outbound(addr(1), epoch.Add(30*time.Minute)); v != netsim.TapDeliver {
+	if _, v := outbound1(in, addr(1), epoch.Add(30*time.Minute)); v != netsim.TapDeliver {
 		t.Fatalf("outside blackout window: %v, want deliver", v)
 	}
-	if _, v := in.Outbound(addr(1), epoch.Add(time.Hour+2*time.Minute)); v != netsim.TapSendError {
+	if _, v := outbound1(in, addr(1), epoch.Add(time.Hour+2*time.Minute)); v != netsim.TapSendError {
 		t.Fatalf("inside second blackout: %v, want send error", v)
 	}
 	// Explicit windows work without a periodic schedule.
 	in2 := New(Config{Blackouts: []netsim.Interval{{Start: epoch, End: epoch.Add(time.Minute)}}})
-	if _, v := in2.Outbound(addr(1), epoch.Add(30*time.Second)); v != netsim.TapSendError {
+	if _, v := outbound1(in2, addr(1), epoch.Add(30*time.Second)); v != netsim.TapSendError {
 		t.Fatalf("explicit blackout: %v, want send error", v)
 	}
 }
@@ -124,7 +134,7 @@ func TestClockSkewAndDrift(t *testing.T) {
 		Epoch:            epoch,
 	})
 	now := epoch.Add(36 * time.Hour) // 1.5 days -> drift 3s
-	ts, v := in.Outbound(addr(1), now)
+	ts, v := outbound1(in, addr(1), now)
 	if v != netsim.TapDeliver {
 		t.Fatalf("verdict %v, want deliver", v)
 	}
@@ -249,10 +259,10 @@ func TestNetworkIntegration(t *testing.T) {
 	}
 }
 
-// TestOutboundBatchMatchesSequential pins the TapBatch contract on the
-// injector directly: one OutboundBatch call must fill exactly what
-// sequential Outbound calls return, in slice order, including the
-// stateful per-block rate-limit decisions.
+// TestOutboundBatchMatchesSequential pins the Tap contract on the injector
+// directly: one OutboundBatch call must fill exactly what asking probe by
+// probe (batches of one) returns, in slice order, including the stateful
+// per-block rate-limit decisions.
 func TestOutboundBatchMatchesSequential(t *testing.T) {
 	cfg := Config{
 		Seed: 11, LossRate: 0.2, RateLimitPerRound: 3,
@@ -272,7 +282,7 @@ func TestOutboundBatchMatchesSequential(t *testing.T) {
 		now := epoch.Add(time.Duration(round) * 5 * time.Minute)
 		bat.OutboundBatch(dsts, now, times, verdicts)
 		for i, dst := range dsts {
-			wt, wv := seq.Outbound(dst, now)
+			wt, wv := outbound1(seq, dst, now)
 			if !times[i].Equal(wt) || verdicts[i] != wv {
 				t.Fatalf("round %d probe %d: batch (%v,%v) != sequential (%v,%v)",
 					round, i, times[i], verdicts[i], wt, wv)

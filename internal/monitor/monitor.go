@@ -30,6 +30,7 @@ import (
 	"sleepnet/internal/faults"
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 )
 
@@ -57,10 +58,8 @@ type Config struct {
 	// Blocks too sparse to probe are silently excluded, as in the paper.
 	Blocks []netsim.BlockID
 	// Start is the campaign's virtual epoch; round r probes at
-	// Start + r*Period.
+	// Start + r*timeseries.DefaultRound, the paper's 660 s.
 	Start time.Time
-	// Period is the round length (default: the paper's 660s).
-	Period time.Duration
 	// Rounds is the campaign length (required, positive).
 	Rounds int
 	// Shards is the number of worker shards (default 4, clamped to the
@@ -69,9 +68,7 @@ type Config struct {
 	Shards int
 	// Prober carries the Trinocular policy for every shard.
 	Prober trinocular.Config
-	// InitialA seeds the estimators (default 0.5).
-	InitialA float64
-	Seed     uint64
+	Seed   uint64
 
 	// WALDir enables durability: per-shard segmented WALs and snapshots
 	// live under it. Empty runs the monitor in-memory only.
@@ -93,9 +90,6 @@ type Config struct {
 	// (defaults 10ms, 2s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// FatalQuarantineFrac escalates to monitor-fatal when more than this
-	// fraction of shards is quarantined (default 0.5).
-	FatalQuarantineFrac float64
 
 	// WatchdogTick drives the wedge detector; nil disables it. Tests inject
 	// a channel they fire by hand; the CLI feeds a time.Ticker. Tick values
@@ -123,15 +117,17 @@ type Config struct {
 	HaltAfterRound int
 }
 
+const (
+	// initialA seeds the estimators.
+	initialA = 0.5
+	// fatalQuarantineFrac escalates to monitor-fatal when more than this
+	// fraction of shards is quarantined.
+	fatalQuarantineFrac = 0.5
+)
+
 func (c Config) withDefaults() Config {
-	if c.Period <= 0 {
-		c.Period = 660 * time.Second
-	}
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.InitialA == 0 {
-		c.InitialA = 0.5
 	}
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 1 << 20
@@ -149,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
-	}
-	if c.FatalQuarantineFrac <= 0 || c.FatalQuarantineFrac > 1 {
-		c.FatalQuarantineFrac = 0.5
 	}
 	if c.WatchdogStrikes <= 0 {
 		c.WatchdogStrikes = 3
@@ -235,10 +228,6 @@ func New(cfg Config) (*Monitor, error) {
 	}
 	ids = append([]netsim.BlockID(nil), ids...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	minActive := cfg.Prober.MinEverActive
-	if minActive == 0 {
-		minActive = 15 // the trinocular default
-	}
 	eligible := ids[:0]
 	for i, id := range ids {
 		if i > 0 && id == ids[i-1] {
@@ -248,7 +237,7 @@ func New(cfg Config) (*Monitor, error) {
 		if blk == nil {
 			return nil, fmt.Errorf("monitor: block %s not in network", id)
 		}
-		if blk.NumEverActive() < minActive {
+		if blk.NumEverActive() < trinocular.MinEverActive {
 			continue // too sparse to probe; excluded by policy
 		}
 		eligible = append(eligible, id)
@@ -282,7 +271,7 @@ func New(cfg Config) (*Monitor, error) {
 		if err := os.MkdirAll(cfg.WALDir, 0o755); err != nil {
 			return nil, fmt.Errorf("monitor: %w", err)
 		}
-		meta := metaFor(cfg.Seed, cfg.Start, cfg.Period, cfg.Rounds, cfg.Shards, eligible)
+		meta := metaFor(cfg.Seed, cfg.Start, timeseries.DefaultRound, cfg.Rounds, cfg.Shards, eligible)
 		if err := checkOrWriteMeta(cfg.WALDir+"/meta.json", meta); err != nil {
 			return nil, err
 		}
@@ -344,7 +333,7 @@ func (m *Monitor) fatal() error {
 func (m *Monitor) noteQuarantine() {
 	m.fatalMu.Lock()
 	m.quarantined++
-	over := float64(m.quarantined) > m.cfg.FatalQuarantineFrac*float64(len(m.shards))
+	over := float64(m.quarantined) > fatalQuarantineFrac*float64(len(m.shards))
 	m.fatalMu.Unlock()
 	if over {
 		m.fail(fmt.Errorf("%w: %d of %d shards", ErrQuarantine, m.quarantined, len(m.shards)))
@@ -393,7 +382,7 @@ func (m *Monitor) Run(ctx context.Context) (*Result, error) {
 			Rounds: m.cfg.Rounds,
 			Blocks: m.NumBlocks(),
 			Start:  m.cfg.Start,
-			Period: m.cfg.Period,
+			Period: timeseries.DefaultRound,
 			Seed:   m.cfg.Seed,
 		})
 	}

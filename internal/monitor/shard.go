@@ -27,6 +27,7 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/durable"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 )
 
@@ -172,7 +173,7 @@ func (s *shard) rebuild() error {
 		}
 		s.mons = append(s.mons, &blockMon{
 			id:     id,
-			est:    core.NewEstimator(cfg.InitialA),
+			est:    core.NewEstimator(initialA),
 			short:  make([]float64, 0, cfg.Rounds),
 			events: make([]core.OutageEvent, 0, 8),
 		})
@@ -481,7 +482,7 @@ func (s *shard) abandonWith(reason error) error {
 //lint:hotpath: warm-round 0 allocs/op budget pinned by TestMonitorRoundAllocFree
 func (s *shard) probeRound(r int) {
 	cfg := &s.m.cfg
-	now := cfg.Start.Add(time.Duration(r) * cfg.Period)
+	now := cfg.Start.Add(time.Duration(r) * timeseries.DefaultRound)
 	// Wavefronts run over bounded groups, not the whole shard at once: the
 	// batch scratch (lanes, packet arena, reply arena) grows with the
 	// largest batch, so capping the group keeps the shard's retained probe
@@ -511,10 +512,9 @@ func (s *shard) probeRound(r int) {
 // accumulation. obs is a pointer only to avoid a per-round struct copy; it
 // is read, never mutated.
 func (s *shard) applyObs(mon *blockMon, obs *trinocular.RoundObs, r int) {
-	cfg := &s.m.cfg
 	if obs.Failed() {
 		mon.failed++
-		mon.short = append(mon.short, lastOr(mon.short, cfg.InitialA))
+		mon.short = append(mon.short, lastOr(mon.short, initialA))
 		mon.lastFailed = true
 	} else {
 		mon.est.Observe(obs.Positive, obs.Total)

@@ -46,7 +46,7 @@ type pktMeta struct {
 	hdr     ipv4.Header
 	dst     Addr
 	route   int32 // index into BatchBuffer.entries, -1 when the IP header is malformed
-	tap     int32 // index into the batch tap decision, -1 when not batched
+	tap     int32 // index into the batch tap decision, -1 when the packet never reaches the tap
 	echoID  uint16
 	echoSeq uint16
 	ipOK    bool // IPv4 header parsed and carries ICMP
@@ -138,7 +138,7 @@ func (b *BatchBuffer) init() {
 // IPv4-encapsulated with source and destination swapped. The result is
 // exactly that of delivering pkts[i] one at a time in order (see the
 // comment at the top of this file for the determinism argument), but
-// routing is resolved once per destination block, a TapBatch fault tap is
+// routing is resolved once per destination block, the fault tap is
 // consulted once per batch, each block's outage schedule is evaluated once
 // per (block, instant), and global and per-block counters are flushed once
 // per batch.
@@ -216,11 +216,11 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 	}
 
 	// Pass 3: one outbound tap consultation for the whole batch. Only
-	// packets deliverCore would consult the tap for participate: an
-	// IP-malformed, echo-malformed, or TTL-dead packet never reaches
-	// tap.Outbound one at a time, so it must not here either (the tap may
-	// keep per-block state, e.g. the fault injector's rate-limit window).
-	if tb, ok := tap.(TapBatch); ok {
+	// packets whose delivery reaches the tap participate: an IP-malformed,
+	// echo-malformed, or TTL-dead packet dies before it, so the tap must not
+	// see it (it may keep per-block state, e.g. the fault injector's
+	// rate-limit window).
+	if tap != nil {
 		buf.tapDsts = buf.tapDsts[:0]
 		for i := range metas {
 			m := &metas[i]
@@ -237,7 +237,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 			for len(buf.tapVerdicts) < need {
 				buf.tapVerdicts = append(buf.tapVerdicts, TapDeliver)
 			}
-			tb.OutboundBatch(buf.tapDsts, now, buf.tapTimes[:need], buf.tapVerdicts[:need])
+			tap.OutboundBatch(buf.tapDsts, now, buf.tapTimes[:need], buf.tapVerdicts[:need])
 		}
 	}
 
@@ -273,7 +273,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		}
 		var pre tapPre
 		if m.tap >= 0 {
-			pre = tapPre{t: buf.tapTimes[m.tap], v: buf.tapVerdicts[m.tap], ok: true}
+			pre = tapPre{t: buf.tapTimes[m.tap], v: buf.tapVerdicts[m.tap]}
 		}
 		// deliverCore writes the outcome straight into the appended slot;
 		// its Data view is cleared below and re-materialized from the span

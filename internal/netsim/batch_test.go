@@ -47,12 +47,12 @@ func buildBatchWorld() *Network {
 	return n
 }
 
-// orderTap is a deliberately stateful TapBatch: outbound verdicts cycle a
+// orderTap is a deliberately stateful Tap: outbound verdicts cycle a
 // per-block counter, inbound corruption/drops cycle a global counter. Any
 // reordering of same-block outbound probes, or of inbound replies overall,
 // changes its decisions — which is exactly what the equivalence tests must
-// prove batching does not do. (Cross-dependence of Inbound on Outbound
-// state is the one thing TapBatch forbids, so there is none here.)
+// prove batching does not do. (Cross-dependence of Inbound on outbound
+// state is the one thing the Tap contract forbids, so there is none here.)
 type orderTap struct {
 	outCount map[BlockID]int
 	inCount  int
@@ -60,7 +60,7 @@ type orderTap struct {
 
 func newOrderTap() *orderTap { return &orderTap{outCount: make(map[BlockID]int)} }
 
-func (o *orderTap) Outbound(dst Addr, now time.Time) (time.Time, TapVerdict) {
+func (o *orderTap) outbound(dst Addr, now time.Time) (time.Time, TapVerdict) {
 	c := o.outCount[dst.Block]
 	o.outCount[dst.Block] = c + 1
 	switch c % 5 {
@@ -80,7 +80,7 @@ func (o *orderTap) Outbound(dst Addr, now time.Time) (time.Time, TapVerdict) {
 
 func (o *orderTap) OutboundBatch(dsts []Addr, now time.Time, times []time.Time, verdicts []TapVerdict) {
 	for i, dst := range dsts {
-		times[i], verdicts[i] = o.Outbound(dst, now)
+		times[i], verdicts[i] = o.outbound(dst, now)
 	}
 }
 

@@ -48,10 +48,11 @@ func (b *Block) HostSpec() *Hosts {
 }
 
 // DeliverIPRef delivers one packet by definition — parse, route, run
-// deliverCore with no batch state (the tap asked inline, a fresh instant
-// memo, fresh reply bytes), flush the counters — and is the sequential
-// oracle DeliverBatch is tested against. It is the body of the per-packet
-// entry point the program had before DeliverBatch became the only one.
+// deliverCore with no batch state (the tap asked for a batch of this one
+// packet, a fresh instant memo, fresh reply bytes), flush the counters — and
+// is the sequential oracle DeliverBatch is tested against. It is the body of
+// the per-packet entry point the program had before DeliverBatch became the
+// only one.
 func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	var hdr ipv4.Header
 	payload, err := ipv4.ParseHeader(&hdr, pkt)
@@ -75,9 +76,20 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 		cnt = n.registerBlockCounter(dst.Block)
 	}
 
+	// The tap sees exactly the packets whose delivery reaches it.
+	var pre tapPre
+	if tap != nil && echoOK && (blk == nil || int(hdr.TTL) > blk.hops) {
+		var (
+			times    [1]time.Time
+			verdicts [1]TapVerdict
+		)
+		tap.OutboundBatch([]Addr{dst}, now, times[:], verdicts[:])
+		pre = tapPre{t: times[0], v: verdicts[0]}
+	}
+
 	var resp Response
 	var memo blockInstant
-	n.deliverCore(blk, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, now, tapPre{}, &memo, &acc, &resp)
+	n.deliverCore(blk, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, now, pre, &memo, &acc, &resp)
 	cnt.Add(1)
 	acc.flush(&n.Stats)
 	return resp

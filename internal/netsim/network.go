@@ -46,30 +46,23 @@ const (
 	TapAdminProhibited
 )
 
-// TapBatch is an optional Tap extension for batched delivery: a tap that
-// can assign outbound fates to a whole batch of probes with one lock
-// acquisition. OutboundBatch must fill times[i] and verdicts[i] with
-// exactly what a sequential Outbound(dsts[i], now) call would return, in
-// slice order. DeliverBatch consults it once per batch, which means every
-// outbound decision of the batch is made before any inbound processing; a
-// tap whose Inbound behavior depends on interleaving with its own Outbound
-// calls must not implement TapBatch. internal/faults.Injector implements
-// it: all of its decisions are PRF-pure per (destination, timestamp)
-// except the per-block rate-limit counter, which sees the same per-block
-// probe order either way.
-type TapBatch interface {
-	Tap
-	OutboundBatch(dsts []Addr, now time.Time, times []time.Time, verdicts []TapVerdict)
-}
-
 // Tap perturbs the delivery path — the hook the fault-injection layer
 // (internal/faults) attaches to. A nil tap, like a zero-value injector, is
 // a no-op. Implementations must be safe for concurrent use; SetTap must not
 // race with probing (same rule as AddBlock).
+//
+// The contract is batched: DeliverBatch asks for the outbound fate of every
+// probe of a batch in one call, so all outbound fates are decided before
+// any inbound processing. A tap's Inbound behavior must therefore not
+// depend on interleaving with its own outbound decisions.
+// internal/faults.Injector qualifies: all of its decisions are PRF-pure per
+// (destination, timestamp) except the per-block rate-limit counter, which
+// sees each block's probes in slice order.
 type Tap interface {
-	// Outbound is consulted before a probe is routed. It returns the
-	// (possibly skewed) timestamp delivery should use and the verdict.
-	Outbound(dst Addr, now time.Time) (time.Time, TapVerdict)
+	// OutboundBatch is consulted once per batch, before any of its probes is
+	// routed. For each dsts[i] it fills times[i] with the (possibly skewed)
+	// timestamp delivery should use and verdicts[i] with the probe's fate.
+	OutboundBatch(dsts []Addr, now time.Time, times []time.Time, verdicts []TapVerdict)
 	// Inbound may corrupt or replace a reply on its way back. Returning nil
 	// drops the reply (the probe times out).
 	//
@@ -150,14 +143,11 @@ func (a *statsAcc) flush(c *Counters) {
 	*a = statsAcc{}
 }
 
-// tapPre carries a pre-computed outbound tap decision into the delivery
-// core, so a batch can consult a TapBatch once for many probes. The zero
-// value (ok == false) means "ask the tap inline" — a tap that is not a
-// TapBatch.
+// tapPre carries a probe's outbound tap decision, made for its whole batch
+// up front, into the delivery core. Unused without a tap.
 type tapPre struct {
-	t  time.Time
-	v  TapVerdict
-	ok bool
+	t time.Time
+	v TapVerdict
 }
 
 // blockInstant memoizes what delivery derives from (block, delivery time)
@@ -249,9 +239,8 @@ func (n *Network) BlockIDs() []BlockID {
 // or non-request message). scratch is the empty ICMP-layer scratch to
 // append the reply into (nil allocates fresh); the possibly-grown backing
 // is returned so the owner keeps its capacity. Counter deltas accumulate in
-// acc — the caller flushes. pre, when set, replaces the inline tap.Outbound
-// consultation (batched taps); memo holds what the block's probes of one
-// instant share.
+// acc — the caller flushes. pre is the tap's outbound decision for this
+// probe; memo holds what the block's probes of one instant share.
 //
 // The outcome lands in *resp (an out-parameter so per-probe results are
 // written once instead of copied up the call chain); the ICMP scratch
@@ -265,13 +254,8 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 	}
 
 	if tap != nil {
-		var v TapVerdict
-		if pre.ok {
-			now, v = pre.t, pre.v
-		} else {
-			now, v = tap.Outbound(dst, now)
-		}
-		switch v {
+		now = pre.t
+		switch pre.v {
 		case TapDrop:
 			acc.lost++
 			acc.timeouts++

@@ -38,32 +38,35 @@ const (
 type ServerConfig struct {
 	// Metrics receives request/shed counters and the latency histogram.
 	Metrics *metrics.Registry
-	// RequestTimeout bounds one request's total handling time, propagated
-	// into aggregation scans as a context deadline.
-	RequestTimeout time.Duration
 	// Lookup, Range, Summary size the three admission classes. Lookups shed
 	// last; summaries shed first.
 	Lookup, Range, Summary ClassLimits
 	// MaxConns caps concurrently accepted connections; excess dials queue in
 	// the kernel backlog instead of consuming server memory.
 	MaxConns int
-	// MaxRequestBytes is the per-connection read budget: a client that
-	// dribbles or floods more than this many request bytes is disconnected.
-	MaxRequestBytes int64
-	// ReadHeaderTimeout, IdleTimeout, WriteTimeout harden the http.Server
-	// against slow-loris clients on both directions.
+	// ReadHeaderTimeout hardens the http.Server against slow-loris clients
+	// on the read side (default 2s); idleTimeout and writeTimeout are its
+	// fixed companions.
 	ReadHeaderTimeout time.Duration
-	IdleTimeout       time.Duration
-	WriteTimeout      time.Duration
 	// Now is the admission clock (tests inject a fake).
 	Now func() time.Time
 }
 
+const (
+	// requestTimeout bounds one request's total handling time, propagated
+	// into aggregation scans as a context deadline.
+	requestTimeout = 2 * time.Second
+	// maxRequestBytes is the per-connection read budget: a client that
+	// dribbles or floods more than this many request bytes is disconnected.
+	maxRequestBytes = 64 << 10
+	// idleTimeout and writeTimeout harden the http.Server against
+	// slow-loris clients, beside ServerConfig.ReadHeaderTimeout.
+	idleTimeout  = 30 * time.Second
+	writeTimeout = 5 * time.Second
+)
+
 // withDefaults fills unset fields.
 func (c ServerConfig) withDefaults() ServerConfig {
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 2 * time.Second
-	}
 	if c.Lookup == (ClassLimits{}) {
 		c.Lookup = ClassLimits{RPS: 200000, Burst: 20000, Queue: 1024, MaxWait: 50 * time.Millisecond}
 	}
@@ -76,17 +79,8 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxConns <= 0 {
 		c.MaxConns = 256
 	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = 64 << 10
-	}
 	if c.ReadHeaderTimeout <= 0 {
 		c.ReadHeaderTimeout = 2 * time.Second
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 30 * time.Second
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 5 * time.Second
 	}
 	if c.Now == nil {
 		//lint:allow nowallclock: admission control rations a real resource; the clock is injected and overridable in tests
@@ -249,7 +243,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 	defer cancel()
 	switch req.Kind {
 	case KindBlock:
@@ -293,14 +287,14 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	srv := &http.Server{
 		Handler:           s,
 		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
-		WriteTimeout:      s.cfg.WriteTimeout,
+		IdleTimeout:       idleTimeout,
+		WriteTimeout:      writeTimeout,
 		MaxHeaderBytes:    16 << 10,
 	}
 	capped := &cappedListener{
 		Listener: l,
 		slots:    make(chan struct{}, s.cfg.MaxConns),
-		budget:   s.cfg.MaxRequestBytes,
+		budget:   maxRequestBytes,
 	}
 	stopped := make(chan struct{})
 	go func() {

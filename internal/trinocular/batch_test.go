@@ -82,18 +82,19 @@ func buildBatchWorld(t *testing.T, withFaults bool) *batchWorld {
 // attempt of the round's first probe dies at the vantage point, and the
 // retry, backed off by seconds, gets through. Unlike the fault injector's
 // blackouts it hits one block only, so in a wavefront one lane retries
-// while the others carry on. It is not a TapBatch: DeliverBatch asks it
-// packet by packet.
+// while the others carry on.
 type sendBlackout struct {
 	blk   netsim.BlockID
 	every time.Duration
 }
 
-func (b sendBlackout) Outbound(dst netsim.Addr, now time.Time) (time.Time, netsim.TapVerdict) {
-	if dst.Block == b.blk && now.Sub(epoch)%b.every < time.Second {
-		return now, netsim.TapSendError
+func (b sendBlackout) OutboundBatch(dsts []netsim.Addr, now time.Time, times []time.Time, verdicts []netsim.TapVerdict) {
+	for i, dst := range dsts {
+		times[i], verdicts[i] = now, netsim.TapDeliver
+		if dst.Block == b.blk && now.Sub(epoch)%b.every < time.Second {
+			verdicts[i] = netsim.TapSendError
+		}
 	}
-	return now, netsim.TapDeliver
 }
 
 func (sendBlackout) Inbound(_ netsim.Addr, reply []byte, _ time.Time) []byte { return reply }

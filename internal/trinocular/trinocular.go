@@ -47,19 +47,34 @@ type ProbeNetwork interface {
 // it, and a change to the program may not edit the benchmark.
 type ProbeNetworkBatched = ProbeNetwork
 
+// The parts of the paper's Trinocular policy that no campaign varies.
+const (
+	// beliefUp and beliefDown are the posterior thresholds that stop a
+	// round.
+	beliefUp   = 0.9
+	beliefDown = 0.1
+	// MinEverActive rejects sparse blocks from probing; the paper's
+	// Trinocular policy, and the cause of its wireless false negatives at
+	// USC.
+	MinEverActive = 15
+	// icmpID is the ICMP identifier the prober stamps on its probes.
+	icmpID uint16 = 0
+	// positiveWhenDown is the probability of a positive answer from a down
+	// block (spoofing/measurement error); it keeps the belief update
+	// well-defined. Typed, so that 1-positiveWhenDown rounds as the float64
+	// subtraction it replaces did.
+	positiveWhenDown float64 = 1e-3
+)
+
+// srcIP is the vantage point's source address stamped on probes
+// (TEST-NET-2).
+var srcIP = ipv4.Addr{198, 51, 100, 1}
+
 // Config tunes the prober. The zero value is completed by defaults matching
 // the paper's deployment.
 type Config struct {
 	// MaxProbesPerRound caps probes per block per round (default 15).
 	MaxProbesPerRound int
-	// BeliefUp and BeliefDown are the posterior thresholds that stop a
-	// round (defaults 0.9 and 0.1).
-	BeliefUp   float64
-	BeliefDown float64
-	// MinEverActive rejects sparse blocks from probing (default 15); the
-	// paper's Trinocular policy, and the cause of its wireless false
-	// negatives at USC.
-	MinEverActive int
 	// RestartInterval models periodic prober restarts; rounds landing on a
 	// restart boundary probe cold. Zero disables restarts.
 	RestartInterval time.Duration
@@ -70,20 +85,11 @@ type Config struct {
 	// what makes the artifact coherent for them and absent for the rest.
 	// Default 0.1.
 	RestartDowntimeFrac float64
-	// ProbeID is the ICMP identifier base for this prober instance.
-	ProbeID uint16
-	// PositiveWhenDown is the probability of a positive answer from a down
-	// block (spoofing/measurement error); it keeps the belief update
-	// well-defined. Default 1e-3.
-	PositiveWhenDown float64
 	// FixedProbes, when positive, disables adaptive stopping: every round
 	// sends exactly this many probes regardless of belief. This is the
 	// ablation baseline for the stop-on-first-positive policy — unbiased
 	// like the adaptive rule but far more expensive.
 	FixedProbes int
-	// SrcIP is the vantage point's source address stamped on probes.
-	// Defaults to 198.51.100.1 (TEST-NET-2).
-	SrcIP ipv4.Addr
 	// Retry enables per-probe retry of vantage-local send failures with
 	// exponential backoff and jitter, bounded so a round cannot outgrow its
 	// 11-minute slot. Silence is never retried — a timeout is evidence about
@@ -101,35 +107,24 @@ type RetryConfig struct {
 	// first; values below 2 disable retrying.
 	MaxAttempts int
 	// BaseBackoff is the delay before the first retry (default 2s); each
-	// further retry doubles it up to MaxBackoff (default 60s).
+	// further retry doubles it up to retryMaxBackoff.
 	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-	// JitterFrac adds a uniform draw in [0, JitterFrac) of the delay
-	// (default 0.5) so retries from many blocks do not synchronize.
-	JitterFrac float64
-	// Budget caps the cumulative in-round backoff (default 9 minutes, under
-	// the 11-minute round).
-	Budget time.Duration
 }
 
+const (
+	// retryMaxBackoff caps the doubling retry delay.
+	retryMaxBackoff = 60 * time.Second
+	// retryJitterFrac adds a uniform draw in [0, retryJitterFrac) of the
+	// delay so retries from many blocks do not synchronize.
+	retryJitterFrac = 0.5
+	// retryBudget caps the cumulative in-round backoff, under the 11-minute
+	// round.
+	retryBudget = 9 * time.Minute
+)
+
 func (r RetryConfig) withDefaults() RetryConfig {
-	if r.MaxAttempts < 2 {
-		return r
-	}
-	if r.BaseBackoff <= 0 {
+	if r.MaxAttempts >= 2 && r.BaseBackoff <= 0 {
 		r.BaseBackoff = 2 * time.Second
-	}
-	if r.MaxBackoff <= 0 {
-		r.MaxBackoff = 60 * time.Second
-	}
-	if r.JitterFrac == 0 {
-		r.JitterFrac = 0.5
-	}
-	if r.JitterFrac < 0 {
-		r.JitterFrac = 0
-	}
-	if r.Budget <= 0 {
-		r.Budget = 9 * time.Minute
 	}
 	return r
 }
@@ -138,36 +133,18 @@ func (r RetryConfig) withDefaults() RetryConfig {
 // jitter.
 func (r RetryConfig) delay(attempt int) time.Duration {
 	d := r.BaseBackoff
-	for i := 1; i < attempt && d < r.MaxBackoff; i++ {
+	for i := 1; i < attempt && d < retryMaxBackoff; i++ {
 		d *= 2
 	}
-	if d > r.MaxBackoff {
-		d = r.MaxBackoff
-	}
-	return d
+	return min(d, retryMaxBackoff)
 }
 
 func (c Config) withDefaults() Config {
 	if c.MaxProbesPerRound <= 0 {
 		c.MaxProbesPerRound = 15
 	}
-	if c.BeliefUp == 0 {
-		c.BeliefUp = 0.9
-	}
-	if c.BeliefDown == 0 {
-		c.BeliefDown = 0.1
-	}
-	if c.MinEverActive == 0 {
-		c.MinEverActive = 15
-	}
-	if c.PositiveWhenDown == 0 {
-		c.PositiveWhenDown = 1e-3
-	}
 	if c.RestartDowntimeFrac == 0 {
 		c.RestartDowntimeFrac = 0.1
-	}
-	if c.SrcIP == (ipv4.Addr{}) {
-		c.SrcIP = ipv4.Addr{198, 51, 100, 1}
 	}
 	c.Retry = c.Retry.withDefaults()
 	return c
@@ -374,8 +351,8 @@ func New(net ProbeNetwork, cfg Config, seed uint64) *Prober {
 // host octets (Trinocular seeds this from census history). Blocks with
 // fewer than MinEverActive hosts are rejected with ErrTooSparse.
 func (p *Prober) AddBlock(id netsim.BlockID, everActive []byte) error {
-	if len(everActive) < p.cfg.MinEverActive {
-		return fmt.Errorf("%w: %s has %d < %d", ErrTooSparse, id, len(everActive), p.cfg.MinEverActive)
+	if len(everActive) < MinEverActive {
+		return fmt.Errorf("%w: %s has %d < %d", ErrTooSparse, id, len(everActive), MinEverActive)
 	}
 	st := &blockState{
 		id:     id,
@@ -383,7 +360,7 @@ func (p *Prober) AddBlock(id netsim.BlockID, everActive []byte) error {
 		belief: 0.5,
 		up:     true,
 	}
-	st.initTemplate(p.cfg.ProbeID, p.cfg.SrcIP)
+	st.initTemplate(icmpID, srcIP)
 	shuffle(st.walk, p.seed^uint64(id))
 	p.states[id] = st
 	return nil
@@ -556,11 +533,9 @@ func (p *Prober) retrySendErrors(rs *roundState, host byte, now time.Time) probe
 	outcome := outcomeSendError
 	for attempt := 1; attempt < p.cfg.Retry.MaxAttempts; attempt++ {
 		d := p.cfg.Retry.delay(attempt)
-		if p.cfg.Retry.JitterFrac > 0 {
-			j := prf.Float(p.seed^0x7e77, uint64(st.id), uint64(st.seq), uint64(attempt))
-			d += time.Duration(j * p.cfg.Retry.JitterFrac * float64(d))
-		}
-		if rs.backoffUsed+d > p.cfg.Retry.Budget {
+		j := prf.Float(p.seed^0x7e77, uint64(st.id), uint64(st.seq), uint64(attempt))
+		d += time.Duration(j * retryJitterFrac * float64(d))
+		if rs.backoffUsed+d > retryBudget {
 			break
 		}
 		rs.backoffUsed += d
@@ -597,7 +572,7 @@ func (p *Prober) applyOutcome(rs *roundState, outcome probeOutcome) {
 	case outcomePositive:
 		rs.obs.Total++
 		rs.obs.Positive++
-		rs.belief = updateBelief(rs.belief, true, rs.aOp, p.cfg.PositiveWhenDown)
+		rs.belief = updateBelief(rs.belief, true, rs.aOp)
 	case outcomeUnreachable:
 		rs.obs.Total++
 		rs.obs.Unreachable++
@@ -606,9 +581,9 @@ func (p *Prober) applyOutcome(rs *roundState, outcome probeOutcome) {
 		rs.belief = applyLikelihoods(rs.belief, 0.01, 0.3)
 	default:
 		rs.obs.Total++
-		rs.belief = updateBelief(rs.belief, false, rs.aOp, p.cfg.PositiveWhenDown)
+		rs.belief = updateBelief(rs.belief, false, rs.aOp)
 	}
-	if p.cfg.FixedProbes <= 0 && (rs.belief >= p.cfg.BeliefUp || rs.belief <= p.cfg.BeliefDown) {
+	if p.cfg.FixedProbes <= 0 && (rs.belief >= beliefUp || rs.belief <= beliefDown) {
 		rs.done = true
 		return
 	}
@@ -627,10 +602,10 @@ func (p *Prober) finishRound(rs *roundState) {
 	st.belief = rs.belief
 	newUp := st.up
 	switch {
-	case rs.belief >= p.cfg.BeliefUp:
+	case rs.belief >= beliefUp:
 		newUp = true
 		st.downStreak = 0
-	case rs.belief <= p.cfg.BeliefDown:
+	case rs.belief <= beliefDown:
 		st.downStreak++
 		if st.downStreak >= 2 || !st.up {
 			newUp = false
@@ -719,7 +694,7 @@ func (p *Prober) classifyResponse(resp netsim.Response, target ipv4.Addr, seq ui
 	if err != nil || rHdr.Protocol != ipv4.ProtoICMP {
 		return outcomeNegative
 	}
-	if rHdr.Dst != p.cfg.SrcIP {
+	if rHdr.Dst != srcIP {
 		return outcomeNegative
 	}
 	switch icmp.TypeOf(payload) {
@@ -737,7 +712,7 @@ func (p *Prober) classifyResponse(resp netsim.Response, target ipv4.Addr, seq ui
 		}
 		var orig icmp.Echo
 		if err := icmp.ParseEchoInto(&orig, inner); err != nil ||
-			orig.Reply || orig.ID != p.cfg.ProbeID || orig.Seq != seq {
+			orig.Reply || orig.ID != icmpID || orig.Seq != seq {
 			return outcomeNegative
 		}
 		if un.Code == icmp.CodeAdminProhibited {
@@ -750,7 +725,7 @@ func (p *Prober) classifyResponse(resp netsim.Response, target ipv4.Addr, seq ui
 		}
 		var reply icmp.Echo
 		if err := icmp.ParseEchoInto(&reply, payload); err != nil ||
-			!reply.Matches(p.cfg.ProbeID, seq) {
+			!reply.Matches(icmpID, seq) {
 			return outcomeNegative
 		}
 		return outcomePositive
@@ -761,11 +736,11 @@ func (p *Prober) classifyResponse(resp netsim.Response, target ipv4.Addr, seq ui
 // updateBelief applies one Bayesian update to the belief that the block is
 // up, given a positive or negative probe and the current availability
 // estimate a = P(reply | block up, random ever-active target).
-func updateBelief(b float64, positive bool, a, posWhenDown float64) float64 {
+func updateBelief(b float64, positive bool, a float64) float64 {
 	if positive {
-		return applyLikelihoods(b, a, posWhenDown)
+		return applyLikelihoods(b, a, positiveWhenDown)
 	}
-	return applyLikelihoods(b, 1-a, 1-posWhenDown)
+	return applyLikelihoods(b, 1-a, 1-positiveWhenDown)
 }
 
 // applyLikelihoods folds P(obs|up) and P(obs|down) into the belief.

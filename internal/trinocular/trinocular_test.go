@@ -255,16 +255,16 @@ func TestNoRestartMeansNoColdRounds(t *testing.T) {
 
 func TestUpdateBelief(t *testing.T) {
 	// A positive response is near-conclusive evidence of up.
-	b := updateBelief(0.5, true, 0.5, 1e-3)
+	b := updateBelief(0.5, true, 0.5)
 	if b < 0.99 {
 		t.Fatalf("positive update = %v, want > 0.99", b)
 	}
 	// A negative response lowers belief by factor (1-a) in odds.
-	b = updateBelief(0.5, false, 0.9, 1e-3)
+	b = updateBelief(0.5, false, 0.9)
 	if b > 0.1 {
 		t.Fatalf("negative update with high A = %v, want <= 0.1", b)
 	}
-	b = updateBelief(0.5, false, 0.1, 1e-3)
+	b = updateBelief(0.5, false, 0.1)
 	if b < 0.4 {
 		t.Fatalf("negative update with low A = %v, want weak evidence", b)
 	}

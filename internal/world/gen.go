@@ -17,10 +17,6 @@ type Config struct {
 	Blocks int
 	// Seed makes generation fully deterministic.
 	Seed uint64
-	// CentroidFrac is the fraction of blocks whose geolocation is only
-	// country-precise and therefore lands on the country centroid (the
-	// Fig 12 anomaly). Defaults to 0.07.
-	CentroidFrac float64
 	// MeanLoss is the mean per-block packet loss probability (default 0.01).
 	MeanLoss float64
 	// OutagesPerBlockWeek is the base rate of whole-block outages
@@ -28,20 +24,21 @@ type Config struct {
 	// with national infrastructure (lower GDP, more outages). Zero
 	// disables outage injection.
 	OutagesPerBlockWeek float64
-	// OutageHorizonDays bounds how far ahead outages are scheduled
-	// (default 70 days from the simulation epoch).
-	OutageHorizonDays int
 }
 
+const (
+	// centroidFrac is the fraction of blocks whose geolocation is only
+	// country-precise and therefore lands on the country centroid (the
+	// Fig 12 anomaly).
+	centroidFrac = 0.07
+	// outageHorizon bounds how far ahead of the simulation epoch outages
+	// are scheduled.
+	outageHorizon = 70 * 24 * time.Hour
+)
+
 func (c Config) withDefaults() Config {
-	if c.CentroidFrac == 0 {
-		c.CentroidFrac = 0.07
-	}
 	if c.MeanLoss == 0 {
 		c.MeanLoss = 0.01
-	}
-	if c.OutageHorizonDays == 0 {
-		c.OutageHorizonDays = 70
 	}
 	return c
 }
@@ -180,7 +177,7 @@ func Generate(cfg Config) (*World, error) {
 				AllocDate: w.AllocDates[s8],
 			}
 			// Geography.
-			if r.Float64() < cfg.CentroidFrac {
+			if r.Float64() < centroidFrac {
 				info.CountryCentroid = true
 				info.Lat, info.Lon = c.CenterLat(), c.CenterLon()
 			} else {
@@ -370,14 +367,13 @@ func injectOutages(blk *netsim.Block, info *BlockInfo, cfg Config) {
 	r := rand.New(rand.NewSource(int64(uint64(info.ID)*0x9e3779b9 ^ cfg.Seed ^ 0x07a6e)))
 	mult := clampF(2.6-2.2*info.Country.GDP/50000, 0.3, 2.6)
 	rate := cfg.OutagesPerBlockWeek * mult // episodes per week
-	horizon := time.Duration(cfg.OutageHorizonDays) * 24 * time.Hour
 	// Poisson process via exponential gaps.
 	t := time.Duration(0)
 	epoch := time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC)
 	for {
 		gap := time.Duration(r.ExpFloat64() / rate * float64(7*24*time.Hour))
 		t += gap
-		if t >= horizon {
+		if t >= outageHorizon {
 			return
 		}
 		// Lognormal-ish duration around two hours, clamped to [22m, 48h].
