@@ -109,6 +109,8 @@ bench-e2e:
 # table) claimed peak_rss_mb on study-14d, with the other three as controls:
 #   make bench-pair WORKLOAD=study-14d BASE=HEAD~1 PAIRS=10
 #   make bench-pair WORKLOAD=study-14d BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
+# and PR 22 (the engine's bytes per block) the same metric on serve-mixed:
+#   make bench-pair WORKLOAD=serve-mixed BASE=HEAD~1 PAIRS=10
 # cmd/benchpair keeps BASE's export under $TMPDIR; nothing else should be
 # running on the host while pairs are measured.
 WORKLOAD ?= truth-7d

@@ -51,7 +51,9 @@ type RunInfo struct {
 // ResyncShard call; sinks must consume it before returning.
 type PubBlock struct {
 	ID netsim.BlockID
-	// Short is the committed Âs series so far, one value per round.
+	// Short is the committed Âs series so far, one value per round: every
+	// block of a ResyncShard call carries exactly nextRound values. A sink
+	// may reject the whole resync otherwise (serve.Engine does).
 	Short []float64
 	// Long is the estimator's long-term availability.
 	Long float64

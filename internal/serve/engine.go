@@ -5,10 +5,11 @@
 // The core mechanism is the copy-on-write epoch snapshot. Shards publish
 // committed rounds into writer-owned columnar buffers (internal/monitor's
 // EpochSink hook); once every shard has committed round r, the engine copies
-// the columns into an immutable Epoch and swaps it in with one atomic
-// pointer store. Readers load the pointer and query the frozen epoch — they
-// never take a lock the probe path can contend on, and a reader holding an
-// old epoch keeps a consistent view for as long as it wants.
+// the finished columns — classification included — into an immutable Epoch
+// and swaps it in with one atomic pointer store. Readers load the pointer
+// and query the frozen epoch — they never take a lock the probe path can
+// contend on, and a reader holding an old epoch keeps a consistent view for
+// as long as it wants.
 //
 // Liveness under partial monitor state is explicit rather than accidental:
 // while a shard is crash-looping, mid-recovery, or quarantined, the engine
@@ -76,17 +77,35 @@ const (
 )
 
 // shardState is the writer-side mirror of one monitor shard, owned by the
-// engine mutex.
+// engine mutex. Every block of a shard has seen the same rounds, so the
+// basis sums are held once; class and phase are kept current by whoever
+// moves acc (PublishRound, ResyncShard), so a seal only copies columns.
 type shardState struct {
 	synced      bool
 	quarantined bool
-	rounds      int // committed rounds published so far
+	sums        BasisSums // sums.N is the committed rounds published so far
 	ids         []netsim.BlockID
 	avail       []float64
 	long        []float64
 	down        []bool
 	failed      []int32
 	acc         []StreamAcc
+	class       []DiurnalClass
+	phase       []float64 // 0 outside the diurnal classes
+}
+
+// rounds reports how many committed rounds the shard has published.
+func (st *shardState) rounds() int { return int(st.sums.N) }
+
+// classify refreshes block i's class and phase columns from its accumulator.
+//
+//lint:hotpath: per block per round on the publish path; pure arithmetic
+func (st *shardState) classify(i, minRounds int) {
+	class, phase := st.acc[i].Classify(&st.sums, minRounds)
+	if class != ClassStrict && class != ClassRelaxed {
+		phase = 0
+	}
+	st.class[i], st.phase[i] = class, phase
 }
 
 // engineMetrics caches the engine's instruments (all no-ops without a
@@ -135,8 +154,6 @@ type Engine struct {
 	minClassify int
 	sealedRound int
 
-	storeMu sync.Mutex // orders epoch stores from concurrent seals
-
 	epoch       atomic.Pointer[Epoch]
 	maxRounds   atomic.Int64
 	totalRounds atomic.Int64
@@ -169,29 +186,32 @@ func (e *Engine) BeginRun(info monitor.RunInfo) {
 
 // ResyncShard implements monitor.EpochSink: it replaces the shard's mirror
 // with state rebuilt from the committed series. Cold path (attempt starts
-// and recoveries only).
+// and recoveries only). A block whose series is not nextRound long breaks
+// the contract (a shard has one round count); such a resync is dropped and
+// the mirror stays as it was.
 func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
 	e.mu.Lock()
-	if !e.began || shard < 0 || shard >= len(e.shards) {
+	if !e.began || shard < 0 || shard >= len(e.shards) || !seriesLen(blocks, nextRound) {
 		e.met.publishIgnored.Inc()
 		e.mu.Unlock()
 		return
 	}
 	st := &shardState{
 		synced: true,
-		rounds: nextRound,
 		ids:    make([]netsim.BlockID, len(blocks)),
 		avail:  make([]float64, len(blocks)),
 		long:   make([]float64, len(blocks)),
 		down:   make([]bool, len(blocks)),
 		failed: make([]int32, len(blocks)),
 		acc:    make([]StreamAcc, len(blocks)),
+		class:  make([]DiurnalClass, len(blocks)),
+		phase:  make([]float64, len(blocks)),
 	}
 	for i := range blocks {
 		b := &blocks[i]
 		st.ids[i] = b.ID
-		if len(b.Short) > 0 {
-			st.avail[i] = b.Short[len(b.Short)-1]
+		if nextRound > 0 {
+			st.avail[i] = b.Short[nextRound-1]
 		}
 		st.long[i] = b.Long
 		st.down[i] = b.Down
@@ -202,22 +222,34 @@ func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
 	for r := 0; r < nextRound; r++ {
 		c1, s1, c2, s2 := e.basis.Waves(r)
 		for i := range blocks {
-			if r < len(blocks[i].Short) {
-				st.acc[i].Add(blocks[i].Short[r], c1, s1, c2, s2)
-			}
+			st.acc[i].Add(blocks[i].Short[r], float64(r), c1, s1, c2, s2)
 		}
+		st.sums.Add(c1, s1, c2, s2)
+	}
+	for i := range blocks {
+		st.classify(i, e.minClassify)
 	}
 	e.shards[shard] = st
 	e.met.resyncs.Inc()
 	e.noteRounds(nextRound)
-	ep := e.sealLocked()
+	e.sealLocked()
 	e.mu.Unlock()
-	e.finishSeal(ep)
+}
+
+// seriesLen reports whether every block carries exactly rounds values.
+func seriesLen(blocks []monitor.PubBlock, rounds int) bool {
+	for i := range blocks {
+		if len(blocks[i].Short) != rounds {
+			return false
+		}
+	}
+	return true
 }
 
 // PublishRound implements monitor.EpochSink: it applies one committed
-// round's deltas. Hot path — O(shard blocks) arithmetic under the writer
-// mutex, no allocation.
+// round's deltas and reclassifies the shard's blocks while their moments
+// are hot. Hot path — O(shard blocks) arithmetic under the writer mutex, no
+// allocation unless the round seals an epoch.
 func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 	e.mu.Lock()
 	if !e.began || shard < 0 || shard >= len(e.shards) {
@@ -226,7 +258,7 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 		return
 	}
 	st := e.shards[shard]
-	if st == nil || !st.synced || len(deltas) != len(st.ids) || round != st.rounds {
+	if st == nil || !st.synced || len(deltas) != len(st.ids) || round != st.rounds() {
 		// A replayed round (engine already covered it via resync) or a gap
 		// (impossible through the shard contract, but never corrupt state
 		// over it): drop the publication, the next resync reconciles.
@@ -235,11 +267,14 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 		return
 	}
 	c1, s1, c2, s2 := e.basis.Waves(round)
+	r := float64(round)
+	st.sums.Add(c1, s1, c2, s2)
 	for i := range deltas {
 		d := &deltas[i]
 		st.avail[i] = d.Avail
 		st.long[i] = d.Long
-		st.acc[i].Add(d.Avail, c1, s1, c2, s2)
+		st.acc[i].Add(d.Avail, r, c1, s1, c2, s2)
+		st.classify(i, e.minClassify)
 		switch d.Event {
 		case monitor.PubEventDown:
 			st.down[i] = true
@@ -250,28 +285,25 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 			st.failed[i]++
 		}
 	}
-	st.rounds = round + 1
-	e.noteRounds(st.rounds)
-	ep := e.sealLocked()
+	e.noteRounds(round + 1)
+	e.sealLocked()
 	e.mu.Unlock()
-	e.finishSeal(ep)
 }
 
 // ShardDown implements monitor.EpochSink: the shard quarantined and will
 // publish nothing more this run. The engine keeps serving the last epoch
 // and reports itself degraded.
 func (e *Engine) ShardDown(shard int) {
+	e.met.shardsDown.Inc()
+	e.degraded.Store(true)
 	e.mu.Lock()
 	if shard >= 0 && shard < len(e.shards) && e.shards[shard] != nil {
 		e.shards[shard].quarantined = true
 	}
 	// The quarantined shard no longer holds the floor down: shards that
 	// already committed past it may now be sealable.
-	ep := e.sealLocked()
+	e.sealLocked()
 	e.mu.Unlock()
-	e.met.shardsDown.Inc()
-	e.degraded.Store(true)
-	e.finishSeal(ep)
 }
 
 // noteRounds advances the high-water mark of committed rounds (locked).
@@ -281,26 +313,25 @@ func (e *Engine) noteRounds(rounds int) {
 	}
 }
 
-// sealLocked prepares a new epoch when every shard has committed past the
-// current one, returning nil when there is nothing to seal. Column copies
-// happen under the writer mutex (so publishers see a consistent cut);
-// classification — the expensive part — runs in finishSeal, outside the
-// mutex, on the epoch's own copies, paid by the publishing shard.
-func (e *Engine) sealLocked() *Epoch {
+// sealLocked seals and publishes a new epoch when every shard has committed
+// past the current one. It is a column copy under the writer mutex (so
+// publishers see a consistent cut, and epochs are stored in seal order):
+// each shard keeps its own class and phase columns current as it publishes.
+func (e *Engine) sealLocked() {
 	floor := -1
 	for _, st := range e.shards {
 		if st == nil || !st.synced {
-			return nil // not all shards reporting yet: no epoch to seal
+			return // not all shards reporting yet: no epoch to seal
 		}
 		if st.quarantined {
 			continue // frozen at its last committed round; floor ignores it
 		}
-		if floor < 0 || st.rounds < floor {
-			floor = st.rounds
+		if floor < 0 || st.rounds() < floor {
+			floor = st.rounds()
 		}
 	}
 	if floor <= e.sealedRound || floor <= 0 {
-		return nil
+		return
 	}
 	e.sealedRound = floor
 
@@ -319,12 +350,9 @@ func (e *Engine) sealLocked() *Epoch {
 		long:        make([]float64, 0, total),
 		down:        make([]bool, 0, total),
 		failed:      make([]int32, 0, total),
-		acc:         make([]StreamAcc, 0, total),
-		class:       make([]DiurnalClass, total),
-		phase:       make([]float64, total),
-		peakUTC:     make([]float64, total),
-		sleepUTC:    make([]float64, total),
-		minClassify: e.minClassify,
+		class:       make([]DiurnalClass, 0, total),
+		phase:       make([]float64, 0, total),
+		startHour:   startOfDayHour(e.info.Start),
 	}
 	// Shards hold contiguous slices of the global sorted block order, so
 	// concatenating in shard order yields a globally sorted epoch.
@@ -334,37 +362,15 @@ func (e *Engine) sealLocked() *Epoch {
 		ep.long = append(ep.long, st.long...)
 		ep.down = append(ep.down, st.down...)
 		ep.failed = append(ep.failed, st.failed...)
-		ep.acc = append(ep.acc, st.acc...)
+		ep.class = append(ep.class, st.class...)
+		ep.phase = append(ep.phase, st.phase...)
 	}
 	e.met.epochs.Inc()
-	return ep
-}
-
-// finishSeal classifies the epoch's blocks (outside the writer mutex) and
-// publishes it, never letting an older epoch overwrite a newer one. A nil
-// epoch (nothing sealed) is a no-op.
-func (e *Engine) finishSeal(ep *Epoch) {
-	if ep == nil {
-		return
-	}
-	startHour := startOfDayHour(ep.Start)
-	for i := range ep.acc {
-		class, phase := ep.acc[i].Classify(ep.minClassify)
-		ep.class[i] = class
-		if class == ClassStrict || class == ClassRelaxed {
-			ep.phase[i] = phase
-			// peakSleepUTC maps the phase (hours after series start) through
-			// the campaign's start-of-day offset to UTC time-of-day.
-			ep.peakUTC[i], ep.sleepUTC[i] = peakSleepUTC(phase, startHour)
-		}
-	}
-	ep.acc = nil // classification done; drop the accumulator copy
-
-	e.storeMu.Lock()
+	// A run resumed over an old WAL starts below the epoch the previous run
+	// left serving; never let an older epoch replace a newer one.
 	if cur := e.epoch.Load(); cur == nil || cur.Rounds < ep.Rounds {
 		e.epoch.Store(ep)
 	}
-	e.storeMu.Unlock()
 }
 
 // Epoch returns the latest sealed epoch, or nil before the first seal.

@@ -348,3 +348,257 @@ func TestEngineDegradedOnQuarantine(t *testing.T) {
 		t.Fatalf("epoch len = %d, want all 8 blocks (quarantined shard frozen)", ep.Len())
 	}
 }
+
+// shardFeed drives one shard of an engine from per-block series through the
+// EpochSink contract, keeping a Replayer per block fed the same values — the
+// per-block reference the shard-shared basis sums must reproduce.
+type shardFeed struct {
+	shard  int
+	first  int // the shard's first block, as an index into the epoch
+	ids    []netsim.BlockID
+	series func(b, r int) float64 // b indexes the shard's blocks
+	sent   [][]float64
+	ref    []*Replayer
+	deltas []monitor.RoundPub
+}
+
+func newShardFeed(info monitor.RunInfo, shard, first, blocks int, series func(b, r int) float64) *shardFeed {
+	f := &shardFeed{
+		shard: shard, first: first, series: series,
+		ids:    make([]netsim.BlockID, blocks),
+		sent:   make([][]float64, blocks),
+		ref:    make([]*Replayer, blocks),
+		deltas: make([]monitor.RoundPub, blocks),
+	}
+	for b := range f.ids {
+		f.ids[b] = netsim.MakeBlockID(10, 0, byte(first+b))
+		f.sent[b] = make([]float64, 0, info.Rounds) // publish never grows it
+		f.ref[b] = NewReplayer(info.Start, info.Period, 0)
+	}
+	return f
+}
+
+// publish sends the shard's next round.
+func (f *shardFeed) publish(e *Engine) {
+	r := len(f.sent[0])
+	for b := range f.deltas {
+		v := f.series(b, r)
+		f.sent[b] = append(f.sent[b], v)
+		f.ref[b].Push(v)
+		f.deltas[b] = monitor.RoundPub{Avail: v, Long: v}
+	}
+	e.PublishRound(f.shard, r, f.deltas)
+}
+
+// resync re-publishes everything sent so far, as a restarted shard does.
+func (f *shardFeed) resync(e *Engine) {
+	pub := make([]monitor.PubBlock, len(f.ids))
+	for b := range pub {
+		pub[b] = monitor.PubBlock{ID: f.ids[b], Short: f.sent[b]}
+		if n := len(f.sent[b]); n > 0 {
+			pub[b].Long = f.sent[b][n-1]
+		}
+	}
+	e.ResyncShard(f.shard, len(f.sent[0]), pub)
+}
+
+// matchesReplayers compares the epoch's rows for the feed's blocks, column
+// bits and served peak/sleep bits, with the per-block replayers.
+func (f *shardFeed) matchesReplayers(t *testing.T, ep *Epoch) {
+	t.Helper()
+	for b, rp := range f.ref {
+		i := f.first + b
+		class, phase := rp.Classify()
+		diurnal := class == ClassStrict || class == ClassRelaxed
+		if !diurnal {
+			phase = 0
+		}
+		if ep.class[i] != class || math.Float64bits(ep.phase[i]) != math.Float64bits(phase) {
+			t.Fatalf("epoch %d block %v: class %v phase %v, replayer says %v %v",
+				ep.Rounds, ep.ids[i], ep.class[i], ep.phase[i], class, phase)
+		}
+		bs, ok := ep.Lookup(f.ids[b])
+		if !ok || (bs.PeakUTCHour != nil) != diurnal {
+			t.Fatalf("epoch %d block %v: lookup ok=%v peak=%v, diurnal=%v", ep.Rounds, f.ids[b], ok, bs.PeakUTCHour, diurnal)
+		}
+		if diurnal {
+			peak, sleep := rp.PeakSleepUTC()
+			if math.Float64bits(*bs.PeakUTCHour) != math.Float64bits(peak) ||
+				math.Float64bits(*bs.SleepUTCHour) != math.Float64bits(sleep) {
+				t.Fatalf("epoch %d block %v: served peak/sleep %v/%v, replayer %v/%v",
+					ep.Rounds, f.ids[b], *bs.PeakUTCHour, *bs.SleepUTCHour, peak, sleep)
+			}
+		}
+	}
+}
+
+// TestEngineShardsMatchPerBlockReplay: each shard carries one copy of the
+// basis sums and classifies its own blocks as it publishes. Three shards
+// driven out of step — one two rounds ahead, one resynced mid-way — must
+// seal, at every epoch, exactly what a per-block Replayer fed the same
+// series answers: class, phase bits and the served peak/sleep bits.
+func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
+	const rounds, perShard = 80, 4
+	info := monitor.RunInfo{
+		Shards: 3, Rounds: rounds, Blocks: 3 * perShard,
+		Start:  time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC),
+		Period: time.Hour, Seed: 1,
+	}
+	series := func(shard int) func(b, r int) float64 {
+		return func(b, r int) float64 {
+			switch b {
+			case 0: // diurnal, a different peak hour in every shard
+				return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-float64(5*shard))/24)
+			case 1: // flat
+				return 0.7
+			case 2: // a ramp: variance, no daily period
+				return float64(r) / rounds
+			default: // diurnal with a strong first harmonic: relaxed at best
+				x := 2 * math.Pi * float64(r) / 24
+				return 0.5 + 0.2*math.Cos(x) + 0.2*math.Cos(2*x+float64(shard))
+			}
+		}
+	}
+	e := NewEngine(EngineConfig{})
+	e.BeginRun(info)
+	feeds := make([]*shardFeed, info.Shards)
+	for s := range feeds {
+		feeds[s] = newShardFeed(info, s, s*perShard, perShard, series(s))
+		feeds[s].resync(e)
+	}
+	feeds[0].publish(e)
+	feeds[0].publish(e)
+	seen := map[DiurnalClass]bool{}
+	for r := 0; r < rounds; r++ {
+		if r+2 < rounds {
+			feeds[0].publish(e)
+		}
+		if r == rounds/2 {
+			feeds[2].resync(e)
+		}
+		feeds[1].publish(e)
+		feeds[2].publish(e)
+		ep := e.Epoch()
+		if ep == nil || ep.Rounds != r+1 {
+			t.Fatalf("after round %d the epoch is %+v", r, ep)
+		}
+		for _, f := range feeds {
+			f.matchesReplayers(t, ep)
+		}
+		for _, c := range ep.class {
+			seen[c] = true
+		}
+	}
+	for _, c := range []DiurnalClass{ClassUnknown, ClassNonDiurnal, ClassRelaxed, ClassStrict} {
+		if !seen[c] {
+			t.Errorf("no block was ever %v: the fixture no longer covers that class", c)
+		}
+	}
+}
+
+// TestEngineResyncAcrossClassChange is the stale-phase trap: a block that is
+// diurnal, then not, then diurnal again, with a resync while it is not. The
+// resynced mirror starts from zeroed columns; the twin that never resynced
+// must have written phase 0 when the block left the diurnal classes, or the
+// two epochs differ in a column nobody serves.
+func TestEngineResyncAcrossClassChange(t *testing.T) {
+	const stage = 48
+	info := monitor.RunInfo{
+		Shards: 1, Rounds: 3 * stage, Blocks: 1,
+		Start: testEpoch, Period: time.Hour, Seed: 1,
+	}
+	series := func(_, r int) float64 {
+		wave := math.Cos(2 * math.Pi * (float64(r) - 8) / 24)
+		switch r / stage {
+		case 0:
+			return 0.5 + 0.05*wave
+		case 1: // round-to-round flapping swamps the earlier daily wave
+			return 0.4 + 0.2*float64(r%2)
+		default:
+			return 0.5 + 0.4*wave
+		}
+	}
+	plain, resynced := NewEngine(EngineConfig{}), NewEngine(EngineConfig{})
+	fp, fr := newShardFeed(info, 0, 0, 1, series), newShardFeed(info, 0, 0, 1, series)
+	plain.BeginRun(info)
+	resynced.BeginRun(info)
+	fp.resync(plain)
+	fr.resync(resynced)
+	wantDiurnal := []bool{true, false, true}
+	for r := 0; r < 3*stage; r++ {
+		fp.publish(plain)
+		fr.publish(resynced)
+		if r == 2*stage-1 {
+			fr.resync(resynced)
+		}
+		ep := plain.Epoch()
+		epochsIdentical(t, ep, resynced.Epoch())
+		c := ep.class[0]
+		if got := c == ClassStrict || c == ClassRelaxed; (r+1)%stage == 0 && got != wantDiurnal[r/stage] {
+			t.Fatalf("round %d: class %v, want diurnal=%v", r, c, wantDiurnal[r/stage])
+		}
+	}
+}
+
+// TestPublishRoundAllocs: a publish that seals nothing allocates nothing —
+// classification included — and one that seals allocates the epoch and its
+// seven columns, no transient copy of anything else.
+func TestPublishRoundAllocs(t *testing.T) {
+	const blocks, runs = 64, 50
+	info := monitor.RunInfo{
+		Shards: 2, Rounds: 4 * runs, Blocks: 2 * blocks,
+		Start: testEpoch, Period: time.Hour, Seed: 1,
+	}
+	series := func(b, r int) float64 { return 0.5 + 0.4*math.Cos(2*math.Pi*float64(r+b)/24) }
+	e := NewEngine(EngineConfig{MinClassifyRounds: 1})
+	e.BeginRun(info)
+	ahead, floor := newShardFeed(info, 0, 0, blocks, series), newShardFeed(info, 1, blocks, blocks, series)
+	ahead.resync(e)
+	floor.resync(e)
+	ahead.publish(e)
+	floor.publish(e)
+	sealed := e.Epoch().Rounds
+	if got := testing.AllocsPerRun(runs, func() { ahead.publish(e) }); got != 0 {
+		t.Errorf("a publish that seals nothing allocates %.0f times, want 0", got)
+	}
+	if e.Epoch().Rounds != sealed {
+		t.Fatalf("the shard ahead of the floor sealed an epoch (%d → %d)", sealed, e.Epoch().Rounds)
+	}
+	const epochAllocs = 8 // the Epoch and its seven columns
+	if got := testing.AllocsPerRun(runs, func() { floor.publish(e) }); got != epochAllocs {
+		t.Errorf("a publish that seals allocates %.0f times, want %d", got, epochAllocs)
+	}
+	if e.Epoch().Rounds != sealed+runs+1 {
+		t.Fatalf("the floor shard's publishes sealed up to %d, want %d", e.Epoch().Rounds, sealed+runs+1)
+	}
+}
+
+// TestResyncRejectsRaggedSeries: a shard has one round count, so a resync
+// whose blocks do not all carry nextRound values is a contract violation —
+// counted, and the mirror left as it was.
+func TestResyncRejectsRaggedSeries(t *testing.T) {
+	reg := metrics.New()
+	e := NewEngine(EngineConfig{Metrics: reg, MinClassifyRounds: 1})
+	drive(e, 2, 3, time.Hour, func(b, r int) float64 { return float64(b) + float64(r)/10 })
+	before := e.Epoch()
+
+	id := func(i int) netsim.BlockID { return netsim.MakeBlockID(10, 0, byte(i)) }
+	for name, blocks := range map[string][]monitor.PubBlock{
+		"short": {{ID: id(0), Short: []float64{9, 9, 9, 9}}, {ID: id(1), Short: []float64{9, 9, 9}}},
+		"long":  {{ID: id(0), Short: []float64{9, 9, 9, 9}}, {ID: id(1), Short: []float64{9, 9, 9, 9, 9}}},
+	} {
+		ignored := reg.Snapshot().Counter("serve.publish_ignored")
+		e.ResyncShard(0, 4, blocks)
+		if got := reg.Snapshot().Counter("serve.publish_ignored"); got != ignored+1 {
+			t.Errorf("%s series: publish_ignored went %d → %d, want one more", name, ignored, got)
+		}
+		if e.Epoch() != before {
+			t.Errorf("%s series: the rejected resync sealed an epoch", name)
+		}
+	}
+	// The mirror is untouched: the shard's next round still applies.
+	e.PublishRound(0, 3, []monitor.RoundPub{{Avail: 1}, {Avail: 2}})
+	if ep := e.Epoch(); ep.Rounds != 4 || ep.avail[1] != 2 {
+		t.Fatalf("after the rejected resyncs, round 3 left epoch %d avail %v", ep.Rounds, ep.avail)
+	}
+}

@@ -1,7 +1,7 @@
 package serve
 
 // epoch.go — the immutable read-side snapshot. An Epoch is sealed once (all
-// columns copied, classification attached) and then only ever read, so
+// columns copied, classification among them) and then only ever read, so
 // every query method is safe for unbounded concurrency with zero locks.
 // Aggregations take a context and poll it on a fixed stride: a request
 // deadline cuts a full-world rollup off mid-scan with a typed error instead
@@ -36,20 +36,17 @@ type Epoch struct {
 	// Start is the campaign's virtual epoch.
 	Start time.Time
 
-	ids      []netsim.BlockID
-	avail    []float64
-	long     []float64
-	down     []bool
-	failed   []int32
-	class    []DiurnalClass
-	phase    []float64
-	peakUTC  []float64
-	sleepUTC []float64
+	ids    []netsim.BlockID
+	avail  []float64
+	long   []float64
+	down   []bool
+	failed []int32
+	class  []DiurnalClass
+	phase  []float64 // 0 outside the diurnal classes
 
-	// acc carries the accumulator copies from seal to classification and is
-	// dropped afterwards.
-	acc         []StreamAcc
-	minClassify int
+	// startHour is Start's UTC time-of-day: with a block's phase it gives
+	// the peak and sleep hours, so neither is stored.
+	startHour float64
 }
 
 // BlockStatus is one block's queryable state.
@@ -83,7 +80,8 @@ func (ep *Epoch) statusAt(i int) BlockStatus {
 		Class:        ep.class[i].String(),
 	}
 	if c := ep.class[i]; c == ClassStrict || c == ClassRelaxed {
-		phase, peak, sleep := ep.phase[i], ep.peakUTC[i], ep.sleepUTC[i]
+		phase := ep.phase[i]
+		peak, sleep := peakSleepUTC(phase, ep.startHour)
 		s.Phase, s.PeakUTCHour, s.SleepUTCHour = &phase, &peak, &sleep
 	}
 	return s

@@ -53,8 +53,9 @@ type ServerConfig struct {
 }
 
 const (
-	// requestTimeout bounds one request's total handling time, propagated
-	// into aggregation scans as a context deadline.
+	// requestTimeout bounds an aggregation's scan, propagated into it as a
+	// context deadline. A point lookup has nothing to cut short and takes
+	// no deadline.
 	requestTimeout = 2 * time.Second
 	// maxRequestBytes is the per-connection read budget: a client that
 	// dribbles or floods more than this many request bytes is disconnected.
@@ -243,8 +244,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
-	defer cancel()
 	switch req.Kind {
 	case KindBlock:
 		bs, ok := ep.Lookup(req.Block)
@@ -256,6 +255,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.met.ok.Inc()
 		s.writeJSON(w, http.StatusOK, bs)
 	case KindRange:
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
+		defer cancel()
 		blocks, truncated, err := ep.Range(ctx, req.Lo, req.Hi, req.Limit, req.OnlyDown)
 		if err != nil {
 			s.met.shed503.Inc()
@@ -268,6 +269,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.met.ok.Inc()
 		s.writeJSON(w, http.StatusOK, blocksBody{Epoch: ep.Rounds, Truncated: truncated, Blocks: blocks})
 	case KindSummary:
+		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
+		defer cancel()
 		sum, err := ep.Summary(ctx)
 		if err != nil {
 			s.met.shed503.Inc()

@@ -3,11 +3,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net"
+	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
 	"time"
+
+	"sleepnet/internal/netsim"
 )
 
 // fixedNow freezes the admission clock so bucket refill is deterministic.
@@ -208,5 +212,41 @@ func TestBudgetConnDisconnectsOverBudget(t *testing.T) {
 	}
 	if _, err := bc.Read(buf); err == nil {
 		t.Fatal("read past budget succeeded")
+	}
+}
+
+// allocWriter is a ResponseWriter that keeps nothing, so AllocsPerRun sees
+// the handler's allocations only.
+type allocWriter struct {
+	h      http.Header
+	status int
+}
+
+func (w *allocWriter) Header() http.Header         { return w.h }
+func (w *allocWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *allocWriter) WriteHeader(status int)      { w.status = status }
+
+// TestHTTPLookupAllocs pins what one in-process /v1/block lookup allocates,
+// on a diurnal block (the three optional fields are the larger answer). A
+// point lookup consults no context, so the handler builds no deadline for
+// it; the ceiling is what is left, and the place to start when cutting it.
+func TestHTTPLookupAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; the count is pinned without it")
+	}
+	e := NewEngine(EngineConfig{})
+	drive(e, 2, 72, time.Hour, func(b, r int) float64 {
+		return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
+	})
+	s := NewServer(e, ServerConfig{Now: fixedNow()})
+	r := httptest.NewRequest("GET", "/v1/block/10.0.1", nil)
+	w := &allocWriter{h: http.Header{}}
+	s.ServeHTTP(w, r)
+	if bs, _ := e.Epoch().Lookup(netsim.MakeBlockID(10, 0, 1)); w.status != 200 || bs.Class != "strict" {
+		t.Fatalf("status %d, class %q; want 200 on a strict block", w.status, bs.Class)
+	}
+	const ceiling = 15 // 19 with a per-request deadline context
+	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, r) }); got > ceiling {
+		t.Fatalf("in-process lookup allocates %.0f times, ceiling %d", got, ceiling)
 	}
 }

@@ -47,14 +47,40 @@ func (b Basis) DefaultMinClassify() int {
 }
 
 // StreamAcc is one block's incremental spectral state: running DFT sums at
-// the diurnal frequency and its first harmonic, the matching sums of the
-// bare basis waves, plus the series moments. All updates happen in round
-// order, so a state rebuilt from the committed series (resync or offline
-// replay) is bit-identical to one accumulated incrementally — the property
-// the crash-equivalence test pins.
+// the diurnal frequency and its first harmonic, plus the series moments —
+// the seven sums that depend on the block's values. Everything else the
+// classifier needs depends on the round index alone and lives once per
+// shard in BasisSums. All updates happen in round order, so a state rebuilt
+// from the committed series (resync or offline replay) is bit-identical to
+// one accumulated incrementally — the property the crash-equivalence test
+// pins.
 type StreamAcc struct {
 	Re1, Im1 float64
 	Re2, Im2 float64
+	Sum      float64
+	SumRV    float64
+	SumSq    float64
+}
+
+// Add folds round r's availability value into the accumulator against the
+// basis waves for that round. Rounds arrive strictly in order; r is the
+// round index (the BasisSums' count before its own Add for the round).
+//
+//lint:hotpath: folded per block per round on the publish path; pure arithmetic
+func (a *StreamAcc) Add(v, r, c1, s1, c2, s2 float64) {
+	a.Re1 += v * c1
+	a.Im1 += v * s1
+	a.Re2 += v * c2
+	a.Im2 += v * s2
+	a.Sum += v
+	a.SumRV += r * v
+	a.SumSq += v * v
+}
+
+// BasisSums is the part of the spectral state every block fed the same
+// rounds shares: the round count and the sums of the bare basis waves. One
+// per shard in the engine, one per Replayer; advanced once a round.
+type BasisSums struct {
 	// BRe/BIm accumulate the bare basis waves (Σ cos, Σ sin) and RRe/RIm
 	// their first moments (Σ r·cos, Σ r·sin). The batch oracle removes the
 	// mean and a least-squares linear trend before the FFT; a live campaign
@@ -67,39 +93,30 @@ type StreamAcc struct {
 	BRe2, BIm2 float64
 	RRe1, RIm1 float64
 	RRe2, RIm2 float64
-	Sum        float64
-	SumRV      float64
-	SumSq      float64
 	N          int32
 }
 
-// Add folds one round's availability value into the accumulator against the
-// basis waves for that round. Rounds arrive strictly in order, so the round
-// index is the current count.
+// Add folds the next round's basis waves in; the round index is the current
+// count.
 //
-//lint:hotpath: folded per block per round on the publish path; pure arithmetic
-func (a *StreamAcc) Add(v, c1, s1, c2, s2 float64) {
-	r := float64(a.N)
-	a.Re1 += v * c1
-	a.Im1 += v * s1
-	a.Re2 += v * c2
-	a.Im2 += v * s2
-	a.BRe1 += c1
-	a.BIm1 += s1
-	a.BRe2 += c2
-	a.BIm2 += s2
-	a.RRe1 += r * c1
-	a.RIm1 += r * s1
-	a.RRe2 += r * c2
-	a.RIm2 += r * s2
-	a.Sum += v
-	a.SumRV += r * v
-	a.SumSq += v * v
-	a.N++
+//lint:hotpath: folded per shard per round on the publish path; pure arithmetic
+func (b *BasisSums) Add(c1, s1, c2, s2 float64) {
+	r := float64(b.N)
+	b.BRe1 += c1
+	b.BIm1 += s1
+	b.BRe2 += c2
+	b.BIm2 += s2
+	b.RRe1 += r * c1
+	b.RIm1 += r * s1
+	b.RRe2 += r * c2
+	b.RIm2 += r * s2
+	b.N++
 }
 
-// Classify derives (class, phase) from the accumulated state. Pure and
-// deterministic: same accumulator, same answer.
+// Classify derives (class, phase) from a block's accumulated state and the
+// basis sums over the same rounds. Pure and deterministic: same state, same
+// answer. The engine's publish loop, its resync and the offline Replayer
+// all call this one body.
 //
 // It evaluates the detrended series in closed form: the least-squares line
 // a+b·r fit to the rounds so far is subtracted from the DFT sums and the
@@ -113,11 +130,13 @@ func (a *StreamAcc) Add(v, c1, s1, c2, s2 float64) {
 // competition against bins this classifier does not observe — so relaxed
 // agreement with the batch oracle is inherently partial; the agreement
 // harness (internal/agree) measures and gates exactly how partial.
-func (a *StreamAcc) Classify(minRounds int) (DiurnalClass, float64) {
-	if int(a.N) < minRounds || a.N == 0 {
+//
+//lint:hotpath: evaluated per block per round on the publish path; pure math
+func (a *StreamAcc) Classify(b *BasisSums, minRounds int) (DiurnalClass, float64) {
+	if int(b.N) < minRounds || b.N == 0 {
 		return ClassUnknown, 0
 	}
-	n := float64(a.N)
+	n := float64(b.N)
 	mean := a.Sum / n
 	// Least-squares line over round indices 0..n-1: closed-form moments.
 	rbar := (n - 1) / 2
@@ -140,10 +159,10 @@ func (a *StreamAcc) Classify(minRounds int) (DiurnalClass, float64) {
 		return ClassNonDiurnal, 0
 	}
 	// Detrended DFT sums: Σ(v - intercept - slope·r)·e^{-iωr}.
-	re1 := a.Re1 - intercept*a.BRe1 - slope*a.RRe1
-	im1 := a.Im1 - intercept*a.BIm1 - slope*a.RIm1
-	re2 := a.Re2 - intercept*a.BRe2 - slope*a.RRe2
-	im2 := a.Im2 - intercept*a.BIm2 - slope*a.RIm2
+	re1 := a.Re1 - intercept*b.BRe1 - slope*b.RRe1
+	im1 := a.Im1 - intercept*b.BIm1 - slope*b.RIm1
+	re2 := a.Re2 - intercept*b.BRe2 - slope*b.RRe2
+	im2 := a.Im2 - intercept*b.BIm2 - slope*b.RIm2
 	phase := math.Atan2(im1, re1)
 	amp1 := 2 * math.Hypot(re1, im1) / n
 	amp2 := 2 * math.Hypot(re2, im2) / n
@@ -169,9 +188,9 @@ func startOfDayHour(start time.Time) float64 {
 }
 
 // peakSleepUTC maps a streaming phase (anchored at the campaign start) to
-// the UTC hours of peak activity and of sleep (peak + 12h). The engine's
-// seal path and the offline replayer both use it, so live answers and
-// replayed answers agree exactly.
+// the UTC hours of peak activity and of sleep (peak + 12h). The epoch's read
+// side and the offline replayer both use it, so live answers and replayed
+// answers agree exactly.
 func peakSleepUTC(phase, startHour float64) (peak, sleep float64) {
 	peak = math.Mod(analysis.UTCPeakHour(phase)+startHour, 24)
 	sleep = math.Mod(peak+12, 24)
@@ -180,12 +199,12 @@ func peakSleepUTC(phase, startHour float64) (peak, sleep float64) {
 
 // Replayer feeds one block's availability series through the streaming
 // classifier offline — exactly what the engine does live, without the epoch
-// machinery. internal/agree uses it to replay recorded campaigns against
-// the batch FFT oracle.
+// machinery: a shard of one block. internal/agree uses it to replay recorded
+// campaigns against the batch FFT oracle.
 type Replayer struct {
 	basis       Basis
 	acc         StreamAcc
-	round       int
+	sums        BasisSums
 	minClassify int
 	startHour   float64
 }
@@ -204,28 +223,30 @@ func NewReplayer(start time.Time, period time.Duration, minClassify int) *Replay
 // Push feeds the next round's availability value (round order is implicit:
 // the first Push is round 0).
 func (rp *Replayer) Push(v float64) {
-	c1, s1, c2, s2 := rp.basis.Waves(rp.round)
-	rp.acc.Add(v, c1, s1, c2, s2)
-	rp.round++
+	r := int(rp.sums.N)
+	c1, s1, c2, s2 := rp.basis.Waves(r)
+	rp.acc.Add(v, float64(r), c1, s1, c2, s2)
+	rp.sums.Add(c1, s1, c2, s2)
 }
 
 // Rounds reports how many rounds have been pushed.
-func (rp *Replayer) Rounds() int { return rp.round }
+func (rp *Replayer) Rounds() int { return int(rp.sums.N) }
 
 // MinClassify reports the classification floor in rounds.
 func (rp *Replayer) MinClassify() int { return rp.minClassify }
 
-// Acc returns a copy of the accumulator state (for bit-identity tests).
-func (rp *Replayer) Acc() StreamAcc { return rp.acc }
+// Acc returns copies of the block's accumulator and the basis sums (for
+// bit-identity tests).
+func (rp *Replayer) Acc() (StreamAcc, BasisSums) { return rp.acc, rp.sums }
 
 // Classify returns the streaming class and phase for the rounds pushed so
 // far. O(1); safe to call after every Push.
 func (rp *Replayer) Classify() (DiurnalClass, float64) {
-	return rp.acc.Classify(rp.minClassify)
+	return rp.acc.Classify(&rp.sums, rp.minClassify)
 }
 
 // PeakSleepUTC maps the current phase to UTC peak and sleep hours, the way
-// the engine's seal path does. Meaningful only when Classify reports a
+// the engine's read side does. Meaningful only when Classify reports a
 // diurnal class.
 func (rp *Replayer) PeakSleepUTC() (peak, sleep float64) {
 	_, phase := rp.Classify()
@@ -237,11 +258,8 @@ func (rp *Replayer) PeakSleepUTC() (peak, sleep float64) {
 // crash. The rebuilt state is bit-identical to a fresh replayer fed the
 // same values via Push — TestStreamResyncBitIdentical pins this.
 func (rp *Replayer) Resync(series []float64) {
-	rp.acc = StreamAcc{}
-	rp.round = 0
-	for r := range series {
-		c1, s1, c2, s2 := rp.basis.Waves(r)
-		rp.acc.Add(series[r], c1, s1, c2, s2)
+	rp.acc, rp.sums = StreamAcc{}, BasisSums{}
+	for _, v := range series {
+		rp.Push(v)
 	}
-	rp.round = len(series)
 }
