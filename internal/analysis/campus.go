@@ -91,12 +91,3 @@ func (r *CampusResult) WirelessExclusionRate() float64 {
 	}
 	return float64(w.Excluded) / float64(w.Total)
 }
-
-// DetectionRate returns detected/probed for a category.
-func (r *CampusResult) DetectionRate(cat world.CampusCategory) float64 {
-	c := r.PerCategory[cat]
-	if c == nil || c.Probed == 0 {
-		return 0
-	}
-	return float64(c.Detected) / float64(c.Probed)
-}

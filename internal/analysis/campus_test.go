@@ -55,16 +55,23 @@ func TestCampusValidation(t *testing.T) {
 		t.Fatalf("wireless exclusion rate = %v, want most excluded", rate)
 	}
 	// 2. Dense dynamic pools are detected as diurnal at a high rate.
-	if rate := res.DetectionRate(world.CampusDynamic); rate < 0.8 {
+	detectionRate := func(cat world.CampusCategory) float64 {
+		c := res.PerCategory[cat]
+		if c == nil || c.Probed == 0 {
+			t.Fatalf("no %v blocks probed", cat)
+		}
+		return float64(c.Detected) / float64(c.Probed)
+	}
+	if rate := detectionRate(world.CampusDynamic); rate < 0.8 {
 		t.Fatalf("dynamic detection rate = %v", rate)
 	}
 	// 3. Pure general-use blocks are not diurnal...
-	if rate := res.DetectionRate(world.CampusGeneral); rate > 0.25 {
+	if rate := detectionRate(world.CampusGeneral); rate > 0.25 {
 		t.Fatalf("general-use diurnal rate = %v, want low", rate)
 	}
 	// 4. ...but pockets of dynamic addresses make general-use blocks
 	// diurnal (the paper's surprise).
-	if rate := res.DetectionRate(world.CampusGeneralPocket); rate < 0.5 {
+	if rate := detectionRate(world.CampusGeneralPocket); rate < 0.5 {
 		t.Fatalf("pocket detection rate = %v, want high", rate)
 	}
 	// 5. Probed wireless blocks (the densest ones) are detected only
@@ -80,7 +87,7 @@ func TestCampusValidation(t *testing.T) {
 
 func TestCampusDegenerateAccessors(t *testing.T) {
 	r := &CampusResult{PerCategory: map[world.CampusCategory]*CampusCategoryResult{}}
-	if r.WirelessExclusionRate() != 0 || r.DetectionRate(world.CampusDynamic) != 0 {
+	if r.WirelessExclusionRate() != 0 {
 		t.Fatal("empty result accessors should be 0")
 	}
 }

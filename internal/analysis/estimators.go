@@ -177,16 +177,6 @@ func (v DiurnalValidation) Accuracy() float64 {
 	return float64(v.TruePos+v.TrueNeg) / float64(t)
 }
 
-// Recall is TP / (TP + FN); the paper accepts a high false-negative rate
-// (conservative detection), so this is expected to be moderate.
-func (v DiurnalValidation) Recall() float64 {
-	d := v.TruePos + v.FalseNeg
-	if d == 0 {
-		return 0
-	}
-	return float64(v.TruePos) / float64(d)
-}
-
 // ValidateDiurnalDetection reproduces Table 1 over the world's blocks:
 // classify each block twice — once from full-survey truth, once from the
 // adaptive estimate — and cross-tabulate. "Diurnal" here means strictly

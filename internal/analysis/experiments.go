@@ -285,8 +285,8 @@ func (s *Study) LinkTypes(seed uint64) (*LinkTypeResult, error) {
 		ClassifiedFrac: float64(classified) / float64(len(m)),
 		MultiFrac:      float64(multi) / float64(len(m)),
 	}
-	// A block's features are kept keywords only, and ConsideredKeywords
-	// lists those in KeptKeywords order.
+	// A block's features are kept keywords only, so walking
+	// ConsideredKeywords lists them in Fig 17's row order.
 	for i, kw := range rdns.ConsideredKeywords {
 		if n[i] == 0 {
 			continue

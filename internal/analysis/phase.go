@@ -120,16 +120,6 @@ func UTCPeakHour(phase float64) float64 {
 	return h
 }
 
-// LocalPeakHour converts a diurnal phase to the local solar time of day of
-// peak activity at the given longitude (degrees east).
-func LocalPeakHour(phase, lonDegrees float64) float64 {
-	h := math.Mod(UTCPeakHour(phase)+lonDegrees/15, 24)
-	if h < 0 {
-		h += 24
-	}
-	return h
-}
-
 // PredictLongitude estimates a block's longitude from its diurnal phase
 // using the Fig 14c predictor, returning the mean and the uncertainty
 // (stddev) of the matching phase bin. ok is false for phases with no

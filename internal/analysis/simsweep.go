@@ -9,6 +9,7 @@ import (
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/stats"
 )
 
 // SweepConfig describes the controlled diurnal-block simulation of §3.2.2:
@@ -133,24 +134,10 @@ func RunSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 	}
 	sorted := append([]float64(nil), pt.BatchAccuracy...)
 	sort.Float64s(sorted)
-	pt.Q1 = quantileSorted(sorted, 0.25)
-	pt.Median = quantileSorted(sorted, 0.5)
-	pt.Q3 = quantileSorted(sorted, 0.75)
+	qs := stats.QuantilesSorted(sorted, 0.25, 0.5, 0.75)
+	pt.Q1, pt.Median, pt.Q3 = qs[0], qs[1], qs[2]
 	pt.Mean = float64(totalDetected) / float64(cfg.Batches*cfg.PerBatch)
 	return pt, nil
-}
-
-func quantileSorted(s []float64, q float64) float64 {
-	if len(s) == 0 {
-		return 0
-	}
-	h := q * float64(len(s)-1)
-	lo := int(h)
-	if lo >= len(s)-1 {
-		return s[len(s)-1]
-	}
-	frac := h - float64(lo)
-	return s[lo] + frac*(s[lo+1]-s[lo])
 }
 
 // runControlledExperiment builds one simulated block and reports whether

@@ -79,14 +79,6 @@ type MeasuredBlock struct {
 	Faults faults.Stats
 }
 
-// Err returns the recorded failure as an error, or nil.
-func (b MeasuredBlock) Err() error {
-	if b.ErrMsg == "" {
-		return nil
-	}
-	return errors.New(b.ErrMsg)
-}
-
 // Study is a measured world: the block population with classifications.
 type Study struct {
 	World  *world.World
@@ -436,40 +428,6 @@ func (s *Study) ProbeBudget() float64 {
 	}
 	hours := float64(s.Cfg.Rounds) * timeseries.DefaultRound.Hours()
 	return float64(total) / float64(len(m)) / hours
-}
-
-// StationaryFraction reports the share of measured blocks whose Âs series
-// drifts by less than one address per day in availability units (slope <
-// 1/|E(b)|) — the §2.2 data-appropriateness check; the paper found 80.3%
-// of survey blocks stationary.
-func (s *Study) StationaryFraction() float64 {
-	m := s.Measured()
-	if len(m) == 0 {
-		return 0
-	}
-	stationary := 0
-	for _, b := range m {
-		ever := b.Info.NumStable + b.Info.NumDiurnal + b.Info.NumIntermittent
-		if ever <= 0 {
-			ever = 256
-		}
-		limit := 1 / float64(ever)
-		if b.SlopePerDay <= limit && b.SlopePerDay >= -limit {
-			stationary++
-		}
-	}
-	return float64(stationary) / float64(len(m))
-}
-
-// SelectBlocks returns measured blocks passing the filter.
-func (s *Study) SelectBlocks(keep func(MeasuredBlock) bool) []MeasuredBlock {
-	var out []MeasuredBlock
-	for _, b := range s.Measured() {
-		if keep(b) {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // sortedCountryCodes returns the country codes present among measured

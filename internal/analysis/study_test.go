@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -113,8 +114,13 @@ func TestProbeBudgetUnderTwenty(t *testing.T) {
 
 func TestSelectBlocksAndSortedCodes(t *testing.T) {
 	_, st, _ := sharedStudy(t)
-	us := st.SelectBlocks(func(b MeasuredBlock) bool { return b.Info.Country.Code == "US" })
-	if len(us) == 0 {
+	us := 0
+	for _, b := range st.Measured() {
+		if b.Info.Country.Code == "US" {
+			us++
+		}
+	}
+	if us == 0 {
 		t.Fatal("no US blocks")
 	}
 	codes := st.sortedCountryCodes()
@@ -404,7 +410,7 @@ func TestLocalPeakHourCalibration(t *testing.T) {
 		if !ok {
 			continue
 		}
-		got := LocalPeakHour(b.Phase, e.Lon)
+		got := math.Mod(UTCPeakHour(b.Phase)+e.Lon/15+24, 24) // local solar time at the block's longitude
 		want := b.Info.LocalOnHour + 4.5
 		d := got - want
 		for d > 12 {
@@ -436,23 +442,6 @@ func TestUTCPeakHourRange(t *testing.T) {
 			t.Fatalf("UTCPeakHour(%v) = %v", ph, h)
 		}
 	}
-	if h := LocalPeakHour(0, -180); h < 0 || h >= 24 {
-		t.Fatalf("LocalPeakHour wrap = %v", h)
-	}
-}
-
-func TestStationaryFraction(t *testing.T) {
-	_, st, _ := sharedStudy(t)
-	frac := st.StationaryFraction()
-	// The paper found 80.3% of blocks stationary; our world has no secular
-	// drift, so the measured fraction should be at least in that regime.
-	if frac < 0.7 {
-		t.Fatalf("stationary fraction = %v, want >= 0.7", frac)
-	}
-	if frac > 1 {
-		t.Fatalf("fraction = %v", frac)
-	}
-	t.Logf("stationary fraction: %.3f (paper: 0.803)", frac)
 }
 
 func TestGDPCorrelationWeighted(t *testing.T) {

@@ -63,18 +63,6 @@ func hashUnit(seed uint64, x uint64) float64 {
 	return float64(h>>11) / (1 << 53)
 }
 
-// ASNOf returns the AS number announcing the block (by its .0 address).
-func (t *Table) ASNOf(id netsim.BlockID) (int, bool) {
-	a, ok := t.blockASN[id]
-	return a, ok
-}
-
-// NameOf returns the registered name of an AS, or "".
-func (t *Table) NameOf(asn int) string { return t.asnName[asn] }
-
-// Coverage returns the number of mapped blocks.
-func (t *Table) Coverage() int { return len(t.blockASN) }
-
 // genericTokens are words too common in AS names to distinguish operators.
 var genericTokens = map[string]bool{
 	"telecom": true, "net": true, "backbone": true, "cable": true,

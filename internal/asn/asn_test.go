@@ -31,17 +31,17 @@ func TestNewTableAndLookup(t *testing.T) {
 		map[netsim.BlockID]int{b1: 100},
 		map[int]string{100: "Foo Telecom", 101: "Foo Broadband"},
 	)
-	if a, ok := tab.ASNOf(b1); !ok || a != 100 {
-		t.Fatalf("ASNOf = %d %v", a, ok)
+	if a, ok := tab.blockASN[b1]; !ok || a != 100 {
+		t.Fatalf("block's ASN = %d %v", a, ok)
 	}
-	if _, ok := tab.ASNOf(netsim.MakeBlockID(9, 9, 9)); ok {
+	if _, ok := tab.blockASN[netsim.MakeBlockID(9, 9, 9)]; ok {
 		t.Fatal("unknown block should fail")
 	}
-	if tab.NameOf(100) != "Foo Telecom" || tab.NameOf(999) != "" {
-		t.Fatal("NameOf")
+	if tab.asnName[100] != "Foo Telecom" || tab.asnName[999] != "" {
+		t.Fatal("AS names")
 	}
-	if tab.Coverage() != 1 {
-		t.Fatalf("Coverage = %d", tab.Coverage())
+	if len(tab.blockASN) != 1 {
+		t.Fatalf("%d blocks mapped, want 1", len(tab.blockASN))
 	}
 }
 
@@ -90,20 +90,20 @@ func TestFromWorld(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := FromWorld(w, 0, 9) // default coverage 0.9941
-	frac := float64(tab.Coverage()) / float64(len(w.Blocks))
+	frac := float64(len(tab.blockASN)) / float64(len(w.Blocks))
 	if frac < 0.985 || frac > 1 {
 		t.Fatalf("coverage = %v", frac)
 	}
 	// Mapped blocks resolve to the right org.
 	hits := 0
 	for _, b := range w.Blocks {
-		a, ok := tab.ASNOf(b.ID)
+		a, ok := tab.blockASN[b.ID]
 		if !ok {
 			continue
 		}
 		hits++
-		if a != b.ASN || tab.NameOf(a) != b.OrgName {
-			t.Fatalf("block %s maps to %d/%q, want %d/%q", b.ID, a, tab.NameOf(a), b.ASN, b.OrgName)
+		if a != b.ASN || tab.asnName[a] != b.OrgName {
+			t.Fatalf("block %s maps to %d/%q, want %d/%q", b.ID, a, tab.asnName[a], b.ASN, b.OrgName)
 		}
 	}
 	if hits == 0 {

@@ -14,8 +14,7 @@ import (
 // put transform temporaries back on the per-block path.
 func TestDetectDiurnalAllocBudget(t *testing.T) {
 	const days = 7
-	n := days * 131 // a realistic non-power-of-two campaign length
-	vals := dsp.Sine(n, float64(days), 0.3, 0)
+	vals := synthSeries(days, diurnalWave) // 916 rounds: a realistic non-power-of-two length
 
 	sc := dsp.NewScratch()
 	if _, err := DetectDiurnalScratch(vals, days, sc); err != nil {

@@ -71,7 +71,7 @@ type DiurnalResult struct {
 }
 
 // scratchPool shares warm dsp workspaces across the concurrent pipeline
-// workers: DetectDiurnal and StrongestCyclesPerDay borrow one per call, so
+// workers: DetectDiurnal borrows one per call, so
 // classifying thousands of same-length series reuses the same transform
 // buffers instead of rebuilding them per block.
 var scratchPool = sync.Pool{New: func() any { return dsp.NewScratch() }}
@@ -147,22 +147,4 @@ func DetectDiurnalScratch(values []float64, days int, sc *dsp.Scratch) (DiurnalR
 		res.Class = NonDiurnal
 	}
 	return res, nil
-}
-
-// StrongestCyclesPerDay returns the frequency (in cycles/day) of the
-// strongest non-DC bin of the series — the quantity whose distribution the
-// paper shows in Figure 10. The series covers the given number of days.
-func StrongestCyclesPerDay(values []float64, days int) (float64, error) {
-	if days <= 0 {
-		return 0, fmt.Errorf("core: need positive days, got %d", days)
-	}
-	if len(values) < 2 {
-		return 0, fmt.Errorf("core: series too short")
-	}
-	sc := scratchPool.Get().(*dsp.Scratch)
-	defer scratchPool.Put(sc)
-	detrended := dsp.DetrendLinearInto(sc.Floats(len(values)), values)
-	spec := dsp.NewSpectrumScratch(detrended, sc)
-	bin, _ := spec.Peak()
-	return float64(bin) / float64(days), nil
 }

@@ -42,7 +42,7 @@ func DetectDiurnalACF(values []float64, samplesPerDay float64) (ACFResult, error
 	if maxLag >= len(values) {
 		maxLag = len(values) - 1
 	}
-	acf, err := dsp.Autocorrelation(dsp.DetrendLinear(values), maxLag)
+	acf, err := dsp.Autocorrelation(dsp.DetrendLinearInto(make([]float64, len(values)), values), maxLag)
 	if err != nil {
 		return ACFResult{}, err
 	}

@@ -99,9 +99,6 @@ func (e *Estimator) ShortTerm() float64 { return ratio(e.pS, e.tS) }
 // LongTerm returns Âl.
 func (e *Estimator) LongTerm() float64 { return ratio(e.pL, e.tL) }
 
-// Deviation returns d̂l, the long-term mean absolute deviation.
-func (e *Estimator) Deviation() float64 { return e.dL }
-
 // Operational returns Âo = max(Âl − d̂l/2, 0.1): a deliberately conservative
 // value, because an overestimate makes a few negative probes look like an
 // outage.
@@ -112,9 +109,6 @@ func (e *Estimator) Operational() float64 {
 	}
 	return v
 }
-
-// Rounds returns how many observations have been folded in.
-func (e *Estimator) Rounds() int { return e.rounds }
 
 // EstimatorState is the serializable snapshot of an Estimator, used by
 // campaign checkpoint files so a resumed run continues with bit-identical

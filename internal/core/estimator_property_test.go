@@ -33,7 +33,7 @@ func driveEstimator(initialA float64, seed int64, rounds uint8) *Estimator {
 func TestEstimatorInvariants(t *testing.T) {
 	prop := func(initialA float64, seed int64, rounds uint8) bool {
 		e := driveEstimator(initialA, seed, rounds)
-		as, al, dl, ao := e.ShortTerm(), e.LongTerm(), e.Deviation(), e.Operational()
+		as, al, dl, ao := e.ShortTerm(), e.LongTerm(), e.State().DL, e.Operational()
 		for _, v := range []float64{as, al, dl, ao} {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return false
@@ -112,8 +112,8 @@ func TestEstimatorStateRoundTripProperty(t *testing.T) {
 		e := driveEstimator(initialA, seed, rounds)
 		r := EstimatorFromState(e.State())
 		if r.ShortTerm() != e.ShortTerm() || r.LongTerm() != e.LongTerm() ||
-			r.Deviation() != e.Deviation() || r.Operational() != e.Operational() ||
-			r.Rounds() != e.Rounds() {
+			r.State().DL != e.State().DL || r.Operational() != e.Operational() ||
+			r.State().Rounds != e.State().Rounds {
 			return false
 		}
 		// One more identical observation keeps them in lockstep bit for bit.

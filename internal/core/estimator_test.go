@@ -92,7 +92,7 @@ func TestEstimatorIgnoresDegenerateObservations(t *testing.T) {
 	before := e.ShortTerm()
 	e.Observe(1, 0)
 	e.Observe(-1, 0)
-	if e.ShortTerm() != before || e.Rounds() != 0 {
+	if e.ShortTerm() != before || e.State().Rounds != 0 {
 		t.Fatal("t=0 observations must be ignored")
 	}
 	// p out of range is clamped.
@@ -202,7 +202,7 @@ func TestDeviationTracksVolatility(t *testing.T) {
 			volatile.Observe(0, 15)
 		}
 	}
-	if !(volatile.Deviation() > stable.Deviation()) {
-		t.Fatalf("deviation should reflect volatility: %v vs %v", volatile.Deviation(), stable.Deviation())
+	if !(volatile.State().DL > stable.State().DL) {
+		t.Fatalf("deviation should reflect volatility: %v vs %v", volatile.State().DL, stable.State().DL)
 	}
 }

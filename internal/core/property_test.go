@@ -108,7 +108,7 @@ func TestDetectDiurnalPhaseShiftProperty(t *testing.T) {
 	}
 }
 
-// Property: StrongestCyclesPerDay of a pure c-cycles-per-day tone recovers c
+// Property: the spectrum's peak bin of a pure c-cycles-per-day tone recovers c
 // for any integer c in the resolvable range.
 func TestStrongestFrequencyRecoveryProperty(t *testing.T) {
 	days := 10
@@ -119,7 +119,7 @@ func TestStrongestFrequencyRecoveryProperty(t *testing.T) {
 			sec := float64(day)*86400 + hour*3600
 			return 0.5 + 0.3*math.Cos(2*math.Pi*sec*float64(c)/86400)
 		})
-		got, err := StrongestCyclesPerDay(vals, days)
+		got, err := strongestCyclesPerDay(vals, days)
 		if err != nil {
 			return false
 		}

@@ -167,7 +167,6 @@ func TestMetricsSnapshotRoundTrip(t *testing.T) {
 	reg := metrics.New()
 	reg.Counter("trinocular.probes_sent").Add(12345)
 	reg.Counter("analysis.blocks_measured").Add(250)
-	reg.Gauge("campaign.progress").Set(1)
 	reg.Histogram("supervisor.checkpoint_bytes", "bytes", metrics.ExpBuckets(1024, 4, 4)).Observe(2048)
 	ds.Metrics = reg.Snapshot()
 

@@ -1,53 +1,6 @@
 package dsp
 
-import (
-	"fmt"
-	"math"
-)
-
-// HannWindow returns the n-point Hann window.
-func HannWindow(n int) []float64 {
-	w := make([]float64, n)
-	if n == 1 {
-		w[0] = 1
-		return w
-	}
-	for i := range w {
-		w[i] = 0.5 * (1 - math.Cos(2*math.Pi*float64(i)/float64(n-1)))
-	}
-	return w
-}
-
-// Spectrogram computes a short-time Fourier transform magnitude matrix:
-// frames of length window, advanced by hop samples, Hann-windowed. Frame f,
-// bin k holds |FFT(x[f*hop : f*hop+window] * hann)[k]| for k in 0..window/2.
-// It is the diagnostic for non-stationary blocks: a block that switches
-// from always-on to diurnal mid-measurement shows its diurnal line appear
-// partway through the spectrogram.
-func Spectrogram(x []float64, window, hop int) ([][]float64, error) {
-	if window <= 1 || hop <= 0 {
-		return nil, fmt.Errorf("dsp: spectrogram needs window > 1 and hop > 0 (%d, %d)", window, hop)
-	}
-	if len(x) < window {
-		return nil, fmt.Errorf("dsp: series of %d shorter than window %d", len(x), window)
-	}
-	hann := HannWindow(window)
-	frames := 1 + (len(x)-window)/hop
-	keep := window/2 + 1
-	out := make([][]float64, frames)
-	buf := make([]float64, window)
-	for f := 0; f < frames; f++ {
-		start := f * hop
-		for i := 0; i < window; i++ {
-			buf[i] = x[start+i] * hann[i]
-		}
-		spec := NewSpectrum(buf)
-		row := make([]float64, keep)
-		copy(row, spec.Amp)
-		out[f] = row
-	}
-	return out, nil
-}
+import "fmt"
 
 // Autocorrelation returns the biased sample autocorrelation of x for lags
 // 0..maxLag, computed in O(n log n) via the Wiener-Khinchin theorem
@@ -60,20 +13,25 @@ func Autocorrelation(x []float64, maxLag int) ([]float64, error) {
 	if maxLag < 0 || maxLag >= n {
 		return nil, fmt.Errorf("dsp: maxLag %d out of range [0, %d)", maxLag, n)
 	}
-	d := Detrend(x)
+	var mean float64
+	for _, v := range x {
+		mean += v
+	}
+	mean /= float64(n)
 	// Zero-pad to avoid circular wrap.
 	m := nextPow2(2 * n)
+	r2 := PlanFor(m).r2
 	cx := make([]complex128, m)
-	for i, v := range d {
-		cx[i] = complex(v, 0)
+	for i, v := range x {
+		cx[i] = complex(v-mean, 0)
 	}
-	fftRadix2InPlace(cx, false)
+	r2.transform(cx, false)
 	for i := range cx {
 		re := real(cx[i])
 		im := imag(cx[i])
 		cx[i] = complex(re*re+im*im, 0)
 	}
-	fftRadix2InPlace(cx, true)
+	r2.transform(cx, true)
 	norm := real(cx[0])
 	out := make([]float64, maxLag+1)
 	if norm == 0 {

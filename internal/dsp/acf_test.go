@@ -1,64 +1,12 @@
 package dsp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
-
-func TestHannWindow(t *testing.T) {
-	w := HannWindow(8)
-	if w[0] != 0 || w[7] != 0 {
-		t.Fatalf("endpoints = %v, %v", w[0], w[7])
-	}
-	// Symmetric, peaked in the middle.
-	for i := 0; i < 4; i++ {
-		if math.Abs(w[i]-w[7-i]) > 1e-12 {
-			t.Fatal("window not symmetric")
-		}
-	}
-	if w[3] < 0.8 {
-		t.Fatalf("middle = %v", w[3])
-	}
-	if got := HannWindow(1); got[0] != 1 {
-		t.Fatalf("n=1 window = %v", got)
-	}
-}
-
-func TestSpectrogramDetectsRegimeChange(t *testing.T) {
-	// First half flat, second half a 16-sample-period sine: the sine's bin
-	// should carry energy only in late frames.
-	n := 4096
-	x := make([]float64, n)
-	for i := n / 2; i < n; i++ {
-		x[i] = math.Sin(2 * math.Pi * float64(i) / 16)
-	}
-	window, hop := 512, 256
-	frames, err := Spectrogram(x, window, hop)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bin := window / 16 // 16-sample period -> bin window/16
-	early := frames[0][bin]
-	late := frames[len(frames)-1][bin]
-	if late < 10*early+1 {
-		t.Fatalf("late energy %v should dwarf early %v", late, early)
-	}
-	if len(frames[0]) != window/2+1 {
-		t.Fatalf("bins = %d", len(frames[0]))
-	}
-}
-
-func TestSpectrogramErrors(t *testing.T) {
-	if _, err := Spectrogram(make([]float64, 100), 1, 10); err == nil {
-		t.Fatal("window 1 should error")
-	}
-	if _, err := Spectrogram(make([]float64, 100), 64, 0); err == nil {
-		t.Fatal("hop 0 should error")
-	}
-	if _, err := Spectrogram(make([]float64, 10), 64, 16); err == nil {
-		t.Fatal("short series should error")
-	}
-}
 
 func TestAutocorrelationPeriodic(t *testing.T) {
 	// Period-20 sine: ACF peaks at lag 20.
@@ -132,8 +80,47 @@ func TestAutocorrelationErrors(t *testing.T) {
 	}
 }
 
+// TestAutocorrelationPinned holds Autocorrelation to the output bits it had
+// while it ran its own radix-2 loop (recorded at 065b081, before that loop
+// was deleted for the plan's), on a power-of-two length, a 14-day
+// campaign's 1,833 rounds and a prime: the ACF arm of
+// BenchmarkAblationFFTvsACF must not drift with the engine behind it.
+func TestAutocorrelationPinned(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		seed uint64
+		want string
+	}{
+		{2048, 1, "fcb1e8ecf00a943707ac18e046279725c8edcacb11434685b096a10c0dc34771"},
+		{1833, 2, "7b73ff23d0fd97a7f1abd00c4363ec260c3852d87fc5acb0284e15f962ed1d29"},
+		{1831, 3, "eaa88529ea945ec2c1792b04f7f66f34a0070627883031b3b747348ac1284e6d"},
+	} {
+		// A daily sine (131 rounds) under LCG noise, as in the white-noise test.
+		x := make([]float64, c.n)
+		state := c.seed
+		for i := range x {
+			state = state*6364136223846793005 + 1442695040888963407
+			noise := float64(state>>11)/(1<<53) - 0.5
+			x[i] = 0.5 + 0.3*math.Sin(2*math.Pi*float64(i)/131) + 0.2*noise
+		}
+		acf, err := Autocorrelation(x, c.n-1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var b [8]byte
+		for _, v := range acf {
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("n=%d seed=%d: acf bits hash to %s, want %s", c.n, c.seed, got, c.want)
+		}
+	}
+}
+
 func BenchmarkAutocorrelation4580(b *testing.B) {
-	x := Sine(4580, 35, 1, 0)
+	x := sine(4580, 35, 1, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Autocorrelation(x, 200); err != nil {

@@ -1,8 +1,9 @@
 // Package dsp provides the spectral-analysis substrate used by the diurnal
-// detector: discrete Fourier transforms for arbitrary input lengths
-// (iterative radix-2 for powers of two, Bluestein's chirp-z algorithm for
-// everything else), a Goertzel single-bin evaluator, and helpers for
-// interpreting real-valued spectra (amplitude, phase, harmonics).
+// detector: one cached-plan Fourier transform for arbitrary input lengths
+// (Plan: iterative radix-2 for powers of two, Bluestein's chirp-z algorithm
+// for everything else), helpers for interpreting real-valued spectra
+// (amplitude, phase, harmonics), and the autocorrelation the ACF ablation
+// arm compares the spectral detector against.
 //
 // The paper computes an FFT over an 11-minute availability timeseries whose
 // length is whatever the measurement produced (rarely a power of two), so
@@ -10,102 +11,16 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"math/cmplx"
 )
 
-// FFT returns the discrete Fourier transform of x:
+// DFT computes the transform by the O(n^2) definition:
 //
 //	X[k] = sum_{m=0}^{n-1} x[m] * exp(-2*pi*i*m*k/n)
 //
-// The input is not modified. Any length is accepted; powers of two use an
-// iterative radix-2 Cooley-Tukey transform and other lengths use Bluestein's
-// algorithm. An empty input returns an empty (non-nil) slice.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	stop := observeFFT(n)
-	var out []complex128
-	switch {
-	case n == 0:
-		out = []complex128{}
-	case n == 1:
-		out = []complex128{x[0]}
-	case isPow2(n):
-		out = make([]complex128, n)
-		copy(out, x)
-		fftRadix2InPlace(out, false)
-	default:
-		out = bluestein(x, false)
-	}
-	if stop != nil {
-		stop()
-	}
-	return out
-}
-
-// IFFT returns the inverse discrete Fourier transform of X, normalized by
-// 1/n so that IFFT(FFT(x)) == x up to floating-point error.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	stop := observeFFT(n)
-	switch {
-	case n == 0:
-		if stop != nil {
-			stop()
-		}
-		return []complex128{}
-	case n == 1:
-		if stop != nil {
-			stop()
-		}
-		return []complex128{x[0]}
-	}
-	var out []complex128
-	if isPow2(n) {
-		out = make([]complex128, n)
-		copy(out, x)
-		fftRadix2InPlace(out, true)
-	} else {
-		out = bluestein(x, true)
-	}
-	inv := complex(1/float64(n), 0)
-	for i := range out {
-		out[i] *= inv
-	}
-	if stop != nil {
-		stop()
-	}
-	return out
-}
-
-// RealFFT computes the DFT of a real-valued series and returns the full
-// complex spectrum of length len(x). Bins k and n-k are conjugate
-// symmetric; callers interested in physical frequencies normally inspect
-// bins 0..n/2 only.
-//
-// The transform runs through the cached plan for len(x): even lengths use
-// the packed real-input path (a half-length complex transform plus
-// untangling), odd lengths the planned complex path. See Plan.RealForward
-// for the scratch-reusing, one-sided form.
-func RealFFT(x []float64) []complex128 {
-	n := len(x)
-	p := PlanFor(n)
-	s := getScratch()
-	defer putScratch(s)
-	out := make([]complex128, n)
-	stop := observeFFT(n)
-	p.realForwardFullInto(out, x, s)
-	if stop != nil {
-		stop()
-	}
-	return out
-}
-
-// DFT computes the transform by the O(n^2) definition. It exists as a
-// reference implementation for tests and for very short inputs where setup
-// costs dominate.
+// It is the oracle the planned transforms are tested against; nothing
+// outside tests calls it.
 func DFT(x []complex128) []complex128 {
 	n := len(x)
 	out := make([]complex128, n)
@@ -132,110 +47,4 @@ func nextPow2(n int) int {
 		return 1
 	}
 	return 1 << bits.Len(uint(n-1))
-}
-
-// fftRadix2InPlace computes an in-place iterative radix-2 FFT.
-// If inverse is true the conjugate transform is computed (no 1/n scaling).
-func fftRadix2InPlace(a []complex128, inverse bool) {
-	n := len(a)
-	if n <= 1 {
-		return
-	}
-	// Bit-reversal permutation.
-	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 1; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if i < j {
-			a[i], a[j] = a[j], a[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		step := sign * 2 * math.Pi / float64(size)
-		// Root of unity for this stage.
-		ws, wc := math.Sincos(step)
-		wBase := complex(wc, ws)
-		for start := 0; start < n; start += size {
-			w := complex(1, 0)
-			for off := 0; off < half; off++ {
-				i, j := start+off, start+off+half
-				t := a[j] * w
-				a[j] = a[i] - t
-				a[i] += t
-				w *= wBase
-			}
-		}
-	}
-}
-
-// bluestein computes an arbitrary-length DFT via the chirp-z transform,
-// expressing it as a convolution that is evaluated with a power-of-two FFT.
-func bluestein(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	m := nextPow2(2*n - 1)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	// chirp[i] = exp(sign * i * pi * i^2 / n). Compute i^2 mod 2n to keep the
-	// sincos argument small and precise for long series.
-	chirp := make([]complex128, n)
-	mod := 2 * n
-	for i := 0; i < n; i++ {
-		i2 := (i * i) % mod
-		s, c := math.Sincos(sign * math.Pi * float64(i2) / float64(n))
-		chirp[i] = complex(c, s)
-	}
-	a := make([]complex128, m)
-	b := make([]complex128, m)
-	for i := 0; i < n; i++ {
-		a[i] = x[i] * chirp[i]
-		b[i] = cmplx.Conj(chirp[i])
-	}
-	for i := 1; i < n; i++ {
-		b[m-i] = b[i]
-	}
-	fftRadix2InPlace(a, false)
-	fftRadix2InPlace(b, false)
-	for i := range a {
-		a[i] *= b[i]
-	}
-	fftRadix2InPlace(a, true)
-	invM := complex(1/float64(m), 0)
-	out := make([]complex128, n)
-	for i := 0; i < n; i++ {
-		out[i] = a[i] * invM * chirp[i]
-	}
-	return out
-}
-
-// Goertzel evaluates a single DFT bin k of a real series using the Goertzel
-// recurrence. It matches FFT(x)[k] for 0 <= k < len(x) and costs O(n) with a
-// tiny constant, which makes it the right tool when only the diurnal bin is
-// needed.
-func Goertzel(x []float64, k int) complex128 {
-	n := len(x)
-	if n == 0 {
-		return 0
-	}
-	if k < 0 || k >= n {
-		panic(fmt.Sprintf("dsp: Goertzel bin %d out of range [0,%d)", k, n))
-	}
-	w := 2 * math.Pi * float64(k) / float64(n)
-	sinW, cosW := math.Sincos(w)
-	coeff := 2 * cosW
-	var s0, s1, s2 float64
-	for i := 0; i < n; i++ {
-		s0 = x[i] + coeff*s1 - s2
-		s2 = s1
-		s1 = s0
-	}
-	// X[k] = e^{iw}*s1 - s2, which matches the FFT sign convention used here.
-	re := s1*cosW - s2
-	im := s1 * sinW
-	return complex(re, im)
 }

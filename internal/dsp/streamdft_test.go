@@ -23,7 +23,7 @@ func TestStreamingAccumulationMatchesFFT(t *testing.T) {
 		for i := range x {
 			x[i] = rng.Float64()
 		}
-		X := RealFFT(x)
+		X := NewSpectrumScratch(x, nil).Coef
 		for _, k := range []int{1, 2, 5, n / 3} {
 			var re, im float64
 			for r := 0; r < n; r++ {

@@ -73,11 +73,6 @@ type Stats struct {
 	Corrupted   int64 // replies mangled on the way back
 }
 
-// Any reports whether any fault was injected.
-func (s Stats) Any() bool {
-	return s.Dropped > 0 || s.RateLimited > 0 || s.SendErrors > 0 || s.Corrupted > 0
-}
-
 // String summarizes the counters for logs.
 func (s Stats) String() string {
 	return fmt.Sprintf("probes=%d dropped=%d ratelimited=%d senderrors=%d corrupted=%d",
@@ -116,9 +111,6 @@ func New(cfg Config) *Injector {
 	}
 	return &Injector{cfg: cfg}
 }
-
-// Config returns the effective configuration.
-func (in *Injector) Config() Config { return in.cfg }
 
 // Attach installs an injector for cfg on net for a campaign that begins at
 // start — cfg.Epoch defaults to it — and returns the injector with the

@@ -37,9 +37,6 @@ func Build(entries []Entry) *DB {
 	return &DB{entries: es}
 }
 
-// Len returns the number of records.
-func (db *DB) Len() int { return len(db.entries) }
-
 // Lookup finds the record for a block.
 func (db *DB) Lookup(id netsim.BlockID) (Entry, bool) {
 	i := sort.Search(len(db.entries), func(i int) bool { return db.entries[i].ID >= id })
@@ -138,19 +135,6 @@ func (g *Grid) Add(lat, lon float64, marked bool) {
 	if marked {
 		g.marked[i]++
 	}
-}
-
-// CountAt returns total blocks in the cell containing (lat, lon).
-func (g *Grid) CountAt(lat, lon float64) int { return g.total[g.cellIndex(lat, lon)] }
-
-// FractionAt returns the marked fraction in the cell containing (lat, lon),
-// or NaN for empty cells.
-func (g *Grid) FractionAt(lat, lon float64) float64 {
-	i := g.cellIndex(lat, lon)
-	if g.total[i] == 0 {
-		return math.NaN()
-	}
-	return float64(g.marked[i]) / float64(g.total[i])
 }
 
 // NonEmptyCells returns how many cells contain at least one block.

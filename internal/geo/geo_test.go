@@ -14,8 +14,8 @@ func TestBuildAndLookup(t *testing.T) {
 		{ID: netsim.MakeBlockID(1, 0, 0), Lat: -5, Lon: 30, Country: "BB"},
 	}
 	db := Build(entries)
-	if db.Len() != 2 {
-		t.Fatalf("Len = %d", db.Len())
+	if len(db.entries) != 2 {
+		t.Fatalf("%d records", len(db.entries))
 	}
 	e, ok := db.Lookup(netsim.MakeBlockID(1, 0, 0))
 	if !ok || e.Country != "BB" || e.Lat != -5 {
@@ -32,14 +32,14 @@ func TestFromWorldCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := FromWorld(w, 0.93, 5)
-	frac := float64(db.Len()) / float64(len(w.Blocks))
+	frac := float64(len(db.entries)) / float64(len(w.Blocks))
 	if math.Abs(frac-0.93) > 0.02 {
 		t.Fatalf("coverage = %v, want ~0.93", frac)
 	}
 	// Full coverage.
 	full := FromWorld(w, 1, 5)
-	if full.Len() != len(w.Blocks) {
-		t.Fatalf("full coverage = %d of %d", full.Len(), len(w.Blocks))
+	if len(full.entries) != len(w.Blocks) {
+		t.Fatalf("full coverage = %d of %d", len(full.entries), len(w.Blocks))
 	}
 	// Entries agree with ground truth.
 	for _, b := range w.Blocks[:50] {
@@ -53,7 +53,7 @@ func TestFromWorldCoverage(t *testing.T) {
 	}
 	// Default coverage when 0 passed.
 	def := FromWorld(w, 0, 5)
-	if math.Abs(float64(def.Len())/float64(len(w.Blocks))-0.93) > 0.02 {
+	if math.Abs(float64(len(def.entries))/float64(len(w.Blocks))-0.93) > 0.02 {
 		t.Fatal("default coverage should be 0.93")
 	}
 }
@@ -70,17 +70,15 @@ func TestGridBasics(t *testing.T) {
 	g.Add(34.0, -118.2, true)  // Los Angeles, diurnal
 	g.Add(34.5, -118.9, false) // same 2x2 cell
 	g.Add(35.6, 139.7, false)  // Tokyo
-	if got := g.CountAt(34.3, -118.5); got != 2 {
-		t.Fatalf("LA cell count = %d", got)
+	la, tokyo := g.cellIndex(34.3, -118.5), g.cellIndex(35.6, 139.7)
+	if g.total[la] != 2 || g.marked[la] != 1 {
+		t.Fatalf("LA cell holds %d blocks, %d marked", g.total[la], g.marked[la])
 	}
-	if got := g.FractionAt(34.3, -118.5); got != 0.5 {
-		t.Fatalf("LA cell fraction = %v", got)
+	if g.total[tokyo] != 1 || g.marked[tokyo] != 0 {
+		t.Fatalf("Tokyo cell holds %d blocks, %d marked", g.total[tokyo], g.marked[tokyo])
 	}
-	if got := g.CountAt(35.6, 139.7); got != 1 {
-		t.Fatalf("Tokyo cell = %d", got)
-	}
-	if !math.IsNaN(g.FractionAt(0, 0)) {
-		t.Fatal("empty cell fraction should be NaN")
+	if empty := g.cellIndex(0, 0); g.total[empty] != 0 {
+		t.Fatal("cell at the origin should be empty")
 	}
 	if g.NonEmptyCells() != 2 {
 		t.Fatalf("non-empty cells = %d", g.NonEmptyCells())
@@ -143,7 +141,7 @@ func TestGridCentroidAnomalyVisible(t *testing.T) {
 	// The US centroid cell should be disproportionately full relative to a
 	// typical uniformly-populated US cell (~7% of ~1400 US blocks pile onto
 	// one cell).
-	centroidCount := g.CountAt(us.CenterLat(), us.CenterLon())
+	centroidCount := g.total[g.cellIndex(us.CenterLat(), us.CenterLon())]
 	if centroidCount < 30 {
 		t.Fatalf("centroid cell only has %d blocks", centroidCount)
 	}

@@ -18,7 +18,7 @@ func TestParseMalformedTable(t *testing.T) {
 	flipped := append([]byte(nil), valid...)
 	flipped[9] ^= 0x01 // payload bit: header still sane, checksum wrong
 	badType := append([]byte(nil), valid...)
-	badType[0] = TypeTimeExceeded
+	badType[0] = 11 // time exceeded: a type the prober never parses
 	badCode := append([]byte(nil), valid...)
 	badCode[1] = 5
 	huge := make([]byte, headerLen+MaxPayload+1)

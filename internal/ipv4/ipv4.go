@@ -1,8 +1,8 @@
 // Package ipv4 implements the IPv4 header (RFC 791): marshalling and
 // parsing with header checksum validation, plus the encapsulation helpers
 // the prober and the simulated network use so that every probe travels as
-// a full IPv4(ICMP) packet — exercising the same header construction,
-// validation, and TTL handling a live prober would.
+// a full IPv4(ICMP) packet — exercising the same header construction and
+// validation a live prober would.
 package ipv4
 
 import (
@@ -11,12 +11,8 @@ import (
 	"fmt"
 )
 
-// Protocol numbers used here.
-const (
-	ProtoICMP = 1
-	ProtoTCP  = 6
-	ProtoUDP  = 17
-)
+// ProtoICMP is the one protocol number the prober sends and accepts.
+const ProtoICMP = 1
 
 // HeaderLen is the length of a header without options; options are not
 // used by the prober and are rejected on parse for simplicity and safety.
@@ -43,16 +39,6 @@ type Addr [4]byte
 // String renders the dotted quad.
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
-}
-
-// Uint32 packs the address big-endian.
-func (a Addr) Uint32() uint32 { return binary.BigEndian.Uint32(a[:]) }
-
-// AddrFromUint32 unpacks a big-endian address.
-func AddrFromUint32(v uint32) Addr {
-	var a Addr
-	binary.BigEndian.PutUint32(a[:], v)
-	return a
 }
 
 // Header is an IPv4 header without options.
@@ -136,38 +122,6 @@ func ParseHeader(h *Header, b []byte) ([]byte, error) {
 	copy(h.Src[:], b[12:16])
 	copy(h.Dst[:], b[16:20])
 	return b[HeaderLen:total], nil
-}
-
-// DecrementTTL returns a copy of the packet with TTL reduced by hops and
-// the checksum fixed up. ok is false when the TTL would reach zero (the
-// packet dies in transit, as a router would signal with time-exceeded).
-func DecrementTTL(b []byte, hops int) (out []byte, ok bool) {
-	if len(b) < HeaderLen || hops <= 0 {
-		return b, len(b) >= HeaderLen
-	}
-	ttl := int(b[8])
-	if ttl <= hops {
-		return nil, false
-	}
-	out = append([]byte(nil), b...)
-	out[8] = byte(ttl - hops)
-	out[10], out[11] = 0, 0
-	binary.BigEndian.PutUint16(out[10:12], headerChecksum(out[:HeaderLen]))
-	return out, true
-}
-
-// TTLSurvives reports whether a packet whose header starts b would survive
-// a path of the given hop count — the same verdict DecrementTTL's ok result
-// gives, without copying the packet. It exists for forwarding paths that
-// only need the life-or-death answer, not the decremented copy.
-func TTLSurvives(b []byte, hops int) bool {
-	if len(b) < HeaderLen {
-		return false
-	}
-	if hops <= 0 {
-		return true
-	}
-	return int(b[8]) > hops
 }
 
 // headerChecksum is the RFC 1071 checksum over the header; a valid header

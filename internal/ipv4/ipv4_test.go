@@ -94,39 +94,10 @@ func TestMarshalTooBig(t *testing.T) {
 	}
 }
 
-func TestDecrementTTL(t *testing.T) {
-	pkt, _ := (&Header{TTL: 10, Protocol: 1}).MarshalAppend(nil, []byte("p"))
-	out, ok := DecrementTTL(pkt, 3)
-	if !ok {
-		t.Fatal("should survive 3 hops")
-	}
-	var h Header
-	if _, err := ParseHeader(&h, out); err != nil {
-		t.Fatalf("decremented packet invalid: %v", err)
-	}
-	if h.TTL != 7 {
-		t.Fatalf("TTL = %d", h.TTL)
-	}
-	// Original untouched.
-	if _, err := ParseHeader(&h, pkt); err != nil || h.TTL != 10 {
-		t.Fatal("DecrementTTL must not mutate input")
-	}
-	// Dies in transit.
-	if _, ok := DecrementTTL(pkt, 10); ok {
-		t.Fatal("10 hops should kill TTL 10")
-	}
-	if _, ok := DecrementTTL(pkt, 0); !ok {
-		t.Fatal("0 hops is a no-op")
-	}
-}
-
 func TestAddrHelpers(t *testing.T) {
 	a := Addr{1, 9, 21, 7}
 	if a.String() != "1.9.21.7" {
 		t.Fatalf("String = %q", a.String())
-	}
-	if got := AddrFromUint32(a.Uint32()); got != a {
-		t.Fatalf("round trip = %v", got)
 	}
 }
 

@@ -10,15 +10,15 @@ import (
 // FloatEq flags == and != between two non-constant float operands outside
 // tests. Availability fractions, FFT magnitudes, and correlation
 // coefficients all accumulate rounding error, so exact equality silently
-// flips near boundaries; the stats package's epsilon helpers
-// (stats.ApproxEqual / stats.ApproxEqualTol) are the intended comparison.
-// Comparisons against a constant (v == 0 sentinel checks) and the x != x
+// flips near boundaries; compare within an explicit tolerance, or say with
+// a //lint:allow why exact equality is what the site means (a sort
+// tie-break, a tie defined by equality). Comparisons against a constant (v == 0 sentinel checks) and the x != x
 // NaN idiom stay legal: both are exact by construction.
 type FloatEq struct{}
 
 func (FloatEq) Name() string { return "floateq" }
 func (FloatEq) Doc() string {
-	return "flag ==/!= between non-constant floats outside tests; use stats.ApproxEqual"
+	return "flag ==/!= between non-constant floats outside tests; compare within a tolerance"
 }
 
 func (FloatEq) Check(p *Pass) {
@@ -49,7 +49,7 @@ func (FloatEq) Check(p *Pass) {
 			}
 			p.Report(be, "floateq",
 				fmt.Sprintf("%s between computed floats is rounding-fragile", be.Op),
-				fmt.Sprintf("use stats.ApproxEqual(%s, %s) (or ApproxEqualTol with an explicit tolerance)",
+				fmt.Sprintf("compare math.Abs(%s - %s) against an explicit tolerance",
 					types.ExprString(be.X), types.ExprString(be.Y)))
 			return true
 		})

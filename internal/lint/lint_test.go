@@ -150,7 +150,7 @@ func TestSelfCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := LoadModule(root, nil)
+	pkgs, err := LoadModuleParallel(root, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

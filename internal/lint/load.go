@@ -173,16 +173,13 @@ func PackageDirs(root string) ([]string, error) {
 	return out, nil
 }
 
-// LoadModule loads every package under the module rooted at (or above) dir
-// whose directory matches one of the patterns. Patterns follow the go tool
-// shape: "./..." loads everything, "./internal/world" one package,
-// "./internal/..." a subtree. An empty pattern list means "./...".
-func LoadModule(dir string, patterns []string) ([]*Package, error) {
-	return LoadModuleParallel(dir, patterns, 1)
-}
-
-// LoadModuleParallel is LoadModule with the type-checking fanned out over a
-// bounded pool of workers. Type-checking dominates whole-module lint time,
+// LoadModuleParallel loads every package under the module rooted at (or
+// above) dir whose directory matches one of the patterns. Patterns follow
+// the go tool shape: "./..." loads everything, "./internal/world" one
+// package, "./internal/..." a subtree. An empty pattern list means "./...".
+//
+// The type-checking is fanned out over a bounded pool of workers (at least
+// one). Type-checking dominates whole-module lint time,
 // so this is where the parallelism pays; rules still run sequentially over
 // the loaded packages (the annotation index and finding order stay trivially
 // deterministic that way). Each worker owns a private Loader — the source

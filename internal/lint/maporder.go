@@ -31,7 +31,7 @@ var emitMethods = map[string]bool{
 
 // metricEmitMethods are the internal/metrics mutation methods.
 var metricEmitMethods = map[string]bool{
-	"Inc": true, "Add": true, "Set": true, "Observe": true,
+	"Inc": true, "Add": true, "Observe": true,
 }
 
 func (MapOrder) Check(p *Pass) {

@@ -60,10 +60,10 @@ func WriterEmit(m map[string]int) string {
 }
 
 // MetricsEmit mutates metrics in map order — the snapshot-nondeterminism
-// shape when gauge values depend on visit order.
+// shape when a histogram's float sum depends on visit order.
 func MetricsEmit(reg *metrics.Registry, m map[string]float64) {
-	g := reg.Gauge("last_seen")
+	h := reg.Histogram("last_seen", "", nil)
 	for _, v := range m {
-		g.Set(v) // want maporder
+		h.Observe(v) // want maporder
 	}
 }

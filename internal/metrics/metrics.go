@@ -1,5 +1,5 @@
 // Package metrics is a dependency-free, concurrency-safe registry of
-// counters, gauges, and fixed-bucket histograms for the measurement
+// counters and fixed-bucket histograms for the measurement
 // pipeline — the continuously exported signal stream an operator of a
 // weeks-long Trinocular-style collector reasons about (probes sent per
 // round, retries, rate-limited rounds, breaker trips).
@@ -56,27 +56,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a settable float64 value. Safe on a nil receiver.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Value returns the stored value (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram counts observations into fixed buckets. Bucket i counts
 // observations v <= Bounds[i]; one implicit overflow bucket counts the rest.
 // Bounds are frozen at registration, so snapshots of the same registry
@@ -118,14 +97,6 @@ func (h *Histogram) Time() func() {
 
 func noopStop() {}
 
-// Count returns the number of observations (0 on nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // Sum returns the running total of observed values (0 on nil).
 func (h *Histogram) Sum() float64 {
 	if h == nil {
@@ -139,7 +110,6 @@ func (h *Histogram) Sum() float64 {
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -147,7 +117,6 @@ type Registry struct {
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -166,21 +135,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named histogram, creating it with the given unit and
@@ -224,12 +178,6 @@ type CounterValue struct {
 	Value int64  `json:"value"`
 }
 
-// GaugeValue is one gauge in a snapshot.
-type GaugeValue struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-}
-
 // HistogramValue is one histogram in a snapshot. Counts[i] counts
 // observations <= Bounds[i]; the final extra entry is the overflow bucket.
 type HistogramValue struct {
@@ -255,7 +203,6 @@ func (h HistogramValue) Mean() float64 {
 // with Deterministic first when the computation is timed).
 type Snapshot struct {
 	Counters   []CounterValue   `json:"counters"`
-	Gauges     []GaugeValue     `json:"gauges,omitempty"`
 	Histograms []HistogramValue `json:"histograms,omitempty"`
 }
 
@@ -270,9 +217,6 @@ func (r *Registry) Snapshot() Snapshot {
 	defer r.mu.Unlock()
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.Value()})
-	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, GaugeValue{Name: name, Value: g.Value()})
 	}
 	for name, h := range r.hists {
 		hv := HistogramValue{
@@ -289,7 +233,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms = append(s.Histograms, hv)
 	}
 	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
 	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 	return s
 }
@@ -299,7 +242,7 @@ func (r *Registry) Snapshot() Snapshot {
 // pure function of the seeded computation — the part that is byte-identical
 // across same-seed runs.
 func (s Snapshot) Deterministic() Snapshot {
-	out := Snapshot{Counters: s.Counters, Gauges: s.Gauges}
+	out := Snapshot{Counters: s.Counters}
 	for _, h := range s.Histograms {
 		if h.Unit == UnitSeconds {
 			continue
@@ -332,7 +275,7 @@ func (s Snapshot) Lookup(name string) (int64, bool) {
 
 // Empty reports whether the snapshot holds no instruments at all.
 func (s Snapshot) Empty() bool {
-	return len(s.Counters) == 0 && len(s.Gauges) == 0 && len(s.Histograms) == 0
+	return len(s.Counters) == 0 && len(s.Histograms) == 0
 }
 
 // WriteJSON serializes the snapshot as indented JSON.

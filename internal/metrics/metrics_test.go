@@ -15,24 +15,19 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if c.Value() != 0 {
 		t.Fatalf("nil counter value = %d", c.Value())
 	}
-	g := r.Gauge("y")
-	g.Set(3.5)
-	if g.Value() != 0 {
-		t.Fatalf("nil gauge value = %v", g.Value())
-	}
 	h := r.Histogram("z", "", []float64{1, 2})
 	h.Observe(1.5)
 	stop := h.Time()
 	stop()
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("nil histogram recorded: count=%d sum=%v", h.Count(), h.Sum())
+	if h.Sum() != 0 {
+		t.Fatalf("nil histogram recorded: sum=%v", h.Sum())
 	}
 	if !r.Snapshot().Empty() {
 		t.Fatal("nil registry snapshot not empty")
 	}
 }
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	r := New()
 	c := r.Counter("probes")
 	c.Inc()
@@ -43,11 +38,6 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 	if r.Counter("probes") != c {
 		t.Fatal("same name returned a different counter")
-	}
-	g := r.Gauge("temp")
-	g.Set(2.25)
-	if g.Value() != 2.25 {
-		t.Fatalf("gauge = %v", g.Value())
 	}
 }
 
@@ -86,7 +76,6 @@ func TestSnapshotSortedAndDeterministicSerialization(t *testing.T) {
 		// Register in scrambled order; snapshots must sort by name.
 		r.Counter("zebra").Add(2)
 		r.Counter("alpha").Add(1)
-		r.Gauge("mid").Set(0.5)
 		r.Histogram("hist.b", "", []float64{1}).Observe(0.5)
 		r.Histogram("hist.a", UnitSeconds, []float64{1}).Observe(0.25)
 		return r.Snapshot()
@@ -128,7 +117,6 @@ func TestDeterministicStripsTimingHistograms(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := New()
 	r.Counter("a").Add(7)
-	r.Gauge("g").Set(1.5)
 	r.Histogram("h", "", []float64{2, 4}).Observe(3)
 	var buf bytes.Buffer
 	if err := r.Snapshot().WriteJSON(&buf); err != nil {
@@ -138,7 +126,7 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Counter("a") != 7 || back.Gauges[0].Value != 1.5 || back.Histograms[0].Count != 1 {
+	if back.Counter("a") != 7 || back.Histograms[0].Count != 1 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
 }

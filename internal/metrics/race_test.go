@@ -26,7 +26,6 @@ func TestRegistryConcurrentStress(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				r.Counter("shared.events").Inc()
 				own.Inc()
-				r.Gauge("shared.level").Set(float64(i))
 				r.Histogram("shared.sizes", "", []float64{10, 100, 1000}).Observe(float64(i % 2000))
 				if i%64 == 0 {
 					_ = r.Snapshot() // concurrent readers must be safe too

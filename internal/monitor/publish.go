@@ -28,8 +28,6 @@ import (
 
 // Published outage-transition codes (RoundPub.Event).
 const (
-	// PubEventNone: no up/down transition this round.
-	PubEventNone = eventNone
 	// PubEventDown: the block transitioned into an outage this round.
 	PubEventDown = eventDown
 	// PubEventUp: the block recovered from an outage this round.

@@ -140,7 +140,7 @@ func batchSchedule(t testing.TB, r int) [][]byte {
 	// Malformed: truncated IP header.
 	pkts = append(pkts, []byte{0x45, 0, 0})
 	// Malformed: non-ICMP protocol.
-	udp, err := (&ipv4.Header{TTL: 64, Protocol: ipv4.ProtoUDP, Dst: ipv4.Addr(blocks[0].Addr(1).IP())}).MarshalAppend(nil, []byte("x"))
+	udp, err := (&ipv4.Header{TTL: 64, Protocol: 17 /* UDP */, Dst: ipv4.Addr(blocks[0].Addr(1).IP())}).MarshalAppend(nil, []byte("x"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,12 +40,6 @@ type AlwaysOn struct{}
 func (AlwaysOn) Up(time.Time) bool { return true }
 func (AlwaysOn) EverActive() bool  { return true }
 
-// Dead is an address that never answers (outside E(b)).
-type Dead struct{}
-
-func (Dead) Up(time.Time) bool { return false }
-func (Dead) EverActive() bool  { return false }
-
 // Intermittent answers each probing quantum independently with probability
 // P — the "dense but low availability" population of Figure 2. Quantum is
 // the consistency window; probes within the same quantum get the same

@@ -14,7 +14,7 @@ type Hosts [256]Behavior
 type hostKind uint8
 
 const (
-	hostNever        hostKind = iota // outside E(b): nil, Dead, anything whose EverActive is false
+	hostNever        hostKind = iota // outside E(b): nil, or anything whose EverActive is false
 	hostAlways                       // AlwaysOn, Intermittent with P >= 1: no parameters to hold
 	hostDiurnal                      // Diurnal with Duration > 0
 	hostIntermittent                 // Intermittent with 0 < P < 1 on the default quantum

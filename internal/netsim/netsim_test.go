@@ -29,8 +29,18 @@ func TestAlwaysOnDead(t *testing.T) {
 	if !(AlwaysOn{}).Up(at(3, 0)) || !(AlwaysOn{}).EverActive() {
 		t.Fatal("AlwaysOn broken")
 	}
-	if (Dead{}).Up(at(3, 0)) || (Dead{}).EverActive() {
-		t.Fatal("Dead broken")
+	// A dead address is a host left nil: outside E(b), silent to probes.
+	b := &Block{ID: MakeBlockID(10, 0, 2)}
+	var hosts Hosts
+	hosts[1] = AlwaysOn{}
+	b.SetHosts(&hosts)
+	if ever := b.EverActive(); len(ever) != 1 || ever[0] != 1 {
+		t.Fatalf("E(b) = %v, want host 1 alone", ever)
+	}
+	n := NewNetwork(3)
+	n.AddBlock(b)
+	if resp := probeOnce(t, n, b.ID.Addr(2), 1, at(3, 0)); !resp.Timeout {
+		t.Fatal("a nil host answered")
 	}
 }
 
@@ -351,13 +361,7 @@ func TestNetworkAccounting(t *testing.T) {
 	if got := n.ProbesToBlock(MakeBlockID(1, 2, 3)); got != 0 {
 		t.Fatalf("unknown block probes = %d", got)
 	}
-	if got := ProbeRatePerHour(20, time.Hour); got != 20 {
-		t.Fatalf("rate = %v", got)
-	}
-	if got := ProbeRatePerHour(20, 0); got != 0 {
-		t.Fatalf("degenerate rate = %v", got)
-	}
-	if n.NumBlocks() != 1 || len(n.BlockIDs()) != 1 {
+	if len(n.BlockIDs()) != 1 {
 		t.Fatal("topology accessors")
 	}
 	if n.Block(b.ID) != b || n.Block(MakeBlockID(9, 9, 9)) != nil {
@@ -501,7 +505,7 @@ func TestDeliverIPMalformed(t *testing.T) {
 		t.Fatal("truncated IPv4 should time out")
 	}
 	// Wrong protocol.
-	hdr := &ipv4.Header{TTL: 64, Protocol: ipv4.ProtoUDP, Dst: ipv4.Addr(b.ID.Addr(1).IP())}
+	hdr := &ipv4.Header{TTL: 64, Protocol: 17 /* UDP */, Dst: ipv4.Addr(b.ID.Addr(1).IP())}
 	pkt, _ := hdr.MarshalAppend(nil, []byte("x"))
 	if resp := deliverPkt(n, pkt, at(12, 0)); !resp.Timeout {
 		t.Fatal("non-ICMP should time out")

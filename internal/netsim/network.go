@@ -213,13 +213,6 @@ func (n *Network) Block(id BlockID) *Block {
 	return n.blocks[id]
 }
 
-// NumBlocks returns the number of registered blocks.
-func (n *Network) NumBlocks() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return len(n.blocks)
-}
-
 // BlockIDs returns all registered block ids in ascending order, so callers
 // iterating the network never inherit map order.
 func (n *Network) BlockIDs() []BlockID {
@@ -439,15 +432,6 @@ func (n *Network) ProbesToBlock(id BlockID) int64 {
 		return 0
 	}
 	return c.Load()
-}
-
-// ProbeRatePerHour converts a probe count over an observation window into
-// the per-hour rate the paper budgets against background radiation.
-func ProbeRatePerHour(probes int64, window time.Duration) float64 {
-	if window <= 0 {
-		return 0
-	}
-	return float64(probes) / window.Hours()
 }
 
 // String summarizes counters for logs.

@@ -23,6 +23,12 @@ type oddHours struct{}
 func (oddHours) Up(t time.Time) bool { return t.Hour()%2 == 1 }
 func (oddHours) EverActive() bool    { return true }
 
+// never is a behaviour outside E(b) that is not nil.
+type never struct{}
+
+func (never) Up(time.Time) bool { return false }
+func (never) EverActive() bool  { return false }
+
 // everyBranchBlock holds one host (or a few) for each way the host table
 // sorts or evaluates a behaviour; hosts not named stay nil. The spec the
 // block was given comes back with it.
@@ -37,7 +43,7 @@ func everyBranchBlock() (*netsim.Block, *netsim.Hosts) {
 	for i := 0; i < 5; i++ {
 		add(netsim.AlwaysOn{})
 	}
-	add(netsim.Dead{})
+	add(never{})
 	// Never on by Duration, though the duration noise alone would open
 	// on-periods.
 	add(netsim.Diurnal{Phase: 9 * time.Hour, DurationSigma: 2 * time.Hour, Seed: 1})

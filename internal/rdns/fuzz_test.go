@@ -23,8 +23,8 @@ func FuzzClassify(f *testing.F) {
 	f.Add("dsl", "wIFi.CLIENT-ded.isp.example.net")
 	f.Add("cable", "")
 
-	kept := make(map[string]bool, len(KeptKeywords))
-	for _, kw := range KeptKeywords {
+	kept := make(map[string]bool)
+	for _, kw := range keptKeywords() {
 		kept[kw] = true
 	}
 	order := make(map[string]int, len(ConsideredKeywords))
@@ -35,10 +35,10 @@ func FuzzClassify(f *testing.F) {
 	var stream FeatureSet
 	var scratch []byte // reused across inputs, as LinkTypes reuses it across blocks
 	f.Fuzz(func(t *testing.T, a, b string) {
-		// FeaturesOf: deterministic, canonical order, real substrings.
-		fa := FeaturesOf(a)
-		if again := FeaturesOf(a); len(again) != len(fa) {
-			t.Fatalf("FeaturesOf(%q) not deterministic: %v vs %v", a, fa, again)
+		// match: deterministic, canonical order, real substrings.
+		fa := match(a).names()
+		if again := match(a).names(); len(again) != len(fa) {
+			t.Fatalf("match(%q) not deterministic: %v vs %v", a, fa, again)
 		}
 		low := strings.ToLower(a)
 		if isASCII(a) {
@@ -51,18 +51,18 @@ func FuzzClassify(f *testing.F) {
 				}
 			}
 			if strings.Join(fa, ",") != strings.Join(naive, ",") {
-				t.Fatalf("FeaturesOf(%q) = %v, keyword-by-keyword search finds %v", a, fa, naive)
+				t.Fatalf("match(%q) = %v, keyword-by-keyword search finds %v", a, fa, naive)
 			}
 		}
 		for i, kw := range fa {
 			if _, known := order[kw]; !known {
-				t.Fatalf("FeaturesOf(%q) produced unknown keyword %q", a, kw)
+				t.Fatalf("match(%q) produced unknown keyword %q", a, kw)
 			}
 			if !strings.Contains(low, kw) {
-				t.Fatalf("FeaturesOf(%q) claims %q which is not a substring", a, kw)
+				t.Fatalf("match(%q) claims %q which is not a substring", a, kw)
 			}
 			if i > 0 && order[fa[i-1]] >= order[kw] {
-				t.Fatalf("FeaturesOf(%q) out of canonical order: %v", a, fa)
+				t.Fatalf("match(%q) out of canonical order: %v", a, fa)
 			}
 		}
 
@@ -108,7 +108,7 @@ func FuzzClassify(f *testing.F) {
 		}
 
 		// Domain must never inject classification features via the zone.
-		if got := FeaturesOf(Domain(a)); len(got) != 0 {
+		if got := match(Domain(a)).names(); len(got) != 0 {
 			t.Fatalf("Domain(%q) = %q injects features %v", a, Domain(a), got)
 		}
 

@@ -33,9 +33,6 @@ var DiscardedKeywords = map[string]bool{
 	"sql": true, "wireless": true, "wifi": true,
 }
 
-// KeptKeywords are the nine keywords the analysis retains (Fig 17).
-var KeptKeywords = []string{"sta", "dyn", "srv", "dhcp", "ppp", "dsl", "dial", "cable", "res"}
-
 // suppressionRatio drops features rarer than 1/15th of the dominant one.
 const suppressionRatio = 15
 
@@ -87,9 +84,10 @@ func lower(c byte) byte {
 }
 
 // match returns the keywords found in one reverse name: non-exclusive
-// substring matching, ASCII case folded. It is the one matcher behind
-// FeaturesOf, ClassifyBlock and BlockFeatures: a single pass over the name
-// that tries, at each byte, only the keywords starting with it.
+// substring matching, ASCII case folded — a name like
+// "dhcp-dialup-001.example.com" yields both "dhcp" and "dial". It is the one
+// matcher behind ClassifyBlock and BlockFeatures: a single pass over the
+// name that tries, at each byte, only the keywords starting with it.
 func match[T string | []byte](name T) FeatureSet {
 	var found FeatureSet
 	for i := 0; i < len(name); i++ {
@@ -109,11 +107,6 @@ func match[T string | []byte](name T) FeatureSet {
 	}
 	return found
 }
-
-// FeaturesOf returns the keywords found in one reverse name, in
-// ConsideredKeywords order. A name like "dhcp-dialup-001.example.com"
-// yields both "dhcp" and "dial".
-func FeaturesOf(name string) []string { return match(name).names() }
 
 // tally counts, over the named addresses of one block, how many carry each
 // keyword.
@@ -161,24 +154,15 @@ type BlockClassification struct {
 	Named int
 }
 
-// HasFeature reports whether the block carries the feature.
-func (c BlockClassification) HasFeature(f string) bool {
-	for _, x := range c.Features {
-		if x == f {
-			return true
-		}
-	}
-	return false
-}
-
-// Multi reports whether the block carries more than one surviving feature.
-func (c BlockClassification) Multi() bool { return len(c.Features) > 1 }
-
 // ClassifyBlock classifies a /24 given the reverse names of its addresses
 // (empty strings mean no PTR record). It applies the paper's rules: count
 // features across addresses, suppress minor features below 1/15th of the
 // most frequent, discard the seven starred keywords, and label with the
 // rest.
+//
+// Nothing outside tests calls it: with Synthesizer.BlockNames it is the
+// materialized reference that FuzzClassify and
+// TestBlockFeaturesMatchesClassifyBlock hold the streaming BlockFeatures to.
 func ClassifyBlock(names []string) BlockClassification {
 	var t tally
 	for _, n := range names {
@@ -281,7 +265,8 @@ func (n *namer) appendName(dst []byte, h int) []byte {
 
 // BlockNames synthesizes the 256 reverse names for a block with the given
 // true link type and an ISP domain; addresses without a PTR record get the
-// empty string.
+// empty string. It is the other half of the reference named at
+// ClassifyBlock; the study streams the same names through BlockFeatures.
 func (s *Synthesizer) BlockNames(id netsim.BlockID, linkType, domain string) []string {
 	names := make([]string, 256)
 	n := s.namer(id, linkType, domain)

@@ -21,14 +21,14 @@ func TestFeaturesOf(t *testing.T) {
 		{"", nil},
 	}
 	for _, c := range cases {
-		got := FeaturesOf(c.name)
+		got := match(c.name).names()
 		if len(got) != len(c.want) {
-			t.Errorf("FeaturesOf(%q) = %v, want %v", c.name, got, c.want)
+			t.Errorf("match(%q) = %v, want %v", c.name, got, c.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != c.want[i] {
-				t.Errorf("FeaturesOf(%q) = %v, want %v", c.name, got, c.want)
+				t.Errorf("match(%q) = %v, want %v", c.name, got, c.want)
 			}
 		}
 	}
@@ -46,9 +46,6 @@ func TestClassifyBlockBasic(t *testing.T) {
 	if c.Named != 200 || c.Counts["dsl"] != 200 {
 		t.Fatalf("classification = %+v", c)
 	}
-	if !c.HasFeature("dsl") || c.HasFeature("dyn") || c.Multi() {
-		t.Fatal("feature predicates wrong")
-	}
 }
 
 func TestClassifyBlockSuppression(t *testing.T) {
@@ -65,14 +62,8 @@ func TestClassifyBlockSuppression(t *testing.T) {
 		names[i] = "cable-modem.isp.net"
 	}
 	c := ClassifyBlock(names)
-	if c.HasFeature("dsl") {
-		t.Fatalf("dsl should be suppressed: %v", c.Features)
-	}
-	if !c.HasFeature("dyn") || !c.HasFeature("cable") {
-		t.Fatalf("Features = %v", c.Features)
-	}
-	if !c.Multi() {
-		t.Fatal("block should be multi-feature")
+	if got := strings.Join(c.Features, ","); got != "dyn,cable" {
+		t.Fatalf("Features = %v, want dyn and cable with dsl suppressed", c.Features)
 	}
 }
 
@@ -112,7 +103,7 @@ func TestSynthesizerRates(t *testing.T) {
 		if len(c.Features) > 0 {
 			withFeature++
 		}
-		if c.Multi() {
+		if len(c.Features) > 1 {
 			multi++
 		}
 	}
@@ -134,7 +125,7 @@ func TestSynthesizerKeywordMatchesLinkType(t *testing.T) {
 	} {
 		id := netsim.MakeBlockID(9, 9, 9)
 		c := ClassifyBlock(s.BlockNames(id, link, "isp.example.net"))
-		if !c.HasFeature(kw) {
+		if !strings.Contains(","+strings.Join(c.Features, ",")+",", ","+kw+",") {
 			t.Errorf("link %q: features %v missing %q", link, c.Features, kw)
 		}
 	}
@@ -189,9 +180,6 @@ func TestKeywordTables(t *testing.T) {
 	if len(ConsideredKeywords) != 16 {
 		t.Fatalf("considered = %d, want 16", len(ConsideredKeywords))
 	}
-	if len(KeptKeywords) != 9 {
-		t.Fatalf("kept = %d, want 9", len(KeptKeywords))
-	}
 	n := 0
 	for range DiscardedKeywords {
 		n++
@@ -199,22 +187,21 @@ func TestKeywordTables(t *testing.T) {
 	if n != 7 {
 		t.Fatalf("discarded = %d, want 7", n)
 	}
-	for _, kw := range KeptKeywords {
-		if DiscardedKeywords[kw] {
-			t.Fatalf("%q both kept and discarded", kw)
-		}
+	// Considered minus discarded, in the same order, are Fig 17's nine rows.
+	if got := strings.Join(keptKeywords(), ","); got != "sta,dyn,srv,dhcp,ppp,dsl,dial,cable,res" {
+		t.Fatalf("considered minus discarded = %v", got)
 	}
-	// Kept is considered minus discarded, in the same order: Fig 17's rows
-	// rely on it.
+}
+
+// keptKeywords are the keywords the analysis retains: considered, not starred.
+func keptKeywords() []string {
 	var kept []string
 	for _, kw := range ConsideredKeywords {
 		if !DiscardedKeywords[kw] {
 			kept = append(kept, kw)
 		}
 	}
-	if strings.Join(kept, ",") != strings.Join(KeptKeywords, ",") {
-		t.Fatalf("considered minus discarded = %v, kept = %v", kept, KeptKeywords)
-	}
+	return kept
 }
 
 // TestBlockFeaturesMatchesClassifyBlock pins the streaming classification
@@ -223,10 +210,11 @@ func TestKeywordTables(t *testing.T) {
 func TestBlockFeaturesMatchesClassifyBlock(t *testing.T) {
 	s := NewSynthesizer(42)
 	var scratch []byte
+	kept := keptKeywords()
 	styles := make(map[int]int)
 	for i := 0; i < 3000; i++ {
 		id := netsim.MakeBlockID(byte(i>>16), byte(i>>8), byte(i))
-		link := KeptKeywords[i%len(KeptKeywords)]
+		link := kept[i%len(kept)]
 		want := ClassifyBlock(s.BlockNames(id, link, "isp.example.net")).Features
 		var got FeatureSet
 		got, scratch = s.BlockFeatures(scratch, id, link, "isp.example.net")

@@ -9,8 +9,8 @@ import (
 )
 
 // Metrics renders a snapshot as aligned text tables: one for counters, one
-// for gauges, one for histograms (count / sum / mean). An empty snapshot
-// renders a single placeholder line so callers can print unconditionally.
+// for histograms (count / sum / mean). An empty snapshot renders a single
+// placeholder line so callers can print unconditionally.
 func Metrics(s metrics.Snapshot) string {
 	if s.Empty() {
 		return "(no metrics recorded)\n"
@@ -22,16 +22,6 @@ func Metrics(s metrics.Snapshot) string {
 			rows = append(rows, []string{c.Name, strconv.FormatInt(c.Value, 10)})
 		}
 		b.WriteString(Table([]string{"counter", "value"}, rows))
-	}
-	if len(s.Gauges) > 0 {
-		if b.Len() > 0 {
-			b.WriteByte('\n')
-		}
-		rows := make([][]string, 0, len(s.Gauges))
-		for _, g := range s.Gauges {
-			rows = append(rows, []string{g.Name, F(g.Value)})
-		}
-		b.WriteString(Table([]string{"gauge", "value"}, rows))
 	}
 	if len(s.Histograms) > 0 {
 		if b.Len() > 0 {

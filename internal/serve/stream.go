@@ -229,12 +229,6 @@ func (rp *Replayer) Push(v float64) {
 	rp.sums.Add(c1, s1, c2, s2)
 }
 
-// Rounds reports how many rounds have been pushed.
-func (rp *Replayer) Rounds() int { return int(rp.sums.N) }
-
-// MinClassify reports the classification floor in rounds.
-func (rp *Replayer) MinClassify() int { return rp.minClassify }
-
 // Acc returns copies of the block's accumulator and the basis sums (for
 // bit-identity tests).
 func (rp *Replayer) Acc() (StreamAcc, BasisSums) { return rp.acc, rp.sums }

@@ -170,8 +170,8 @@ func TestStreamClassifierBoundaries(t *testing.T) {
 // one virtual day of rounds (ceil(86400/660) = 131 for the paper's period).
 func TestStreamClassifierFloorDefault(t *testing.T) {
 	rp := NewReplayer(time.Time{}, streamTestPeriod, 0)
-	if got := rp.MinClassify(); got != 131 {
-		t.Fatalf("default MinClassify = %d, want 131", got)
+	if got := rp.minClassify; got != 131 {
+		t.Fatalf("default minClassify = %d, want 131", got)
 	}
 }
 
@@ -229,7 +229,7 @@ func TestStreamResyncBitIdentical(t *testing.T) {
 		if !accBitsEqual(ai, si, ar, sr) {
 			return false
 		}
-		if inc.Rounds() != res.Rounds() {
+		if si.N != sr.N {
 			return false
 		}
 		for _, floor := range []int{1, rounds / 2, rounds, rounds + 1} {

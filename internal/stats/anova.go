@@ -16,58 +16,6 @@ type ANOVAResult struct {
 	GrandN int     // total observations
 }
 
-// Significant reports whether the result rejects the null at level alpha.
-func (r ANOVAResult) Significant(alpha float64) bool {
-	return !math.IsNaN(r.P) && r.P < alpha
-}
-
-// OneWayANOVA performs a one-way analysis of variance over k groups of
-// observations, testing the null hypothesis that all group means are equal.
-func OneWayANOVA(groups [][]float64) (ANOVAResult, error) {
-	k := len(groups)
-	if k < 2 {
-		return ANOVAResult{}, fmt.Errorf("stats: OneWayANOVA needs >= 2 groups, got %d", k)
-	}
-	var n int
-	var grand float64
-	for i, g := range groups {
-		if len(g) == 0 {
-			return ANOVAResult{}, fmt.Errorf("stats: OneWayANOVA group %d is empty", i)
-		}
-		n += len(g)
-		grand += Sum(g)
-	}
-	if n <= k {
-		return ANOVAResult{}, fmt.Errorf("stats: OneWayANOVA needs > %d total observations, got %d", k, n)
-	}
-	grand /= float64(n)
-	var ssb, ssw float64
-	for _, g := range groups {
-		m := Mean(g)
-		d := m - grand
-		ssb += float64(len(g)) * d * d
-		for _, v := range g {
-			e := v - m
-			ssw += e * e
-		}
-	}
-	df1, df2 := k-1, n-k
-	res := ANOVAResult{DF1: df1, DF2: df2, SSB: ssb, SSW: ssw, GrandN: n}
-	if ssw == 0 {
-		if ssb == 0 {
-			res.F = 0
-			res.P = 1
-			return res, nil
-		}
-		res.F = math.Inf(1)
-		res.P = 0
-		return res, nil
-	}
-	res.F = (ssb / float64(df1)) / (ssw / float64(df2))
-	res.P = FDist{D1: float64(df1), D2: float64(df2)}.SF(res.F)
-	return res, nil
-}
-
 // RegressionANOVA tests whether the given continuous predictors jointly
 // explain the outcome: the overall F-test of the linear model
 // y ~ 1 + x1 + ... + xp against the intercept-only model. This is what R's
@@ -110,37 +58,6 @@ func RegressionANOVA(y []float64, predictors ...[]float64) (ANOVAResult, error) 
 	}
 	res.F = (fit.SSR / float64(df1)) / (fit.SSE / float64(df2))
 	res.P = FDist{D1: float64(df1), D2: float64(df2)}.SF(res.F)
-	return res, nil
-}
-
-// NestedFTest compares a full linear model against a nested reduced model
-// (reduced's design columns must be a subset of full's). It returns the
-// partial F-test of the extra columns.
-func NestedFTest(reduced, full OLS) (ANOVAResult, error) {
-	if full.N != reduced.N {
-		return ANOVAResult{}, fmt.Errorf("stats: NestedFTest models fit on different n (%d vs %d)", full.N, reduced.N)
-	}
-	extra := full.P - reduced.P
-	if extra <= 0 {
-		return ANOVAResult{}, fmt.Errorf("stats: full model must have more parameters (full %d, reduced %d)", full.P, reduced.P)
-	}
-	df2 := full.N - full.P
-	if df2 <= 0 {
-		return ANOVAResult{}, fmt.Errorf("stats: no residual degrees of freedom")
-	}
-	num := (reduced.SSE - full.SSE) / float64(extra)
-	den := full.SSE / float64(df2)
-	res := ANOVAResult{DF1: extra, DF2: df2, SSB: reduced.SSE - full.SSE, SSW: full.SSE, GrandN: full.N}
-	if den <= 0 {
-		res.F = math.Inf(1)
-		res.P = 0
-		return res, nil
-	}
-	if num < 0 {
-		num = 0
-	}
-	res.F = num / den
-	res.P = FDist{D1: float64(extra), D2: float64(df2)}.SF(res.F)
 	return res, nil
 }
 

@@ -1,24 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
-
-// Covariance returns the unbiased sample covariance of paired samples x, y.
-// It returns NaN if the lengths differ or fewer than two pairs are given.
-func Covariance(x, y []float64) float64 {
-	n := len(x)
-	if n != len(y) || n < 2 {
-		return math.NaN()
-	}
-	mx, my := Mean(x), Mean(y)
-	var s float64
-	for i := 0; i < n; i++ {
-		s += (x[i] - mx) * (y[i] - my)
-	}
-	return s / float64(n-1)
-}
+import "math"
 
 // Pearson returns the Pearson product-moment correlation coefficient of
 // paired samples x and y. It returns NaN for mismatched lengths, fewer than
@@ -40,40 +22,6 @@ func Pearson(x, y []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns Spearman's rank correlation: Pearson correlation of the
-// ranks, with ties receiving the average of the ranks they span.
-func Spearman(x, y []float64) float64 {
-	if len(x) != len(y) {
-		return math.NaN()
-	}
-	return Pearson(Ranks(x), Ranks(y))
-}
-
-// Ranks returns the 1-based fractional ranks of x, averaging tied values.
-func Ranks(x []float64) []float64 {
-	n := len(x)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return x[idx[a]] < x[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		//lint:allow floateq: rank ties are defined by exact equality; approximate ties would change every rank statistic
-		for j+1 < n && x[idx[j+1]] == x[idx[i]] {
-			j++
-		}
-		// positions i..j are tied: average rank
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
 }
 
 // WeightedPearson returns the Pearson correlation of x and y with
@@ -106,38 +54,4 @@ func WeightedPearson(x, y, w []float64) float64 {
 		return math.NaN()
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// CircularLinearCorrelation measures association between a circular variable
-// theta (radians) and a linear variable x, following Mardia's r_{xc}:
-//
-//	r^2 = (r_xc^2 + r_xs^2 - 2 r_xc r_xs r_cs) / (1 - r_cs^2)
-//
-// where r_xc = corr(x, cos θ), r_xs = corr(x, sin θ), r_cs = corr(cos θ, sin θ).
-// The result is in [0, 1]; the paper instead "unrolls" phase before a plain
-// Pearson (see analysis.UnrollPhase), but this gives a rotation-invariant
-// cross-check.
-func CircularLinearCorrelation(theta, x []float64) float64 {
-	n := len(theta)
-	if n != len(x) || n < 3 {
-		return math.NaN()
-	}
-	c := make([]float64, n)
-	s := make([]float64, n)
-	for i, t := range theta {
-		si, ci := math.Sincos(t)
-		c[i], s[i] = ci, si
-	}
-	rxc := Pearson(x, c)
-	rxs := Pearson(x, s)
-	rcs := Pearson(c, s)
-	den := 1 - rcs*rcs
-	if den <= 0 {
-		return math.NaN()
-	}
-	r2 := (rxc*rxc + rxs*rxs - 2*rxc*rxs*rcs) / den
-	if r2 < 0 {
-		r2 = 0
-	}
-	return math.Sqrt(r2)
 }

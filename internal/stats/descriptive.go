@@ -1,9 +1,9 @@
-// Package stats is the statistics substrate for the study: descriptive
-// statistics, correlation, least-squares regression, histograms and
-// empirical CDFs, the special functions needed for exact p-values
-// (regularized incomplete beta), the F and t distributions, and analysis of
-// variance (one-way on categorical groups and regression ANOVA on continuous
-// country-level covariates, which is what the paper's Table 5 uses).
+// Package stats is the statistics substrate for the study: means and
+// quantiles, Pearson correlation, least-squares regression, empirical CDFs
+// and the two-sample KS test, 2-D density grids, the special function
+// needed for exact p-values (regularized incomplete beta), the F
+// distribution's tail, and regression ANOVA on continuous country-level
+// covariates, which is what the paper's Table 5 uses.
 //
 // Everything is implemented from scratch on the standard library, matching
 // the definitions in standard texts; see the tests for cross-checks against
@@ -25,67 +25,6 @@ func Mean(x []float64) float64 {
 		s += v
 	}
 	return s / float64(len(x))
-}
-
-// Sum returns the sum of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
-// Variance returns the unbiased sample variance (n-1 denominator) of x.
-// It returns NaN for fewer than two samples.
-func Variance(x []float64) float64 {
-	n := len(x)
-	if n < 2 {
-		return math.NaN()
-	}
-	m := Mean(x)
-	var ss float64
-	for _, v := range x {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(n-1)
-}
-
-// StdDev returns the unbiased sample standard deviation of x.
-func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
-
-// PopVariance returns the population variance (n denominator).
-func PopVariance(x []float64) float64 {
-	n := len(x)
-	if n == 0 {
-		return math.NaN()
-	}
-	m := Mean(x)
-	var ss float64
-	for _, v := range x {
-		d := v - m
-		ss += d * d
-	}
-	return ss / float64(n)
-}
-
-// MinMax returns the smallest and largest values in x.
-// It returns (NaN, NaN) for empty input.
-func MinMax(x []float64) (min, max float64) {
-	if len(x) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	min, max = x[0], x[0]
-	for _, v := range x[1:] {
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
-	}
-	return min, max
 }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of x using linear
@@ -129,31 +68,4 @@ func quantileSorted(s []float64, q float64) float64 {
 	}
 	frac := h - float64(lo)
 	return s[lo] + frac*(s[hi]-s[lo])
-}
-
-// Median returns the 0.5 quantile of x.
-func Median(x []float64) float64 { return Quantile(x, 0.5) }
-
-// Summary bundles the five-number summary plus mean of a sample.
-type Summary struct {
-	N                  int
-	Min, Q1, Median    float64
-	Q3, Max, Mean, Std float64
-}
-
-// Summarize computes a Summary of x.
-func Summarize(x []float64) Summary {
-	s := append([]float64(nil), x...)
-	sort.Float64s(s)
-	var sum Summary
-	sum.N = len(s)
-	if sum.N == 0 {
-		nan := math.NaN()
-		return Summary{Min: nan, Q1: nan, Median: nan, Q3: nan, Max: nan, Mean: nan, Std: nan}
-	}
-	qs := QuantilesSorted(s, 0, 0.25, 0.5, 0.75, 1)
-	sum.Min, sum.Q1, sum.Median, sum.Q3, sum.Max = qs[0], qs[1], qs[2], qs[3], qs[4]
-	sum.Mean = Mean(s)
-	sum.Std = StdDev(s)
-	return sum
 }

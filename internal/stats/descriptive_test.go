@@ -21,55 +21,6 @@ func TestMeanBasics(t *testing.T) {
 	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Fatalf("Mean = %v, want 2.5", got)
 	}
-	if got := Sum([]float64{1, 2, 3}); got != 6 {
-		t.Fatalf("Sum = %v", got)
-	}
-}
-
-func TestVariance(t *testing.T) {
-	if !math.IsNaN(Variance([]float64{1})) {
-		t.Fatal("Variance of 1 sample should be NaN")
-	}
-	// Known: sample variance of 2,4,4,4,5,5,7,9 is 4.571428...
-	x := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(x); !near(got, 32.0/7, 1e-12) {
-		t.Fatalf("Variance = %v, want %v", got, 32.0/7)
-	}
-	if got := PopVariance(x); !near(got, 4, 1e-12) {
-		t.Fatalf("PopVariance = %v, want 4", got)
-	}
-	if got := StdDev(x); !near(got, math.Sqrt(32.0/7), 1e-12) {
-		t.Fatalf("StdDev = %v", got)
-	}
-}
-
-func TestVarianceInvariantUnderShift(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 2 + r.Intn(50)
-		x := make([]float64, n)
-		y := make([]float64, n)
-		shift := r.NormFloat64() * 100
-		for i := range x {
-			x[i] = r.NormFloat64()
-			y[i] = x[i] + shift
-		}
-		return near(Variance(x), Variance(y), 1e-8*(1+math.Abs(shift)))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	min, max := MinMax([]float64{3, -1, 7, 2})
-	if min != -1 || max != 7 {
-		t.Fatalf("MinMax = (%v, %v)", min, max)
-	}
-	min, max = MinMax(nil)
-	if !math.IsNaN(min) || !math.IsNaN(max) {
-		t.Fatal("MinMax(nil) should be NaN")
-	}
 }
 
 func TestQuantileKnownValues(t *testing.T) {
@@ -111,17 +62,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{5, 1, 3, 2, 4})
-	if s.N != 5 || s.Min != 1 || s.Max != 5 || s.Median != 3 || s.Mean != 3 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 || !math.IsNaN(empty.Median) {
-		t.Fatalf("Summarize(nil) = %+v", empty)
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5}
 	y := []float64{2, 4, 6, 8, 10}
@@ -158,59 +98,11 @@ func TestPearsonRange(t *testing.T) {
 	}
 }
 
-func TestSpearmanMonotone(t *testing.T) {
-	// Any strictly increasing transform gives Spearman exactly 1.
-	x := []float64{1, 5, 2, 8, 3}
-	y := make([]float64, len(x))
-	for i, v := range x {
-		y[i] = math.Exp(v)
-	}
-	if got := Spearman(x, y); !near(got, 1, 1e-12) {
-		t.Fatalf("Spearman = %v, want 1", got)
-	}
-}
-
-func TestRanksTies(t *testing.T) {
-	r := Ranks([]float64{10, 20, 20, 30})
-	want := []float64{1, 2.5, 2.5, 4}
-	for i := range want {
-		if r[i] != want[i] {
-			t.Fatalf("Ranks = %v, want %v", r, want)
-		}
-	}
-}
-
 func TestWeightedPearsonReducesToPearson(t *testing.T) {
 	x := []float64{1, 2, 3, 4, 5, 7}
 	y := []float64{2, 1, 4, 3, 6, 8}
 	w := []float64{1, 1, 1, 1, 1, 1}
 	if got, want := WeightedPearson(x, y, w), Pearson(x, y); !near(got, want, 1e-12) {
 		t.Fatalf("WeightedPearson = %v, Pearson = %v", got, want)
-	}
-}
-
-func TestCovarianceMatchesVariance(t *testing.T) {
-	x := []float64{1, 4, 2, 8, 5}
-	if got, want := Covariance(x, x), Variance(x); !near(got, want, 1e-12) {
-		t.Fatalf("Cov(x,x) = %v, Var = %v", got, want)
-	}
-}
-
-func TestCircularLinearCorrelation(t *testing.T) {
-	// Linear variable perfectly predicted by angle within a half-circle:
-	// expect strong association.
-	n := 60
-	theta := make([]float64, n)
-	x := make([]float64, n)
-	for i := 0; i < n; i++ {
-		theta[i] = -math.Pi/2 + math.Pi*float64(i)/float64(n)
-		x[i] = theta[i] * 3
-	}
-	r := CircularLinearCorrelation(theta, x)
-	if r < 0.95 {
-		t.Fatalf("circular-linear r = %v, want > 0.95", r)
-	}
-	if !math.IsNaN(CircularLinearCorrelation(theta[:2], x[:2])) {
-		t.Fatal("tiny input should be NaN")
 	}
 }

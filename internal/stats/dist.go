@@ -8,19 +8,6 @@ type FDist struct {
 	D1, D2 float64
 }
 
-// CDF returns P(F <= x).
-func (f FDist) CDF(x float64) float64 {
-	if f.D1 <= 0 || f.D2 <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	// I_{d1 x / (d1 x + d2)}(d1/2, d2/2)
-	z := f.D1 * x / (f.D1*x + f.D2)
-	return RegIncBeta(f.D1/2, f.D2/2, z)
-}
-
 // SF returns the survival function P(F > x), the p-value of an observed F
 // statistic. The complementary incomplete-beta form is used directly so the
 // extreme tail does not lose precision to cancellation.
@@ -33,63 +20,6 @@ func (f FDist) SF(x float64) float64 {
 	}
 	z := f.D2 / (f.D2 + f.D1*x)
 	return RegIncBeta(f.D2/2, f.D1/2, z)
-}
-
-// TDist is Student's t distribution with Nu degrees of freedom.
-type TDist struct {
-	Nu float64
-}
-
-// CDF returns P(T <= x).
-func (t TDist) CDF(x float64) float64 {
-	if t.Nu <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 0.5
-	}
-	z := t.Nu / (t.Nu + x*x)
-	half := 0.5 * RegIncBeta(t.Nu/2, 0.5, z)
-	if x > 0 {
-		return 1 - half
-	}
-	return half
-}
-
-// SF2 returns the two-sided p-value P(|T| > |x|).
-func (t TDist) SF2(x float64) float64 {
-	if t.Nu <= 0 {
-		return math.NaN()
-	}
-	z := t.Nu / (t.Nu + x*x)
-	return RegIncBeta(t.Nu/2, 0.5, z)
-}
-
-// ChiSquared is the chi-squared distribution with K degrees of freedom.
-type ChiSquared struct {
-	K float64
-}
-
-// CDF returns P(X <= x).
-func (c ChiSquared) CDF(x float64) float64 {
-	if c.K <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 0
-	}
-	return RegIncGammaP(c.K/2, x/2)
-}
-
-// SF returns P(X > x).
-func (c ChiSquared) SF(x float64) float64 {
-	if c.K <= 0 {
-		return math.NaN()
-	}
-	if x <= 0 {
-		return 1
-	}
-	return RegIncGammaQ(c.K/2, x/2)
 }
 
 // WilsonInterval returns the Wilson score confidence interval for a

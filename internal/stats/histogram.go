@@ -6,82 +6,6 @@ import (
 	"sort"
 )
 
-// Histogram is a fixed-width binned count of scalar observations.
-type Histogram struct {
-	Min, Max float64
-	Counts   []int
-	// Under and Over count observations outside [Min, Max).
-	Under, Over int
-	total       int
-}
-
-// NewHistogram creates a histogram of bins equal-width bins over [min, max).
-func NewHistogram(min, max float64, bins int) (*Histogram, error) {
-	if bins <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs > 0 bins, got %d", bins)
-	}
-	if !(max > min) {
-		return nil, fmt.Errorf("stats: histogram needs max > min (%v, %v)", min, max)
-	}
-	return &Histogram{Min: min, Max: max, Counts: make([]int, bins)}, nil
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.total++
-	switch {
-	case math.IsNaN(v):
-		h.Under++ // NaN is counted as out-of-range low, never a bin.
-	case v < h.Min:
-		h.Under++
-	case v >= h.Max:
-		h.Over++
-	default:
-		idx := int(float64(len(h.Counts)) * (v - h.Min) / (h.Max - h.Min))
-		if idx == len(h.Counts) { // float edge
-			idx--
-		}
-		h.Counts[idx]++
-	}
-}
-
-// Total returns the number of observations recorded, including out-of-range.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the center value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Max - h.Min) / float64(len(h.Counts))
-	return h.Min + (float64(i)+0.5)*w
-}
-
-// Fractions returns the in-range fraction of observations per bin.
-func (h *Histogram) Fractions() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	for i, c := range h.Counts {
-		out[i] = float64(c) / float64(h.total)
-	}
-	return out
-}
-
-// CDF returns the cumulative fraction at each bin upper edge (in-range
-// observations only contribute to bins; under-range mass is included as the
-// starting offset).
-func (h *Histogram) CDF() []float64 {
-	out := make([]float64, len(h.Counts))
-	if h.total == 0 {
-		return out
-	}
-	run := h.Under
-	for i, c := range h.Counts {
-		run += c
-		out[i] = float64(run) / float64(h.total)
-	}
-	return out
-}
-
 // ECDF is an empirical cumulative distribution function over a sample.
 type ECDF struct {
 	sorted []float64
@@ -103,17 +27,12 @@ func (e *ECDF) At(v float64) float64 {
 	return float64(idx) / float64(len(e.sorted))
 }
 
-// N returns the sample size.
-func (e *ECDF) N() int { return len(e.sorted) }
-
 // Grid2D accumulates counts of (x, y) pairs on a fixed rectangular grid —
 // the density plots of Figures 4, 5, and 14.
 type Grid2D struct {
 	XMin, XMax, YMin, YMax float64
 	NX, NY                 int
 	Counts                 [][]int // Counts[yi][xi]
-	total                  int
-	out                    int
 }
 
 // NewGrid2D creates an nx-by-ny grid over the given ranges.
@@ -132,11 +51,9 @@ func NewGrid2D(xmin, xmax float64, nx int, ymin, ymax float64, ny int) (*Grid2D,
 	return g, nil
 }
 
-// Add records one pair. Out-of-range pairs are counted but not binned.
+// Add records one pair. Out-of-range pairs are not binned.
 func (g *Grid2D) Add(x, y float64) {
-	g.total++
 	if math.IsNaN(x) || math.IsNaN(y) || x < g.XMin || x >= g.XMax || y < g.YMin || y >= g.YMax {
-		g.out++
 		return
 	}
 	xi := int(float64(g.NX) * (x - g.XMin) / (g.XMax - g.XMin))
@@ -149,10 +66,6 @@ func (g *Grid2D) Add(x, y float64) {
 	}
 	g.Counts[yi][xi]++
 }
-
-// Total returns the number of Add calls; OutOfRange those not binned.
-func (g *Grid2D) Total() int      { return g.total }
-func (g *Grid2D) OutOfRange() int { return g.out }
 
 // ColumnQuantiles bins pairs by x-column group and returns, for each of the
 // groups of width (XMax-XMin)/groups, the requested quantiles of the y

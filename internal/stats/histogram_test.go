@@ -6,48 +6,6 @@ import (
 	"testing"
 )
 
-func TestHistogramBasics(t *testing.T) {
-	h, err := NewHistogram(0, 10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range []float64{0, 1.9, 2, 5, 9.99, -1, 10, math.NaN()} {
-		h.Add(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("Total = %d", h.Total())
-	}
-	wantCounts := []int{2, 1, 1, 0, 1}
-	for i, c := range wantCounts {
-		if h.Counts[i] != c {
-			t.Fatalf("Counts = %v, want %v", h.Counts, wantCounts)
-		}
-	}
-	if h.Under != 2 || h.Over != 1 { // NaN counted under, -1 under, 10 over
-		t.Fatalf("Under=%d Over=%d", h.Under, h.Over)
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-	fr := h.Fractions()
-	if !near(fr[0], 0.25, 1e-12) {
-		t.Fatalf("Fractions = %v", fr)
-	}
-	cdf := h.CDF()
-	if !near(cdf[4], 7.0/8, 1e-12) { // all except the single Over
-		t.Fatalf("CDF = %v", cdf)
-	}
-}
-
-func TestHistogramErrors(t *testing.T) {
-	if _, err := NewHistogram(0, 10, 0); err == nil {
-		t.Fatal("zero bins should error")
-	}
-	if _, err := NewHistogram(5, 5, 3); err == nil {
-		t.Fatal("empty range should error")
-	}
-}
-
 func TestECDF(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 3})
 	cases := map[float64]float64{0: 0, 1: 0.25, 2: 0.75, 2.5: 0.75, 3: 1, 99: 1}
@@ -55,9 +13,6 @@ func TestECDF(t *testing.T) {
 		if got := e.At(v); !near(got, want, 1e-12) {
 			t.Errorf("ECDF.At(%v) = %v, want %v", v, got, want)
 		}
-	}
-	if e.N() != 4 {
-		t.Fatalf("N = %d", e.N())
 	}
 	if !math.IsNaN(NewECDF(nil).At(1)) {
 		t.Fatal("empty ECDF should be NaN")
@@ -74,8 +29,14 @@ func TestGrid2D(t *testing.T) {
 	g.Add(0.5, 0.5)   // (5,5)
 	g.Add(-1, 0.5)    // out
 	g.Add(0.5, math.NaN())
-	if g.Total() != 5 || g.OutOfRange() != 2 {
-		t.Fatalf("Total=%d Out=%d", g.Total(), g.OutOfRange())
+	binned := 0
+	for _, row := range g.Counts {
+		for _, c := range row {
+			binned += c
+		}
+	}
+	if binned != 3 {
+		t.Fatalf("%d pairs binned, want 3: the out-of-range two must land nowhere", binned)
 	}
 	if g.Counts[0][0] != 1 || g.Counts[9][9] != 1 || g.Counts[5][5] != 1 {
 		t.Fatal("cells not recorded correctly")

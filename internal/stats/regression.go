@@ -48,9 +48,6 @@ func FitLine(x, y []float64) (LinearFit, error) {
 	return fit, nil
 }
 
-// Predict evaluates the fitted line at x.
-func (f LinearFit) Predict(x float64) float64 { return f.Intercept + f.Slope*x }
-
 // OLS is a multiple linear regression fit y = Xb (the design matrix X must
 // already contain an intercept column if one is wanted).
 type OLS struct {
@@ -123,14 +120,6 @@ func FitOLS(x [][]float64, y []float64) (OLS, error) {
 		fit.SSR = 0
 	}
 	return fit, nil
-}
-
-// R2 returns the coefficient of determination of the fit.
-func (o OLS) R2() float64 {
-	if o.SST == 0 {
-		return math.NaN()
-	}
-	return o.SSR / o.SST
 }
 
 // SolveLinear solves the dense system a*x = b by Gaussian elimination with

@@ -88,87 +88,6 @@ func betacf(a, b, x float64) float64 {
 	return h
 }
 
-// RegIncGammaP computes the regularized lower incomplete gamma function
-// P(a, x) by series (x < a+1) or continued fraction (otherwise). Used for
-// chi-square tail probabilities.
-func RegIncGammaP(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 0
-	}
-	if x < a+1 {
-		return gammaPSeries(a, x)
-	}
-	return 1 - gammaQContinued(a, x)
-}
-
-// RegIncGammaQ returns 1 - P(a, x), the regularized upper incomplete gamma.
-func RegIncGammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 1
-	}
-	if x < a+1 {
-		return 1 - gammaPSeries(a, x)
-	}
-	return gammaQContinued(a, x)
-}
-
-func gammaPSeries(a, x float64) float64 {
-	const maxIter = 500
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < maxIter; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lgamma(a))
-}
-
-func gammaQContinued(a, x float64) float64 {
-	const (
-		maxIter = 500
-		fpmin   = 1e-300
-	)
-	b := x + 1 - a
-	c := 1 / fpmin
-	d := 1 / b
-	h := d
-	for i := 1; i <= maxIter; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < fpmin {
-			d = fpmin
-		}
-		c = b + an/c
-		if math.Abs(c) < fpmin {
-			c = fpmin
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lgamma(a)) * h
-}
-
-// ErfApprox is math.Erf re-exported for callers in this module that want a
-// single stats entry point; the standard library implementation is exact
-// enough for every use here.
-func ErfApprox(x float64) float64 { return math.Erf(x) }
-
 // NormalCDF returns the standard normal CDF Phi(z).
 func NormalCDF(z float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)

@@ -179,24 +179,6 @@ func (s Series) SlopePerDay() float64 {
 	return perSample * samplesPerDay
 }
 
-// IsStationary reports whether the series drifts by no more than
-// maxSlopePerDay in absolute value — the §2.2 appropriateness check. The
-// paper used a slope equivalent to less than one address change per day,
-// i.e. maxSlopePerDay = 1/|E(b)| in availability units.
-func (s Series) IsStationary(maxSlopePerDay float64) bool {
-	sl := s.SlopePerDay()
-	return !math.IsNaN(sl) && math.Abs(sl) <= maxSlopePerDay
-}
-
-// DaysCovered returns the number of whole days covered by n rounds of the
-// given period.
-func DaysCovered(n int, period time.Duration) int {
-	if period <= 0 {
-		return 0
-	}
-	return int(time.Duration(n) * period / (24 * time.Hour))
-}
-
 // NearestDays returns the day count nearest to the series duration — the
 // N_d used to pick the diurnal FFT bin. Because a day is not an integer
 // number of 11-minute rounds, a midnight-trimmed series spans slightly
@@ -207,12 +189,4 @@ func NearestDays(n int, period time.Duration) int {
 		return 0
 	}
 	return int(math.Round(float64(n) * period.Seconds() / 86400))
-}
-
-// RoundsPerDay returns the (fractional) number of sampling rounds per day.
-func RoundsPerDay(period time.Duration) float64 {
-	if period <= 0 {
-		return 0
-	}
-	return (24 * time.Hour).Seconds() / period.Seconds()
 }

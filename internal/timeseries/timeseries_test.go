@@ -191,12 +191,6 @@ func TestSlopePerDay(t *testing.T) {
 	if got := s.SlopePerDay(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("slope = %v, want %v", got, want)
 	}
-	if !s.IsStationary(want + 1) {
-		t.Fatal("should be stationary under loose threshold")
-	}
-	if s.IsStationary(want / 2) {
-		t.Fatal("should not be stationary under tight threshold")
-	}
 	if !math.IsNaN(New(start, DefaultRound, []float64{1}).SlopePerDay()) {
 		t.Fatal("single sample slope should be NaN")
 	}
@@ -210,24 +204,23 @@ func TestStationaryFlatWithNoise(t *testing.T) {
 		v[i] = 0.5 + 0.05*r.NormFloat64()
 	}
 	s := New(start, DefaultRound, v)
-	// 1 address of a 256-address block per day.
-	if !s.IsStationary(1.0 / 256) {
-		t.Fatalf("flat noisy series should be stationary, slope=%v", s.SlopePerDay())
+	// The paper's §2.2 stationarity bound: 1 address of a 256-address
+	// block per day.
+	if sl := s.SlopePerDay(); math.IsNaN(sl) || math.Abs(sl) > 1.0/256 {
+		t.Fatalf("flat noisy series should be stationary, slope=%v", sl)
 	}
 }
 
-func TestDaysCoveredAndRoundsPerDay(t *testing.T) {
-	if got := DaysCovered(1832, DefaultRound); got != 13 { // 1832*660s = 13.99d
-		t.Fatalf("DaysCovered = %d, want 13", got)
+func TestNearestDays(t *testing.T) {
+	// 1832*660s = 13.995d: the midnight-trimmed 14-day series rounds up,
+	// where a floor would pick bin 13.
+	for n, want := range map[int]int{1832: 14, 1834: 14, 1767: 13, 1768: 14, 0: 0} {
+		if got := NearestDays(n, DefaultRound); got != want {
+			t.Errorf("NearestDays(%d) = %d, want %d", n, got, want)
+		}
 	}
-	if got := DaysCovered(1834, DefaultRound); got != 14 {
-		t.Fatalf("DaysCovered = %d, want 14", got)
-	}
-	if DaysCovered(5, 0) != 0 || RoundsPerDay(0) != 0 {
+	if NearestDays(5, 0) != 0 {
 		t.Fatal("degenerate period")
-	}
-	if got := RoundsPerDay(DefaultRound); math.Abs(got-130.9090909) > 1e-6 {
-		t.Fatalf("RoundsPerDay = %v", got)
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"time"
 
+	"sleepnet/internal/icmp"
+	"sleepnet/internal/ipv4"
 	"sleepnet/internal/netsim"
 )
 
@@ -53,5 +55,46 @@ func TestProbeRoundAllocFree(t *testing.T) {
 	}
 	if retries < 50 {
 		t.Fatalf("%d retries in the measured rounds: the retrying round is not inside the budget", retries)
+	}
+}
+
+// TestClassifyUnreachableAllocFree pins the gateway-unreachable reply at
+// zero allocations for both ways a gateway may quote the probe: bare ICMP
+// (what netsim emits) and the full IPv4 datagram. The bare quote used to
+// be recognised by letting ipv4.ParseHeader fail, and the error it built
+// cost two allocations a reply — few enough a round to hide inside
+// AllocsPerRun's integer average, until -race made fmt's printer pool miss,
+// each miss allocated a printer too, and TestProbeRoundsBatchAllocFree read 1.
+func TestClassifyUnreachableAllocFree(t *testing.T) {
+	const seq = 17
+	target := ipv4.Addr{10, 3, 3, 9}
+	probe, err := (&icmp.Echo{ID: icmpID, Seq: seq}).MarshalAppend(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	datagram, err := (&ipv4.Header{Protocol: ipv4.ProtoICMP, Src: srcIP, Dst: target}).MarshalAppend(nil, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(netsim.NewNetwork(1), Config{}, 7)
+	for name, quoted := range map[string][]byte{"bare": probe, "datagram": datagram} {
+		un, err := (&icmp.Unreachable{Code: icmp.CodeHostUnreachable, Original: quoted}).MarshalAppend(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := (&ipv4.Header{Protocol: ipv4.ProtoICMP, Src: ipv4.Addr{10, 3, 3, 1}, Dst: srcIP}).MarshalAppend(nil, un)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp := netsim.Response{Data: reply}
+		if got := p.classifyResponse(resp, target, seq); got != outcomeUnreachable {
+			t.Fatalf("%s quote: outcome %v, want unreachable", name, got)
+		}
+		if got := p.classifyResponse(resp, target, seq+1); got != outcomeNegative {
+			t.Fatalf("%s quote of another probe: outcome %v, want negative", name, got)
+		}
+		if avg := testing.AllocsPerRun(100, func() { p.classifyResponse(resp, target, seq) }); avg != 0 {
+			t.Fatalf("%s quote: classifying the reply allocates %.0f times, want 0", name, avg)
+		}
 	}
 }

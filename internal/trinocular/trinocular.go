@@ -366,15 +366,6 @@ func (p *Prober) AddBlock(id netsim.BlockID, everActive []byte) error {
 	return nil
 }
 
-// Tracked reports whether the block was accepted for probing.
-func (p *Prober) Tracked(id netsim.BlockID) bool {
-	_, ok := p.states[id]
-	return ok
-}
-
-// NumTracked returns the number of blocks being probed.
-func (p *Prober) NumTracked() int { return len(p.states) }
-
 func shuffle(b []byte, seed uint64) {
 	r := rand.New(rand.NewSource(int64(seed)))
 	r.Shuffle(len(b), func(i, j int) { b[i], b[j] = b[j], b[i] })
@@ -704,11 +695,16 @@ func (p *Prober) classifyResponse(resp netsim.Response, target ipv4.Addr, seq ui
 			return outcomeNegative
 		}
 		// The quoted original must be our probe. Gateways may quote the
-		// full IPv4 datagram or just its ICMP payload; accept both.
+		// full IPv4 datagram or just its ICMP payload; accept both. An
+		// echo's type byte never reads as IP version 4, so the first
+		// nibble tells the two apart without building ParseHeader's error
+		// value for every bare quote (it allocates; this path may not).
 		inner := un.Original
-		var innerHdr ipv4.Header
-		if innerPayload, perr := ipv4.ParseHeader(&innerHdr, inner); perr == nil {
-			inner = innerPayload
+		if len(inner) >= ipv4.HeaderLen && inner[0]>>4 == 4 {
+			var innerHdr ipv4.Header
+			if innerPayload, perr := ipv4.ParseHeader(&innerHdr, inner); perr == nil {
+				inner = innerPayload
+			}
 		}
 		var orig icmp.Echo
 		if err := icmp.ParseEchoInto(&orig, inner); err != nil ||
@@ -845,22 +841,4 @@ func (p *Prober) RestoreState(s State) error {
 		p.epochOnce.Do(func() { p.epoch = s.Epoch })
 	}
 	return nil
-}
-
-// Belief exposes the current belief for a block (tests and diagnostics).
-func (p *Prober) Belief(id netsim.BlockID) (float64, bool) {
-	st, ok := p.states[id]
-	if !ok {
-		return 0, false
-	}
-	return st.belief, true
-}
-
-// Up reports the prober's current up/down state for the block.
-func (p *Prober) Up(id netsim.BlockID) (bool, bool) {
-	st, ok := p.states[id]
-	if !ok {
-		return false, false
-	}
-	return st.up, true
 }

@@ -45,7 +45,7 @@ func TestAddBlockSparseRejected(t *testing.T) {
 	if err := p.AddBlock(netsim.MakeBlockID(10, 0, 0), hosts); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Tracked(netsim.MakeBlockID(10, 0, 0)) || p.NumTracked() != 1 {
+	if p.states[netsim.MakeBlockID(10, 0, 0)] == nil || len(p.states) != 1 {
 		t.Fatal("tracking state wrong")
 	}
 }
@@ -147,8 +147,7 @@ func TestOutageDetectionAndRecovery(t *testing.T) {
 	if len(transitions) != 2 || transitions[0] != false || transitions[1] != true {
 		t.Fatalf("transitions = %v, want [down up]", transitions)
 	}
-	up, ok := p.Up(blk.ID)
-	if !ok || !up {
+	if st := p.states[blk.ID]; st == nil || !st.up {
 		t.Fatal("block should end up")
 	}
 }
@@ -295,16 +294,6 @@ func TestWalkCoversAllHosts(t *testing.T) {
 	// walk is a permutation, so every host got exactly one.
 	if got := n.ProbesToBlock(blk.ID); got != 30 {
 		t.Fatalf("probes = %d", got)
-	}
-}
-
-func TestBeliefAccessor(t *testing.T) {
-	p := New(netsim.NewNetwork(9), Config{}, 1)
-	if _, ok := p.Belief(netsim.MakeBlockID(1, 1, 1)); ok {
-		t.Fatal("unknown block should report !ok")
-	}
-	if _, ok := p.Up(netsim.MakeBlockID(1, 1, 1)); ok {
-		t.Fatal("unknown block should report !ok")
 	}
 }
 

@@ -108,7 +108,7 @@ func TestInjectOutages(t *testing.T) {
 	}
 	// Poorer countries get more outages per block.
 	rate := func(code string) float64 {
-		blocks := w.CountryBlocks(code)
+		blocks := countryBlocks(w, code)
 		if len(blocks) == 0 {
 			return -1
 		}

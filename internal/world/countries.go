@@ -205,17 +205,6 @@ func CountryByCode(code string) *Country {
 	return nil
 }
 
-// RegionOf lists all countries in a region.
-func RegionOf(region string) []*Country {
-	var out []*Country
-	for i := range Countries {
-		if Countries[i].Region == region {
-			out = append(out, &Countries[i])
-		}
-	}
-	return out
-}
-
 // Regions returns the distinct region names in table order.
 func Regions() []string {
 	seen := make(map[string]bool)

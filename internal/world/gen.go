@@ -395,17 +395,6 @@ func clampF(v, lo, hi float64) float64 {
 	return v
 }
 
-// CountryBlocks returns the blocks generated for a country code.
-func (w *World) CountryBlocks(code string) []*BlockInfo {
-	var out []*BlockInfo
-	for _, b := range w.Blocks {
-		if b.Country.Code == code {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
 // MeanAllocYear returns the mean allocation year of a country's blocks and
 // the year of its earliest allocation — the Table 5 "age of allocation"
 // factors.
