@@ -90,9 +90,13 @@ func sampleBlockBench(b *testing.B, kind string, days int, wantDiurnal bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var last *core.BlockRun
+	var res core.DiurnalResult
 	for i := 0; i < b.N; i++ {
 		run, err := pl.RunBlock(blk.ID)
 		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = pl.Classify(run); err != nil {
 			b.Fatal(err)
 		}
 		last = run
@@ -101,7 +105,7 @@ func sampleBlockBench(b *testing.B, kind string, days int, wantDiurnal bool) {
 	// The strict class is the meaningful assertion: the relaxed class can
 	// fire on low-frequency noise in sparse blocks (see Fig 10's ~25% 1 c/d
 	// mass vs 11% strict).
-	if got := last.Result.Class == core.StrictDiurnal; got != wantDiurnal {
+	if got := res.Class == core.StrictDiurnal; got != wantDiurnal {
 		b.Fatalf("%s block classified strict=%v, want %v", kind, got, wantDiurnal)
 	}
 	b.ReportMetric(float64(last.ProbesSent)/(float64(last.Short.Len())*660/3600), "probes/hour")
@@ -556,7 +560,7 @@ func BenchmarkAblationMidnightTrim(b *testing.B) {
 	// Two blocks with the same schedule measured from campaigns starting at
 	// different wall-clock times: with trimming, their phases agree; with
 	// raw (untrimmed) series, phase depends on campaign start.
-	mkRun := func(startOffset time.Duration, seed uint64) *core.BlockRun {
+	mkRun := func(startOffset time.Duration, seed uint64) (*core.BlockRun, core.DiurnalResult) {
 		net := netsim.NewNetwork(seed)
 		blk := &netsim.Block{ID: netsim.MakeBlockID(13, 0, 0), Seed: seed}
 		var hosts netsim.Hosts
@@ -577,14 +581,18 @@ func BenchmarkAblationMidnightTrim(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return run
+		res, err := pl.Classify(run)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return run, res
 	}
 	b.ResetTimer()
 	var trimmedDiff, rawDiff float64
 	for i := 0; i < b.N; i++ {
-		a := mkRun(0, 21)
-		c := mkRun(7*time.Hour+31*time.Minute, 22)
-		trimmedDiff = math.Abs(angleDiff(a.Result.Phase, c.Result.Phase))
+		a, aRes := mkRun(0, 21)
+		c, cRes := mkRun(7*time.Hour+31*time.Minute, 22)
+		trimmedDiff = math.Abs(angleDiff(aRes.Phase, cRes.Phase))
 		// Untrimmed: classify the raw series directly.
 		ra, err := core.DetectDiurnal(a.Short.Values, a.Days)
 		if err != nil {

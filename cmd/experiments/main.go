@@ -214,8 +214,9 @@ func experimentRunners() map[string]func(*ctx) {
 // --- sample blocks (Figs 1-3, 6) ---
 
 // sampleBlock builds one of the paper's three archetype blocks and runs
-// both the estimator pipeline and the ground-truth survey on it.
-func sampleBlock(kind string, days int) (*core.BlockRun, []float64) {
+// the estimator pipeline, its classification and the ground-truth survey on
+// it.
+func sampleBlock(kind string, days int) (*core.BlockRun, core.DiurnalResult, []float64) {
 	net := netsim.NewNetwork(*flagSeed)
 	blk := &netsim.Block{Seed: *flagSeed}
 	var hosts netsim.Hosts
@@ -253,14 +254,16 @@ func sampleBlock(kind string, days int) (*core.BlockRun, []float64) {
 	})
 	run, err := pl.RunBlock(blk.ID)
 	must(err)
+	res, err := pl.Classify(run)
+	must(err)
 	sv, err := pl.Survey(blk.ID)
 	must(err)
-	return run, sv.Values
+	return run, res, sv.Values
 }
 
-func printSample(run *core.BlockRun, truth []float64, fftToo bool) {
+func printSample(run *core.BlockRun, res core.DiurnalResult, truth []float64, fftToo bool) {
 	fmt.Printf("block %s: %d rounds, %d days trimmed, class=%s\n",
-		run.ID, run.Short.Len(), run.Days, run.Result.Class)
+		run.ID, run.Short.Len(), run.Days, res.Class)
 	fmt.Printf("probes sent: %d (%.1f per hour)\n", run.ProbesSent,
 		float64(run.ProbesSent)/(float64(run.Short.Len())*660/3600))
 	fmt.Println("\ntrue A (survey):")
@@ -278,33 +281,33 @@ func printSample(run *core.BlockRun, truth []float64, fftToo bool) {
 	}
 	if fftToo {
 		fmt.Printf("\nFFT amplitude (bins 1..%d; diurnal bin N_d = %d):\n", 4*run.Days, run.Days)
-		amps := run.Result.Spectrum.Amp
+		amps := res.Spectrum.Amp
 		hi := 4 * run.Days
 		if hi >= len(amps) {
 			hi = len(amps) - 1
 		}
 		fmt.Print(report.Series(amps[1:hi+1], 100, 8))
 		fmt.Printf("diurnal amp %.2f, next strongest non-harmonic %.2f, peak bin %d\n",
-			run.Result.DiurnalAmp, run.Result.NextAmp, run.Result.PeakBin)
+			res.DiurnalAmp, res.NextAmp, res.PeakBin)
 	}
 }
 
 func fig1(c *ctx) {
 	fmt.Println("Fig 1: sparse but high-availability block (A ~ 0.735, 42 addrs), with outage")
-	run, truth := sampleBlock("sparse", 14)
-	printSample(run, truth, true)
+	run, res, truth := sampleBlock("sparse", 14)
+	printSample(run, res, truth, true)
 }
 
 func fig2(c *ctx) {
 	fmt.Println("Fig 2: dense but low-availability block (A ~ 0.191, 245 addrs)")
-	run, truth := sampleBlock("dense", 14)
-	printSample(run, truth, false)
+	run, res, truth := sampleBlock("dense", 14)
+	printSample(run, res, truth, false)
 }
 
 func fig3(c *ctx) {
 	fmt.Println("Fig 3: diurnal block (N_d = 14); FFT shows strong diurnal peak")
-	run, truth := sampleBlock("diurnal", 14)
-	printSample(run, truth, true)
+	run, res, truth := sampleBlock("diurnal", 14)
+	printSample(run, res, truth, true)
 }
 
 func fig6(c *ctx) {
@@ -313,11 +316,11 @@ func fig6(c *ctx) {
 		days = 21
 	}
 	fmt.Printf("Fig 6: same diurnal block over %d days; diurnal peak at k = %d\n", days, days)
-	run, _ := sampleBlock("diurnal", days)
+	run, res, _ := sampleBlock("diurnal", days)
 	fmt.Printf("class=%s fundamental bin=%d (N_d=%d) amp=%.2f next=%.2f\n",
-		run.Result.Class, run.Result.FundamentalBin, run.Days,
-		run.Result.DiurnalAmp, run.Result.NextAmp)
-	amps := run.Result.Spectrum.Amp
+		res.Class, res.FundamentalBin, run.Days,
+		res.DiurnalAmp, res.NextAmp)
+	amps := res.Spectrum.Amp
 	hi := 4 * run.Days
 	if hi >= len(amps) {
 		hi = len(amps) - 1

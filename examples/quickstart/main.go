@@ -54,7 +54,10 @@ func main() {
 	fmt.Println("\nshort-term availability estimate Âs:")
 	fmt.Print(report.Series(run.Short.Values, 90, 8))
 
-	res := run.Result
+	res, err := pl.Classify(run)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("\nclassification: %s diurnal\n", res.Class)
 	fmt.Printf("diurnal FFT bin: %d (N_d = %d), amplitude %.1f vs next strongest %.1f\n",
 		res.FundamentalBin, run.Days, res.DiurnalAmp, res.NextAmp)

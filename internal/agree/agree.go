@@ -350,7 +350,7 @@ func runCondition(cfg Config, scenario string, w *world.World, lvl faults.Level,
 	}
 	outcomes := make([]blockOutcome, len(w.Blocks))
 	pl.RunAll(ids, cfg.Workers, func(i int, run *core.BlockRun, err error) {
-		outcomes[i] = replayBlock(pcfg, run, err, minClassify)
+		outcomes[i] = replayBlock(pl, run, err, minClassify)
 	})
 
 	cond := Condition{Scenario: scenario, Fault: lvl.Label, Blocks: len(w.Blocks)}
@@ -394,8 +394,9 @@ func runCondition(cfg Config, scenario string, w *world.World, lvl faults.Level,
 // series through the streaming classifier. Both detectors see the identical
 // per-round series; disagreement is therefore attributable to the
 // classifiers, not their inputs.
-func replayBlock(pcfg core.PipelineConfig, run *core.BlockRun, err error, minClassify int) blockOutcome {
+func replayBlock(pl *core.Pipeline, run *core.BlockRun, err error, minClassify int) blockOutcome {
 	var o blockOutcome
+	pcfg := pl.Config()
 	if err != nil {
 		if isSparse(err) {
 			o.sparse = true
@@ -413,7 +414,12 @@ func replayBlock(pcfg core.PipelineConfig, run *core.BlockRun, err error, minCla
 
 	// Batch oracle: FFT classification of the midnight-trimmed series, the
 	// exact result the paper's pipeline commits.
-	o.batchClass = run.Result.Class
+	batch, err := pl.Classify(run)
+	if err != nil {
+		o.errored = true
+		return o
+	}
+	o.batchClass = batch.Class
 
 	// Streaming path: replay the same cleaned series round by round, the
 	// way the monitor would publish it into the serve engine, tracking when
@@ -434,7 +440,7 @@ func replayBlock(pcfg core.PipelineConfig, run *core.BlockRun, err error, minCla
 		o.roundsToStable = lastChange + 1
 	}
 
-	if run.Result.Class.IsDiurnal() && (cur == serve.ClassStrict || cur == serve.ClassRelaxed) {
+	if batch.Class.IsDiurnal() && (cur == serve.ClassStrict || cur == serve.ClassRelaxed) {
 		o.bothDiurnal = true
 		_, streamPhase := rp.Classify()
 		// The batch phase is anchored at midnight UTC (the trim); the
@@ -442,9 +448,9 @@ func replayBlock(pcfg core.PipelineConfig, run *core.BlockRun, err error, minCla
 		// phase to midnight before comparing angles.
 		startHour := startOfDayHourUTC(pcfg.Start)
 		streamAtMidnight := streamPhase - 2*math.Pi*startHour/24
-		o.phaseErrRad = circDistRad(streamAtMidnight, run.Result.Phase)
+		o.phaseErrRad = circDistRad(streamAtMidnight, batch.Phase)
 
-		batchPeak := analysis.UTCPeakHour(run.Result.Phase)
+		batchPeak := analysis.UTCPeakHour(batch.Phase)
 		batchSleep := math.Mod(batchPeak+12, 24)
 		_, streamSleep := rp.PeakSleepUTC()
 		o.sleepDelta = circDistHours(batchSleep, streamSleep)

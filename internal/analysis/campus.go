@@ -46,6 +46,11 @@ func ValidateCampus(c *world.Campus, sc StudyConfig) (*CampusResult, error) {
 	var mu sync.Mutex
 	var firstErr error
 	pl.RunAll(ids, sc.Workers, func(i int, run *core.BlockRun, err error) {
+		var dr core.DiurnalResult
+		if err == nil {
+			dr, err = pl.Classify(run)
+		}
+		class := dr.Class
 		mu.Lock()
 		defer mu.Unlock()
 		cat := res.PerCategory[c.Blocks[i].Category]
@@ -65,10 +70,10 @@ func ValidateCampus(c *world.Campus, sc StudyConfig) (*CampusResult, error) {
 		default:
 			cat.Probed++
 			res.Measured++
-			if run.Result.Class.IsDiurnal() {
+			if class.IsDiurnal() {
 				cat.Detected++
 			}
-			if run.Result.Class == core.StrictDiurnal {
+			if class == core.StrictDiurnal {
 				cat.Strict++
 			}
 		}

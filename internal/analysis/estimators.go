@@ -2,7 +2,12 @@ package analysis
 
 import (
 	"fmt"
+	"math"
+	"runtime"
+	"slices"
+	"sort"
 	"sync"
+	"sync/atomic"
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
@@ -47,19 +52,21 @@ const (
 const warmupRounds = 200
 
 // surveyor is what the truth validations need of a pipeline: the adaptive
-// measurement of every block and the exhaustive survey of one.
-// core.Pipeline in production; the tests substitute one whose survey fails.
+// measurement of every block, its classification, and the exhaustive survey
+// of one block. core.Pipeline in production; the tests substitute one whose
+// survey fails.
 type surveyor interface {
 	RunAll(ids []netsim.BlockID, workers int, fn func(i int, run *core.BlockRun, err error))
+	Classify(run *core.BlockRun) (core.DiurnalResult, error)
 	Survey(netsim.BlockID) (timeseries.Series, error)
 }
 
 // forEachSurveyed probes and surveys every block and hands each (run,
-// survey) pair to fn, which is called concurrently. Blocks below
+// survey) pair to fn, with the block's index, concurrently. Blocks below
 // Trinocular's policy floor are skipped, by design; any other failure, fn's
 // included, is reported once every block has been tried — the first one
 // wins.
-func forEachSurveyed(pl surveyor, blocks []*world.BlockInfo, workers int, fn func(*core.BlockRun, timeseries.Series) error) error {
+func forEachSurveyed(pl surveyor, blocks []*world.BlockInfo, workers int, fn func(i int, run *core.BlockRun, sv timeseries.Series) error) error {
 	ids := make([]netsim.BlockID, len(blocks))
 	for i, b := range blocks {
 		ids[i] = b.ID
@@ -77,70 +84,223 @@ func forEachSurveyed(pl surveyor, blocks []*world.BlockInfo, workers int, fn fun
 			first.set(err)
 			return
 		}
-		first.set(fn(run, sv))
+		first.set(fn(i, run, sv))
 	})
 	return first.err
+}
+
+// quartileColumns is the number of truth columns Figs 4 and 5 draw quartile
+// boxes over: width 0.1 across [0, 1].
+const quartileColumns = 10
+
+// quartileColumn returns the quartile box truth value x falls in — 1 itself
+// in the last — or -1 outside [0, 1].
+func quartileColumn(x float64) int {
+	if math.IsNaN(x) || x < 0 || x > 1 {
+		return -1
+	}
+	return min(int(quartileColumns*x), quartileColumns-1)
+}
+
+// comoments are the count, means and co-moments of a set of (x, y) pairs:
+// enough for their correlation, and mergeable pairwise (Chan, Golub and
+// LeVeque's update), so a pool's statistics need not hold the pool.
+type comoments struct {
+	n, mx, my, cxx, cyy, cxy float64
+}
+
+// merge folds b's pairs into a's.
+func (a *comoments) merge(b comoments) {
+	if b.n == 0 {
+		return
+	}
+	if a.n == 0 {
+		*a = b
+		return
+	}
+	n := a.n + b.n
+	dx, dy := b.mx-a.mx, b.my-a.my
+	f := a.n * b.n / n
+	a.cxx += b.cxx + dx*dx*f
+	a.cyy += b.cyy + dy*dy*f
+	a.cxy += b.cxy + dx*dy*f
+	a.mx += dx * b.n / n
+	a.my += dy * b.n / n
+	a.n = n
+}
+
+// pearson is the pairs' correlation coefficient, NaN where stats.Pearson
+// gives NaN: fewer than two pairs, or no variance on either side.
+func (a *comoments) pearson() float64 {
+	if a.n < 2 || a.cxx == 0 || a.cyy == 0 {
+		return math.NaN()
+	}
+	return a.cxy / math.Sqrt(a.cxx*a.cyy)
+}
+
+// truthPartial is one block's share of the estimator comparison. Each block
+// writes its own at its index and the partials merge in index order, so
+// the result depends on the world and the configuration, never on which
+// worker finished first.
+type truthPartial struct {
+	ok    bool // the block was surveyed and compared
+	m     comoments
+	under int
+	// est holds the estimate of every pair, grouped by truth column:
+	// column g is est[ends[g-1]:ends[g]].
+	est  []float64
+	ends [quartileColumns]int
+}
+
+// eachPair calls fn with every (truth, estimate) pair of one block that the
+// comparison pools: the rounds after warm-up, less, for the operational
+// estimate, those at the 0.1 policy floor.
+func eachPair(truth, est []float64, kind EstimatorKind, fn func(x, y float64)) {
+	for r := warmupRounds; r < len(est) && r < len(truth); r++ {
+		if kind == OperationalEstimate && est[r] <= core.OperationalFloor {
+			continue
+		}
+		fn(truth[r], est[r])
+	}
+}
+
+// comparePartial computes one block's partial: two passes over its pairs,
+// the first for the count, sums and column sizes, the second for the
+// co-moments about the block's means and the estimates' places.
+func comparePartial(truth, est []float64, kind EstimatorKind) truthPartial {
+	p := truthPartial{ok: true}
+	var sx, sy float64
+	eachPair(truth, est, kind, func(x, y float64) {
+		p.m.n++
+		sx += x
+		sy += y
+		if y <= x+1e-9 {
+			p.under++
+		}
+		if g := quartileColumn(x); g >= 0 {
+			p.ends[g]++
+		}
+	})
+	if p.m.n == 0 {
+		return p
+	}
+	p.m.mx, p.m.my = sx/p.m.n, sy/p.m.n
+	var next [quartileColumns]int
+	for g := 1; g < quartileColumns; g++ {
+		p.ends[g] += p.ends[g-1]
+		next[g] = p.ends[g-1]
+	}
+	p.est = make([]float64, p.ends[quartileColumns-1])
+	eachPair(truth, est, kind, func(x, y float64) {
+		dx, dy := x-p.m.mx, y-p.m.my
+		p.m.cxx += dx * dx
+		p.m.cyy += dy * dy
+		p.m.cxy += dx * dy
+		if g := quartileColumn(x); g >= 0 {
+			p.est[next[g]] = y
+			next[g]++
+		}
+	})
+	return p
+}
+
+// column returns the block's estimates in truth column g.
+func (p *truthPartial) column(g int) []float64 {
+	lo := 0
+	if g > 0 {
+		lo = p.ends[g-1]
+	}
+	return p.est[lo:p.ends[g]]
+}
+
+// columnQuartiles returns {Q1, median, Q3} of every truth column's
+// estimates pooled over all blocks — exact order statistics of the pool,
+// NaN for an empty column — sorting the columns on up to workers
+// goroutines (GOMAXPROCS when workers <= 0), largest first.
+func columnQuartiles(parts []truthPartial, workers int) [][]float64 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var size [quartileColumns]int
+	order := make([]int, quartileColumns)
+	for g := range order {
+		order[g] = g
+		for i := range parts {
+			size[g] += len(parts[i].column(g))
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
+
+	out := make([][]float64, quartileColumns)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(workers, quartileColumns); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < quartileColumns; k = int(next.Add(1)) - 1 {
+				g := order[k]
+				col := make([]float64, 0, size[g])
+				for i := range parts {
+					col = append(col, parts[i].column(g)...)
+				}
+				slices.Sort(col)
+				out[g] = stats.QuantilesSorted(col, 0.25, 0.5, 0.75)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
 }
 
 // CompareEstimatorToTruth reproduces Figs 4 and 5: it probes every block of
 // the world adaptively, surveys it exhaustively for ground truth, pools the
 // per-round (A, estimate) pairs, and summarizes them. For the operational
 // estimate, rounds where Âo sits at the 0.1 policy floor are excluded, as
-// the paper omits non-probed very-sparse cases.
+// the paper omits non-probed very-sparse cases. The result is the same for
+// any number of workers, bit for bit: blocks contribute partials merged in
+// block order, not pairs pooled as they finish.
 func CompareEstimatorToTruth(w *world.World, cfg core.PipelineConfig, kind EstimatorKind, workers int) (*EstimatorCorrelation, error) {
 	grid, err := stats.NewGrid2D(0, 1.0001, 50, 0, 1.0001, 50)
 	if err != nil {
 		return nil, err
 	}
-	var mu sync.Mutex
-	// Sized for every block contributing every round: grown by append, the
-	// pool's abandoned halves were the peak of the whole comparison's
-	// memory.
-	n := len(w.Blocks) * max(0, cfg.Rounds-warmupRounds)
-	xs, ys := make([]float64, 0, n), make([]float64, 0, n)
-	var under, nblocks int
-
-	err = forEachSurveyed(core.NewPipeline(w.Net, cfg), w.Blocks, workers, func(run *core.BlockRun, sv timeseries.Series) error {
+	var gridMu sync.Mutex
+	parts := make([]truthPartial, len(w.Blocks))
+	err = forEachSurveyed(core.NewPipeline(w.Net, cfg), w.Blocks, workers, func(i int, run *core.BlockRun, sv timeseries.Series) error {
 		est := run.Short.Values
 		if kind == OperationalEstimate {
 			est = run.Operational
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		nblocks++
-		for r := warmupRounds; r < len(est) && r < sv.Len(); r++ {
-			truth := sv.Values[r]
-			e := est[r]
-			if kind == OperationalEstimate && e <= core.OperationalFloor {
-				continue
-			}
-			grid.Add(truth, e)
-			xs = append(xs, truth)
-			ys = append(ys, e)
-			if e <= truth+1e-9 {
-				under++
-			}
-		}
+		parts[i] = comparePartial(sv.Values, est, kind)
+		gridMu.Lock()
+		defer gridMu.Unlock()
+		eachPair(sv.Values, est, kind, grid.Add)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	pairs := len(xs)
+	var m comoments
+	var under, blocks int
+	for i := range parts {
+		if parts[i].ok {
+			m.merge(parts[i].m)
+			under += parts[i].under
+			blocks++
+		}
+	}
+	pairs := int(m.n)
 	if pairs == 0 {
 		return nil, fmt.Errorf("analysis: no comparable pairs")
 	}
-	quart, err := stats.ColumnQuantiles(xs, ys, 0, 1, 10, 0.25, 0.5, 0.75)
-	if err != nil {
-		return nil, err
-	}
 	return &EstimatorCorrelation{
 		Grid:      grid,
-		Quartiles: quart,
-		R:         stats.Pearson(xs, ys),
+		Quartiles: columnQuartiles(parts, workers),
+		R:         m.pearson(),
 		UnderFrac: float64(under) / float64(pairs),
 		Pairs:     pairs,
-		Blocks:    nblocks,
+		Blocks:    blocks,
 	}, nil
 }
 
@@ -149,7 +309,8 @@ func CompareEstimatorToTruth(w *world.World, cfg core.PipelineConfig, kind Estim
 // estimated series.
 type DiurnalValidation struct {
 	// TruePos, TrueNeg, FalseNeg, FalsePos follow Table 1's four rows
-	// (d/d̂, n/n̂, d/n̂, n/d̂) where "diurnal" means strict or relaxed.
+	// (d/d̂, n/n̂, d/n̂, n/d̂) where "diurnal" means strictly diurnal on both
+	// sides (see ValidateDiurnalDetection).
 	TruePos, TrueNeg, FalseNeg, FalsePos int
 }
 
@@ -190,13 +351,17 @@ func ValidateDiurnalDetection(w *world.World, cfg core.PipelineConfig, workers i
 func validateDetection(pl surveyor, blocks []*world.BlockInfo, workers int) (*DiurnalValidation, error) {
 	var mu sync.Mutex
 	var v DiurnalValidation
-	err := forEachSurveyed(pl, blocks, workers, func(run *core.BlockRun, sv timeseries.Series) error {
+	err := forEachSurveyed(pl, blocks, workers, func(_ int, run *core.BlockRun, sv timeseries.Series) error {
 		truthRes, _, err := core.ClassifySeries(sv)
 		if err != nil {
 			return fmt.Errorf("analysis: classifying the survey of %s: %w", run.ID, err)
 		}
+		predRes, err := pl.Classify(run)
+		if err != nil {
+			return err
+		}
 		truth := truthRes.Class == core.StrictDiurnal
-		pred := run.Result.Class == core.StrictDiurnal
+		pred := predRes.Class == core.StrictDiurnal
 		mu.Lock()
 		defer mu.Unlock()
 		switch {

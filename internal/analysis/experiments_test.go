@@ -1,12 +1,19 @@
 package analysis
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
 	"sleepnet/internal/core"
+	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/stats"
 	"sleepnet/internal/timeseries"
 	"sleepnet/internal/world"
 )
@@ -96,6 +103,155 @@ func TestValidateDiurnalDetection(t *testing.T) {
 	}
 	if v.TruePos == 0 {
 		t.Fatalf("no true positives: recall is zero (%+v)", v)
+	}
+}
+
+// quartileDigest hashes the bits of every quartile, row by row.
+func quartileDigest(q [][]float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, row := range q {
+		for _, v := range row {
+			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCompareEstimatorToTruthWorkerInvariant: the comparison is a function
+// of the world and the configuration alone — every field, R included, is
+// bit-identical whatever the number of workers.
+func TestCompareEstimatorToTruthWorkerInvariant(t *testing.T) {
+	for _, seed := range []uint64{42, 7} {
+		w := smallWorld(t, 60, seed)
+		for _, kind := range []EstimatorKind{ShortTermEstimate, OperationalEstimate} {
+			var ref *EstimatorCorrelation
+			for _, workers := range []int{1, 2, 5} {
+				res, err := CompareEstimatorToTruth(w, surveyCfg(4, seed), kind, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				same := math.Float64bits(res.R) == math.Float64bits(ref.R) &&
+					math.Float64bits(res.UnderFrac) == math.Float64bits(ref.UnderFrac) &&
+					res.Pairs == ref.Pairs && res.Blocks == ref.Blocks &&
+					reflect.DeepEqual(res.Grid, ref.Grid) &&
+					quartileDigest(res.Quartiles) == quartileDigest(ref.Quartiles)
+				if !same {
+					t.Fatalf("seed %d, kind %d: %d workers give R %v (%d pairs, %d blocks, under %v), 1 worker R %v (%d pairs, %d blocks, under %v)",
+						seed, kind, workers, res.R, res.Pairs, res.Blocks, res.UnderFrac, ref.R, ref.Pairs, ref.Blocks, ref.UnderFrac)
+				}
+			}
+		}
+	}
+}
+
+// TestCompareEstimatorToTruthQuartilesPinned holds the quartile boxes to
+// the bits they had while every pair was pooled and sorted column by column
+// (recorded at a4f436d, before the per-block partials replaced the pool):
+// the same order statistics of the same multiset.
+func TestCompareEstimatorToTruthQuartilesPinned(t *testing.T) {
+	w := smallWorld(t, 60, 42)
+	for _, c := range []struct {
+		kind EstimatorKind
+		want string
+	}{
+		{ShortTermEstimate, "86d754cd524df5c5811752529cc5179e37a76915bb69dbb746021804f186561c"},
+		{OperationalEstimate, "d3536fd04f7a0a2cfd6db275db3bba093bb988eed2ff81b2c8ba9e9e47d3d10d"},
+	} {
+		res, err := CompareEstimatorToTruth(w, surveyCfg(4, 42), c.kind, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := quartileDigest(res.Quartiles); got != c.want {
+			t.Errorf("kind %d: quartile bits hash to %s, want %s", c.kind, got, c.want)
+		}
+	}
+}
+
+// histogramCount is how many observations the named histogram holds.
+func histogramCount(s metrics.Snapshot, name string) int64 {
+	for _, h := range s.Histograms {
+		if h.Name == name {
+			return h.Count
+		}
+	}
+	return 0
+}
+
+// TestTruthValidationsClassifyOnlyWhatTheyRead: the estimator comparison
+// never reads a class and runs no classification; the detection
+// validation classifies each validated block's measurement exactly once.
+func TestTruthValidationsClassifyOnlyWhatTheyRead(t *testing.T) {
+	w := smallWorld(t, 30, 43)
+	cfg := surveyCfg(3, 3)
+	cfg.Metrics = metrics.New()
+	if _, err := CompareEstimatorToTruth(w, cfg, ShortTermEstimate, 2); err != nil {
+		t.Fatal(err)
+	}
+	snap := cfg.Metrics.Snapshot()
+	if n := histogramCount(snap, "pipeline.classify_seconds"); n != 0 {
+		t.Fatalf("the estimator comparison classified %d blocks", n)
+	}
+	if n := snap.Counter("pipeline.blocks_measured"); n != 0 {
+		t.Fatalf("the estimator comparison counted %d blocks classified", n)
+	}
+
+	cfg.Metrics = metrics.New()
+	v, err := ValidateDiurnalDetection(w, cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = cfg.Metrics.Snapshot()
+	if n := histogramCount(snap, "pipeline.classify_seconds"); n != int64(v.Total()) {
+		t.Fatalf("validation of %d blocks timed %d classifications", v.Total(), n)
+	}
+	if n := snap.Counter("pipeline.blocks_measured"); n != int64(v.Total()) {
+		t.Fatalf("validation of %d blocks counted %d classified", v.Total(), n)
+	}
+}
+
+// TestQuartileColumns pins the pieces the comparison's merge is made of:
+// which quartile box a truth value falls in, boxes pooled across blocks
+// (NaN where empty), and co-moments that merge to the pool's correlation.
+func TestQuartileColumns(t *testing.T) {
+	for _, c := range []struct {
+		x    float64
+		want int
+	}{{0, 0}, {0.0999, 0}, {0.1, 1}, {0.75, 7}, {0.9999, 9}, {1, 9}, {-0.01, -1}, {1.0001, -1}, {math.NaN(), -1}} {
+		if got := quartileColumn(c.x); got != c.want {
+			t.Errorf("quartileColumn(%v) = %d, want %d", c.x, got, c.want)
+		}
+	}
+
+	// Two blocks after warm-up: column 2 gets {1, 2} from one and {3} from
+	// the other, column 7 gets {10}; every other column is empty.
+	pad := func(v ...float64) []float64 { return append(make([]float64, warmupRounds), v...) }
+	truth := [][]float64{pad(0.2, 0.25, 0.7), pad(0.29)}
+	est := [][]float64{pad(1, 2, 10), pad(3)}
+	parts := make([]truthPartial, len(truth))
+	var m comoments
+	var xs, ys []float64
+	for i := range parts {
+		parts[i] = comparePartial(truth[i], est[i], ShortTermEstimate)
+		m.merge(parts[i].m)
+		xs, ys = append(xs, truth[i][warmupRounds:]...), append(ys, est[i][warmupRounds:]...)
+	}
+	q := columnQuartiles(parts, 3)
+	if q[2][0] != 1.5 || q[2][1] != 2 || q[2][2] != 2.5 || q[7][1] != 10 {
+		t.Fatalf("pooled quartiles: column 2 %v, column 7 %v", q[2], q[7])
+	}
+	for _, g := range []int{0, 1, 3, 4, 5, 6, 8, 9} {
+		if !math.IsNaN(q[g][1]) {
+			t.Fatalf("empty column %d reads %v", g, q[g])
+		}
+	}
+	if r, want := m.pearson(), stats.Pearson(xs, ys); m.n != 4 || math.Abs(r-want) > 1e-12 {
+		t.Fatalf("merged co-moments: %v pairs, r %v; the pool's r is %v", m.n, r, want)
 	}
 }
 

@@ -175,7 +175,11 @@ func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return run.Result.Class == core.StrictDiurnal, nil
+	res, err := pl.Classify(run)
+	if err != nil {
+		return false, err
+	}
+	return res.Class == core.StrictDiurnal, nil
 }
 
 // SweepDiurnalCount reproduces Fig 7: accuracy as the number of diurnal

@@ -194,7 +194,11 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 	var ckptErr firstError
 	pl.RunAll(ids, sc.Workers, func(k int, run *core.BlockRun, err error) {
 		i := todo[k]
-		mb := blockFromRun(w.Blocks[i], run, err)
+		var res core.DiurnalResult
+		if err == nil {
+			res, err = pl.Classify(run)
+		}
+		mb := blockFromRun(w.Blocks[i], run, res, err)
 		finishBlock(&mb, inj, study.Cfg.Rounds)
 		sm.record(mb)
 		study.Blocks[i] = mb
@@ -273,8 +277,8 @@ func finishBlock(mb *MeasuredBlock, inj *faults.Injector, rounds int) {
 }
 
 // blockFromRun converts one block's pipeline result (what RunAll hands its
-// callback) into its study record.
-func blockFromRun(info *world.BlockInfo, run *core.BlockRun, err error) MeasuredBlock {
+// callback, and the classification of the run) into its study record.
+func blockFromRun(info *world.BlockInfo, run *core.BlockRun, res core.DiurnalResult, err error) MeasuredBlock {
 	mb := MeasuredBlock{Info: info}
 	if err != nil {
 		if isSparse(err) {
@@ -288,8 +292,8 @@ func blockFromRun(info *world.BlockInfo, run *core.BlockRun, err error) Measured
 	mb.Retries = run.Retries
 	mb.SendErrors = run.SendErrors
 	mb.RateLimited = run.RateLimited
-	mb.Class = run.Result.Class
-	mb.Phase = run.Result.Phase
+	mb.Class = res.Class
+	mb.Phase = res.Phase
 	mb.Days = run.Days
 	mb.ProbesSent = run.ProbesSent
 	mb.SlopePerDay = run.SlopePerDay
@@ -297,7 +301,7 @@ func blockFromRun(info *world.BlockInfo, run *core.BlockRun, err error) Measured
 	// series spans ~13.995 days, and bin/floor(days) would misscale every
 	// frequency by ~7%.
 	if exactDays := run.Trimmed.Days(); exactDays > 0 {
-		mb.StrongestCPD = float64(run.Result.PeakBin) / exactDays
+		mb.StrongestCPD = float64(res.PeakBin) / exactDays
 	}
 	if eps, err := outage.Episodes(run.Outages, run.Short.Len()); err == nil {
 		mb.Outage = outage.Summarize(eps, run.Short.Len())

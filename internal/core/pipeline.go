@@ -53,10 +53,6 @@ type BlockRun struct {
 	Short timeseries.Series
 	// Operational is Âo per round (same grid as Short).
 	Operational []float64
-	// LongTerm is Âl per round.
-	LongTerm []float64
-	// RawRate is the per-round p/t before smoothing (quantized, jittery).
-	RawRate []float64
 	// Outages lists the prober's state transitions.
 	Outages []OutageEvent
 	// CleanStats reports gap-filling and duplicate resolution.
@@ -66,8 +62,6 @@ type BlockRun struct {
 	Trimmed timeseries.Series
 	// Days is N_d for the trimmed series.
 	Days int
-	// Result is the diurnal classification.
-	Result DiurnalResult
 	// SlopePerDay is the stationarity diagnostic of the trimmed series.
 	SlopePerDay float64
 	// ProbesSent counts probes this block cost.
@@ -109,7 +103,8 @@ func newPipelineMetrics(r *metrics.Registry) pipelineMetrics {
 
 // Pipeline runs the full §2 measurement chain over blocks of a simulated
 // network: adaptive probing -> EWMA estimation -> cleaning -> midnight trim
-// -> spectral diurnal detection.
+// (RunBlocks, RunAll) -> spectral diurnal detection (Classify, for the
+// callers that read the class).
 type Pipeline struct {
 	cfg PipelineConfig
 	net *netsim.Network
@@ -161,8 +156,6 @@ func (pl *Pipeline) newBlockRunner(id netsim.BlockID) (*blockRunner, error) {
 		run: &BlockRun{
 			ID:          id,
 			Operational: make([]float64, 0, pl.cfg.Rounds),
-			LongTerm:    make([]float64, 0, pl.cfg.Rounds),
-			RawRate:     make([]float64, 0, pl.cfg.Rounds),
 		},
 		samples: make([]timeseries.Sample, 0, pl.cfg.Rounds),
 	}, nil
@@ -185,8 +178,6 @@ func (br *blockRunner) step(r int, obs *trinocular.RoundObs) {
 		// estimator update, gap-filled by cleaning.
 		run.FailedRounds++
 		run.Operational = append(run.Operational, est.Operational())
-		run.LongTerm = append(run.LongTerm, est.LongTerm())
-		run.RawRate = append(run.RawRate, 0)
 		return
 	}
 	// Collection artifacts: some observations never make it into the
@@ -204,12 +195,10 @@ func (br *blockRunner) step(r int, obs *trinocular.RoundObs) {
 		br.samples = append(br.samples, timeseries.Sample{Round: r, Value: est.ShortTerm()})
 	}
 	run.Operational = append(run.Operational, est.Operational())
-	run.LongTerm = append(run.LongTerm, est.LongTerm())
-	run.RawRate = append(run.RawRate, obs.Rate())
 }
 
-// finish runs the post-probing chain — cleaning, midnight trim, spectral
-// classification — and returns the completed record.
+// finish runs the post-probing chain — cleaning and the midnight trim — and
+// returns the completed record.
 func (br *blockRunner) finish() (*BlockRun, error) {
 	pl, run, id := br.pl, br.run, br.id
 	run.ProbesSent = br.prober.ProbesSent()
@@ -232,16 +221,21 @@ func (br *blockRunner) finish() (*BlockRun, error) {
 	run.Trimmed = trimmed
 	run.Days = timeseries.NearestDays(trimmed.Len(), trimmed.Period)
 	run.SlopePerDay = trimmed.SlopePerDay()
-
-	stopClassify := pl.pm.classifySeconds.Time()
-	res, err := DetectDiurnal(trimmed.Values, run.Days)
-	if err != nil {
-		return nil, fmt.Errorf("core: classifying block %s: %w", id, err)
-	}
-	stopClassify()
-	run.Result = res
-	pl.pm.blocks.Inc()
 	return run, nil
+}
+
+// Classify runs the spectral diurnal test on a measured block's trimmed
+// series. It is a step of its own, not part of RunBlocks, because only some
+// callers read the class: the §3 estimator comparison never does.
+func (pl *Pipeline) Classify(run *BlockRun) (DiurnalResult, error) {
+	stop := pl.pm.classifySeconds.Time()
+	res, err := DetectDiurnal(run.Trimmed.Values, run.Days)
+	if err != nil {
+		return DiurnalResult{}, fmt.Errorf("core: classifying block %s: %w", run.ID, err)
+	}
+	stop()
+	pl.pm.blocks.Inc()
+	return res, nil
 }
 
 // RunBlock measures one block end to end: RunBlocks over a group of one.
@@ -390,8 +384,8 @@ func artifactFor(cfg *PipelineConfig, id netsim.BlockID, r int) artifactKind {
 }
 
 // Survey measures ground truth by full enumeration: TrueA of the block at
-// every round — what the paper's Internet surveys provide for ~2% of
-// blocks.
+// every round (one netsim.Block.TrueSeries) — what the paper's Internet
+// surveys provide for ~2% of blocks.
 func (pl *Pipeline) Survey(id netsim.BlockID) (timeseries.Series, error) {
 	blk := pl.net.Block(id)
 	if blk == nil {
@@ -401,10 +395,7 @@ func (pl *Pipeline) Survey(id netsim.BlockID) (timeseries.Series, error) {
 		return timeseries.Series{}, fmt.Errorf("core: pipeline needs Rounds > 0")
 	}
 	vals := make([]float64, pl.cfg.Rounds)
-	for r := 0; r < pl.cfg.Rounds; r++ {
-		now := pl.cfg.Start.Add(time.Duration(r) * timeseries.DefaultRound)
-		vals[r] = blk.TrueA(now)
-	}
+	blk.TrueSeries(pl.cfg.Start, timeseries.DefaultRound, vals)
 	return timeseries.New(pl.cfg.Start, timeseries.DefaultRound, vals), nil
 }
 

@@ -3,6 +3,8 @@ package netsim
 import (
 	"math"
 	"time"
+
+	"sleepnet/internal/prf"
 )
 
 // Behavior models how one address responds over time. Implementations must
@@ -77,7 +79,31 @@ func (b Intermittent) Up(t time.Time) bool {
 // draw is window q's availability draw, which decides Up when 0 < P < 1.
 // The host table sorts the other hosts out once and then calls it
 // directly, with the block-round's q for every host on the default window.
+// Ground truth asks the same question in integer form (key, drawKeyed),
+// hoisted out of its loop over q; the truth tests hold the two together.
 func (b *Intermittent) draw(q uint64) bool { return prfFloat2(b.Seed, q, 0x1a7e) < b.P }
+
+// key returns what fixes the host's draws besides the quantum: its seed's
+// mix, and the threshold ⌈P·2⁵³⌉ (for 0 < P < 1). prfFloat2 is x/2⁵³ for
+// an integer x < 2⁵³, and x/2⁵³ < P holds exactly when x < ⌈P·2⁵³⌉: the
+// comparison becomes an integer one, with no rounding anywhere.
+func (b *Intermittent) key() (h, thr uint64) {
+	y := b.P * (1 << 53)
+	thr = uint64(y)
+	if float64(thr) < y {
+		thr++
+	}
+	return prf.Mix(b.Seed), thr
+}
+
+// drawKeyed is draw of quantum q for the host keyed (h, thr): 1 if it
+// answers, else 0. It is branchless — x < thr read off the borrow of x−thr,
+// both below 2⁶³ — because the outcome is a coin flip a branch would
+// mispredict half the time.
+func drawKeyed(h, thr, q uint64) int32 {
+	x := prf.Mix(prf.Mix(h^q)^0x1a7e) >> 11
+	return int32((x - thr) >> 63)
+}
 
 func (b Intermittent) EverActive() bool { return b.P > 0 }
 

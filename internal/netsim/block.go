@@ -195,15 +195,58 @@ func (b *Block) TrueA(t time.Time) float64 {
 }
 
 // TrueCounts returns how many addresses of E(b) answer at t, accounting
-// for block outages but not path loss, and |E(b)| itself. It may be called
-// from any number of goroutines, also while probes are being delivered to
-// the block; like probing, it must not race with SetHosts.
+// for block outages but not path loss, and |E(b)| itself: the survey
+// kernel behind TrueSeries, over one instant. It may be called from any
+// number of goroutines, also while probes are being delivered to the
+// block; like probing, it must not race with SetHosts.
 func (b *Block) TrueCounts(t time.Time) (up, ever int) {
-	ever = b.NumEverActive()
-	if ever == 0 || b.InOutage(t) {
-		return 0, ever
+	var (
+		sec [1]float64
+		q   [1]uint64
+		c   [1]int32
+	)
+	b.countSurvey(t, 0, &survey{sec: sec[:], q: q[:], up: c[:]})
+	return int(c[0]), b.NumEverActive()
+}
+
+// TrueSeries sets dst[r] to TrueA(start + r·period) for every r: a survey
+// of len(dst) rounds enumerating every address, answered host by host (see
+// hostTable.countSurvey) rather than by len(dst) calls to TrueA, and
+// bit-identical to them. period must be positive. Like TrueCounts, it may
+// run on any number of goroutines.
+func (b *Block) TrueSeries(start time.Time, period time.Duration, dst []float64) {
+	if period <= 0 {
+		panic("netsim: TrueSeries needs a positive period")
 	}
-	var in instant
-	in.set(t)
-	return b.hosts.countUp(&in), ever
+	ever := b.NumEverActive()
+	if ever == 0 {
+		clear(dst)
+		return
+	}
+	s := surveys.Get().(*survey)
+	defer surveys.Put(s)
+	s.resize(len(dst))
+	b.countSurvey(start, period, s)
+	for r, up := range s.up {
+		dst[r] = float64(up) / float64(ever)
+	}
+}
+
+// countSurvey sets s.up[r] to TrueCounts' up at start + r·step, filling the
+// rest of s with those instants on the way.
+func (b *Block) countSurvey(start time.Time, step time.Duration, s *survey) {
+	if b.hosts == nil {
+		clear(s.up)
+		return
+	}
+	s.fill(start, step)
+	b.hosts.countSurvey(start, step, s)
+	if len(b.Outages) == 0 {
+		return
+	}
+	for r := range s.up {
+		if b.InOutage(start.Add(time.Duration(r) * step)) {
+			s.up[r] = 0
+		}
+	}
 }

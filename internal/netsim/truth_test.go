@@ -5,6 +5,7 @@ package netsim_test
 // (internal/world imports netsim).
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -123,6 +124,35 @@ func checkAgainstReference(t *testing.T, blk *netsim.Block, hosts *netsim.Hosts,
 	return up, ever
 }
 
+// checkSeries compares a TrueSeries of n instants start + r·period, bit for
+// bit, with the reference loop and with TrueA at each instant.
+func checkSeries(t *testing.T, blk *netsim.Block, hosts *netsim.Hosts, start time.Time, period time.Duration, n int) []float64 {
+	t.Helper()
+	got := make([]float64, n)
+	blk.TrueSeries(start, period, got)
+	for r, a := range got {
+		at := start.Add(time.Duration(r) * period)
+		up, ever := blk.TrueCountsRef(hosts, at)
+		want := 0.0
+		if ever > 0 {
+			want = float64(up) / float64(ever)
+		}
+		if math.Float64bits(a) != math.Float64bits(want) {
+			t.Fatalf("%s, survey from %v every %v, instant %d of %d: %v, reference %d of %d", blk.ID, start, period, r, n, a, up, ever)
+		}
+		if pa := blk.TrueA(at); math.Float64bits(pa) != math.Float64bits(a) {
+			t.Fatalf("%s at %v: TrueSeries says %v, TrueA %v", blk.ID, at, a, pa)
+		}
+	}
+	return got
+}
+
+// surveyPeriods are the survey spacings the series checks walk: finer than
+// the round quantum, the round, coarser, and coarser than a day, where the
+// kernel must skip days (a day's yesterday is day−1, not the previous
+// instant's day).
+var surveyPeriods = []time.Duration{time.Minute, round, time.Hour, 25 * time.Hour, 49 * time.Hour}
+
 func TestTruthPlanMatchesReference(t *testing.T) {
 	t.Run("every-branch", func(t *testing.T) {
 		blk, hosts := everyBranchBlock()
@@ -140,7 +170,25 @@ func TestTruthPlanMatchesReference(t *testing.T) {
 		}
 	})
 
-	for _, seed := range []uint64{1, 2} {
+	t.Run("every-branch-series", func(t *testing.T) {
+		blk, hosts := everyBranchBlock()
+		netsim.NewNetwork(1).AddBlock(blk)
+		starts := []time.Time{
+			// Before the epoch (negative days) and off the round grid.
+			netsim.SimEpoch.Add(-3*24*time.Hour + 7*time.Minute + 13*time.Second + 17),
+			// On the grid, the outage in the first two days.
+			netsim.SimEpoch.Add(-11 * round),
+		}
+		for _, start := range starts {
+			for _, period := range surveyPeriods {
+				for _, n := range []int{0, 1, 2, 917} {
+					checkSeries(t, blk, hosts, start, period, n)
+				}
+			}
+		}
+	})
+
+	for _, seed := range []uint64{42, 7, 1234} {
 		w, err := world.Generate(world.Config{Blocks: 30, Seed: seed, OutagesPerBlockWeek: 2})
 		if err != nil {
 			t.Fatal(err)
@@ -152,10 +200,9 @@ func TestTruthPlanMatchesReference(t *testing.T) {
 				diurnal++
 			}
 			blk := w.Net.Block(info.ID)
-			hosts := blk.HostSpec()
-			for r := 0; r < 14*131; r++ {
-				at := start.Add(time.Duration(r) * round)
-				if up, _ := checkAgainstReference(t, blk, hosts, at); up == 0 && blk.InOutage(at) {
+			a := checkSeries(t, blk, blk.HostSpec(), start, round, 14*131)
+			for r, v := range a {
+				if v == 0 && blk.InOutage(start.Add(time.Duration(r)*round)) {
 					dark++
 				}
 			}
@@ -164,6 +211,37 @@ func TestTruthPlanMatchesReference(t *testing.T) {
 			t.Fatalf("world %d: %d diurnal blocks, %d block-rounds in outage; the comparison needs both", seed, diurnal, dark)
 		}
 	}
+
+	t.Run("campus", func(t *testing.T) {
+		c, err := world.GenerateCampus(world.CampusConfig{Wireless: 8, Dynamic: 4, General: 12, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
+		for _, cb := range c.Blocks {
+			blk := c.Net.Block(cb.ID)
+			checkSeries(t, blk, blk.HostSpec(), start, round, 7*131)
+		}
+	})
+}
+
+// FuzzTrueSeries compares surveys of the every-branch block, at any start,
+// positive period and length, with the reference loop. The seeds run under
+// plain go test.
+func FuzzTrueSeries(f *testing.F) {
+	f.Add(int64(0), int64(round), uint16(131))
+	f.Add(int64(-3*24*time.Hour+17), int64(time.Minute), uint16(600))
+	f.Add(int64(25*time.Hour+1), int64(49*time.Hour), uint16(40))
+	f.Add(int64(26*time.Hour-3*time.Minute), int64(7*time.Second), uint16(300))
+	f.Add(int64(-86400*time.Second), int64(time.Nanosecond), uint16(3))
+	blk, hosts := everyBranchBlock()
+	netsim.NewNetwork(1).AddBlock(blk)
+	f.Fuzz(func(t *testing.T, offset, period int64, n uint16) {
+		const span = int64(30 * 24 * time.Hour)
+		offset %= span
+		period = 1 + (period&math.MaxInt64)%int64(100*time.Hour)
+		checkSeries(t, blk, hosts, netsim.SimEpoch.Add(time.Duration(offset)), time.Duration(period), int(n%1024))
+	})
 }
 
 // echoPacket is an IPv4-wrapped echo request to dst.
@@ -262,7 +340,8 @@ func TestReAddBlockSeesNewHops(t *testing.T) {
 }
 
 // TestTruthPlanConcurrent surveys one block from several goroutines, each
-// on its own day so the day table is swapped under the others' feet, while
+// on its own day (a TrueSeries, then TrueCounts instant by instant) so the
+// day table is swapped under the others' feet, while
 // another goroutine delivers batches of probes to the same block across
 // day boundaries. Under -race this pins that TrueCounts shares no
 // unsynchronized state with delivery (the day memo and the rate limiter)
@@ -291,10 +370,16 @@ func TestTruthPlanConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			series := make([]float64, rounds)
+			blk.TrueSeries(dayStart(g), round, series)
 			for r := 0; r < rounds; r++ {
 				up, ever := blk.TrueCounts(dayStart(g).Add(time.Duration(r) * round))
 				if up != want[g][r][0] || ever != want[g][r][1] {
 					t.Errorf("day %d round %d: %d of %d, want %d of %d", g, r, up, ever, want[g][r][0], want[g][r][1])
+					return
+				}
+				if a := float64(up) / float64(ever); series[r] != a {
+					t.Errorf("day %d round %d: TrueSeries says %v, want %v", g, r, series[r], a)
 					return
 				}
 			}
@@ -365,4 +450,38 @@ func BenchmarkTrueA(b *testing.B) {
 			}
 		})
 	}
+}
+
+var sinkSeries float64
+
+// BenchmarkSurvey times the survey layer of the truth-7d world (200 blocks
+// asked of the generator at seed 42, 251 made): every block surveyed over
+// 917 rounds, by the series kernel and by one TrueA call a round, the form
+// bench/'s re-enactment times.
+func BenchmarkSurvey(b *testing.B) {
+	w, err := world.Generate(world.Config{Blocks: 200, Seed: 42})
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
+	dst := make([]float64, 917)
+	b.Run("series", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, info := range w.Blocks {
+				w.Net.Block(info.ID).TrueSeries(start, round, dst)
+				sinkSeries += dst[len(dst)-1]
+			}
+		}
+	})
+	b.Run("per-instant", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for _, info := range w.Blocks {
+				blk := w.Net.Block(info.ID)
+				for r := range dst {
+					dst[r] = blk.TrueA(start.Add(time.Duration(r) * round))
+				}
+				sinkSeries += dst[len(dst)-1]
+			}
+		}
+	})
 }

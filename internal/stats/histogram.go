@@ -66,41 +66,3 @@ func (g *Grid2D) Add(x, y float64) {
 	}
 	g.Counts[yi][xi]++
 }
-
-// ColumnQuantiles bins pairs by x-column group and returns, for each of the
-// groups of width (XMax-XMin)/groups, the requested quantiles of the y
-// values in that column — the white quartile boxes overlaid on Figures 4–5.
-// Columns with no data yield NaN rows.
-func ColumnQuantiles(xs, ys []float64, xmin, xmax float64, groups int, qs ...float64) ([][]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("stats: ColumnQuantiles length mismatch")
-	}
-	if groups <= 0 || !(xmax > xmin) {
-		return nil, fmt.Errorf("stats: ColumnQuantiles bad grouping")
-	}
-	buckets := make([][]float64, groups)
-	for i, x := range xs {
-		if math.IsNaN(x) || x < xmin || x > xmax {
-			continue
-		}
-		gi := int(float64(groups) * (x - xmin) / (xmax - xmin))
-		if gi == groups {
-			gi--
-		}
-		buckets[gi] = append(buckets[gi], ys[i])
-	}
-	out := make([][]float64, groups)
-	for i, b := range buckets {
-		row := make([]float64, len(qs))
-		if len(b) == 0 {
-			for j := range row {
-				row[j] = math.NaN()
-			}
-		} else {
-			sort.Float64s(b)
-			copy(row, QuantilesSorted(b, qs...))
-		}
-		out[i] = row
-	}
-	return out, nil
-}

@@ -46,37 +46,6 @@ func TestGrid2D(t *testing.T) {
 	}
 }
 
-func TestColumnQuantiles(t *testing.T) {
-	// Two columns: x in [0, 0.5) has y = {1,2,3}; x in [0.5, 1] has y = {10}.
-	xs := []float64{0.1, 0.2, 0.3, 0.7}
-	ys := []float64{1, 2, 3, 10}
-	rows, err := ColumnQuantiles(xs, ys, 0, 1, 2, 0.25, 0.5, 0.75)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !near(rows[0][1], 2, 1e-12) {
-		t.Fatalf("median of first column = %v", rows[0][1])
-	}
-	if !near(rows[1][1], 10, 1e-12) {
-		t.Fatalf("median of second column = %v", rows[1][1])
-	}
-	rows, err = ColumnQuantiles(nil, nil, 0, 1, 3, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rows {
-		if !math.IsNaN(row[0]) {
-			t.Fatal("empty columns should be NaN")
-		}
-	}
-	if _, err := ColumnQuantiles([]float64{1}, nil, 0, 1, 2, 0.5); err == nil {
-		t.Fatal("mismatch should error")
-	}
-	if _, err := ColumnQuantiles(nil, nil, 1, 0, 2, 0.5); err == nil {
-		t.Fatal("bad range should error")
-	}
-}
-
 func TestKSTestSameDistribution(t *testing.T) {
 	r := rand.New(rand.NewSource(8))
 	a := make([]float64, 400)

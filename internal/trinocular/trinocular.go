@@ -181,14 +181,6 @@ type RoundObs struct {
 // copying the struct when inlining falls through.
 func (o *RoundObs) Failed() bool { return o.Total == 0 }
 
-// Rate returns the raw p/t ratio of the round.
-func (o *RoundObs) Rate() float64 {
-	if o.Total == 0 {
-		return 0
-	}
-	return float64(o.Positive) / float64(o.Total)
-}
-
 // blockState is per-block prober memory.
 type blockState struct {
 	id     netsim.BlockID

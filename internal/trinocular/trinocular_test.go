@@ -73,9 +73,6 @@ func TestHighAvailabilityOneProbe(t *testing.T) {
 	if obs.Total != 1 || obs.Positive != 1 || !obs.Up {
 		t.Fatalf("obs = %+v", obs)
 	}
-	if obs.Rate() != 1 {
-		t.Fatalf("Rate = %v", obs.Rate())
-	}
 }
 
 func TestDownBlockFewProbesWithHighAOp(t *testing.T) {
