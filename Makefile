@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check agree fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair loadgen
+.PHONY: all build vet test race lint lint-fixtures check agree experiments-doc fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair loadgen
 
 all: check
 
@@ -41,6 +41,13 @@ lint-fixtures:
 # re-measures.
 agree:
 	$(GO) test -count=1 -run='TestAgreementContract|TestAgreementGoldenDeterminism' ./internal/agree
+
+# experiments-doc reruns every artifact of the cmd/experiments registry at
+# -quick, seed 42, and rewrites EXPERIMENTS.md's generated tables from their
+# headline numbers. Plain `go test ./cmd/experiments` fails while the file
+# and the registry disagree.
+experiments-doc:
+	SLEEPNET_UPDATE_GOLDEN=1 $(GO) test -count=1 -run='^TestExperimentsDoc$$' ./cmd/experiments
 
 # check is the CI gate: vet, build, sleeplint, the full test suite under
 # the race detector, and the streaming-vs-batch agreement contract.
@@ -90,9 +97,9 @@ loadgen:
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the
-# per-layer ones. Performance claims rest on this and on bench-pair. The
-# root bench_test.go / serve_bench_test.go are the per-figure regenerators
-# of DESIGN section 4, run with plain `go test -bench`; nothing gates on them.
+# per-layer ones. Performance claims rest on this and on bench-pair.
+# BenchmarkArtifact in cmd/experiments times each paper figure and the root
+# serve_bench_test.go the serving layer; nothing gates on either.
 bench-e2e:
 	$(GO) run ./bench
 

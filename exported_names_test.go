@@ -13,14 +13,11 @@ import (
 	"testing"
 )
 
-// The four reasons an exported name under internal/ may have no non-test
+// The three reasons an exported name under internal/ may have no non-test
 // caller. Anything else with no caller is deleted or unexported.
 const (
 	// testOracle: a reference implementation tests compare the real one to.
 	testOracle = "test oracle"
-	// ablationArm: an alternative DESIGN §5 or ROADMAP item 1 names, reached
-	// only from root bench_test.go.
-	ablationArm = "ablation arm"
 	// testHarness: fault drivers that tests of other packages call.
 	testHarness = "cross-package test harness"
 	// observedState: state a correctness test has to read or set.
@@ -31,13 +28,8 @@ const (
 // path under internal/, then type for a method, then name.
 var exportedWithoutCallers = map[string]string{
 	"dsp.DFT":                        testOracle,
-	"trinocular.Prober.ProbeRound":   testOracle,
 	"rdns.ClassifyBlock":             testOracle,
 	"rdns.Synthesizer.BlockNames":    testOracle,
-	"core.NewRatioEstimator":         ablationArm,
-	"core.RatioEstimator.Estimate":   ablationArm,
-	"core.NewEstimatorWithGains":     ablationArm,
-	"core.DetectDiurnalACF":          ablationArm, // and through it dsp.Autocorrelation, dsp.DominantLag
 	"faults.ChaosPlan.Fired":         testHarness,
 	"faults.CorruptFileTail":         testHarness,
 	"faults.TruncateFileTail":        testHarness,
@@ -176,6 +168,6 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 	if len(problems) > 0 {
 		t.Log("for each name: delete it (and the tests only it had), unexport it if its own package uses it, " +
-			"or add it to exportedWithoutCallers in exported_names_test.go with one of the four reasons there")
+			"or add it to exportedWithoutCallers in exported_names_test.go with one of the three reasons there")
 	}
 }

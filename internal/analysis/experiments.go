@@ -71,59 +71,52 @@ func LongTermTrend(surveys int, blocksPerSurvey int, seed uint64) ([]TrendPoint,
 	if surveys <= 0 || blocksPerSurvey <= 0 {
 		return nil, fmt.Errorf("analysis: need positive surveys and blocks")
 	}
-	sites := []string{"w", "c", "j"}
-	startDate := time.Date(2009, time.December, 1, 0, 0, 0, 0, time.UTC)
 	out := make([]TrendPoint, 0, surveys)
 	for i := 0; i < surveys; i++ {
-		// Surveys every ~3 weeks across the span.
-		date := startDate.AddDate(0, 0, i*21)
-		// The underlying diurnal propensity: roughly flat through 2012,
-		// declining afterwards (dynamic addresses shifting to always-on).
-		years := date.Sub(startDate).Hours() / 24 / 365
-		mult := 1.0
-		if date.After(time.Date(2012, time.June, 1, 0, 0, 0, 0, time.UTC)) {
-			mult = 1.0 - 0.12*(years-2.5)
-		}
-		if mult < 0.5 {
-			mult = 0.5
-		}
-		w, err := generateScaledWorld(blocksPerSurvey, seed+uint64(i)*7919, mult)
+		p, err := trendSurvey(i, blocksPerSurvey, seed)
 		if err != nil {
 			return nil, err
 		}
-		st, err := MeasureWorld(w, StudyConfig{Days: 14, Seed: seed + uint64(i)})
-		if err != nil {
-			return nil, err
-		}
-		strict, _ := st.DiurnalFraction()
-		out = append(out, TrendPoint{
-			Date:        date,
-			Site:        sites[i%len(sites)],
-			FracDiurnal: strict,
-			Blocks:      len(st.Measured()),
-		})
+		out = append(out, p)
 	}
 	return out, nil
 }
 
-// generateScaledWorld builds a world whose country diurnal fractions are
-// scaled by mult (used by the long-term trend).
-func generateScaledWorld(blocks int, seed uint64, mult float64) (*world.World, error) {
-	saved := make([]float64, len(world.Countries))
-	for i := range world.Countries {
-		saved[i] = world.Countries[i].DiurnalFrac
-		f := world.Countries[i].DiurnalFrac * mult
-		if f > 0.95 {
-			f = 0.95
-		}
-		world.Countries[i].DiurnalFrac = f
+// trendStart is the date of Fig 11's first survey.
+var trendStart = time.Date(2009, time.December, 1, 0, 0, 0, 0, time.UTC)
+
+// trendDate is the date of survey i: surveys every ~3 weeks across the span.
+func trendDate(i int) time.Time { return trendStart.AddDate(0, 0, i*21) }
+
+// trendSurvey generates and measures survey i of LongTermTrend.
+func trendSurvey(i, blocks int, seed uint64) (TrendPoint, error) {
+	sites := [...]string{"w", "c", "j"}
+	date := trendDate(i)
+	// The underlying diurnal propensity: roughly flat through 2012,
+	// declining afterwards (dynamic addresses shifting to always-on).
+	years := date.Sub(trendStart).Hours() / 24 / 365
+	mult := 1.0
+	if date.After(time.Date(2012, time.June, 1, 0, 0, 0, 0, time.UTC)) {
+		mult = 1.0 - 0.12*(years-2.5)
 	}
-	defer func() {
-		for i := range world.Countries {
-			world.Countries[i].DiurnalFrac = saved[i]
-		}
-	}()
-	return world.Generate(world.Config{Blocks: blocks, Seed: seed})
+	if mult < 0.5 {
+		mult = 0.5
+	}
+	w, err := world.Generate(world.Config{Blocks: blocks, Seed: seed + uint64(i)*7919, DiurnalScale: mult})
+	if err != nil {
+		return TrendPoint{}, err
+	}
+	st, err := MeasureWorld(w, StudyConfig{Days: 14, Seed: seed + uint64(i)})
+	if err != nil {
+		return TrendPoint{}, err
+	}
+	strict, _ := st.DiurnalFraction()
+	return TrendPoint{
+		Date:        date,
+		Site:        sites[i%len(sites)],
+		FracDiurnal: strict,
+		Blocks:      len(st.Measured()),
+	}, nil
 }
 
 // --- Figs 12, 13: world maps ---

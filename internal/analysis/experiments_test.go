@@ -420,24 +420,62 @@ func TestLongTermTrendDeclineAfter2012(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long-span trend is slow")
 	}
-	// Sample two eras directly: a 2010-era survey and a 2014-era survey.
-	early, err := LongTermTrend(1, 200, 33)
+	// Sample two eras directly: the first survey (2009) and the first one
+	// dated after mid-2013, through the body LongTermTrend loops over.
+	early, err := trendSurvey(0, 200, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Build a late survey by asking for enough surveys to pass 2012; take
-	// the last.
-	pts, err := LongTermTrend(80, 200, 33)
+	cutoff := time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)
+	i := 0
+	for !trendDate(i).After(cutoff) {
+		i++
+	}
+	late, err := trendSurvey(i, 200, 33)
 	if err != nil {
 		t.Fatal(err)
 	}
-	late := pts[len(pts)-1]
-	if !late.Date.After(time.Date(2013, 6, 1, 0, 0, 0, 0, time.UTC)) {
+	if !late.Date.After(cutoff) {
 		t.Fatalf("late survey date = %v", late.Date)
 	}
-	if late.FracDiurnal >= early[0].FracDiurnal {
+	if late.FracDiurnal >= early.FracDiurnal {
 		t.Fatalf("diurnal fraction should decline: early %v late %v",
-			early[0].FracDiurnal, late.FracDiurnal)
+			early.FracDiurnal, late.FracDiurnal)
+	}
+}
+
+// TestLongTermTrendBesideGenerate runs Fig 11's surveys beside plain world
+// generation. A survey scales the diurnal fractions of its own world only,
+// so a concurrent Generate sees the national table as it is and the race
+// detector sees no write to it.
+func TestLongTermTrendBesideGenerate(t *testing.T) {
+	cfg := world.Config{Blocks: 150, Seed: 8}
+	designed := func(w *world.World) (n int) {
+		for _, b := range w.Blocks {
+			if b.DesignedDiurnal {
+				n++
+			}
+		}
+		return n
+	}
+	want := designed(smallWorld(t, cfg.Blocks, cfg.Seed))
+	done := make(chan error, 1)
+	go func() {
+		_, err := LongTermTrend(1, 60, 5)
+		done <- err
+	}()
+	for {
+		if got := designed(smallWorld(t, cfg.Blocks, cfg.Seed)); got != want {
+			t.Fatalf("Generate beside LongTermTrend designed %d diurnal blocks, alone %d", got, want)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		default:
+		}
 	}
 }
 

@@ -13,7 +13,7 @@
 //
 // p and t are smoothed separately because A is their ratio: smoothing the
 // ratio directly overestimates A (the paper's A12w variant, kept here as
-// RatioEstimator for the ablation benchmark).
+// RatioEstimator for the ratioewma ablation of cmd/experiments).
 package core
 
 import "math"
@@ -158,7 +158,7 @@ func ratio(p, t float64) float64 {
 // directly instead of smoothing p and t separately. It consistently
 // overestimates A (stop-on-first-positive makes p/t = 1 the most common
 // observation), which is why the paper replaced it; it is retained for the
-// ablation benchmark.
+// ratioewma ablation of cmd/experiments.
 type RatioEstimator struct {
 	alpha float64
 	a     float64

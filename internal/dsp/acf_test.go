@@ -83,8 +83,8 @@ func TestAutocorrelationErrors(t *testing.T) {
 // TestAutocorrelationPinned holds Autocorrelation to the output bits it had
 // while it ran its own radix-2 loop (recorded at 065b081, before that loop
 // was deleted for the plan's), on a power-of-two length, a 14-day
-// campaign's 1,833 rounds and a prime: the ACF arm of
-// BenchmarkAblationFFTvsACF must not drift with the engine behind it.
+// campaign's 1,833 rounds and a prime: the ACF arm of the
+// fftacf ablation (cmd/experiments) must not drift with the engine behind it.
 func TestAutocorrelationPinned(t *testing.T) {
 	for _, c := range []struct {
 		n    int

@@ -24,6 +24,10 @@ type Config struct {
 	// with national infrastructure (lower GDP, more outages). Zero
 	// disables outage injection.
 	OutagesPerBlockWeek float64
+	// DiurnalScale multiplies every country's DiurnalFrac, capped at 0.95,
+	// for this world only (Fig 11's drifting surveys). Zero leaves the
+	// national table as it is.
+	DiurnalScale float64
 }
 
 const (
@@ -146,6 +150,10 @@ func Generate(cfg Config) (*World, error) {
 			}
 		}
 
+		diurnalFrac := c.DiurnalFrac
+		if cfg.DiurnalScale != 0 {
+			diurnalFrac = math.Min(diurnalFrac*cfg.DiurnalScale, 0.95)
+		}
 		mix := LinkMixFor(c)
 		eLink := expectedLinkMult(c)
 		// Expected allocation multiplier over this country's /8s.
@@ -193,7 +201,7 @@ func Generate(cfg Config) (*World, error) {
 
 			// Diurnal decision: country base scaled by technology and
 			// allocation age, normalized to keep the country aggregate.
-			p := c.DiurnalFrac * LinkDiurnalMultiplier(info.LinkType) *
+			p := diurnalFrac * LinkDiurnalMultiplier(info.LinkType) *
 				allocDiurnalMult(info.AllocDate) / norm
 			if p > 0.92 {
 				p = 0.92
