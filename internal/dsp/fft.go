@@ -1,9 +1,11 @@
 // Package dsp provides the spectral-analysis substrate used by the diurnal
 // detector: one cached-plan Fourier transform for arbitrary input lengths
 // (Plan: iterative radix-2 for powers of two, Bluestein's chirp-z algorithm
-// for everything else), helpers for interpreting real-valued spectra
-// (amplitude, phase, harmonics), and the autocorrelation the ACF ablation
-// arm compares the spectral detector against.
+// for everything else, both on one fused radix-2^2 butterfly kernel that
+// keeps the plain stage-by-stage loop's bits), helpers for interpreting
+// real-valued spectra (amplitude, phase, harmonics), and the
+// autocorrelation the ACF ablation arm compares the spectral detector
+// against.
 //
 // The paper computes an FFT over an 11-minute availability timeseries whose
 // length is whatever the measurement produced (rarely a power of two), so

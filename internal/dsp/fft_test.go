@@ -337,12 +337,23 @@ func BenchmarkSpectrumPow2_4096(b *testing.B) {
 	}
 }
 
-func BenchmarkSpectrumBluestein_4580(b *testing.B) {
-	// 35 days of 11-minute rounds ≈ 4580 samples: the A12w shape.
-	x := randReal(rand.New(rand.NewSource(10)), 4580)
+// benchSpectrum times the exact transform the detector takes, warm, on a
+// random series of length n.
+func benchSpectrum(b *testing.B, n int, seed int64) {
+	x := randReal(rand.New(rand.NewSource(seed)), n)
 	s := NewScratch()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewSpectrumScratch(x, s)
 	}
 }
+
+// 35 days of 11-minute rounds ≈ 4580 samples: the A12w shape.
+func BenchmarkSpectrumBluestein_4580(b *testing.B) { benchSpectrum(b, 4580, 10) }
+
+// The 14-day study's trimmed series (1832 samples): the length
+// bench's dsp.fft_ns_per_series times on the packed path instead.
+func BenchmarkSpectrumBluestein_1832(b *testing.B) { benchSpectrum(b, 1832, 11) }
+
+// The 7-day validation series (915 samples).
+func BenchmarkSpectrumBluestein_915(b *testing.B) { benchSpectrum(b, 915, 12) }

@@ -11,11 +11,20 @@ package dsp
 // Numerical contract: two plans of one length hold bit-identical tables
 // (each twiddle comes from the same iterative w *= wBase recurrence, each
 // chirp sample from the same i^2 mod 2n reduction), so eviction and
-// rebuild never move a result. The spectrum constructors take the full
-// complex path (realForwardExactInto), whose coefficient bits bench/golden
-// hashes; the packed real-input path (RealForward on even lengths)
-// evaluates the same DFT through a half-length transform and differs from
-// it only at rounding level (well under 1e-12 relative; see plan_test.go).
+// rebuild never move a result. The transform is plain decimation-in-time
+// radix-2 and Bluestein arithmetic, evaluated in fewer passes: the kernel
+// (radix2Plan.butterflies) runs two stages per pass, Bluestein gathers its
+// inputs straight into bit-reversed order with its first stage folded into
+// the gather, and no swap pass runs on that path. Every element meets the
+// same IEEE operations in the same order as in swap-then-stage-by-stage
+// radix-2, signed zeros included, so the bits are the plain algorithm's;
+// plan_test.go holds the kernel, Bluestein's work arrays and the spectrum
+// to the stage loop they replaced with math.Float64bits. The spectrum
+// constructors take the full complex path (realForwardExactInto), whose
+// coefficient bits bench/golden hashes; the packed real-input path
+// (RealForward on even lengths) evaluates the same DFT through a
+// half-length transform and differs from it only at rounding level (well
+// under 1e-12 relative; see plan_test.go).
 
 import (
 	"container/list"
@@ -37,7 +46,8 @@ type Plan struct {
 
 	// Bluestein state when n is not a power of two: the convolution length
 	// m = nextPow2(2n-1), its radix-2 plan, the forward chirp, and the
-	// FFT of the chirp-conjugate pulse (bq).
+	// FFT of the chirp-conjugate pulse (bq), stored in bit-reversed order
+	// because that is the order the inverse transform reads its input in.
 	m     int
 	mr2   *radix2Plan
 	chirp []complex128
@@ -49,13 +59,13 @@ type Plan struct {
 	rw   []complex128
 }
 
-// radix2Plan caches the bit-reversal swap schedule and per-stage twiddle
+// radix2Plan caches the bit-reversal permutation and per-stage twiddle
 // factors for one power-of-two length, in both transform directions.
 type radix2Plan struct {
-	n     int
-	swaps []int32        // flattened (i, j) pairs with i < j
-	fwd   [][]complex128 // twiddles per stage, forward (sign -1)
-	inv   [][]complex128 // twiddles per stage, inverse (sign +1)
+	n   int
+	rev []int32        // bit-reversal permutation: position k holds input rev[k]
+	fwd [][]complex128 // twiddles per stage, forward (sign -1)
+	inv [][]complex128 // twiddles per stage, inverse (sign +1)
 }
 
 // defaultPlanCacheLimit bounds the plan cache at a size that comfortably
@@ -186,6 +196,7 @@ func newPlan(n int) *Plan {
 			b[p.m-i] = b[i]
 		}
 		p.mr2.transform(b, false)
+		p.mr2.permute(b)
 		p.bq = b
 	}
 	if n > 1 && n%2 == 0 {
@@ -211,30 +222,54 @@ func (p *Plan) forwardInto(dst, x []complex128, s *Scratch) {
 		copy(dst, x)
 		p.r2.transform(dst, false)
 	default:
-		p.bluesteinInto(dst, x, s, p.n)
+		p.bluesteinInto(dst, x, s.complexA(p.m), s.complexZ(p.m), p.n)
 	}
 }
 
 // bluesteinInto evaluates the chirp-z transform of x — an arbitrary-length
 // DFT expressed as a convolution and evaluated with the power-of-two plan
-// mr2 — writing the first outLen bins into dst. It reads x completely
-// before writing dst, so dst == x is allowed.
-func (p *Plan) bluesteinInto(dst, x []complex128, s *Scratch, outLen int) {
-	a := s.complexA(p.m)
-	for i := 0; i < p.n; i++ {
-		a[i] = x[i] * p.chirp[i]
+// mr2 — writing the first outLen bins into dst. a and b are length-m work
+// arrays: the forward transform runs in a, the inverse in b. x is read
+// completely before b is written and dst[i] only after b[i] is final, so x
+// and dst may share storage with b (and dst == x is allowed).
+//
+// Both transforms take their input already in bit-reversed order, so
+// neither runs a swap pass. The forward input x·chirp padded to m with
+// zeros is gathered straight into that order, and its first stage
+// (butterflies' stage 0) is folded into the gather: m >= 2n-1 puts every
+// input index >= m/2 in the padding, and bit reversal puts those indices
+// in the odd slots, so the first stage pairs each product v with a +0
+// partner and twiddle 1+0i. Its butterfly then writes v - (+0) to the odd
+// slot and v + (+0) to the even one — which turns a -0 component of v
+// into +0, so the + 0 is kept. The
+// pointwise product with bq, stored bit-reversed, is gathered the same way
+// into b. Every element sees the operations of the plain algorithm in the
+// same order, so the bits are those of swap-then-transform.
+//
+//lint:hotpath: the detector's exact transform runs it once per classified block; pure arithmetic over caller-sized buffers
+func (p *Plan) bluesteinInto(dst, x, a, b []complex128, outLen int) {
+	n, m := p.n, p.m
+	rev := p.mr2.rev[:m]
+	a, b = a[:m], b[:m]
+	chirp := p.chirp[:n]
+	for k := 0; k < m; k += 2 {
+		if r := int(rev[k]); r < n {
+			v := x[r] * chirp[r]
+			a[k] = v + 0
+			a[k+1] = v - 0
+		} else {
+			a[k], a[k+1] = 0, 0
+		}
 	}
-	for i := p.n; i < p.m; i++ {
-		a[i] = 0
+	p.mr2.butterflies(a, false, 1)
+	bq := p.bq[:m]
+	for k, r := range rev {
+		b[k] = a[r] * bq[k]
 	}
-	p.mr2.transform(a, false)
-	for i := range a {
-		a[i] *= p.bq[i]
-	}
-	p.mr2.transform(a, true)
-	invM := complex(1/float64(p.m), 0)
+	p.mr2.butterflies(b, true, 0)
+	invM := complex(1/float64(m), 0)
 	for i := 0; i < outLen; i++ {
-		dst[i] = a[i] * invM * p.chirp[i]
+		dst[i] = b[i] * invM * chirp[i]
 	}
 }
 
@@ -296,7 +331,7 @@ func (p *Plan) realForwardInto(dst []complex128, x []float64, s *Scratch) {
 		for i, v := range x {
 			z[i] = complex(v, 0)
 		}
-		p.bluesteinInto(dst, z, s, p.n/2+1)
+		p.bluesteinInto(dst, z, s.complexA(p.m), s.complexZ(p.m), p.n/2+1)
 	}
 }
 
@@ -313,21 +348,21 @@ func (p *Plan) realForwardExactInto(dst []complex128, x []float64, s *Scratch) {
 		dst[0] = complex(x[0], 0)
 	case p.r2 != nil:
 		z := s.complexZ(p.n)
-		for i, v := range x {
-			z[i] = complex(v, 0)
+		for k, r := range p.r2.rev {
+			z[k] = complex(x[r], 0)
 		}
-		p.r2.transform(z, false)
+		p.r2.butterflies(z, false, 0)
 		copy(dst, z[:len(dst)])
 	default:
 		z := s.complexZ(p.n)
 		for i, v := range x {
 			z[i] = complex(v, 0)
 		}
-		p.bluesteinInto(dst, z, s, len(dst))
+		p.bluesteinInto(dst, z, s.complexA(p.m), s.complexZ(p.m), len(dst))
 	}
 }
 
-// newRadix2Plan precomputes the bit-reversal swap schedule and the
+// newRadix2Plan precomputes the bit-reversal permutation and the
 // per-stage twiddle tables for a power-of-two length n. The twiddles come
 // from the iterative w *= wBase recurrence, not a Sincos per entry: study
 // goldens are pinned to that rounding.
@@ -337,11 +372,9 @@ func newRadix2Plan(n int) *radix2Plan {
 		return p
 	}
 	shift := 64 - uint(bits.Len(uint(n-1)))
-	for i := 1; i < n; i++ {
-		j := int(bits.Reverse64(uint64(i)) >> shift)
-		if i < j {
-			p.swaps = append(p.swaps, int32(i), int32(j))
-		}
+	p.rev = make([]int32, n)
+	for i := range p.rev {
+		p.rev[i] = int32(bits.Reverse64(uint64(i)) >> shift)
 	}
 	p.fwd = stageTwiddles(n, false)
 	p.inv = stageTwiddles(n, true)
@@ -374,29 +407,84 @@ func stageTwiddles(n int, inverse bool) [][]complex128 {
 // (length n) using the cached tables. If inverse is true the conjugate
 // transform is computed (no 1/n scaling).
 func (p *radix2Plan) transform(a []complex128, inverse bool) {
-	n := p.n
-	if n <= 1 {
+	if p.n <= 1 {
 		return
 	}
-	for i := 0; i < len(p.swaps); i += 2 {
-		x, y := p.swaps[i], p.swaps[i+1]
-		a[x], a[y] = a[y], a[x]
+	p.permute(a)
+	p.butterflies(a, inverse, 0)
+}
+
+// permute puts a into bit-reversed order in place (the permutation is its
+// own inverse, so applying it twice restores a).
+func (p *radix2Plan) permute(a []complex128) {
+	for i, j := range p.rev {
+		if i < int(j) {
+			a[i], a[j] = a[j], a[i]
+		}
 	}
+}
+
+// butterflies runs the decimation-in-time stages from..log2(n)-1 over a,
+// which holds its input in bit-reversed order; stage s combines pairs
+// 2^s apart with twiddles tws[s]. Stages run two at a time (radix 2^2):
+// each group of four elements 2^s apart is loaded once, both stages'
+// butterflies run in registers, and the four results are stored once. An
+// element meets the same multiplies, adds and subtracts, in the same
+// order, as in stage-by-stage radix-2 — the fusion only drops the loads
+// and stores between the two stages — so the output bits are identical.
+// An odd stage count finishes with one radix-2 stage. (Radix 2^3 spills
+// registers on amd64 and runs slower.)
+//
+//lint:hotpath: every planned transform's butterflies; pure arithmetic over the caller's buffer
+func (p *radix2Plan) butterflies(a []complex128, inverse bool, from int) {
 	tws := p.fwd
 	if inverse {
 		tws = p.inv
 	}
-	si := 0
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		tw := tws[si]
-		si++
-		for start := 0; start < n; start += size {
-			for off := 0; off < half; off++ {
-				i, j := start+off, start+off+half
-				t := a[j] * tw[off]
-				a[j] = a[i] - t
-				a[i] += t
+	n := p.n
+	a = a[:n]
+	s := from
+	for ; s+1 < len(tws); s += 2 {
+		h := 1 << s
+		w1 := tws[s][:h]
+		w2 := tws[s+1][:2*h]
+		w2lo, w2hi := w2[:h], w2[h:]
+		for base := 0; base < n; base += 4 * h {
+			q0 := a[base : base+h]
+			q1 := a[base+h : base+2*h][:len(q0)]
+			q2 := a[base+2*h : base+3*h][:len(q0)]
+			q3 := a[base+3*h : base+4*h][:len(q0)]
+			w1, w2lo, w2hi := w1[:len(q0)], w2lo[:len(q0)], w2hi[:len(q0)]
+			for k := range q0 {
+				x0, x1, x2, x3 := q0[k], q1[k], q2[k], q3[k]
+				// Stage s: (x0, x1) and (x2, x3), twiddle w1[k].
+				t := x1 * w1[k]
+				x1 = x0 - t
+				x0 += t
+				t = x3 * w1[k]
+				x3 = x2 - t
+				x2 += t
+				// Stage s+1: (x0, x2) with w2[k], (x1, x3) with w2[k+h].
+				t = x2 * w2lo[k]
+				q2[k] = x0 - t
+				q0[k] = x0 + t
+				t = x3 * w2hi[k]
+				q3[k] = x1 - t
+				q1[k] = x1 + t
+			}
+		}
+	}
+	if s < len(tws) {
+		h := 1 << s
+		w := tws[s][:h]
+		for base := 0; base < n; base += 2 * h {
+			lo := a[base : base+h]
+			hi := a[base+h : base+2*h][:len(lo)]
+			w := w[:len(lo)]
+			for k := range lo {
+				t := hi[k] * w[k]
+				hi[k] = lo[k] - t
+				lo[k] += t
 			}
 		}
 	}

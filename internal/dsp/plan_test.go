@@ -228,3 +228,225 @@ func TestPlanForHitPathAllocFree(t *testing.T) {
 		t.Fatalf("PlanFor cache hit allocates %.2f times, want 0", avg)
 	}
 }
+
+// refTransform is the radix-2 stage loop as it ran before the stages were
+// fused: the swap pass into bit-reversed order, then one stage at a time,
+// each butterfly loading and storing its pair. It is the reference
+// TestKernelMatchesStageLoop holds the fused kernel to, bit for bit.
+func refTransform(p *radix2Plan, a []complex128, inverse bool) {
+	n := p.n
+	if n <= 1 {
+		return
+	}
+	for i, j := range p.rev {
+		if i < int(j) {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	tws := p.fwd
+	if inverse {
+		tws = p.inv
+	}
+	si := 0
+	for size := 2; size <= n; size <<= 1 {
+		half := size >> 1
+		tw := tws[si]
+		si++
+		for start := 0; start < n; start += size {
+			for off := 0; off < half; off++ {
+				i, j := start+off, start+off+half
+				t := a[j] * tw[off]
+				a[j] = a[i] - t
+				a[i] += t
+			}
+		}
+	}
+}
+
+// refBluestein is bluesteinInto as it ran before the fused kernel, on
+// complex x: the plain passes — pad x·chirp with zeros, forward, pointwise
+// product with the chirp pulse's transform (rebuilt the same way), inverse,
+// scale — each transform swap-then-stages through refTransform. It returns
+// the forward and inverse work arrays with the n output bins.
+func refBluestein(p *Plan, x []complex128) (fwd, inv, out []complex128) {
+	n, m := p.n, p.m
+	b := make([]complex128, m)
+	for i := 0; i < n; i++ {
+		b[i] = cmplx.Conj(p.chirp[i])
+	}
+	for i := 1; i < n; i++ {
+		b[m-i] = b[i]
+	}
+	refTransform(p.mr2, b, false)
+	fwd = make([]complex128, m)
+	for i := 0; i < n; i++ {
+		fwd[i] = x[i] * p.chirp[i]
+	}
+	refTransform(p.mr2, fwd, false)
+	inv = make([]complex128, m)
+	for i := range fwd {
+		inv[i] = fwd[i] * b[i]
+	}
+	refTransform(p.mr2, inv, true)
+	invM := complex(1/float64(m), 0)
+	out = make([]complex128, n)
+	for i := range out {
+		out[i] = inv[i] * invM * p.chirp[i]
+	}
+	return fwd, inv, out
+}
+
+// refExact is NewSpectrumScratch's transform as it ran before the fused
+// kernel: complexify, then refTransform for a power of two and
+// refBluestein for any other length.
+func refExact(x []float64) []complex128 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	p := PlanFor(n)
+	z := make([]complex128, n)
+	for i, v := range x {
+		z[i] = complex(v, 0)
+	}
+	switch {
+	case n == 1:
+	case p.r2 != nil:
+		refTransform(p.r2, z, false)
+	default:
+		_, _, z = refBluestein(p, z)
+	}
+	return z[:n/2+1]
+}
+
+// zeroHeavy returns n values from r with exact zeros, negative zeros and
+// a zero-padded tail mixed in: the inputs on which a dropped or reordered
+// add of zero shows up as a flipped sign bit.
+func zeroHeavy(r *rand.Rand, n int) []float64 {
+	x := make([]float64, n)
+	for i := range x {
+		switch r.Intn(4) {
+		case 0:
+			x[i] = 0
+		case 1:
+			x[i] = math.Copysign(0, -1)
+		default:
+			x[i] = r.NormFloat64()
+		}
+	}
+	for i := n - n/4; i < n; i++ {
+		x[i] = 0
+	}
+	return x
+}
+
+func sameBits(a, b complex128) bool {
+	return math.Float64bits(real(a)) == math.Float64bits(real(b)) &&
+		math.Float64bits(imag(a)) == math.Float64bits(imag(b))
+}
+
+// TestKernelMatchesStageLoop pins the fused radix-2^2 kernel to the stage
+// loop it replaced, bit for bit, on every power of two from 2 to 2^16 in
+// both directions: random data (input 0), all negative zeros (1), and
+// zero-heavy data with a padded tail (2).
+func TestKernelMatchesStageLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(47))
+	for n := 2; n <= 1<<16; n <<= 1 {
+		p := PlanFor(n).r2
+		re, im := zeroHeavy(r, n), zeroHeavy(r, n)
+		inputs := [][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
+		for i := 0; i < n; i++ {
+			inputs[0][i] = complex(r.NormFloat64(), r.NormFloat64())
+			inputs[1][i] = complex(math.Copysign(0, -1), math.Copysign(0, -1))
+			inputs[2][i] = complex(re[i], im[i])
+		}
+		for in, x := range inputs {
+			for _, inverse := range []bool{false, true} {
+				want := append([]complex128(nil), x...)
+				got := append([]complex128(nil), x...)
+				refTransform(p, want, inverse)
+				p.transform(got, inverse)
+				for k := range want {
+					if !sameBits(got[k], want[k]) {
+						t.Fatalf("n=%d input %d inverse=%v bin %d: kernel %v, stage loop %v", n, in, inverse, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpectrumMatchesStageLoop holds NewSpectrumScratch — the gathers,
+// the folded first stage and the fused kernel together — to the plain
+// passes' coefficient bits, over planTestLengths plus the 7-day and
+// 14-day series lengths (915 and 1832).
+func TestSpectrumMatchesStageLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(48))
+	s := NewScratch()
+	for _, n := range append(append([]int(nil), planTestLengths...), 915, 1832) {
+		inputs := [][]float64{randReal(r, n), zeroHeavy(r, n), make([]float64, n)}
+		for i := range inputs[2] {
+			inputs[2][i] = math.Copysign(0, -1)
+		}
+		for in, x := range inputs {
+			want := refExact(x)
+			got := NewSpectrumScratch(x, s).Coef
+			for k := range want {
+				if !sameBits(got[k], want[k]) {
+					t.Fatalf("n=%d input %d bin %d: %v, plain passes %v", n, in, k, got[k], want[k])
+				}
+			}
+		}
+	}
+}
+
+// TestBluesteinMatchesStageLoop holds bluesteinInto's two work arrays and
+// its output to the plain passes' bits on complex inputs. The forward array
+// is where folding stage 1 into the gather shows: its even slots must hold
+// v + 0, not v, and a negative zero in v makes the difference — which the
+// rest of the transform can wash out of the output bins.
+func TestBluesteinMatchesStageLoop(t *testing.T) {
+	r := rand.New(rand.NewSource(50))
+	negZero := math.Copysign(0, -1)
+	for _, n := range append(append([]int(nil), planTestLengths...), 915, 1832) {
+		p := PlanFor(n)
+		if p.mr2 == nil {
+			continue
+		}
+		re, im := zeroHeavy(r, n), zeroHeavy(r, n)
+		inputs := [][]complex128{make([]complex128, n), make([]complex128, n), make([]complex128, n)}
+		for i := 0; i < n; i++ {
+			inputs[0][i] = complex(r.NormFloat64(), r.NormFloat64())
+			inputs[1][i] = complex(re[i], im[i])
+			inputs[2][i] = complex(negZero, negZero)
+		}
+		s := NewScratch()
+		for in, x := range inputs {
+			wantF, wantI, wantO := refBluestein(p, x)
+			a, b, got := s.complexA(p.m), s.complexZ(p.m), make([]complex128, n)
+			p.bluesteinInto(got, x, a, b, n)
+			for _, c := range []struct {
+				name      string
+				got, want []complex128
+			}{{"forward", a, wantF}, {"inverse", b, wantI}, {"output", got, wantO}} {
+				for k := range c.want {
+					if !sameBits(c.got[k], c.want[k]) {
+						t.Fatalf("n=%d input %d %s[%d]: %v, plain passes %v", n, in, c.name, k, c.got[k], c.want[k])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSpectrumScratchAllocs pins the warm exact transform at the 14-day
+// series length: NewSpectrumScratch allocates the returned Spectrum (the
+// struct and its Coef and Amp slices) and nothing else.
+func TestSpectrumScratchAllocs(t *testing.T) {
+	x := randReal(rand.New(rand.NewSource(49)), 1832)
+	s := NewScratch()
+	NewSpectrumScratch(x, s)
+	if avg := testing.AllocsPerRun(50, func() { NewSpectrumScratch(x, s) }); avg != 3 {
+		t.Fatalf("warm NewSpectrumScratch allocates %.2f times, want 3 (Spectrum, Coef, Amp)", avg)
+	}
+}

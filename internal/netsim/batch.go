@@ -2,8 +2,12 @@ package netsim
 
 // Batched delivery: DeliverBatch is the one way a packet enters the
 // simulated edge. It crosses the netsim boundary once for a whole wavefront
-// of probes, amortizing the route lookup, lock acquisition, tap walk,
-// outage-schedule evaluation, and per-block counter updates over the batch.
+// of probes, amortizing the route lookup, lock acquisition, tap walk, time
+// conversion, outage-schedule evaluation, and per-block counter updates
+// over the batch: routing takes Network.mu once and resolves only the
+// destinations the buffer's route cache does not already hold at the
+// current topology generation, and the delivery time is converted to one
+// instant for every probe (a probe the tap skews converts its own).
 //
 // Determinism contract: a batch produces byte-identical Responses, in
 // order, to delivering pkts[0], pkts[1], ... one at a time at the same now
@@ -27,15 +31,36 @@ import (
 )
 
 // routeEntry is one resolved destination block in a BatchBuffer's route
-// cache: the block and its probe counter are looked up once per topology
-// generation and reused across batches, and per-batch probe counts
-// accumulate here so each block gets one atomic add per batch.
+// cache. The block and its probe counter are looked up once per topology
+// generation and reused across batches; per-batch probe counts accumulate
+// here so each block gets one atomic add per batch; and downNS/down memoize
+// the block's outage schedule at the instant its probes last shared, so the
+// schedule walk happens once per (block, round) instead of once per probe.
+// The memo is keyed on the exact instant, which makes it self-invalidating
+// across rounds and immune to per-destination clock skew from a tap.
+// 40 bytes.
 type routeEntry struct {
-	id     BlockID
-	blk    *Block        // nil for unrouted space
-	cnt    *atomic.Int64 // per-block probe counter; registered lazily for unrouted blocks
-	probes int64         // probes accumulated this batch, flushed in pass 5
-	memo   blockInstant  // what this block's probes of one instant share
+	blk      *Block        // nil for unrouted space
+	cnt      *atomic.Int64 // per-block probe counter; registered lazily for unrouted blocks
+	probes   int64         // probes accumulated this batch, flushed in pass 5
+	downNS   int64         // the instant down holds for, once ok
+	id       BlockID
+	down, ok bool
+}
+
+// resolve looks up the route to block id. Callers hold n.mu (read side).
+func (n *Network) resolve(id BlockID) routeEntry {
+	return routeEntry{id: id, blk: n.blocks[id], cnt: n.perBlockProbes[id]}
+}
+
+// downAt reports whether the route's block is in an outage at Unix
+// nanosecond ns, walking its outage schedule only when ns is not the
+// instant the memo holds.
+func (e *routeEntry) downAt(ns int64) bool {
+	if !e.ok || e.downNS != ns {
+		e.downNS, e.down, e.ok = ns, e.blk.downAt(ns), true
+	}
+	return e.down
 }
 
 // pktMeta is the per-packet parse/resolve state DeliverBatch carries
@@ -102,8 +127,11 @@ func (b *BatchBuffer) RetainedBytes() int {
 		return 0
 	}
 	per := int(0)
-	per += cap(b.entries) * (8 + 8 + 8 + 8 + 64) // routeEntry: id+pad, blk, cnt, probes, memo
-	per += len(b.routes) * (4 + 4)
+	per += cap(b.entries) * (8 + 8 + 8 + 8 + 8) // routeEntry: blk, cnt, probes, downNS, id+down+ok
+	// The map holds one key per entry and clear keeps its buckets, so it
+	// retains what it held at its fullest, which cap(entries) bounds — not
+	// what it holds at the moment, which depends on where the last reset fell.
+	per += cap(b.entries) * (4 + 4)
 	per += cap(b.metas) * 48
 	per += cap(b.resps) * 48
 	per += cap(b.spans) * 16
@@ -118,9 +146,11 @@ func (b *BatchBuffer) RetainedBytes() int {
 // — O(world), exactly the growth the per-worker memory bound forbids. Once
 // it outgrows the cap it is reset at the next batch boundary: correctness
 // is untouched (the cache only memoizes lookups) and the steady-state cost
-// returns to O(cap). The cap is comfortably above the monitor's batch group
-// size, so phases of one wavefront always hit the cache.
-const routeCacheCap = 256
+// returns to O(cap). The cap holds a whole monitor shard of up to 512
+// blocks — every batch group of every round — so such a shard resolves
+// each route once. A larger shard's groups evict each other: it still
+// resolves about once per block-round.
+const routeCacheCap = 512
 
 // init lazily creates the route cache map so the zero value works.
 func (b *BatchBuffer) init() {
@@ -139,9 +169,9 @@ func (b *BatchBuffer) init() {
 // exactly that of delivering pkts[i] one at a time in order (see the
 // comment at the top of this file for the determinism argument), but
 // routing is resolved once per destination block, the fault tap is
-// consulted once per batch, each block's outage schedule is evaluated once
-// per (block, instant), and global and per-block counters are flushed once
-// per batch.
+// consulted once per batch, now is converted once per batch, each block's
+// outage schedule is evaluated once per (block, instant), and global and
+// per-block counters are flushed once per batch.
 //
 // The returned slice and every Response.Data in it are views into buf,
 // valid only until the next DeliverBatch on the same buffer.
@@ -192,12 +222,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		}
 		ri, ok := buf.routes[m.dst.Block]
 		if !ok {
-			blk := n.blocks[m.dst.Block]
-			buf.entries = append(buf.entries, routeEntry{
-				id:  m.dst.Block,
-				blk: blk,
-				cnt: n.perBlockProbes[m.dst.Block],
-			})
+			buf.entries = append(buf.entries, n.resolve(m.dst.Block))
 			ri = int32(len(buf.entries) - 1)
 			buf.routes[m.dst.Block] = ri
 		}
@@ -207,6 +232,9 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		}
 	}
 	n.mu.RUnlock()
+	if added := len(buf.entries) - newFrom; added > 0 {
+		n.resolved.Add(int64(added))
+	}
 	for i := newFrom; i < len(buf.entries); i++ {
 		if buf.entries[i].cnt == nil {
 			// Unrouted destination: register its counter outside the read
@@ -214,6 +242,8 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 			buf.entries[i].cnt = n.registerBlockCounter(buf.entries[i].id)
 		}
 	}
+	var in instant
+	in.set(now)
 
 	// Pass 3: one outbound tap consultation for the whole batch. Only
 	// packets whose delivery reaches the tap participate: an IP-malformed,
@@ -280,7 +310,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		// in pass 5 once the arena has settled.
 		buf.resps = append(buf.resps, Response{})
 		resp := &buf.resps[len(buf.resps)-1]
-		icmpOut, ipOut := n.deliverCore(e.blk, tap, buf.icmp[:0], buf.arena, &m.hdr, m.dst, payload, &echo, m.echoOK, now, pre, &e.memo, &acc, resp)
+		icmpOut, ipOut := n.deliverCore(e, tap, buf.icmp[:0], buf.arena, &m.hdr, m.dst, payload, &echo, m.echoOK, &in, pre, &acc, resp)
 		buf.icmp = icmpOut
 		buf.arena = ipOut
 		end := start

@@ -418,3 +418,84 @@ func TestDeliverBatchAllocFree(t *testing.T) {
 		t.Fatalf("warm DeliverBatch allocates %.1f allocs/op, want 0", avg)
 	}
 }
+
+// TestDeliverBatchRouteCacheRevalidates drives one BatchBuffer through the
+// changes its route cache must notice — a block replaced by AddBlock with
+// other hops, loss and outages, a tap installed and removed — and a batch
+// that mixes cached and new destinations, holding every response to the
+// sequential oracle. Warm batches must resolve nothing; the mixed batch
+// must resolve exactly its new destination.
+func TestDeliverBatchRouteCacheRevalidates(t *testing.T) {
+	refNet, bNet := buildBatchWorld(), buildBatchWorld()
+	var bb BatchBuffer
+	round := 0
+	deliver := func(step string, extra ...[]byte) (resolved int64) {
+		t.Helper()
+		now := at(10, 50).Add(time.Duration(round) * 40 * time.Second)
+		pkts := append(batchSchedule(t, round), extra...)
+		round++
+		before := bNet.RoutesResolved()
+		want := refDeliverAll(refNet, pkts, now)
+		got := bNet.DeliverBatch(&bb, pkts, now)
+		for i := range want {
+			if !respEqual(got[i], want[i]) {
+				t.Fatalf("%s: pkt %d diverged:\n ref   %+v\n batch %+v", step, i, want[i], got[i])
+			}
+		}
+		return bNet.RoutesResolved() - before
+	}
+	both := func(f func(n *Network)) { f(refNet); f(bNet) }
+	warm := func(step string) {
+		t.Helper()
+		if r := deliver(step); r != 0 {
+			t.Fatalf("%s: a warm batch resolved %d routes, want 0", step, r)
+		}
+	}
+
+	if r := deliver("cold"); r != 6 {
+		t.Fatalf("cold: resolved %d routes, want 6 (five blocks and unrouted space)", r)
+	}
+	warm("warm")
+
+	both(func(n *Network) {
+		blk := &Block{
+			ID: MakeBlockID(10, 0, 2), Seed: 77, Hops: 30, Loss: 0.5,
+			LatencyBase: 70 * time.Millisecond, LatencyJitter: 9 * time.Millisecond,
+			GatewayUnreachableProb: 0.5,
+			Outages:                []Interval{{Start: at(10, 51), End: at(10, 54)}},
+		}
+		blk.SetHosts(alwaysOn(200))
+		n.AddBlock(blk)
+	})
+	if r := deliver("replaced block"); r == 0 {
+		t.Fatal("replaced block: the batch after AddBlock reused the stale cache")
+	}
+	warm("replaced block, warm")
+	for i := 0; i < 6; i++ {
+		warm("through the replacement's outage")
+	}
+
+	both(func(n *Network) { n.SetTap(newOrderTap()) })
+	if r := deliver("tap installed"); r == 0 {
+		t.Fatal("tap installed: the batch after SetTap reused the stale cache")
+	}
+	warm("tap installed, warm")
+	both(func(n *Network) { n.SetTap(nil) })
+	if r := deliver("tap removed"); r == 0 {
+		t.Fatal("tap removed: the batch after SetTap reused the stale cache")
+	}
+	warm("tap removed, warm")
+
+	newID := MakeBlockID(10, 0, 6)
+	both(func(n *Network) {
+		blk := &Block{ID: newID, Seed: 3, LatencyBase: 8 * time.Millisecond}
+		blk.SetHosts(alwaysOn(64))
+		n.AddBlock(blk)
+	})
+	deliver("after adding a block")
+	if r := deliver("mixed", mkBatchPkt(t, newID.Addr(1), 7, 1, 64, nil)); r != 1 {
+		t.Fatalf("mixed: resolved %d routes, want 1 (the one new destination)", r)
+	}
+	warm("mixed, warm")
+	checkNetsEqual(t, refNet, bNet)
+}

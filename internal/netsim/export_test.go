@@ -49,7 +49,8 @@ func (b *Block) HostSpec() *Hosts {
 
 // DeliverIPRef delivers one packet by definition — parse, route, run
 // deliverCore with no batch state (the tap asked for a batch of this one
-// packet, a fresh instant memo, fresh reply bytes), flush the counters — and
+// packet, a fresh route and instant, fresh reply bytes), flush the
+// counters — and
 // is the sequential oracle DeliverBatch is tested against. It is the body of
 // the per-packet entry point the program had before DeliverBatch became the
 // only one.
@@ -68,17 +69,16 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 
 	var acc statsAcc
 	n.mu.RLock()
-	blk := n.blocks[dst.Block]
+	e := n.resolve(dst.Block)
 	tap := n.tap
-	cnt := n.perBlockProbes[dst.Block]
 	n.mu.RUnlock()
-	if cnt == nil {
-		cnt = n.registerBlockCounter(dst.Block)
+	if e.cnt == nil {
+		e.cnt = n.registerBlockCounter(dst.Block)
 	}
 
 	// The tap sees exactly the packets whose delivery reaches it.
 	var pre tapPre
-	if tap != nil && echoOK && (blk == nil || int(hdr.TTL) > blk.hops) {
+	if tap != nil && echoOK && (e.blk == nil || int(hdr.TTL) > e.blk.hops) {
 		var (
 			times    [1]time.Time
 			verdicts [1]TapVerdict
@@ -88,9 +88,14 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	}
 
 	var resp Response
-	var memo blockInstant
-	n.deliverCore(blk, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, now, pre, &memo, &acc, &resp)
-	cnt.Add(1)
+	var in instant
+	in.set(now)
+	n.deliverCore(&e, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, &in, pre, &acc, &resp)
+	e.cnt.Add(1)
 	acc.flush(&n.Stats)
 	return resp
 }
+
+// RoutesResolved reports how many routes batch caches have resolved on n:
+// one per cache miss.
+func (n *Network) RoutesResolved() int64 { return n.resolved.Load() }

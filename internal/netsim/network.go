@@ -98,6 +98,9 @@ type Network struct {
 	// route caches (BatchBuffer) validate against it so a cached *Block or
 	// tap never outlives the mutation that replaced it.
 	gen atomic.Uint64
+	// resolved counts the routes batch caches have resolved under mu: one
+	// per cache miss.
+	resolved atomic.Int64
 
 	// Stats counts global probe outcomes.
 	Stats Counters
@@ -148,28 +151,6 @@ func (a *statsAcc) flush(c *Counters) {
 type tapPre struct {
 	t time.Time
 	v TapVerdict
-}
-
-// blockInstant memoizes what delivery derives from (block, delivery time)
-// alone — the converted instant and whether the block is in an outage.
-// Every probe of a block within one batched round shares the same delivery
-// timestamp, so the time conversions and the outage schedule walk happen
-// once per (block, round) instead of once or twice per probe. Keying on the
-// exact instant makes the memo self-invalidating across rounds and immune
-// to per-destination clock skew from a tap.
-type blockInstant struct {
-	instant
-	down bool // the block is in an outage
-	ok   bool // filled in: the zero value holds no instant
-}
-
-func (c *blockInstant) at(blk *Block, now time.Time) *blockInstant {
-	if !c.ok || c.now != now {
-		c.instant.set(now)
-		c.down = blk.downAt(c.ns)
-		c.ok = true
-	}
-	return c
 }
 
 // NewNetwork creates an empty simulated network with the given seed.
@@ -226,20 +207,23 @@ func (n *Network) BlockIDs() []BlockID {
 	return out
 }
 
-// probeCore is the ICMP-layer delivery path with routing already resolved:
-// consult the tap, evaluate the block's behavior at now, and build the
-// reply. echo is the caller-parsed request (echoOK false marks a malformed
-// or non-request message). scratch is the empty ICMP-layer scratch to
-// append the reply into (nil allocates fresh); the possibly-grown backing
-// is returned so the owner keeps its capacity. Counter deltas accumulate in
+// probeCore is the ICMP-layer delivery path with routing already resolved
+// into e: consult the tap, evaluate the block's behavior at the delivery
+// instant, and build the reply. in is the batch's instant, converted once
+// per batch; a probe the tap skews to another time converts its own. echo
+// is the caller-parsed request (echoOK false marks a malformed or
+// non-request message). scratch is the empty ICMP-layer scratch to append
+// the reply into (nil allocates fresh); the possibly-grown backing is
+// returned so the owner keeps its capacity. Counter deltas accumulate in
 // acc — the caller flushes. pre is the tap's outbound decision for this
-// probe; memo holds what the block's probes of one instant share.
+// probe.
 //
 // The outcome lands in *resp (an out-parameter so per-probe results are
 // written once instead of copied up the call chain); the ICMP scratch
 // backing is the return value.
-func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, memo *blockInstant, acc *statsAcc, resp *Response) []byte {
+func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, acc *statsAcc, resp *Response) []byte {
 	*resp = Response{}
+	blk, now := e.blk, in.now
 	if !echoOK {
 		acc.malformed++
 		resp.Timeout = true
@@ -283,7 +267,12 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 		return scratch
 	}
 
-	in := memo.at(blk, now)
+	if now != in.now {
+		var skewed instant
+		skewed.set(now)
+		in = &skewed
+	}
+	down := e.downAt(in.ns)
 
 	// Path loss, one Bernoulli draw per round trip, keyed so retransmissions
 	// (new seq) redraw but duplicates (same seq) are consistent.
@@ -298,10 +287,10 @@ func (n *Network) probeCore(blk *Block, tap Tap, scratch []byte, dst Addr, pkt [
 	}
 
 	// Does the host answer now?
-	if in.down || blk.hosts == nil || !blk.hosts.up(dst.Host, &in.instant) {
+	if down || blk.hosts == nil || !blk.hosts.up(dst.Host, in) {
 		// During an outage an upstream gateway may answer on the block's
 		// behalf with destination-unreachable.
-		if blk.GatewayUnreachableProb > 0 && in.down {
+		if blk.GatewayUnreachableProb > 0 && down {
 			u := prfFloat3(n.seed^blk.Seed^0x6a7e, dst.key(), uint64(echo.Seq), uint64(in.ns))
 			if u < blk.GatewayUnreachableProb {
 				unreach := icmp.Unreachable{Code: icmp.CodeHostUnreachable, Original: pkt}
@@ -371,10 +360,10 @@ func (n *Network) inbound(tap Tap, dst Addr, resp *Response, now time.Time, acc 
 // so the owner keeps their capacity. DeliverBatch runs every packet through
 // it; so does the tests' sequential oracle (DeliverIPRef), which is what
 // makes batching a reordering of work, never of results.
-func (n *Network) deliverCore(blk *Block, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, now time.Time, pre tapPre, memo *blockInstant, acc *statsAcc, resp *Response) ([]byte, []byte) {
+func (n *Network) deliverCore(e *routeEntry, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, acc *statsAcc, resp *Response) ([]byte, []byte) {
 	acc.probes++
 	hops := 0
-	if blk != nil {
+	if blk := e.blk; blk != nil {
 		hops = blk.hops
 		// The packet must survive the path.
 		if int(hdr.TTL) <= hops {
@@ -383,7 +372,7 @@ func (n *Network) deliverCore(blk *Block, tap Tap, icmpScratch, ipScratch []byte
 			return icmpScratch, ipScratch
 		}
 	}
-	icmpOut := n.probeCore(blk, tap, icmpScratch, dst, payload, echo, echoOK, now, pre, memo, acc, resp)
+	icmpOut := n.probeCore(e, tap, icmpScratch, dst, payload, echo, echoOK, in, pre, acc, resp)
 	if resp.Timeout || resp.Data == nil {
 		return icmpOut, ipScratch
 	}
