@@ -21,10 +21,9 @@ race:
 	$(GO) test -race -timeout 30m ./...
 
 # lint runs the repo's own static analyzer (cmd/sleeplint) over the whole
-# module in audit mode: any rule finding or stale //lint:allow directive
-# exits nonzero.
+# module: any rule finding or stale //lint:allow directive exits nonzero.
 lint:
-	$(GO) run ./cmd/sleeplint -allows ./...
+	$(GO) run ./cmd/sleeplint ./...
 
 # lint-fixtures re-runs the analyzer's own acceptance tests: the golden
 # fixture packages (each broken fixture must trigger exactly its `want`

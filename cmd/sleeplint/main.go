@@ -1,13 +1,12 @@
 // Command sleeplint runs sleepnet's static-analysis suite: stdlib-only
 // rules that keep the pipeline reproducible (seeded randomness, no
 // wall-clock reads in output paths, deterministic map emission, epsilon
-// float comparison, handled errors) and, via the flow rules, enforce the
-// concurrency, aliasing, and durability contracts (lock balance, atomic
-// discipline, call-scoped buffers, fsync-before-rename, hot-path
-// allocation budgets, goroutine cancellation). Any finding exits nonzero,
-// so CI can use it as a hard gate:
+// float comparison, handled errors) and enforce the aliasing, durability
+// and allocation contracts (call-scoped buffers, renames through
+// internal/durable, hot-path allocation budgets). Any finding exits
+// nonzero, so CI can use it as a hard gate:
 //
-//	sleeplint [-rules norand,floateq,...] [-allows] [-j N] [-json] [packages]
+//	sleeplint [-rules norand,floateq,...] [-json] [-list] [packages]
 //
 // Packages follow the go tool shape ("./...", "./internal/world"); the
 // default is "./...". Findings print as file:line:col [rule] message with
@@ -15,13 +14,10 @@
 //
 //	//lint:allow <rule>: <why the invariant holds here>
 //
-// -allows audits the escape hatches instead of trusting them: every allow
+// Every run audits the escape hatches instead of trusting them: each allow
 // directive is listed with its location, rule, and justification, and an
 // allow that no longer suppresses anything is itself a finding — stale
 // exemptions must be deleted, not accumulated.
-//
-// -j N type-checks packages on N parallel workers (default: one per CPU,
-// capped at 8). Output is byte-identical for every worker count.
 package main
 
 import (
@@ -30,14 +26,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"sleepnet/internal/lint"
 )
 
 // jsonReport is the -json output shape: the findings, the audited allow
-// directives (in -allows mode), and the wall time of the run.
+// directives, and the wall time of the run.
 type jsonReport struct {
 	Findings []lint.Finding `json:"findings"`
 	Allows   []lint.Allow   `json:"allows,omitempty"`
@@ -46,10 +41,8 @@ type jsonReport struct {
 
 func main() {
 	rulesSpec := flag.String("rules", "", "comma-separated rule subset (default: all)")
-	asJSON := flag.Bool("json", false, "emit findings (and -allows audit) as a JSON object")
+	asJSON := flag.Bool("json", false, "emit findings and the allow audit as a JSON object")
 	list := flag.Bool("list", false, "list registered rules and exit")
-	audit := flag.Bool("allows", false, "audit //lint:allow directives: list all, flag stale ones as findings")
-	workers := flag.Int("j", defaultWorkers(), "parallel type-check workers")
 	flag.Parse()
 
 	if *list {
@@ -71,22 +64,18 @@ func main() {
 	}
 	//lint:allow nowallclock: measures the lint run itself for the -json report; no simulation output depends on it
 	start := time.Now()
-	pkgs, err := lint.LoadModuleParallel(cwd, flag.Args(), *workers)
+	pkgs, err := lint.LoadModule(cwd, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sleeplint:", err)
 		os.Exit(2)
 	}
 
-	var findings []lint.Finding
-	var allows []lint.Allow
-	if *audit {
-		findings, allows = lint.RunAudit(pkgs, rules)
-	} else {
-		findings = lint.Run(pkgs, rules)
-	}
+	findings, allows := lint.Run(pkgs, rules)
 	//lint:allow nowallclock: measures the lint run itself for the -json report; no simulation output depends on it
 	wall := time.Since(start)
-	relativize(findings, cwd)
+	for i := range findings {
+		findings[i].File = relPath(findings[i].File, cwd)
+	}
 	for i := range allows {
 		allows[i].File = relPath(allows[i].File, cwd)
 	}
@@ -102,16 +91,14 @@ func main() {
 			os.Exit(2)
 		}
 	} else {
-		if *audit {
-			for _, a := range allows {
-				status := "live"
-				if !a.Used {
-					status = "STALE"
-				}
-				fmt.Printf("%s:%d: allow %s (%s): %s\n", a.File, a.Line, a.Rule, status, a.Justification)
+		for _, a := range allows {
+			status := "live"
+			if !a.Used {
+				status = "STALE"
 			}
-			fmt.Fprintf(os.Stderr, "sleeplint: %d allow directive(s)\n", len(allows))
+			fmt.Printf("%s:%d: allow %s (%s): %s\n", a.File, a.Line, a.Rule, status, a.Justification)
 		}
+		fmt.Fprintf(os.Stderr, "sleeplint: %d allow directive(s)\n", len(allows))
 		for _, f := range findings {
 			fmt.Println(f)
 		}
@@ -124,28 +111,8 @@ func main() {
 	}
 }
 
-// defaultWorkers bounds the type-check pool: one per CPU, capped — the
-// source importer re-checks shared dependencies per worker, so returns
-// diminish past a handful.
-func defaultWorkers() int {
-	n := runtime.NumCPU()
-	if n > 8 {
-		n = 8
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// relativize rewrites finding paths relative to the working directory for
-// readable, clickable output.
-func relativize(findings []lint.Finding, cwd string) {
-	for i := range findings {
-		findings[i].File = relPath(findings[i].File, cwd)
-	}
-}
-
+// relPath rewrites path relative to the working directory for readable,
+// clickable output.
 func relPath(path, cwd string) string {
 	if rel, err := filepath.Rel(cwd, path); err == nil && !filepath.IsAbs(rel) {
 		return rel

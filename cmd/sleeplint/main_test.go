@@ -9,7 +9,7 @@ import (
 )
 
 // TestFixtureExitCodes is the end-to-end contract of the gate: the built
-// binary, run in audit mode over each deliberately-broken fixture package,
+// binary, run over each deliberately-broken fixture package,
 // must exit 1 — and exit 0 on a clean package. The in-process golden test
 // (internal/lint) pins which findings fire; this pins that firing actually
 // fails a build.
@@ -34,7 +34,7 @@ func TestFixtureExitCodes(t *testing.T) {
 		name := e.Name()
 		t.Run(name, func(t *testing.T) {
 			dir := stageFixture(t, filepath.Join(src, name), name)
-			cmd := exec.Command(bin, "-allows", "./...")
+			cmd := exec.Command(bin, "./...")
 			cmd.Dir = dir
 			out, err := cmd.CombinedOutput()
 			code := cmd.ProcessState.ExitCode()
@@ -52,7 +52,7 @@ func TestFixtureExitCodes(t *testing.T) {
 		dir := t.TempDir()
 		writeFile(t, filepath.Join(dir, "go.mod"), "module fixture/clean\n\ngo 1.24\n")
 		writeFile(t, filepath.Join(dir, "clean.go"), "package clean\n\n// Two returns two.\nfunc Two() int { return 2 }\n")
-		cmd := exec.Command(bin, "-allows", "./...")
+		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
 		if code := cmd.ProcessState.ExitCode(); code != 0 {

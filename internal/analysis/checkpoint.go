@@ -41,8 +41,11 @@ type checkpointWriter struct {
 	w  *bufio.Writer
 }
 
-// Append writes one measured block as a line and flushes it, so the line is
-// durable before the next block is handed out.
+// Append writes one measured block as a line and flushes it to the kernel.
+// Nothing fsyncs it, and workers keep taking blocks whatever it returns: a
+// flushed line survives a process kill, but a power cut may lose the tail
+// of the file. Either way resume keeps the lines that made it and
+// re-measures every block whose line did not.
 func (c *checkpointWriter) Append(i int, mb MeasuredBlock) error {
 	line := studyCheckpointLine{Index: i, ID: mb.Info.ID, Block: mb}
 	line.Block.Info = nil

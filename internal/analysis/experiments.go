@@ -356,64 +356,6 @@ func CompareSites(a, b *Study) (*CrossSite, error) {
 	return &cs, nil
 }
 
-// ConsensusResult summarizes a majority-vote classification across several
-// vantage points — the natural use of the paper's three sites (Los Angeles,
-// Colorado, Keio): blocks are labelled strictly diurnal only when a
-// majority of sites agree, trading a little recall for precision.
-type ConsensusResult struct {
-	// Strict maps block id to consensus strictness for blocks measured at
-	// a majority of sites.
-	Strict map[uint32]bool
-	// FlippedFromFirst counts blocks whose consensus differs from the
-	// first site's verdict.
-	FlippedFromFirst int
-	// Blocks is the consensus population size.
-	Blocks int
-}
-
-// ConsensusClassify majority-votes strict-diurnal verdicts across studies
-// of the same world. At least two studies are required.
-func ConsensusClassify(studies ...*Study) (*ConsensusResult, error) {
-	if len(studies) < 2 {
-		return nil, fmt.Errorf("analysis: consensus needs >= 2 studies, got %d", len(studies))
-	}
-	for _, st := range studies[1:] {
-		if st.World != studies[0].World {
-			return nil, fmt.Errorf("analysis: studies must share a world")
-		}
-	}
-	votes := make(map[uint32][2]int) // id -> {strictVotes, totalVotes}
-	first := make(map[uint32]bool)
-	for si, st := range studies {
-		for _, mb := range st.Measured() {
-			id := uint32(mb.Info.ID)
-			v := votes[id]
-			v[1]++
-			if mb.Class == core.StrictDiurnal {
-				v[0]++
-				if si == 0 {
-					first[id] = true
-				}
-			}
-			votes[id] = v
-		}
-	}
-	res := &ConsensusResult{Strict: make(map[uint32]bool)}
-	majority := len(studies)/2 + 1
-	for id, v := range votes {
-		if v[1] < majority {
-			continue // not measured at enough sites
-		}
-		strict := v[0] >= majority
-		res.Strict[id] = strict
-		res.Blocks++
-		if strict != first[id] {
-			res.FlippedFromFirst++
-		}
-	}
-	return res, nil
-}
-
 // CompareSiteFrequencies strengthens Table 2 distributionally: a two-sample
 // Kolmogorov-Smirnov test over the strongest-frequency samples of both
 // vantage points. Measurement location should not change the frequency

@@ -506,56 +506,3 @@ func TestCompareSiteFrequencies(t *testing.T) {
 		t.Fatal("different worlds should error")
 	}
 }
-
-func TestConsensusClassify(t *testing.T) {
-	_, st, _ := sharedStudy(t)
-	st2, err := MeasureWorld(fixtureWorld, StudyConfig{Days: 14, Seed: 555})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st3, err := MeasureWorld(fixtureWorld, StudyConfig{Days: 14, Seed: 777})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ConsensusClassify(st, st2, st3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Blocks < 900 {
-		t.Fatalf("consensus population = %d", res.Blocks)
-	}
-	// Consensus should flip only a small minority of verdicts.
-	if frac := float64(res.FlippedFromFirst) / float64(res.Blocks); frac > 0.05 {
-		t.Fatalf("consensus flipped %.1f%% of verdicts", frac*100)
-	}
-	// Consensus precision against designed truth should be at least as
-	// good as the single-site strict FP rate.
-	var fp, nonDesigned int
-	for _, b := range st.Measured() {
-		strict, ok := res.Strict[uint32(b.Info.ID)]
-		if !ok || b.Info.DesignedDiurnal {
-			continue
-		}
-		nonDesigned++
-		if strict {
-			fp++
-		}
-	}
-	if nonDesigned == 0 {
-		t.Fatal("no non-designed blocks in consensus")
-	}
-	if frac := float64(fp) / float64(nonDesigned); frac > 0.02 {
-		t.Fatalf("consensus strict FP rate = %v", frac)
-	}
-	if _, err := ConsensusClassify(st); err == nil {
-		t.Fatal("single study should error")
-	}
-	other := smallWorld(t, 40, 123)
-	stOther, err := MeasureWorld(other, StudyConfig{Days: 14, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ConsensusClassify(st, stOther); err == nil {
-		t.Fatal("different worlds should error")
-	}
-}

@@ -26,12 +26,19 @@ func failFsync(t *testing.T, n int, err error) {
 	t.Cleanup(func() { fsync = real })
 }
 
+// TestWriteFileAtomic pins the content contract and the fsync order: the
+// temp file is synced before the final name exists, the directory after.
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")
 
+	log := recordFsyncs(t, path)
 	if err := WriteFileAtomic(path, []byte("v1"), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	want := []string{"state.json.tmp exists=false", filepath.Base(dir) + " exists=true"}
+	if !slices.Equal(*log, want) {
+		t.Fatalf("fsyncs %q, want %q", *log, want)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {
@@ -258,6 +265,8 @@ func TestCreateSyncsDirectory(t *testing.T) {
 	}
 }
 
+// TestRenameDurable: Rename moves the file and syncs the directory only
+// once the new name exists.
 func TestRenameDurable(t *testing.T) {
 	dir := t.TempDir()
 	oldPath := filepath.Join(dir, "seg.open")
@@ -265,8 +274,12 @@ func TestRenameDurable(t *testing.T) {
 	if err := os.WriteFile(oldPath, []byte("records"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	log := recordFsyncs(t, newPath)
 	if err := Rename(oldPath, newPath); err != nil {
 		t.Fatal(err)
+	}
+	if want := []string{filepath.Base(dir) + " exists=true"}; !slices.Equal(*log, want) {
+		t.Fatalf("fsyncs %q, want %q", *log, want)
 	}
 	if _, err := os.Stat(oldPath); !os.IsNotExist(err) {
 		t.Fatalf("old path survived: %v", err)

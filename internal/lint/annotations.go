@@ -1,6 +1,6 @@
 package lint
 
-// annotations.go — the contract annotations the flow rules consume.
+// annotations.go — the contract annotations aliasretain and hotalloc consume.
 //
 //	//lint:hotpath: <why this function must stay allocation-free>
 //	//lint:aliases <name>[,<name>...]: <what aliases what, and why>

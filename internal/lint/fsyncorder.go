@@ -1,36 +1,28 @@
 package lint
 
-// fsyncorder enforces the WAL sealing contract statically: an atomic
-// rename only makes data durable if the temp file was fsynced before the
-// rename and the directory is fsynced after it. PR 6 centralized the
-// sequence in internal/durable (WriteFileAtomic, Rename+SyncDir, the
-// injectable fsync seam); the rule has two layers:
-//
-//  1. Outside a durable package, calling os.Rename directly is itself the
-//     finding — every atomic-replace in this codebase must go through the
-//     helpers, or the fsync gets forgotten exactly once (it did: the
-//     analysis checkpoint rewrite and dataset.Save both renamed without a
-//     sync until this rule flagged them).
-//  2. Inside a durable package (import path ending /durable, where direct
-//     os.Rename is the implementation), two flow checks run per function
-//     that opens a writable file: a must-forward analysis proving a
-//     File.Sync (or fsync-seam call) dominates the rename on every path,
-//     and a may-backward analysis proving a SyncDir is reachable after it
-//     (may, not must: rename-error paths legitimately return early).
+// fsyncorder keeps the WAL sealing contract in one place: an atomic rename
+// only makes data durable if the temp file was fsynced before the rename
+// and the directory is fsynced after it. internal/durable owns that
+// sequence (WriteFileAtomic, Rename+SyncDir, the injectable fsync seam), so
+// outside a durable package calling os.Rename directly is the finding —
+// every atomic replace in this codebase must go through the helpers, or the
+// fsync gets forgotten exactly once (it did: the analysis checkpoint rewrite
+// and dataset.Save both renamed without a sync until this rule flagged
+// them). Inside durable, where os.Rename is the implementation, the order
+// itself is pinned by the package's tests (TestSealOrder,
+// TestCreateSyncsDirectory, TestWriteFileAtomic, TestRenameDurable).
 
 import (
 	"go/ast"
-	"go/types"
-	"strconv"
 	"strings"
 )
 
-// FsyncOrder checks the fsync→rename→dirsync durability ordering.
+// FsyncOrder routes every rename through internal/durable.
 type FsyncOrder struct{}
 
 func (FsyncOrder) Name() string { return "fsyncorder" }
 func (FsyncOrder) Doc() string {
-	return "os.Rename must go through internal/durable; inside durable, Sync must dominate the rename and SyncDir must follow it"
+	return "os.Rename must go through internal/durable, whose tests pin the fsync-rename-dirsync order"
 }
 
 // isPkgFunc reports whether call is pkgPath.name.
@@ -43,197 +35,20 @@ func isPkgFunc(p *Pass, call *ast.CallExpr, pkgPath, name string) bool {
 	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// opensWritableFile reports whether call is os.Create or os.OpenFile.
-func opensWritableFile(p *Pass, call *ast.CallExpr) bool {
-	return isPkgFunc(p, call, "os", "Create") || isPkgFunc(p, call, "os", "OpenFile")
-}
-
 func (FsyncOrder) Check(p *Pass) {
-	inDurable := strings.HasSuffix(p.PkgPath, "/durable") || p.PkgPath == "durable"
-	for _, f := range p.Files {
-		for _, body := range functionBodies(f) {
-			if inDurable {
-				checkDurableRename(p, body)
-			} else {
-				inspectOwn(body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok || !isPkgFunc(p, call, "os", "Rename") {
-						return true
-					}
-					p.Report(call, "fsyncorder",
-						"os.Rename here skips the fsync-before/dirsync-after the durability contract requires",
-						"use durable.WriteFileAtomic or durable.Rename")
-					return true
-				})
-			}
-		}
-	}
-}
-
-// fileFact is the forward fact namespace: "open:<var>" a writable file var,
-// "sync:<var>" that file synced with no write since, "path:<var>:<pathvar>"
-// links a file var to the path expression it was opened with.
-func checkDurableRename(p *Pass, body *ast.BlockStmt) {
-	// Gate: only functions that open a writable file themselves are
-	// checked for sync dominance — a function renaming a path it did not
-	// write (recovery sweeps, the Rename helper itself) has no file handle
-	// whose sync state this analysis could track.
-	opens := false
-	var renames []*ast.CallExpr
-	inspectOwn(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if opensWritableFile(p, call) {
-				opens = true
-			}
-			if isPkgFunc(p, call, "os", "Rename") {
-				renames = append(renames, call)
-			}
-		}
-		return true
-	})
-	if len(renames) == 0 {
+	if strings.HasSuffix(p.PkgPath, "/durable") || p.PkgPath == "durable" {
 		return
 	}
-	g := flowBuild(body, p.Info)
-
-	if opens {
-		// Must-forward: does a sync of the opened file dominate each
-		// rename of its path?
-		fileOf := make(map[types.Object]types.Object) // file var -> path var
-		transfer := func(n ast.Node, in flowFacts) flowFacts {
-			as, ok := n.(*ast.AssignStmt)
-			if ok && len(as.Rhs) == 1 {
-				if call, isCall := as.Rhs[0].(*ast.CallExpr); isCall && opensWritableFile(p, call) && len(as.Lhs) > 0 {
-					fobj := aliasRoot(p, as.Lhs[0])
-					if fobj != nil {
-						in["open:"+objKey(fobj)] = true
-						delete(in, "sync:"+objKey(fobj))
-						if len(call.Args) > 0 {
-							if pobj := aliasRoot(p, call.Args[0]); pobj != nil {
-								fileOf[pobj] = fobj
-							}
-						}
-					}
-					return in
-				}
-			}
-			inspectOwn(n, func(m ast.Node) bool {
-				call, isCall := m.(*ast.CallExpr)
-				if !isCall {
-					return true
-				}
-				if fobj := syncedFile(p, call); fobj != nil {
-					in["sync:"+objKey(fobj)] = true
-					return true
-				}
-				// Any other use of an open file var (Write, a bufio wrap,
-				// passing it on) invalidates its synced state.
-				for _, arg := range call.Args {
-					if fobj := aliasRoot(p, arg); fobj != nil && in["open:"+objKey(fobj)] {
-						delete(in, "sync:"+objKey(fobj))
-					}
-				}
-				if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-					if fobj := aliasRoot(p, sel.X); fobj != nil && in["open:"+objKey(fobj)] {
-						if name := sel.Sel.Name; name != "Close" && name != "Name" && name != "Sync" {
-							delete(in, "sync:"+objKey(fobj))
-						}
-					}
-				}
+	for _, f := range p.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || !isPkgFunc(p, call, "os", "Rename") {
 				return true
-			})
-			return in
-		}
-		must := flowForward(g, nil, transfer, false)
-		must.Walk(func(n ast.Node, at flowFacts) {
-			inspectOwn(n, func(m ast.Node) bool {
-				call, isCall := m.(*ast.CallExpr)
-				if !isCall || !isPkgFunc(p, call, "os", "Rename") || len(call.Args) == 0 {
-					return true
-				}
-				pobj := aliasRoot(p, call.Args[0])
-				fobj := fileOf[pobj]
-				if fobj == nil {
-					return true
-				}
-				if !at["sync:"+objKey(fobj)] {
-					p.Report(call, "fsyncorder",
-						"renaming "+types.ExprString(call.Args[0])+" is not dominated by a Sync of the file written to it",
-						"call the fsync seam (or f.Sync) after the last write, before the rename")
-				}
-				return true
-			})
-		})
-	}
-
-	// May-backward: after each rename, is a SyncDir reachable on some
-	// path? (Error paths may return early; the success path must sync.)
-	back := flowBackward(g, nil, func(n ast.Node, in flowFacts) flowFacts {
-		inspectOwn(n, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok && isSyncDirCall(p, call) {
-				in["dirsync"] = true
 			}
+			p.Report(call, "fsyncorder",
+				"os.Rename here skips the fsync-before/dirsync-after the durability contract requires",
+				"use durable.WriteFileAtomic or durable.Rename")
 			return true
 		})
-		return in
-	}, true)
-	reported := make(map[*ast.CallExpr]bool)
-	back.Walk(func(n ast.Node, at flowFacts) {
-		inspectOwn(n, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok || !isPkgFunc(p, call, "os", "Rename") || reported[call] {
-				return true
-			}
-			if !at["dirsync"] {
-				reported[call] = true
-				p.Report(call, "fsyncorder",
-					"no SyncDir is reachable after this rename — the entry may vanish on power loss",
-					"SyncDir(filepath.Dir(newpath)) on the success path")
-			}
-			return true
-		})
-	})
-}
-
-// syncedFile recognizes f.Sync() (os.File method) and fsync-seam calls
-// (any func(*os.File) error applied to f), returning the file object.
-func syncedFile(p *Pass, call *ast.CallExpr) types.Object {
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		obj := p.Info.Uses[sel.Sel]
-		if obj != nil && obj.Name() == "Sync" && obj.Pkg() != nil && obj.Pkg().Path() == "os" {
-			return aliasRoot(p, sel.X)
-		}
 	}
-	if len(call.Args) != 1 {
-		return nil
-	}
-	sig, ok := p.TypeOf(call.Fun).(*types.Signature)
-	if !ok || sig.Params().Len() != 1 {
-		return nil
-	}
-	pt, ok := sig.Params().At(0).Type().(*types.Pointer)
-	if !ok {
-		return nil
-	}
-	named, ok := pt.Elem().(*types.Named)
-	if !ok || named.Obj().Name() != "File" || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "os" {
-		return nil
-	}
-	return aliasRoot(p, call.Args[0])
-}
-
-// isSyncDirCall recognizes SyncDir / durable.SyncDir calls by name.
-func isSyncDirCall(p *Pass, call *ast.CallExpr) bool {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		return fun.Name == "SyncDir"
-	case *ast.SelectorExpr:
-		return fun.Sel.Name == "SyncDir"
-	}
-	return false
-}
-
-// objKey gives a stable per-function fact key for an object.
-func objKey(o types.Object) string {
-	return o.Name() + "#" + strconv.Itoa(int(o.Pos()))
 }

@@ -2,7 +2,10 @@
 // a package loader on stdlib go/parser + go/types plus a registry of rules
 // that enforce the repository's reproducibility invariants (seeded
 // randomness, no wall-clock reads in output paths, deterministic map
-// emission order, epsilon float comparison, handled errors).
+// emission order, epsilon float comparison, handled errors) and three
+// contracts the hot and durable paths rest on (call-scoped buffers are not
+// retained, renames go through internal/durable, //lint:hotpath functions
+// do not allocate).
 //
 // The paper's results hinge on same-seed runs being byte-identical; these
 // invariants are exactly the ones reviewer vigilance keeps missing, so
@@ -14,7 +17,7 @@
 //
 // placed on the offending line or alone on the line above it. The
 // justification is mandatory (and checked): an allow without one is itself
-// a finding.
+// a finding, and so is an allow that no longer suppresses anything.
 package lint
 
 import (
@@ -112,12 +115,9 @@ func Rules() []Rule {
 		MapOrder{},
 		FloatEq{},
 		ErrDrop{},
-		LockBalance{},
-		AtomicMix{},
 		AliasRetain{},
 		FsyncOrder{},
 		HotAlloc{},
-		CtxLeak{},
 	}
 }
 
@@ -169,7 +169,7 @@ type allowDirective struct {
 	alone         bool
 	justification string
 	// used flips when the directive suppresses at least one finding; an
-	// unused directive is stale and flagged by the -allows audit.
+	// unused directive is stale and flagged by Run's allow audit.
 	used bool
 	// file is the position filename, kept for audit listings.
 	file string
@@ -271,14 +271,7 @@ func onlyCommentOnLine(fset *token.FileSet, f *ast.File, c *ast.Comment) bool {
 	return alone
 }
 
-// Run executes the rules over the packages and returns findings sorted by
-// file, line, column, and rule.
-func Run(pkgs []*Package, rules []Rule) []Finding {
-	findings, _ := run(pkgs, rules, false)
-	return findings
-}
-
-// Allow is one //lint:allow directive as listed by the -allows audit.
+// Allow is one well-formed //lint:allow directive as listed by the audit.
 type Allow struct {
 	File          string `json:"file"`
 	Line          int    `json:"line"`
@@ -289,16 +282,13 @@ type Allow struct {
 	Used bool `json:"used"`
 }
 
-// RunAudit is Run plus the allow audit: it additionally returns every
-// well-formed //lint:allow directive in the analyzed packages, and reports
-// directives that suppressed nothing as findings under the "staleallow"
-// pseudo-rule — but only when their rule was actually among the rules run,
-// since an unexercised rule cannot prove its allows stale.
-func RunAudit(pkgs []*Package, rules []Rule) ([]Finding, []Allow) {
-	return run(pkgs, rules, true)
-}
-
-func run(pkgs []*Package, rules []Rule, audit bool) ([]Finding, []Allow) {
+// Run executes the rules over the packages and audits the escape hatches
+// while it is at it. It returns the findings sorted by file, line, column
+// and rule, and every well-formed //lint:allow directive sorted by file,
+// line and rule. A directive that suppressed nothing is itself a finding
+// under the "staleallow" pseudo-rule — but only when its rule was among the
+// rules run, since an unexercised rule cannot prove its allows stale.
+func Run(pkgs []*Package, rules []Rule) ([]Finding, []Allow) {
 	var findings []Finding
 	shared := newAnnotations()
 	passes := make([]*Pass, 0, len(pkgs))
@@ -321,41 +311,39 @@ func run(pkgs []*Package, rules []Rule, audit bool) ([]Finding, []Allow) {
 			r.Check(pass)
 		}
 	}
+	ran := make(map[string]bool, len(rules))
+	for _, r := range rules {
+		ran[r.Name()] = true
+	}
 	var allows []Allow
-	if audit {
-		ran := make(map[string]bool, len(rules))
-		for _, r := range rules {
-			ran[r.Name()] = true
-		}
-		for _, pass := range passes {
-			for _, ds := range pass.allows {
-				for _, d := range ds {
-					allows = append(allows, Allow{
-						File: d.file, Line: d.line, Rule: d.rule,
-						Justification: d.justification, Used: d.used,
+	for _, pass := range passes {
+		for _, ds := range pass.allows {
+			for _, d := range ds {
+				allows = append(allows, Allow{
+					File: d.file, Line: d.line, Rule: d.rule,
+					Justification: d.justification, Used: d.used,
+				})
+				if !d.used && ran[d.rule] {
+					findings = append(findings, Finding{
+						File: d.file, Line: d.line, Col: 1,
+						Rule:       "staleallow",
+						Message:    fmt.Sprintf("//lint:allow %s suppresses nothing — the finding it excused is gone", d.rule),
+						Suggestion: "delete the directive (or re-justify it against a finding that exists)",
 					})
-					if !d.used && ran[d.rule] {
-						findings = append(findings, Finding{
-							File: d.file, Line: d.line, Col: 1,
-							Rule:       "staleallow",
-							Message:    fmt.Sprintf("//lint:allow %s suppresses nothing — the finding it excused is gone", d.rule),
-							Suggestion: "delete the directive (or re-justify it against a finding that exists)",
-						})
-					}
 				}
 			}
 		}
-		sort.Slice(allows, func(i, j int) bool {
-			a, b := allows[i], allows[j]
-			if a.File != b.File {
-				return a.File < b.File
-			}
-			if a.Line != b.Line {
-				return a.Line < b.Line
-			}
-			return a.Rule < b.Rule
-		})
 	}
+	sort.Slice(allows, func(i, j int) bool {
+		a, b := allows[i], allows[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		return a.Rule < b.Rule
+	})
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
 		if a.File != b.File {

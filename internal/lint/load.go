@@ -9,6 +9,7 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -173,20 +174,20 @@ func PackageDirs(root string) ([]string, error) {
 	return out, nil
 }
 
-// LoadModuleParallel loads every package under the module rooted at (or
-// above) dir whose directory matches one of the patterns. Patterns follow
-// the go tool shape: "./..." loads everything, "./internal/world" one
-// package, "./internal/..." a subtree. An empty pattern list means "./...".
+// LoadModule loads every package under the module rooted at (or above) dir
+// whose directory matches one of the patterns. Patterns follow the go tool
+// shape: "./..." loads everything, "./internal/world" one package,
+// "./internal/..." a subtree. An empty pattern list means "./...".
 //
-// The type-checking is fanned out over a bounded pool of workers (at least
-// one). Type-checking dominates whole-module lint time,
-// so this is where the parallelism pays; rules still run sequentially over
-// the loaded packages (the annotation index and finding order stay trivially
-// deterministic that way). Each worker owns a private Loader — the source
-// importer's cache is not safe for concurrent use — and packages come back
-// in directory order no matter which worker finished first, so output is
-// byte-identical across runs and worker counts.
-func LoadModuleParallel(dir string, patterns []string, workers int) ([]*Package, error) {
+// The type-checking is fanned out over runtime.GOMAXPROCS(0) workers.
+// Type-checking dominates whole-module lint time, so this is where the
+// parallelism pays; rules still run sequentially over the loaded packages
+// (the annotation index and finding order stay trivially deterministic that
+// way). The workers share one Loader, so each dependency is type-checked
+// once behind its locked import cache, and packages come back in directory
+// order no matter which worker finished first, so output is byte-identical
+// across runs and worker counts.
+func LoadModule(dir string, patterns []string) ([]*Package, error) {
 	root, modPath, err := ModuleRoot(dir)
 	if err != nil {
 		return nil, err
@@ -210,12 +211,7 @@ func LoadModuleParallel(dir string, patterns []string, workers int) ([]*Package,
 			paths[i] = modPath + "/" + filepath.ToSlash(rel)
 		}
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(keep) {
-		workers = len(keep)
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(keep))
 	l := NewLoader()
 	pkgs := make([]*Package, len(keep))
 	errs := make([]error, len(keep))

@@ -1,82 +1,13 @@
-// Package durable exercises the in-durable layer of the fsyncorder rule:
-// direct os.Rename is the implementation here, so the flow checks take
-// over — Sync must dominate the rename of a written temp file, and a
-// SyncDir must be reachable after it.
+// Package durable exercises fsyncorder's one exemption: inside a durable
+// package os.Rename is the implementation, so calling it directly is not a
+// finding. The fsync order around the rename is pinned by the real
+// package's tests, not by the rule.
 package durable
 
 import "os"
 
-// fsync is the injectable seam, as in the real internal/durable.
-var fsync = (*os.File).Sync
-
-// WriteGood follows the full contract — no finding.
-func WriteGood(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := fsync(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return SyncDir(".")
-}
-
-// WriteNoSync renames a written temp file no path ever synced.
-func WriteNoSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil { // want fsyncorder
-		return err
-	}
-	return SyncDir(".")
-}
-
-// WriteNoDirSync syncs the file but never the directory.
-func WriteNoDirSync(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := fsync(f); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path) // want fsyncorder
-}
-
-// RenameOnly moves a file it never wrote (a recovery sweep): the sync
-// dominance gate does not apply, but the dir sync still must follow.
-func RenameOnly(old, new string) error {
+// Rename moves a file and syncs its directory, as in the real package.
+func Rename(old, new string) error {
 	if err := os.Rename(old, new); err != nil {
 		return err
 	}

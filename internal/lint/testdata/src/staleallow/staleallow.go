@@ -1,4 +1,4 @@
-// Package staleallow exercises the -allows audit: a well-formed directive
+// Package staleallow exercises the allow audit: a well-formed directive
 // that no longer suppresses any finding is itself a finding, because a
 // stale allow silently licenses the next real violation on its line.
 package staleallow

@@ -247,12 +247,31 @@ func TestEngineCopyOnWriteIsolation(t *testing.T) {
 
 	// A replayed round must be dropped, not corrupt state.
 	e.PublishRound(0, 2, deltas)
+	mustBeUnlocked(t, e, "a replayed PublishRound")
 	if got := e.Epoch(); got.Rounds != 4 {
 		t.Fatalf("replayed round advanced the epoch to %d", got.Rounds)
 	}
 	if reg.Snapshot().Counter("serve.publish_ignored") == 0 {
 		t.Fatal("replayed round was not counted as ignored")
 	}
+	// So must a round for a shard the run does not have.
+	e.PublishRound(7, 4, deltas)
+	mustBeUnlocked(t, e, "a PublishRound for an unknown shard")
+	e.PublishRound(0, 4, deltas)
+	if got := e.Epoch(); got.Rounds != 5 {
+		t.Fatalf("after the dropped rounds, round 4 left epoch %d, want 5", got.Rounds)
+	}
+}
+
+// mustBeUnlocked fails the test if the call just made returned still
+// holding the writer mutex — the early returns that drop a publication or
+// a resync each release it by hand.
+func mustBeUnlocked(t *testing.T, e *Engine, call string) {
+	t.Helper()
+	if !e.mu.TryLock() {
+		t.Fatalf("%s returned holding e.mu", call)
+	}
+	e.mu.Unlock()
 }
 
 func TestStreamingClassifier(t *testing.T) {
@@ -589,6 +608,7 @@ func TestResyncRejectsRaggedSeries(t *testing.T) {
 	} {
 		ignored := reg.Snapshot().Counter("serve.publish_ignored")
 		e.ResyncShard(0, 4, blocks)
+		mustBeUnlocked(t, e, "a rejected ResyncShard")
 		if got := reg.Snapshot().Counter("serve.publish_ignored"); got != ignored+1 {
 			t.Errorf("%s series: publish_ignored went %d → %d, want one more", name, ignored, got)
 		}

@@ -3,11 +3,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -192,6 +196,96 @@ func TestHTTPMethodAndDegraded(t *testing.T) {
 	if w := get(t, s, "/v1/block/10.0.1"); w.Header().Get(HeaderDegraded) != "true" {
 		t.Fatal("degraded engine served without the degraded header")
 	}
+}
+
+// serveGoroutines counts live goroutines (other than the calling one) with
+// a frame in this package, the way the monitor's soak test counts its own.
+func serveGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := runtime.Stack(buf, true)
+	count := 0
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		if strings.Contains(g, "serveGoroutines") {
+			continue // the caller
+		}
+		if strings.Contains(g, "internal/serve") {
+			count++
+		}
+	}
+	return count
+}
+
+// failingListener's Accept fails at once, the way a closed socket does.
+type failingListener struct{ net.Listener }
+
+var errListenerGone = errors.New("listener gone")
+
+func (failingListener) Accept() (net.Conn, error) { return nil, errListenerGone }
+
+// TestServeLeaksNoGoroutines: Serve's shutdown watcher exits on both of
+// Serve's ways out — a cancelled ctx, and a listener that fails — so the
+// package's goroutine count returns to where it was before Serve ran.
+func TestServeLeaksNoGoroutines(t *testing.T) {
+	settled := func(t *testing.T, before int) {
+		t.Helper()
+		got := serveGoroutines()
+		for i := 0; i < 200 && got > before; i++ {
+			time.Sleep(time.Millisecond)
+			got = serveGoroutines()
+		}
+		if got > before {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("goroutine leak: %d serve goroutines before, %d after Serve returned\n%s",
+				before, got, buf[:runtime.Stack(buf, true)])
+		}
+	}
+
+	t.Run("cancelled", func(t *testing.T) {
+		before := serveGoroutines()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- downServer(10, ServerConfig{}).Serve(ctx, ln) }()
+		// One request proves the server is up before it is cancelled.
+		client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+		resp, err := client.Get("http://" + ln.Addr().String() + "/v1/summary")
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Serve after cancel = %v, want nil", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Serve did not return after its ctx was cancelled")
+		}
+		settled(t, before)
+	})
+
+	t.Run("listener error", func(t *testing.T) {
+		before := serveGoroutines()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		// ctx stays live until the count is checked: only Serve's own
+		// return may stop its watcher.
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		err = downServer(10, ServerConfig{}).Serve(ctx, failingListener{ln})
+		if !errors.Is(err, errListenerGone) {
+			t.Fatalf("Serve over a failing listener = %v, want %v", err, errListenerGone)
+		}
+		settled(t, before)
+	})
 }
 
 func TestBudgetConnDisconnectsOverBudget(t *testing.T) {
