@@ -9,7 +9,11 @@
 //
 //	sleepscan [-blocks N] [-days N] [-seed N] [-restarts] [-json]
 //	          [-loss P] [-corrupt P] [-ratelimit N] [-blackout-every D -blackout-for D]
-//	          [-skew D] [-drift D] [-retries N] [-checkpoint FILE [-resume]]
+//	          [-skew D] [-drift D] [-retries N] [-o FILE [-resume]] [-csv FILE]
+//
+// -o saves the study to FILE as it is measured, one block a line; a run
+// that is killed is finished by the same command with -resume, and the
+// completed file is what cmd/inspect reads.
 //
 // The monitor subcommand runs the measurement as a crash-tolerant service
 // with durable WAL recovery and graceful signal drain:
@@ -32,7 +36,6 @@ import (
 
 	"sleepnet/internal/analysis"
 	"sleepnet/internal/core"
-	"sleepnet/internal/dataset"
 	"sleepnet/internal/dsp"
 	"sleepnet/internal/faults"
 	"sleepnet/internal/geo"
@@ -57,7 +60,7 @@ func main() {
 	restarts := flag.Bool("restarts", true, "model 5.5h prober restarts")
 	asJSON := flag.Bool("json", false, "emit machine-readable JSON summary")
 	outages := flag.Float64("outages", 0.15, "base outage episodes per block-week (0 disables)")
-	savePath := flag.String("o", "", "save the measured dataset to this file")
+	savePath := flag.String("o", "", "save the study to this file as it is measured (read by inspect)")
 	csvPath := flag.String("csv", "", "export per-block records as CSV to this file")
 	loss := flag.Float64("loss", 0, "inject this probe loss probability")
 	corrupt := flag.Float64("corrupt", 0, "inject this reply corruption probability")
@@ -67,10 +70,13 @@ func main() {
 	skew := flag.Duration("skew", 0, "constant prober clock skew")
 	drift := flag.Duration("drift", 0, "prober clock drift per day")
 	retries := flag.Int("retries", 0, "retry attempts per probe for local send failures (0 = off)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint measured blocks to this file")
-	resume := flag.Bool("resume", false, "resume from -checkpoint, skipping measured blocks")
+	resume := flag.Bool("resume", false, "resume the study in -o, measuring only the blocks it lacks")
 	withMetrics := flag.Bool("metrics", false, "instrument the run and report its cost metrics")
 	flag.Parse()
+	if *resume && *savePath == "" {
+		fmt.Fprintln(os.Stderr, "sleepscan: -resume needs -o")
+		os.Exit(2)
+	}
 
 	w, err := world.Generate(world.Config{
 		Blocks:              *blocks,
@@ -94,7 +100,7 @@ func main() {
 			ClockDriftPerDay:  *drift,
 		},
 		Retry:          trinocular.RetryConfig{MaxAttempts: *retries},
-		CheckpointPath: *checkpoint,
+		CheckpointPath: *savePath,
 		Resume:         *resume,
 	}
 	if *restarts {
@@ -113,6 +119,9 @@ func main() {
 	fatal(err)
 	//lint:allow nowallclock: CLI-only elapsed display; never written into datasets or reports
 	elapsed := time.Since(t0)
+	if *csvPath != "" {
+		fatal(writeCSV(st, *csvPath))
+	}
 
 	strict, either := st.DiurnalFraction()
 	counts := st.CountByClass()
@@ -231,30 +240,24 @@ func main() {
 		fmt.Print(report.Metrics(reg.Snapshot()))
 	}
 
-	saveDataset(st, reg, *savePath, *csvPath)
+	if *savePath != "" {
+		fmt.Printf("\nstudy saved to %s (%d blocks)\n", *savePath, len(st.Blocks))
+	}
+	if *csvPath != "" {
+		fmt.Printf("CSV exported to %s\n", *csvPath)
+	}
 }
 
-// saveDataset persists the study when output paths were requested, attaching
-// the run-cost snapshot when the campaign was instrumented.
-func saveDataset(st *analysis.Study, reg *metrics.Registry, savePath, csvPath string) {
-	if savePath == "" && csvPath == "" {
-		return
+func writeCSV(st *analysis.Study, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	ds := dataset.FromStudy(st)
-	if reg != nil {
-		ds.Metrics = reg.Snapshot()
+	if err := st.WriteCSV(f); err != nil {
+		_ = f.Close() // best effort: the write error is the one to surface
+		return err
 	}
-	if savePath != "" {
-		fatal(ds.Save(savePath))
-		fmt.Printf("\ndataset saved to %s (%d records)\n", savePath, len(ds.Blocks))
-	}
-	if csvPath != "" {
-		f, err := os.Create(csvPath)
-		fatal(err)
-		fatal(ds.ExportCSV(f))
-		fatal(f.Close())
-		fmt.Printf("CSV exported to %s\n", csvPath)
-	}
+	return f.Close()
 }
 
 func fatal(err error) {

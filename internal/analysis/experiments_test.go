@@ -353,7 +353,7 @@ func TestSweepDurationSigmaRobust(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	cfg := SweepConfig{Batches: 1, PerBatch: 1, Weeks: 2, Stable: 200, NDiurnal: 200}
+	cfg := SweepConfig{Batches: 1, PerBatch: 1, Weeks: 2, NDiurnal: 206}
 	if _, err := RunSweepPoint(0, cfg); err == nil {
 		t.Fatal("overfull population should error")
 	}

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sleepnet/internal/faults"
 	"sleepnet/internal/trinocular"
@@ -26,7 +27,8 @@ func blockJSON(t *testing.T, mb MeasuredBlock) string {
 
 // TestMeasureWorldCheckpointResume simulates a killed study: a complete
 // checkpoint file is truncated to a prefix plus a torn trailing line, and the
-// resumed run must reproduce the uninterrupted study exactly.
+// resumed run must reproduce the uninterrupted study exactly. A file holds a
+// header, one line a block and the trailer.
 func TestMeasureWorldCheckpointResume(t *testing.T) {
 	w, err := world.Generate(world.Config{Blocks: 50, Seed: 77})
 	if err != nil {
@@ -69,8 +71,8 @@ func TestMeasureWorldCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 1+len(w.Blocks) {
-		t.Fatalf("checkpoint has %d lines, want %d", len(lines), 1+len(w.Blocks))
+	if len(lines) != 2+len(w.Blocks) {
+		t.Fatalf("checkpoint has %d lines, want %d", len(lines), 2+len(w.Blocks))
 	}
 	truncated := strings.Join(lines[:21], "\n") + "\n" + lines[21][:len(lines[21])/2]
 	if err := os.WriteFile(ckpt, []byte(truncated), 0o644); err != nil {
@@ -95,8 +97,8 @@ func TestMeasureWorldCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	lines = strings.Split(strings.TrimRight(string(data), "\n"), "\n")
-	if len(lines) != 1+len(w.Blocks) {
-		t.Fatalf("post-resume checkpoint has %d lines, want %d", len(lines), 1+len(w.Blocks))
+	if len(lines) != 2+len(w.Blocks) {
+		t.Fatalf("post-resume checkpoint has %d lines, want %d", len(lines), 2+len(w.Blocks))
 	}
 
 	t.Run("torn mid-file is rejected", func(t *testing.T) {
@@ -113,10 +115,31 @@ func TestMeasureWorldCheckpointResume(t *testing.T) {
 	})
 
 	t.Run("mismatched campaign is rejected", func(t *testing.T) {
-		cfg := resumed
-		cfg.Seed = 78 // different campaign, same file
-		if _, err := MeasureWorld(w, cfg); err == nil {
-			t.Fatal("resume accepted a checkpoint from a different campaign")
+		// The same world with outages scheduled: same blocks, same ids.
+		outaged, err := world.Generate(world.Config{Blocks: 50, Seed: 77, OutagesPerBlockWeek: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			w    *world.World
+			edit func(*StudyConfig)
+		}{
+			{"seed", w, func(c *StudyConfig) { c.Seed = 78 }},
+			{"restarts", w, func(c *StudyConfig) { c.RestartInterval = 5*time.Hour + 30*time.Minute }},
+			{"faults", w, func(c *StudyConfig) { c.Faults.LossRate = 0.5 }},
+			{"retry", w, func(c *StudyConfig) { c.Retry.MaxAttempts = 3 }},
+			{"artifact rates", w, func(c *StudyConfig) { c.MissingRate = 0.3 }},
+			{"world outages", outaged, func(*StudyConfig) {}},
+		} {
+			t.Run(c.name, func(t *testing.T) {
+				cfg := resumed
+				c.edit(&cfg)
+				_, err := MeasureWorld(c.w, cfg)
+				if err == nil || !strings.Contains(err.Error(), "different campaign") {
+					t.Fatalf("resume into a different campaign: err = %v", err)
+				}
+			})
 		}
 	})
 

@@ -13,7 +13,7 @@ import (
 )
 
 // SweepConfig describes the controlled diurnal-block simulation of §3.2.2:
-// one /24 with Stable always-on addresses and NDiurnal addresses that are
+// one /24 with sweepStable always-on addresses and NDiurnal addresses that are
 // up for upHours and down the rest of each day, with phase spread Φ and
 // per-day duration noise. The sweep repeats the experiment
 // PerBatch times in each of Batches batches and reports detection accuracy
@@ -22,7 +22,6 @@ type SweepConfig struct {
 	Batches  int // default 10 (paper)
 	PerBatch int // default 100 (paper)
 	Weeks    int // default 4 (paper)
-	Stable   int // default 50 (paper)
 	NDiurnal int // default 100 (paper)
 	// PhaseSpread is Φ: each address's daily on-time is drawn once,
 	// uniformly in [0, Φ] after the base hour.
@@ -33,8 +32,13 @@ type SweepConfig struct {
 	Workers       int
 }
 
-// upHours is the daily on-period length.
-const upHours = 8
+const (
+	// upHours is the daily on-period length.
+	upHours = 8
+	// sweepStable is the number of always-on addresses in the simulated
+	// block (the paper's 50).
+	sweepStable = 50
+)
 
 func (c SweepConfig) withDefaults() SweepConfig {
 	if c.Batches == 0 {
@@ -45,9 +49,6 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	}
 	if c.Weeks == 0 {
 		c.Weeks = 4
-	}
-	if c.Stable == 0 {
-		c.Stable = 50
 	}
 	if c.NDiurnal == 0 {
 		c.NDiurnal = 100
@@ -81,8 +82,8 @@ type SweepPoint struct {
 // Figs 7–9.
 func RunSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NDiurnal < 1 || cfg.NDiurnal+cfg.Stable > 255 {
-		return SweepPoint{}, fmt.Errorf("analysis: bad population %d stable + %d diurnal", cfg.Stable, cfg.NDiurnal)
+	if cfg.NDiurnal < 1 || cfg.NDiurnal+sweepStable > 255 {
+		return SweepPoint{}, fmt.Errorf("analysis: bad population %d stable + %d diurnal", sweepStable, cfg.NDiurnal)
 	}
 	pt := SweepPoint{X: x, BatchAccuracy: make([]float64, cfg.Batches)}
 	type job struct{ batch, exp int }
@@ -149,7 +150,7 @@ func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 	blk := &netsim.Block{ID: id, Seed: seed}
 	var hosts netsim.Hosts
 	h := 0
-	for ; h < cfg.Stable; h++ {
+	for ; h < sweepStable; h++ {
 		hosts[h] = netsim.AlwaysOn{}
 	}
 	// Base on-time 09:00 plus a per-address uniform offset in [0, Φ].

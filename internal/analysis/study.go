@@ -87,14 +87,16 @@ type Study struct {
 	Cfg core.PipelineConfig
 }
 
-// StudyConfig controls a world measurement.
+// StudyConfig controls a world measurement. A saved study's header records
+// it (checkpoint.go); the fields tagged json:"-" change nothing a block
+// records and are left out of the campaign's identity.
 type StudyConfig struct {
 	// Days of probing (default 14).
 	Days int
 	// Seed for the pipeline (artifact injection, walks).
 	Seed uint64
 	// Workers bounds parallelism (default GOMAXPROCS).
-	Workers int
+	Workers int `json:"-"`
 	// RestartInterval forwards the prober restart artifact (zero: none).
 	RestartInterval time.Duration
 	// MissingRate/DuplicateRate forward collection artifacts.
@@ -105,15 +107,16 @@ type StudyConfig struct {
 	Faults faults.Config
 	// Retry forwards the prober's retry policy for vantage-local failures.
 	Retry trinocular.RetryConfig
-	// CheckpointPath, when set, appends each measured block to a JSONL
-	// checkpoint file as it completes.
-	CheckpointPath string
+	// CheckpointPath, when set, saves the study to this JSONL file: each
+	// measured block is appended as it completes, and a trailer marks the
+	// study complete (LoadStudy reads it back).
+	CheckpointPath string `json:"-"`
 	// Resume skips blocks already present in CheckpointPath.
-	Resume bool
+	Resume bool `json:"-"`
 	// Metrics, when non-nil, receives study-level counters (blocks measured,
 	// sparse, failed, partial, quarantined) and is forwarded to the pipeline
 	// and prober underneath.
-	Metrics *metrics.Registry
+	Metrics *metrics.Registry `json:"-"`
 }
 
 func (c StudyConfig) withDefaults() StudyConfig {
@@ -173,14 +176,13 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 	// are loaded from the JSONL file and skipped; newly measured blocks are
 	// appended as they complete.
 	var cw *checkpointWriter
-	done := make(map[int]bool)
+	var done map[int]bool
 	if sc.CheckpointPath != "" {
 		var err error
 		cw, done, err = openCheckpoint(sc.CheckpointPath, w, sc, study)
 		if err != nil {
 			return nil, err
 		}
-		defer cw.Close()
 	}
 
 	todo := make([]int, 0, len(w.Blocks)) // world indexes still to measure
@@ -206,8 +208,15 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 			ckptErr.set(cw.Append(i, mb))
 		}
 	})
+	if cw == nil {
+		return study, nil
+	}
 	if ckptErr.err != nil {
+		_ = cw.f.Close() // best effort: the append error is the one to surface; the file stays resumable
 		return nil, ckptErr.err
+	}
+	if err := cw.Finish(sc.Metrics); err != nil {
+		return nil, err
 	}
 	return study, nil
 }

@@ -50,8 +50,6 @@ type Config struct {
 	// BlackoutEvery, all probes fail locally with a send error.
 	BlackoutEvery time.Duration
 	BlackoutFor   time.Duration
-	// Blackouts lists additional explicit blackout windows.
-	Blackouts []netsim.Interval
 	// Epoch anchors drift and periodic blackouts; campaigns set it to their
 	// start time. Drift and periodic blackouts are disabled while zero.
 	Epoch time.Time
@@ -61,7 +59,7 @@ type Config struct {
 func (c Config) Active() bool {
 	return c.LossRate > 0 || c.CorruptRate > 0 || c.RateLimitPerRound > 0 ||
 		c.ClockSkew != 0 || c.ClockDriftPerDay != 0 ||
-		(c.BlackoutEvery > 0 && c.BlackoutFor > 0) || len(c.Blackouts) > 0
+		(c.BlackoutEvery > 0 && c.BlackoutFor > 0)
 }
 
 // Stats counts injected faults, globally or for one block.
@@ -153,18 +151,11 @@ func (in *Injector) skewed(now time.Time) time.Time {
 
 // blackedOut reports whether the vantage point is down at now.
 func (in *Injector) blackedOut(now time.Time) bool {
-	for _, iv := range in.cfg.Blackouts {
-		if iv.Contains(now) {
-			return true
-		}
+	if in.cfg.BlackoutEvery <= 0 || in.cfg.BlackoutFor <= 0 || in.cfg.Epoch.IsZero() {
+		return false
 	}
-	if in.cfg.BlackoutEvery > 0 && in.cfg.BlackoutFor > 0 && !in.cfg.Epoch.IsZero() {
-		since := now.Sub(in.cfg.Epoch)
-		if since >= 0 && since%in.cfg.BlackoutEvery < in.cfg.BlackoutFor {
-			return true
-		}
-	}
-	return false
+	since := now.Sub(in.cfg.Epoch)
+	return since >= 0 && since%in.cfg.BlackoutEvery < in.cfg.BlackoutFor
 }
 
 // OutboundBatch implements netsim.Tap: one lock acquisition decides the

@@ -120,10 +120,25 @@ func TestBlackouts(t *testing.T) {
 	if _, v := outbound1(in, addr(1), epoch.Add(time.Hour+2*time.Minute)); v != netsim.TapSendError {
 		t.Fatalf("inside second blackout: %v, want send error", v)
 	}
-	// Explicit windows work without a periodic schedule.
-	in2 := New(Config{Blackouts: []netsim.Interval{{Start: epoch, End: epoch.Add(time.Minute)}}})
-	if _, v := outbound1(in2, addr(1), epoch.Add(30*time.Second)); v != netsim.TapSendError {
-		t.Fatalf("explicit blackout: %v, want send error", v)
+	// A one-minute window a day: its edges, and nothing before the epoch.
+	daily := New(Config{BlackoutEvery: 24 * time.Hour, BlackoutFor: time.Minute, Epoch: epoch})
+	for _, c := range []struct {
+		at   time.Duration
+		want netsim.TapVerdict
+	}{
+		{30 * time.Second, netsim.TapSendError},
+		{time.Minute, netsim.TapDeliver},
+		{24*time.Hour + 59*time.Second, netsim.TapSendError},
+		{-time.Hour, netsim.TapDeliver},
+	} {
+		if _, v := outbound1(daily, addr(1), epoch.Add(c.at)); v != c.want {
+			t.Fatalf("daily blackout at epoch%+v: %v, want %v", c.at, v, c.want)
+		}
+	}
+	// Without an epoch there is no schedule to anchor, so nothing blacks out.
+	unanchored := New(Config{BlackoutEvery: time.Hour, BlackoutFor: 10 * time.Minute})
+	if _, v := outbound1(unanchored, addr(1), epoch.Add(5*time.Minute)); v != netsim.TapDeliver {
+		t.Fatalf("blackout without an epoch: %v, want deliver", v)
 	}
 }
 
@@ -225,7 +240,7 @@ func TestNetworkIntegration(t *testing.T) {
 	}
 
 	// Blackout: SendFailed set, so the prober can tell it apart.
-	net.SetTap(New(Config{Blackouts: []netsim.Interval{{Start: epoch, End: epoch.Add(time.Hour)}}}))
+	net.SetTap(New(Config{BlackoutEvery: 24 * time.Hour, BlackoutFor: time.Hour, Epoch: epoch}))
 	r = probeOnce(2, epoch.Add(time.Minute))
 	if !r.SendFailed {
 		t.Fatalf("blackout: got %+v, want SendFailed", r)

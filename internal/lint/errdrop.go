@@ -8,8 +8,9 @@ import (
 )
 
 // ErrDrop flags statement-position calls whose error result vanishes: the
-// checkpoint/resume and dataset paths depend on I/O errors actually
-// propagating (a dropped Save error means a silent half-written study).
+// saved-study checkpoint and resume depend on I/O errors actually
+// propagating (a dropped append or fsync error means a silent half-written
+// study).
 // Explicit discards (`_ = f()`) stay legal — they are visible in review —
 // as do calls that cannot fail by contract: fmt printing to
 // stdout/stderr/in-memory buffers and *bytes.Buffer / *strings.Builder

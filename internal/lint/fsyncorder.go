@@ -7,8 +7,8 @@ package lint
 // outside a durable package calling os.Rename directly is the finding —
 // every atomic replace in this codebase must go through the helpers, or the
 // fsync gets forgotten exactly once (it did: the analysis checkpoint rewrite
-// and dataset.Save both renamed without a sync until this rule flagged
-// them). Inside durable, where os.Rename is the implementation, the order
+// and the since-deleted dataset save both renamed without a sync until this
+// rule flagged them). Inside durable, where os.Rename is the implementation, the order
 // itself is pinned by the package's tests (TestSealOrder,
 // TestCreateSyncsDirectory, TestWriteFileAtomic, TestRenameDurable).
 

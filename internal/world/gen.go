@@ -97,7 +97,9 @@ type World struct {
 	// ISPs lists every operator; ASNOrg maps ASN to operator name.
 	ISPs   []*ISP
 	ASNOrg map[int]string
-	Seed   uint64
+	// Config is the (defaulted) configuration the world was generated
+	// from: Generate(w.Config) rebuilds the same world.
+	Config Config
 }
 
 // Generate builds a synthetic world of cfg.Blocks /24 blocks.
@@ -111,7 +113,7 @@ func Generate(cfg Config) (*World, error) {
 		ByID:       make(map[netsim.BlockID]*BlockInfo),
 		AllocDates: make(map[int]time.Time),
 		ASNOrg:     make(map[int]string),
-		Seed:       cfg.Seed,
+		Config:     cfg,
 	}
 	r := rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x51eef))
 	total := TotalWeight()
