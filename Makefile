@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check agree experiments-doc fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair loadgen
+.PHONY: all build vet test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair loadgen
 
 all: check
 
@@ -33,24 +33,19 @@ lint-fixtures:
 	$(GO) test -count=1 -run='TestFixturesGolden|TestRuleIsolation' ./internal/lint
 	$(GO) test -count=1 -run='TestFixtureExitCodes' ./cmd/sleeplint
 
-# agree runs the streaming-vs-batch agreement gate: the seeded sweep's
-# confusion matrices must clear the committed accuracy contract
-# (internal/agree/contract.go) and the report must be byte-identical across
-# same-seed runs. -count=1 defeats the test cache so the gate always
-# re-measures.
-agree:
-	$(GO) test -count=1 -run='TestAgreementContract|TestAgreementGoldenDeterminism' ./internal/agree
-
 # experiments-doc reruns every artifact of the cmd/experiments registry at
 # -quick, seed 42, and rewrites EXPERIMENTS.md's generated tables from their
 # headline numbers. Plain `go test ./cmd/experiments` fails while the file
-# and the registry disagree.
+# and the registry disagree, or while a gating claim (the agree artifact's
+# streaming-vs-batch floors among them) misses its band; no rewrite happens
+# then.
 experiments-doc:
 	SLEEPNET_UPDATE_GOLDEN=1 $(GO) test -count=1 -run='^TestExperimentsDoc$$' ./cmd/experiments
 
-# check is the CI gate: vet, build, sleeplint, the full test suite under
-# the race detector, and the streaming-vs-batch agreement contract.
-check: vet build lint race agree
+# check is the CI gate: vet, build, sleeplint and the full test suite under
+# the race detector, whose TestExperimentsDoc fails on any gating claim of
+# the cmd/experiments registry that misses its band.
+check: vet build lint race
 
 # fuzz runs the icmp parser fuzzer for a short budget.
 fuzz:

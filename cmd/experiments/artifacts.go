@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"sleepnet/internal/agree"
 	"sleepnet/internal/analysis"
 	"sleepnet/internal/core"
 	"sleepnet/internal/geo"
@@ -841,37 +840,11 @@ func faultsweep(e *env) []claim {
 func agreement(e *env) []claim {
 	e.printf("Extension: streaming-vs-batch classifier agreement (confusion matrices\n")
 	e.printf("per world scenario × fault level; batch FFT pipeline is the oracle)\n")
-	cfg := agree.Config{Seed: e.seed}
+	blocks, days := 150, 7
 	if e.quick {
-		cfg.Blocks, cfg.Days = 90, 5
+		blocks, days = 90, 5
 	}
-	rep := must(agree.Run(cfg))
-	e.printf("%s", rep.Markdown())
-	minStrict := 1.0
-	for _, c := range rep.Conditions {
-		minStrict = math.Min(minStrict, c.StrictAgree)
-	}
-	bad := agree.DefaultContract().Check(rep)
-	claims := []claim{
-		pct("strict agree, worst condition", "", 0.93, 1, minStrict),
-		{name: "contract violations", lo: 0, hi: 0, got: float64(len(bad)), verb: "%.0f", gate: true},
-	}
-	if len(bad) != 0 {
-		e.printf("\ncontract VIOLATED:\n")
-		for _, b := range bad {
-			e.printf("  - %s\n", b)
-		}
-		return claims
-	}
-	e.printf("\ncontract: PASS (thresholds in internal/agree/contract.go)\n")
-	if e.agreeOut != "" {
-		f := must(os.Create(e.agreeOut))
-		err := rep.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		check(err)
-		e.printf("agreement report written to %s\n", e.agreeOut)
-	}
-	return claims
+	rep := must(runAgree(e.seed, blocks, days))
+	e.printf("%s", rep.markdown())
+	return rep.claims()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -29,15 +30,25 @@ func quickClaims(t *testing.T) map[string][]claim {
 	return claims
 }
 
-// TestExperimentsDoc holds EXPERIMENTS.md's paper, extension and ablation
-// tables to what the registry renders from the -quick seed-42 run: a
-// hand-edited cell, or an artifact whose numbers moved, fails here.
-// SLEEPNET_UPDATE_GOLDEN=1 rewrites the tables in place.
+// TestExperimentsDoc is the registry's gate. It fails on any gating claim
+// of the -quick seed-42 run that misses its band, before it looks at the
+// document, so SLEEPNET_UPDATE_GOLDEN cannot write a miss into it. Then it
+// holds EXPERIMENTS.md's paper, extension and ablation tables to what the
+// registry renders from that run: a hand-edited cell, or an artifact whose
+// numbers moved, fails here. SLEEPNET_UPDATE_GOLDEN=1 rewrites the tables
+// in place.
 func TestExperimentsDoc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every artifact")
 	}
 	claims := quickClaims(t)
+	var missed []string
+	for _, a := range registry {
+		missed = append(missed, gateMisses(a.id, claims[a.id])...)
+	}
+	if len(missed) > 0 {
+		t.Fatalf("gating claims missed their bands:\n  %s", strings.Join(missed, "\n  "))
+	}
 	raw, err := os.ReadFile(docPath)
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +79,30 @@ func TestExperimentsDoc(t *testing.T) {
 		}
 	}
 	t.Fatalf("%s differs from the registry in length (make experiments-doc rewrites it)", docPath)
+}
+
+// TestGateMisses checks that the gate can fail: a gating claim outside its
+// band is reported, with its measured value and band; one inside its band,
+// or an ungated one outside it, is not.
+func TestGateMisses(t *testing.T) {
+	gated := func(c claim) claim { c.gate = true; return c }
+	claims := []claim{
+		gated(pct("clean strict agree", "", 0.97, 1, 0.9675)),
+		gated(pct("clean unknown", "", 0, 0.02, 0.01)),
+		pct("fig4 r", "0.957", 0.9, 1, 0.879),
+		gated(num("compared", "", "%.0f", 20, math.Inf(1), 19)),
+	}
+	got := gateMisses("agree", claims)
+	want := []string{
+		"agree: clean strict agree 96.8% not in [97.0%, 100.0%]",
+		"agree: compared 19 not in [20, +Inf]",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("gateMisses = %q, want %q", got, want)
+	}
+	if got := gateMisses("agree", claims[1:3]); len(got) != 0 {
+		t.Fatalf("gateMisses reported claims that pass the gate: %q", got)
+	}
 }
 
 // BenchmarkArtifact times each artifact at -quick scale. The shared world

@@ -34,7 +34,6 @@ var (
 	flagMetricsOut = flag.String("metricsout", "", "write the metrics snapshot as JSON to this file")
 	flagCPUProfile = flag.String("cpuprofile", "", "write a pprof CPU profile of the selected experiments to this file")
 	flagMemProfile = flag.String("memprofile", "", "write a pprof heap profile taken after the selected experiments to this file")
-	flagAgreeOut   = flag.String("agreeout", "", "write the agree experiment's report as JSON to this file")
 )
 
 // exitOn ends the command with err.
@@ -95,7 +94,7 @@ func main() {
 		}()
 	}
 	e := newEnv(os.Stdout, *flagSeed, *flagBlocks, *flagDays, *flagQuick)
-	e.pngDir, e.agreeOut = *flagPNG, *flagAgreeOut
+	e.pngDir = *flagPNG
 	if *flagMetrics || *flagMetricsOut != "" {
 		e.metrics = metrics.New()
 		dsp.SetMetrics(e.metrics)
@@ -108,11 +107,7 @@ func main() {
 		e.printf("\n===== %s =====\n", id)
 		claims, err := e.run(lookup(id))
 		exitOn(err)
-		for _, c := range claims {
-			if c.gate && !c.holds() {
-				failed = append(failed, id+": "+c.name)
-			}
-		}
+		failed = append(failed, gateMisses(id, claims)...)
 	}
 	if e.metrics != nil {
 		snap := e.metrics.Snapshot()

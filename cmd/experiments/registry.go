@@ -58,6 +58,20 @@ func num(name, paper, verb string, lo, hi, got float64) claim {
 
 func (c claim) holds() bool { return c.got >= c.lo && c.got <= c.hi }
 
+// gateMisses lists each gating claim of artifact id that misses its band.
+// The experiments command exits 1 on any, and TestExperimentsDoc fails on
+// any before it compares or rewrites a table.
+func gateMisses(id string, claims []claim) []string {
+	var missed []string
+	for _, c := range claims {
+		if c.gate && !c.holds() {
+			missed = append(missed, fmt.Sprintf("%s: %s %s not in [%s, %s]",
+				id, c.name, c.format(c.got), c.format(c.lo), c.format(c.hi)))
+		}
+	}
+	return missed
+}
+
 func (c claim) format(v float64) string {
 	if c.verb == "%" {
 		return report.Pct(v)
@@ -91,10 +105,9 @@ type env struct {
 	// populations and sweeps.
 	blocks, days int
 	quick        bool
-	// pngDir and agreeOut, when set, receive fig12/fig13 as PNG and the
-	// agree report as JSON.
-	pngDir, agreeOut string
-	metrics          *metrics.Registry
+	// pngDir, when set, receives fig12/fig13 as PNG.
+	pngDir  string
+	metrics *metrics.Registry
 
 	world *world.World
 	study *analysis.Study

@@ -8,6 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
+	"strings"
 	"time"
 
 	"sleepnet/internal/analysis"
@@ -45,14 +47,34 @@ func campaignFlags(fs *flag.FlagSet) *campaign {
 	}
 }
 
-// monitorConfig generates the world the (parsed) flags describe and returns
-// the monitor configuration over it. stop releases the watchdog's ticker.
-func (c *campaign) monitorConfig() (cfg monitor.Config, stop func()) {
-	w, err := world.Generate(world.Config{
+// worldConfig is the world the (parsed) flags describe.
+func (c *campaign) worldConfig() world.Config {
+	return world.Config{
 		Blocks:              *c.blocks,
 		Seed:                *c.seed,
 		OutagesPerBlockWeek: *c.outages,
-	})
+	}
+}
+
+// resumeHint is the command that resumes this campaign from its -wal
+// directory: the directory and every flag that the world or the WAL's
+// identity derives from. A flag left out would either be refused by the
+// WAL (-shards) or silently probe another world (-outages).
+func (c *campaign) resumeHint() string {
+	return strings.Join([]string{"sleepscan monitor",
+		"-wal", *c.walDir,
+		"-blocks", strconv.Itoa(*c.blocks),
+		"-rounds", strconv.Itoa(*c.rounds),
+		"-shards", strconv.Itoa(*c.shards),
+		"-seed", strconv.FormatUint(*c.seed, 10),
+		"-outages", strconv.FormatFloat(*c.outages, 'g', -1, 64),
+	}, " ")
+}
+
+// monitorConfig generates the world the (parsed) flags describe and returns
+// the monitor configuration over it. stop releases the watchdog's ticker.
+func (c *campaign) monitorConfig() (cfg monitor.Config, stop func()) {
+	w, err := world.Generate(c.worldConfig())
 	fatal(err)
 	// The watchdog only needs tick arrival, not tick values, so the wall
 	// clock never reaches the measurement.

@@ -72,8 +72,7 @@ func runMonitor(argv []string) {
 	case err == nil && res.Drained:
 		fmt.Printf("drained cleanly after %v (%d shard restarts)\n", elapsed, res.Restarts)
 		if *c.walDir != "" {
-			fmt.Printf("resume with: sleepscan monitor -wal %s -blocks %d -rounds %d -seed %d\n",
-				*c.walDir, *c.blocks, *c.rounds, *c.seed)
+			fmt.Println("resume with:", c.resumeHint())
 		} else {
 			fmt.Println("no -wal directory: the drained progress is not recoverable")
 		}

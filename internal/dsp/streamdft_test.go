@@ -11,7 +11,7 @@ import (
 // Σ x[r]·(cos θ_r, sin θ_r) with θ_r = -2πkr/n — one multiply-add per round,
 // the exact op pattern of a live accumulator — must reproduce the FFT bin
 // coefficient the batch oracle computes, on both the radix-2 and Bluestein
-// transform paths. The agreement harness (internal/agree) compares the two
+// transform paths. The `agree` artifact of cmd/experiments compares the two
 // classifiers end to end; this test anchors the shared convention (exponent
 // sign, no normalization) at the dsp layer, so a convention drift fails
 // here with a pinpoint message instead of as a mysterious phase offset in

@@ -2,8 +2,9 @@ package serve
 
 // stream.go — the streaming diurnal classifier as a standalone, replayable
 // component. The epoch engine (engine.go) consumes these types on its
-// publish path; internal/agree replays recorded availability series through
-// them offline to measure agreement with the batch FFT oracle. Both paths
+// publish path; the `agree` artifact of cmd/experiments replays recorded
+// availability series through them offline to measure agreement with the
+// batch FFT oracle. Both paths
 // share the exact same float operation sequence, so an offline replay of a
 // series is bit-identical to the live accumulation the engine would have
 // performed — the property the resync/replay tests pin.
@@ -128,8 +129,9 @@ func (b *BasisSums) Add(c1, s1, c2, s2 float64) {
 // rule's *relaxed* class has no amplitude floor — it fires whenever the
 // full spectrum's peak happens to land at the fundamental, a rank
 // competition against bins this classifier does not observe — so relaxed
-// agreement with the batch oracle is inherently partial; the agreement
-// harness (internal/agree) measures and gates exactly how partial.
+// agreement with the batch oracle is inherently partial; the `agree`
+// artifact of cmd/experiments measures how partial, and its gating claims
+// hold the floors.
 //
 //lint:hotpath: evaluated per block per round on the publish path; pure math
 func (a *StreamAcc) Classify(b *BasisSums, minRounds int) (DiurnalClass, float64) {
@@ -199,8 +201,8 @@ func peakSleepUTC(phase, startHour float64) (peak, sleep float64) {
 
 // Replayer feeds one block's availability series through the streaming
 // classifier offline — exactly what the engine does live, without the epoch
-// machinery: a shard of one block. internal/agree uses it to replay recorded
-// campaigns against the batch FFT oracle.
+// machinery: a shard of one block. The `agree` artifact of cmd/experiments
+// uses it to replay recorded campaigns against the batch FFT oracle.
 type Replayer struct {
 	basis       Basis
 	acc         StreamAcc
