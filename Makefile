@@ -98,24 +98,19 @@ bench-e2e:
 	$(GO) run ./bench
 
 # bench-pair measures the working tree against BASE on one workload the way
-# a performance claim has to be measured (choosing-metrics guide, section
-# 8): both sides' ./bench built once, PAIRS alternating pairs of untraced
-# runs, medians with quartiles and the pair win count per end-to-end metric.
+# a performance claim has to be measured (DESIGN section 11): both sides'
+# ./bench built once, PAIRS alternating pairs of untraced runs, medians with
+# quartiles and the pair win count per end-to-end metric.
 #   make bench-pair WORKLOAD=truth-7d BASE=HEAD~1 PAIRS=10
 # A claim is measured on its workload at the default seed and once more at a
 # seed nobody looked at while writing the change, and every other workload is
-# run as a control. PR 13 (binary WAL payloads, DESIGN section 11) was:
+# run as a control. A claim on monitor-wal, for one:
 #   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10
 #   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
 #   make bench-pair WORKLOAD=study-14d   BASE=HEAD~1 PAIRS=5    (and truth-7d, serve-mixed)
-# A claim on another metric is read off the same table: PR 17 (the host
-# table) claimed peak_rss_mb on study-14d, with the other three as controls:
-#   make bench-pair WORKLOAD=study-14d BASE=HEAD~1 PAIRS=10
-#   make bench-pair WORKLOAD=study-14d BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
-# and PR 22 (the engine's bytes per block) the same metric on serve-mixed:
-#   make bench-pair WORKLOAD=serve-mixed BASE=HEAD~1 PAIRS=10
-# cmd/benchpair keeps BASE's export under $TMPDIR; nothing else should be
-# running on the host while pairs are measured.
+# The claim and every pair go to CHANGES.md. cmd/benchpair keeps BASE's
+# export under $TMPDIR; nothing else should be running on the host while
+# pairs are measured.
 WORKLOAD ?= truth-7d
 BASE ?= HEAD
 PAIRS ?= 10

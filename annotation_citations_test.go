@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -17,15 +18,28 @@ import (
 // optional /subtest suffix.
 var citation = regexp.MustCompile(`\b((?:Test|Benchmark)[A-Z0-9_]\w*)(?:/([\w-]+))?`)
 
+// selector matches a -run= or -fuzz= flag of a go test command line,
+// quoted or not.
+var selector = regexp.MustCompile(`-(?:run|fuzz)=(?:'([^']*)'|"([^"]*)"|(\S+))`)
+
+// plainTest matches one anchor-free alternative of such a pattern.
+var plainTest = regexp.MustCompile(`^(?:Test|Fuzz)\w+$`)
+
 // TestAnnotationCitationsResolve holds the //lint:hotpath and
 // //lint:aliases justifications to the tests they cite: each Test… or
 // Benchmark… name must be a function in some _test.go file of the module,
 // and a /sub suffix must name a t.Run (or b.Run) subtest inside it. The
 // hot-path allocation budgets rest on those citations, and stale ones have
 // had to be found and fixed by hand.
+//
+// The Makefile and the CI workflows cite tests too: every name a -run= or
+// -fuzz= pattern selects must be a Test… or Fuzz… function of the package
+// the command line names. go test runs whatever still matches and passes,
+// so a renamed chaos test would otherwise drop out of its gate silently.
 func TestAnnotationCitationsResolve(t *testing.T) {
 	fset := token.NewFileSet()
 	subtests := make(map[string]map[string]bool) // test func -> its subtest names
+	declared := make(map[string]map[string]bool) // package dir -> its test funcs
 	type cite struct {
 		fn, sub string
 		pos     token.Position
@@ -62,6 +76,11 @@ func TestAnnotationCitationsResolve(t *testing.T) {
 				for sub := range subtestNames(fd.Body) {
 					subtests[fd.Name.Name][sub] = true
 				}
+				dir := filepath.ToSlash(filepath.Dir(p))
+				if declared[dir] == nil {
+					declared[dir] = make(map[string]bool)
+				}
+				declared[dir][fd.Name.Name] = true
 			}
 			return nil
 		}
@@ -94,10 +113,78 @@ func TestAnnotationCitationsResolve(t *testing.T) {
 			problems = append(problems, c.pos.String()+": cites "+c.fn+"/"+c.sub+", but "+c.fn+" runs no subtest "+c.sub)
 		}
 	}
+
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := 0
+	for _, file := range append([]string{"Makefile"}, workflows...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			at := file + ":" + strconv.Itoa(i+1)
+			for _, m := range selector.FindAllStringSubmatch(line, -1) {
+				for _, name := range strings.Split(m[1]+m[2]+m[3], "|") {
+					name = strings.TrimRight(strings.TrimLeft(name, "^"), "$")
+					if name == "" {
+						continue // -run=^$: run no test
+					}
+					selected++
+					if !plainTest.MatchString(name) {
+						problems = append(problems, at+": selects "+strconv.Quote(name)+", which is not a plain Test… or Fuzz… name")
+						continue
+					}
+					if !selectedIn(declared, packageDirs(line), name) {
+						problems = append(problems, at+": selects "+name+", which no test file of "+strings.Join(packageDirs(line), ", ")+" declares")
+					}
+				}
+			}
+		}
+	}
+	if selected < 10 {
+		t.Fatalf("found only %d tests selected by name in the Makefile and CI: the parse is broken", selected)
+	}
+
 	sort.Strings(problems)
 	for _, p := range problems {
 		t.Error(p)
 	}
+}
+
+// packageDirs returns the package directories a go test command line
+// names (./x/y → x/y), or the module root's "..." when it names ./... or
+// nothing.
+func packageDirs(line string) []string {
+	var dirs []string
+	for _, f := range strings.Fields(line) {
+		if !strings.HasPrefix(f, "./") {
+			continue
+		}
+		if f == "./..." {
+			return []string{"..."}
+		}
+		dirs = append(dirs, strings.TrimPrefix(f, "./"))
+	}
+	if len(dirs) == 0 {
+		return []string{"..."}
+	}
+	return dirs
+}
+
+// selectedIn reports whether one of dirs declares the test function name;
+// "..." stands for every directory of the module.
+func selectedIn(declared map[string]map[string]bool, dirs []string, name string) bool {
+	for _, dir := range dirs {
+		for d, names := range declared {
+			if (dir == "..." || d == dir) && names[name] {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // subtestNames returns the names a test body may pass to t.Run, spaced the

@@ -1,6 +1,7 @@
 package sleepnet
 
 import (
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -64,6 +65,79 @@ func TestDesignInventory(t *testing.T) {
 		if !dirs[row] {
 			problems = append(problems, row+": has a row in DESIGN.md section 3 but is not a directory holding Go code")
 		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestDesignStaysCurrent holds DESIGN.md to describing the code as it
+// stands: it names no pull request ("PR 12" and the like; that history is
+// CHANGES.md's and git's), and every "DESIGN §N", "DESIGN.md §N" or "DESIGN
+// section N" in the module's Go files, the Makefile, the CI workflows,
+// README.md, EXPERIMENTS.md and the verify skill names an existing "## N."
+// heading, so renumbering a section cannot strand a citation.
+func TestDesignStaysCurrent(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var problems []string
+	for _, m := range regexp.MustCompile(`\bPRs?\s+#?\d+`).FindAllIndex(design, -1) {
+		line := 1 + strings.Count(string(design[:m[0]]), "\n")
+		problems = append(problems, fmt.Sprintf("DESIGN.md:%d: names %q; PR history belongs in CHANGES.md", line, design[m[0]:m[1]]))
+	}
+
+	sections := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^## (\d+)\. `).FindAllStringSubmatch(string(design), -1) {
+		sections[m[1]] = true
+	}
+	if len(sections) < 10 {
+		t.Fatalf("DESIGN.md has only %d numbered sections: the parse is broken", len(sections))
+	}
+
+	files := []string{"Makefile", "README.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+	workflows, err := filepath.Glob(".github/workflows/*.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	files = append(files, workflows...)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "testdata" || (name != "." && strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cite := regexp.MustCompile(`DESIGN(?:\.md)?\s+(?:§\s*|section\s+)(\d+)`)
+	cites := 0
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range cite.FindAllSubmatchIndex(data, -1) {
+			cites++
+			if n := string(data[m[2]:m[3]]); !sections[n] {
+				line := 1 + strings.Count(string(data[:m[0]]), "\n")
+				problems = append(problems, fmt.Sprintf("%s:%d: cites %q, but DESIGN.md has no section %s", file, line, data[m[0]:m[1]], n))
+			}
+		}
+	}
+	if cites < 10 {
+		t.Fatalf("found only %d DESIGN citations: the walk is broken", cites)
 	}
 	sort.Strings(problems)
 	for _, p := range problems {

@@ -199,3 +199,48 @@ func TestLossResilienceWithinTwoPoints(t *testing.T) {
 	t.Logf("strict: %.3f -> %.3f, either: %.3f -> %.3f",
 		base.StrictAgree, lossy.StrictAgree, base.EitherAgree, lossy.EitherAgree)
 }
+
+// TestMeasureWorldRefusesBadFaultConfig: a probability outside [0, 1] and a
+// blackout with one of its two durations used to be accepted — the first
+// injecting everything or nothing, the second nothing at all — so a study
+// silently measured another campaign than the one asked for. MeasureWorld
+// refuses them and names the field; the valid edges still measure.
+func TestMeasureWorldRefusesBadFaultConfig(t *testing.T) {
+	w, err := world.Generate(world.Config{Blocks: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   faults.Config
+		field string // "" when the config must be measured
+	}{
+		{"every-without-for", faults.Config{BlackoutEvery: time.Hour}, "BlackoutFor"},
+		{"for-without-every", faults.Config{BlackoutFor: 10 * time.Minute}, "BlackoutEvery"},
+		{"negative-every", faults.Config{BlackoutEvery: -time.Hour, BlackoutFor: time.Minute}, "BlackoutEvery"},
+		{"loss-above-one", faults.Config{LossRate: 1.5}, "LossRate"},
+		{"loss-negative", faults.Config{LossRate: -0.5}, "LossRate"},
+		{"loss-nan", faults.Config{LossRate: math.NaN()}, "LossRate"},
+		{"corrupt-above-one", faults.Config{CorruptRate: 1.5}, "CorruptRate"},
+		{"corrupt-negative", faults.Config{CorruptRate: -1}, "CorruptRate"},
+		{"blackout-both", faults.Config{BlackoutEvery: time.Hour, BlackoutFor: 10 * time.Minute}, ""},
+		{"rates-zero", faults.Config{}, ""},
+		{"rates-one", faults.Config{LossRate: 1, CorruptRate: 1}, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := MeasureWorld(w, StudyConfig{Days: 1, Seed: 5, Faults: tc.cfg})
+			if tc.field == "" {
+				if err != nil || st == nil {
+					t.Fatalf("valid fault config refused: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("MeasureWorld accepted %+v", tc.cfg)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+}

@@ -165,6 +165,9 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 	if len(w.Blocks) == 0 {
 		return nil, fmt.Errorf("analysis: world has no blocks")
 	}
+	if err := sc.Faults.Validate(); err != nil {
+		return nil, fmt.Errorf("analysis: %w", err)
+	}
 	pl := core.NewPipeline(w.Net, sc.pipelineConfig())
 	sm := newStudyMetrics(sc.Metrics)
 	study := &Study{World: w, Cfg: pl.Config(), Blocks: make([]MeasuredBlock, len(w.Blocks))}

@@ -62,6 +62,28 @@ func (c Config) Active() bool {
 		(c.BlackoutEvery > 0 && c.BlackoutFor > 0)
 }
 
+// Validate refuses a configuration that Active would misread: a
+// probability outside [0, 1], which injects everything or nothing, and a
+// blackout schedule with only one of its two durations, which injects
+// nothing. The error names the field.
+func (c Config) Validate() error {
+	switch {
+	case !(c.LossRate >= 0 && c.LossRate <= 1): // NaN too
+		return fmt.Errorf("faults: LossRate %v is not a probability in [0, 1]", c.LossRate)
+	case !(c.CorruptRate >= 0 && c.CorruptRate <= 1):
+		return fmt.Errorf("faults: CorruptRate %v is not a probability in [0, 1]", c.CorruptRate)
+	case c.BlackoutEvery < 0:
+		return fmt.Errorf("faults: BlackoutEvery %v is negative", c.BlackoutEvery)
+	case c.BlackoutFor < 0:
+		return fmt.Errorf("faults: BlackoutFor %v is negative", c.BlackoutFor)
+	case c.BlackoutEvery > 0 && c.BlackoutFor == 0:
+		return fmt.Errorf("faults: BlackoutEvery %v is set but BlackoutFor is not: a blackout needs both", c.BlackoutEvery)
+	case c.BlackoutFor > 0 && c.BlackoutEvery == 0:
+		return fmt.Errorf("faults: BlackoutFor %v is set but BlackoutEvery is not: a blackout needs both", c.BlackoutFor)
+	}
+	return nil
+}
+
 // Stats counts injected faults, globally or for one block.
 type Stats struct {
 	Probes      int64 // outbound probes seen by the injector

@@ -67,14 +67,15 @@ type shard struct {
 	blocks []netsim.BlockID // sorted, contiguous slice of the global order
 
 	// Rebuilt from durable state at the start of every attempt.
-	prober *trinocular.Prober
-	bc     *trinocular.BatchContext // the wavefront's scratch
-	aOps   []float64                // per-round availability inputs, reused
-	obsBuf []trinocular.RoundObs    // per-round observations, reused
-	mons   []*blockMon
-	round  int // next round to execute
-	wal    *walWriter
-	pub    []RoundPub // sink staging buffer reused across rounds
+	prober  *trinocular.Prober
+	probers []*trinocular.Prober     // prober, repeated once per wavefront lane
+	bc      *trinocular.BatchContext // the wavefront's scratch
+	aOps    []float64                // per-round availability inputs, reused
+	obsBuf  []trinocular.RoundObs    // per-round observations, reused
+	mons    []*blockMon
+	round   int // next round to execute
+	wal     *walWriter
+	pub     []RoundPub // sink staging buffer reused across rounds
 
 	// Codec buffers, reused across rounds, snapshots and attempts.
 	recBuf  []byte                  // commitRound's frame: header + record payload
@@ -172,6 +173,11 @@ func (s *shard) reset() error {
 	}
 	s.aOps = s.aOps[:group]
 	s.obsBuf = s.obsBuf[:group]
+	// The shard's one prober owns every lane of its wavefronts.
+	s.probers = s.probers[:0]
+	for i := 0; i < group; i++ {
+		s.probers = append(s.probers, s.prober)
+	}
 	s.mons = s.mons[:0]
 	if cap(s.mons) < len(s.blocks) {
 		s.mons = make([]*blockMon, 0, len(s.blocks))
@@ -528,7 +534,7 @@ func (s *shard) probeRound(r int) {
 		for i := 0; i < n; i++ {
 			s.aOps[i] = s.mons[g+i].est.Operational()
 		}
-		if err := s.prober.ProbeRoundsBatch(s.bc, s.blocks[g:e], s.aOps[:n], now, s.obsBuf[:n]); err != nil {
+		if err := trinocular.ProbeRoundsBatchGroup(s.bc, s.probers[:n], s.blocks[g:e], s.aOps[:n], now, s.obsBuf[:n]); err != nil {
 			// Shape mismatches and untracked ids are construction invariant
 			// violations, surfaced through the supervisor's panic recovery.
 			panic(err)

@@ -1,6 +1,6 @@
 package trinocular
 
-// The wavefront: ProbeRoundsBatch runs one round for many blocks at once.
+// The wavefront: ProbeRoundsBatchGroup runs one round for many blocks at once.
 // Each phase marshals probe k of every still-active round into one packet
 // batch, crosses the netsim boundary in a single DeliverBatch call, and
 // folds the responses back into the lanes' round machines; lanes whose
@@ -54,7 +54,7 @@ type lane struct {
 }
 
 // BatchContext is the reusable state one probing worker threads through
-// ProbeRoundsBatch: the lanes, the packet arena one wavefront phase
+// ProbeRoundsBatchGroup: the lanes, the packet arena one wavefront phase
 // marshals into, and the netsim-side batch buffer. The zero value is ready
 // to use; everything grows to the largest batch seen and is reused. A
 // BatchContext belongs to one worker at a time.
@@ -118,41 +118,22 @@ func (bc *BatchContext) RetainedBytes() int {
 	return n
 }
 
-// ProbeRoundsBatch probes one round for every block in ids at virtual time
-// now, writing the i-th block's observation to out[i]. aOps[i] is the
-// caller's operational availability estimate for ids[i], clamped exactly
-// as ProbeRound clamps it. The observations, every block's prober memory,
-// the network's counters, and any fault injector's state end up
-// byte-identical to calling ProbeRound(ids[0]), ProbeRound(ids[1]), ... in
-// order at the same now (see the comment at the top of this file for the
-// argument); only the boundary-crossing cost changes. A call that returns
-// an error has probed nothing and changed no prober memory.
+// ProbeRoundsBatchGroup probes one round for each (probers[i], ids[i])
+// pair at virtual time now, writing the i-th observation to out[i]. aOps[i]
+// is the caller's operational availability estimate for ids[i], clamped
+// exactly as ProbeRound clamps it. Every prober must sit on the same
+// network; one prober may own many lanes. The pipeline gives each block its
+// own prober (its own walk seed), a monitor shard passes its one prober in
+// every lane, and either way the group crosses the netsim boundary as one
+// wavefront.
 //
-//lint:hotpath: batched warm-round probing path, 0 allocs/op pinned by TestProbeRoundsBatchAllocFree
-func (p *Prober) ProbeRoundsBatch(bc *BatchContext, ids []netsim.BlockID, aOps []float64, now time.Time, out []RoundObs) error {
-	if len(aOps) != len(ids) || len(out) < len(ids) {
-		return fmt.Errorf("trinocular: batch shape mismatch: %d ids, %d aOps, %d out", len(ids), len(aOps), len(out))
-	}
-	bc.growLanes(len(ids))
-	for i, id := range ids {
-		if err := bc.bindLane(i, p, id); err != nil {
-			return err
-		}
-	}
-	bc.beginLanes(aOps, now)
-	runWavefront(bc, p.net, now, out)
-	return nil
-}
-
-// ProbeRoundsBatchGroup is ProbeRoundsBatch for lanes owned by different
-// probers: it probes one round for each (probers[i], ids[i]) pair at virtual
-// time now, writing the i-th observation to out[i]. The measurement pipeline
-// uses it — there every block has its own prober (its own walk seed), yet a
-// group of blocks should still cross the netsim boundary as one wavefront.
-// Every prober must sit on the same network. The per-lane equivalence
-// contract is ProbeRoundsBatch's: prober and network state end up
-// byte-identical to sequential ProbeRound calls in slice order (probers own
-// disjoint block state, so the argument applies lane by lane).
+// The observations, every prober's memory, the network's counters and any
+// fault injector's state end up byte-identical to calling
+// probers[0].ProbeRound(ids[0]), probers[1].ProbeRound(ids[1]), ... in slice
+// order at the same now (see the comment at the top of this file for the
+// argument; lanes own disjoint block state, so it applies lane by lane);
+// only the boundary-crossing cost changes. A call that returns an error has
+// probed nothing and changed no prober memory.
 //
 //lint:hotpath: batched warm-round probing path, 0 allocs/op pinned by TestProbeRoundsBatchGroupAllocFree
 func ProbeRoundsBatchGroup(bc *BatchContext, probers []*Prober, ids []netsim.BlockID, aOps []float64, now time.Time, out []RoundObs) error {

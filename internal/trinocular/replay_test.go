@@ -12,19 +12,19 @@ import (
 // unreachables, rate-limited cut-offs, send errors after retries) and cold
 // restart rounds — and counts nothing as sent.
 func TestReplayRoundMatchesLive(t *testing.T) {
-	live := buildBatchWorld(t, true)
-	replay := buildBatchWorld(t, false)
+	live := buildWavefrontWorld(t, true, true)
+	replay := buildWavefrontWorld(t, false, true)
 	aOps := []float64{0.9, 0.4, 0.8, 0.3}
 	var seen [NumOutcomes]int
 	cold, retried := 0, 0
 	for r := 0; r < 64; r++ {
 		now := epoch.Add(time.Duration(r) * 660 * time.Second)
 		for i, id := range live.ids {
-			obs, err := live.p.ProbeRound(id, now, aOps[i])
+			obs, err := live.probers[0].ProbeRound(id, now, aOps[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := replay.p.ReplayRound(id, now, aOps[i], obs.Log, obs.Outcomes(), obs.Retries)
+			got, err := replay.probers[0].ReplayRound(id, now, aOps[i], obs.Log, obs.Outcomes(), obs.Retries)
 			if err != nil {
 				t.Fatalf("round %d block %s: %v", r, id, err)
 			}
@@ -50,13 +50,13 @@ func TestReplayRoundMatchesLive(t *testing.T) {
 	if cold == 0 || retried == 0 {
 		t.Errorf("fixture too tame: %d cold rounds, %d rounds with retries", cold, retried)
 	}
-	ls, rs := live.p.ExportState(), replay.p.ExportState()
+	ls, rs := live.probers[0].ExportState(), replay.probers[0].ExportState()
 	for i := range ls.Blocks {
 		if ls.Blocks[i] != rs.Blocks[i] {
 			t.Errorf("prober state diverged: live %+v, replay %+v", ls.Blocks[i], rs.Blocks[i])
 		}
 	}
-	if n := replay.p.ProbesSent(); n != 0 {
+	if n := replay.probers[0].ProbesSent(); n != 0 {
 		t.Errorf("replay counted %d probes as sent", n)
 	}
 	if n := replay.reg.Snapshot().Counter("trinocular.rounds"); n != 0 {
@@ -81,13 +81,13 @@ func TestReplayRoundRejectsBadLogs(t *testing.T) {
 		"outcome after the end":    {pos | pos<<4, 2, 0},
 		"too few to end the round": {neg, 1, 0},
 	} {
-		w := buildBatchWorld(t, false)
-		if _, err := w.p.ReplayRound(w.ids[0], epoch, 0.5, c.log, c.n, c.retries); err == nil {
+		w := buildWavefrontWorld(t, false, true)
+		if _, err := w.probers[0].ReplayRound(w.ids[0], epoch, 0.5, c.log, c.n, c.retries); err == nil {
 			t.Errorf("%s: replay accepted it", name)
 		}
 	}
-	w := buildBatchWorld(t, false)
-	if _, err := w.p.ReplayRound(w.ids[0]+1000, epoch, 0.5, pos, 1, 0); err == nil {
+	w := buildWavefrontWorld(t, false, true)
+	if _, err := w.probers[0].ReplayRound(w.ids[0]+1000, epoch, 0.5, pos, 1, 0); err == nil {
 		t.Error("replay of an untracked block accepted")
 	}
 }

@@ -404,7 +404,7 @@ func (p *Prober) inDowntimeWindow(id netsim.BlockID) bool {
 // current operational availability estimate aOp (clamped to [0.1, 1] as the
 // paper's policy requires). It returns the round's biased observation. It
 // is the round by definition — one probe after another, each a one-packet
-// batch — and the reference ProbeRoundsBatch is tested against.
+// batch — and the reference ProbeRoundsBatchGroup is tested against.
 func (p *Prober) ProbeRound(id netsim.BlockID, now time.Time, aOp float64) (RoundObs, error) {
 	st, ok := p.states[id]
 	if !ok {
@@ -421,9 +421,9 @@ func (p *Prober) ProbeRound(id netsim.BlockID, now time.Time, aOp float64) (Roun
 // roundState is the in-flight state of one block's probing round:
 // beginRound opens it, prepareProbe/applyOutcome advance it one probe at a
 // time, finishRound folds it back into the block's memory. ProbeRound and
-// the wavefront (ProbeRoundsBatch) drive the same probes through this one
-// state machine — there is no second belief/stop/debounce implementation
-// to drift.
+// the wavefront (ProbeRoundsBatchGroup) drive the same probes through this
+// one state machine — there is no second belief/stop/debounce
+// implementation to drift.
 type roundState struct {
 	st        *blockState
 	obs       RoundObs
