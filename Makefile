@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair loadgen
+.PHONY: all build vet test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair
 
 all: check
 
@@ -83,11 +83,6 @@ monitor-chaos:
 # while lower-priority classes shed.
 serve-chaos:
 	$(GO) test -race -count=1 -run='TestServeChaosAcceptance' ./internal/serve
-
-# loadgen measures sustained live-socket queries/s against a self-hosted
-# 1M-block epoch (see cmd/loadgen for targeting a running server).
-loadgen:
-	$(GO) run ./cmd/loadgen -duration 3s
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the

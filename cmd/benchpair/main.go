@@ -15,12 +15,15 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"sleepnet/internal/stats"
@@ -40,28 +43,46 @@ type side struct {
 	samples         map[string][]float64
 }
 
+// errUsage reports a bad command line, already explained on stderr.
+var errUsage = errors.New("usage")
+
 func main() {
-	workload := flag.String("workload", "", "benchmark workload to run (required), e.g. truth-7d")
-	base := flag.String("base", "HEAD", "revision the working tree is compared against")
-	pairs := flag.Int("pairs", 10, "pairs of runs")
-	seed := flag.Uint64("seed", 42, "workload seed, the same for every run")
-	seconds := flag.Float64("seconds", 20, "measuring time of one run")
-	flag.Parse()
-	if *workload == "" || *pairs <= 0 {
-		flag.Usage()
+	var out bytes.Buffer
+	err := run(os.Args[1:], &out)
+	fmt.Print(out.String())
+	switch {
+	case errors.Is(err, errUsage):
 		os.Exit(2)
-	}
-	if err := run(*workload, *base, *pairs, *seed, *seconds); err != nil {
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "benchpair:", err)
 		os.Exit(1)
 	}
 }
 
-func run(workload, base string, pairs int, seed uint64, seconds float64) error {
-	metrics, err := endToEndMetrics("BENCHMARK.json")
+// run checks the command line against the benchmark's declaration, then
+// measures the pairs and writes the verdicts to out.
+func run(args []string, out *bytes.Buffer) error {
+	fs := flag.NewFlagSet("benchpair", flag.ContinueOnError)
+	workload := fs.String("workload", "", "benchmark workload to run (required), e.g. truth-7d")
+	base := fs.String("base", "HEAD", "revision the working tree is compared against")
+	pairs := fs.Int("pairs", 10, "pairs of runs")
+	seed := fs.Uint64("seed", 42, "workload seed, the same for every run")
+	seconds := fs.Float64("seconds", 20, "measuring time of one run")
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	if *workload == "" || *pairs <= 0 || fs.NArg() > 0 {
+		fs.Usage()
+		return errUsage
+	}
+	metrics, workloads, err := readBenchmark("BENCHMARK.json")
 	if err != nil {
 		return err
 	}
+	if !slices.Contains(workloads, *workload) {
+		return fmt.Errorf("unknown workload %q: BENCHMARK.json declares %s", *workload, strings.Join(workloads, ", "))
+	}
+
 	tmp, err := os.MkdirTemp("", "benchpair-")
 	if err != nil {
 		return err
@@ -73,32 +94,32 @@ func run(workload, base string, pairs int, seed uint64, seconds float64) error {
 		return err
 	}
 	// An export, not a worktree: nothing to unregister from .git afterwards.
-	export := fmt.Sprintf("git archive --format=tar %q | tar -x -C %q", base, baseDir)
-	if out, err := exec.Command("sh", "-c", export).CombinedOutput(); err != nil {
-		return fmt.Errorf("exporting %s: %v\n%s", base, err, out)
+	export := fmt.Sprintf("git archive --format=tar %q | tar -x -C %q", *base, baseDir)
+	if msg, err := exec.Command("sh", "-c", export).CombinedOutput(); err != nil {
+		return fmt.Errorf("exporting %s: %v\n%s", *base, err, msg)
 	}
 	wd, err := os.Getwd()
 	if err != nil {
 		return err
 	}
 	sides := []*side{
-		{label: "base " + base, dir: baseDir, bin: filepath.Join(tmp, "bench-base")},
+		{label: "base " + *base, dir: baseDir, bin: filepath.Join(tmp, "bench-base")},
 		{label: "working tree", dir: wd, bin: filepath.Join(tmp, "bench-head")},
 	}
 	for _, s := range sides {
 		s.samples = make(map[string][]float64)
 		build := exec.Command("go", "build", "-buildvcs=false", "-o", s.bin, "./bench")
 		build.Dir = s.dir
-		if out, err := build.CombinedOutput(); err != nil {
-			return fmt.Errorf("building ./bench of %s: %v\n%s", s.label, err, out)
+		if msg, err := build.CombinedOutput(); err != nil {
+			return fmt.Errorf("building ./bench of %s: %v\n%s", s.label, err, msg)
 		}
 	}
 
-	args := []string{"--workload", workload, "--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(seconds), "--trace", "0"}
-	for p := 0; p < pairs; p++ {
+	benchArgs := []string{"--workload", *workload, "--seed", fmt.Sprint(*seed), "--seconds", fmt.Sprint(*seconds), "--trace", "0"}
+	for p := 0; p < *pairs; p++ {
 		order := []*side{sides[p%2], sides[1-p%2]}
 		for _, s := range order {
-			got, err := runOnce(s, args)
+			got, err := runOnce(s, benchArgs)
 			if err != nil {
 				return fmt.Errorf("pair %d, %s: %w", p+1, s.label, err)
 			}
@@ -110,33 +131,40 @@ func run(workload, base string, pairs int, seed uint64, seconds float64) error {
 				s.samples[m.Name] = append(s.samples[m.Name], v)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "pair %d/%d done\n", p+1, pairs)
+		fmt.Fprintf(os.Stderr, "pair %d/%d done\n", p+1, *pairs)
 	}
 
-	fmt.Printf("%s, seed %d, %g s a run, %d alternating pairs; median [q1, q3]\n", workload, seed, seconds, pairs)
+	fmt.Fprintf(out, "%s, seed %d, %g s a run, %d alternating pairs; median [q1, q3]\n", *workload, *seed, *seconds, *pairs)
 	for _, m := range metrics {
-		report(m, sides[0], sides[1])
+		report(out, m, sides[0], sides[1])
 	}
 	return nil
 }
 
-// endToEndMetrics reads the metrics a claim may rest on from the benchmark's
-// declaration.
-func endToEndMetrics(path string) ([]metricDef, error) {
+// readBenchmark reads from the benchmark's declaration the metrics a claim
+// may rest on and the names of the workloads.
+func readBenchmark(path string) ([]metricDef, []string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("%w (run from the repository root)", err)
+		return nil, nil, fmt.Errorf("%w (run from the repository root)", err)
 	}
 	var decl struct {
+		Workloads []struct {
+			Name string `json:"name"`
+		} `json:"workloads"`
 		EndToEnd []metricDef `json:"end_to_end"`
 	}
 	if err := json.Unmarshal(data, &decl); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(decl.EndToEnd) == 0 {
-		return nil, fmt.Errorf("%s declares no end_to_end metrics", path)
+		return nil, nil, fmt.Errorf("%s declares no end_to_end metrics", path)
 	}
-	return decl.EndToEnd, nil
+	names := make([]string, len(decl.Workloads))
+	for i, w := range decl.Workloads {
+		names[i] = w.Name
+	}
+	return decl.EndToEnd, names, nil
 }
 
 // runOnce runs one side's binary from its own checkout and returns the
@@ -173,7 +201,7 @@ func runOnce(s *side, args []string) (map[string]float64, error) {
 // a gain needs nine tenths of the pairs and medians further apart than the
 // base's own quartiles; a regression is a median worse by more than the
 // metric's bound.
-func report(m metricDef, base, head *side) {
+func report(out *bytes.Buffer, m metricDef, base, head *side) {
 	b, h := base.samples[m.Name], head.samples[m.Name]
 	sign := 1.0 // positive delta = better
 	if m.Better == "lower" {
@@ -199,8 +227,8 @@ func report(m metricDef, base, head *side) {
 	case 10*losses >= 9*len(b):
 		verdict = "worse, within the bound"
 	}
-	fmt.Printf("%-12s %-14s %10.4f [%.4f, %.4f] %s\n", m.Name, "base", bq[1], bq[0], bq[2], m.Unit)
-	fmt.Printf("%-12s %-14s %10.4f [%.4f, %.4f] %s  %+.1f%%, working tree won %d lost %d of %d: %s\n",
+	fmt.Fprintf(out, "%-12s %-14s %10.4f [%.4f, %.4f] %s\n", m.Name, "base", bq[1], bq[0], bq[2], m.Unit)
+	fmt.Fprintf(out, "%-12s %-14s %10.4f [%.4f, %.4f] %s  %+.1f%%, working tree won %d lost %d of %d: %s\n",
 		"", "working tree", hq[1], hq[0], hq[2], m.Unit, 100*(hq[1]-bq[1])/bq[1], wins, losses, len(b), verdict)
 }
 

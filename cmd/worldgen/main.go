@@ -8,6 +8,8 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,18 +19,37 @@ import (
 	"sleepnet/internal/world"
 )
 
-func main() {
-	blocks := flag.Int("blocks", 3000, "number of /24 blocks")
-	seed := flag.Uint64("seed", 42, "generator seed")
-	verbose := flag.Bool("v", false, "list individual ISPs and /8 allocations")
-	flag.Parse()
+// errUsage reports a bad command line, already explained on stderr.
+var errUsage = errors.New("usage")
 
-	w, err := world.Generate(world.Config{Blocks: *blocks, Seed: *seed})
-	if err != nil {
+func main() {
+	var out bytes.Buffer
+	err := run(os.Args[1:], &out)
+	fmt.Print(out.String())
+	switch {
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintln(os.Stderr, "worldgen:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("world: %d blocks, %d ISPs, %d allocated /8s, seed %d\n\n",
+}
+
+// run generates the world args describe and writes its description to out.
+func run(args []string, out *bytes.Buffer) error {
+	fs := flag.NewFlagSet("worldgen", flag.ContinueOnError)
+	blocks := fs.Int("blocks", 3000, "number of /24 blocks")
+	seed := fs.Uint64("seed", 42, "generator seed")
+	verbose := fs.Bool("v", false, "list individual ISPs and /8 allocations")
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+
+	w, err := world.Generate(world.Config{Blocks: *blocks, Seed: *seed})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(out, "world: %d blocks, %d ISPs, %d allocated /8s, seed %d\n\n",
 		len(w.Blocks), len(w.ISPs), len(w.AllocDates), *seed)
 
 	type agg struct{ n, diurnal int }
@@ -69,10 +90,10 @@ func main() {
 			fmt.Sprintf("%.0f", c.GDP),
 		})
 	}
-	fmt.Println("country populations (designed diurnal fraction vs target):")
-	fmt.Print(report.Table([]string{"country", "region", "blocks", "designed", "target", "GDP"}, rows))
+	fmt.Fprintln(out, "country populations (designed diurnal fraction vs target):")
+	fmt.Fprint(out, report.Table([]string{"country", "region", "blocks", "designed", "target", "GDP"}, rows))
 
-	fmt.Println("\nlink technologies:")
+	fmt.Fprintln(out, "\nlink technologies:")
 	rows = rows[:0]
 	for _, lt := range world.LinkTypes {
 		a := byLink[lt]
@@ -83,21 +104,22 @@ func main() {
 			lt, fmt.Sprint(a.n), report.F(float64(a.diurnal) / float64(a.n)),
 		})
 	}
-	fmt.Print(report.Table([]string{"link", "blocks", "designed diurnal"}, rows))
+	fmt.Fprint(out, report.Table([]string{"link", "blocks", "designed diurnal"}, rows))
 
 	if *verbose {
-		fmt.Println("\n/8 allocation calendar:")
+		fmt.Fprintln(out, "\n/8 allocation calendar:")
 		var s8s []int
 		for s8 := range w.AllocDates {
 			s8s = append(s8s, s8)
 		}
 		sort.Ints(s8s)
 		for _, s8 := range s8s {
-			fmt.Printf("  %3d/8  %s\n", s8, w.AllocDates[s8].Format("2006-01"))
+			fmt.Fprintf(out, "  %3d/8  %s\n", s8, w.AllocDates[s8].Format("2006-01"))
 		}
-		fmt.Println("\nISPs:")
+		fmt.Fprintln(out, "\nISPs:")
 		for _, isp := range w.ISPs {
-			fmt.Printf("  %-40s %s ASNs=%v\n", isp.Name, isp.Country, isp.ASNs)
+			fmt.Fprintf(out, "  %-40s %s ASNs=%v\n", isp.Name, isp.Country, isp.ASNs)
 		}
 	}
+	return nil
 }

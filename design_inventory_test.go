@@ -77,7 +77,11 @@ func TestDesignInventory(t *testing.T) {
 // CHANGES.md's and git's), and every "DESIGN §N", "DESIGN.md §N" or "DESIGN
 // section N" in the module's Go files, the Makefile, the CI workflows,
 // README.md, EXPERIMENTS.md and the verify skill names an existing "## N."
-// heading, so renumbering a section cannot strand a citation.
+// heading, so renumbering a section cannot strand a citation. And every
+// command path (cmd/x, internal/x, examples/x, with or without a leading
+// "./") and every backquoted make target that DESIGN.md, README.md, the
+// verify skill, the Makefile and the CI workflows name must exist, so
+// deleting a binary or a target cannot leave the docs that run it behind.
 func TestDesignStaysCurrent(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -138,6 +142,41 @@ func TestDesignStaysCurrent(t *testing.T) {
 	}
 	if cites < 10 {
 		t.Fatalf("found only %d DESIGN citations: the walk is broken", cites)
+	}
+
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	targets := make(map[string]bool)
+	for _, m := range regexp.MustCompile(`(?m)^([\w-]+):`).FindAllSubmatch(makefile, -1) {
+		targets[string(m[1])] = true
+	}
+	pathRef := regexp.MustCompile(`(?m)(?:^|[^\w/.-])(?:\./)?((?:cmd|internal|examples)/[\w-]+)`)
+	targetRef := regexp.MustCompile("`make ([\\w-]+)")
+	refs := 0
+	for _, file := range append([]string{"DESIGN.md", "README.md", "Makefile", ".claude/skills/verify/SKILL.md"}, workflows...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := func(at int) int { return 1 + strings.Count(string(data[:at]), "\n") }
+		for _, m := range pathRef.FindAllSubmatchIndex(data, -1) {
+			refs++
+			dir := string(data[m[2]:m[3]])
+			if goFiles, _ := filepath.Glob(filepath.Join(dir, "*.go")); len(goFiles) == 0 {
+				problems = append(problems, fmt.Sprintf("%s:%d: names %s, which is not a directory holding Go code", file, line(m[2]), dir))
+			}
+		}
+		for _, m := range targetRef.FindAllSubmatchIndex(data, -1) {
+			refs++
+			if target := string(data[m[2]:m[3]]); !targets[target] {
+				problems = append(problems, fmt.Sprintf("%s:%d: names `make %s`, which the Makefile does not define", file, line(m[0]), target))
+			}
+		}
+	}
+	if refs < 20 {
+		t.Fatalf("found only %d command paths and make targets in the docs: the scan is broken", refs)
 	}
 	sort.Strings(problems)
 	for _, p := range problems {

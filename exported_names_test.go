@@ -35,6 +35,7 @@ var exportedWithoutCallers = map[string]string{
 	"faults.TruncateFileTail":        testHarness,
 	"faults.SlowLoris":               testHarness, // and, by name, faults.Malformed
 	"faults.ConnChurn":               testHarness,
+	"faults.Flood":                   testHarness,
 	"trinocular.Prober.ExportState":  observedState,
 	"netsim.Network.ProbesToBlock":   observedState,
 	"faults.Injector.Totals":         observedState,

@@ -99,10 +99,10 @@ func TestLoadStudyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadStudyCountsMatchStudy is the headline inspect prints: measured,
-// strict and either counts of a loaded study are the in-memory study's, with
-// quarantined blocks (a 15-minute blackout an hour fails more than a
-// quarter of the rounds) and partial ones (14 minutes an hour) alike.
+// TestLoadStudyCountsMatchStudy is the report sleepscan inspect prints:
+// measured, strict and either counts of a loaded study are the in-memory
+// study's, with quarantined blocks (a 15-minute blackout an hour fails more
+// than a quarter of the rounds) and partial ones (14 minutes an hour) alike.
 func TestLoadStudyCountsMatchStudy(t *testing.T) {
 	for _, c := range []struct {
 		name        string

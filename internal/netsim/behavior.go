@@ -81,10 +81,10 @@ func (b Intermittent) Up(t time.Time) bool {
 // directly, with the block-round's q for every host on the default window.
 // Ground truth asks the same question in integer form (key, drawKeyed),
 // hoisted out of its loop over q; the truth tests hold the two together.
-func (b *Intermittent) draw(q uint64) bool { return prfFloat2(b.Seed, q, 0x1a7e) < b.P }
+func (b *Intermittent) draw(q uint64) bool { return prf.Float2(b.Seed, q, 0x1a7e) < b.P }
 
 // key returns what fixes the host's draws besides the quantum: its seed's
-// mix, and the threshold ⌈P·2⁵³⌉ (for 0 < P < 1). prfFloat2 is x/2⁵³ for
+// mix, and the threshold ⌈P·2⁵³⌉ (for 0 < P < 1). prf.Float2 is x/2⁵³ for
 // an integer x < 2⁵³, and x/2⁵³ < P holds exactly when x < ⌈P·2⁵³⌉: the
 // comparison becomes an integer one, with no rounding anywhere.
 func (b *Intermittent) key() (h, thr uint64) {
@@ -168,7 +168,7 @@ func (b *Diurnal) answers(q uint64) bool {
 	if b.UpProb <= 0 || b.UpProb >= 1 {
 		return true
 	}
-	return prfFloat2(b.Seed, q, 0xd1a2) < b.UpProb
+	return prf.Float2(b.Seed, q, 0xd1a2) < b.UpProb
 }
 
 // onPeriod returns day d's realized on-period after the per-day noise
@@ -177,11 +177,11 @@ func (b *Diurnal) answers(q uint64) bool {
 func (b *Diurnal) onPeriod(d int64) onPeriod {
 	start := float64(d)*86400 + b.Phase.Seconds()
 	if b.StartSigma > 0 {
-		start += prfNorm(b.Seed, uint64(d), 0x57a7) * b.StartSigma.Seconds()
+		start += prf.Norm(b.Seed, uint64(d), 0x57a7) * b.StartSigma.Seconds()
 	}
 	dur := b.Duration.Seconds()
 	if b.DurationSigma > 0 {
-		dur += prfNorm(b.Seed, uint64(d), 0xd0b1) * b.DurationSigma.Seconds()
+		dur += prf.Norm(b.Seed, uint64(d), 0xd0b1) * b.DurationSigma.Seconds()
 		if dur < 0 {
 			dur = 0
 		}

@@ -8,6 +8,7 @@ import (
 
 	"sleepnet/internal/icmp"
 	"sleepnet/internal/ipv4"
+	"sleepnet/internal/prf"
 )
 
 func at(h, m int) time.Time {
@@ -408,11 +409,11 @@ func TestPRFUniformity(t *testing.T) {
 	var sum float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		sum += prfFloat2(123, uint64(i), 0x1a7e)
+		sum += prf.Float2(123, uint64(i), 0x1a7e)
 	}
 	mean := sum / n
 	if math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("prfFloat2 mean = %v", mean)
+		t.Fatalf("prf.Float2 mean = %v", mean)
 	}
 }
 
@@ -420,14 +421,14 @@ func TestPRFNormMoments(t *testing.T) {
 	var sum, sumsq float64
 	const n = 20000
 	for i := 0; i < n; i++ {
-		v := prfNorm(55, uint64(i))
+		v := prf.Norm(55, uint64(i))
 		sum += v
 		sumsq += v * v
 	}
 	mean := sum / n
 	variance := sumsq/n - mean*mean
 	if math.Abs(mean) > 0.03 || math.Abs(variance-1) > 0.05 {
-		t.Fatalf("prfNorm mean=%v var=%v", mean, variance)
+		t.Fatalf("prf.Norm mean=%v var=%v", mean, variance)
 	}
 }
 

@@ -1,3 +1,14 @@
+// Package netsim simulates the IPv4 edge the paper measures: /24 blocks of
+// addresses with per-address behaviour models (always-on, diurnal with
+// phase and noise, intermittent, dead), per-block loss and latency, and
+// whole-block outages. Probes enter and leave as marshalled ICMP packets,
+// so the measurement pipeline above exercises a real encode/decode path.
+//
+// All randomness is a pure function of (seed, identifiers, time quantum),
+// so a simulation is exactly reproducible and answers are consistent when
+// an address is probed twice in the same round — the property that makes
+// ground-truth availability well defined. The draws themselves come from
+// the canonical PRF in internal/prf.
 package netsim
 
 import (
@@ -9,6 +20,7 @@ import (
 
 	"sleepnet/internal/icmp"
 	"sleepnet/internal/ipv4"
+	"sleepnet/internal/prf"
 )
 
 // Response is the outcome of one probe round trip.
@@ -277,7 +289,7 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 	// Path loss, one Bernoulli draw per round trip, keyed so retransmissions
 	// (new seq) redraw but duplicates (same seq) are consistent.
 	if blk.Loss > 0 {
-		k := prfFloat3(n.seed^blk.Seed, dst.key(), uint64(echo.ID)<<16|uint64(echo.Seq), uint64(in.ns))
+		k := prf.Float3(n.seed^blk.Seed, dst.key(), uint64(echo.ID)<<16|uint64(echo.Seq), uint64(in.ns))
 		if k < blk.Loss {
 			acc.lost++
 			acc.timeouts++
@@ -291,7 +303,7 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 		// During an outage an upstream gateway may answer on the block's
 		// behalf with destination-unreachable.
 		if blk.GatewayUnreachableProb > 0 && down {
-			u := prfFloat3(n.seed^blk.Seed^0x6a7e, dst.key(), uint64(echo.Seq), uint64(in.ns))
+			u := prf.Float3(n.seed^blk.Seed^0x6a7e, dst.key(), uint64(echo.Seq), uint64(in.ns))
 			if u < blk.GatewayUnreachableProb {
 				unreach := icmp.Unreachable{Code: icmp.CodeHostUnreachable, Original: pkt}
 				un, err := unreach.MarshalAppend(scratch)
@@ -328,7 +340,7 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 	}
 	rtt := blk.LatencyBase
 	if blk.LatencyJitter > 0 {
-		j := prfFloat3(n.seed^blk.Seed^0x9badcafe, dst.key(), uint64(echo.Seq), uint64(in.ns))
+		j := prf.Float3(n.seed^blk.Seed^0x9badcafe, dst.key(), uint64(echo.Seq), uint64(in.ns))
 		rtt += time.Duration(j * float64(blk.LatencyJitter))
 	}
 	acc.replies++

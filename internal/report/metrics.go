@@ -44,8 +44,8 @@ func Metrics(s metrics.Snapshot) string {
 
 // RunCost renders the handful of headline cost counters of a campaign
 // snapshot (probes, rounds, blocks) as a short single-line-per-item list —
-// the view cmd/inspect shows for saved datasets. Counters absent from the
-// snapshot are skipped.
+// the run-cost section of sleepscan's study report. Counters absent from
+// the snapshot are skipped.
 func RunCost(s metrics.Snapshot) string {
 	var b strings.Builder
 	for _, name := range []string{

@@ -38,9 +38,9 @@ const (
 type ServerConfig struct {
 	// Metrics receives request/shed counters and the latency histogram.
 	Metrics *metrics.Registry
-	// Lookup, Range, Summary size the three admission classes. Lookups shed
-	// last; summaries shed first.
-	Lookup, Range, Summary ClassLimits
+	// Lookup and Summary size two of the three admission classes; listings
+	// take rangeLimits. Lookups shed last; summaries shed first.
+	Lookup, Summary ClassLimits
 	// MaxConns caps concurrently accepted connections; excess dials queue in
 	// the kernel backlog instead of consuming server memory.
 	MaxConns int
@@ -66,13 +66,14 @@ const (
 	writeTimeout = 5 * time.Second
 )
 
+// rangeLimits sizes the listing class (GET /v1/blocks). Nothing varies it,
+// so it is not a ServerConfig field; it is never written.
+var rangeLimits = ClassLimits{RPS: 2000, Burst: 200, Queue: 64, MaxWait: 100 * time.Millisecond}
+
 // withDefaults fills unset fields.
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Lookup == (ClassLimits{}) {
 		c.Lookup = ClassLimits{RPS: 200000, Burst: 20000, Queue: 1024, MaxWait: 50 * time.Millisecond}
-	}
-	if c.Range == (ClassLimits{}) {
-		c.Range = ClassLimits{RPS: 2000, Burst: 200, Queue: 64, MaxWait: 100 * time.Millisecond}
 	}
 	if c.Summary == (ClassLimits{}) {
 		c.Summary = ClassLimits{RPS: 100, Burst: 20, Queue: 8, MaxWait: 100 * time.Millisecond}
@@ -138,7 +139,7 @@ func NewServer(eng *Engine, cfg ServerConfig) *Server {
 		cfg:     cfg,
 		met:     newServerMetrics(cfg.Metrics),
 		lookup:  newBucket(cfg.Lookup),
-		ranges:  newBucket(cfg.Range),
+		ranges:  newBucket(rangeLimits),
 		summary: newBucket(cfg.Summary),
 	}
 }
