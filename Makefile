@@ -87,8 +87,9 @@ serve-chaos:
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the
 # per-layer ones. Performance claims rest on this and on bench-pair.
-# BenchmarkArtifact in cmd/experiments times each paper figure and the root
-# serve_bench_test.go the serving layer; nothing gates on either.
+# BenchmarkArtifact in cmd/experiments times each paper figure and
+# internal/serve's BenchmarkServeLookup1M the serving layer; nothing gates on
+# either.
 bench-e2e:
 	$(GO) run ./bench
 

@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	sleepscan [-blocks N] [-days N] [-seed N] [-restarts] [-json]
+//	sleepscan [-blocks N] [-days N] [-seed N] [-restarts]
 //	          [-loss P] [-corrupt P] [-ratelimit N] [-blackout-every D -blackout-for D]
 //	          [-skew D] [-drift D] [-retries N] [-o FILE [-resume]] [-csv FILE]
 //
@@ -35,7 +35,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -90,7 +89,6 @@ func run(args []string, out *bytes.Buffer) error {
 	days := fs.Int("days", 14, "days of probing")
 	seed := fs.Uint64("seed", 42, "seed")
 	restarts := fs.Bool("restarts", true, "model 5.5h prober restarts")
-	asJSON := fs.Bool("json", false, "emit machine-readable JSON summary")
 	outages := fs.Float64("outages", 0.15, "base outage episodes per block-week (0 disables)")
 	savePath := fs.String("o", "", "save the study to this file as it is measured (read by sleepscan inspect)")
 	csvPath := fs.String("csv", "", "export per-block records as CSV to this file")
@@ -165,51 +163,6 @@ func run(args []string, out *bytes.Buffer) error {
 		if err := writeCSV(st, *csvPath); err != nil {
 			return err
 		}
-	}
-
-	if *asJSON {
-		strict, either := st.DiurnalFraction()
-		counts := st.CountByClass()
-		floor := countryFloor(st)
-		res := map[string]any{
-			"blocks":         len(st.Blocks),
-			"measured":       len(st.Measured()),
-			"days":           *days,
-			"strictFraction": strict,
-			"eitherFraction": either,
-			"strictBlocks":   counts[core.StrictDiurnal],
-			"relaxedBlocks":  counts[core.RelaxedDiurnal],
-			"nonDiurnal":     counts[core.NonDiurnal],
-			"probesPerHour":  st.ProbeBudget(),
-			"elapsedSeconds": elapsed.Seconds(),
-			"countries":      st.CountryTable(floor),
-			"regions":        st.RegionTable(),
-			"errors":         st.ErrorCount(),
-			"partial":        st.PartialCount(),
-			"quarantined":    st.QuarantinedCount(),
-		}
-		if msg := st.FirstError(); msg != "" {
-			res["firstError"] = msg
-		}
-		if ft := st.FaultTotals(); ft.Probes > 0 { // an injector was attached
-			failed, rt, se, rl := st.DegradationTotals()
-			res["faults"] = map[string]any{
-				"dropped":          ft.Dropped,
-				"rateLimited":      ft.RateLimited,
-				"sendErrors":       ft.SendErrors,
-				"corrupted":        ft.Corrupted,
-				"failedRounds":     failed,
-				"retries":          rt,
-				"probeSendErrors":  se,
-				"probeRateLimited": rl,
-			}
-		}
-		if reg != nil {
-			res["metrics"] = snap
-		}
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		return enc.Encode(res)
 	}
 
 	fmt.Fprintf(out, "sleepscan: %d blocks probed for %d days in %v\n",

@@ -71,6 +71,27 @@ func TestReportSameFromMemoryAndFile(t *testing.T) {
 	}
 }
 
+// TestRefusesBadCampaign: a campaign of no days, or a negative rate limit,
+// used to run and report something other than what was asked — 14 days
+// headlined as "probed for 0 days", "-332 rounds" with every block failed,
+// or no rate limit at all. sleepscan refuses each and names the field.
+func TestRefusesBadCampaign(t *testing.T) {
+	for _, tc := range []struct {
+		args  []string
+		field string
+	}{
+		{[]string{"-days", "0"}, "Days"},
+		{[]string{"-days", "-3"}, "Days"},
+		{[]string{"-days", "1", "-ratelimit", "-3"}, "RateLimitPerRound"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-blocks", "20"}, tc.args...), &out)
+		if err == nil || errors.Is(err, errUsage) || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("sleepscan %v: got %v, want an error naming %s", tc.args, err, tc.field)
+		}
+	}
+}
+
 // reportLines drops from a command's output the lines that belong to the
 // caller, not to the study: sleepscan's elapsed time and save notice, and
 // either command's CSV notice.

@@ -36,7 +36,9 @@ type CampusCategoryResult struct {
 // campus is measured in one pass on a clean wire: sc's fault model and
 // checkpoint fields do not apply.
 func ValidateCampus(c *world.Campus, sc StudyConfig) (*CampusResult, error) {
-	sc = sc.withDefaults()
+	if err := sc.checkDays(); err != nil {
+		return nil, err
+	}
 	pl := core.NewPipeline(c.Net, sc.pipelineConfig())
 	ids := make([]netsim.BlockID, len(c.Blocks))
 	for i, cb := range c.Blocks {

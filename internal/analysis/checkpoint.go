@@ -31,7 +31,7 @@ import (
 const studyCheckpointVersion = 2
 
 // studyCheckpointHeader is the campaign's identity: the configuration the
-// world was generated from and the (defaulted) study configuration less its
+// world was generated from and the study configuration less its
 // json:"-" fields. Resume refuses a file whose header encodes differently,
 // and LoadStudy rebuilds the world and the pipeline configuration from it.
 type studyCheckpointHeader struct {

@@ -13,6 +13,7 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/faults"
 	"sleepnet/internal/metrics"
+	"sleepnet/internal/trinocular"
 	"sleepnet/internal/world"
 )
 
@@ -263,5 +264,83 @@ func TestWriteCSVBlockColumn(t *testing.T) {
 	lines := strings.Split(buf.String(), "\n")
 	if len(lines) < 2 || !strings.HasPrefix(lines[1], "1.9.21/24,") {
 		t.Fatalf("CSV = %q, want a row starting with 1.9.21/24", buf.String())
+	}
+}
+
+// TestLoadStudyReadsParentFormat reads a study saved before the fault
+// model's RateLimitWindow and Epoch and the retry policy's BaseBackoff
+// stopped being fields: its header carries the three keys, always zero,
+// that headers written today lack. sleepscan at commit d25480b wrote it:
+//
+//	sleepscan -blocks 20 -days 2 -loss 0.05 -retries 3 -o testdata/study_with_old_header.jsonl
+//
+// LoadStudy must read every block with its class, and a resume over a copy
+// must take it for its own campaign and measure nothing.
+func TestLoadStudyReadsParentFormat(t *testing.T) {
+	const path = "testdata/study_with_old_header.jsonl"
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	header, _, _ := bytes.Cut(raw, []byte("\n"))
+	for _, key := range []string{`"RateLimitWindow":0`, `"Epoch":"0001-01-01T00:00:00Z"`, `"BaseBackoff":0`} {
+		if !bytes.Contains(header, []byte(key)) {
+			t.Fatalf("fixture header lacks %s: %s", key, header)
+		}
+	}
+	classes := make(map[int]core.DiurnalClass) // as the file's block lines hold them
+	for _, line := range bytes.Split(raw, []byte("\n"))[1:] {
+		var l studyCheckpointLine
+		if len(line) > 0 && json.Unmarshal(line, &l) == nil && l.Block.Days > 0 {
+			classes[l.Index] = l.Block.Class
+		}
+	}
+
+	st, _, err := LoadStudy(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Blocks) != len(classes) || len(classes) < 20 {
+		t.Fatalf("loaded %d blocks, the file holds %d", len(st.Blocks), len(classes))
+	}
+	seen := make(map[core.DiurnalClass]bool)
+	for i, b := range st.Blocks {
+		if b.Info == nil || b.Class != classes[i] {
+			t.Fatalf("block %d loaded as class %v (info %v), the file says %v", i, b.Class, b.Info, classes[i])
+		}
+		seen[b.Class] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("fixture too tame: every block is class %v", st.Blocks[0].Class)
+	}
+
+	// The campaign sleepscan ran, as it builds it.
+	copyPath := filepath.Join(t.TempDir(), "study.jsonl")
+	if err := os.WriteFile(copyPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.New()
+	resumed, err := MeasureWorld(st.World, StudyConfig{
+		Days:            2,
+		Seed:            42 ^ 0x5ca9,
+		RestartInterval: 5*time.Hour + 30*time.Minute,
+		MissingRate:     0.03,
+		DuplicateRate:   0.02,
+		Faults:          faults.Config{Seed: 42 ^ 0xfa17, LossRate: 0.05},
+		Retry:           trinocular.RetryConfig{MaxAttempts: 3},
+		CheckpointPath:  copyPath,
+		Resume:          true,
+		Metrics:         reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Snapshot().Counter("trinocular.probes_sent"); n != 0 {
+		t.Fatalf("resume sent %d probes, want none: every block is in the file", n)
+	}
+	for i := range st.Blocks {
+		if g, w := blockJSON(t, resumed.Blocks[i]), blockJSON(t, st.Blocks[i]); g != w {
+			t.Fatalf("block %d after resume:\n got %s\nwant %s", i, g, w)
+		}
 	}
 }

@@ -291,8 +291,8 @@ func TestValidateDiurnalDetectionReportsSurveyFailure(t *testing.T) {
 }
 
 func TestSweepAccuracyHighAtFullPopulation(t *testing.T) {
-	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 3, Workers: 8}
-	pt, err := RunSweepPoint(100, cfg)
+	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 3}
+	pt, err := runSweepPoint(100, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestSweepAccuracyHighAtFullPopulation(t *testing.T) {
 }
 
 func TestSweepDiurnalCountMonotoneEnds(t *testing.T) {
-	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 5, Workers: 8}
+	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 5}
 	pts, err := SweepDiurnalCount([]int{2, 60}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -325,7 +325,7 @@ func TestSweepDiurnalCountMonotoneEnds(t *testing.T) {
 }
 
 func TestSweepPhaseSpreadCollapse(t *testing.T) {
-	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 7, Workers: 8}
+	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 7}
 	pts, err := SweepPhaseSpread([]float64{0, 22}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -341,7 +341,7 @@ func TestSweepPhaseSpreadCollapse(t *testing.T) {
 }
 
 func TestSweepDurationSigmaRobust(t *testing.T) {
-	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 9, Workers: 8}
+	cfg := SweepConfig{Batches: 2, PerBatch: 6, Weeks: 2, Seed: 9}
 	pts, err := SweepDurationSigma([]float64{0, 6}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -353,8 +353,8 @@ func TestSweepDurationSigmaRobust(t *testing.T) {
 }
 
 func TestSweepErrors(t *testing.T) {
-	cfg := SweepConfig{Batches: 1, PerBatch: 1, Weeks: 2, NDiurnal: 206}
-	if _, err := RunSweepPoint(0, cfg); err == nil {
+	cfg := SweepConfig{Batches: 1, PerBatch: 1, Weeks: 2}
+	if _, err := SweepDiurnalCount([]int{206}, cfg); err == nil {
 		t.Fatal("overfull population should error")
 	}
 }

@@ -223,6 +223,7 @@ func TestMeasureWorldRefusesBadFaultConfig(t *testing.T) {
 		{"loss-nan", faults.Config{LossRate: math.NaN()}, "LossRate"},
 		{"corrupt-above-one", faults.Config{CorruptRate: 1.5}, "CorruptRate"},
 		{"corrupt-negative", faults.Config{CorruptRate: -1}, "CorruptRate"},
+		{"ratelimit-negative", faults.Config{RateLimitPerRound: -3}, "RateLimitPerRound"},
 		{"blackout-both", faults.Config{BlackoutEvery: time.Hour, BlackoutFor: 10 * time.Minute}, ""},
 		{"rates-zero", faults.Config{}, ""},
 		{"rates-one", faults.Config{LossRate: 1, CorruptRate: 1}, ""},

@@ -32,8 +32,6 @@ type FaultSweepConfig struct {
 	RateLimits []int
 	// Retry is the prober's retry policy for every run (zero: no retries).
 	Retry trinocular.RetryConfig
-	// Workers bounds per-run parallelism.
-	Workers int
 }
 
 func (c FaultSweepConfig) withDefaults() FaultSweepConfig {
@@ -85,11 +83,10 @@ func FaultSweep(cfg FaultSweepConfig) ([]FaultSweepPoint, error) {
 	var points []FaultSweepPoint
 	for _, lvl := range faults.SweepLevels(cfg.Seed, cfg.LossRates, cfg.RateLimits) {
 		st, err := MeasureWorld(w, StudyConfig{
-			Days:    cfg.Days,
-			Seed:    cfg.Seed,
-			Workers: cfg.Workers,
-			Faults:  lvl.Config,
-			Retry:   cfg.Retry,
+			Days:   cfg.Days,
+			Seed:   cfg.Seed,
+			Faults: lvl.Config,
+			Retry:  cfg.Retry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", lvl.Label, err)

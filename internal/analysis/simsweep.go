@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -13,23 +14,25 @@ import (
 )
 
 // SweepConfig describes the controlled diurnal-block simulation of §3.2.2:
-// one /24 with sweepStable always-on addresses and NDiurnal addresses that are
+// one /24 with sweepStable always-on addresses and nDiurnal addresses that are
 // up for upHours and down the rest of each day, with phase spread Φ and
 // per-day duration noise. The sweep repeats the experiment
 // PerBatch times in each of Batches batches and reports detection accuracy
-// (fraction of experiments classified strictly diurnal).
+// (fraction of experiments classified strictly diurnal). Each Sweep function
+// varies one of the unexported fields and leaves the others at the paper's
+// values.
 type SweepConfig struct {
 	Batches  int // default 10 (paper)
 	PerBatch int // default 100 (paper)
 	Weeks    int // default 4 (paper)
-	NDiurnal int // default 100 (paper)
-	// PhaseSpread is Φ: each address's daily on-time is drawn once,
+	Seed     uint64
+
+	nDiurnal int // default 100 (paper)
+	// phaseSpread is Φ: each address's daily on-time is drawn once,
 	// uniformly in [0, Φ] after the base hour.
-	PhaseSpread time.Duration
-	// DurationSigma (σd) is per-day noise on the on-period's length.
-	DurationSigma time.Duration
-	Seed          uint64
-	Workers       int
+	phaseSpread time.Duration
+	// durationSigma (σd) is per-day noise on the on-period's length.
+	durationSigma time.Duration
 }
 
 const (
@@ -50,11 +53,8 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	if c.Weeks == 0 {
 		c.Weeks = 4
 	}
-	if c.NDiurnal == 0 {
-		c.NDiurnal = 100
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
+	if c.nDiurnal == 0 {
+		c.nDiurnal = 100
 	}
 	return c
 }
@@ -72,18 +72,19 @@ type SweepPoint struct {
 	Mean float64
 }
 
-// RunSweepPoint runs Batches x PerBatch controlled experiments and scores
+// runSweepPoint runs Batches x PerBatch controlled experiments and scores
 // strict-diurnal detection accuracy.
 //
-// It keeps a worker pool of its own, the one batch campaign that does not go
-// through core.Pipeline.RunAll: its jobs are not blocks of one network but
-// whole single-block networks, each with a pipeline seeded per experiment,
-// so regrouping them into one campaign would re-seed every prober and move
-// Figs 7–9.
-func RunSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
+// It keeps a worker pool of its own, GOMAXPROCS wide as RunAll's is, the one
+// batch campaign that does not go through core.Pipeline.RunAll: its jobs are
+// not blocks of one network but whole single-block networks, each with a
+// pipeline seeded per experiment, so regrouping them into one campaign would
+// re-seed every prober and move Figs 7–9. Results are counts, so they do not
+// depend on the pool's width.
+func runSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 	cfg = cfg.withDefaults()
-	if cfg.NDiurnal < 1 || cfg.NDiurnal+sweepStable > 255 {
-		return SweepPoint{}, fmt.Errorf("analysis: bad population %d stable + %d diurnal", sweepStable, cfg.NDiurnal)
+	if cfg.nDiurnal < 1 || cfg.nDiurnal+sweepStable > 255 {
+		return SweepPoint{}, fmt.Errorf("analysis: bad population %d stable + %d diurnal", sweepStable, cfg.nDiurnal)
 	}
 	pt := SweepPoint{X: x, BatchAccuracy: make([]float64, cfg.Batches)}
 	type job struct{ batch, exp int }
@@ -95,7 +96,7 @@ func RunSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 	jobs := make(chan job)
 	results := make(chan res)
 	var wg sync.WaitGroup
-	for wkr := 0; wkr < cfg.Workers; wkr++ {
+	for wkr := 0; wkr < runtime.GOMAXPROCS(0); wkr++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -154,12 +155,12 @@ func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 		hosts[h] = netsim.AlwaysOn{}
 	}
 	// Base on-time 09:00 plus a per-address uniform offset in [0, Φ].
-	for i := 0; i < cfg.NDiurnal; i++ {
-		phi := time.Duration(r.Float64() * float64(cfg.PhaseSpread))
+	for i := 0; i < cfg.nDiurnal; i++ {
+		phi := time.Duration(r.Float64() * float64(cfg.phaseSpread))
 		hosts[h] = netsim.Diurnal{
 			Phase:         9*time.Hour + phi,
 			Duration:      upHours * time.Hour,
-			DurationSigma: cfg.DurationSigma,
+			DurationSigma: cfg.durationSigma,
 			Seed:          seed + uint64(h)*977,
 		}
 		h++
@@ -189,8 +190,8 @@ func SweepDiurnalCount(counts []int, cfg SweepConfig) ([]SweepPoint, error) {
 	out := make([]SweepPoint, 0, len(counts))
 	for _, n := range counts {
 		c := cfg
-		c.NDiurnal = n
-		pt, err := RunSweepPoint(float64(n), c)
+		c.nDiurnal = n
+		pt, err := runSweepPoint(float64(n), c)
 		if err != nil {
 			return nil, fmt.Errorf("n_d=%d: %w", n, err)
 		}
@@ -205,8 +206,8 @@ func SweepPhaseSpread(hours []float64, cfg SweepConfig) ([]SweepPoint, error) {
 	out := make([]SweepPoint, 0, len(hours))
 	for _, hh := range hours {
 		c := cfg
-		c.PhaseSpread = time.Duration(hh * float64(time.Hour))
-		pt, err := RunSweepPoint(hh, c)
+		c.phaseSpread = time.Duration(hh * float64(time.Hour))
+		pt, err := runSweepPoint(hh, c)
 		if err != nil {
 			return nil, fmt.Errorf("phi=%vh: %w", hh, err)
 		}
@@ -221,8 +222,8 @@ func SweepDurationSigma(hours []float64, cfg SweepConfig) ([]SweepPoint, error) 
 	out := make([]SweepPoint, 0, len(hours))
 	for _, hh := range hours {
 		c := cfg
-		c.DurationSigma = time.Duration(hh * float64(time.Hour))
-		pt, err := RunSweepPoint(hh, c)
+		c.durationSigma = time.Duration(hh * float64(time.Hour))
+		pt, err := runSweepPoint(hh, c)
 		if err != nil {
 			return nil, fmt.Errorf("sigma_d=%vh: %w", hh, err)
 		}

@@ -91,7 +91,7 @@ type Study struct {
 // it (checkpoint.go); the fields tagged json:"-" change nothing a block
 // records and are left out of the campaign's identity.
 type StudyConfig struct {
-	// Days of probing (default 14).
+	// Days of probing (required, at least one).
 	Days int
 	// Seed for the pipeline (artifact injection, walks).
 	Seed uint64
@@ -102,8 +102,8 @@ type StudyConfig struct {
 	// MissingRate/DuplicateRate forward collection artifacts.
 	MissingRate, DuplicateRate float64
 	// Faults, when active, attaches a fault injector to the world's network
-	// for the duration of the measurement. Its Epoch defaults to the
-	// campaign start (DefaultStart).
+	// for the duration of the measurement, anchored at the campaign start
+	// (DefaultStart).
 	Faults faults.Config
 	// Retry forwards the prober's retry policy for vantage-local failures.
 	Retry trinocular.RetryConfig
@@ -119,14 +119,16 @@ type StudyConfig struct {
 	Metrics *metrics.Registry `json:"-"`
 }
 
-func (c StudyConfig) withDefaults() StudyConfig {
-	if c.Days == 0 {
-		c.Days = 14
+// checkDays refuses a campaign shorter than a day, which would measure
+// nothing, or a negative number of rounds.
+func (c StudyConfig) checkDays() error {
+	if c.Days < 1 {
+		return fmt.Errorf("analysis: StudyConfig.Days %d: a study probes for at least one day", c.Days)
 	}
-	return c
+	return nil
 }
 
-// pipelineConfig is the one mapping from a (defaulted) study configuration
+// pipelineConfig is the one mapping from a study configuration
 // to the pipeline's.
 func (c StudyConfig) pipelineConfig() core.PipelineConfig {
 	return core.PipelineConfig{
@@ -161,9 +163,11 @@ func (f *firstError) set(err error) {
 // MeasureWorld runs the full §2 pipeline over every block of the world in
 // parallel and returns the per-block classifications.
 func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
-	sc = sc.withDefaults()
 	if len(w.Blocks) == 0 {
 		return nil, fmt.Errorf("analysis: world has no blocks")
+	}
+	if err := sc.checkDays(); err != nil {
+		return nil, err
 	}
 	if err := sc.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("analysis: %w", err)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -137,6 +138,27 @@ func TestSelectBlocksAndSortedCodes(t *testing.T) {
 func TestMeasureWorldEmpty(t *testing.T) {
 	if _, err := MeasureWorld(&world.World{}, StudyConfig{}); err == nil {
 		t.Fatal("empty world should error")
+	}
+}
+
+// TestMeasureWorldRefusesShortCampaign: a study of zero or negative days
+// used to measure 14 days, or a negative number of rounds, and report it as
+// asked; it is refused with an error that names the field.
+func TestMeasureWorldRefusesShortCampaign(t *testing.T) {
+	w, err := world.Generate(world.Config{Blocks: 12, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, days := range []int{0, -3, 1} {
+		st, err := MeasureWorld(w, StudyConfig{Days: days, Seed: 5})
+		switch {
+		case days >= 1 && (err != nil || st == nil):
+			t.Fatalf("Days %d refused: %v", days, err)
+		case days < 1 && err == nil:
+			t.Fatalf("Days %d measured", days)
+		case days < 1 && !strings.Contains(err.Error(), "Days"):
+			t.Fatalf("Days %d: error %q does not name the field", days, err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sleepnet/internal/faults"
+	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
@@ -22,8 +23,9 @@ const batchRounds = 3*86400/660 + 30
 // buildBatchPipeline assembles a fresh hostile fixture: a mixed population
 // (diurnal, stable, flaky, outage-prone, reply-rate-limited, sparse), a wire
 // fault injector, collection artifacts, retries, and restart downtime. Each
-// call builds an independent world so the two probe paths share no state.
-func buildBatchPipeline() (*Pipeline, []netsim.BlockID) {
+// call builds an independent world so the two probe paths share no state;
+// reg receives the prober's counters.
+func buildBatchPipeline(reg *metrics.Registry) (*Pipeline, []netsim.BlockID) {
 	net := netsim.NewNetwork(77)
 
 	diurnal := mkDiurnalBlock(netsim.MakeBlockID(27, 1, 1), 80)
@@ -54,20 +56,19 @@ func buildBatchPipeline() (*Pipeline, []netsim.BlockID) {
 		RateLimitPerRound: 8,
 		BlackoutEvery:     3 * time.Hour,
 		BlackoutFor:       2 * time.Minute,
-		Epoch:             start,
-	}))
+	}, start))
 
 	cfg := PipelineConfig{
 		Start:         start,
 		Rounds:        batchRounds,
-		Seed:          5,
+		Seed:          64, // puts a block inside the restart downtime window
 		MissingRate:   0.03,
 		DuplicateRate: 0.02,
 		Prober: trinocular.Config{
-			RestartInterval:     6 * time.Hour,
-			RestartDowntimeFrac: 0.5,
-			Retry:               trinocular.RetryConfig{MaxAttempts: 3, BaseBackoff: time.Second},
+			RestartInterval: 6 * time.Hour,
+			Retry:           trinocular.RetryConfig{MaxAttempts: 3},
 		},
+		Metrics: reg,
 	}
 	return NewPipeline(net, cfg), ids
 }
@@ -78,7 +79,8 @@ func buildBatchPipeline() (*Pipeline, []netsim.BlockID) {
 // — records, series, classifications, and error slots alike — under wire
 // faults, collection artifacts, retries, and restart downtime.
 func TestRunBlocksMatchesRunBlock(t *testing.T) {
-	plRef, ids := buildBatchPipeline()
+	reg := metrics.New()
+	plRef, ids := buildBatchPipeline(reg)
 	refRuns := make([]*BlockRun, len(ids))
 	refErrs := make([]error, len(ids))
 	for i, id := range ids {
@@ -95,9 +97,12 @@ func TestRunBlocksMatchesRunBlock(t *testing.T) {
 			t.Fatalf("fixture block %d should measure, got %v: no record to compare", i, refErrs[i])
 		}
 	}
+	if reg.Snapshot().Counter("trinocular.rounds_cold") == 0 {
+		t.Fatal("fixture too tame: no block probed a cold restart round")
+	}
 
 	for _, group := range []int{3, len(ids)} {
-		pl, _ := buildBatchPipeline()
+		pl, _ := buildBatchPipeline(metrics.New())
 		runs := make([]*BlockRun, 0, len(ids))
 		errs := make([]error, 0, len(ids))
 		for g := 0; g < len(ids); g += group {
@@ -192,8 +197,7 @@ func TestRunAll(t *testing.T) {
 				LossRate:          0.02,
 				CorruptRate:       0.01,
 				RateLimitPerRound: 12,
-				Epoch:             start,
-			}),
+			}, start),
 			blk: ids[0],
 		})
 	}

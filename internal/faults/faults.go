@@ -33,27 +33,26 @@ type Config struct {
 	// icmp parse error path).
 	CorruptRate float64
 	// RateLimitPerRound, when positive, lets only that many probes per
-	// target block through in each rate-limit window; the rest are eaten by
+	// target block through in each rateLimitWindow; the rest are eaten by
 	// an intermediate device that answers with an ICMP administratively-
 	// prohibited unreachable — the bursty rate limiting real gateways apply.
 	RateLimitPerRound int
-	// RateLimitWindow is the rate-limit accounting window (default: the
-	// paper's 11-minute round).
-	RateLimitWindow time.Duration
 	// ClockSkew is a constant offset added to every delivery timestamp —
 	// the prober's clock disagreeing with the world's.
 	ClockSkew time.Duration
-	// ClockDriftPerDay adds a linearly growing offset anchored at Epoch.
+	// ClockDriftPerDay adds a linearly growing offset anchored at the
+	// injector's epoch.
 	ClockDriftPerDay time.Duration
 	// BlackoutEvery/BlackoutFor schedule periodic vantage-point blackouts
-	// anchored at Epoch: during the first BlackoutFor of every
-	// BlackoutEvery, all probes fail locally with a send error.
+	// anchored at the injector's epoch: during the first BlackoutFor of
+	// every BlackoutEvery, all probes fail locally with a send error.
 	BlackoutEvery time.Duration
 	BlackoutFor   time.Duration
-	// Epoch anchors drift and periodic blackouts; campaigns set it to their
-	// start time. Drift and periodic blackouts are disabled while zero.
-	Epoch time.Time
 }
+
+// rateLimitWindow is the rate-limit accounting window: the paper's
+// 11-minute round.
+const rateLimitWindow = 660 * time.Second
 
 // Active reports whether the configuration injects anything at all.
 func (c Config) Active() bool {
@@ -63,11 +62,14 @@ func (c Config) Active() bool {
 }
 
 // Validate refuses a configuration that Active would misread: a
-// probability outside [0, 1], which injects everything or nothing, and a
-// blackout schedule with only one of its two durations, which injects
-// nothing. The error names the field.
+// probability outside [0, 1], which injects everything or nothing, a
+// negative rate limit, which injects nothing, and a blackout schedule with
+// only one of its two durations, which injects nothing. The error names the
+// field.
 func (c Config) Validate() error {
 	switch {
+	case c.RateLimitPerRound < 0:
+		return fmt.Errorf("faults: RateLimitPerRound %d is negative", c.RateLimitPerRound)
 	case !(c.LossRate >= 0 && c.LossRate <= 1): // NaN too
 		return fmt.Errorf("faults: LossRate %v is not a probability in [0, 1]", c.LossRate)
 	case !(c.CorruptRate >= 0 && c.CorruptRate <= 1):
@@ -118,33 +120,29 @@ type blockState struct {
 // Injector implements netsim.Tap. The zero value is a usable no-op; create
 // configured injectors with New. Safe for concurrent use.
 type Injector struct {
-	cfg Config
+	cfg   Config
+	epoch time.Time // anchors drift and periodic blackouts; zero disables both
 
 	mu     sync.Mutex
 	blocks map[netsim.BlockID]*blockState
 }
 
-// New creates an injector for the given fault model.
-func New(cfg Config) *Injector {
-	if cfg.RateLimitWindow <= 0 {
-		cfg.RateLimitWindow = 660 * time.Second
-	}
-	return &Injector{cfg: cfg}
+// New creates an injector for the given fault model. epoch anchors clock
+// drift and periodic blackouts — campaigns pass their start time; a zero
+// epoch disables both.
+func New(cfg Config, epoch time.Time) *Injector {
+	return &Injector{cfg: cfg, epoch: epoch}
 }
 
 // Attach installs an injector for cfg on net for a campaign that begins at
-// start — cfg.Epoch defaults to it — and returns the injector with the
-// function that removes it again. An inactive cfg attaches nothing: the
-// injector is nil and detach does nothing. Like SetTap, neither call may
-// race with probing.
+// start, its epoch, and returns the injector with the function that removes
+// it again. An inactive cfg attaches nothing: the injector is nil and
+// detach does nothing. Like SetTap, neither call may race with probing.
 func Attach(net *netsim.Network, cfg Config, start time.Time) (inj *Injector, detach func()) {
 	if !cfg.Active() {
 		return nil, func() {}
 	}
-	if cfg.Epoch.IsZero() {
-		cfg.Epoch = start
-	}
-	inj = New(cfg)
+	inj = New(cfg, start)
 	net.SetTap(inj)
 	return inj, func() { net.SetTap(nil) }
 }
@@ -164,8 +162,8 @@ func (in *Injector) block(id netsim.BlockID) *blockState {
 // skewed returns now as the fault model's clock sees it.
 func (in *Injector) skewed(now time.Time) time.Time {
 	adj := now.Add(in.cfg.ClockSkew)
-	if in.cfg.ClockDriftPerDay != 0 && !in.cfg.Epoch.IsZero() {
-		days := now.Sub(in.cfg.Epoch).Hours() / 24
+	if in.cfg.ClockDriftPerDay != 0 && !in.epoch.IsZero() {
+		days := now.Sub(in.epoch).Hours() / 24
 		adj = adj.Add(time.Duration(days * float64(in.cfg.ClockDriftPerDay)))
 	}
 	return adj
@@ -173,10 +171,10 @@ func (in *Injector) skewed(now time.Time) time.Time {
 
 // blackedOut reports whether the vantage point is down at now.
 func (in *Injector) blackedOut(now time.Time) bool {
-	if in.cfg.BlackoutEvery <= 0 || in.cfg.BlackoutFor <= 0 || in.cfg.Epoch.IsZero() {
+	if in.cfg.BlackoutEvery <= 0 || in.cfg.BlackoutFor <= 0 || in.epoch.IsZero() {
 		return false
 	}
-	since := now.Sub(in.cfg.Epoch)
+	since := now.Sub(in.epoch)
 	return since >= 0 && since%in.cfg.BlackoutEvery < in.cfg.BlackoutFor
 }
 
@@ -209,7 +207,7 @@ func (in *Injector) outboundLocked(dst netsim.Addr, now time.Time) (time.Time, n
 		return now, netsim.TapDrop
 	}
 	if in.cfg.RateLimitPerRound > 0 {
-		w := now.UnixNano() / int64(in.cfg.RateLimitWindow)
+		w := now.UnixNano() / int64(rateLimitWindow)
 		if w != st.rlWindow {
 			st.rlWindow = w
 			st.rlCount = 0

@@ -54,7 +54,7 @@ func TestZeroValueIsNoOp(t *testing.T) {
 
 func TestDeterministicAndLossRate(t *testing.T) {
 	cfg := Config{Seed: 7, LossRate: 0.2}
-	a, b := New(cfg), New(cfg)
+	a, b := New(cfg, time.Time{}), New(cfg, time.Time{})
 	drops := 0
 	const n = 5000
 	for i := 0; i < n; i++ {
@@ -78,7 +78,7 @@ func TestDeterministicAndLossRate(t *testing.T) {
 }
 
 func TestRateLimitWindow(t *testing.T) {
-	in := New(Config{Seed: 1, RateLimitPerRound: 3})
+	in := New(Config{Seed: 1, RateLimitPerRound: 3}, time.Time{})
 	now := epoch
 	var limited int
 	for i := 0; i < 10; i++ {
@@ -109,8 +109,7 @@ func TestBlackouts(t *testing.T) {
 		Seed:          3,
 		BlackoutEvery: time.Hour,
 		BlackoutFor:   10 * time.Minute,
-		Epoch:         epoch,
-	})
+	}, epoch)
 	if _, v := outbound1(in, addr(1), epoch.Add(5*time.Minute)); v != netsim.TapSendError {
 		t.Fatalf("inside blackout window: %v, want send error", v)
 	}
@@ -121,7 +120,7 @@ func TestBlackouts(t *testing.T) {
 		t.Fatalf("inside second blackout: %v, want send error", v)
 	}
 	// A one-minute window a day: its edges, and nothing before the epoch.
-	daily := New(Config{BlackoutEvery: 24 * time.Hour, BlackoutFor: time.Minute, Epoch: epoch})
+	daily := New(Config{BlackoutEvery: 24 * time.Hour, BlackoutFor: time.Minute}, epoch)
 	for _, c := range []struct {
 		at   time.Duration
 		want netsim.TapVerdict
@@ -136,7 +135,7 @@ func TestBlackouts(t *testing.T) {
 		}
 	}
 	// Without an epoch there is no schedule to anchor, so nothing blacks out.
-	unanchored := New(Config{BlackoutEvery: time.Hour, BlackoutFor: 10 * time.Minute})
+	unanchored := New(Config{BlackoutEvery: time.Hour, BlackoutFor: 10 * time.Minute}, time.Time{})
 	if _, v := outbound1(unanchored, addr(1), epoch.Add(5*time.Minute)); v != netsim.TapDeliver {
 		t.Fatalf("blackout without an epoch: %v, want deliver", v)
 	}
@@ -146,8 +145,7 @@ func TestClockSkewAndDrift(t *testing.T) {
 	in := New(Config{
 		ClockSkew:        5 * time.Second,
 		ClockDriftPerDay: 2 * time.Second,
-		Epoch:            epoch,
-	})
+	}, epoch)
 	now := epoch.Add(36 * time.Hour) // 1.5 days -> drift 3s
 	ts, v := outbound1(in, addr(1), now)
 	if v != netsim.TapDeliver {
@@ -163,7 +161,7 @@ func TestClockSkewAndDrift(t *testing.T) {
 // and requires every corrupted reply to fail validation — corruption must
 // never silently yield a different valid message.
 func TestCorruptionBreaksParsing(t *testing.T) {
-	in := New(Config{Seed: 9, CorruptRate: 1})
+	in := New(Config{Seed: 9, CorruptRate: 1}, time.Time{})
 	sawErr := map[string]bool{}
 	for i := 0; i < 300; i++ {
 		reply, err := (&icmp.Echo{Reply: true, ID: 7, Seq: uint16(i), Payload: []byte("ping")}).MarshalAppend(nil)
@@ -233,14 +231,14 @@ func TestNetworkIntegration(t *testing.T) {
 	}
 
 	// Total loss: every probe times out without SendFailed.
-	net.SetTap(New(Config{LossRate: 1}))
+	net.SetTap(New(Config{LossRate: 1}, time.Time{}))
 	r := probeOnce(1, epoch)
 	if !r.Timeout || r.SendFailed {
 		t.Fatalf("loss: got %+v, want plain timeout", r)
 	}
 
 	// Blackout: SendFailed set, so the prober can tell it apart.
-	net.SetTap(New(Config{BlackoutEvery: 24 * time.Hour, BlackoutFor: time.Hour, Epoch: epoch}))
+	net.SetTap(New(Config{BlackoutEvery: 24 * time.Hour, BlackoutFor: time.Hour}, epoch))
 	r = probeOnce(2, epoch.Add(time.Minute))
 	if !r.SendFailed {
 		t.Fatalf("blackout: got %+v, want SendFailed", r)
@@ -248,7 +246,7 @@ func TestNetworkIntegration(t *testing.T) {
 
 	// Rate limit of zero probes per window answers everything with
 	// admin-prohibited unreachables quoting our probe.
-	net.SetTap(New(Config{RateLimitPerRound: 1}))
+	net.SetTap(New(Config{RateLimitPerRound: 1}, time.Time{}))
 	probeOnce(3, epoch) // consumes the window's allowance
 	r = probeOnce(4, epoch.Add(time.Second))
 	if r.Timeout || r.Data == nil {
@@ -281,12 +279,10 @@ func TestNetworkIntegration(t *testing.T) {
 func TestOutboundBatchMatchesSequential(t *testing.T) {
 	cfg := Config{
 		Seed: 11, LossRate: 0.2, RateLimitPerRound: 3,
-		RateLimitWindow: 660 * time.Second,
-		ClockSkew:       150 * time.Millisecond,
-		BlackoutEvery:   30 * time.Minute, BlackoutFor: 2 * time.Minute,
-		Epoch: epoch,
+		ClockSkew:     150 * time.Millisecond,
+		BlackoutEvery: 30 * time.Minute, BlackoutFor: 2 * time.Minute,
 	}
-	seq, bat := New(cfg), New(cfg)
+	seq, bat := New(cfg, epoch), New(cfg, epoch)
 	var dsts []netsim.Addr
 	for i := 0; i < 120; i++ {
 		dsts = append(dsts, netsim.Addr{Block: netsim.MakeBlockID(10, 1, byte(i%4)), Host: byte(i)})
@@ -315,9 +311,7 @@ func TestOutboundBatchMatchesSequential(t *testing.T) {
 func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 	cfg := Config{
 		Seed: 3, LossRate: 0.15, CorruptRate: 0.2, RateLimitPerRound: 4,
-		RateLimitWindow: 660 * time.Second,
-		ClockSkew:       80 * time.Millisecond,
-		Epoch:           epoch,
+		ClockSkew: 80 * time.Millisecond,
 	}
 	mkNet := func() (*netsim.Network, *Injector) {
 		n := netsim.NewNetwork(9)
@@ -330,7 +324,7 @@ func TestInjectorBatchDeliveryEquivalence(t *testing.T) {
 			b.SetHosts(&hosts)
 			n.AddBlock(b)
 		}
-		in := New(cfg)
+		in := New(cfg, epoch)
 		n.SetTap(in)
 		return n, in
 	}

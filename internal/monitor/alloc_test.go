@@ -39,7 +39,6 @@ func TestMonitorRoundAllocFree(t *testing.T) {
 			cfg.Shards = 1
 			if tc.wal {
 				cfg.WALDir = t.TempDir()
-				cfg.SegmentBytes = 1 << 30 // no rotation inside the test
 			}
 			m, err := New(cfg)
 			if err != nil {

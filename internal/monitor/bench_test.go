@@ -48,7 +48,6 @@ func BenchmarkCommitRound(b *testing.B) {
 	cfg := baseConfig(testNet(blocks), 8)
 	cfg.Shards = 1
 	cfg.WALDir = b.TempDir()
-	cfg.SegmentBytes = 1 << 40
 	m, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -58,6 +57,7 @@ func BenchmarkCommitRound(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer s.wal.abandon()
+	s.wal.segBytes = 1 << 40 // no rotation: the seek below rewinds the file
 	s.probeRound(0)
 	if err := s.commitRound(0); err != nil {
 		b.Fatal(err)

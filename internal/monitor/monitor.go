@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,11 +51,10 @@ var (
 // required; everything else has defaults.
 type Config struct {
 	// Net is the network to probe (shared by all shards; netsim.Network is
-	// safe for concurrent probing).
+	// safe for concurrent probing). Every block of Net is monitored, except
+	// those too sparse to probe, which are silently excluded, as in the
+	// paper.
 	Net *netsim.Network
-	// Blocks selects the monitored blocks; nil monitors every block in Net.
-	// Blocks too sparse to probe are silently excluded, as in the paper.
-	Blocks []netsim.BlockID
 	// Start is the campaign's virtual epoch; round r probes at
 	// Start + r*timeseries.DefaultRound, the paper's 660 s.
 	Start time.Time
@@ -66,8 +64,6 @@ type Config struct {
 	// block count). Sharding does not affect results — only wall-clock and
 	// fault isolation.
 	Shards int
-	// Prober carries the Trinocular policy for every shard.
-	Prober trinocular.Config
 	Seed   uint64
 
 	// WALDir enables durability: per-shard segmented WALs and snapshots
@@ -76,30 +72,16 @@ type Config struct {
 	// SyncWAL fsyncs every record (the power-cut-safe mode). Off, records
 	// still reach the kernel per round and every seal/snapshot syncs.
 	SyncWAL bool
-	// SegmentBytes rotates WAL segments at this size (default 1 MiB).
-	SegmentBytes int64
 	// SnapshotEvery writes a shard snapshot every that many rounds
 	// (default 16; 0 disables periodic snapshots, leaving only the final
 	// and drain-time ones). It bounds how many rounds a recovery replays;
 	// each snapshot seals the open segment first.
 	SnapshotEvery int
 
-	// MaxRestarts is how many crashes a shard may accumulate before it is
-	// quarantined (default 5).
-	MaxRestarts int
-	// BackoffBase/BackoffMax shape the exponential restart backoff
-	// (defaults 10ms, 2s).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
 	// WatchdogTick drives the wedge detector; nil disables it. Tests inject
 	// a channel they fire by hand; the CLI feeds a time.Ticker. Tick values
 	// are ignored — only arrival matters.
 	WatchdogTick <-chan time.Time
-	// WatchdogStrikes is how many consecutive tick intervals without shard
-	// progress trigger an abort; twice that without progress is fatal
-	// (default 3).
-	WatchdogStrikes int
 
 	// Metrics receives operational counters; it is also handed to the
 	// probers when they have none of their own.
@@ -116,6 +98,10 @@ type Config struct {
 	// halt deterministic relative to chaos schedules: any event keyed to an
 	// earlier round is guaranteed to have fired first.
 	HaltAfterRound int
+
+	// prober carries the Trinocular policy for every shard: the zero
+	// trinocular.Config, the paper's, outside tests.
+	prober trinocular.Config
 }
 
 const (
@@ -124,34 +110,31 @@ const (
 	// fatalQuarantineFrac escalates to monitor-fatal when more than this
 	// fraction of shards is quarantined.
 	fatalQuarantineFrac = 0.5
+	// segmentBytes rotates WAL segments at this size.
+	segmentBytes = 1 << 20
+	// maxRestarts is how many crashes a shard may accumulate before it is
+	// quarantined.
+	maxRestarts = 5
+	// restartBackoffBase and restartBackoffMax shape the exponential
+	// restart backoff.
+	restartBackoffBase = 10 * time.Millisecond
+	restartBackoffMax  = 2 * time.Second
+	// watchdogStrikes is how many consecutive tick intervals without shard
+	// progress trigger an abort; twice that without progress is fatal.
+	watchdogStrikes = 3
 )
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
 	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 1 << 20
-	}
 	if c.SnapshotEvery < 0 {
 		c.SnapshotEvery = 0
 	} else if c.SnapshotEvery == 0 {
 		c.SnapshotEvery = 16
 	}
-	if c.MaxRestarts <= 0 {
-		c.MaxRestarts = 5
-	}
-	if c.BackoffBase <= 0 {
-		c.BackoffBase = 10 * time.Millisecond
-	}
-	if c.BackoffMax <= 0 {
-		c.BackoffMax = 2 * time.Second
-	}
-	if c.WatchdogStrikes <= 0 {
-		c.WatchdogStrikes = 3
-	}
-	if c.Metrics != nil && c.Prober.Metrics == nil {
-		c.Prober.Metrics = c.Metrics
+	if c.Metrics != nil && c.prober.Metrics == nil {
+		c.prober.Metrics = c.Metrics
 	}
 	return c
 }
@@ -199,6 +182,9 @@ type Monitor struct {
 	met    *monitorMetrics
 	chaos  *faults.ChaosPlan
 	shards []*shard
+	// backoffBase is restartBackoffBase; a test lengthens it to keep the
+	// watchdog's ticks inside one restart gap.
+	backoffBase time.Duration
 
 	halted      atomic.Bool
 	cancel      context.CancelFunc
@@ -220,26 +206,14 @@ func New(cfg Config) (*Monitor, error) {
 	if cfg.Start.IsZero() {
 		return nil, fmt.Errorf("monitor: Config.Start is required (the virtual epoch)")
 	}
-	if budget := max(cfg.Prober.MaxProbesPerRound, cfg.Prober.FixedProbes); cfg.WALDir != "" && budget > trinocular.MaxLoggedOutcomes {
+	if budget := max(trinocular.MaxProbesPerRound, cfg.prober.FixedProbes); cfg.WALDir != "" && budget > trinocular.MaxLoggedOutcomes {
 		return nil, fmt.Errorf("monitor: a round of up to %d probes does not fit a WAL record's %d-outcome log", budget, trinocular.MaxLoggedOutcomes)
 	}
 
-	ids := cfg.Blocks
-	if ids == nil {
-		ids = cfg.Net.BlockIDs()
-	}
-	ids = append([]netsim.BlockID(nil), ids...)
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := cfg.Net.BlockIDs() // sorted
 	eligible := ids[:0]
-	for i, id := range ids {
-		if i > 0 && id == ids[i-1] {
-			continue
-		}
-		blk := cfg.Net.Block(id)
-		if blk == nil {
-			return nil, fmt.Errorf("monitor: block %s not in network", id)
-		}
-		if blk.NumEverActive() < trinocular.MinEverActive {
+	for _, id := range ids {
+		if cfg.Net.Block(id).NumEverActive() < trinocular.MinEverActive {
 			continue // too sparse to probe; excluded by policy
 		}
 		eligible = append(eligible, id)
@@ -252,9 +226,10 @@ func New(cfg Config) (*Monitor, error) {
 	}
 
 	m := &Monitor{
-		cfg:   cfg,
-		met:   newMonitorMetrics(cfg.Metrics),
-		chaos: cfg.Chaos,
+		cfg:         cfg,
+		met:         newMonitorMetrics(cfg.Metrics),
+		chaos:       cfg.Chaos,
+		backoffBase: restartBackoffBase,
 	}
 	// Contiguous, balanced partition of the sorted order: deterministic, and
 	// shard i's blocks sort entirely before shard i+1's (Study relies on it).
@@ -441,7 +416,7 @@ func (m *Monitor) Run(ctx context.Context) (*Result, error) {
 func (m *Monitor) supervise(ctx context.Context, s *shard) shardOutcome {
 	var out shardOutcome
 	defer s.done.Store(true)
-	backoff := m.cfg.BackoffBase
+	backoff := m.backoffBase
 	for {
 		s.newAttempt()
 		err := s.runAttempt(ctx)
@@ -462,7 +437,7 @@ func (m *Monitor) supervise(ctx context.Context, s *shard) shardOutcome {
 		out.restarts++
 		out.lastErr = err
 		m.met.restarts.Inc()
-		if out.restarts > m.cfg.MaxRestarts {
+		if out.restarts > maxRestarts {
 			out.quarantined = true
 			m.met.quarantines.Inc()
 			if m.cfg.Sink != nil {
@@ -479,14 +454,12 @@ func (m *Monitor) supervise(ctx context.Context, s *shard) shardOutcome {
 		case <-time.After(backoff):
 		}
 		backoff *= 2
-		if backoff > m.cfg.BackoffMax {
-			backoff = m.cfg.BackoffMax
-		}
+		backoff = min(backoff, restartBackoffMax)
 	}
 }
 
 // watchdog strikes shards whose running attempt's heartbeat stalls across
-// tick intervals: WatchdogStrikes consecutive silent intervals abort the
+// tick intervals: watchdogStrikes consecutive silent intervals abort the
 // attempt (the supervisor restarts it); as many again without that same
 // attempt exiting means the shard is wedged beyond recovery and the monitor
 // dies loudly rather than reporting a silently incomplete study. Only a
@@ -520,10 +493,10 @@ func (m *Monitor) watchdog(ctx context.Context) {
 				strikes[i]++
 				m.met.watchdogStrikes.Inc()
 				switch {
-				case strikes[i] == m.cfg.WatchdogStrikes:
+				case strikes[i] == watchdogStrikes:
 					s.abortAttempt()
 					m.met.watchdogAborts.Inc()
-				case strikes[i] >= 2*m.cfg.WatchdogStrikes:
+				case strikes[i] >= 2*watchdogStrikes:
 					m.fail(fmt.Errorf("%w: shard %d made no progress through abort", ErrWatchdog, i))
 					return
 				}

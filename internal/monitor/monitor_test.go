@@ -41,13 +41,11 @@ func testNet(n int) *netsim.Network {
 
 func baseConfig(net *netsim.Network, rounds int) Config {
 	return Config{
-		Net:         net,
-		Start:       testEpoch,
-		Rounds:      rounds,
-		Shards:      4,
-		Seed:        42,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
+		Net:    net,
+		Start:  testEpoch,
+		Rounds: rounds,
+		Shards: 4,
+		Seed:   42,
 	}
 }
 
@@ -256,7 +254,7 @@ func chaosWorld(t *testing.T) *netsim.Network {
 		Seed:        0xfa17,
 		LossRate:    0.02,
 		CorruptRate: 0.01,
-	}))
+	}, time.Time{}))
 	return w.Net
 }
 
@@ -368,15 +366,14 @@ func TestWatchdogAbortsStalledShard(t *testing.T) {
 	cfg.SnapshotEvery = 3
 	cfg.Chaos = &faults.ChaosPlan{Stalls: []faults.ShardRound{{Shard: 0, Round: 2}}}
 	cfg.WatchdogTick = tick
-	cfg.WatchdogStrikes = 2
-	// Long against the burst of ticks sent into it below.
-	cfg.BackoffBase, cfg.BackoffMax = 50*time.Millisecond, 50*time.Millisecond
 	reg := metrics.New()
 	cfg.Metrics = reg
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Long against the burst of ticks sent into the restart gap below.
+	m.backoffBase = 50 * time.Millisecond
 
 	done := make(chan struct{})
 	var res *Result
@@ -429,7 +426,7 @@ func TestWatchdogAbortsStalledShard(t *testing.T) {
 	// completes (the stall fires only on the first attempt).
 	restarts := reg.Counter("monitor.shard_restarts")
 	await("the aborted attempt to exit", func() bool { return restarts.Value() == 1 })
-	for i := 0; i < 3*cfg.WatchdogStrikes; i++ {
+	for i := 0; i < 3*watchdogStrikes; i++ {
 		sendTick()
 	}
 	<-done
@@ -463,7 +460,6 @@ func TestWatchdogEscalatesHardWedgeToFatal(t *testing.T) {
 	cfg := baseConfig(testNet(9), 50)
 	cfg.Chaos = &faults.ChaosPlan{HardStalls: []faults.ShardRound{{Shard: 0, Round: 1}}}
 	cfg.WatchdogTick = tick
-	cfg.WatchdogStrikes = 2
 	m, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -490,16 +486,17 @@ func TestWatchdogEscalatesHardWedgeToFatal(t *testing.T) {
 
 func TestCrashLoopQuarantineAndQuorum(t *testing.T) {
 	// Without a WAL a restart re-executes from round 0, so a kill scheduled
-	// at each successive round fires once per attempt: a crash loop.
-	kills := make([]faults.ShardRound, 0, 8)
-	for r := 0; r < 8; r++ {
+	// at each successive round fires once per attempt: a crash loop that
+	// outlasts maxRestarts.
+	const rounds = maxRestarts + 2
+	kills := make([]faults.ShardRound, 0, rounds)
+	for r := 0; r < rounds; r++ {
 		kills = append(kills, faults.ShardRound{Shard: 0, Round: r})
 	}
 
 	// Two shards: one quarantined of two is not past the 0.5 quorum.
-	cfg := baseConfig(testNet(8), 4)
+	cfg := baseConfig(testNet(8), rounds)
 	cfg.Shards = 2
-	cfg.MaxRestarts = 3
 	cfg.Chaos = &faults.ChaosPlan{Kills: kills}
 	m, err := New(cfg)
 	if err != nil {
@@ -520,9 +517,8 @@ func TestCrashLoopQuarantineAndQuorum(t *testing.T) {
 	}
 
 	// One shard: its quarantine exceeds any quorum and kills the monitor.
-	cfg2 := baseConfig(testNet(8), 4)
+	cfg2 := baseConfig(testNet(8), rounds)
 	cfg2.Shards = 1
-	cfg2.MaxRestarts = 3
 	cfg2.Chaos = &faults.ChaosPlan{Kills: kills}
 	m2, err := New(cfg2)
 	if err != nil {

@@ -107,8 +107,7 @@ func outcomeNet() *netsim.Network {
 		RateLimitPerRound: 3,
 		BlackoutEvery:     2 * time.Hour,
 		BlackoutFor:       15 * time.Minute,
-		Epoch:             testEpoch,
-	}))
+	}, testEpoch))
 	return net
 }
 
@@ -126,10 +125,10 @@ func TestReplayCoversEveryOutcome(t *testing.T) {
 		// finish the campaign before the other reaches the halt.
 		cfg.Shards = 1
 		cfg.SnapshotEvery = -1
-		cfg.Prober = trinocular.Config{
-			RestartInterval:     2 * time.Hour,
-			RestartDowntimeFrac: 1,
-			Retry:               trinocular.RetryConfig{MaxAttempts: 3},
+		cfg.Seed = 64 // puts blocks inside the restart downtime window
+		cfg.prober = trinocular.Config{
+			RestartInterval: 2 * time.Hour,
+			Retry:           trinocular.RetryConfig{MaxAttempts: 3},
 		}
 		return cfg
 	}

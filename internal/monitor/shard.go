@@ -161,7 +161,7 @@ func (s *shard) rebuild() error {
 // reset gives the shard a fresh prober and fresh estimators at round 0.
 func (s *shard) reset() error {
 	cfg := &s.m.cfg
-	s.prober = trinocular.New(cfg.Net, cfg.Prober, cfg.Seed)
+	s.prober = trinocular.New(cfg.Net, cfg.prober, cfg.Seed)
 	s.bc = trinocular.NewBatchContext()
 	group := len(s.blocks)
 	if group > probeGroupSize {
@@ -258,7 +258,7 @@ func (s *shard) recoverWAL() error {
 		s.m.met.replayedRounds.Add(int64(replayed))
 	}
 
-	w, werr := newWALWriter(dir, s.idx, maxSeq+1, cfg.SegmentBytes, cfg.SyncWAL, s.m.met)
+	w, werr := newWALWriter(dir, s.idx, maxSeq+1, segmentBytes, cfg.SyncWAL, s.m.met)
 	if werr != nil {
 		return werr
 	}

@@ -157,7 +157,7 @@ func segName(seq int, sealed bool) string {
 	if sealed {
 		ext = ".wal"
 	}
-	//lint:allow hotalloc: commitRound reaches this only when a segment opens or seals, once per SegmentBytes
+	//lint:allow hotalloc: commitRound reaches this only when a segment opens or seals, once per segmentBytes
 	return fmt.Sprintf("seg-%08d%s", seq, ext)
 }
 
@@ -185,7 +185,7 @@ func parseSegName(name string) (seq int, sealed, ok bool) {
 }
 
 // walWriter appends framed records to a shard's open segment, sealing it
-// past SegmentBytes. Not safe for concurrent use: each shard owns exactly
+// past its segment size. Not safe for concurrent use: each shard owns exactly
 // one writer.
 type walWriter struct {
 	dir      string // the shard's WAL directory

@@ -32,13 +32,11 @@ func TestMonitorShardResolvesEachRouteOnce(t *testing.T) {
 		n.AddBlock(blk)
 	}
 	m, err := monitor.New(monitor.Config{
-		Net:         n,
-		Start:       time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC),
-		Rounds:      3,
-		Shards:      2,
-		Seed:        42,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
+		Net:    n,
+		Start:  time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC),
+		Rounds: 3,
+		Shards: 2,
+		Seed:   42,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ package serve
 // explicit 429/503 responses instead of an unbounded goroutine pileup
 // (the failure mode the ISSUE forbids: "never unbounded queues").
 //
-// The clock is injected (ServerConfig.Now): admission is wall-clock driven
+// The clock is injected (ServerConfig.now): admission is wall-clock driven
 // by nature — it rations a real resource — but tests and the determinism
 // lint both want the read visible and overridable.
 
@@ -18,8 +18,8 @@ import (
 	"time"
 )
 
-// ClassLimits sizes one priority class's admission.
-type ClassLimits struct {
+// classLimits sizes one priority class's admission.
+type classLimits struct {
 	// RPS is the sustained token refill rate (requests per second).
 	RPS float64
 	// Burst is the bucket capacity: how far above RPS a spike may go.
@@ -44,7 +44,7 @@ type bucket struct {
 	maxWait time.Duration
 }
 
-func newBucket(l ClassLimits) *bucket {
+func newBucket(l classLimits) *bucket {
 	return &bucket{
 		tokens:  float64(l.Burst),
 		burst:   float64(l.Burst),

@@ -1,10 +1,10 @@
-// Serving-layer benchmarks: the ISSUE's throughput gate is >100k single-
-// block lookups per second against a sealed 1M-block epoch, full HTTP
-// handler path included (parse → admission → binary search → JSON). The
-// fixture drives the engine through the same EpochSink contract the live
-// monitor uses, so the benchmarked epoch is structurally identical to a
-// production one.
-package sleepnet
+package serve
+
+// Serving-layer benchmarks: the throughput target is >100k single-block
+// lookups per second against a sealed 1M-block epoch, full HTTP handler path
+// included (parse → admission → binary search → JSON). The fixture drives
+// the engine through the same EpochSink contract the live monitor uses, so
+// the benchmarked epoch is structurally identical to a production one.
 
 import (
 	"net/http"
@@ -15,24 +15,23 @@ import (
 
 	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
-	"sleepnet/internal/serve"
 )
 
 const serveBenchBlocks = 1 << 20 // one million /24s
 
 var (
 	serveBenchOnce sync.Once
-	serveBenchSrv  *serve.Server
+	serveBenchSrv  *Server
 	serveBenchReqs []*http.Request
 )
 
 // serveBenchFixture seals a 1M-block epoch once and wires the hardened
 // handler over it with admission limits high enough that the benchmark
 // measures serving, not shedding.
-func serveBenchFixture(b *testing.B) (*serve.Server, []*http.Request) {
+func serveBenchFixture(b *testing.B) (*Server, []*http.Request) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
-		eng := serve.NewEngine(serve.EngineConfig{MinClassifyRounds: 1})
+		eng := NewEngine(EngineConfig{MinClassifyRounds: 1})
 		eng.BeginRun(monitor.RunInfo{
 			Shards: 1, Rounds: 3, Blocks: serveBenchBlocks,
 			Start:  time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC),
@@ -51,9 +50,8 @@ func serveBenchFixture(b *testing.B) (*serve.Server, []*http.Request) {
 			}
 			eng.PublishRound(0, r, deltas)
 		}
-		serveBenchSrv = serve.NewServer(eng, serve.ServerConfig{
-			Lookup: serve.ClassLimits{RPS: 1e9, Burst: 1 << 30, Queue: 1, MaxWait: time.Millisecond},
-		})
+		serveBenchSrv = NewServer(eng, ServerConfig{})
+		serveBenchSrv.lookup = newBucket(classLimits{RPS: 1e9, Burst: 1 << 30, Queue: 1, MaxWait: time.Millisecond})
 		// A spread of present ids across the whole keyspace. Requests are
 		// prebuilt so the measured loop is the handler, not the harness; the
 		// handler never mutates the request.

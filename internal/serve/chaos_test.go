@@ -37,7 +37,7 @@ func chaosNet(t *testing.T, blocks int) *netsim.Network {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.Net.SetTap(faults.New(faults.Config{Seed: 0xfa17, LossRate: 0.02, CorruptRate: 0.01}))
+	w.Net.SetTap(faults.New(faults.Config{Seed: 0xfa17, LossRate: 0.02, CorruptRate: 0.01}, time.Time{}))
 	return w.Net
 }
 
@@ -87,14 +87,10 @@ func TestServeChaosAcceptance(t *testing.T) {
 
 	reg := metrics.New()
 	eng := NewEngine(EngineConfig{Metrics: reg, MinClassifyRounds: 16})
-	srv := NewServer(eng, ServerConfig{
-		Metrics:           reg,
-		ReadHeaderTimeout: 100 * time.Millisecond,
-		MaxConns:          128,
-		// A deliberately tiny summary class so the flood is guaranteed to
-		// shed while lookups keep flowing.
-		Summary: ClassLimits{RPS: 50, Burst: 10, Queue: 4, MaxWait: 5 * time.Millisecond},
-	})
+	srv := NewServer(eng, ServerConfig{Metrics: reg})
+	// A deliberately tiny summary class so the flood is guaranteed to shed
+	// while lookups keep flowing.
+	srv.summary = newBucket(classLimits{RPS: 50, Burst: 10, Queue: 4, MaxWait: 5 * time.Millisecond})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -146,12 +142,14 @@ func TestServeChaosAcceptance(t *testing.T) {
 
 	// Let the attack reach steady state before measurement begins, so the
 	// monitor's whole campaign runs under fire.
+	attackStart := time.Now()
 	time.Sleep(300 * time.Millisecond)
 
 	got := studyBytes(t, mkCfg(eng))
 
-	// Keep the pressure on a beat longer, then drain the attackers.
-	time.Sleep(100 * time.Millisecond)
+	// Keep the pressure on a beat longer, and past the header timeout that
+	// cuts the slow-loris connections, then drain the attackers.
+	time.Sleep(max(100*time.Millisecond, readHeaderTimeout+200*time.Millisecond-time.Since(attackStart)))
 	stopAttacks()
 	wg.Wait()
 	srvCancel()

@@ -38,13 +38,11 @@ func testNet(n int) *netsim.Network {
 
 func baseConfig(net *netsim.Network, rounds int) monitor.Config {
 	return monitor.Config{
-		Net:         net,
-		Start:       testEpoch,
-		Rounds:      rounds,
-		Shards:      4,
-		Seed:        42,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  4 * time.Millisecond,
+		Net:    net,
+		Start:  testEpoch,
+		Rounds: rounds,
+		Shards: 4,
+		Seed:   42,
 	}
 }
 
@@ -158,7 +156,7 @@ func chaosWorld(t *testing.T) *netsim.Network {
 		Seed:        0xfa17,
 		LossRate:    0.02,
 		CorruptRate: 0.01,
-	}))
+	}, time.Time{}))
 	return w.Net
 }
 
@@ -330,14 +328,15 @@ func TestStreamingClassifier(t *testing.T) {
 // TestEngineDegradedOnQuarantine: a crash-looping shard quarantines; the
 // engine keeps serving the surviving shards' progress and reports degraded.
 func TestEngineDegradedOnQuarantine(t *testing.T) {
-	kills := make([]faults.ShardRound, 0, 8)
-	for r := 0; r < 8; r++ {
+	// One kill a round outlasts the monitor's five restarts.
+	const rounds = 8
+	kills := make([]faults.ShardRound, 0, rounds)
+	for r := 0; r < rounds; r++ {
 		kills = append(kills, faults.ShardRound{Shard: 0, Round: r})
 	}
 	eng := NewEngine(EngineConfig{MinClassifyRounds: 1})
-	cfg := baseConfig(testNet(8), 4)
+	cfg := baseConfig(testNet(8), rounds)
 	cfg.Shards = 2
-	cfg.MaxRestarts = 3
 	cfg.Chaos = &faults.ChaosPlan{Kills: kills}
 	cfg.Sink = eng
 	m, err := monitor.New(cfg)
@@ -360,8 +359,8 @@ func TestEngineDegradedOnQuarantine(t *testing.T) {
 		t.Fatal("engine must keep serving the surviving shard's epoch")
 	}
 	ep := eng.Epoch()
-	if ep.Rounds != 4 {
-		t.Fatalf("epoch floor = %d, want the surviving shard's 4", ep.Rounds)
+	if ep.Rounds != rounds {
+		t.Fatalf("epoch floor = %d, want the surviving shard's %d", ep.Rounds, rounds)
 	}
 	if ep.Len() != 8 {
 		t.Fatalf("epoch len = %d, want all 8 blocks (quarantined shard frozen)", ep.Len())

@@ -33,23 +33,12 @@ const (
 	HeaderDegraded = "X-Sleepnet-Degraded"
 )
 
-// ServerConfig configures the HTTP layer. The zero value gets production
-// defaults from (*ServerConfig).withDefaults.
+// ServerConfig configures the HTTP layer.
 type ServerConfig struct {
 	// Metrics receives request/shed counters and the latency histogram.
 	Metrics *metrics.Registry
-	// Lookup and Summary size two of the three admission classes; listings
-	// take rangeLimits. Lookups shed last; summaries shed first.
-	Lookup, Summary ClassLimits
-	// MaxConns caps concurrently accepted connections; excess dials queue in
-	// the kernel backlog instead of consuming server memory.
-	MaxConns int
-	// ReadHeaderTimeout hardens the http.Server against slow-loris clients
-	// on the read side (default 2s); idleTimeout and writeTimeout are its
-	// fixed companions.
-	ReadHeaderTimeout time.Duration
-	// Now is the admission clock (tests inject a fake).
-	Now func() time.Time
+	// now is the admission clock; nil is the wall clock. Tests fix it.
+	now func() time.Time
 }
 
 const (
@@ -60,36 +49,23 @@ const (
 	// maxRequestBytes is the per-connection read budget: a client that
 	// dribbles or floods more than this many request bytes is disconnected.
 	maxRequestBytes = 64 << 10
-	// idleTimeout and writeTimeout harden the http.Server against
-	// slow-loris clients, beside ServerConfig.ReadHeaderTimeout.
-	idleTimeout  = 30 * time.Second
-	writeTimeout = 5 * time.Second
+	// readHeaderTimeout, idleTimeout and writeTimeout harden the
+	// http.Server against slow-loris clients.
+	readHeaderTimeout = 2 * time.Second
+	idleTimeout       = 30 * time.Second
+	writeTimeout      = 5 * time.Second
+	// maxConns caps concurrently accepted connections; excess dials queue in
+	// the kernel backlog instead of consuming server memory.
+	maxConns = 256
 )
 
-// rangeLimits sizes the listing class (GET /v1/blocks). Nothing varies it,
-// so it is not a ServerConfig field; it is never written.
-var rangeLimits = ClassLimits{RPS: 2000, Burst: 200, Queue: 64, MaxWait: 100 * time.Millisecond}
-
-// withDefaults fills unset fields.
-func (c ServerConfig) withDefaults() ServerConfig {
-	if c.Lookup == (ClassLimits{}) {
-		c.Lookup = ClassLimits{RPS: 200000, Burst: 20000, Queue: 1024, MaxWait: 50 * time.Millisecond}
-	}
-	if c.Summary == (ClassLimits{}) {
-		c.Summary = ClassLimits{RPS: 100, Burst: 20, Queue: 8, MaxWait: 100 * time.Millisecond}
-	}
-	if c.MaxConns <= 0 {
-		c.MaxConns = 256
-	}
-	if c.ReadHeaderTimeout <= 0 {
-		c.ReadHeaderTimeout = 2 * time.Second
-	}
-	if c.Now == nil {
-		//lint:allow nowallclock: admission control rations a real resource; the clock is injected and overridable in tests
-		c.Now = time.Now
-	}
-	return c
-}
+// The three admission classes, one per query kind: lookups shed last,
+// summaries first. Nothing varies them; they are never written.
+var (
+	lookupLimits  = classLimits{RPS: 200000, Burst: 20000, Queue: 1024, MaxWait: 50 * time.Millisecond}
+	rangeLimits   = classLimits{RPS: 2000, Burst: 200, Queue: 64, MaxWait: 100 * time.Millisecond}
+	summaryLimits = classLimits{RPS: 100, Burst: 20, Queue: 8, MaxWait: 100 * time.Millisecond}
+)
 
 // serverMetrics caches the HTTP layer's instruments.
 type serverMetrics struct {
@@ -133,14 +109,17 @@ type Server struct {
 
 // NewServer wires a server over an engine.
 func NewServer(eng *Engine, cfg ServerConfig) *Server {
-	cfg = cfg.withDefaults()
+	if cfg.now == nil {
+		//lint:allow nowallclock: admission control rations a real resource; the clock is injected and overridable in tests
+		cfg.now = time.Now
+	}
 	return &Server{
 		eng:     eng,
 		cfg:     cfg,
 		met:     newServerMetrics(cfg.Metrics),
-		lookup:  newBucket(cfg.Lookup),
+		lookup:  newBucket(lookupLimits),
 		ranges:  newBucket(rangeLimits),
-		summary: newBucket(cfg.Summary),
+		summary: newBucket(summaryLimits),
 	}
 }
 
@@ -234,7 +213,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	switch res, retry := s.bucketFor(req.Kind).admit(s.cfg.Now, r.Context().Done()); res {
+	switch res, retry := s.bucketFor(req.Kind).admit(s.cfg.now, r.Context().Done()); res {
 	case admitRate:
 		s.met.shed429.Inc()
 		s.shed(w, http.StatusTooManyRequests, retry, req.Kind.String()+" rate exceeded")
@@ -290,14 +269,14 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	srv := &http.Server{
 		Handler:           s,
-		ReadHeaderTimeout: s.cfg.ReadHeaderTimeout,
+		ReadHeaderTimeout: readHeaderTimeout,
 		IdleTimeout:       idleTimeout,
 		WriteTimeout:      writeTimeout,
 		MaxHeaderBytes:    16 << 10,
 	}
 	capped := &cappedListener{
 		Listener: l,
-		slots:    make(chan struct{}, s.cfg.MaxConns),
+		slots:    make(chan struct{}, maxConns),
 		budget:   maxRequestBytes,
 	}
 	stopped := make(chan struct{})
@@ -319,7 +298,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 	return err
 }
 
-// cappedListener enforces the connection cap: Accept blocks once MaxConns
+// cappedListener enforces the connection cap: Accept blocks once maxConns
 // connections are in flight, leaving excess dials in the kernel backlog
 // (bounded there by the OS) instead of in server memory.
 type cappedListener struct {

@@ -45,8 +45,8 @@ func decode(t *testing.T, w *httptest.ResponseRecorder, v any) {
 
 // downServer wires a server over the downEngine fixture.
 func downServer(blocks int, cfg ServerConfig) *Server {
-	if cfg.Now == nil {
-		cfg.Now = fixedNow()
+	if cfg.now == nil {
+		cfg.now = fixedNow()
 	}
 	return NewServer(downEngine(blocks), cfg)
 }
@@ -118,7 +118,7 @@ func TestHTTPBlocksAndSummary(t *testing.T) {
 }
 
 func TestHTTPNotReady(t *testing.T) {
-	s := NewServer(NewEngine(EngineConfig{}), ServerConfig{Now: fixedNow()})
+	s := NewServer(NewEngine(EngineConfig{}), ServerConfig{now: fixedNow()})
 	w := get(t, s, "/v1/block/10.0.0")
 	if w.Code != 503 {
 		t.Fatalf("code = %d, want 503 before the first epoch", w.Code)
@@ -138,9 +138,8 @@ func TestHTTPNotReady(t *testing.T) {
 func TestHTTPAdmissionSheds(t *testing.T) {
 	// A frozen clock never refills: burst 1 admits exactly one summary.
 	// Queue 0 means an empty bucket sheds immediately.
-	s := downServer(10, ServerConfig{
-		Summary: ClassLimits{RPS: 1, Burst: 1, Queue: 0, MaxWait: time.Millisecond},
-	})
+	s := downServer(10, ServerConfig{})
+	s.summary = newBucket(classLimits{RPS: 1, Burst: 1, Queue: 0, MaxWait: time.Millisecond})
 	if w := get(t, s, "/v1/summary"); w.Code != 200 {
 		t.Fatalf("first summary code = %d", w.Code)
 	}
@@ -167,9 +166,8 @@ func TestHTTPAdmissionSheds(t *testing.T) {
 func TestHTTPDeadClientShedsQueued(t *testing.T) {
 	// Empty bucket + available queue + a context already cancelled: the
 	// queued request sheds 503 instead of being served for nobody.
-	s := downServer(10, ServerConfig{
-		Summary: ClassLimits{RPS: 1, Burst: 1, Queue: 4, MaxWait: time.Hour},
-	})
+	s := downServer(10, ServerConfig{})
+	s.summary = newBucket(classLimits{RPS: 1, Burst: 1, Queue: 4, MaxWait: time.Hour})
 	if w := get(t, s, "/v1/summary"); w.Code != 200 {
 		t.Fatalf("first summary code = %d", w.Code)
 	}
@@ -185,7 +183,7 @@ func TestHTTPDeadClientShedsQueued(t *testing.T) {
 func TestHTTPMethodAndDegraded(t *testing.T) {
 	eng := downEngine(10)
 	eng.SetDegraded()
-	s := NewServer(eng, ServerConfig{Now: fixedNow()})
+	s := NewServer(eng, ServerConfig{now: fixedNow()})
 
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, httptest.NewRequest("POST", "/v1/summary", nil))
@@ -332,7 +330,7 @@ func TestHTTPLookupAllocs(t *testing.T) {
 	drive(e, 2, 72, time.Hour, func(b, r int) float64 {
 		return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
 	})
-	s := NewServer(e, ServerConfig{Now: fixedNow()})
+	s := NewServer(e, ServerConfig{now: fixedNow()})
 	r := httptest.NewRequest("GET", "/v1/block/10.0.1", nil)
 	w := &allocWriter{h: http.Header{}}
 	s.ServeHTTP(w, r)

@@ -25,7 +25,7 @@ type wavefrontWorld struct {
 
 // arrangements are the two ways lanes map to probers. With one prober per
 // block the walk seed is derived from the block id exactly as core.Pipeline
-// derives it; the shared prober's seed 24 puts exactly one of the four
+// derives it; the shared prober's seed 40 puts exactly one of the four
 // blocks inside the restart window, so that fixture mixes cold and warm
 // lanes in one batch.
 var arrangements = []struct {
@@ -68,21 +68,19 @@ func buildWavefrontWorld(t *testing.T, withFaults, shared bool) *wavefrontWorld 
 			ClockSkew:         30 * time.Millisecond,
 			BlackoutEvery:     2 * time.Hour,
 			BlackoutFor:       90 * time.Second,
-			Epoch:             epoch,
-		})
+		}, epoch)
 		n.SetTap(w.inj)
 	}
 	newProber := func(seed uint64) *Prober {
 		return New(n, Config{
-			RestartInterval:     5*time.Hour + 30*time.Minute,
-			RestartDowntimeFrac: 0.5,
-			Retry:               RetryConfig{MaxAttempts: 3, BaseBackoff: 2 * time.Second},
-			Metrics:             w.reg,
+			RestartInterval: 5*time.Hour + 30*time.Minute,
+			Retry:           RetryConfig{MaxAttempts: 3},
+			Metrics:         w.reg,
 		}, seed)
 	}
 	var one *Prober
 	if shared {
-		one = newProber(24)
+		one = newProber(40)
 	}
 	for _, blk := range []*netsim.Block{up, flaky, outage, limited} {
 		n.AddBlock(blk)
@@ -323,7 +321,8 @@ func TestProbeRoundsBatchGroupErrors(t *testing.T) {
 		n := netsim.NewNetwork(1)
 		blk := buildBlock(netsim.MakeBlockID(10, 5, 1), 40, 0, 0)
 		n.AddBlock(blk)
-		p := New(n, Config{RestartInterval: time.Hour, RestartDowntimeFrac: 1}, 1)
+		// Seed 192 puts the block inside the restart downtime window.
+		p := New(n, Config{RestartInterval: time.Hour}, 192)
 		if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 			t.Fatal(err)
 		}

@@ -70,21 +70,12 @@ const (
 // (TEST-NET-2).
 var srcIP = ipv4.Addr{198, 51, 100, 1}
 
-// Config tunes the prober. The zero value is completed by defaults matching
-// the paper's deployment.
+// Config tunes the prober. The zero value is the paper's deployment: up to
+// MaxProbesPerRound adaptive probes a round, no restarts, no retries.
 type Config struct {
-	// MaxProbesPerRound caps probes per block per round (default 15).
-	MaxProbesPerRound int
 	// RestartInterval models periodic prober restarts; rounds landing on a
 	// restart boundary probe cold. Zero disables restarts.
 	RestartInterval time.Duration
-	// RestartDowntimeFrac is the fraction of a round the prober is down
-	// during a restart. Blocks are probed at a stable offset within each
-	// round, so only blocks whose offset falls inside the downtime window
-	// experience the cold round — the same blocks every restart, which is
-	// what makes the artifact coherent for them and absent for the rest.
-	// Default 0.1.
-	RestartDowntimeFrac float64
 	// FixedProbes, when positive, disables adaptive stopping: every round
 	// sends exactly this many probes regardless of belief. This is the
 	// ablation baseline for the stop-on-first-positive policy — unbiased
@@ -106,12 +97,21 @@ type RetryConfig struct {
 	// MaxAttempts is the total number of attempts per probe including the
 	// first; values below 2 disable retrying.
 	MaxAttempts int
-	// BaseBackoff is the delay before the first retry (default 2s); each
-	// further retry doubles it up to retryMaxBackoff.
-	BaseBackoff time.Duration
 }
 
 const (
+	// MaxProbesPerRound caps the probes an adaptive round sends to one
+	// block: the paper's 15.
+	MaxProbesPerRound = 15
+	// restartDowntimeFrac is the fraction of a round the prober is down
+	// during a restart. Blocks are probed at a stable offset within each
+	// round, so only blocks whose offset falls inside the downtime window
+	// experience the cold round — the same blocks every restart, which is
+	// what makes the artifact coherent for them and absent for the rest.
+	restartDowntimeFrac = 0.1
+	// retryBaseBackoff is the delay before the first retry; each further
+	// retry doubles it up to retryMaxBackoff.
+	retryBaseBackoff = 2 * time.Second
 	// retryMaxBackoff caps the doubling retry delay.
 	retryMaxBackoff = 60 * time.Second
 	// retryJitterFrac adds a uniform draw in [0, retryJitterFrac) of the
@@ -122,32 +122,14 @@ const (
 	retryBudget = 9 * time.Minute
 )
 
-func (r RetryConfig) withDefaults() RetryConfig {
-	if r.MaxAttempts >= 2 && r.BaseBackoff <= 0 {
-		r.BaseBackoff = 2 * time.Second
-	}
-	return r
-}
-
-// delay returns the backoff before retry number attempt (1-based), before
-// jitter.
-func (r RetryConfig) delay(attempt int) time.Duration {
-	d := r.BaseBackoff
+// retryDelay returns the backoff before retry number attempt (1-based),
+// before jitter.
+func retryDelay(attempt int) time.Duration {
+	d := retryBaseBackoff
 	for i := 1; i < attempt && d < retryMaxBackoff; i++ {
 		d *= 2
 	}
 	return min(d, retryMaxBackoff)
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxProbesPerRound <= 0 {
-		c.MaxProbesPerRound = 15
-	}
-	if c.RestartDowntimeFrac == 0 {
-		c.RestartDowntimeFrac = 0.1
-	}
-	c.Retry = c.Retry.withDefaults()
-	return c
 }
 
 // ErrTooSparse is returned by AddBlock for blocks below MinEverActive.
@@ -337,7 +319,7 @@ func (p *Prober) ProbesSent() int64 { return p.probesSent.Load() }
 // New creates a prober over the given network.
 func New(net ProbeNetwork, cfg Config, seed uint64) *Prober {
 	p := &Prober{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg,
 		net:    net,
 		seed:   seed,
 		states: make(map[netsim.BlockID]*blockState),
@@ -389,15 +371,12 @@ func (p *Prober) isColdRound(now time.Time) bool {
 // inDowntimeWindow reports whether the block's stable within-round probing
 // offset falls inside the restart downtime window.
 func (p *Prober) inDowntimeWindow(id netsim.BlockID) bool {
-	if p.cfg.RestartDowntimeFrac >= 1 {
-		return true
-	}
 	h := p.seed ^ uint64(id) ^ 0x0ff5e7
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
 	off := float64(h>>11) / (1 << 53)
-	return off < p.cfg.RestartDowntimeFrac
+	return off < restartDowntimeFrac
 }
 
 // ProbeRound probes one block once, at virtual time now, using the caller's
@@ -461,7 +440,7 @@ func (p *Prober) beginRound(rs *roundState, st *blockState, now time.Time, aOp f
 	rs.obs = RoundObs{Round: st.round}
 	rs.aOp = aOp
 	rs.belief = st.belief
-	rs.maxProbes = p.cfg.MaxProbesPerRound
+	rs.maxProbes = MaxProbesPerRound
 	rs.backoffUsed = 0
 	rs.sent = 0
 	rs.done = false
@@ -522,7 +501,7 @@ func (p *Prober) retrySendErrors(rs *roundState, host byte, now time.Time) probe
 	st := rs.st
 	outcome := outcomeSendError
 	for attempt := 1; attempt < p.cfg.Retry.MaxAttempts; attempt++ {
-		d := p.cfg.Retry.delay(attempt)
+		d := retryDelay(attempt)
 		j := prf.Float(p.seed^0x7e77, uint64(st.id), uint64(st.seq), uint64(attempt))
 		d += time.Duration(j * retryJitterFrac * float64(d))
 		if rs.backoffUsed+d > retryBudget {

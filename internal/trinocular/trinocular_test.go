@@ -204,8 +204,10 @@ func TestColdRoundsSingleProbe(t *testing.T) {
 	// Intermittent block where a warm round would normally use >1 probe.
 	blk := buildBlock(netsim.MakeBlockID(10, 0, 6), 0, 100, 0.3)
 	n.AddBlock(blk)
-	cfg := Config{RestartInterval: 5*time.Hour + 30*time.Minute, RestartDowntimeFrac: 1}
-	p := New(n, cfg, 17)
+	cfg := Config{RestartInterval: 5*time.Hour + 30*time.Minute}
+	// Seed 128 puts the block inside the restart downtime window, so every
+	// restart boundary is a cold round for it.
+	p := New(n, cfg, 128)
 	if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +269,7 @@ func TestUpdateBelief(t *testing.T) {
 }
 
 func TestWalkCoversAllHosts(t *testing.T) {
-	// With MaxProbes=1 and a dead block, each round probes the next host in
+	// With FixedProbes=1 and a dead block, each round probes the next host in
 	// the walk: after len(E) rounds every host must have been probed once.
 	n := netsim.NewNetwork(8)
 	// The block is given no hosts, so none answers; all thirty are still
@@ -278,7 +280,7 @@ func TestWalkCoversAllHosts(t *testing.T) {
 		hosts = append(hosts, byte(h))
 	}
 	n.AddBlock(blk)
-	p := New(n, Config{MaxProbesPerRound: 1}, 23)
+	p := New(n, Config{FixedProbes: 1}, 23)
 	if err := p.AddBlock(blk.ID, hosts); err != nil {
 		t.Fatal(err)
 	}

@@ -21,11 +21,12 @@ type CampusConfig struct {
 	Dynamic int
 	// General is the number of general-use building /24s.
 	General int
-	// PocketFrac is the fraction of general-use blocks containing a pocket
-	// of dynamically-assigned (diurnal) addresses (the paper's surprise).
-	PocketFrac float64
-	Seed       uint64
+	Seed    uint64
 }
+
+// pocketFrac is the fraction of general-use blocks containing a pocket of
+// dynamically-assigned (diurnal) addresses (the paper's surprise).
+const pocketFrac = 0.15
 
 func (c CampusConfig) withDefaults() CampusConfig {
 	if c.Wireless == 0 {
@@ -36,9 +37,6 @@ func (c CampusConfig) withDefaults() CampusConfig {
 	}
 	if c.General == 0 {
 		c.General = 120
-	}
-	if c.PocketFrac == 0 {
-		c.PocketFrac = 0.15
 	}
 	return c
 }
@@ -152,7 +150,7 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 		}
 		cat := CampusGeneral
 		diurnal := false
-		if r.Float64() < cfg.PocketFrac {
+		if r.Float64() < pocketFrac {
 			cat = CampusGeneralPocket
 			diurnal = true
 			pocket := 16 + r.Intn(30)

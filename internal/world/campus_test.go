@@ -48,7 +48,7 @@ func TestGenerateCampusDefaults(t *testing.T) {
 }
 
 func TestGenerateCampusDiurnalBehavior(t *testing.T) {
-	c, err := GenerateCampus(CampusConfig{Wireless: 1, Dynamic: 1, General: 1, PocketFrac: 1e-9, Seed: 5})
+	c, err := GenerateCampus(CampusConfig{Wireless: 1, Dynamic: 1, General: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
