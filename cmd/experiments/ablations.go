@@ -9,6 +9,7 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/report"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 )
 
@@ -31,8 +32,8 @@ func oneBlock(seed uint64, id netsim.BlockID, hosts *netsim.Hosts) (*netsim.Netw
 func probeRounds(p *trinocular.Prober, blk *netsim.Block, rounds int, aOp func() float64, observe func(r int, now time.Time, obs trinocular.RoundObs)) {
 	check(p.AddBlock(blk.ID, blk.EverActive()))
 	for r := 0; r < rounds; r++ {
-		now := analysis.DefaultStart.Add(time.Duration(r) * 660 * time.Second)
-		observe(r, now, must(p.ProbeRound(blk.ID, now, aOp())))
+		now := analysis.DefaultStart.Add(time.Duration(r) * timeseries.DefaultRound)
+		observe(r, now, must(p.ProbeRound(now, aOp())))
 	}
 }
 
@@ -122,7 +123,7 @@ func probePolicy(e *env) []claim {
 		probeRounds(p, blk, rounds, est.Operational, func(_ int, _ time.Time, obs trinocular.RoundObs) {
 			est.Observe(obs.Positive, obs.Total)
 		})
-		return float64(p.ProbesSent()) / (rounds * 660.0 / 3600), est.LongTerm()
+		return float64(p.ProbesSent()) / (rounds * timeseries.DefaultRound.Seconds() / 3600), est.LongTerm()
 	}
 	adaptive, aEst := perHour(0)
 	fixed, fEst := perHour(10)
@@ -179,17 +180,17 @@ func angleDiff(a, b float64) float64 {
 func fftVsACF(e *env) []claim {
 	e.printf("Ablation: spectral (FFT) vs autocorrelation (ACF) detector on clean 14-day series\n")
 	days := 14
-	n := int(float64(days) * 86400 / 660)
+	n := int(float64(days) * 86400 / timeseries.DefaultRound.Seconds())
 	agree := 0
 	amps := []float64{0, 0.05, 0.15, 0.3}
 	for _, amp := range amps {
 		vals := make([]float64, n)
 		for i := range vals {
-			hour := math.Mod(float64(i)*660/3600, 24)
+			hour := math.Mod(float64(i)*timeseries.DefaultRound.Seconds()/3600, 24)
 			vals[i] = 0.5 + amp*math.Cos(2*math.Pi*(hour-14)/24)
 		}
 		fft := must(core.DetectDiurnal(vals, days))
-		acf := must(core.DetectDiurnalACF(vals, 86400.0/660))
+		acf := must(core.DetectDiurnalACF(vals, 86400/timeseries.DefaultRound.Seconds()))
 		if fft.Class.IsDiurnal() == acf.Diurnal {
 			agree++
 		}

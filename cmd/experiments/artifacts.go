@@ -12,6 +12,7 @@ import (
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/report"
 	"sleepnet/internal/stats"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 	"sleepnet/internal/world"
 )
@@ -119,7 +120,7 @@ func sampleBlock(seed uint64, kind string, days int) (*core.BlockRun, core.Diurn
 		for h := 0; h < 42; h++ {
 			hosts[h] = netsim.Intermittent{P: 0.735, Seed: uint64(h) + 5}
 		}
-		oStart := analysis.DefaultStart.Add(957 * 660 * time.Second)
+		oStart := analysis.DefaultStart.Add(957 * timeseries.DefaultRound)
 		blk.Outages = []netsim.Interval{{Start: oStart, End: oStart.Add(6 * time.Hour)}}
 	case "dense":
 		blk.ID = netsim.MakeBlockID(93, 208, 233)
@@ -153,7 +154,7 @@ func (e *env) printSample(run *core.BlockRun, res core.DiurnalResult, truth []fl
 	e.printf("block %s: %d rounds, %d days trimmed, class=%s\n",
 		run.ID, run.Short.Len(), run.Days, res.Class)
 	e.printf("probes sent: %d (%.1f per hour)\n", run.ProbesSent,
-		float64(run.ProbesSent)/(float64(run.Short.Len())*660/3600))
+		float64(run.ProbesSent)/(float64(run.Short.Len())*timeseries.DefaultRound.Seconds()/3600))
 	e.printf("\ntrue A (survey):\n%s", report.Series(truth, 100, 8))
 	e.printf("estimated Âs:\n%s", report.Series(run.Short.Values, 100, 8))
 	e.printf("operational Âo:\n%s", report.Series(run.Operational, 100, 8))

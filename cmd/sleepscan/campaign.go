@@ -22,12 +22,12 @@ import (
 // campaign holds the parsed flags of a monitored campaign and the registry
 // its run reports into.
 type campaign struct {
-	blocks, rounds, shards, snapEvery *int
-	seed                              *uint64
-	outages                           *float64
-	walDir, metricsOut                *string
-	syncWAL, withMetrics              *bool
-	reg                               *metrics.Registry
+	blocks, rounds, shards *int
+	seed                   *uint64
+	outages                *float64
+	walDir, metricsOut     *string
+	syncWAL, withMetrics   *bool
+	reg                    *metrics.Registry
 }
 
 // campaignFlags registers the campaign's flags on fs.
@@ -40,7 +40,6 @@ func campaignFlags(fs *flag.FlagSet) *campaign {
 		outages:     fs.Float64("outages", 0.15, "base outage episodes per block-week (0 disables)"),
 		walDir:      fs.String("wal", "", "durability directory; re-run with the same value to resume"),
 		syncWAL:     fs.Bool("sync", false, "fsync every WAL record (power-cut safe, slower)"),
-		snapEvery:   fs.Int("snapshot-every", 16, "snapshot each shard every N rounds"),
 		withMetrics: fs.Bool("metrics", false, "report run-cost metrics on stdout when done"),
 		metricsOut:  fs.String("metricsout", "", "write the metrics snapshot (JSON) to this file"),
 		reg:         metrics.New(),
@@ -73,38 +72,47 @@ func (c *campaign) resumeHint() string {
 
 // monitorConfig generates the world the (parsed) flags describe and returns
 // the monitor configuration over it. stop releases the watchdog's ticker.
-func (c *campaign) monitorConfig() (cfg monitor.Config, stop func()) {
+func (c *campaign) monitorConfig() (cfg monitor.Config, stop func(), err error) {
 	w, err := world.Generate(c.worldConfig())
-	fatal(err)
+	if err != nil {
+		return monitor.Config{}, nil, err
+	}
 	// The watchdog only needs tick arrival, not tick values, so the wall
 	// clock never reaches the measurement.
 	tick := time.NewTicker(2 * time.Second)
 	return monitor.Config{
-		Net:           w.Net,
-		Start:         analysis.DefaultStart,
-		Rounds:        *c.rounds,
-		Shards:        *c.shards,
-		Seed:          *c.seed,
-		WALDir:        *c.walDir,
-		SyncWAL:       *c.syncWAL,
-		SnapshotEvery: *c.snapEvery,
-		WatchdogTick:  tick.C,
-		Metrics:       c.reg,
-	}, tick.Stop
+		Net:          w.Net,
+		Start:        analysis.DefaultStart,
+		Rounds:       *c.rounds,
+		Shards:       *c.shards,
+		Seed:         *c.seed,
+		WALDir:       *c.walDir,
+		SyncWAL:      *c.syncWAL,
+		WatchdogTick: tick.C,
+		Metrics:      c.reg,
+	}, tick.Stop, nil
 }
 
 // dumpMetrics reports the run's metrics as the -metrics and -metricsout
 // flags ask.
-func (c *campaign) dumpMetrics() {
+func (c *campaign) dumpMetrics() error {
 	if *c.withMetrics {
 		fmt.Println("\nrun metrics:")
 		fmt.Print(report.Metrics(c.reg.Snapshot()))
 	}
 	if *c.metricsOut != "" {
 		f, err := os.Create(*c.metricsOut)
-		fatal(err)
-		fatal(c.reg.Snapshot().WriteJSON(f))
-		fatal(f.Close())
+		if err != nil {
+			return err
+		}
+		if err := c.reg.Snapshot().WriteJSON(f); err != nil {
+			_ = f.Close() // best effort: the write error is the one to surface
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
 		fmt.Printf("metrics snapshot written to %s\n", *c.metricsOut)
 	}
+	return nil
 }

@@ -25,7 +25,7 @@
 // with durable WAL recovery and graceful signal drain:
 //
 //	sleepscan monitor [-blocks N] [-rounds N] [-shards N] [-seed N]
-//	                  [-wal DIR] [-sync] [-snapshot-every N] [-o FILE]
+//	                  [-outages F] [-wal DIR] [-sync] [-o FILE]
 //
 // The serve subcommand runs the same campaign (same flags, campaign.go)
 // behind the live HTTP query layer:
@@ -58,17 +58,18 @@ import (
 var errUsage = errors.New("usage")
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "monitor" {
-		runMonitor(os.Args[2:])
-		return
-	}
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		runServe(os.Args[2:])
 		return
 	}
-	var out bytes.Buffer
-	err := run(os.Args[1:], &out)
-	fmt.Print(out.String())
+	var err error
+	if len(os.Args) > 1 && os.Args[1] == "monitor" {
+		err = runMonitor(os.Args[2:])
+	} else {
+		var out bytes.Buffer
+		err = run(os.Args[1:], &out)
+		fmt.Print(out.String())
+	}
 	switch {
 	case errors.Is(err, errUsage):
 		os.Exit(2)
@@ -388,7 +389,7 @@ func writeCSV(st *analysis.Study, path string) error {
 	return f.Close()
 }
 
-// fatal ends the monitor and serve subcommands on an error.
+// fatal ends the serve subcommand on an error.
 func fatal(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sleepscan:", err)

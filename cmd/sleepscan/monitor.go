@@ -31,16 +31,26 @@ func explainWALError(err error, walDir string) error {
 	return err
 }
 
-func runMonitor(argv []string) {
-	fs := flag.NewFlagSet("sleepscan monitor", flag.ExitOnError)
+// runMonitor runs the monitor subcommand, reporting progress on stdout. A
+// campaign that stops without completing and without draining is an error:
+// a fatal monitor error, or shards quarantined below the quorum.
+func runMonitor(argv []string) error {
+	fs := flag.NewFlagSet("sleepscan monitor", flag.ContinueOnError)
 	c := campaignFlags(fs)
 	outPath := fs.String("o", "", "write the completed study (JSON) to this file")
-	_ = fs.Parse(argv) // ExitOnError: Parse never returns an error
+	if err := fs.Parse(argv); err != nil {
+		return errUsage
+	}
 
-	cfg, stopTick := c.monitorConfig()
+	cfg, stopTick, err := c.monitorConfig()
+	if err != nil {
+		return err
+	}
 	defer stopTick()
 	m, err := monitor.New(cfg)
-	fatal(explainWALError(err, *c.walDir))
+	if err != nil {
+		return explainWALError(err, *c.walDir)
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
@@ -59,29 +69,33 @@ func runMonitor(argv []string) {
 	elapsed := time.Since(t0).Round(time.Millisecond)
 
 	switch {
-	case err == nil && res.Completed:
+	case err != nil:
+		return explainWALError(err, *c.walDir)
+	case len(res.Quarantined) > 0:
+		return fmt.Errorf("stopped after %v without completing: shards %v crash-looped into quarantine", elapsed, res.Quarantined)
+	case res.Completed:
 		fmt.Printf("campaign complete in %v (%d shard restarts)\n", elapsed, res.Restarts)
-		st, serr := res.Study()
-		fatal(serr)
+		st, err := res.Study()
+		if err != nil {
+			return err
+		}
 		if *outPath != "" {
-			data, eerr := st.Encode()
-			fatal(eerr)
-			fatal(durable.WriteFileAtomic(*outPath, data, 0o644))
+			data, err := st.Encode()
+			if err != nil {
+				return err
+			}
+			if err := durable.WriteFileAtomic(*outPath, data, 0o644); err != nil {
+				return err
+			}
 			fmt.Printf("study written to %s (%d blocks)\n", *outPath, len(st.Blocks))
 		}
-	case err == nil && res.Drained:
+	case res.Drained:
 		fmt.Printf("drained cleanly after %v (%d shard restarts)\n", elapsed, res.Restarts)
 		if *c.walDir != "" {
 			fmt.Println("resume with:", c.resumeHint())
 		} else {
 			fmt.Println("no -wal directory: the drained progress is not recoverable")
 		}
-	case errors.Is(err, monitor.ErrQuarantine), errors.Is(err, monitor.ErrWatchdog):
-		fatal(err)
-	default:
-		fatal(explainWALError(err, *c.walDir))
-		fmt.Printf("stopped after %v without completing (%d shards quarantined)\n", elapsed, len(res.Quarantined))
 	}
-
-	c.dumpMetrics()
+	return c.dumpMetrics()
 }

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -50,7 +53,7 @@ func TestResumeHintNamesTheCampaign(t *testing.T) {
 		return c
 	}
 	ran := parse([]string{"-wal", "/w", "-blocks", "60", "-rounds", "40", "-shards", "3",
-		"-seed", "7", "-outages", "0.5", "-snapshot-every", "4"})
+		"-seed", "7", "-outages", "0.5"})
 	hint := strings.Fields(ran.resumeHint())
 	if len(hint) < 2 || hint[0] != "sleepscan" || hint[1] != "monitor" {
 		t.Fatalf("hint %q is not a sleepscan monitor command", ran.resumeHint())
@@ -60,14 +63,73 @@ func TestResumeHintNamesTheCampaign(t *testing.T) {
 	if got, want := resumed.worldConfig(), ran.worldConfig(); got != want {
 		t.Errorf("resumed world %+v, ran %+v", got, want)
 	}
-	got, stopGot := resumed.monitorConfig()
+	got, stopGot, err := resumed.monitorConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stopGot()
-	want, stopWant := ran.monitorConfig()
+	want, stopWant, err := ran.monitorConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer stopWant()
 	if got.Seed != want.Seed || !got.Start.Equal(want.Start) || got.Rounds != want.Rounds ||
 		got.Shards != want.Shards || got.WALDir != want.WALDir {
 		t.Errorf("resumed identity (seed %d, start %v, rounds %d, shards %d, wal %q), ran (%d, %v, %d, %d, %q)",
 			got.Seed, got.Start, got.Rounds, got.Shards, got.WALDir,
 			want.Seed, want.Start, want.Rounds, want.Shards, want.WALDir)
+	}
+}
+
+// TestMonitorCampaign drives sleepscan monitor end to end over one -wal
+// directory. A clean campaign completes and writes -o; a rerun over the
+// same directory resumes from it to the same file. Then one byte flipped
+// in the middle of a sealed segment sends that shard into a crash loop
+// and quarantine, below the quorum that would fail the monitor: the
+// command must still fail, name the shard, and write no study.
+func TestMonitorCampaign(t *testing.T) {
+	dir := t.TempDir()
+	wal := filepath.Join(dir, "wal")
+	campaign := func(out string) error {
+		return runMonitor([]string{"-blocks", "80", "-rounds", "40", "-shards", "4", "-wal", wal, "-o", out})
+	}
+
+	a, resumed := filepath.Join(dir, "a.json"), filepath.Join(dir, "resumed.json")
+	for _, out := range []string{a, resumed} {
+		if err := campaign(out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, err := os.ReadFile(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := os.ReadFile(resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, again) {
+		t.Fatal("the campaign resumed from its -wal wrote another study")
+	}
+
+	seg := filepath.Join(wal, "shard-0000", "seg-00000000.wal")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	b := filepath.Join(dir, "b.json")
+	err = campaign(b)
+	if err == nil {
+		t.Fatal("a campaign with a quarantined shard succeeded")
+	}
+	if !strings.Contains(err.Error(), "quarantine") || !strings.Contains(err.Error(), "[0]") {
+		t.Errorf("error %q does not name quarantined shard 0", err)
+	}
+	if _, serr := os.Stat(b); !os.IsNotExist(serr) {
+		t.Errorf("an incomplete campaign wrote %s (stat: %v)", b, serr)
 	}
 }

@@ -37,7 +37,8 @@ func runServe(argv []string) {
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
 	_ = fs.Parse(argv) // ExitOnError: Parse never returns an error
 
-	cfg, stopTick := c.monitorConfig()
+	cfg, stopTick, err := c.monitorConfig()
+	fatal(err)
 	defer stopTick()
 	eng := serve.NewEngine(serve.EngineConfig{Metrics: c.reg})
 	cfg.Sink = eng
@@ -86,5 +87,5 @@ func runServe(argv []string) {
 	srvStop()
 	fatal(<-srvDone)
 
-	c.dumpMetrics()
+	fatal(c.dumpMetrics())
 }

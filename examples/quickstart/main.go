@@ -13,6 +13,7 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/report"
+	"sleepnet/internal/timeseries"
 )
 
 func main() {
@@ -50,7 +51,7 @@ func main() {
 	// 3. Results: availability estimates and the diurnal classification.
 	fmt.Printf("block %s over %d days\n", run.ID, run.Days)
 	fmt.Printf("probing cost: %d probes (%.1f per hour — the paper budgets < 20)\n",
-		run.ProbesSent, float64(run.ProbesSent)/(float64(run.Short.Len())*660/3600))
+		run.ProbesSent, float64(run.ProbesSent)/(float64(run.Short.Len())*timeseries.DefaultRound.Seconds()/3600))
 	fmt.Println("\nshort-term availability estimate Âs:")
 	fmt.Print(report.Series(run.Short.Values, 90, 8))
 

@@ -33,7 +33,7 @@ var DefaultStart = time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
 // RoundsForDays returns the number of 11-minute rounds that cover the given
 // number of days with a safety margin for midnight trimming.
 func RoundsForDays(days int) int {
-	return days*86400/660 + 60
+	return days*86400/int(timeseries.DefaultRound/time.Second) + 60
 }
 
 // MeasuredBlock is the per-block summary a study keeps: the classification

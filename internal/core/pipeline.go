@@ -36,9 +36,10 @@ type PipelineConfig struct {
 	Metrics *metrics.Registry
 }
 
-// initialA seeds the estimators, standing in for the years-old census
-// history the paper used (deliberately allowed to be wrong).
-const initialA = 0.5
+// InitialA seeds the estimators of every campaign, the pipeline's and the
+// monitor's, standing in for the years-old census history the paper used
+// (deliberately allowed to be wrong).
+const InitialA = 0.5
 
 // OutageEvent is a block state transition observed by the prober.
 type OutageEvent struct {
@@ -152,7 +153,7 @@ func (pl *Pipeline) newBlockRunner(id netsim.BlockID) (*blockRunner, error) {
 		pl:     pl,
 		id:     id,
 		prober: prober,
-		est:    NewEstimator(initialA),
+		est:    NewEstimator(InitialA),
 		run: &BlockRun{
 			ID:          id,
 			Operational: make([]float64, 0, pl.cfg.Rounds),
@@ -269,23 +270,24 @@ func (pl *Pipeline) RunBlocks(ids []netsim.BlockID) (runs []*BlockRun, errs []er
 		live = append(live, i)
 	}
 
+	// The lanes are fixed for the group; only aOps changes between rounds.
 	bc := trinocular.NewBatchContext()
 	probers := make([]*trinocular.Prober, 0, len(live))
 	bids := make([]netsim.BlockID, 0, len(live))
-	aOps := make([]float64, 0, len(live))
+	for _, i := range live {
+		probers = append(probers, runners[i].prober)
+		bids = append(bids, runners[i].id)
+	}
+	aOps := make([]float64, len(live))
 	obs := make([]trinocular.RoundObs, len(live))
 
 	stopProbe := pl.pm.probeSeconds.Time()
 	for r := 0; r < pl.cfg.Rounds && len(live) > 0; r++ {
 		now := pl.cfg.Start.Add(time.Duration(r) * timeseries.DefaultRound)
-		probers, bids, aOps = probers[:0], bids[:0], aOps[:0]
-		for _, i := range live {
-			br := runners[i]
-			probers = append(probers, br.prober)
-			bids = append(bids, br.id)
-			aOps = append(aOps, br.est.Operational())
+		for k, i := range live {
+			aOps[k] = runners[i].est.Operational()
 		}
-		if err := trinocular.ProbeRoundsBatchGroup(bc, probers, bids, aOps, now, obs[:len(live)]); err != nil {
+		if err := trinocular.ProbeRoundsBatchGroup(bc, probers, bids, aOps, now, obs); err != nil {
 			// Only possible for construction invariant violations (untracked
 			// block, shape mismatch); every in-flight block inherits it.
 			for _, i := range live {

@@ -19,6 +19,7 @@ import (
 
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/prf"
+	"sleepnet/internal/timeseries"
 )
 
 // Config describes the fault model. The zero value injects nothing.
@@ -52,7 +53,7 @@ type Config struct {
 
 // rateLimitWindow is the rate-limit accounting window: the paper's
 // 11-minute round.
-const rateLimitWindow = 660 * time.Second
+const rateLimitWindow = timeseries.DefaultRound
 
 // Active reports whether the configuration injects anything at all.
 func (c Config) Active() bool {

@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"sleepnet/internal/core"
+	"sleepnet/internal/faults"
+	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
 )
 
@@ -100,9 +103,8 @@ func TestReplayAllocFree(t *testing.T) {
 	var ests []core.EstimatorState
 	for r := 0; r < 4; r++ {
 		if r == 3 {
-			for i, id := range s.blocks {
-				ps, _ := s.prober.BlockStateOf(id)
-				probers, ests = append(probers, ps), append(ests, s.mons[i].est.State())
+			for i, p := range s.probers {
+				probers, ests = append(probers, p.State()), append(ests, s.mons[i].est.State())
 			}
 		}
 		s.probeRound(r)
@@ -120,9 +122,9 @@ func TestReplayAllocFree(t *testing.T) {
 			for i, mon := range s.mons {
 				mon.short, mon.events = mon.short[:3], mon.events[:0]
 				mon.est.Restore(ests[i])
-			}
-			if err := s.prober.RestoreState(trinocular.State{Blocks: probers}); err != nil {
-				t.Fatal(err)
+				if err := s.probers[i].Restore(probers[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			if err := s.applyRecord(&s.rec, replay); err != nil {
 				t.Fatal(err)
@@ -139,39 +141,65 @@ func TestReplayAllocFree(t *testing.T) {
 // claim: probe scratch lives in one long-lived BatchContext per shard, so a
 // 100x larger world must not change what the contexts retain. The per-block
 // series are the measurement output and necessarily scale with the world —
-// the bound under test is the probing machinery.
+// the bound under test is the probing machinery. Under retries a tap loses
+// probes and blacks the vantage point out for the first second of every
+// round, so every lane leaves the wavefront and finishes its round through
+// the context's send scratch: that scratch is per worker too.
 func TestMonitorHeapIsWorkerBound(t *testing.T) {
-	measure := func(blocks int) (retained int) {
-		cfg := baseConfig(testNet(blocks), 2)
-		m, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, retries := range []bool{false, true} {
+		measure := func(blocks int) (retained int) {
+			net := testNet(blocks)
+			cfg := baseConfig(net, 2)
+			reg := metrics.New()
+			if retries {
+				net.SetTap(faults.New(faults.Config{
+					Seed:          3,
+					LossRate:      0.1,
+					BlackoutEvery: timeseries.DefaultRound,
+					BlackoutFor:   time.Second,
+				}, testEpoch))
+				cfg.prober = trinocular.Config{Retry: trinocular.RetryConfig{MaxAttempts: 3}}
+				cfg.Metrics = reg
+			}
+			m, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Completed {
+				t.Fatalf("run over %d blocks not completed: %+v", blocks, res)
+			}
+			if n := reg.Snapshot().Counter("trinocular.retries"); retries && n < int64(blocks) {
+				t.Fatalf("%d retries over %d blocks: the retry continuation barely ran", n, blocks)
+			}
+			for _, s := range m.shards {
+				retained += s.bc.RetainedBytes()
+			}
+			return retained
 		}
-		res, err := m.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Completed {
-			t.Fatalf("run over %d blocks not completed: %+v", blocks, res)
-		}
-		for _, s := range m.shards {
-			retained += s.bc.RetainedBytes()
-		}
-		return retained
-	}
 
-	small, big, bigger := measure(100), measure(10000), measure(20000)
-	if small == 0 {
-		t.Fatal("contexts retain no scratch; the measurement is vacuous")
-	}
-	// The scratch plateaus: a small world retains less (its batch groups and
-	// route cache never fill), but past the plateau doubling the world must
-	// not move the number at all — the bound is O(shards), not O(blocks).
-	if bigger > big {
-		t.Fatalf("probe scratch grew with the world: %d bytes over 20000 blocks vs %d over 10000", bigger, big)
-	}
-	const perShardCap = 64 << 10
-	if bigger > 4*perShardCap {
-		t.Fatalf("retained scratch %d bytes exceeds %d per shard", bigger, perShardCap)
+		small, big, bigger := measure(100), measure(10000), measure(20000)
+		if small == 0 {
+			t.Fatal("contexts retain no scratch; the measurement is vacuous")
+		}
+		// The scratch plateaus: a small world retains less (its batch groups
+		// and route cache never fill), but past the plateau doubling the
+		// world must not move the number at all — the bound is O(shards),
+		// not O(blocks).
+		if bigger > big {
+			t.Fatalf("retries %v: probe scratch grew with the world: %d bytes over 20000 blocks vs %d over 10000", retries, bigger, big)
+		}
+		// The retry scratch is a delivery buffer with a route cache of its
+		// own, so a run that retries retains up to one more cache a shard.
+		perShardCap := 64 << 10
+		if retries {
+			perShardCap = 96 << 10
+		}
+		if bigger > 4*perShardCap {
+			t.Fatalf("retries %v: retained scratch %d bytes exceeds %d per shard", retries, bigger, perShardCap)
+		}
 	}
 }

@@ -72,10 +72,10 @@ type Config struct {
 	// SyncWAL fsyncs every record (the power-cut-safe mode). Off, records
 	// still reach the kernel per round and every seal/snapshot syncs.
 	SyncWAL bool
-	// SnapshotEvery writes a shard snapshot every that many rounds
-	// (default 16; 0 disables periodic snapshots, leaving only the final
-	// and drain-time ones). It bounds how many rounds a recovery replays;
-	// each snapshot seals the open segment first.
+	// SnapshotEvery writes a shard snapshot every that many rounds. Zero
+	// means the default, 16; a negative value disables periodic snapshots,
+	// leaving only the final and drain-time ones. It bounds how many rounds
+	// a recovery replays; each snapshot fsyncs the open segment first.
 	SnapshotEvery int
 
 	// WatchdogTick drives the wedge detector; nil disables it. Tests inject
@@ -105,8 +105,6 @@ type Config struct {
 }
 
 const (
-	// initialA seeds the estimators.
-	initialA = 0.5
 	// fatalQuarantineFrac escalates to monitor-fatal when more than this
 	// fraction of shards is quarantined.
 	fatalQuarantineFrac = 0.5

@@ -3,6 +3,8 @@ package monitor
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -72,6 +74,17 @@ func runStudy(t *testing.T, cfg Config) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// pinDigest fails unless the sha256 of study is want: it pins a fixture's
+// output across commits, where the in-process comparisons only pin it
+// across the runs of one.
+func pinDigest(t *testing.T, study []byte, want string) {
+	t.Helper()
+	sum := sha256.Sum256(study)
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Fatalf("study digest %s, pinned %s: the monitor's output moved", got, want)
+	}
 }
 
 func TestStudyDeterministicAcrossShardCounts(t *testing.T) {
@@ -271,6 +284,7 @@ func TestChaosEquivalence(t *testing.T) {
 		return cfg
 	}
 	ref := runStudy(t, mkCfg(chaosWorld(t)))
+	pinDigest(t, ref, "617ee245a6ad56b4660a8c2d7f4db796e31acd7b50f9693ada0a80205c79c3a3")
 
 	dir := t.TempDir()
 	cfg := mkCfg(chaosWorld(t))

@@ -139,6 +139,7 @@ func TestReplayCoversEveryOutcome(t *testing.T) {
 	if refReg.Snapshot().Counter("trinocular.rounds_cold") == 0 {
 		t.Fatal("fixture too tame: no cold restart round")
 	}
+	pinDigest(t, ref, "d74539ae7e015125c0935c421de74f48fbd23c0b4989f5bbc88c64caad464a9c")
 
 	dir := t.TempDir()
 	for i, halt := range []int{13, 29, lastHalt} {

@@ -7,7 +7,7 @@ package monitor
 //
 // The crash-recovery invariant is that a shard attempt NEVER patches
 // partially-mutated in-memory state: every attempt rebuilds from scratch —
-// fresh prober, fresh estimators, snapshot + WAL scan + replay — so the
+// fresh probers, fresh estimators, snapshot + WAL scan + replay — so the
 // only state that survives a crash is committed state, and re-executing an
 // uncommitted round is deterministic because probing is a pure function of
 // (seed, block, virtual time). That uniform rebuild path is what makes a
@@ -67,8 +67,7 @@ type shard struct {
 	blocks []netsim.BlockID // sorted, contiguous slice of the global order
 
 	// Rebuilt from durable state at the start of every attempt.
-	prober  *trinocular.Prober
-	probers []*trinocular.Prober     // prober, repeated once per wavefront lane
+	probers []*trinocular.Prober     // probers[i] probes blocks[i]
 	bc      *trinocular.BatchContext // the wavefront's scratch
 	aOps    []float64                // per-round availability inputs, reused
 	obsBuf  []trinocular.RoundObs    // per-round observations, reused
@@ -78,11 +77,10 @@ type shard struct {
 	pub     []RoundPub // sink staging buffer reused across rounds
 
 	// Codec buffers, reused across rounds, snapshots and attempts.
-	recBuf  []byte                  // commitRound's frame: header + record payload
-	snap    shardSnapshot           // writeSnapshot's staging
-	snapBuf []byte                  // writeSnapshot's file image
-	rec     walRecord               // recovery staging: decodeRecord fills it
-	states  []trinocular.BlockState // snapshot staging for Prober.RestoreState
+	recBuf  []byte        // commitRound's frame: header + record payload
+	snap    shardSnapshot // writeSnapshot's staging
+	snapBuf []byte        // writeSnapshot's file image
+	rec     walRecord     // recovery staging: decodeRecord fills it
 
 	// hb is the watchdog heartbeat: bumped on every completed round, every
 	// completed rebuild and every attempt's exit.
@@ -145,7 +143,7 @@ func (s *shard) abortCh() <-chan struct{} {
 }
 
 // rebuild constructs the attempt's working state purely from configuration
-// and durable state: fresh prober and estimators, then snapshot + WAL
+// and durable state: fresh probers and estimators, then snapshot + WAL
 // recovery when durability is on.
 func (s *shard) rebuild() error {
 	if err := s.reset(); err != nil {
@@ -158,10 +156,9 @@ func (s *shard) rebuild() error {
 	return s.recoverWAL()
 }
 
-// reset gives the shard a fresh prober and fresh estimators at round 0.
+// reset gives the shard fresh probers and fresh estimators at round 0.
 func (s *shard) reset() error {
 	cfg := &s.m.cfg
-	s.prober = trinocular.New(cfg.Net, cfg.prober, cfg.Seed)
 	s.bc = trinocular.NewBatchContext()
 	group := len(s.blocks)
 	if group > probeGroupSize {
@@ -173,11 +170,7 @@ func (s *shard) reset() error {
 	}
 	s.aOps = s.aOps[:group]
 	s.obsBuf = s.obsBuf[:group]
-	// The shard's one prober owns every lane of its wavefronts.
 	s.probers = s.probers[:0]
-	for i := 0; i < group; i++ {
-		s.probers = append(s.probers, s.prober)
-	}
 	s.mons = s.mons[:0]
 	if cap(s.mons) < len(s.blocks) {
 		s.mons = make([]*blockMon, 0, len(s.blocks))
@@ -187,21 +180,23 @@ func (s *shard) reset() error {
 		if blk == nil {
 			return fmt.Errorf("monitor: shard %d: block %s not in network", s.idx, id)
 		}
-		if err := s.prober.AddBlock(id, blk.EverActive()); err != nil {
+		// Every prober takes the campaign's seed: the walk, the restart
+		// window and the retry jitter are keyed by (seed, block) alike.
+		p := trinocular.New(cfg.Net, cfg.prober, cfg.Seed)
+		if err := p.AddBlock(id, blk.EverActive()); err != nil {
 			return fmt.Errorf("monitor: shard %d: %w", s.idx, err)
 		}
+		// Pin the restart-phase epoch to the campaign start so cold rounds
+		// fall on the same virtual times no matter when (or after how many
+		// crashes) this attempt begins.
+		p.PinEpoch(cfg.Start)
+		s.probers = append(s.probers, p)
 		s.mons = append(s.mons, &blockMon{
 			id:     id,
-			est:    core.NewEstimator(initialA),
+			est:    core.NewEstimator(core.InitialA),
 			short:  make([]float64, 0, cfg.Rounds),
 			events: make([]core.OutageEvent, 0, 8),
 		})
-	}
-	// Pin the restart-phase epoch to the campaign start so cold rounds fall
-	// on the same virtual times no matter when (or after how many crashes)
-	// this attempt begins.
-	if err := s.prober.RestoreState(trinocular.State{Epoch: cfg.Start}); err != nil {
-		return fmt.Errorf("monitor: shard %d: %w", s.idx, err)
 	}
 	s.round = 0
 	return nil
@@ -350,13 +345,12 @@ func (s *shard) sealLeftover(sf segmentFile, tail int64, torn bool) error {
 }
 
 // applySnapshot loads a snapshot's prober and estimator state into the
-// fresh mons and prober; the series come from the segments.
+// fresh mons and probers; the series come from the segments.
 func (s *shard) applySnapshot(snap *shardSnapshot) error {
 	if len(snap.Blocks) != len(s.mons) {
 		return fmt.Errorf("monitor: shard %d snapshot has %d blocks, monitor %d: %w",
 			s.idx, len(snap.Blocks), len(s.mons), ErrCorrupt)
 	}
-	s.states = s.states[:0]
 	for i := range snap.Blocks {
 		bs, mon := &snap.Blocks[i], s.mons[i]
 		if mon.id != bs.Prober.ID {
@@ -364,10 +358,9 @@ func (s *shard) applySnapshot(snap *shardSnapshot) error {
 				s.idx, bs.Prober.ID, mon.id, ErrCorrupt)
 		}
 		mon.est.Restore(bs.Est)
-		s.states = append(s.states, bs.Prober)
-	}
-	if err := s.prober.RestoreState(trinocular.State{Blocks: s.states}); err != nil {
-		return fmt.Errorf("monitor: shard %d snapshot: %v: %w", s.idx, err, ErrCorrupt)
+		if err := s.probers[i].Restore(bs.Prober); err != nil {
+			return fmt.Errorf("monitor: shard %d snapshot: %v: %w", s.idx, err, ErrCorrupt)
+		}
 	}
 	return nil
 }
@@ -391,7 +384,7 @@ func (s *shard) applyRecord(rec *walRecord, replay bool) error {
 			mon.appendLogged(o, rec.Round)
 			continue
 		}
-		obs, err := s.prober.ReplayRound(mon.id, now, mon.est.Operational(), o.Log, o.Outcomes, o.Retries)
+		obs, err := s.probers[i].ReplayRound(now, mon.est.Operational(), o.Log, o.Outcomes, o.Retries)
 		if err != nil {
 			return fmt.Errorf("monitor: shard %d replay of round %d: %v: %w", s.idx, rec.Round, err, ErrCorrupt)
 		}
@@ -534,7 +527,7 @@ func (s *shard) probeRound(r int) {
 		for i := 0; i < n; i++ {
 			s.aOps[i] = s.mons[g+i].est.Operational()
 		}
-		if err := trinocular.ProbeRoundsBatchGroup(s.bc, s.probers[:n], s.blocks[g:e], s.aOps[:n], now, s.obsBuf[:n]); err != nil {
+		if err := trinocular.ProbeRoundsBatchGroup(s.bc, s.probers[g:e], s.blocks[g:e], s.aOps[:n], now, s.obsBuf[:n]); err != nil {
 			// Shape mismatches and untracked ids are construction invariant
 			// violations, surfaced through the supervisor's panic recovery.
 			panic(err)
@@ -554,7 +547,7 @@ func (mon *blockMon) observe(obs *trinocular.RoundObs, r int) {
 	l.Log, l.Outcomes, l.Retries = obs.Log, obs.Outcomes(), obs.Retries
 	if l.Failed = obs.Failed(); l.Failed {
 		mon.failed++
-		l.Short = lastOr(mon.short, initialA)
+		l.Short = lastOr(mon.short, core.InitialA)
 	} else {
 		mon.est.Observe(obs.Positive, obs.Total)
 		l.Short = mon.est.ShortTerm()
@@ -618,12 +611,8 @@ func (s *shard) writeSnapshot() error {
 	}
 	s.snap.Shard, s.snap.Round = s.idx, s.round
 	s.snap.Blocks = s.snap.Blocks[:0]
-	for i, id := range s.blocks {
-		ps, ok := s.prober.BlockStateOf(id)
-		if !ok {
-			return fmt.Errorf("monitor: shard %d: block %s lost from prober", s.idx, id)
-		}
-		s.snap.Blocks = append(s.snap.Blocks, blockSnapshot{Prober: ps, Est: s.mons[i].est.State()})
+	for i, p := range s.probers {
+		s.snap.Blocks = append(s.snap.Blocks, blockSnapshot{Prober: p.State(), Est: s.mons[i].est.State()})
 	}
 	s.snapBuf = encodeSnapshot(s.snapBuf, &s.snap)
 	if err := durable.WriteFileAtomic(filepath.Join(s.dir(), snapName), s.snapBuf, 0o644); err != nil {

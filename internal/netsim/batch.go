@@ -85,12 +85,12 @@ type span struct {
 	start, end int
 }
 
-// BatchBuffer is the reusable state one prober threads through
+// BatchBuffer is the reusable state one probing worker threads through
 // DeliverBatch: the route cache, per-packet metadata, the reply arena, and
 // the returned Response slice. The zero value is ready to use; everything
 // grows to the largest batch seen and is reused afterwards.
 //
-// A BatchBuffer belongs to exactly one prober (one probing goroutine) and
+// A BatchBuffer belongs to exactly one probing goroutine and
 // to the first Network it is used with. Every Response.Data returned by
 // DeliverBatch is a view into the buffer's reply arena, valid only until
 // the next DeliverBatch call on the same buffer — callers that retain

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"sleepnet/internal/prf"
+	"sleepnet/internal/timeseries"
 )
 
 // Behavior models how one address responds over time. Implementations must
@@ -53,7 +54,7 @@ type Intermittent struct {
 }
 
 // roundSeconds is the default consistency window: the 11-minute round.
-const roundSeconds = 660
+const roundSeconds = float64(timeseries.DefaultRound / time.Second)
 
 // roundQuantum returns the index of the default window sec falls in.
 func roundQuantum(sec float64) uint64 { return uint64(sec / roundSeconds) }

@@ -26,18 +26,20 @@ func TestProbeRoundAllocFree(t *testing.T) {
 	// Every round's first send to the flaky block dies at the vantage point.
 	n.SetTap(sendBlackout{blk: flaky.ID, every: 11 * time.Minute})
 
-	p := New(n, Config{Retry: RetryConfig{MaxAttempts: 3}}, 7)
+	var probers []*Prober
 	for _, blk := range []*netsim.Block{up, flaky} {
+		p := New(n, Config{Retry: RetryConfig{MaxAttempts: 3}}, 7)
 		if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 			t.Fatal(err)
 		}
+		probers = append(probers, p)
 	}
 
 	// Warm-up: grow scratch buffers and settle beliefs.
 	round, retries := 0, 0
 	probeAll := func() {
-		for _, blk := range []*netsim.Block{up, flaky} {
-			obs, err := p.ProbeRound(blk.ID, at(0, 0, round*11), 0.5)
+		for _, p := range probers {
+			obs, err := p.ProbeRound(at(0, 0, round*11), 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -23,8 +23,9 @@ package trinocular
 //
 // Buffer lifetimes: a phase's responses are views into the BatchContext's
 // netsim buffer, valid until the next phase's DeliverBatch on it. A lane
-// that retries mid-phase sends through its prober's own send scratch, never
-// through that buffer, so the lanes after it still classify live views.
+// that retries mid-phase sends through the context's one-packet send
+// scratch, never through that buffer, so the lanes after it still classify
+// live views.
 
 import (
 	"fmt"
@@ -39,11 +40,10 @@ type pktSpan struct {
 	start, end int32
 }
 
-// lane is one (prober, block) round riding the wavefront: its roundState
-// plus the per-phase probe bookkeeping (target, packet index) needed to
-// match the batch response back to the round. Lanes of one wavefront may
-// belong to different probers (the pipeline runs one prober per block) as
-// long as all of them sit on the same network.
+// lane is one prober's round riding the wavefront: its roundState plus the
+// per-phase probe bookkeeping (target, packet index) needed to match the
+// batch response back to the round. The probers of one wavefront's lanes
+// all sit on the same network.
 type lane struct {
 	p      *Prober
 	rs     roundState
@@ -55,46 +55,22 @@ type lane struct {
 
 // BatchContext is the reusable state one probing worker threads through
 // ProbeRoundsBatchGroup: the lanes, the packet arena one wavefront phase
-// marshals into, and the netsim-side batch buffer. The zero value is ready
-// to use; everything grows to the largest batch seen and is reused. A
+// marshals into, the netsim-side batch buffer, and the send scratch a
+// retrying lane finishes its round through. The zero value is ready to
+// use; everything grows to the largest batch seen and is reused. A
 // BatchContext belongs to one worker at a time.
 type BatchContext struct {
 	// net is the netsim-side batch state (route cache, reply arena).
 	net netsim.BatchBuffer
+	// wire carries the probes of lanes that left the wavefront to retry:
+	// one per worker, not one per prober.
+	wire sendScratch
 
 	pktArena []byte
 	spans    []pktSpan
 	pkts     [][]byte
 	lanes    []lane
 	active   []int32
-
-	// stCache memoizes the i-th lane's (prober, id) → *blockState
-	// resolution across rounds: callers pass the same id list every round,
-	// and state pointers are stable for a prober's lifetime (AddBlock never
-	// replaces an entry), so after the first round every lookup is a hit.
-	stCache []stCacheEntry
-}
-
-// stCacheEntry is one memoized block-state resolution.
-type stCacheEntry struct {
-	p  *Prober
-	id netsim.BlockID
-	st *blockState
-}
-
-// stateFor resolves the i-th lane's block state through the memo.
-func (bc *BatchContext) stateFor(i int, p *Prober, id netsim.BlockID) (*blockState, bool) {
-	for len(bc.stCache) <= i {
-		bc.stCache = append(bc.stCache, stCacheEntry{})
-	}
-	if e := &bc.stCache[i]; e.p == p && e.id == id {
-		return e.st, true
-	}
-	st, ok := p.states[id]
-	if ok {
-		bc.stCache[i] = stCacheEntry{p: p, id: id, st: st}
-	}
-	return st, ok
 }
 
 // NewBatchContext returns an empty context; buffers grow on first use and
@@ -109,31 +85,29 @@ func (bc *BatchContext) RetainedBytes() int {
 		return 0
 	}
 	n := bc.net.RetainedBytes()
+	n += bc.wire.net.RetainedBytes() + cap(bc.wire.pkts[0])
 	n += cap(bc.pktArena)
 	n += cap(bc.spans) * 8
 	n += cap(bc.pkts) * 24
 	n += cap(bc.lanes) * 160 // lane: roundState (~136) + prober/target/host/indexes
 	n += cap(bc.active) * 4
-	n += cap(bc.stCache) * 24
 	return n
 }
 
-// ProbeRoundsBatchGroup probes one round for each (probers[i], ids[i])
-// pair at virtual time now, writing the i-th observation to out[i]. aOps[i]
-// is the caller's operational availability estimate for ids[i], clamped
-// exactly as ProbeRound clamps it. Every prober must sit on the same
-// network; one prober may own many lanes. The pipeline gives each block its
-// own prober (its own walk seed), a monitor shard passes its one prober in
-// every lane, and either way the group crosses the netsim boundary as one
-// wavefront.
+// ProbeRoundsBatchGroup probes one round of each prober at virtual time
+// now, writing probers[i]'s observation to out[i]. ids[i] must be the block
+// probers[i] probes; aOps[i] is the caller's operational availability
+// estimate for it, clamped exactly as ProbeRound clamps it. Every prober
+// must sit on the same network, and the group crosses the netsim boundary
+// as one wavefront.
 //
 // The observations, every prober's memory, the network's counters and any
 // fault injector's state end up byte-identical to calling
-// probers[0].ProbeRound(ids[0]), probers[1].ProbeRound(ids[1]), ... in slice
-// order at the same now (see the comment at the top of this file for the
-// argument; lanes own disjoint block state, so it applies lane by lane);
-// only the boundary-crossing cost changes. A call that returns an error has
-// probed nothing and changed no prober memory.
+// probers[0].ProbeRound, probers[1].ProbeRound, ... in slice order at the
+// same now (see the comment at the top of this file for the argument;
+// lanes own disjoint block state, so it applies lane by lane); only the
+// boundary-crossing cost changes. A call that returns an error has probed
+// nothing and changed no prober memory.
 //
 //lint:hotpath: batched warm-round probing path, 0 allocs/op pinned by TestProbeRoundsBatchGroupAllocFree
 func ProbeRoundsBatchGroup(bc *BatchContext, probers []*Prober, ids []netsim.BlockID, aOps []float64, now time.Time, out []RoundObs) error {
@@ -160,12 +134,12 @@ func ProbeRoundsBatchGroup(bc *BatchContext, probers []*Prober, ids []netsim.Blo
 
 // bindLane binds lane i to its prober and its block's state. It reads
 // prober memory and writes none: every lane is bound before beginLanes
-// opens the first round, so an untracked id fails the call with no round
-// consumed.
+// opens the first round, so an id its prober does not probe fails the call
+// with no round consumed.
 func (bc *BatchContext) bindLane(i int, p *Prober, id netsim.BlockID) error {
-	st, ok := bc.stateFor(i, p, id)
-	if !ok {
-		return fmt.Errorf("trinocular: block %s not tracked", id)
+	st := p.st
+	if st == nil || st.id != id {
+		return fmt.Errorf("trinocular: block %s not tracked by its lane's prober", id)
 	}
 	ln := &bc.lanes[i]
 	ln.p = p
@@ -178,8 +152,7 @@ func (bc *BatchContext) bindLane(i int, p *Prober, id netsim.BlockID) error {
 func (bc *BatchContext) beginLanes(aOps []float64, now time.Time) {
 	for i := range bc.lanes {
 		ln := &bc.lanes[i]
-		//lint:allow hotalloc: once-guarded epoch capture; the closure is live only on each prober's very first round
-		ln.p.epochOnce.Do(func() { ln.p.epoch = now })
+		ln.p.PinEpoch(now)
 		ln.p.beginRound(&ln.rs, ln.rs.st, now, aOps[i])
 		bc.active = append(bc.active, int32(i))
 	}
@@ -244,15 +217,15 @@ func runWavefront(bc *BatchContext, bn ProbeNetwork, now time.Time, out []RoundO
 			if outcome == outcomeSendError {
 				// A vantage-local failure shifts the lane's remaining probes
 				// to backoff-adjusted times, so it leaves the wavefront and
-				// finishes probe by probe, through its prober's own send
+				// finishes probe by probe, through the context's send
 				// scratch (resps stays valid for the lanes still to come).
 				// Equivalent by construction: the round's first send error
 				// always happens with zero backoff used, exactly where the
 				// sequential schedule stands.
-				outcome = ln.p.retrySendErrors(&ln.rs, ln.host, now)
+				outcome = ln.p.retrySendErrors(&bc.wire, &ln.rs, ln.host, now)
 				ln.p.applyOutcome(&ln.rs, outcome)
 				if !ln.rs.done {
-					ln.p.sequentialRound(&ln.rs, now)
+					ln.p.sequentialRound(&bc.wire, &ln.rs, now)
 				}
 			} else {
 				ln.p.applyOutcome(&ln.rs, outcome)

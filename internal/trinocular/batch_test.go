@@ -1,7 +1,6 @@
 package trinocular
 
 import (
-	"reflect"
 	"testing"
 	"time"
 
@@ -13,27 +12,48 @@ import (
 // wavefrontWorld is one independently built copy of the equivalence
 // fixture: identical worlds are built for the reference and the wavefront
 // runs so the two share no state and every counter can be compared at the
-// end. probers[i] owns lane i — one prober per block, as the measurement
-// pipeline has it, or one prober in every lane, as a monitor shard has it.
+// end. probers[i] probes ids[i], one prober per block.
 type wavefrontWorld struct {
 	net     *netsim.Network
 	inj     *faults.Injector
 	reg     *metrics.Registry
 	probers []*Prober
 	ids     []netsim.BlockID
+	// sharedSeed gives every prober seed 40 instead of one of its own.
+	sharedSeed bool
 }
 
-// arrangements are the two ways lanes map to probers. With one prober per
-// block the walk seed is derived from the block id exactly as core.Pipeline
-// derives it; the shared prober's seed 40 puts exactly one of the four
-// blocks inside the restart window, so that fixture mixes cold and warm
-// lanes in one batch.
+// arrangements are the two ways the fixture seeds its probers. By default
+// each prober's seed is derived from its block id exactly as core.Pipeline
+// derives it; under one-prober every prober takes the one seed 40, as a
+// monitor shard seeds every prober with the campaign's seed. Seed 40 puts
+// exactly one of the four blocks inside the restart window, so that
+// fixture mixes cold and warm lanes in one batch.
 var arrangements = []struct {
-	name   string // subtest name; "" runs the case at the top level
-	shared bool
+	name       string // subtest name; "" runs the case at the top level
+	sharedSeed bool
 }{
 	{"", false},
 	{"one-prober", true},
+}
+
+// newProber builds the fixture's prober for block id, on the fixture's
+// network and registry, and registers the block with it.
+func (w *wavefrontWorld) newProber(t *testing.T, blk *netsim.Block) *Prober {
+	t.Helper()
+	seed := 24 ^ uint64(blk.ID)
+	if w.sharedSeed {
+		seed = 40
+	}
+	p := New(w.net, Config{
+		RestartInterval: 5*time.Hour + 30*time.Minute,
+		Retry:           RetryConfig{MaxAttempts: 3},
+		Metrics:         w.reg,
+	}, seed)
+	if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // buildWavefrontWorld assembles a hostile fixture that exercises every probe
@@ -43,7 +63,7 @@ var arrangements = []struct {
 // adds loss, reply corruption, admin-prohibited rate limiting, clock skew,
 // and periodic vantage blackouts (send errors → retries → lanes that leave
 // the wavefront).
-func buildWavefrontWorld(t *testing.T, withFaults, shared bool) *wavefrontWorld {
+func buildWavefrontWorld(t *testing.T, withFaults, sharedSeed bool) *wavefrontWorld {
 	t.Helper()
 	n := netsim.NewNetwork(42)
 
@@ -58,7 +78,7 @@ func buildWavefrontWorld(t *testing.T, withFaults, shared bool) *wavefrontWorld 
 	limited := buildBlock(netsim.MakeBlockID(10, 3, 4), 0, 90, 0.5)
 	limited.ReplyRateLimit = 2
 
-	w := &wavefrontWorld{net: n, reg: metrics.New()}
+	w := &wavefrontWorld{net: n, reg: metrics.New(), sharedSeed: sharedSeed}
 	if withFaults {
 		w.inj = faults.New(faults.Config{
 			Seed:              9,
@@ -71,27 +91,9 @@ func buildWavefrontWorld(t *testing.T, withFaults, shared bool) *wavefrontWorld 
 		}, epoch)
 		n.SetTap(w.inj)
 	}
-	newProber := func(seed uint64) *Prober {
-		return New(n, Config{
-			RestartInterval: 5*time.Hour + 30*time.Minute,
-			Retry:           RetryConfig{MaxAttempts: 3},
-			Metrics:         w.reg,
-		}, seed)
-	}
-	var one *Prober
-	if shared {
-		one = newProber(40)
-	}
 	for _, blk := range []*netsim.Block{up, flaky, outage, limited} {
 		n.AddBlock(blk)
-		p := one
-		if p == nil {
-			p = newProber(24 ^ uint64(blk.ID))
-		}
-		if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
-			t.Fatal(err)
-		}
-		w.probers = append(w.probers, p)
+		w.probers = append(w.probers, w.newProber(t, blk))
 		w.ids = append(w.ids, blk.ID)
 	}
 	return w
@@ -162,8 +164,8 @@ func netCounters(n *netsim.Network) [6]int64 {
 // gate: the wavefront must produce, round for round and block for block,
 // the exact observations of sequential ProbeRound calls — and leave prober
 // memory, network counters, fault-injector state, and the metrics registry
-// identical too. It runs with one prober per block and, under one-prober/,
-// with one prober in every lane; each with and without the fault tap. The
+// identical too. It runs with a seed per prober and, under one-prober/,
+// with one seed for every prober; each with and without the fault tap. The
 // faulty run covers retries, lanes leaving the wavefront, corrupted
 // replies, and admin-prohibited cut-offs, the lane-retry run a retry beside
 // live reply views, and the fixture asserts each actually fired.
@@ -172,7 +174,7 @@ func TestProbeRoundsBatchGroupMatchesScalar(t *testing.T) {
 		runArrangement(t, arr.name, func(t *testing.T) {
 			for _, tc := range equivalenceCases {
 				t.Run(tc.name, func(t *testing.T) {
-					checkGroupMatchesScalar(t, tc.withFaults, tc.laneRetry, arr.shared)
+					checkGroupMatchesScalar(t, tc.withFaults, tc.laneRetry, arr.sharedSeed)
 				})
 			}
 		})
@@ -188,9 +190,9 @@ func runArrangement(t *testing.T, name string, f func(t *testing.T)) {
 	t.Run(name, f)
 }
 
-func checkGroupMatchesScalar(t *testing.T, withFaults, laneRetry, shared bool) {
-	ws := buildWavefrontWorld(t, withFaults, shared)
-	wb := buildWavefrontWorld(t, withFaults, shared)
+func checkGroupMatchesScalar(t *testing.T, withFaults, laneRetry, sharedSeed bool) {
+	ws := buildWavefrontWorld(t, withFaults, sharedSeed)
+	wb := buildWavefrontWorld(t, withFaults, sharedSeed)
 	if laneRetry {
 		for _, w := range []*wavefrontWorld{ws, wb} {
 			armLaneRetry(w.net, w.ids)
@@ -214,7 +216,7 @@ func checkGroupMatchesScalar(t *testing.T, withFaults, laneRetry, shared bool) {
 			retriedBesidePositive++
 		}
 		for i, id := range ws.ids {
-			obsS, err := ws.probers[i].ProbeRound(id, now, aOps[i])
+			obsS, err := ws.probers[i].ProbeRound(now, aOps[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,7 +237,7 @@ func checkGroupMatchesScalar(t *testing.T, withFaults, laneRetry, shared bool) {
 
 	// The fixture must actually exercise the interesting paths, or the
 	// equivalence above proves less than it claims.
-	if agg.Positive == 0 || agg.Unreachable == 0 || (shared && cold == 0) {
+	if agg.Positive == 0 || agg.Unreachable == 0 || (sharedSeed && cold == 0) {
 		t.Fatalf("fixture too tame: %+v, %d cold rounds", agg, cold)
 	}
 	if withFaults && (agg.Retries == 0 || agg.SendErrors == 0 || agg.RateLimited == 0) {
@@ -246,8 +248,7 @@ func checkGroupMatchesScalar(t *testing.T, withFaults, laneRetry, shared bool) {
 	}
 
 	for i := range ws.probers {
-		sState, bState := ws.probers[i].ExportState(), wb.probers[i].ExportState()
-		if !reflect.DeepEqual(sState, bState) {
+		if sState, bState := ws.probers[i].State(), wb.probers[i].State(); sState != bState {
 			t.Errorf("prober %d state diverged:\nscalar %+v\ngroup  %+v", i, sState, bState)
 		}
 		if s, b := ws.probers[i].ProbesSent(), wb.probers[i].ProbesSent(); s != b {
@@ -281,11 +282,11 @@ func checkGroupMatchesScalar(t *testing.T, withFaults, laneRetry, shared bool) {
 }
 
 // TestProbeRoundsBatchGroupErrors pins the argument contract: shape
-// mismatches, untracked blocks and probers on different networks error
-// before any lane has begun its round, and an empty group is a no-op.
-// Under one-prober/ the lanes share a prober whose failing calls fall on
-// a cold restart boundary: the tracked block ahead of an untracked id
-// keeps its round counter, its walk position and the prober its epoch.
+// mismatches, an id that is not its lane's prober's block and probers on
+// different networks error before any lane has begun its round, and an
+// empty group is a no-op. Under one-prober/ a group of one prober fails
+// on a cold restart boundary: the block keeps its round counter, its walk
+// position and the prober its epoch.
 func TestProbeRoundsBatchGroupErrors(t *testing.T) {
 	w := buildWavefrontWorld(t, false, false)
 	bc := NewBatchContext()
@@ -294,7 +295,7 @@ func TestProbeRoundsBatchGroupErrors(t *testing.T) {
 	if err := ProbeRoundsBatchGroup(bc, w.probers, w.ids, aOps, at(0, 0, 0), out); err != nil {
 		t.Fatal(err)
 	}
-	before := w.probers[0].ExportState()
+	before := w.probers[0].State()
 
 	if err := ProbeRoundsBatchGroup(bc, w.probers[:1], w.ids, aOps, at(0, 0, 11), out); err == nil {
 		t.Fatal("shape mismatch should error")
@@ -304,13 +305,18 @@ func TestProbeRoundsBatchGroupErrors(t *testing.T) {
 	if err := ProbeRoundsBatchGroup(bc, w.probers, badIDs, aOps, at(0, 0, 11), out); err == nil {
 		t.Fatal("untracked block should error")
 	}
+	swapped := append([]netsim.BlockID(nil), w.ids...)
+	swapped[1], swapped[2] = swapped[2], swapped[1]
+	if err := ProbeRoundsBatchGroup(bc, w.probers, swapped, aOps, at(0, 0, 11), out); err == nil {
+		t.Fatal("ids in another order than their probers should error")
+	}
 	elsewhere := buildWavefrontWorld(t, false, false)
 	mixed := append([]*Prober(nil), w.probers...)
 	mixed[3] = elsewhere.probers[3]
 	if err := ProbeRoundsBatchGroup(bc, mixed, w.ids, aOps, at(0, 0, 11), out); err == nil {
 		t.Fatal("probers on different networks should error")
 	}
-	if after := w.probers[0].ExportState(); !reflect.DeepEqual(before, after) {
+	if after := w.probers[0].State(); before != after {
 		t.Fatalf("a failed call changed the first lane's prober memory:\nbefore %+v\nafter  %+v", before, after)
 	}
 	if err := ProbeRoundsBatchGroup(bc, nil, nil, nil, at(0, 0, 11), out); err != nil {
@@ -336,15 +342,14 @@ func TestProbeRoundsBatchGroupErrors(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		before := p.ExportState()
+		before, epochBefore := p.State(), p.epoch
 		if err := ProbeRoundsBatchGroup(bc, []*Prober{p}, []netsim.BlockID{blk.ID}, []float64{0.5, 0.5}, at(0, 6, 0), out); err == nil {
 			t.Fatal("shape mismatch should error")
 		}
-		ids := []netsim.BlockID{blk.ID, netsim.MakeBlockID(1, 2, 3)}
-		if err := ProbeRoundsBatchGroup(bc, []*Prober{p, p}, ids, []float64{0.5, 0.5}, at(0, 6, 0), out); err == nil {
+		if err := ProbeRoundsBatchGroup(bc, []*Prober{p}, []netsim.BlockID{netsim.MakeBlockID(1, 2, 3)}, []float64{0.5}, at(0, 6, 0), out); err == nil {
 			t.Fatal("untracked block should error")
 		}
-		if after := p.ExportState(); !reflect.DeepEqual(before, after) {
+		if after := p.State(); before != after || !p.epoch.Equal(epochBefore) {
 			t.Fatalf("a failed call changed prober memory:\nbefore %+v\nafter  %+v", before, after)
 		}
 	})
@@ -353,15 +358,15 @@ func TestProbeRoundsBatchGroupErrors(t *testing.T) {
 // TestProbeRoundsBatchGroupAllocFree pins the warm-round budget at zero
 // allocations: after the first rounds grow every arena, a full wavefront
 // round — marshal the phases, cross the boundary once a phase, classify,
-// update beliefs — must not touch the heap, with one prober per block and
-// with one prober in every lane. A fifth block of diurnal hosts is probed
+// update beliefs — must not touch the heap, with a seed per prober and
+// with one seed for every prober. A fifth block of diurnal hosts is probed
 // from 20:00 across midnight, so netsim drawing a new day's on-periods is
 // inside the budget. Runs without the fault tap: reply corruption is
 // copy-on-corrupt by contract and so pays its allocation whatever the path.
 func TestProbeRoundsBatchGroupAllocFree(t *testing.T) {
 	for _, arr := range arrangements {
 		runArrangement(t, arr.name, func(t *testing.T) {
-			w := buildWavefrontWorld(t, false, arr.shared)
+			w := buildWavefrontWorld(t, false, arr.sharedSeed)
 			office := &netsim.Block{ID: netsim.MakeBlockID(10, 3, 5), Seed: 5}
 			var hosts netsim.Hosts
 			for h := 1; h <= 40; h++ {
@@ -369,14 +374,7 @@ func TestProbeRoundsBatchGroupAllocFree(t *testing.T) {
 			}
 			office.SetHosts(&hosts)
 			w.net.AddBlock(office)
-			p := w.probers[0]
-			if !arr.shared {
-				p = New(w.net, Config{}, 5)
-			}
-			if err := p.AddBlock(office.ID, office.EverActive()); err != nil {
-				t.Fatal(err)
-			}
-			w.probers, w.ids = append(w.probers, p), append(w.ids, office.ID)
+			w.probers, w.ids = append(w.probers, w.newProber(t, office)), append(w.ids, office.ID)
 
 			bc := NewBatchContext()
 			aOps := []float64{0.9, 0.4, 0.8, 0.3, 0.5}

@@ -25,7 +25,7 @@ func TestProberMetricsMatchObservations(t *testing.T) {
 
 	var positives, unreachables, retries, sendErrors, rounds int
 	for r := 0; r < 200; r++ {
-		obs, err := p.ProbeRound(id, epoch.Add(time.Duration(r)*660*time.Second), 0.5)
+		obs, err := p.ProbeRound(epoch.Add(time.Duration(r)*660*time.Second), 0.5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestProberNilRegistryUnchanged(t *testing.T) {
 		}
 		var out []RoundObs
 		for r := 0; r < 100; r++ {
-			obs, err := p.ProbeRound(id, epoch.Add(time.Duration(r)*660*time.Second), 0.5)
+			obs, err := p.ProbeRound(epoch.Add(time.Duration(r)*660*time.Second), 0.5)
 			if err != nil {
 				t.Fatal(err)
 			}

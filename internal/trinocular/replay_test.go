@@ -3,6 +3,8 @@ package trinocular
 import (
 	"testing"
 	"time"
+
+	"sleepnet/internal/netsim"
 )
 
 // TestReplayRoundMatchesLive: a round re-run from its outcome log through
@@ -20,11 +22,11 @@ func TestReplayRoundMatchesLive(t *testing.T) {
 	for r := 0; r < 64; r++ {
 		now := epoch.Add(time.Duration(r) * 660 * time.Second)
 		for i, id := range live.ids {
-			obs, err := live.probers[0].ProbeRound(id, now, aOps[i])
+			obs, err := live.probers[i].ProbeRound(now, aOps[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := replay.probers[0].ReplayRound(id, now, aOps[i], obs.Log, obs.Outcomes(), obs.Retries)
+			got, err := replay.probers[i].ReplayRound(now, aOps[i], obs.Log, obs.Outcomes(), obs.Retries)
 			if err != nil {
 				t.Fatalf("round %d block %s: %v", r, id, err)
 			}
@@ -50,14 +52,13 @@ func TestReplayRoundMatchesLive(t *testing.T) {
 	if cold == 0 || retried == 0 {
 		t.Errorf("fixture too tame: %d cold rounds, %d rounds with retries", cold, retried)
 	}
-	ls, rs := live.probers[0].ExportState(), replay.probers[0].ExportState()
-	for i := range ls.Blocks {
-		if ls.Blocks[i] != rs.Blocks[i] {
-			t.Errorf("prober state diverged: live %+v, replay %+v", ls.Blocks[i], rs.Blocks[i])
+	for i := range live.probers {
+		if ls, rs := live.probers[i].State(), replay.probers[i].State(); ls != rs {
+			t.Errorf("prober state diverged: live %+v, replay %+v", ls, rs)
 		}
-	}
-	if n := replay.probers[0].ProbesSent(); n != 0 {
-		t.Errorf("replay counted %d probes as sent", n)
+		if n := replay.probers[i].ProbesSent(); n != 0 {
+			t.Errorf("replay counted %d probes as sent", n)
+		}
 	}
 	if n := replay.reg.Snapshot().Counter("trinocular.rounds"); n != 0 {
 		t.Errorf("replay flushed %d rounds into the metrics", n)
@@ -82,12 +83,11 @@ func TestReplayRoundRejectsBadLogs(t *testing.T) {
 		"too few to end the round": {neg, 1, 0},
 	} {
 		w := buildWavefrontWorld(t, false, true)
-		if _, err := w.probers[0].ReplayRound(w.ids[0], epoch, 0.5, c.log, c.n, c.retries); err == nil {
+		if _, err := w.probers[0].ReplayRound(epoch, 0.5, c.log, c.n, c.retries); err == nil {
 			t.Errorf("%s: replay accepted it", name)
 		}
 	}
-	w := buildWavefrontWorld(t, false, true)
-	if _, err := w.probers[0].ReplayRound(w.ids[0]+1000, epoch, 0.5, pos, 1, 0); err == nil {
-		t.Error("replay of an untracked block accepted")
+	if _, err := New(netsim.NewNetwork(1), Config{}, 40).ReplayRound(epoch, 0.5, pos, 1, 0); err == nil {
+		t.Error("replay by a prober without a block accepted")
 	}
 }

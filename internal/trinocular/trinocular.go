@@ -19,8 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,6 +27,7 @@ import (
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/prf"
+	"sleepnet/internal/timeseries"
 )
 
 // ProbeNetwork is the slice of the network the prober needs: delivery of a
@@ -252,26 +251,26 @@ func (st *blockState) appendProbe(dst []byte, host byte) []byte {
 
 // sendScratch is the wire scratch behind sendProbe: a one-packet batch and
 // a BatchBuffer of its own. It is deliberately not the wavefront's buffer:
-// a lane that retries in the middle of a phase delivers through this one,
-// so the phase's reply views — which later lanes are still to be classified
-// from — stay valid.
+// a lane that retries in the middle of a phase delivers through its
+// BatchContext's scratch, so the phase's reply views — which later lanes
+// are still to be classified from — stay valid.
 type sendScratch struct {
 	pkts [1][]byte
 	net  netsim.BatchBuffer
 }
 
-// Prober drives adaptive probing over a set of blocks. A prober is driven
-// by one goroutine at a time: its rounds share the blocks' memory and one
-// send scratch. Workers that probe concurrently each own a prober (the
-// monitor's shards, the pipeline's per-block probers).
+// Prober drives adaptive probing of one block, as Trinocular keeps its
+// belief, walk and restart window per /24. A prober is driven by one
+// goroutine at a time. Every campaign builds one prober per block (the
+// monitor's shards and the pipeline alike) and drives many of them as one
+// wavefront through ProbeRoundsBatchGroup.
 type Prober struct {
-	cfg       Config
-	net       ProbeNetwork
-	seed      uint64
-	epoch     time.Time // established on first round; restart phase reference
-	epochOnce sync.Once
-	states    map[netsim.BlockID]*blockState
-	wire      sendScratch
+	cfg   Config
+	net   ProbeNetwork
+	seed  uint64
+	epoch time.Time    // restart phase reference: PinEpoch's, else the first round's
+	st    *blockState  // the block AddBlock registered; nil before
+	wire  *sendScratch // ProbeRound's send scratch, allocated on its first round
 
 	probesSent atomic.Int64
 	m          proberMetrics
@@ -318,20 +317,22 @@ func (p *Prober) ProbesSent() int64 { return p.probesSent.Load() }
 
 // New creates a prober over the given network.
 func New(net ProbeNetwork, cfg Config, seed uint64) *Prober {
-	p := &Prober{
-		cfg:    cfg,
-		net:    net,
-		seed:   seed,
-		states: make(map[netsim.BlockID]*blockState),
-		m:      newProberMetrics(cfg.Metrics),
+	return &Prober{
+		cfg:  cfg,
+		net:  net,
+		seed: seed,
+		m:    newProberMetrics(cfg.Metrics),
 	}
-	return p
 }
 
-// AddBlock registers a block for probing given its historically ever-active
+// AddBlock registers the prober's block given its historically ever-active
 // host octets (Trinocular seeds this from census history). Blocks with
-// fewer than MinEverActive hosts are rejected with ErrTooSparse.
+// fewer than MinEverActive hosts are rejected with ErrTooSparse, and so is
+// a second block: it needs a prober of its own.
 func (p *Prober) AddBlock(id netsim.BlockID, everActive []byte) error {
+	if p.st != nil {
+		return fmt.Errorf("trinocular: prober of %s cannot also probe %s", p.st.id, id)
+	}
 	if len(everActive) < MinEverActive {
 		return fmt.Errorf("%w: %s has %d < %d", ErrTooSparse, id, len(everActive), MinEverActive)
 	}
@@ -343,8 +344,26 @@ func (p *Prober) AddBlock(id netsim.BlockID, everActive []byte) error {
 	}
 	st.initTemplate(icmpID, srcIP)
 	shuffle(st.walk, p.seed^uint64(id))
-	p.states[id] = st
+	p.st = st
 	return nil
+}
+
+// block returns the prober's block state, or an error before AddBlock.
+func (p *Prober) block() (*blockState, error) {
+	if p.st == nil {
+		return nil, errors.New("trinocular: prober has no block")
+	}
+	return p.st, nil
+}
+
+// PinEpoch fixes the restart-phase epoch at t, unless it is already fixed —
+// by an earlier pin or at the time of the prober's first round. A campaign
+// that resumes mid-way pins its start, so cold rounds fall on the same
+// virtual times however it got there.
+func (p *Prober) PinEpoch(t time.Time) {
+	if p.epoch.IsZero() {
+		p.epoch = t
+	}
 }
 
 func shuffle(b []byte, seed uint64) {
@@ -365,7 +384,7 @@ func (p *Prober) isColdRound(now time.Time) bool {
 	phase := since % p.cfg.RestartInterval
 	// A round is "cold" when it is the first round at or after a restart:
 	// the boundary fell within the preceding 11 minutes.
-	return phase < 11*time.Minute
+	return phase < timeseries.DefaultRound
 }
 
 // inDowntimeWindow reports whether the block's stable within-round probing
@@ -379,20 +398,23 @@ func (p *Prober) inDowntimeWindow(id netsim.BlockID) bool {
 	return off < restartDowntimeFrac
 }
 
-// ProbeRound probes one block once, at virtual time now, using the caller's
+// ProbeRound probes the block once, at virtual time now, using the caller's
 // current operational availability estimate aOp (clamped to [0.1, 1] as the
 // paper's policy requires). It returns the round's biased observation. It
 // is the round by definition — one probe after another, each a one-packet
 // batch — and the reference ProbeRoundsBatchGroup is tested against.
-func (p *Prober) ProbeRound(id netsim.BlockID, now time.Time, aOp float64) (RoundObs, error) {
-	st, ok := p.states[id]
-	if !ok {
-		return RoundObs{}, fmt.Errorf("trinocular: block %s not tracked", id)
+func (p *Prober) ProbeRound(now time.Time, aOp float64) (RoundObs, error) {
+	st, err := p.block()
+	if err != nil {
+		return RoundObs{}, err
 	}
-	p.epochOnce.Do(func() { p.epoch = now })
+	if p.wire == nil {
+		p.wire = new(sendScratch)
+	}
+	p.PinEpoch(now)
 	var rs roundState
 	p.beginRound(&rs, st, now, aOp)
-	p.sequentialRound(&rs, now)
+	p.sequentialRound(p.wire, &rs, now)
 	p.finishRound(&rs)
 	return rs.obs, nil
 }
@@ -477,27 +499,27 @@ func (rs *roundState) prepareProbe() byte {
 	return host
 }
 
-// sequentialRound drives rs to completion one probe at a time, from
-// wherever it currently stands: ProbeRound runs whole rounds through it,
-// and the wavefront hands over lanes that hit a vantage-local send failure
-// (whose remaining probes happen at backoff-shifted times and so leave the
-// wavefront).
-func (p *Prober) sequentialRound(rs *roundState, now time.Time) {
+// sequentialRound drives rs to completion one probe at a time through the
+// send scratch w, from wherever it currently stands: ProbeRound runs whole
+// rounds through it, and the wavefront hands over lanes that hit a
+// vantage-local send failure (whose remaining probes happen at
+// backoff-shifted times and so leave the wavefront).
+func (p *Prober) sequentialRound(w *sendScratch, rs *roundState, now time.Time) {
 	for !rs.done {
 		host := rs.prepareProbe()
-		outcome := p.sendProbe(rs, host, now.Add(rs.backoffUsed))
+		outcome := p.sendProbe(w, rs, host, now.Add(rs.backoffUsed))
 		if outcome == outcomeSendError {
-			outcome = p.retrySendErrors(rs, host, now)
+			outcome = p.retrySendErrors(w, rs, host, now)
 		}
 		p.applyOutcome(rs, outcome)
 	}
 }
 
-// retrySendErrors re-sends a probe that failed at the vantage point, with
-// exponential backoff, jitter, and the round's cumulative backoff budget.
-// It returns the final outcome — still outcomeSendError when the attempt
-// cap or budget is exhausted first.
-func (p *Prober) retrySendErrors(rs *roundState, host byte, now time.Time) probeOutcome {
+// retrySendErrors re-sends a probe that failed at the vantage point through
+// the send scratch w, with exponential backoff, jitter, and the round's
+// cumulative backoff budget. It returns the final outcome — still
+// outcomeSendError when the attempt cap or budget is exhausted first.
+func (p *Prober) retrySendErrors(w *sendScratch, rs *roundState, host byte, now time.Time) probeOutcome {
 	st := rs.st
 	outcome := outcomeSendError
 	for attempt := 1; attempt < p.cfg.Retry.MaxAttempts; attempt++ {
@@ -510,7 +532,7 @@ func (p *Prober) retrySendErrors(rs *roundState, host byte, now time.Time) probe
 		rs.backoffUsed += d
 		rs.obs.Retries++
 		st.seq++
-		outcome = p.sendProbe(rs, host, now.Add(rs.backoffUsed))
+		outcome = p.sendProbe(w, rs, host, now.Add(rs.backoffUsed))
 		if outcome != outcomeSendError {
 			break
 		}
@@ -619,7 +641,7 @@ func (rs *roundState) settle() {
 	rs.obs.Up = newUp
 }
 
-// ReplayRound re-runs block id's round at virtual time now from what the
+// ReplayRound re-runs the block's round at virtual time now from what the
 // round observed — the n outcomes in log and the retries it spent — instead
 // of from the network. It drives the bodies the live round ran (beginRound,
 // then prepareProbe and applyOutcome once an outcome, then settle), so
@@ -629,15 +651,16 @@ func (rs *roundState) settle() {
 // unknown outcome, an outcome after the round ended, too few to end it —
 // is an error, after which the block's memory is undefined. Replay flushes
 // no metrics: the probes it stands for were counted when they were sent.
-func (p *Prober) ReplayRound(id netsim.BlockID, now time.Time, aOp float64, log OutcomeLog, n, retries int) (RoundObs, error) {
-	st, ok := p.states[id]
-	if !ok {
-		return RoundObs{}, fmt.Errorf("trinocular: block %s not tracked", id)
+func (p *Prober) ReplayRound(now time.Time, aOp float64, log OutcomeLog, n, retries int) (RoundObs, error) {
+	st, err := p.block()
+	if err != nil {
+		return RoundObs{}, err
 	}
+	id := st.id
 	if n < 1 || n > MaxLoggedOutcomes || retries < 0 || log>>(4*n) != 0 {
 		return RoundObs{}, fmt.Errorf("trinocular: replay of %s: a log of %d outcomes (%#x) and %d retries is not a round", id, n, uint64(log), retries)
 	}
-	p.epochOnce.Do(func() { p.epoch = now })
+	p.PinEpoch(now)
 	var rs roundState
 	p.beginRound(&rs, st, now, aOp)
 	for k := 0; k < n; k++ {
@@ -696,17 +719,15 @@ const (
 )
 
 // sendProbe emits one IPv4-encapsulated ICMP echo for the round's current
-// sequence number, alone — a one-packet batch through the prober's own
-// send scratch — and classifies the answer. The attempt is tallied in
-// rs.sent so the probe counters flush once per round instead of once per
-// probe.
-func (p *Prober) sendProbe(rs *roundState, host byte, now time.Time) probeOutcome {
+// sequence number, alone — a one-packet batch through the send scratch w —
+// and classifies the answer. The attempt is tallied in rs.sent so the probe
+// counters flush once per round instead of once per probe.
+func (p *Prober) sendProbe(w *sendScratch, rs *roundState, host byte, now time.Time) probeOutcome {
 	st := rs.st
-	w := &p.wire
 	w.pkts[0] = st.appendProbe(w.pkts[0][:0], host)
 	rs.sent++
-	// The response is a view into w.net: valid until this prober's next
-	// sendProbe, which is after its only use below.
+	// The response is a view into w.net: valid until the next sendProbe
+	// through w, which is after its only use below.
 	resps := p.net.DeliverBatch(&w.net, w.pkts[:], now)
 	return p.classifyResponse(resps[0], ipv4.Addr(st.id.Addr(host).IP()), st.seq)
 }
@@ -816,72 +837,37 @@ type BlockState struct {
 	DownStreak int
 }
 
-// State is the full serializable prober state.
-type State struct {
-	Epoch  time.Time
-	Blocks []BlockState
-}
-
-// ExportState snapshots the prober's memory. It must not be called while
-// rounds are in flight. Blocks are sorted by id so the snapshot is
-// deterministic.
-func (p *Prober) ExportState() State {
-	s := State{Epoch: p.epoch, Blocks: make([]BlockState, 0, len(p.states))}
-	for id, st := range p.states {
-		s.Blocks = append(s.Blocks, BlockState{
-			ID:         id,
-			Belief:     st.belief,
-			Up:         st.up,
-			Round:      st.round,
-			Pos:        st.pos,
-			Seq:        st.seq,
-			DownStreak: st.downStreak,
-		})
-	}
-	sort.Slice(s.Blocks, func(i, j int) bool { return s.Blocks[i].ID < s.Blocks[j].ID })
-	return s
-}
-
-// BlockStateOf snapshots one block's serializable prober memory — the
-// allocation-free per-block form of ExportState, used by the monitor's WAL
-// to log exactly the blocks a shard round touched.
-func (p *Prober) BlockStateOf(id netsim.BlockID) (BlockState, bool) {
-	st, ok := p.states[id]
-	if !ok {
-		return BlockState{}, false
-	}
+// State snapshots the block's serializable memory. It must not be called
+// before AddBlock or while a round is in flight.
+func (p *Prober) State() BlockState {
+	st := p.st
 	return BlockState{
-		ID:         id,
+		ID:         st.id,
 		Belief:     st.belief,
 		Up:         st.up,
 		Round:      st.round,
 		Pos:        st.pos,
 		Seq:        st.seq,
 		DownStreak: st.downStreak,
-	}, true
+	}
 }
 
-// RestoreState loads a snapshot taken by ExportState. Every snapshotted
-// block must already have been re-registered with AddBlock (which rebuilds
-// its walk deterministically).
-func (p *Prober) RestoreState(s State) error {
-	for _, bs := range s.Blocks {
-		st, ok := p.states[bs.ID]
-		if !ok {
-			return fmt.Errorf("trinocular: restore: block %s not tracked", bs.ID)
-		}
-		if bs.Pos < 0 || bs.Pos >= len(st.walk) {
-			return fmt.Errorf("trinocular: restore: block %s walk position %d out of range", bs.ID, bs.Pos)
-		}
-		st.belief = bs.Belief
-		st.up = bs.Up
-		st.round = bs.Round
-		st.pos = bs.Pos
-		st.seq = bs.Seq
-		st.downStreak = bs.DownStreak
+// Restore loads a snapshot taken by State into the prober, which must
+// already probe bs.ID (AddBlock rebuilds its walk deterministically). The
+// restart-phase epoch is not part of it: see PinEpoch.
+func (p *Prober) Restore(bs BlockState) error {
+	st := p.st
+	if st == nil || st.id != bs.ID {
+		return fmt.Errorf("trinocular: restore: block %s not tracked", bs.ID)
 	}
-	if !s.Epoch.IsZero() {
-		p.epochOnce.Do(func() { p.epoch = s.Epoch })
+	if bs.Pos < 0 || bs.Pos >= len(st.walk) {
+		return fmt.Errorf("trinocular: restore: block %s walk position %d out of range", bs.ID, bs.Pos)
 	}
+	st.belief = bs.Belief
+	st.up = bs.Up
+	st.round = bs.Round
+	st.pos = bs.Pos
+	st.seq = bs.Seq
+	st.downStreak = bs.DownStreak
 	return nil
 }

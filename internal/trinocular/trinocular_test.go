@@ -45,15 +45,22 @@ func TestAddBlockSparseRejected(t *testing.T) {
 	if err := p.AddBlock(netsim.MakeBlockID(10, 0, 0), hosts); err != nil {
 		t.Fatal(err)
 	}
-	if p.states[netsim.MakeBlockID(10, 0, 0)] == nil || len(p.states) != 1 {
-		t.Fatal("tracking state wrong")
+	if got := p.State().ID; got != netsim.MakeBlockID(10, 0, 0) {
+		t.Fatalf("prober probes %s", got)
+	}
+	// A prober probes one block: a second one needs a prober of its own.
+	if err := p.AddBlock(netsim.MakeBlockID(10, 0, 1), hosts); err == nil {
+		t.Fatal("a second block was accepted")
+	}
+	if got := p.State().ID; got != netsim.MakeBlockID(10, 0, 0) {
+		t.Fatalf("the refused block replaced the first: prober probes %s", got)
 	}
 }
 
 func TestProbeRoundUnknownBlock(t *testing.T) {
 	p := New(netsim.NewNetwork(1), Config{}, 1)
-	if _, err := p.ProbeRound(netsim.MakeBlockID(1, 2, 3), at(0, 0, 0), 0.9); err == nil {
-		t.Fatal("unknown block should error")
+	if _, err := p.ProbeRound(at(0, 0, 0), 0.9); err == nil {
+		t.Fatal("a prober without a block should error")
 	}
 }
 
@@ -66,7 +73,7 @@ func TestHighAvailabilityOneProbe(t *testing.T) {
 	if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 		t.Fatal(err)
 	}
-	obs, err := p.ProbeRound(blk.ID, at(0, 0, 0), 0.9)
+	obs, err := p.ProbeRound(at(0, 0, 0), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +93,7 @@ func TestDownBlockFewProbesWithHighAOp(t *testing.T) {
 	if err := p.AddBlock(blk.ID, blk.EverActive()); err != nil {
 		t.Fatal(err)
 	}
-	obs, err := p.ProbeRound(blk.ID, at(0, 12, 0), 0.95)
+	obs, err := p.ProbeRound(at(0, 12, 0), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +104,7 @@ func TestDownBlockFewProbesWithHighAOp(t *testing.T) {
 		t.Fatalf("high Âo should conclude down quickly, used %d probes", obs.Total)
 	}
 	// Debounce: the down declaration lands on the second conclusive round.
-	obs2nd, err := p.ProbeRound(blk.ID, at(0, 12, 11), 0.95)
+	obs2nd, err := p.ProbeRound(at(0, 12, 11), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +116,7 @@ func TestDownBlockFewProbesWithHighAOp(t *testing.T) {
 	if err := p2.AddBlock(blk.ID, blk.EverActive()); err != nil {
 		t.Fatal(err)
 	}
-	obs2, err := p2.ProbeRound(blk.ID, at(0, 12, 0), 0.1)
+	obs2, err := p2.ProbeRound(at(0, 12, 0), 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +137,7 @@ func TestOutageDetectionAndRecovery(t *testing.T) {
 	var transitions []bool
 	for r := 0; r < 400; r++ {
 		now := at(0, 20, 0).Add(time.Duration(r) * 660 * time.Second)
-		obs, err := p.ProbeRound(blk.ID, now, 0.9)
+		obs, err := p.ProbeRound(now, 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +151,7 @@ func TestOutageDetectionAndRecovery(t *testing.T) {
 	if len(transitions) != 2 || transitions[0] != false || transitions[1] != true {
 		t.Fatalf("transitions = %v, want [down up]", transitions)
 	}
-	if st := p.states[blk.ID]; st == nil || !st.up {
+	if !p.State().Up {
 		t.Fatal("block should end up")
 	}
 }
@@ -162,7 +169,7 @@ func TestObservationUnbiasedForIntermittentBlock(t *testing.T) {
 	var sp, stt int
 	for r := 0; r < 4000; r++ {
 		now := epoch.Add(time.Duration(r) * 660 * time.Second)
-		obs, err := p.ProbeRound(blk.ID, now, trueP)
+		obs, err := p.ProbeRound(now, trueP)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +196,7 @@ func TestProbeBudgetUnderTwentyPerHour(t *testing.T) {
 	rounds := hours * 3600 / 660
 	for r := 0; r <= rounds; r++ {
 		now := epoch.Add(time.Duration(r) * 660 * time.Second)
-		if _, err := p.ProbeRound(blk.ID, now, 0.9); err != nil {
+		if _, err := p.ProbeRound(now, 0.9); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +222,7 @@ func TestColdRoundsSingleProbe(t *testing.T) {
 	rounds := 1000
 	for r := 0; r < rounds; r++ {
 		now := epoch.Add(time.Duration(r) * 660 * time.Second)
-		obs, err := p.ProbeRound(blk.ID, now, 0.3)
+		obs, err := p.ProbeRound(now, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +248,7 @@ func TestNoRestartMeansNoColdRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 200; r++ {
-		obs, err := p.ProbeRound(blk.ID, epoch.Add(time.Duration(r)*660*time.Second), 0.9)
+		obs, err := p.ProbeRound(epoch.Add(time.Duration(r)*660*time.Second), 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -285,7 +292,7 @@ func TestWalkCoversAllHosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 30; r++ {
-		if _, err := p.ProbeRound(blk.ID, epoch.Add(time.Duration(r)*660*time.Second), 0.5); err != nil {
+		if _, err := p.ProbeRound(epoch.Add(time.Duration(r)*660*time.Second), 0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +314,7 @@ func BenchmarkProbeRound(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now := epoch.Add(time.Duration(i) * 660 * time.Second)
-		if _, err := p.ProbeRound(blk.ID, now, 0.7); err != nil {
+		if _, err := p.ProbeRound(now, 0.7); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -331,7 +338,7 @@ func TestGatewayUnreachableSpeedsDetection(t *testing.T) {
 		// Probe during the outage with a modest Âo (weak silence evidence).
 		var probes, unreach int
 		for r := 0; r < 4; r++ {
-			obs, err := p.ProbeRound(blk.ID, at(0, 0, r*11), 0.3)
+			obs, err := p.ProbeRound(at(0, 0, r*11), 0.3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -362,7 +369,7 @@ func TestFixedProbesPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < 10; r++ {
-		obs, err := p.ProbeRound(blk.ID, epoch.Add(time.Duration(r)*660*time.Second), 0.9)
+		obs, err := p.ProbeRound(epoch.Add(time.Duration(r)*660*time.Second), 0.9)
 		if err != nil {
 			t.Fatal(err)
 		}
