@@ -80,9 +80,13 @@ monitor-chaos:
 # detector: slow-loris, floods, connection churn, and malformed requests
 # against a live monitored campaign must lose zero probe rounds, keep the
 # study byte-identical to an unattacked run, and keep lookup p99 bounded
-# while lower-priority classes shed.
+# while lower-priority classes shed. The engine's equivalence tests then run
+# under the race detector on one P and on four, with shards larger than a
+# fold chunk, so a round's fold is split across goroutines while other
+# shards swap their sets in.
 serve-chaos:
 	$(GO) test -race -count=1 -run='TestServeChaosAcceptance' ./internal/serve
+	$(GO) test -race -count=1 -cpu 1,4 -run='TestEngineShardsMatchPerBlockReplay|TestEngineCrashEquivalence|TestStreamResyncBitIdentical' ./internal/serve
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the

@@ -2,14 +2,16 @@
 // monitor's per-block state: availability, streaming diurnal class, phase →
 // time-of-sleep, and outage flags, queryable while the campaign runs.
 //
-// The core mechanism is the copy-on-write epoch snapshot. Shards publish
-// committed rounds into writer-owned columnar buffers (internal/monitor's
-// EpochSink hook); once every shard has committed round r, the engine copies
-// the finished columns — classification included — into an immutable Epoch
-// and swaps it in with one atomic pointer store. Readers load the pointer
-// and query the frozen epoch — they never take a lock the probe path can
-// contend on, and a reader holding an old epoch keeps a consistent view for
-// as long as it wants.
+// The core mechanism is the copy-on-write epoch snapshot. Each shard folds
+// a committed round (internal/monitor's EpochSink hook) into a column set
+// of its own — classification included — outside the engine mutex, and the
+// engine swaps the set in as the shard's current one. Once every shard has
+// committed round r, the engine seals an immutable Epoch that points at
+// every shard's current set (no column is copied, and a sealed set is never
+// written again) and swaps it in with one atomic pointer store. Readers
+// load the pointer and query the frozen epoch — they never take a lock the
+// probe path can contend on, and a reader holding an old epoch keeps a
+// consistent view for as long as it wants.
 //
 // Liveness under partial monitor state is explicit rather than accidental:
 // while a shard is crash-looping, mid-recovery, or quarantined, the engine
@@ -25,6 +27,7 @@
 package serve
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,36 +79,129 @@ const (
 	flatVariance = 1e-9
 )
 
-// shardState is the writer-side mirror of one monitor shard, owned by the
-// engine mutex. Every block of a shard has seen the same rounds, so the
-// basis sums are held once; class and phase are kept current by whoever
-// moves acc (PublishRound, ResyncShard), so a seal only copies columns.
-type shardState struct {
-	synced      bool
-	quarantined bool
-	sums        BasisSums // sums.N is the committed rounds published so far
-	ids         []netsim.BlockID
-	avail       []float64
-	long        []float64
-	down        []bool
-	failed      []int32
-	acc         []StreamAcc
-	class       []DiurnalClass
-	phase       []float64 // 0 outside the diurnal classes
+// colSet is one shard's published columns at one round count: avail,
+// long, down, failed, class and phase, 30 B a block, beside the ids fixed
+// by the shard's last resync (shared by every set of that resync, never
+// written after it). A set is written by its own shard alone while it is
+// the shard's next set; the engine swaps it in as the current set, and once
+// an epoch points at it (sealed) it is never written again.
+type colSet struct {
+	rounds int // committed rounds the columns reflect
+	ids    []netsim.BlockID
+	avail  []float64
+	long   []float64
+	down   []bool
+	failed []int32
+	class  []DiurnalClass
+	phase  []float64 // 0 outside the diurnal classes
+	sealed bool      // an epoch points at the set; engine mutex
 }
 
-// rounds reports how many committed rounds the shard has published.
-func (st *shardState) rounds() int { return int(st.sums.N) }
+func newColSet(ids []netsim.BlockID) *colSet {
+	n := len(ids)
+	return &colSet{
+		ids:    ids,
+		avail:  make([]float64, n),
+		long:   make([]float64, n),
+		down:   make([]bool, n),
+		failed: make([]int32, n),
+		class:  make([]DiurnalClass, n),
+		phase:  make([]float64, n),
+	}
+}
 
-// classify refreshes block i's class and phase columns from its accumulator.
+// shardState is the writer side of one monitor shard. Every block of a
+// shard has seen the same rounds, so the basis sums are held once. The
+// shard folds a round into its next column set under its own mutex, outside
+// the engine's; the engine mutex only swaps the set in.
+type shardState struct {
+	basis       Basis // fixed at BeginRun
+	minClassify int   // fixed at BeginRun
+
+	// mu serializes the shard's publishes and resyncs. It is taken before
+	// the engine mutex, never while holding it.
+	mu   sync.Mutex
+	sums BasisSums // sums.N is the committed rounds folded so far
+	acc  []StreamAcc
+	// next is the set the next publish folds into: one no epoch has ever
+	// pointed at, or nil when the publish has to allocate one.
+	next *colSet
+
+	cur         *colSet // written under mu and the engine mutex; nil until the first resync
+	quarantined bool    // engine mutex
+}
+
+// classify derives block i's class and phase from its accumulator.
 //
 //lint:hotpath: per block per round on the publish path; pure arithmetic
-func (st *shardState) classify(i, minRounds int) {
-	class, phase := st.acc[i].Classify(&st.sums, minRounds)
+func (st *shardState) classify(i int) (DiurnalClass, float64) {
+	class, phase := st.acc[i].Classify(&st.sums, st.minClassify)
 	if class != ClassStrict && class != ClassRelaxed {
 		phase = 0
 	}
-	st.class[i], st.phase[i] = class, phase
+	return class, phase
+}
+
+// foldRound applies round r to blocks [lo, hi): each block's accumulator,
+// then its class and phase, into next's columns, carrying down and failed
+// forward from cur. Blocks are independent, so any split into ranges gives
+// the same bits.
+//
+//lint:hotpath: per block per round on the publish path; pure arithmetic
+func (st *shardState) foldRound(next, cur *colSet, deltas []monitor.RoundPub, r int, lo, hi int) {
+	c1, s1, c2, s2 := st.basis.Waves(r)
+	rf := float64(r)
+	for i := lo; i < hi; i++ {
+		d := &deltas[i]
+		next.avail[i] = d.Avail
+		next.long[i] = d.Long
+		st.acc[i].Add(d.Avail, rf, c1, s1, c2, s2)
+		next.class[i], next.phase[i] = st.classify(i)
+		down := cur.down[i]
+		switch d.Event {
+		case monitor.PubEventDown:
+			down = true
+		case monitor.PubEventUp:
+			down = false
+		}
+		next.down[i] = down
+		failed := cur.failed[i]
+		if d.Failed {
+			failed++
+		}
+		next.failed[i] = failed
+	}
+}
+
+// foldChunk is how many blocks one fold task covers. A shard of at most
+// foldChunk blocks folds inline on its publishing goroutine; a larger one is
+// dealt in chunks of this size across GOMAXPROCS goroutines.
+const foldChunk = 4096
+
+// eachChunk calls fn over [0, n) in chunks of chunk blocks, dealt to
+// GOMAXPROCS workers the way core's RunAll deals lockstep groups, the
+// calling goroutine among them; it returns when every call has.
+func eachChunk(n, chunk int, fn func(lo, hi int)) {
+	var next atomic.Int64 // start of the next undealt chunk
+	work := func() {
+		for {
+			lo := int(next.Add(int64(chunk))) - chunk
+			if lo >= n {
+				return
+			}
+			fn(lo, min(lo+chunk, n))
+		}
+	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), (n+chunk-1)/chunk); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // engineMetrics caches the engine's instruments (all no-ops without a
@@ -143,15 +239,13 @@ type EngineConfig struct {
 // epochs. It implements monitor.EpochSink; readers use Epoch/Status, which
 // never block on the writer path.
 type Engine struct {
-	cfg EngineConfig
-	met *engineMetrics
+	cfg   EngineConfig
+	met   *engineMetrics
+	chunk int // blocks a fold task covers: foldChunk; tests lower it
 
 	mu          sync.Mutex // writer state below; readers never take it
 	info        monitor.RunInfo
-	began       bool
 	shards      []*shardState
-	basis       Basis
-	minClassify int
 	sealedRound int
 
 	epoch       atomic.Pointer[Epoch]
@@ -162,7 +256,7 @@ type Engine struct {
 
 // NewEngine creates an engine; attach it via monitor.Config.Sink.
 func NewEngine(cfg EngineConfig) *Engine {
-	return &Engine{cfg: cfg, met: newEngineMetrics(cfg.Metrics), sealedRound: -1}
+	return &Engine{cfg: cfg, met: newEngineMetrics(cfg.Metrics), chunk: foldChunk, sealedRound: -1}
 }
 
 // BeginRun implements monitor.EpochSink: it records the campaign shape and
@@ -173,67 +267,93 @@ func (e *Engine) BeginRun(info monitor.RunInfo) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.info = info
-	e.began = true
+	basis := NewBasis(info.Period)
+	minClassify := e.cfg.MinClassifyRounds
+	if minClassify <= 0 {
+		minClassify = basis.DefaultMinClassify() // one virtual day
+	}
 	e.shards = make([]*shardState, info.Shards)
-	e.basis = NewBasis(info.Period)
-	e.minClassify = e.cfg.MinClassifyRounds
-	if e.minClassify <= 0 {
-		e.minClassify = e.basis.DefaultMinClassify() // one virtual day
+	for i := range e.shards {
+		e.shards[i] = &shardState{basis: basis, minClassify: minClassify}
 	}
 	e.sealedRound = -1
 	e.totalRounds.Store(int64(info.Rounds))
 }
 
-// ResyncShard implements monitor.EpochSink: it replaces the shard's mirror
+// shardAt returns the run's state of shard, or nil when the run has no
+// such shard (or no run has begun).
+func (e *Engine) shardAt(shard int) *shardState {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if shard < 0 || shard >= len(e.shards) {
+		return nil
+	}
+	return e.shards[shard]
+}
+
+// swapLocked makes set the shard's current set and seals what the floor
+// now allows. It reports false, swapping nothing, when a BeginRun has
+// replaced the shard's state since the caller fetched it.
+func (e *Engine) swapLocked(shard int, st *shardState, set *colSet) bool {
+	if shard >= len(e.shards) || e.shards[shard] != st {
+		return false
+	}
+	st.cur = set
+	e.noteRounds(set.rounds)
+	e.sealLocked()
+	return true
+}
+
+// ResyncShard implements monitor.EpochSink: it replaces the shard's state
 // with state rebuilt from the committed series. Cold path (attempt starts
 // and recoveries only). A block whose series is not nextRound long breaks
 // the contract (a shard has one round count); such a resync is dropped and
-// the mirror stays as it was.
+// the shard stays as it was.
 func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
-	e.mu.Lock()
-	if !e.began || shard < 0 || shard >= len(e.shards) || !seriesLen(blocks, nextRound) {
+	st := e.shardAt(shard)
+	if st == nil || !seriesLen(blocks, nextRound) {
 		e.met.publishIgnored.Inc()
-		e.mu.Unlock()
 		return
 	}
-	st := &shardState{
-		synced: true,
-		ids:    make([]netsim.BlockID, len(blocks)),
-		avail:  make([]float64, len(blocks)),
-		long:   make([]float64, len(blocks)),
-		down:   make([]bool, len(blocks)),
-		failed: make([]int32, len(blocks)),
-		acc:    make([]StreamAcc, len(blocks)),
-		class:  make([]DiurnalClass, len(blocks)),
-		phase:  make([]float64, len(blocks)),
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	// The basis waves of every committed round, once. Each block folds its
+	// own series in round order against this table, so its float op order
+	// is the live path's and the rebuilt sums are the same bits.
+	waves := make([][4]float64, nextRound)
+	var sums BasisSums
+	for r := range waves {
+		c1, s1, c2, s2 := st.basis.Waves(r)
+		waves[r] = [4]float64{c1, s1, c2, s2}
+		sums.Add(c1, s1, c2, s2)
 	}
-	for i := range blocks {
-		b := &blocks[i]
-		st.ids[i] = b.ID
-		if nextRound > 0 {
-			st.avail[i] = b.Short[nextRound-1]
+	st.sums, st.acc, st.next = sums, make([]StreamAcc, len(blocks)), nil
+	set := newColSet(make([]netsim.BlockID, len(blocks)))
+	set.rounds = nextRound
+	eachChunk(len(blocks), e.chunk, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			b := &blocks[i]
+			for r, w := range waves {
+				st.acc[i].Add(b.Short[r], float64(r), w[0], w[1], w[2], w[3])
+			}
+			set.ids[i] = b.ID
+			if nextRound > 0 {
+				set.avail[i] = b.Short[nextRound-1]
+			}
+			set.long[i] = b.Long
+			set.down[i] = b.Down
+			set.failed[i] = int32(b.Failed)
+			set.class[i], set.phase[i] = st.classify(i)
 		}
-		st.long[i] = b.Long
-		st.down[i] = b.Down
-		st.failed[i] = int32(b.Failed)
+	})
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	st.quarantined = false
+	if !e.swapLocked(shard, st, set) {
+		e.met.publishIgnored.Inc()
+		return
 	}
-	// Rebuild the spectral accumulators round-major so the float op order
-	// matches incremental publication exactly.
-	for r := 0; r < nextRound; r++ {
-		c1, s1, c2, s2 := e.basis.Waves(r)
-		for i := range blocks {
-			st.acc[i].Add(blocks[i].Short[r], float64(r), c1, s1, c2, s2)
-		}
-		st.sums.Add(c1, s1, c2, s2)
-	}
-	for i := range blocks {
-		st.classify(i, e.minClassify)
-	}
-	e.shards[shard] = st
 	e.met.resyncs.Inc()
-	e.noteRounds(nextRound)
-	e.sealLocked()
-	e.mu.Unlock()
 }
 
 // seriesLen reports whether every block carries exactly rounds values.
@@ -246,48 +366,50 @@ func seriesLen(blocks []monitor.PubBlock, rounds int) bool {
 	return true
 }
 
-// PublishRound implements monitor.EpochSink: it applies one committed
-// round's deltas and reclassifies the shard's blocks while their moments
-// are hot. Hot path — O(shard blocks) arithmetic under the writer mutex, no
-// allocation unless the round seals an epoch.
+// PublishRound implements monitor.EpochSink: it folds one committed round
+// into the shard's next column set and reclassifies the shard's blocks
+// while their moments are hot, under the shard's own mutex — shards fold
+// concurrently, and a shard larger than foldChunk folds across cores. The
+// engine mutex is held only to swap the set in and seal. Besides the Epoch
+// a seal allocates, a publish allocates nothing unless the set it displaces
+// was sealed, and then one set of its own shard.
 func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
-	e.mu.Lock()
-	if !e.began || shard < 0 || shard >= len(e.shards) {
+	st := e.shardAt(shard)
+	if st == nil {
 		e.met.publishIgnored.Inc()
-		e.mu.Unlock()
 		return
 	}
-	st := e.shards[shard]
-	if st == nil || !st.synced || len(deltas) != len(st.ids) || round != st.rounds() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cur := st.cur
+	if cur == nil || len(deltas) != len(cur.ids) || round != int(st.sums.N) {
 		// A replayed round (engine already covered it via resync) or a gap
 		// (impossible through the shard contract, but never corrupt state
 		// over it): drop the publication, the next resync reconciles.
 		e.met.publishIgnored.Inc()
-		e.mu.Unlock()
 		return
 	}
-	c1, s1, c2, s2 := e.basis.Waves(round)
-	r := float64(round)
-	st.sums.Add(c1, s1, c2, s2)
-	for i := range deltas {
-		d := &deltas[i]
-		st.avail[i] = d.Avail
-		st.long[i] = d.Long
-		st.acc[i].Add(d.Avail, r, c1, s1, c2, s2)
-		st.classify(i, e.minClassify)
-		switch d.Event {
-		case monitor.PubEventDown:
-			st.down[i] = true
-		case monitor.PubEventUp:
-			st.down[i] = false
-		}
-		if d.Failed {
-			st.failed[i]++
-		}
+	next := st.next
+	if next == nil {
+		next = newColSet(cur.ids)
 	}
-	e.noteRounds(round + 1)
-	e.sealLocked()
-	e.mu.Unlock()
+	st.next = nil
+	st.sums.Add(st.basis.Waves(round))
+	if n := len(deltas); n <= e.chunk {
+		st.foldRound(next, cur, deltas, round, 0, n)
+	} else {
+		eachChunk(n, e.chunk, func(lo, hi int) { st.foldRound(next, cur, deltas, round, lo, hi) })
+	}
+	next.rounds = round + 1
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if !e.swapLocked(shard, st, next) {
+		e.met.publishIgnored.Inc()
+		return
+	}
+	if !cur.sealed {
+		st.next = cur // no epoch points at it: the next publish reuses it
+	}
 }
 
 // ShardDown implements monitor.EpochSink: the shard quarantined and will
@@ -297,7 +419,7 @@ func (e *Engine) ShardDown(shard int) {
 	e.met.shardsDown.Inc()
 	e.degraded.Store(true)
 	e.mu.Lock()
-	if shard >= 0 && shard < len(e.shards) && e.shards[shard] != nil {
+	if shard >= 0 && shard < len(e.shards) {
 		e.shards[shard].quarantined = true
 	}
 	// The quarantined shard no longer holds the floor down: shards that
@@ -314,20 +436,24 @@ func (e *Engine) noteRounds(rounds int) {
 }
 
 // sealLocked seals and publishes a new epoch when every shard has committed
-// past the current one. It is a column copy under the writer mutex (so
-// publishers see a consistent cut, and epochs are stored in seal order):
-// each shard keeps its own class and phase columns current as it publishes.
+// past the current one. The epoch points at each shard's current column
+// set, which is never written again: O(shards) under the writer mutex, no
+// column copied, and epochs are stored in seal order.
 func (e *Engine) sealLocked() {
-	floor := -1
+	floor, blocks, segs := -1, 0, 0
 	for _, st := range e.shards {
-		if st == nil || !st.synced {
+		if st.cur == nil {
 			return // not all shards reporting yet: no epoch to seal
+		}
+		if n := len(st.cur.ids); n > 0 {
+			blocks += n
+			segs++
 		}
 		if st.quarantined {
 			continue // frozen at its last committed round; floor ignores it
 		}
-		if floor < 0 || st.rounds() < floor {
-			floor = st.rounds()
+		if floor < 0 || st.cur.rounds < floor {
+			floor = st.cur.rounds
 		}
 	}
 	if floor <= e.sealedRound || floor <= 0 {
@@ -335,35 +461,23 @@ func (e *Engine) sealLocked() {
 	}
 	e.sealedRound = floor
 
-	total := 0
-	for _, st := range e.shards {
-		total += len(st.ids)
-	}
 	ep := &Epoch{
 		Rounds:      floor,
 		MaxRounds:   int(e.maxRounds.Load()),
 		TotalRounds: e.info.Rounds,
 		Time:        e.info.Start.Add(time.Duration(floor-1) * e.info.Period),
 		Start:       e.info.Start,
-		ids:         make([]netsim.BlockID, 0, total),
-		avail:       make([]float64, 0, total),
-		long:        make([]float64, 0, total),
-		down:        make([]bool, 0, total),
-		failed:      make([]int32, 0, total),
-		class:       make([]DiurnalClass, 0, total),
-		phase:       make([]float64, 0, total),
+		segs:        make([]*colSet, 0, segs),
+		blocks:      blocks,
 		startHour:   startOfDayHour(e.info.Start),
 	}
 	// Shards hold contiguous slices of the global sorted block order, so
-	// concatenating in shard order yields a globally sorted epoch.
+	// their sets in shard order are the globally sorted epoch.
 	for _, st := range e.shards {
-		ep.ids = append(ep.ids, st.ids...)
-		ep.avail = append(ep.avail, st.avail...)
-		ep.long = append(ep.long, st.long...)
-		ep.down = append(ep.down, st.down...)
-		ep.failed = append(ep.failed, st.failed...)
-		ep.class = append(ep.class, st.class...)
-		ep.phase = append(ep.phase, st.phase...)
+		if len(st.cur.ids) > 0 {
+			st.cur.sealed = true
+			ep.segs = append(ep.segs, st.cur)
+		}
 	}
 	e.met.epochs.Inc()
 	// A run resumed over an old WAL starts below the epoch the previous run

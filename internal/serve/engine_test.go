@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -117,13 +118,41 @@ func TestEngineSealsFromLiveMonitor(t *testing.T) {
 	}
 }
 
-// epochsIdentical compares two epochs column by column, bit-exact on floats.
-func epochsIdentical(t *testing.T, a, b *Epoch) {
-	t.Helper()
-	if a.Rounds != b.Rounds || a.Len() != b.Len() {
-		t.Fatalf("shape: %d rounds/%d blocks vs %d rounds/%d blocks",
-			a.Rounds, a.Len(), b.Rounds, b.Len())
+// epochCols is an epoch's column sets concatenated in global block order.
+type epochCols struct {
+	ids    []netsim.BlockID
+	avail  []float64
+	long   []float64
+	down   []bool
+	failed []int32
+	class  []DiurnalClass
+	phase  []float64
+}
+
+// cols flattens ep's segments, so tests read block i's columns by its index
+// in the epoch.
+func cols(ep *Epoch) epochCols {
+	var c epochCols
+	for _, s := range ep.segs {
+		c.ids = append(c.ids, s.ids...)
+		c.avail = append(c.avail, s.avail...)
+		c.long = append(c.long, s.long...)
+		c.down = append(c.down, s.down...)
+		c.failed = append(c.failed, s.failed...)
+		c.class = append(c.class, s.class...)
+		c.phase = append(c.phase, s.phase...)
 	}
+	return c
+}
+
+// epochsIdentical compares two epochs column by column, bit-exact on floats.
+func epochsIdentical(t *testing.T, x, y *Epoch) {
+	t.Helper()
+	if x.Rounds != y.Rounds || x.Len() != y.Len() {
+		t.Fatalf("shape: %d rounds/%d blocks vs %d rounds/%d blocks",
+			x.Rounds, x.Len(), y.Rounds, y.Len())
+	}
+	a, b := cols(x), cols(y)
 	for i := range a.ids {
 		switch {
 		case a.ids[i] != b.ids[i]:
@@ -189,6 +218,7 @@ func TestEngineCrashEquivalence(t *testing.T) {
 	// resume's recovery resyncs across monitor instances.
 	dir := t.TempDir()
 	eng := NewEngine(EngineConfig{MinClassifyRounds: 4})
+	eng.chunk = 3 // every shard is larger than a fold chunk: folds split across Ps
 	cfg := mkCfg(chaosWorld(t), eng)
 	cfg.WALDir = dir
 	cfg.HaltAfterRound = 11
@@ -228,19 +258,19 @@ func TestEngineCopyOnWriteIsolation(t *testing.T) {
 	if old == nil || old.Rounds != 2 {
 		t.Fatalf("epoch after 2 rounds: %+v", old)
 	}
-	oldAvail := old.avail[1]
+	oldAvail := cols(old).avail[1]
 
 	// Two more rounds: a frozen reader's epoch must not move underneath it.
 	deltas := []monitor.RoundPub{{Avail: 9}, {Avail: 9}, {Avail: 9}}
 	e.PublishRound(0, 2, deltas)
 	e.PublishRound(0, 3, deltas)
 
-	if old.Rounds != 2 || old.avail[1] != oldAvail {
+	if old.Rounds != 2 || cols(old).avail[1] != oldAvail {
 		t.Fatal("sealed epoch mutated by later publishes")
 	}
 	cur := e.Epoch()
-	if cur.Rounds != 4 || cur.avail[1] != 9 {
-		t.Fatalf("current epoch = %d rounds avail=%v, want 4 rounds avail=9", cur.Rounds, cur.avail[1])
+	if cur.Rounds != 4 || cols(cur).avail[1] != 9 {
+		t.Fatalf("current epoch = %d rounds avail=%v, want 4 rounds avail=9", cur.Rounds, cols(cur).avail[1])
 	}
 
 	// A replayed round must be dropped, not corrupt state.
@@ -389,7 +419,7 @@ func newShardFeed(info monitor.RunInfo, shard, first, blocks int, series func(b,
 		deltas: make([]monitor.RoundPub, blocks),
 	}
 	for b := range f.ids {
-		f.ids[b] = netsim.MakeBlockID(10, 0, byte(first+b))
+		f.ids[b] = netsim.MakeBlockID(10, byte((first+b)>>8), byte(first+b))
 		f.sent[b] = make([]float64, 0, info.Rounds) // publish never grows it
 		f.ref[b] = NewReplayer(info.Start, info.Period, 0)
 	}
@@ -424,6 +454,7 @@ func (f *shardFeed) resync(e *Engine) {
 // bits and served peak/sleep bits, with the per-block replayers.
 func (f *shardFeed) matchesReplayers(t *testing.T, ep *Epoch) {
 	t.Helper()
+	c := cols(ep)
 	for b, rp := range f.ref {
 		i := f.first + b
 		class, phase := rp.Classify()
@@ -431,9 +462,9 @@ func (f *shardFeed) matchesReplayers(t *testing.T, ep *Epoch) {
 		if !diurnal {
 			phase = 0
 		}
-		if ep.class[i] != class || math.Float64bits(ep.phase[i]) != math.Float64bits(phase) {
+		if c.class[i] != class || math.Float64bits(c.phase[i]) != math.Float64bits(phase) {
 			t.Fatalf("epoch %d block %v: class %v phase %v, replayer says %v %v",
-				ep.Rounds, ep.ids[i], ep.class[i], ep.phase[i], class, phase)
+				ep.Rounds, c.ids[i], c.class[i], c.phase[i], class, phase)
 		}
 		bs, ok := ep.Lookup(f.ids[b])
 		if !ok || (bs.PeakUTCHour != nil) != diurnal {
@@ -478,6 +509,7 @@ func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
 		}
 	}
 	e := NewEngine(EngineConfig{})
+	e.chunk = 3 // every shard is larger than a fold chunk: folds split across Ps
 	e.BeginRun(info)
 	feeds := make([]*shardFeed, info.Shards)
 	for s := range feeds {
@@ -503,7 +535,7 @@ func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
 		for _, f := range feeds {
 			f.matchesReplayers(t, ep)
 		}
-		for _, c := range ep.class {
+		for _, c := range cols(ep).class {
 			seen[c] = true
 		}
 	}
@@ -551,43 +583,86 @@ func TestEngineResyncAcrossClassChange(t *testing.T) {
 		}
 		ep := plain.Epoch()
 		epochsIdentical(t, ep, resynced.Epoch())
-		c := ep.class[0]
+		c := cols(ep).class[0]
 		if got := c == ClassStrict || c == ClassRelaxed; (r+1)%stage == 0 && got != wantDiurnal[r/stage] {
 			t.Fatalf("round %d: class %v, want diurnal=%v", r, c, wantDiurnal[r/stage])
 		}
 	}
 }
 
-// TestPublishRoundAllocs: a publish that seals nothing allocates nothing —
-// classification included — and one that seals allocates the epoch and its
-// seven columns, no transient copy of anything else.
+// allocBytes is what one call of f allocates in bytes, averaged over runs
+// calls after a warm-up one, on one P: testing.AllocsPerRun by size.
+func allocBytes(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&m1)
+	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(runs)
+}
+
+// TestPublishRoundAllocs: a publish folds into a column set no epoch points
+// at. When the set it displaces was never sealed, it reuses that set and
+// allocates nothing, classification included. When it was sealed, the
+// publish allocates one column set of its own shard, 30 B a block, and
+// nothing of any other shard. A seal allocates the Epoch and its segment
+// list, and no column.
 func TestPublishRoundAllocs(t *testing.T) {
-	const blocks, runs = 64, 50
+	const small, large, runs = 64, 4096, 50
+	// header bounds the fixed part of a sealing publish: the colSet, the
+	// Epoch and its segment list.
+	const header = 512
 	info := monitor.RunInfo{
-		Shards: 2, Rounds: 4 * runs, Blocks: 2 * blocks,
+		Shards: 2, Rounds: 5 * runs, Blocks: large + small,
 		Start: testEpoch, Period: time.Hour, Seed: 1,
 	}
 	series := func(b, r int) float64 { return 0.5 + 0.4*math.Cos(2*math.Pi*float64(r+b)/24) }
 	e := NewEngine(EngineConfig{MinClassifyRounds: 1})
 	e.BeginRun(info)
-	ahead, floor := newShardFeed(info, 0, 0, blocks, series), newShardFeed(info, 1, blocks, blocks, series)
+	ahead, floor := newShardFeed(info, 0, 0, large, series), newShardFeed(info, 1, large, small, series)
 	ahead.resync(e)
 	floor.resync(e)
 	ahead.publish(e)
 	floor.publish(e)
 	sealed := e.Epoch().Rounds
+	// Past the floor, the shard ahead soon holds two sets no epoch saw.
+	for r := 0; r < 3*runs; r++ {
+		ahead.publish(e)
+	}
 	if got := testing.AllocsPerRun(runs, func() { ahead.publish(e) }); got != 0 {
-		t.Errorf("a publish that seals nothing allocates %.0f times, want 0", got)
+		t.Errorf("a publish whose current set was never sealed allocates %.0f times, want 0", got)
 	}
 	if e.Epoch().Rounds != sealed {
 		t.Fatalf("the shard ahead of the floor sealed an epoch (%d → %d)", sealed, e.Epoch().Rounds)
 	}
-	const epochAllocs = 8 // the Epoch and its seven columns
-	if got := testing.AllocsPerRun(runs, func() { floor.publish(e) }); got != epochAllocs {
-		t.Errorf("a publish that seals allocates %.0f times, want %d", got, epochAllocs)
+
+	// Every publish of the floor shard seals, so each displaces a sealed set.
+	const sealingAllocs = 9 // the set and its six columns, the Epoch and its segment list
+	if got := testing.AllocsPerRun(runs, func() { floor.publish(e) }); got != sealingAllocs {
+		t.Errorf("a publish that seals allocates %.0f times, want %d", got, sealingAllocs)
 	}
-	if e.Epoch().Rounds != sealed+runs+1 {
-		t.Fatalf("the floor shard's publishes sealed up to %d, want %d", e.Epoch().Rounds, sealed+runs+1)
+	if got, limit := allocBytes(runs, func() { floor.publish(e) }), float64(30*small+header); got > limit {
+		t.Errorf("a publish that seals allocates %.0f B, want at most %.0f: one set of its own %d blocks",
+			got, limit, small)
+	}
+	if want := sealed + 2*(runs+1); e.Epoch().Rounds != want {
+		t.Fatalf("the floor shard's publishes sealed up to %d, want %d", e.Epoch().Rounds, want)
+	}
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	reseal := func() {
+		e.sealedRound--
+		e.sealLocked()
+	}
+	if got := testing.AllocsPerRun(runs, reseal); got != 2 {
+		t.Errorf("a seal allocates %.0f times, want 2: the Epoch and its segment list", got)
+	}
+	if got := allocBytes(runs, reseal); got > header {
+		t.Errorf("a seal allocates %.0f B, want at most %d: no column", got, header)
 	}
 }
 
@@ -617,7 +692,76 @@ func TestResyncRejectsRaggedSeries(t *testing.T) {
 	}
 	// The mirror is untouched: the shard's next round still applies.
 	e.PublishRound(0, 3, []monitor.RoundPub{{Avail: 1}, {Avail: 2}})
-	if ep := e.Epoch(); ep.Rounds != 4 || ep.avail[1] != 2 {
-		t.Fatalf("after the rejected resyncs, round 3 left epoch %d avail %v", ep.Rounds, ep.avail)
+	if ep := e.Epoch(); ep.Rounds != 4 || cols(ep).avail[1] != 2 {
+		t.Fatalf("after the rejected resyncs, round 3 left epoch %d avail %v", ep.Rounds, cols(ep).avail)
+	}
+}
+
+// epochJSON is everything a reader can get out of ep, as JSON: the full
+// listing and the rollup.
+func epochJSON(t *testing.T, ep *Epoch) string {
+	t.Helper()
+	blocks, _, err := ep.Range(context.Background(), 0, ^netsim.BlockID(0), ep.Len(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, err := ep.Summary(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mustJSON(t, blocks) + mustJSON(t, sum)
+}
+
+// TestEngineReaderIsolation: a reader holding an epoch keeps its answers
+// while the shards it points at move on — publishing out of step (a shard
+// ahead of the floor reuses a set only if no epoch points at it), resyncing
+// and publishing again.
+func TestEngineReaderIsolation(t *testing.T) {
+	const perShard = 4
+	info := monitor.RunInfo{
+		Shards: 3, Rounds: 40, Blocks: 3 * perShard,
+		Start: testEpoch, Period: time.Hour, Seed: 1,
+	}
+	series := func(b, r int) float64 { return float64((b+r)%9) / 8 }
+	e := NewEngine(EngineConfig{MinClassifyRounds: 2})
+	e.BeginRun(info)
+	feeds := make([]*shardFeed, info.Shards)
+	for s := range feeds {
+		feeds[s] = newShardFeed(info, s, s*perShard, perShard, series)
+		feeds[s].resync(e)
+	}
+	for r := 0; r < 3; r++ {
+		for _, f := range feeds {
+			f.publish(e)
+		}
+	}
+	held := e.Epoch()
+	want := epochJSON(t, held)
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"shard 0 publishes ahead", func() { feeds[0].publish(e) }},
+		{"shard 0 publishes further ahead", func() { feeds[0].publish(e) }},
+		{"shard 0 publishes a third round ahead", func() { feeds[0].publish(e) }},
+		{"shard 1 publishes", func() { feeds[1].publish(e) }},
+		{"shard 2 resyncs", func() { feeds[2].resync(e) }},
+		{"shard 2 publishes", func() { feeds[2].publish(e) }},
+		{"shard 1 catches up", func() { feeds[1].publish(e); feeds[1].publish(e) }},
+		{"shard 2 catches up", func() { feeds[2].publish(e); feeds[2].publish(e) }},
+		{"every shard publishes again", func() {
+			for _, f := range feeds {
+				f.publish(e)
+			}
+		}},
+	}
+	for _, s := range steps {
+		s.do()
+		if got := epochJSON(t, held); got != want {
+			t.Fatalf("after %q the held epoch reads\n%s\nwant\n%s", s.name, got, want)
+		}
+	}
+	if got := e.Epoch().Rounds; got != held.Rounds+4 {
+		t.Fatalf("the engine sealed up to %d, want %d", got, held.Rounds+4)
 	}
 }

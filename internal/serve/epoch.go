@@ -1,16 +1,20 @@
 package serve
 
-// epoch.go — the immutable read-side snapshot. An Epoch is sealed once (all
-// columns copied, classification among them) and then only ever read, so
-// every query method is safe for unbounded concurrency with zero locks.
-// Aggregations take a context and poll it on a fixed stride: a request
-// deadline cuts a full-world rollup off mid-scan with a typed error instead
-// of either ignoring the deadline or returning a partial result.
+// epoch.go — the immutable read-side snapshot. An Epoch is sealed once,
+// pointing at every shard's current column set, and then only ever read: no
+// set an epoch points at is written again, so every query method is safe
+// for unbounded concurrency with zero locks. Queries walk the sets in shard
+// order, which is the global block order. Aggregations take a context and
+// poll it on a fixed stride: a request deadline cuts a full-world rollup off
+// mid-scan with a typed error instead of either ignoring the deadline or
+// returning a partial result.
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
 	"time"
 
 	"sleepnet/internal/netsim"
@@ -36,13 +40,10 @@ type Epoch struct {
 	// Start is the campaign's virtual epoch.
 	Start time.Time
 
-	ids    []netsim.BlockID
-	avail  []float64
-	long   []float64
-	down   []bool
-	failed []int32
-	class  []DiurnalClass
-	phase  []float64 // 0 outside the diurnal classes
+	// segs are the shards' column sets in shard order: each sorted by id,
+	// and together the global sorted block order. None is empty.
+	segs   []*colSet
+	blocks int
 
 	// startHour is Start's UTC time-of-day: with a block's phase it gives
 	// the peak and sleep hours, so neither is stored.
@@ -67,33 +68,121 @@ type BlockStatus struct {
 }
 
 // Len reports the number of blocks in the epoch.
-func (ep *Epoch) Len() int { return len(ep.ids) }
+func (ep *Epoch) Len() int { return ep.blocks }
 
-// statusAt builds the exported view of block i.
-func (ep *Epoch) statusAt(i int) BlockStatus {
-	s := BlockStatus{
-		ID:           ep.ids[i].String(),
-		Avail:        ep.avail[i],
-		Long:         ep.long[i],
-		Down:         ep.down[i],
-		FailedRounds: int(ep.failed[i]),
-		Class:        ep.class[i].String(),
+// seek returns where id is, or would be, in global block order: the first
+// segment whose last id is at least id, and the index of the first id at
+// least id inside it. k == len(ep.segs) when id is above every block.
+func (ep *Epoch) seek(id netsim.BlockID) (k, i int) {
+	k = sort.Search(len(ep.segs), func(k int) bool {
+		ids := ep.segs[k].ids
+		return ids[len(ids)-1] >= id
+	})
+	if k < len(ep.segs) {
+		ids := ep.segs[k].ids
+		i = sort.Search(len(ids), func(j int) bool { return ids[j] >= id })
 	}
-	if c := ep.class[i]; c == ClassStrict || c == ClassRelaxed {
-		phase := ep.phase[i]
-		peak, sleep := peakSleepUTC(phase, ep.startHour)
-		s.Phase, s.PeakUTCHour, s.SleepUTCHour = &phase, &peak, &sleep
-	}
-	return s
+	return k, i
 }
 
-// Lookup finds one block by id (binary search over the sorted column).
+// find locates block id: its segment and its index there.
+func (ep *Epoch) find(id netsim.BlockID) (*colSet, int, bool) {
+	k, i := ep.seek(id)
+	if k == len(ep.segs) || ep.segs[k].ids[i] != id {
+		return nil, 0, false
+	}
+	return ep.segs[k], i, true
+}
+
+// statusAt builds the exported view of block i of set s.
+func (ep *Epoch) statusAt(s *colSet, i int) BlockStatus {
+	bs := BlockStatus{
+		ID:           s.ids[i].String(),
+		Avail:        s.avail[i],
+		Long:         s.long[i],
+		Down:         s.down[i],
+		FailedRounds: int(s.failed[i]),
+		Class:        s.class[i].String(),
+	}
+	if c := s.class[i]; c == ClassStrict || c == ClassRelaxed {
+		phase := s.phase[i]
+		peak, sleep := peakSleepUTC(phase, ep.startHour)
+		bs.Phase, bs.PeakUTCHour, bs.SleepUTCHour = &phase, &peak, &sleep
+	}
+	return bs
+}
+
+// Lookup finds one block by id (binary search over the sorted sets).
 func (ep *Epoch) Lookup(id netsim.BlockID) (BlockStatus, bool) {
-	i := sort.Search(len(ep.ids), func(j int) bool { return ep.ids[j] >= id })
-	if i >= len(ep.ids) || ep.ids[i] != id {
+	s, i, ok := ep.find(id)
+	if !ok {
 		return BlockStatus{}, false
 	}
-	return ep.statusAt(i), true
+	return ep.statusAt(s, i), true
+}
+
+// appendStatus appends block i of set s as json.Marshal(ep.statusAt(s, i))
+// would, without building the BlockStatus; ok is false, and nothing is
+// appended, when a value is not finite.
+func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
+	avail, long, class := s.avail[i], s.long[i], s.class[i]
+	diurnal := class == ClassStrict || class == ClassRelaxed
+	var phase, peak, sleep float64
+	if diurnal {
+		phase = s.phase[i]
+		peak, sleep = peakSleepUTC(phase, ep.startHour)
+	}
+	for _, f := range [...]float64{avail, long, phase, peak, sleep} {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return b, false
+		}
+	}
+	id := s.ids[i]
+	b = append(b, `{"id":"`...)
+	b = strconv.AppendUint(b, uint64(byte(id>>24)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(id>>16)), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, uint64(byte(id>>8)), 10)
+	b = append(b, `/24","avail":`...)
+	b = appendJSONFloat(b, avail)
+	b = append(b, `,"long":`...)
+	b = appendJSONFloat(b, long)
+	b = append(b, `,"down":`...)
+	b = strconv.AppendBool(b, s.down[i])
+	if f := s.failed[i]; f != 0 {
+		b = append(b, `,"failed_rounds":`...)
+		b = strconv.AppendInt(b, int64(f), 10)
+	}
+	b = append(b, `,"class":"`...)
+	b = append(b, class.String()...)
+	b = append(b, '"')
+	if diurnal {
+		b = append(b, `,"phase":`...)
+		b = appendJSONFloat(b, phase)
+		b = append(b, `,"peak_utc_hour":`...)
+		b = appendJSONFloat(b, peak)
+		b = append(b, `,"sleep_utc_hour":`...)
+		b = appendJSONFloat(b, sleep)
+	}
+	return append(b, '}'), true
+}
+
+// appendJSONFloat appends a finite f the way encoding/json writes a
+// float64: the shortest decimal that round-trips, in exponent form below
+// 1e-6 and from 1e21 on, with an exponent's leading zero dropped (1e-7, not
+// 1e-07).
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // Summary is the full-world rollup.
@@ -117,26 +206,30 @@ type Summary struct {
 // Summary computes the full-world rollup, aborting with the context's error
 // if the deadline lands mid-scan.
 func (ep *Epoch) Summary(ctx context.Context) (Summary, error) {
-	s := Summary{Blocks: len(ep.ids), Epoch: ep.Rounds, Time: ep.Time}
+	s := Summary{Blocks: ep.blocks, Epoch: ep.Rounds, Time: ep.Time}
 	sum := 0.0
-	for i := range ep.ids {
-		if i%ctxStride == 0 && ctx.Err() != nil {
-			return Summary{}, fmt.Errorf("serve: summary aborted: %w", ctx.Err())
-		}
-		sum += ep.avail[i]
-		if ep.down[i] {
-			s.Down++
-		}
-		s.FailedRounds += int(ep.failed[i])
-		switch ep.class[i] {
-		case ClassStrict:
-			s.Strict++
-		case ClassRelaxed:
-			s.Relaxed++
-		case ClassNonDiurnal:
-			s.NonDiurnal++
-		default:
-			s.Unknown++
+	n := 0 // blocks scanned, across segments
+	for _, seg := range ep.segs {
+		for i := range seg.ids {
+			if n%ctxStride == 0 && ctx.Err() != nil {
+				return Summary{}, fmt.Errorf("serve: summary aborted: %w", ctx.Err())
+			}
+			n++
+			sum += seg.avail[i]
+			if seg.down[i] {
+				s.Down++
+			}
+			s.FailedRounds += int(seg.failed[i])
+			switch seg.class[i] {
+			case ClassStrict:
+				s.Strict++
+			case ClassRelaxed:
+				s.Relaxed++
+			case ClassNonDiurnal:
+				s.NonDiurnal++
+			default:
+				s.Unknown++
+			}
 		}
 	}
 	if s.Blocks > 0 {
@@ -149,18 +242,26 @@ func (ep *Epoch) Summary(ctx context.Context) (Summary, error) {
 // those currently down. Truncated reports that more matches existed beyond
 // the limit. The scan polls ctx like Summary.
 func (ep *Epoch) Range(ctx context.Context, lo, hi netsim.BlockID, limit int, onlyDown bool) (out []BlockStatus, truncated bool, err error) {
-	start := sort.Search(len(ep.ids), func(j int) bool { return ep.ids[j] >= lo })
-	for i := start; i < len(ep.ids) && ep.ids[i] < hi; i++ {
-		if (i-start)%ctxStride == 0 && ctx.Err() != nil {
-			return nil, false, fmt.Errorf("serve: range aborted: %w", ctx.Err())
+	k, start := ep.seek(lo)
+	n := 0 // blocks scanned, across segments
+	for ; k < len(ep.segs); k, start = k+1, 0 {
+		seg := ep.segs[k]
+		for i := start; i < len(seg.ids); i++ {
+			if seg.ids[i] >= hi {
+				return out, false, nil
+			}
+			if n%ctxStride == 0 && ctx.Err() != nil {
+				return nil, false, fmt.Errorf("serve: range aborted: %w", ctx.Err())
+			}
+			n++
+			if onlyDown && !seg.down[i] {
+				continue
+			}
+			if len(out) >= limit {
+				return out, true, nil
+			}
+			out = append(out, ep.statusAt(seg, i))
 		}
-		if onlyDown && !ep.down[i] {
-			continue
-		}
-		if len(out) >= limit {
-			return out, true, nil
-		}
-		out = append(out, ep.statusAt(i))
 	}
 	return out, false, nil
 }

@@ -1,7 +1,7 @@
 package serve
 
 // http.go — the hardened HTTP surface over the engine. Every response is
-// marshalled to a buffer first and written with an explicit Content-Length:
+// encoded to a buffer first and written with an explicit Content-Length:
 // a shed or failed request gets a complete JSON error document with a
 // Retry-After, never a hung connection or a truncated body. Staleness is
 // explicit — every data response carries the epoch and how many committed
@@ -128,14 +128,28 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeJSON marshals v fully, then writes status + headers + body in one
-// shot with an explicit Content-Length — a client never sees partial JSON.
+// encodingFailed is the body of the 500 a value without a JSON form (a
+// non-finite float) gets.
+var encodingFailed = []byte(`{"error":"encoding failed"}`)
+
+// bodyPool holds the buffers /v1/block answers are appended into.
+var bodyPool = sync.Pool{New: func() any {
+	b := make([]byte, 0, 256)
+	return &b
+}}
+
+// writeJSON marshals v fully, then writes it with writeBody.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		// Unreachable with our value types; keep the contract anyway.
-		body, status = []byte(`{"error":"encoding failed"}`), http.StatusInternalServerError
+		body, status = encodingFailed, http.StatusInternalServerError
 	}
+	writeBody(w, status, body)
+}
+
+// writeBody writes status + headers + a complete body in one shot with an
+// explicit Content-Length — a client never sees partial JSON.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
@@ -226,14 +240,21 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	switch req.Kind {
 	case KindBlock:
-		bs, ok := ep.Lookup(req.Block)
-		if !ok {
+		seg, i, found := ep.find(req.Block)
+		if !found {
 			s.met.notFound.Inc()
 			s.writeJSON(w, http.StatusNotFound, errorBody{Error: "block not monitored: " + req.Block.String()})
 			return
 		}
-		s.met.ok.Inc()
-		s.writeJSON(w, http.StatusOK, bs)
+		buf := bodyPool.Get().(*[]byte)
+		if body, ok := ep.appendStatus((*buf)[:0], seg, i); ok {
+			s.met.ok.Inc()
+			writeBody(w, http.StatusOK, body)
+			*buf = body[:0]
+		} else {
+			writeBody(w, http.StatusInternalServerError, encodingFailed)
+		}
+		bodyPool.Put(buf)
 	case KindRange:
 		ctx, cancel := context.WithTimeout(r.Context(), requestTimeout)
 		defer cancel()

@@ -321,7 +321,8 @@ func (w *allocWriter) WriteHeader(status int)      { w.status = status }
 // TestHTTPLookupAllocs pins what one in-process /v1/block lookup allocates,
 // on a diurnal block (the three optional fields are the larger answer). A
 // point lookup consults no context, so the handler builds no deadline for
-// it; the ceiling is what is left, and the place to start when cutting it.
+// it, and its answer is appended into a pooled buffer, not marshalled; the
+// ceiling is what is left, and the place to start when cutting it.
 func TestHTTPLookupAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; the count is pinned without it")
@@ -337,8 +338,32 @@ func TestHTTPLookupAllocs(t *testing.T) {
 	if bs, _ := e.Epoch().Lookup(netsim.MakeBlockID(10, 0, 1)); w.status != 200 || bs.Class != "strict" {
 		t.Fatalf("status %d, class %q; want 200 on a strict block", w.status, bs.Class)
 	}
-	const ceiling = 15 // 19 with a per-request deadline context
+	const ceiling = 9 // 13 with a per-request deadline context
 	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, r) }); got > ceiling {
 		t.Fatalf("in-process lookup allocates %.0f times, ceiling %d", got, ceiling)
+	}
+}
+
+// TestHTTPLookupNonFinite: a block whose value has no JSON form gets the
+// complete 500 "encoding failed" document, Content-Length included, not a
+// truncated answer.
+func TestHTTPLookupNonFinite(t *testing.T) {
+	e := NewEngine(EngineConfig{MinClassifyRounds: 1})
+	drive(e, 2, 2, time.Hour, func(b, r int) float64 {
+		if b == 1 {
+			return math.Inf(1)
+		}
+		return 0.5
+	})
+	s := NewServer(e, ServerConfig{now: fixedNow()})
+	if w := get(t, s, "/v1/block/10.0.0"); w.Code != 200 {
+		t.Fatalf("finite block: code %d body %s", w.Code, w.Body)
+	}
+	w := get(t, s, "/v1/block/10.0.1")
+	if w.Code != http.StatusInternalServerError || w.Body.String() != `{"error":"encoding failed"}` {
+		t.Fatalf("non-finite block: code %d body %s", w.Code, w.Body)
+	}
+	if got := w.Header().Get("Content-Length"); got != strconv.Itoa(w.Body.Len()) {
+		t.Fatalf("Content-Length %q for a %d-byte body", got, w.Body.Len())
 	}
 }
