@@ -61,11 +61,14 @@ fuzz-rdns:
 fuzz-wal:
 	$(GO) test -run=^$$ -fuzz=FuzzWALDecode -fuzztime=30s ./internal/monitor
 
-# fuzz-serve fuzzes the HTTP query parser: arbitrary paths and query
-# strings must yield either a typed ErrBadRequest or a valid Request,
-# never a panic.
+# fuzz-serve fuzzes the HTTP query parser — arbitrary paths and query
+# strings must yield either a typed ErrBadRequest or a valid Request, never a
+# panic — and then the connection loop's request-head reader, which must
+# never panic, read past the head, accept a body or accept a head over the
+# limit. -fuzz takes one target a run, hence two commands.
 fuzz-serve:
 	$(GO) test -run=^$$ -fuzz=FuzzParseRequest -fuzztime=30s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzReadRequestHead -fuzztime=30s ./internal/serve
 
 # monitor-chaos runs the crash-recovery acceptance property under the race
 # detector: injected shard kills, WAL tail corruption, a hard halt, and a
@@ -80,12 +83,14 @@ monitor-chaos:
 # detector: slow-loris, floods, connection churn, and malformed requests
 # against a live monitored campaign must lose zero probe rounds, keep the
 # study byte-identical to an unattacked run, and keep lookup p99 bounded
-# while lower-priority classes shed. The engine's equivalence tests then run
-# under the race detector on one P and on four, with shards larger than a
-# fold chunk, so a round's fold is split across goroutines while other
-# shards swap their sets in.
+# while lower-priority classes shed. The front door's socket tests ride
+# along: answers equal to net/http's, complete refusals, a queued request of
+# a closed socket shed, and shutdown with connections open. The engine's
+# equivalence tests then run under the race detector on one P and on four,
+# with shards larger than a fold chunk, so a round's fold is split across
+# goroutines while other shards swap their sets in.
 serve-chaos:
-	$(GO) test -race -count=1 -run='TestServeChaosAcceptance' ./internal/serve
+	$(GO) test -race -count=1 -run='TestServeChaosAcceptance|TestServeConformsToNetHTTP|TestServeRefusesWithCompleteAnswer|TestServeShedsQueuedRequestOfClosedSocket|TestServeLeaksNoGoroutines' ./internal/serve
 	$(GO) test -race -count=1 -cpu 1,4 -run='TestEngineShardsMatchPerBlockReplay|TestEngineCrashEquivalence|TestStreamResyncBitIdentical' ./internal/serve
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):

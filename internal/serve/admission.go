@@ -14,6 +14,7 @@ package serve
 // lint both want the read visible and overridable.
 
 import (
+	"context"
 	"sync"
 	"time"
 )
@@ -109,9 +110,10 @@ const (
 )
 
 // admit runs the full admission protocol for one request: draw a token,
-// or wait (bounded in depth and duration) and try once more, or shed.
-// done is the request context's cancellation channel.
-func (b *bucket) admit(now func() time.Time, done <-chan struct{}) (admitResult, time.Duration) {
+// or wait (bounded in depth and duration) and try once more, or shed. Only
+// the wait consults ctx, so an admitted request never asks for its Done
+// channel (which, on a connection, starts the disconnect watch).
+func (b *bucket) admit(ctx context.Context, now func() time.Time) (admitResult, time.Duration) {
 	ok, retry := b.take(now())
 	if ok {
 		return admitOK, 0
@@ -126,7 +128,7 @@ func (b *bucket) admit(now func() time.Time, done <-chan struct{}) (admitResult,
 	defer t.Stop()
 	select {
 	case <-t.C:
-	case <-done:
+	case <-ctx.Done():
 		b.leave()
 		return admitOverload, retry
 	}

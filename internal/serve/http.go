@@ -11,7 +11,6 @@ package serve
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -49,8 +48,9 @@ const (
 	// maxRequestBytes is the per-connection read budget: a client that
 	// dribbles or floods more than this many request bytes is disconnected.
 	maxRequestBytes = 64 << 10
-	// readHeaderTimeout, idleTimeout and writeTimeout harden the
-	// http.Server against slow-loris clients.
+	// readHeaderTimeout, idleTimeout and writeTimeout are the connection
+	// loop's deadlines (conn.go): reading a request head, waiting for the
+	// next request, and handling and writing one.
 	readHeaderTimeout = 2 * time.Second
 	idleTimeout       = 30 * time.Second
 	writeTimeout      = 5 * time.Second
@@ -76,6 +76,7 @@ type serverMetrics struct {
 	shed429    *metrics.Counter
 	shed503    *metrics.Counter
 	notReady   *metrics.Counter
+	watched    *metrics.Counter
 	latency    *metrics.Histogram
 }
 
@@ -91,6 +92,7 @@ func newServerMetrics(r *metrics.Registry) *serverMetrics {
 		shed429:    r.Counter("serve.http_shed_rate"),
 		shed503:    r.Counter("serve.http_shed_overload"),
 		notReady:   r.Counter("serve.http_not_ready"),
+		watched:    r.Counter("serve.http_watched"),
 		latency: r.Histogram("serve.http_latency", metrics.UnitSeconds,
 			[]float64{0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1}),
 	}
@@ -227,7 +229,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	switch res, retry := s.bucketFor(req.Kind).admit(s.cfg.now, r.Context().Done()); res {
+	switch res, retry := s.bucketFor(req.Kind).admit(r.Context(), s.cfg.now); res {
 	case admitRate:
 		s.met.shed429.Inc()
 		s.shed(w, http.StatusTooManyRequests, retry, req.Kind.String()+" rate exceeded")
@@ -281,42 +283,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.met.ok.Inc()
 		s.writeJSON(w, http.StatusOK, sum)
 	}
-}
-
-// Serve runs the hardened http.Server on l until ctx is cancelled. The
-// listener is wrapped with the connection cap and per-connection read
-// budget; the http.Server adds header/idle/write deadlines. Returns nil on
-// graceful shutdown.
-func (s *Server) Serve(ctx context.Context, l net.Listener) error {
-	srv := &http.Server{
-		Handler:           s,
-		ReadHeaderTimeout: readHeaderTimeout,
-		IdleTimeout:       idleTimeout,
-		WriteTimeout:      writeTimeout,
-		MaxHeaderBytes:    16 << 10,
-	}
-	capped := &cappedListener{
-		Listener: l,
-		slots:    make(chan struct{}, maxConns),
-		budget:   maxRequestBytes,
-	}
-	stopped := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			shutCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			_ = srv.Shutdown(shutCtx) // best-effort drain; Close below is the backstop
-			_ = srv.Close()           // already-closed is fine
-		case <-stopped:
-		}
-	}()
-	err := srv.Serve(capped)
-	close(stopped)
-	if errors.Is(err, http.ErrServerClosed) || ctx.Err() != nil {
-		return nil
-	}
-	return err
 }
 
 // cappedListener enforces the connection cap: Accept blocks once maxConns

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -220,8 +221,9 @@ var errListenerGone = errors.New("listener gone")
 
 func (failingListener) Accept() (net.Conn, error) { return nil, errListenerGone }
 
-// TestServeLeaksNoGoroutines: Serve's shutdown watcher exits on both of
-// Serve's ways out — a cancelled ctx, and a listener that fails — so the
+// TestServeLeaksNoGoroutines: Serve's goroutines — its shutdown watcher and
+// its connections' — exit on each of Serve's ways out: a cancelled ctx, with
+// or without connections still open, and a listener that fails. The
 // package's goroutine count returns to where it was before Serve ran.
 func TestServeLeaksNoGoroutines(t *testing.T) {
 	settled := func(t *testing.T, before int) {
@@ -263,6 +265,70 @@ func TestServeLeaksNoGoroutines(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("Serve did not return after its ctx was cancelled")
+		}
+		settled(t, before)
+	})
+
+	// Cancelled while connections are open: the idle keep-alive connection
+	// is closed at once, the one whose summary waits in the admission queue
+	// (its context watched) gets the shutdown grace and is then closed, and
+	// Serve returns nil once every goroutine it started is gone.
+	t.Run("cancelled with open connections", func(t *testing.T) {
+		before := serveGoroutines()
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := downServer(10, ServerConfig{})
+		s.summary = newBucket(classLimits{RPS: 0.01, Burst: 1, Queue: 4, MaxWait: time.Hour})
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() { done <- s.Serve(ctx, ln) }()
+
+		dial := func() (net.Conn, *bufio.Reader) {
+			c, err := net.Dial("tcp", ln.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			return c, bufio.NewReader(c)
+		}
+		idle, idleR := dial()
+		defer idle.Close()
+		if _, err := io.WriteString(idle, "GET /v1/summary HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.ReadResponse(idleR, nil)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("summary on the idle connection: %v %v", resp, err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		busy, _ := dial()
+		defer busy.Close()
+		if _, err := io.WriteString(busy, "GET /v1/summary HTTP/1.1\r\nHost: x\r\n\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		if !waitFor(5*time.Second, func() bool { return queued(s.summary) == 1 }) {
+			t.Fatal("the busy connection's summary never queued")
+		}
+
+		start := time.Now()
+		cancel()
+		if _, err := idleR.ReadByte(); err != io.EOF {
+			t.Fatalf("idle connection after cancel: read %v, want EOF", err)
+		}
+		if d := time.Since(start); d >= shutdownGrace {
+			t.Fatalf("idle connection closed %v after cancel, want at once", d)
+		}
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("Serve after cancel = %v, want nil", err)
+			}
+		case <-time.After(shutdownGrace + time.Second):
+			t.Fatal("Serve did not return within the shutdown grace")
 		}
 		settled(t, before)
 	})
