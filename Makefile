@@ -37,7 +37,7 @@ lint-fixtures:
 # -quick, seed 42, and rewrites EXPERIMENTS.md's generated tables from their
 # headline numbers. Plain `go test ./cmd/experiments` fails while the file
 # and the registry disagree, or while a gating claim (the agree artifact's
-# streaming-vs-batch floors among them) misses its band; no rewrite happens
+# live-equals-study equality among them) misses its band; no rewrite happens
 # then.
 experiments-doc:
 	SLEEPNET_UPDATE_GOLDEN=1 $(GO) test -count=1 -run='^TestExperimentsDoc$$' ./cmd/experiments
@@ -88,10 +88,12 @@ monitor-chaos:
 # a closed socket shed, and shutdown with connections open. The engine's
 # equivalence tests then run under the race detector on one P and on four,
 # with shards larger than a fold chunk, so a round's fold is split across
-# goroutines while other shards swap their sets in.
+# goroutines while other shards swap their sets in; beside them, the
+# one-detector test holds every served class and phase to
+# core.ClassifySeries at every round of a live campaign.
 serve-chaos:
 	$(GO) test -race -count=1 -run='TestServeChaosAcceptance|TestServeConformsToNetHTTP|TestServeRefusesWithCompleteAnswer|TestServeShedsQueuedRequestOfClosedSocket|TestServeLeaksNoGoroutines' ./internal/serve
-	$(GO) test -race -count=1 -cpu 1,4 -run='TestEngineShardsMatchPerBlockReplay|TestEngineCrashEquivalence|TestStreamResyncBitIdentical' ./internal/serve
+	$(GO) test -race -count=1 -cpu 1,4 -run='TestEngineShardsMatchPerBlockReplay|TestEngineCrashEquivalence|TestEpochClassIsStudyClass' ./internal/serve
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the

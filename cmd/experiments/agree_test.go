@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+
+	"sleepnet/internal/monitor"
 )
 
 // TestAgreementGoldenDeterminism extends the same-seed byte-identity suite
@@ -37,46 +39,37 @@ func TestAgreementGoldenDeterminism(t *testing.T) {
 	}
 }
 
-// TestConfusionDerivedMetrics pins the matrix arithmetic the gated claims
-// depend on against a hand-built matrix.
+// TestConfusionDerivedMetrics pins the matrix arithmetic the report depends
+// on against a hand-built matrix, and the class names it is indexed by.
 func TestConfusionDerivedMetrics(t *testing.T) {
 	var c confusion
-	// 10 strict/strict, 2 strict/relaxed, 1 strict/non, 1 strict/unknown,
-	// 3 relaxed/relaxed, 2 relaxed/non, 20 non/non, 1 non/strict.
-	c.m[rowStrict][colStrict] = 10
-	c.m[rowStrict][colRelaxed] = 2
-	c.m[rowStrict][colNon] = 1
-	c.m[rowStrict][colUnknown] = 1
-	c.m[rowRelaxed][colRelaxed] = 3
-	c.m[rowRelaxed][colNon] = 2
-	c.m[rowNon][colNon] = 20
-	c.m[rowNon][colStrict] = 1
+	// 10 strict/strict, 2 strict/relaxed, 3 relaxed/relaxed, 20 non/non,
+	// 1 non/unknown, 4 unknown/unknown.
+	c.m[classStrict][classStrict] = 10
+	c.m[classStrict][classRelaxed] = 2
+	c.m[classRelaxed][classRelaxed] = 3
+	c.m[classNon][classNon] = 20
+	c.m[classNon][classUnknown] = 1
+	c.m[classUnknown][classUnknown] = 4
 
 	if got := c.total(); got != 40 {
 		t.Fatalf("total = %d, want 40", got)
 	}
-	if got := c.decided(); got != 39 {
-		t.Fatalf("decided = %d, want 39", got)
+	if got, want := c.classAgree(), float64(10+3+20+4)/40; got != want {
+		t.Fatalf("classAgree = %v, want %v", got, want)
 	}
-	wantClass := float64(10+3+20) / 39
-	if got := c.classAgree(); got != wantClass {
-		t.Fatalf("classAgree = %v, want %v", got, wantClass)
+	if got := (&confusion{}).classAgree(); got != 0 {
+		t.Fatalf("classAgree of an empty matrix = %v, want 0", got)
 	}
-	// either-agree: strict row strict+relaxed (12) + relaxed row
-	// strict+relaxed (3) + non/non (20) = 35 of 39 decided.
-	wantEither := float64(35) / 39
-	if got := c.eitherAgree(); got != wantEither {
-		t.Fatalf("eitherAgree = %v, want %v", got, wantEither)
+	for i, name := range classNames {
+		if classIndex(name) != i {
+			t.Fatalf("classIndex(%q) = %d, want %d", name, classIndex(name), i)
+		}
 	}
-	// strict-agree: strict/strict (10) + relaxed row relaxed+non (5) +
-	// non row relaxed+non (20) = 35 of 39 decided (non/strict and the
-	// strict row's relaxed+non misses disagree on the strict boundary).
-	wantStrict := float64(35) / 39
-	if got := c.strictAgree(); got != wantStrict {
-		t.Fatalf("strictAgree = %v, want %v", got, wantStrict)
-	}
-	if got := c.unknownFrac(); got != float64(1)/40 {
-		t.Fatalf("unknownFrac = %v, want 1/40", got)
+	for _, class := range []monitor.Class{monitor.ClassStrict, monitor.ClassRelaxed, monitor.ClassNonDiurnal, monitor.ClassUnknown} {
+		if classNames[classIndex(class.String())] != class.String() {
+			t.Fatalf("served class %v has no matrix index", class)
+		}
 	}
 }
 

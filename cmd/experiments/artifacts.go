@@ -49,7 +49,7 @@ var registry = []artifact{
 	{"census", extensionKind, "§5.6 active-address census", census},
 	{"usc", extensionKind, "§3.2.4 campus validation", usc},
 	{"faults", extensionKind, "classification vs injected measurement-path faults", faultsweep},
-	{"agree", extensionKind, "streaming-vs-batch classifier agreement (gated contract)", agreement},
+	{"agree", extensionKind, "live-vs-study class agreement at every day end (gated contract)", agreement},
 
 	{"ratioewma", ablationKind, "EWMA of p/t directly (the paper's A12w) vs separate EWMAs, at A = 0.5", ratioEWMA},
 	{"strictrelaxed", ablationKind, "population each diurnal rule admits", strictRelaxed},
@@ -839,8 +839,9 @@ func faultsweep(e *env) []claim {
 }
 
 func agreement(e *env) []claim {
-	e.printf("Extension: streaming-vs-batch classifier agreement (confusion matrices\n")
-	e.printf("per world scenario × fault level; batch FFT pipeline is the oracle)\n")
+	e.printf("Extension: live-vs-study class agreement (a monitor campaign serving\n")
+	e.printf("through serve.Engine, per world scenario × fault level, read at every\n")
+	e.printf("UTC day end against core.ClassifySeries on the committed series)\n")
 	blocks, days := 150, 7
 	if e.quick {
 		blocks, days = 90, 5

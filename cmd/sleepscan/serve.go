@@ -3,8 +3,11 @@ package main
 // The serve subcommand runs the live query layer over a monitored campaign:
 // a crash-tolerant monitor (as in `sleepscan monitor`) publishes every
 // committed round into the epoch engine, and a hardened HTTP server answers
-// per-block availability, streaming diurnal class, and sleep-hour queries
-// while probing is still underway.
+// per-block availability, diurnal class, and sleep-hour queries while
+// probing is still underway. The class is the study's FFT detector on the
+// block's committed series at the last UTC day end (unknown before two whole
+// days); its phase is anchored at midnight UTC, so the peak and sleep hours
+// are UTC times of day.
 //
 //	GET /v1/status            serving posture (never shed)
 //	GET /v1/block/10.2.3      one block's state

@@ -39,8 +39,6 @@ var exportedWithoutCallers = map[string]string{
 	"netsim.Network.ProbesToBlock":   observedState,
 	"faults.Injector.Totals":         observedState,
 	"metrics.Snapshot.Deterministic": observedState,
-	"serve.Replayer.Acc":             observedState,
-	"serve.Replayer.Resync":          observedState,
 	"dsp.SetPlanCacheLimit":          observedState,
 	"core.EstimatorFromState":        observedState,
 }

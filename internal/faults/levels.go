@@ -13,7 +13,7 @@ type Level struct {
 }
 
 // SweepLevels builds the canonical fault-sweep plan shared by the
-// fault-robustness sweep (analysis.FaultSweep) and the streaming-vs-batch
+// fault-robustness sweep (analysis.FaultSweep) and the live-vs-study
 // agreement sweep (the `agree` artifact of cmd/experiments): the fault-free
 // baseline first, then one level per positive loss rate, then one per
 // positive rate-limit cap. Non-positive entries are skipped, so callers can

@@ -1,11 +1,15 @@
 package monitor
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"testing"
+	"time"
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 )
 
 // BenchmarkMonitorRoundBatch measures one warm monitor round over a
@@ -105,4 +109,49 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/blocks, "ns/block")
 	b.ReportMetric(float64(len(buf))/blocks, "B/block")
 	b.ReportMetric(float64(len(buf))/(blocks*rounds), "B/block-round")
+}
+
+// BenchmarkDayEndClassify measures one shard's day-end pass with a sink
+// attached: core.ClassifySeries on each of 2,500 blocks' committed series,
+// for a campaign from midnight that has just completed 2, 7, 14 or 35 UTC
+// days. The series are noisy daily waves, sixteen distinct ones dealt round
+// robin. ns/block is what the pass adds to a round per block at that age.
+func BenchmarkDayEndClassify(b *testing.B) {
+	const blocks = 2500
+	cfg := baseConfig(testNet(blocks), 1)
+	cfg.Shards = 1
+	cfg.Sink = nopSink{}
+	m, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := m.shards[0]
+	if err := s.reset(); err != nil {
+		b.Fatal(err)
+	}
+	s.pub = make([]RoundPub, blocks)
+	for _, days := range []int{2, 7, 14, 35} {
+		// The first round count whose end reaches the days-th midnight.
+		n := int((time.Duration(days)*24*time.Hour + timeseries.DefaultRound - 1) / timeseries.DefaultRound)
+		if !m.completesDay(n) {
+			b.Fatalf("%d rounds complete no day", n)
+		}
+		var waves [16][]float64
+		for k := range waves {
+			waves[k] = make([]float64, n)
+			for r := range waves[k] {
+				t := float64(r) * timeseries.DefaultRound.Hours() / 24
+				waves[k][r] = 0.5 + 0.3*math.Cos(2*math.Pi*(t-float64(k)/16)) + 0.05*math.Sin(float64(r*(k+3)))
+			}
+		}
+		for i, mon := range s.mons {
+			mon.short = waves[i%len(waves)]
+		}
+		b.Run(fmt.Sprintf("days=%d", days), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				s.classify()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/blocks, "ns/block")
+		})
+	}
 }

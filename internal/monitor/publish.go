@@ -14,6 +14,13 @@ package monitor
 // converges to exactly the state a sink fed by an uninterrupted run sees,
 // because resync is a pure function of the committed series.
 //
+// The diurnal class a sink serves is the study's: with a sink attached, a
+// shard runs core.ClassifySeries on each block's committed series at every
+// round that completes a UTC day, and at every rebuild. ClassifySeries trims
+// to midnight UTC, so its answer changes only at a day end; between day ends
+// the last verdict stands. A rebuild classifies the same committed series,
+// so a resync carries the verdict an uninterrupted run holds at that round.
+//
 // A nil sink costs one comparison per round. Sink calls run on the shard
 // goroutine: implementations must be fast (no I/O, no unbounded blocking)
 // or they stall probing — the serve engine folds a round into a column set
@@ -24,7 +31,9 @@ package monitor
 import (
 	"time"
 
+	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 )
 
 // Published outage-transition codes (RoundPub.Event).
@@ -34,6 +43,70 @@ const (
 	// PubEventUp: the block recovered from an outage this round.
 	PubEventUp = eventUp
 )
+
+// Class is a block's diurnal class as published. The zero value is
+// ClassUnknown, so a zero RoundPub or PubBlock is an undecided block.
+type Class uint8
+
+const (
+	// ClassUnknown: core.ClassifySeries refuses the committed series —
+	// fewer than two whole UTC days.
+	ClassUnknown Class = iota
+	// ClassNonDiurnal: core.NonDiurnal.
+	ClassNonDiurnal
+	// ClassRelaxed: core.RelaxedDiurnal.
+	ClassRelaxed
+	// ClassStrict: core.StrictDiurnal.
+	ClassStrict
+)
+
+// String renders the class for reports and JSON.
+func (c Class) String() string {
+	switch c {
+	case ClassStrict:
+		return "strict"
+	case ClassRelaxed:
+		return "relaxed"
+	case ClassNonDiurnal:
+		return "non-diurnal"
+	default:
+		return "unknown"
+	}
+}
+
+// Diurnal reports whether c is strict or relaxed: the classes that carry a
+// phase.
+func (c Class) Diurnal() bool { return c == ClassStrict || c == ClassRelaxed }
+
+// classOf is the study's detector, core.ClassifySeries, on a block's
+// committed series of a campaign starting at start. A series it refuses is
+// ClassUnknown; the phase, anchored at midnight UTC, is 0 outside the
+// diurnal classes.
+func classOf(start time.Time, short []float64) (Class, float64) {
+	res, _, err := core.ClassifySeries(timeseries.New(start, timeseries.DefaultRound, short))
+	switch {
+	case err != nil:
+		return ClassUnknown, 0
+	case res.Class == core.StrictDiurnal:
+		return ClassStrict, res.Phase
+	case res.Class == core.RelaxedDiurnal:
+		return ClassRelaxed, res.Phase
+	}
+	return ClassNonDiurnal, 0
+}
+
+// completesDay reports whether n committed rounds end at or past a UTC
+// midnight that n-1 did not reach: the round counts at which the
+// midnight-trimmed series, and so the class, can change.
+func (m *Monitor) completesDay(n int) bool {
+	end := m.cfg.Start.Add(time.Duration(n) * timeseries.DefaultRound)
+	return !end.Truncate(24 * time.Hour).Equal(end.Add(-timeseries.DefaultRound).Truncate(24 * time.Hour))
+}
+
+// classifyBeat is how many blocks a classification pass covers between
+// heartbeats. A 14-day series takes a few hundred µs a block, so a pass over
+// a large shard would otherwise outlast the watchdog's strikes.
+const classifyBeat = 64
 
 // RunInfo describes the campaign to a sink before any shard starts.
 type RunInfo struct {
@@ -45,21 +118,20 @@ type RunInfo struct {
 	Seed   uint64
 }
 
-// PubBlock is one block's full committed state — the resync form. Short
-// aliases shard-owned memory and is valid only for the duration of the
-// ResyncShard call; sinks must consume it before returning.
+// PubBlock is one block's full committed state — the resync form.
 type PubBlock struct {
 	ID netsim.BlockID
-	// Short is the committed Âs series so far, one value per round: every
-	// block of a ResyncShard call carries exactly nextRound values. A sink
-	// may reject the whole resync otherwise (serve.Engine does).
-	Short []float64
+	// Short is the last committed Âs value (0 before the first round).
+	Short float64
 	// Long is the estimator's long-term availability.
 	Long float64
 	// Down reports whether the block is currently inside an outage.
 	Down bool
 	// Failed counts rounds with no usable observation.
 	Failed int
+	// Class and Phase are core.ClassifySeries on the committed series.
+	Class Class
+	Phase float64
 }
 
 // RoundPub is one block's post-round delta, in the shard's block order.
@@ -72,6 +144,10 @@ type RoundPub struct {
 	Event uint8
 	// Failed marks a round that produced no usable observation.
 	Failed bool
+	// Class and Phase are the verdict of the last day end (see publish.go's
+	// header): core.ClassifySeries on the committed series.
+	Class Class
+	Phase float64
 }
 
 // EpochSink receives the monitor's committed per-block state, round by
@@ -101,44 +177,58 @@ func (b *blockMon) down() bool {
 	return b.events[len(b.events)-1].Down
 }
 
+// classify sets every block's verdict in s.pub from its committed series,
+// bumping the heartbeat every classifyBeat blocks.
+func (s *shard) classify() {
+	for i, mon := range s.mons {
+		if i%classifyBeat == 0 {
+			s.hb.Add(1)
+		}
+		p := &s.pub[i]
+		p.Class, p.Phase = classOf(s.m.cfg.Start, mon.short)
+	}
+}
+
 // publishResync re-publishes the shard's full committed state after a
-// rebuild. Cold path: allocation here is fine.
+// rebuild, classifying every block's series. Cold path: allocation here is
+// fine.
 func (s *shard) publishResync() {
 	sink := s.m.cfg.Sink
 	if sink == nil {
 		return
 	}
-	blocks := make([]PubBlock, 0, len(s.mons))
-	for _, mon := range s.mons {
-		blocks = append(blocks, PubBlock{
+	s.pub = make([]RoundPub, len(s.mons))
+	s.classify()
+	blocks := make([]PubBlock, len(s.mons))
+	for i, mon := range s.mons {
+		blocks[i] = PubBlock{
 			ID:     mon.id,
-			Short:  mon.short,
+			Short:  lastOr(mon.short, 0),
 			Long:   mon.est.LongTerm(),
 			Down:   mon.down(),
 			Failed: mon.failed,
-		})
+			Class:  s.pub[i].Class,
+			Phase:  s.pub[i].Phase,
+		}
 	}
 	sink.ResyncShard(s.idx, s.round, blocks)
 }
 
-// publishRound hands the just-committed round r to the sink. Hot path: the
-// staging slice is reused across rounds.
+// publishRound hands the just-committed round r to the sink, reclassifying
+// every block when the round completes a UTC day. The staging slice, which
+// holds the standing verdicts, is reused across rounds.
 func (s *shard) publishRound(r int) {
 	sink := s.m.cfg.Sink
 	if sink == nil {
 		return
 	}
-	s.pub = s.pub[:0]
-	if cap(s.pub) < len(s.mons) {
-		s.pub = make([]RoundPub, 0, len(s.mons))
+	if s.m.completesDay(r + 1) {
+		s.classify()
 	}
-	for _, mon := range s.mons {
-		s.pub = append(s.pub, RoundPub{
-			Avail:  mon.last.Short,
-			Long:   mon.est.LongTerm(),
-			Event:  uint8(mon.last.Event),
-			Failed: mon.last.Failed,
-		})
+	for i, mon := range s.mons {
+		p := &s.pub[i]
+		p.Avail, p.Long = mon.last.Short, mon.est.LongTerm()
+		p.Event, p.Failed = uint8(mon.last.Event), mon.last.Failed
 	}
 	sink.PublishRound(s.idx, r, s.pub)
 }

@@ -74,7 +74,7 @@ type shard struct {
 	mons    []*blockMon
 	round   int // next round to execute
 	wal     *walWriter
-	pub     []RoundPub // sink staging buffer reused across rounds
+	pub     []RoundPub // sink staging, holding each block's standing verdict; nil without a sink
 
 	// Codec buffers, reused across rounds, snapshots and attempts.
 	recBuf  []byte        // commitRound's frame: header + record payload

@@ -31,7 +31,7 @@ var (
 func serveBenchFixture(b *testing.B) (*Server, []*http.Request) {
 	b.Helper()
 	serveBenchOnce.Do(func() {
-		eng := NewEngine(EngineConfig{MinClassifyRounds: 1})
+		eng := NewEngine(EngineConfig{})
 		eng.BeginRun(monitor.RunInfo{
 			Shards: 1, Rounds: 3, Blocks: serveBenchBlocks,
 			Start:  time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC),

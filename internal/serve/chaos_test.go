@@ -13,6 +13,10 @@ package serve
 //      body through Content-Length framing and counts mismatches).
 //   3. Lookup latency stays bounded (p99) while the summary class sheds.
 //   4. Malformed requests never get a 2xx; slow-loris connections are cut.
+//   5. The campaign spans at least three whole UTC days and a shard is
+//      killed halfway: every column set the served engine installs carries
+//      the class and phase bits of an unattacked, uninterrupted run's set
+//      at the same round count, and the final epoch holds decided classes.
 
 import (
 	"bytes"
@@ -82,11 +86,17 @@ func TestServeChaosAcceptance(t *testing.T) {
 		lookupPaths = append(lookupPaths, "/v1/block/"+b[:len(b)-3])
 	}
 
-	// Reference: same seed, no server, no attackers.
+	// Reference: same seed, no server, no attackers, no kill; and the same
+	// with an engine attached, whose sets the served run must reproduce.
 	ref := studyBytes(t, mkCfg(nil))
+	refLog := newSetLog(NewEngine(EngineConfig{}))
+	if !bytes.Equal(studyBytes(t, mkCfg(refLog)), ref) {
+		t.Fatal("attaching an engine changed the study")
+	}
 
 	reg := metrics.New()
-	eng := NewEngine(EngineConfig{Metrics: reg, MinClassifyRounds: 16})
+	eng := NewEngine(EngineConfig{Metrics: reg})
+	served := newSetLog(eng)
 	srv := NewServer(eng, ServerConfig{Metrics: reg})
 	// A deliberately tiny summary class so the flood is guaranteed to shed
 	// while lookups keep flowing.
@@ -145,7 +155,9 @@ func TestServeChaosAcceptance(t *testing.T) {
 	attackStart := time.Now()
 	time.Sleep(300 * time.Millisecond)
 
-	got := studyBytes(t, mkCfg(eng))
+	cfg := mkCfg(served)
+	cfg.Chaos = &faults.ChaosPlan{Kills: []faults.ShardRound{{Shard: 1, Round: rounds / 2}}}
+	got := studyBytes(t, cfg)
 
 	// Keep the pressure on a beat longer, and past the header timeout that
 	// cuts the slow-loris connections, then drain the attackers.
@@ -165,6 +177,20 @@ func TestServeChaosAcceptance(t *testing.T) {
 		t.Fatalf("engine epoch = %+v, want all %d rounds sealed", ep, rounds)
 	}
 
+	// 5. The kill's resync and every publish serve the unattacked run's
+	// classes and phases.
+	if len(served.mismatch) > 0 {
+		t.Fatalf("a resync installed other bits than the publish at the same count: %v", served.mismatch)
+	}
+	for k, v := range served.sets {
+		if want, ok := refLog.sets[k]; !ok || !sameVerdicts(v, want) {
+			t.Fatalf("shard %d at %d rounds: classes and phases differ from the unattacked run's", k.shard, k.rounds)
+		}
+	}
+	if s, err := eng.Epoch().Summary(context.Background()); err != nil || s.Unknown == s.Blocks {
+		t.Fatalf("final epoch holds no decided class: %+v (%v)", s, err)
+	}
+
 	// 2. Sheds were explicit and well-formed. Flood counts a Content-Length
 	// mismatch or truncated body as Dropped; demand successes dominate and
 	// sheds happened.
@@ -175,6 +201,9 @@ func TestServeChaosAcceptance(t *testing.T) {
 		t.Fatal("no mixed query ever succeeded under chaos")
 	}
 	snap := reg.Snapshot()
+	if got, want := snap.Counter("serve.resyncs"), int64(cfg.Shards+1); got != want {
+		t.Fatalf("resyncs = %d, want %d: one a shard and one after the kill", got, want)
+	}
 	shed := snap.Counter("serve.http_shed_rate") + snap.Counter("serve.http_shed_overload")
 	if shed == 0 && mixed.Shed == 0 {
 		t.Fatal("overload never shed: the summary class limits did not bite")

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"sleepnet/internal/metrics"
+	"sleepnet/internal/monitor"
 )
 
 // serveOn runs s.Serve on a loopback listener for the rest of the test and
@@ -273,8 +274,9 @@ func TestConnPipelinedLookupAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector; the count is pinned without it")
 	}
 	e := NewEngine(EngineConfig{})
-	drive(e, 2, 72, time.Hour, func(b, r int) float64 {
-		return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
+	drive(e, 2, 72, time.Hour, func(b, r int) monitor.RoundPub {
+		v := 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
+		return monitor.RoundPub{Avail: v, Long: v, Class: monitor.ClassStrict, Phase: -2 * math.Pi * 8 / 24}
 	})
 	s := NewServer(e, ServerConfig{now: fixedNow()})
 	s.met.watched = metrics.New().Counter("serve.http_watched")

@@ -1,11 +1,11 @@
 // Package serve is the overload-resilient live query layer over the
-// monitor's per-block state: availability, streaming diurnal class, phase →
+// monitor's per-block state: availability, diurnal class, phase →
 // time-of-sleep, and outage flags, queryable while the campaign runs.
 //
 // The core mechanism is the copy-on-write epoch snapshot. Each shard folds
 // a committed round (internal/monitor's EpochSink hook) into a column set
-// of its own — classification included — outside the engine mutex, and the
-// engine swaps the set in as the shard's current one. Once every shard has
+// of its own outside the engine mutex, and the engine swaps the set in as
+// the shard's current one. Once every shard has
 // committed round r, the engine seals an immutable Epoch that points at
 // every shard's current set (no column is copied, and a sealed set is never
 // written again) and swaps it in with one atomic pointer store. Readers
@@ -19,11 +19,10 @@
 // layer (http.go) turns that into staleness headers instead of blocking or
 // guessing.
 //
-// Diurnal state is a *streaming* approximation: an incremental DFT at the
-// 1 cycle/day bin and its first harmonic, updated O(1) per block per round
-// from the published Âs value. The batch FFT over the completed study stays
-// the golden oracle (internal/core.DetectDiurnal); the streaming class
-// exists so "is this block asleep right now" is answerable mid-campaign.
+// The engine classifies nothing. A block's class and phase are what the
+// monitor publishes: core.ClassifySeries, the study's detector, on the
+// block's committed series at the last UTC day end (internal/monitor's
+// publish.go). The phase is anchored at midnight UTC, as the study's is.
 package serve
 
 import (
@@ -35,48 +34,6 @@ import (
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
-)
-
-// DiurnalClass is the streaming classification of one block.
-type DiurnalClass uint8
-
-const (
-	// ClassUnknown: not enough committed rounds to attempt classification.
-	ClassUnknown DiurnalClass = iota
-	// ClassNonDiurnal: no dominant daily periodicity in the stream so far.
-	ClassNonDiurnal
-	// ClassRelaxed: daily periodicity present (fundamental plus first
-	// harmonic carry a meaningful share of the variance).
-	ClassRelaxed
-	// ClassStrict: the 1 cycle/day component dominates: it carries at least
-	// half the variance and is at least twice the first harmonic.
-	ClassStrict
-)
-
-// String renders the class for reports and JSON.
-func (c DiurnalClass) String() string {
-	switch c {
-	case ClassStrict:
-		return "strict"
-	case ClassRelaxed:
-		return "relaxed"
-	case ClassNonDiurnal:
-		return "non-diurnal"
-	default:
-		return "unknown"
-	}
-}
-
-// Streaming classification thresholds. The batch FFT compares against the
-// whole spectrum; the stream only tracks the diurnal bin and its first
-// harmonic, so the rules are variance-share tests instead of peak ranking.
-const (
-	// strictShare: fraction of series variance the fundamental must carry.
-	strictShare = 0.5
-	// relaxedShare: fraction fundamental+harmonic must carry together.
-	relaxedShare = 0.3
-	// flatVariance: below this the series is flat and trivially non-diurnal.
-	flatVariance = 1e-9
 )
 
 // colSet is one shard's published columns at one round count: avail,
@@ -92,7 +49,7 @@ type colSet struct {
 	long   []float64
 	down   []bool
 	failed []int32
-	class  []DiurnalClass
+	class  []monitor.Class
 	phase  []float64 // 0 outside the diurnal classes
 	sealed bool      // an epoch points at the set; engine mutex
 }
@@ -105,24 +62,18 @@ func newColSet(ids []netsim.BlockID) *colSet {
 		long:   make([]float64, n),
 		down:   make([]bool, n),
 		failed: make([]int32, n),
-		class:  make([]DiurnalClass, n),
+		class:  make([]monitor.Class, n),
 		phase:  make([]float64, n),
 	}
 }
 
-// shardState is the writer side of one monitor shard. Every block of a
-// shard has seen the same rounds, so the basis sums are held once. The
-// shard folds a round into its next column set under its own mutex, outside
-// the engine's; the engine mutex only swaps the set in.
+// shardState is the writer side of one monitor shard. The shard folds a
+// round into its next column set under its own mutex, outside the engine's;
+// the engine mutex only swaps the set in.
 type shardState struct {
-	basis       Basis // fixed at BeginRun
-	minClassify int   // fixed at BeginRun
-
 	// mu serializes the shard's publishes and resyncs. It is taken before
 	// the engine mutex, never while holding it.
-	mu   sync.Mutex
-	sums BasisSums // sums.N is the committed rounds folded so far
-	acc  []StreamAcc
+	mu sync.Mutex
 	// next is the set the next publish folds into: one no epoch has ever
 	// pointed at, or nil when the publish has to allocate one.
 	next *colSet
@@ -131,32 +82,17 @@ type shardState struct {
 	quarantined bool    // engine mutex
 }
 
-// classify derives block i's class and phase from its accumulator.
+// foldRound applies a round to blocks [lo, hi) of next's columns, carrying
+// down and failed forward from cur. Blocks are independent, so any split
+// into ranges gives the same bits.
 //
-//lint:hotpath: per block per round on the publish path; pure arithmetic
-func (st *shardState) classify(i int) (DiurnalClass, float64) {
-	class, phase := st.acc[i].Classify(&st.sums, st.minClassify)
-	if class != ClassStrict && class != ClassRelaxed {
-		phase = 0
-	}
-	return class, phase
-}
-
-// foldRound applies round r to blocks [lo, hi): each block's accumulator,
-// then its class and phase, into next's columns, carrying down and failed
-// forward from cur. Blocks are independent, so any split into ranges gives
-// the same bits.
-//
-//lint:hotpath: per block per round on the publish path; pure arithmetic
-func (st *shardState) foldRound(next, cur *colSet, deltas []monitor.RoundPub, r int, lo, hi int) {
-	c1, s1, c2, s2 := st.basis.Waves(r)
-	rf := float64(r)
+//lint:hotpath: per block per round on the publish path; a copy
+func foldRound(next, cur *colSet, deltas []monitor.RoundPub, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d := &deltas[i]
 		next.avail[i] = d.Avail
 		next.long[i] = d.Long
-		st.acc[i].Add(d.Avail, rf, c1, s1, c2, s2)
-		next.class[i], next.phase[i] = st.classify(i)
+		next.class[i], next.phase[i] = d.Class, d.Phase
 		down := cur.down[i]
 		switch d.Event {
 		case monitor.PubEventDown:
@@ -229,9 +165,9 @@ func newEngineMetrics(r *metrics.Registry) *engineMetrics {
 type EngineConfig struct {
 	// Metrics receives engine counters (optional).
 	Metrics *metrics.Registry
-	// MinClassifyRounds is how many committed rounds a block needs before
-	// the streaming classifier speaks; fewer reports ClassUnknown. Default:
-	// one virtual day of rounds (derived from the campaign period).
+	// MinClassifyRounds is ignored: the class comes from the monitor (see
+	// the package doc). It stays only because the repository benchmark
+	// sets it.
 	MinClassifyRounds int
 }
 
@@ -267,14 +203,9 @@ func (e *Engine) BeginRun(info monitor.RunInfo) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.info = info
-	basis := NewBasis(info.Period)
-	minClassify := e.cfg.MinClassifyRounds
-	if minClassify <= 0 {
-		minClassify = basis.DefaultMinClassify() // one virtual day
-	}
 	e.shards = make([]*shardState, info.Shards)
 	for i := range e.shards {
-		e.shards[i] = &shardState{basis: basis, minClassify: minClassify}
+		e.shards[i] = &shardState{}
 	}
 	e.sealedRound = -1
 	e.totalRounds.Store(int64(info.Rounds))
@@ -305,47 +236,27 @@ func (e *Engine) swapLocked(shard int, st *shardState, set *colSet) bool {
 }
 
 // ResyncShard implements monitor.EpochSink: it replaces the shard's state
-// with state rebuilt from the committed series. Cold path (attempt starts
-// and recoveries only). A block whose series is not nextRound long breaks
-// the contract (a shard has one round count); such a resync is dropped and
-// the shard stays as it was.
+// with its committed state. Cold path (attempt starts and recoveries only).
 func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
 	st := e.shardAt(shard)
-	if st == nil || !seriesLen(blocks, nextRound) {
+	if st == nil {
 		e.met.publishIgnored.Inc()
 		return
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// The basis waves of every committed round, once. Each block folds its
-	// own series in round order against this table, so its float op order
-	// is the live path's and the rebuilt sums are the same bits.
-	waves := make([][4]float64, nextRound)
-	var sums BasisSums
-	for r := range waves {
-		c1, s1, c2, s2 := st.basis.Waves(r)
-		waves[r] = [4]float64{c1, s1, c2, s2}
-		sums.Add(c1, s1, c2, s2)
-	}
-	st.sums, st.acc, st.next = sums, make([]StreamAcc, len(blocks)), nil
+	st.next = nil
 	set := newColSet(make([]netsim.BlockID, len(blocks)))
 	set.rounds = nextRound
-	eachChunk(len(blocks), e.chunk, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			b := &blocks[i]
-			for r, w := range waves {
-				st.acc[i].Add(b.Short[r], float64(r), w[0], w[1], w[2], w[3])
-			}
-			set.ids[i] = b.ID
-			if nextRound > 0 {
-				set.avail[i] = b.Short[nextRound-1]
-			}
-			set.long[i] = b.Long
-			set.down[i] = b.Down
-			set.failed[i] = int32(b.Failed)
-			set.class[i], set.phase[i] = st.classify(i)
-		}
-	})
+	for i := range blocks {
+		b := &blocks[i]
+		set.ids[i] = b.ID
+		set.avail[i] = b.Short
+		set.long[i] = b.Long
+		set.down[i] = b.Down
+		set.failed[i] = int32(b.Failed)
+		set.class[i], set.phase[i] = b.Class, b.Phase
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st.quarantined = false
@@ -356,20 +267,9 @@ func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
 	e.met.resyncs.Inc()
 }
 
-// seriesLen reports whether every block carries exactly rounds values.
-func seriesLen(blocks []monitor.PubBlock, rounds int) bool {
-	for i := range blocks {
-		if len(blocks[i].Short) != rounds {
-			return false
-		}
-	}
-	return true
-}
-
 // PublishRound implements monitor.EpochSink: it folds one committed round
-// into the shard's next column set and reclassifies the shard's blocks
-// while their moments are hot, under the shard's own mutex — shards fold
-// concurrently, and a shard larger than foldChunk folds across cores. The
+// into the shard's next column set under the shard's own mutex — shards
+// fold concurrently, and a shard larger than foldChunk folds across cores. The
 // engine mutex is held only to swap the set in and seal. Besides the Epoch
 // a seal allocates, a publish allocates nothing unless the set it displaces
 // was sealed, and then one set of its own shard.
@@ -382,7 +282,7 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	cur := st.cur
-	if cur == nil || len(deltas) != len(cur.ids) || round != int(st.sums.N) {
+	if cur == nil || len(deltas) != len(cur.ids) || round != cur.rounds {
 		// A replayed round (engine already covered it via resync) or a gap
 		// (impossible through the shard contract, but never corrupt state
 		// over it): drop the publication, the next resync reconciles.
@@ -394,11 +294,10 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 		next = newColSet(cur.ids)
 	}
 	st.next = nil
-	st.sums.Add(st.basis.Waves(round))
 	if n := len(deltas); n <= e.chunk {
-		st.foldRound(next, cur, deltas, round, 0, n)
+		foldRound(next, cur, deltas, 0, n)
 	} else {
-		eachChunk(n, e.chunk, func(lo, hi int) { st.foldRound(next, cur, deltas, round, lo, hi) })
+		eachChunk(n, e.chunk, func(lo, hi int) { foldRound(next, cur, deltas, lo, hi) })
 	}
 	next.rounds = round + 1
 	e.mu.Lock()
@@ -469,7 +368,6 @@ func (e *Engine) sealLocked() {
 		Start:       e.info.Start,
 		segs:        make([]*colSet, 0, segs),
 		blocks:      blocks,
-		startHour:   startOfDayHour(e.info.Start),
 	}
 	// Shards hold contiguous slices of the global sorted block order, so
 	// their sets in shard order are the globally sorted epoch.

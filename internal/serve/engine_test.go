@@ -5,13 +5,18 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"sleepnet/internal/analysis"
+	"sleepnet/internal/core"
 	"sleepnet/internal/faults"
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 	"sleepnet/internal/world"
 )
 
@@ -47,9 +52,13 @@ func baseConfig(net *netsim.Network, rounds int) monitor.Config {
 	}
 }
 
+// avail is a round's publication of availability v and nothing else: an
+// unknown block.
+func avail(v float64) monitor.RoundPub { return monitor.RoundPub{Avail: v, Long: v} }
+
 // drive feeds an engine directly through the EpochSink contract: one shard,
-// `blocks` blocks, `rounds` rounds of series(block, round) availabilities.
-func drive(e *Engine, blocks, rounds int, period time.Duration, series func(b, r int) float64) {
+// `blocks` blocks, `rounds` rounds of series(block, round) publications.
+func drive(e *Engine, blocks, rounds int, period time.Duration, series func(b, r int) monitor.RoundPub) {
 	e.BeginRun(monitor.RunInfo{
 		Shards: 1, Rounds: rounds, Blocks: blocks,
 		Start: testEpoch, Period: period, Seed: 1,
@@ -62,8 +71,7 @@ func drive(e *Engine, blocks, rounds int, period time.Duration, series func(b, r
 	deltas := make([]monitor.RoundPub, blocks)
 	for r := 0; r < rounds; r++ {
 		for i := range deltas {
-			v := series(i, r)
-			deltas[i] = monitor.RoundPub{Avail: v, Long: v}
+			deltas[i] = series(i, r)
 		}
 		e.PublishRound(0, r, deltas)
 	}
@@ -71,7 +79,7 @@ func drive(e *Engine, blocks, rounds int, period time.Duration, series func(b, r
 
 func TestEngineSealsFromLiveMonitor(t *testing.T) {
 	reg := metrics.New()
-	eng := NewEngine(EngineConfig{Metrics: reg, MinClassifyRounds: 1})
+	eng := NewEngine(EngineConfig{Metrics: reg})
 	cfg := baseConfig(testNet(23), 6)
 	cfg.Sink = eng
 	m, err := monitor.New(cfg)
@@ -125,7 +133,7 @@ type epochCols struct {
 	long   []float64
 	down   []bool
 	failed []int32
-	class  []DiurnalClass
+	class  []monitor.Class
 	phase  []float64
 }
 
@@ -189,22 +197,84 @@ func chaosWorld(t *testing.T) *netsim.Network {
 	return w.Net
 }
 
+// setKey names the column set a shard installs at a committed round count.
+type setKey struct{ shard, rounds int }
+
+// verdicts is the class and phase columns of one column set.
+type verdicts struct {
+	ids   []netsim.BlockID
+	class []monitor.Class
+	phase []float64
+}
+
+// setLog is an EpochSink in front of an engine. After every publish and
+// resync it copies the class and phase columns of the set the call
+// installed, by shard and committed-round count; it serializes the calls, so
+// the set it reads is the one the call installed. A second set at a count
+// already logged (a resync after a crash) must carry the same bits.
+type setLog struct {
+	*Engine
+	mu       sync.Mutex
+	sets     map[setKey]verdicts
+	mismatch []setKey // counts logged twice with different bits
+}
+
+func newSetLog(e *Engine) *setLog { return &setLog{Engine: e, sets: map[setKey]verdicts{}} }
+
+func (l *setLog) PublishRound(shard, round int, deltas []monitor.RoundPub) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.Engine.PublishRound(shard, round, deltas)
+	l.note(shard)
+}
+
+func (l *setLog) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.Engine.ResyncShard(shard, nextRound, blocks)
+	l.note(shard)
+}
+
+func (l *setLog) note(shard int) {
+	st := l.shardAt(shard)
+	if st == nil {
+		return
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.cur == nil {
+		return
+	}
+	v := verdicts{ids: st.cur.ids, class: slices.Clone(st.cur.class), phase: slices.Clone(st.cur.phase)}
+	k := setKey{shard, st.cur.rounds}
+	if old, ok := l.sets[k]; ok && !sameVerdicts(old, v) {
+		l.mismatch = append(l.mismatch, k)
+	}
+	l.sets[k] = v
+}
+
+// sameVerdicts compares two sets' ids, classes and phase bits.
+func sameVerdicts(a, b verdicts) bool {
+	return slices.Equal(a.ids, b.ids) && slices.Equal(a.class, b.class) &&
+		slices.EqualFunc(a.phase, b.phase, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
 // TestEngineCrashEquivalence pins the serving-layer analogue of the
 // monitor's headline property: an engine fed by a crash-looping, halted,
 // WAL-recovered monitor ends bit-identical to one fed by an uninterrupted
-// run. The resync path rebuilds spectral accumulators with the exact float
-// operation order of incremental publication, so even the DFT phases match
-// to the last bit.
+// run. The campaign spans three whole UTC days, so classes are decided, and
+// every set either engine installs, published or resynced, carries the
+// clean run's class and phase bits at its round count.
 func TestEngineCrashEquivalence(t *testing.T) {
-	const rounds = 16
+	const rounds = 420 // three whole UTC days from midnight and a bit
 	mkCfg := func(net *netsim.Network, sink monitor.EpochSink) monitor.Config {
 		cfg := baseConfig(net, rounds)
-		cfg.SnapshotEvery = 5
+		cfg.SnapshotEvery = 25
 		cfg.Sink = sink
 		return cfg
 	}
 
-	clean := NewEngine(EngineConfig{MinClassifyRounds: 4})
+	clean := newSetLog(NewEngine(EngineConfig{}))
 	m, err := monitor.New(mkCfg(chaosWorld(t), clean))
 	if err != nil {
 		t.Fatal(err)
@@ -213,17 +283,19 @@ func TestEngineCrashEquivalence(t *testing.T) {
 		t.Fatalf("clean run: err=%v res=%+v", err, res)
 	}
 
-	// Chaotic twin: three injected shard kills, a hard halt, then a resume
-	// over the WAL — the same engine sees kills' resyncs mid-run and the
-	// resume's recovery resyncs across monitor instances.
+	// Chaotic twin: three injected shard kills, one past each of the first
+	// three day ends, a hard halt, then a resume over the WAL — the same
+	// engine sees kills' resyncs mid-run and the resume's recovery resyncs
+	// across monitor instances.
 	dir := t.TempDir()
-	eng := NewEngine(EngineConfig{MinClassifyRounds: 4})
+	eng := NewEngine(EngineConfig{})
 	eng.chunk = 3 // every shard is larger than a fold chunk: folds split across Ps
-	cfg := mkCfg(chaosWorld(t), eng)
+	chaos := newSetLog(eng)
+	cfg := mkCfg(chaosWorld(t), chaos)
 	cfg.WALDir = dir
-	cfg.HaltAfterRound = 11
+	cfg.HaltAfterRound = 330
 	cfg.Chaos = &faults.ChaosPlan{
-		Kills: []faults.ShardRound{{Shard: 0, Round: 3}, {Shard: 1, Round: 7}, {Shard: 2, Round: 9}},
+		Kills: []faults.ShardRound{{Shard: 0, Round: 140}, {Shard: 1, Round: 270}, {Shard: 2, Round: 300}},
 	}
 	m2, err := monitor.New(cfg)
 	if err != nil {
@@ -236,7 +308,7 @@ func TestEngineCrashEquivalence(t *testing.T) {
 		t.Fatalf("halted engine epoch = %+v, want partial", ep)
 	}
 
-	cfg2 := mkCfg(chaosWorld(t), eng)
+	cfg2 := mkCfg(chaosWorld(t), chaos)
 	cfg2.WALDir = dir
 	m3, err := monitor.New(cfg2)
 	if err != nil {
@@ -247,12 +319,99 @@ func TestEngineCrashEquivalence(t *testing.T) {
 	}
 
 	epochsIdentical(t, clean.Epoch(), eng.Epoch())
+	if len(clean.mismatch)+len(chaos.mismatch) > 0 {
+		t.Fatalf("a resync installed other bits than the publish at the same count: %v %v", clean.mismatch, chaos.mismatch)
+	}
+	for k, v := range chaos.sets {
+		if want, ok := clean.sets[k]; !ok || !sameVerdicts(v, want) {
+			t.Fatalf("shard %d at %d rounds: the chaotic run's classes and phases differ from the clean run's", k.shard, k.rounds)
+		}
+	}
+	decided := 0
+	for _, c := range cols(eng.Epoch()).class {
+		if c != monitor.ClassUnknown {
+			decided++
+		}
+	}
+	if decided == 0 {
+		t.Fatal("no block of the final epoch holds a decided class")
+	}
+}
+
+// TestEpochClassIsStudyClass is the one-detector contract: a live monitor
+// and engine campaign over four whole UTC days, from a start that is not a
+// midnight, across three shards. Every set a shard installs, at every
+// committed round count n — day ends and the rounds between them — carries
+// for each block exactly core.ClassifySeries of the block's committed
+// series [:n]: its class, or unknown where it errors, and its phase bits
+// (0 outside the diurnal classes).
+func TestEpochClassIsStudyClass(t *testing.T) {
+	const rounds = 600 // 17:18 UTC plus 4 days 14 h: four whole UTC days
+	w, err := world.Generate(world.Config{Blocks: 24, Seed: 0xd1a1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	log := newSetLog(NewEngine(EngineConfig{}))
+	cfg := baseConfig(w.Net, rounds)
+	cfg.Start = time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
+	cfg.Shards = 3
+	cfg.Sink = log
+	m, err := monitor.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(context.Background())
+	if err != nil || !res.Completed {
+		t.Fatalf("run: err=%v res=%+v", err, res)
+	}
+	st, err := res.Study()
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := make(map[string][]float64, len(st.Blocks))
+	for _, b := range st.Blocks {
+		series[b.ID] = b.Short
+	}
+	want := func(short []float64) (monitor.Class, float64) {
+		r, _, err := core.ClassifySeries(timeseries.New(cfg.Start, timeseries.DefaultRound, short))
+		switch {
+		case err != nil:
+			return monitor.ClassUnknown, 0
+		case r.Class == core.StrictDiurnal:
+			return monitor.ClassStrict, r.Phase
+		case r.Class == core.RelaxedDiurnal:
+			return monitor.ClassRelaxed, r.Phase
+		}
+		return monitor.ClassNonDiurnal, 0
+	}
+	seen := map[monitor.Class]bool{}
+	for shard := 0; shard < cfg.Shards; shard++ {
+		for n := 0; n <= rounds; n++ {
+			v, ok := log.sets[setKey{shard, n}]
+			if !ok {
+				t.Fatalf("shard %d never installed a set at %d rounds", shard, n)
+			}
+			for i, id := range v.ids {
+				class, phase := want(series[id.String()][:n])
+				if v.class[i] != class || math.Float64bits(v.phase[i]) != math.Float64bits(phase) {
+					t.Fatalf("shard %d at %d rounds, block %v: served %v %v, ClassifySeries %v %v",
+						shard, n, id, v.class[i], v.phase[i], class, phase)
+				}
+				seen[class] = true
+			}
+		}
+	}
+	for _, c := range []monitor.Class{monitor.ClassUnknown, monitor.ClassNonDiurnal, monitor.ClassStrict} {
+		if !seen[c] {
+			t.Errorf("no block was ever %v: the fixture no longer covers that class", c)
+		}
+	}
 }
 
 func TestEngineCopyOnWriteIsolation(t *testing.T) {
 	reg := metrics.New()
-	e := NewEngine(EngineConfig{Metrics: reg, MinClassifyRounds: 1})
-	drive(e, 3, 2, time.Hour, func(b, r int) float64 { return float64(b) + float64(r)/10 })
+	e := NewEngine(EngineConfig{Metrics: reg})
+	drive(e, 3, 2, time.Hour, func(b, r int) monitor.RoundPub { return avail(float64(b) + float64(r)/10) })
 
 	old := e.Epoch()
 	if old == nil || old.Rounds != 2 {
@@ -302,59 +461,6 @@ func mustBeUnlocked(t *testing.T, e *Engine, call string) {
 	e.mu.Unlock()
 }
 
-func TestStreamingClassifier(t *testing.T) {
-	// One-hour rounds, three virtual days. Block 0: clean diurnal sinusoid
-	// peaking at hour 8. Block 1: flat. Block 2: a ramp — variance without
-	// daily periodicity.
-	e := NewEngine(EngineConfig{}) // default minClassify = 24 rounds = 1 day
-	drive(e, 3, 72, time.Hour, func(b, r int) float64 {
-		switch b {
-		case 0:
-			return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
-		case 1:
-			return 0.7
-		default:
-			return float64(r) / 72
-		}
-	})
-	ep := e.Epoch()
-	if ep == nil {
-		t.Fatal("no epoch")
-	}
-
-	s0, _ := ep.Lookup(netsim.MakeBlockID(10, 0, 0))
-	if s0.Class != "strict" {
-		t.Fatalf("sinusoid classified %q, want strict", s0.Class)
-	}
-	if s0.PeakUTCHour == nil || math.Abs(*s0.PeakUTCHour-8) > 0.2 {
-		t.Fatalf("peak hour = %v, want ~8", s0.PeakUTCHour)
-	}
-	if s0.SleepUTCHour == nil || math.Abs(*s0.SleepUTCHour-20) > 0.2 {
-		t.Fatalf("sleep hour = %v, want ~20", s0.SleepUTCHour)
-	}
-
-	s1, _ := ep.Lookup(netsim.MakeBlockID(10, 0, 1))
-	if s1.Class != "non-diurnal" {
-		t.Fatalf("flat block classified %q, want non-diurnal", s1.Class)
-	}
-	if s1.PeakUTCHour != nil {
-		t.Fatal("non-diurnal block carries a peak hour")
-	}
-
-	s2, _ := ep.Lookup(netsim.MakeBlockID(10, 0, 2))
-	if s2.Class == "strict" {
-		t.Fatal("ramp classified strict")
-	}
-
-	// Below the classification floor everything is unknown.
-	young := NewEngine(EngineConfig{})
-	drive(young, 1, 10, time.Hour, func(b, r int) float64 { return 0.5 })
-	sy, _ := young.Epoch().Lookup(netsim.MakeBlockID(10, 0, 0))
-	if sy.Class != "unknown" {
-		t.Fatalf("10-round block classified %q, want unknown", sy.Class)
-	}
-}
-
 // TestEngineDegradedOnQuarantine: a crash-looping shard quarantines; the
 // engine keeps serving the surviving shards' progress and reports degraded.
 func TestEngineDegradedOnQuarantine(t *testing.T) {
@@ -364,7 +470,7 @@ func TestEngineDegradedOnQuarantine(t *testing.T) {
 	for r := 0; r < rounds; r++ {
 		kills = append(kills, faults.ShardRound{Shard: 0, Round: r})
 	}
-	eng := NewEngine(EngineConfig{MinClassifyRounds: 1})
+	eng := NewEngine(EngineConfig{})
 	cfg := baseConfig(testNet(8), rounds)
 	cfg.Shards = 2
 	cfg.Chaos = &faults.ChaosPlan{Kills: kills}
@@ -397,95 +503,80 @@ func TestEngineDegradedOnQuarantine(t *testing.T) {
 	}
 }
 
-// shardFeed drives one shard of an engine from per-block series through the
-// EpochSink contract, keeping a Replayer per block fed the same values — the
-// per-block reference the shard-shared basis sums must reproduce.
+// shardFeed drives one shard of an engine from per-block publications
+// through the EpochSink contract, keeping what it last sent each block.
 type shardFeed struct {
 	shard  int
 	first  int // the shard's first block, as an index into the epoch
 	ids    []netsim.BlockID
-	series func(b, r int) float64 // b indexes the shard's blocks
-	sent   [][]float64
-	ref    []*Replayer
-	deltas []monitor.RoundPub
+	series func(b, r int) monitor.RoundPub // b indexes the shard's blocks
+	rounds int                             // rounds sent
+	deltas []monitor.RoundPub              // the last round sent
 }
 
-func newShardFeed(info monitor.RunInfo, shard, first, blocks int, series func(b, r int) float64) *shardFeed {
+func newShardFeed(shard, first, blocks int, series func(b, r int) monitor.RoundPub) *shardFeed {
 	f := &shardFeed{
 		shard: shard, first: first, series: series,
 		ids:    make([]netsim.BlockID, blocks),
-		sent:   make([][]float64, blocks),
-		ref:    make([]*Replayer, blocks),
 		deltas: make([]monitor.RoundPub, blocks),
 	}
 	for b := range f.ids {
 		f.ids[b] = netsim.MakeBlockID(10, byte((first+b)>>8), byte(first+b))
-		f.sent[b] = make([]float64, 0, info.Rounds) // publish never grows it
-		f.ref[b] = NewReplayer(info.Start, info.Period, 0)
 	}
 	return f
 }
 
 // publish sends the shard's next round.
 func (f *shardFeed) publish(e *Engine) {
-	r := len(f.sent[0])
 	for b := range f.deltas {
-		v := f.series(b, r)
-		f.sent[b] = append(f.sent[b], v)
-		f.ref[b].Push(v)
-		f.deltas[b] = monitor.RoundPub{Avail: v, Long: v}
+		f.deltas[b] = f.series(b, f.rounds)
 	}
-	e.PublishRound(f.shard, r, f.deltas)
+	e.PublishRound(f.shard, f.rounds, f.deltas)
+	f.rounds++
 }
 
-// resync re-publishes everything sent so far, as a restarted shard does.
+// resync re-publishes the shard's committed state, as a restarted shard
+// does.
 func (f *shardFeed) resync(e *Engine) {
 	pub := make([]monitor.PubBlock, len(f.ids))
-	for b := range pub {
-		pub[b] = monitor.PubBlock{ID: f.ids[b], Short: f.sent[b]}
-		if n := len(f.sent[b]); n > 0 {
-			pub[b].Long = f.sent[b][n-1]
-		}
+	for b, d := range f.deltas {
+		pub[b] = monitor.PubBlock{ID: f.ids[b], Short: d.Avail, Long: d.Long, Class: d.Class, Phase: d.Phase}
 	}
-	e.ResyncShard(f.shard, len(f.sent[0]), pub)
+	e.ResyncShard(f.shard, f.rounds, pub)
 }
 
-// matchesReplayers compares the epoch's rows for the feed's blocks, column
-// bits and served peak/sleep bits, with the per-block replayers.
-func (f *shardFeed) matchesReplayers(t *testing.T, ep *Epoch) {
+// matchesSent compares the epoch's rows for the feed's blocks with what the
+// feed last sent: column bits, and the served peak and sleep hours, which
+// derive from the midnight-anchored phase alone.
+func (f *shardFeed) matchesSent(t *testing.T, ep *Epoch) {
 	t.Helper()
 	c := cols(ep)
-	for b, rp := range f.ref {
+	for b, d := range f.deltas {
 		i := f.first + b
-		class, phase := rp.Classify()
-		diurnal := class == ClassStrict || class == ClassRelaxed
-		if !diurnal {
-			phase = 0
-		}
-		if c.class[i] != class || math.Float64bits(c.phase[i]) != math.Float64bits(phase) {
-			t.Fatalf("epoch %d block %v: class %v phase %v, replayer says %v %v",
-				ep.Rounds, c.ids[i], c.class[i], c.phase[i], class, phase)
+		if c.class[i] != d.Class || math.Float64bits(c.phase[i]) != math.Float64bits(d.Phase) ||
+			math.Float64bits(c.avail[i]) != math.Float64bits(d.Avail) {
+			t.Fatalf("epoch %d block %v: class %v phase %v avail %v, sent %v %v %v",
+				ep.Rounds, c.ids[i], c.class[i], c.phase[i], c.avail[i], d.Class, d.Phase, d.Avail)
 		}
 		bs, ok := ep.Lookup(f.ids[b])
-		if !ok || (bs.PeakUTCHour != nil) != diurnal {
-			t.Fatalf("epoch %d block %v: lookup ok=%v peak=%v, diurnal=%v", ep.Rounds, f.ids[b], ok, bs.PeakUTCHour, diurnal)
+		if !ok || (bs.PeakUTCHour != nil) != d.Class.Diurnal() {
+			t.Fatalf("epoch %d block %v: lookup ok=%v peak=%v, class %v", ep.Rounds, f.ids[b], ok, bs.PeakUTCHour, d.Class)
 		}
-		if diurnal {
-			peak, sleep := rp.PeakSleepUTC()
+		if d.Class.Diurnal() {
+			peak := analysis.UTCPeakHour(d.Phase)
 			if math.Float64bits(*bs.PeakUTCHour) != math.Float64bits(peak) ||
-				math.Float64bits(*bs.SleepUTCHour) != math.Float64bits(sleep) {
-				t.Fatalf("epoch %d block %v: served peak/sleep %v/%v, replayer %v/%v",
-					ep.Rounds, f.ids[b], *bs.PeakUTCHour, *bs.SleepUTCHour, peak, sleep)
+				math.Float64bits(*bs.SleepUTCHour) != math.Float64bits(math.Mod(peak+12, 24)) {
+				t.Fatalf("epoch %d block %v: served peak/sleep %v/%v for phase %v",
+					ep.Rounds, f.ids[b], *bs.PeakUTCHour, *bs.SleepUTCHour, d.Phase)
 			}
 		}
 	}
 }
 
-// TestEngineShardsMatchPerBlockReplay: each shard carries one copy of the
-// basis sums and classifies its own blocks as it publishes. Three shards
-// driven out of step — one two rounds ahead, one resynced mid-way — must
-// seal, at every epoch, exactly what a per-block Replayer fed the same
-// series answers: class, phase bits and the served peak/sleep bits.
+// TestEngineShardsMatchPerBlockReplay: three shards driven out of step —
+// one two rounds ahead, one resynced mid-way — must seal, at every epoch,
+// what each block's shard last sent: class, phase bits and the served
+// peak/sleep bits.
 func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
 	const rounds, perShard = 80, 4
 	info := monitor.RunInfo{
@@ -493,19 +584,16 @@ func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
 		Start:  time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC),
 		Period: time.Hour, Seed: 1,
 	}
-	series := func(shard int) func(b, r int) float64 {
-		return func(b, r int) float64 {
-			switch b {
-			case 0: // diurnal, a different peak hour in every shard
-				return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-float64(5*shard))/24)
-			case 1: // flat
-				return 0.7
-			case 2: // a ramp: variance, no daily period
-				return float64(r) / rounds
-			default: // diurnal with a strong first harmonic: relaxed at best
-				x := 2 * math.Pi * float64(r) / 24
-				return 0.5 + 0.2*math.Cos(x) + 0.2*math.Cos(2*x+float64(shard))
+	// A block's verdict changes every 24 rounds, cycling through the
+	// classes; diurnal ones carry a phase that moves with it.
+	series := func(shard int) func(b, r int) monitor.RoundPub {
+		return func(b, r int) monitor.RoundPub {
+			d := avail(float64((b+r+shard)%9) / 8)
+			d.Class = monitor.Class((b + r/24 + shard) % 4)
+			if d.Class.Diurnal() {
+				d.Phase = float64(b+r/24-shard) / 3
 			}
+			return d
 		}
 	}
 	e := NewEngine(EngineConfig{})
@@ -513,12 +601,12 @@ func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
 	e.BeginRun(info)
 	feeds := make([]*shardFeed, info.Shards)
 	for s := range feeds {
-		feeds[s] = newShardFeed(info, s, s*perShard, perShard, series(s))
+		feeds[s] = newShardFeed(s, s*perShard, perShard, series(s))
 		feeds[s].resync(e)
 	}
 	feeds[0].publish(e)
 	feeds[0].publish(e)
-	seen := map[DiurnalClass]bool{}
+	seen := map[monitor.Class]bool{}
 	for r := 0; r < rounds; r++ {
 		if r+2 < rounds {
 			feeds[0].publish(e)
@@ -533,43 +621,41 @@ func TestEngineShardsMatchPerBlockReplay(t *testing.T) {
 			t.Fatalf("after round %d the epoch is %+v", r, ep)
 		}
 		for _, f := range feeds {
-			f.matchesReplayers(t, ep)
+			f.matchesSent(t, ep)
 		}
 		for _, c := range cols(ep).class {
 			seen[c] = true
 		}
 	}
-	for _, c := range []DiurnalClass{ClassUnknown, ClassNonDiurnal, ClassRelaxed, ClassStrict} {
+	for _, c := range []monitor.Class{monitor.ClassUnknown, monitor.ClassNonDiurnal, monitor.ClassRelaxed, monitor.ClassStrict} {
 		if !seen[c] {
 			t.Errorf("no block was ever %v: the fixture no longer covers that class", c)
 		}
 	}
 }
 
-// TestEngineResyncAcrossClassChange is the stale-phase trap: a block that is
-// diurnal, then not, then diurnal again, with a resync while it is not. The
-// resynced mirror starts from zeroed columns; the twin that never resynced
-// must have written phase 0 when the block left the diurnal classes, or the
-// two epochs differ in a column nobody serves.
+// TestEngineResyncAcrossClassChange: a block that is diurnal, then not, then
+// diurnal again, with a resync while it is not. The resynced mirror starts
+// from the resync's columns, the twin that never resynced from its own
+// folds; the two epochs must agree bit for bit at every round, phase
+// included.
 func TestEngineResyncAcrossClassChange(t *testing.T) {
 	const stage = 48
 	info := monitor.RunInfo{
 		Shards: 1, Rounds: 3 * stage, Blocks: 1,
 		Start: testEpoch, Period: time.Hour, Seed: 1,
 	}
-	series := func(_, r int) float64 {
-		wave := math.Cos(2 * math.Pi * (float64(r) - 8) / 24)
-		switch r / stage {
-		case 0:
-			return 0.5 + 0.05*wave
-		case 1: // round-to-round flapping swamps the earlier daily wave
-			return 0.4 + 0.2*float64(r%2)
-		default:
-			return 0.5 + 0.4*wave
+	series := func(_, r int) monitor.RoundPub {
+		d := avail(0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24))
+		if r/stage == 1 {
+			d.Class = monitor.ClassNonDiurnal
+		} else {
+			d.Class, d.Phase = monitor.ClassStrict, -2*math.Pi*8/24
 		}
+		return d
 	}
 	plain, resynced := NewEngine(EngineConfig{}), NewEngine(EngineConfig{})
-	fp, fr := newShardFeed(info, 0, 0, 1, series), newShardFeed(info, 0, 0, 1, series)
+	fp, fr := newShardFeed(0, 0, 1, series), newShardFeed(0, 0, 1, series)
 	plain.BeginRun(info)
 	resynced.BeginRun(info)
 	fp.resync(plain)
@@ -583,9 +669,8 @@ func TestEngineResyncAcrossClassChange(t *testing.T) {
 		}
 		ep := plain.Epoch()
 		epochsIdentical(t, ep, resynced.Epoch())
-		c := cols(ep).class[0]
-		if got := c == ClassStrict || c == ClassRelaxed; (r+1)%stage == 0 && got != wantDiurnal[r/stage] {
-			t.Fatalf("round %d: class %v, want diurnal=%v", r, c, wantDiurnal[r/stage])
+		if got := cols(ep).class[0].Diurnal(); (r+1)%stage == 0 && got != wantDiurnal[r/stage] {
+			t.Fatalf("round %d: diurnal=%v, want %v", r, got, wantDiurnal[r/stage])
 		}
 	}
 }
@@ -606,7 +691,7 @@ func allocBytes(runs int, f func()) float64 {
 
 // TestPublishRoundAllocs: a publish folds into a column set no epoch points
 // at. When the set it displaces was never sealed, it reuses that set and
-// allocates nothing, classification included. When it was sealed, the
+// allocates nothing. When it was sealed, the
 // publish allocates one column set of its own shard, 30 B a block, and
 // nothing of any other shard. A seal allocates the Epoch and its segment
 // list, and no column.
@@ -619,10 +704,12 @@ func TestPublishRoundAllocs(t *testing.T) {
 		Shards: 2, Rounds: 5 * runs, Blocks: large + small,
 		Start: testEpoch, Period: time.Hour, Seed: 1,
 	}
-	series := func(b, r int) float64 { return 0.5 + 0.4*math.Cos(2*math.Pi*float64(r+b)/24) }
-	e := NewEngine(EngineConfig{MinClassifyRounds: 1})
+	series := func(b, r int) monitor.RoundPub {
+		return monitor.RoundPub{Avail: 0.5 + 0.4*math.Cos(2*math.Pi*float64(r+b)/24), Class: monitor.ClassStrict, Phase: float64(b)}
+	}
+	e := NewEngine(EngineConfig{})
 	e.BeginRun(info)
-	ahead, floor := newShardFeed(info, 0, 0, large, series), newShardFeed(info, 1, large, small, series)
+	ahead, floor := newShardFeed(0, 0, large, series), newShardFeed(1, large, small, series)
 	ahead.resync(e)
 	floor.resync(e)
 	ahead.publish(e)
@@ -666,37 +753,6 @@ func TestPublishRoundAllocs(t *testing.T) {
 	}
 }
 
-// TestResyncRejectsRaggedSeries: a shard has one round count, so a resync
-// whose blocks do not all carry nextRound values is a contract violation —
-// counted, and the mirror left as it was.
-func TestResyncRejectsRaggedSeries(t *testing.T) {
-	reg := metrics.New()
-	e := NewEngine(EngineConfig{Metrics: reg, MinClassifyRounds: 1})
-	drive(e, 2, 3, time.Hour, func(b, r int) float64 { return float64(b) + float64(r)/10 })
-	before := e.Epoch()
-
-	id := func(i int) netsim.BlockID { return netsim.MakeBlockID(10, 0, byte(i)) }
-	for name, blocks := range map[string][]monitor.PubBlock{
-		"short": {{ID: id(0), Short: []float64{9, 9, 9, 9}}, {ID: id(1), Short: []float64{9, 9, 9}}},
-		"long":  {{ID: id(0), Short: []float64{9, 9, 9, 9}}, {ID: id(1), Short: []float64{9, 9, 9, 9, 9}}},
-	} {
-		ignored := reg.Snapshot().Counter("serve.publish_ignored")
-		e.ResyncShard(0, 4, blocks)
-		mustBeUnlocked(t, e, "a rejected ResyncShard")
-		if got := reg.Snapshot().Counter("serve.publish_ignored"); got != ignored+1 {
-			t.Errorf("%s series: publish_ignored went %d → %d, want one more", name, ignored, got)
-		}
-		if e.Epoch() != before {
-			t.Errorf("%s series: the rejected resync sealed an epoch", name)
-		}
-	}
-	// The mirror is untouched: the shard's next round still applies.
-	e.PublishRound(0, 3, []monitor.RoundPub{{Avail: 1}, {Avail: 2}})
-	if ep := e.Epoch(); ep.Rounds != 4 || cols(ep).avail[1] != 2 {
-		t.Fatalf("after the rejected resyncs, round 3 left epoch %d avail %v", ep.Rounds, cols(ep).avail)
-	}
-}
-
 // epochJSON is everything a reader can get out of ep, as JSON: the full
 // listing and the rollup.
 func epochJSON(t *testing.T, ep *Epoch) string {
@@ -722,12 +778,19 @@ func TestEngineReaderIsolation(t *testing.T) {
 		Shards: 3, Rounds: 40, Blocks: 3 * perShard,
 		Start: testEpoch, Period: time.Hour, Seed: 1,
 	}
-	series := func(b, r int) float64 { return float64((b+r)%9) / 8 }
-	e := NewEngine(EngineConfig{MinClassifyRounds: 2})
+	series := func(b, r int) monitor.RoundPub {
+		d := avail(float64((b+r)%9) / 8)
+		d.Class = monitor.Class((b + r) % 4)
+		if d.Class.Diurnal() {
+			d.Phase = float64(b-r) / 5
+		}
+		return d
+	}
+	e := NewEngine(EngineConfig{})
 	e.BeginRun(info)
 	feeds := make([]*shardFeed, info.Shards)
 	for s := range feeds {
-		feeds[s] = newShardFeed(info, s, s*perShard, perShard, series)
+		feeds[s] = newShardFeed(s, s*perShard, perShard, series)
 		feeds[s].resync(e)
 	}
 	for r := 0; r < 3; r++ {

@@ -17,6 +17,8 @@ import (
 	"strconv"
 	"time"
 
+	"sleepnet/internal/analysis"
+	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
 )
 
@@ -44,10 +46,6 @@ type Epoch struct {
 	// and together the global sorted block order. None is empty.
 	segs   []*colSet
 	blocks int
-
-	// startHour is Start's UTC time-of-day: with a block's phase it gives
-	// the peak and sleep hours, so neither is stored.
-	startHour float64
 }
 
 // BlockStatus is one block's queryable state.
@@ -58,10 +56,14 @@ type BlockStatus struct {
 	Down  bool    `json:"down"`
 	// FailedRounds counts rounds with no usable observation.
 	FailedRounds int `json:"failed_rounds,omitempty"`
-	// Class is the streaming diurnal class: unknown, non-diurnal, relaxed,
-	// or strict.
+	// Class is the study's diurnal class of the committed series at the
+	// last UTC day end: unknown (under two whole days), non-diurnal,
+	// relaxed, or strict.
 	Class string `json:"class"`
 	// Phase, PeakUTCHour, SleepUTCHour are present for diurnal blocks only.
+	// Phase is the 1 cycle/day FFT phase anchored at midnight UTC, as the
+	// study's; PeakUTCHour is analysis.UTCPeakHour of it, SleepUTCHour
+	// twelve hours later.
 	Phase        *float64 `json:"phase,omitempty"`
 	PeakUTCHour  *float64 `json:"peak_utc_hour,omitempty"`
 	SleepUTCHour *float64 `json:"sleep_utc_hour,omitempty"`
@@ -104,9 +106,9 @@ func (ep *Epoch) statusAt(s *colSet, i int) BlockStatus {
 		FailedRounds: int(s.failed[i]),
 		Class:        s.class[i].String(),
 	}
-	if c := s.class[i]; c == ClassStrict || c == ClassRelaxed {
+	if s.class[i].Diurnal() {
 		phase := s.phase[i]
-		peak, sleep := peakSleepUTC(phase, ep.startHour)
+		peak, sleep := peakSleepUTC(phase)
 		bs.Phase, bs.PeakUTCHour, bs.SleepUTCHour = &phase, &peak, &sleep
 	}
 	return bs
@@ -126,11 +128,11 @@ func (ep *Epoch) Lookup(id netsim.BlockID) (BlockStatus, bool) {
 // appended, when a value is not finite.
 func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
 	avail, long, class := s.avail[i], s.long[i], s.class[i]
-	diurnal := class == ClassStrict || class == ClassRelaxed
+	diurnal := class.Diurnal()
 	var phase, peak, sleep float64
 	if diurnal {
 		phase = s.phase[i]
-		peak, sleep = peakSleepUTC(phase, ep.startHour)
+		peak, sleep = peakSleepUTC(phase)
 	}
 	for _, f := range [...]float64{avail, long, phase, peak, sleep} {
 		if math.IsInf(f, 0) || math.IsNaN(f) {
@@ -168,6 +170,13 @@ func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
 	return append(b, '}'), true
 }
 
+// peakSleepUTC maps a midnight-anchored phase to the UTC hours of peak
+// activity and of sleep (peak + 12h).
+func peakSleepUTC(phase float64) (peak, sleep float64) {
+	peak = analysis.UTCPeakHour(phase)
+	return peak, math.Mod(peak+12, 24)
+}
+
 // appendJSONFloat appends a finite f the way encoding/json writes a
 // float64: the shortest decimal that round-trips, in exponent form below
 // 1e-6 and from 1e21 on, with an exponent's leading zero dropped (1e-7, not
@@ -194,7 +203,7 @@ type Summary struct {
 	Down  int       `json:"down"`
 	// MeanAvail is the mean short-term availability across blocks.
 	MeanAvail float64 `json:"mean_avail"`
-	// Class counts from the streaming detector.
+	// Class counts.
 	Unknown    int `json:"unknown"`
 	NonDiurnal int `json:"non_diurnal"`
 	Relaxed    int `json:"relaxed"`
@@ -221,11 +230,11 @@ func (ep *Epoch) Summary(ctx context.Context) (Summary, error) {
 			}
 			s.FailedRounds += int(seg.failed[i])
 			switch seg.class[i] {
-			case ClassStrict:
+			case monitor.ClassStrict:
 				s.Strict++
-			case ClassRelaxed:
+			case monitor.ClassRelaxed:
 				s.Relaxed++
-			case ClassNonDiurnal:
+			case monitor.ClassNonDiurnal:
 				s.NonDiurnal++
 			default:
 				s.Unknown++

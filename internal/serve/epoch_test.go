@@ -16,7 +16,7 @@ import (
 
 // downEngine drives an engine where even-numbered blocks go down in round 1.
 func downEngine(blocks int) *Engine {
-	e := NewEngine(EngineConfig{MinClassifyRounds: 1})
+	e := NewEngine(EngineConfig{})
 	e.BeginRun(monitor.RunInfo{
 		Shards: 1, Rounds: 2, Blocks: blocks,
 		Start: testEpoch, Period: time.Hour, Seed: 1,
@@ -114,9 +114,9 @@ func TestEpochQueriesHonorDeadline(t *testing.T) {
 // zero, or keeps a sign. A value json.Marshal refuses (not finite) makes
 // appendStatus refuse too.
 func TestAppendStatusMatchesMarshal(t *testing.T) {
-	ep := &Epoch{startHour: 17.3}
+	ep := &Epoch{}
 	set := newColSet([]netsim.BlockID{0})
-	check := func(id netsim.BlockID, avail, long, phase float64, down bool, failed int32, class DiurnalClass) {
+	check := func(id netsim.BlockID, avail, long, phase float64, down bool, failed int32, class monitor.Class) {
 		t.Helper()
 		set.ids[0], set.avail[0], set.long[0], set.phase[0] = id, avail, long, phase
 		set.down[0], set.failed[0], set.class[0] = down, failed, class
@@ -133,7 +133,7 @@ func TestAppendStatusMatchesMarshal(t *testing.T) {
 	}
 	edges := []float64{0, math.Copysign(0, -1), 1e-7, -1e-7, 5e-324, 1e21, -1e21, 0.1 + 0.2,
 		1e-6, 9.999999999999999e20, 1, 0.5, 123456789.125, math.MaxFloat64, math.SmallestNonzeroFloat64}
-	classes := []DiurnalClass{ClassUnknown, ClassNonDiurnal, ClassRelaxed, ClassStrict}
+	classes := []monitor.Class{monitor.ClassUnknown, monitor.ClassNonDiurnal, monitor.ClassRelaxed, monitor.ClassStrict}
 	id := netsim.MakeBlockID(200, 17, 3)
 	for _, class := range classes {
 		for _, failed := range []int32{0, 1, 7} {
@@ -163,17 +163,17 @@ func TestAppendStatusMatchesMarshal(t *testing.T) {
 			rng.Intn(2) == 0, int32(rng.Intn(3)*rng.Intn(1000)), classes[rng.Intn(len(classes))])
 	}
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, class := range []DiurnalClass{ClassUnknown, ClassStrict} {
+		for _, class := range []monitor.Class{monitor.ClassUnknown, monitor.ClassStrict} {
 			check(id, bad, 0.5, 0.1, false, 0, class)
 			check(id, 0.5, bad, 0.1, false, 0, class)
 		}
-		check(id, 0.5, 0.5, bad, false, 0, ClassRelaxed)
+		check(id, 0.5, 0.5, bad, false, 0, monitor.ClassRelaxed)
 	}
 }
 
 // segmentedPair feeds a len(sizes)-shard engine and a one-shard engine the
-// same blocks and the same rounds: diurnal, flat and ramping blocks, some
-// going down and back up, some failing rounds.
+// same blocks and the same rounds: diurnal, flat and ramping blocks of every
+// class, some going down and back up, some failing rounds.
 func segmentedPair(sizes []int, rounds int) (multi, single *Engine, ids []netsim.BlockID) {
 	total := 0
 	for _, n := range sizes {
@@ -186,7 +186,7 @@ func segmentedPair(sizes []int, rounds int) (multi, single *Engine, ids []netsim
 		pub[i] = monitor.PubBlock{ID: ids[i]}
 	}
 	begin := func(shards int) *Engine {
-		e := NewEngine(EngineConfig{MinClassifyRounds: 4})
+		e := NewEngine(EngineConfig{})
 		e.BeginRun(monitor.RunInfo{
 			Shards: shards, Rounds: rounds, Blocks: total,
 			Start: testEpoch, Period: time.Hour, Seed: 1,
@@ -216,7 +216,10 @@ func segmentedPair(sizes []int, rounds int) (multi, single *Engine, ids []netsim
 			default:
 				v = float64(r) / float64(rounds)
 			}
-			d := monitor.RoundPub{Avail: v, Long: v / 2, Failed: (b+r)%7 == 0}
+			d := monitor.RoundPub{Avail: v, Long: v / 2, Failed: (b+r)%7 == 0, Class: monitor.Class(b % 4)}
+			if d.Class.Diurnal() {
+				d.Phase = float64(b-r) / 10
+			}
 			switch {
 			case b%5 == 0 && r == rounds/3:
 				d.Event = monitor.PubEventDown

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
 )
 
@@ -394,8 +395,9 @@ func TestHTTPLookupAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items under the race detector; the count is pinned without it")
 	}
 	e := NewEngine(EngineConfig{})
-	drive(e, 2, 72, time.Hour, func(b, r int) float64 {
-		return 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
+	drive(e, 2, 72, time.Hour, func(b, r int) monitor.RoundPub {
+		v := 0.5 + 0.4*math.Cos(2*math.Pi*(float64(r)-8)/24)
+		return monitor.RoundPub{Avail: v, Long: v, Class: monitor.ClassStrict, Phase: -2 * math.Pi * 8 / 24}
 	})
 	s := NewServer(e, ServerConfig{now: fixedNow()})
 	r := httptest.NewRequest("GET", "/v1/block/10.0.1", nil)
@@ -414,12 +416,12 @@ func TestHTTPLookupAllocs(t *testing.T) {
 // complete 500 "encoding failed" document, Content-Length included, not a
 // truncated answer.
 func TestHTTPLookupNonFinite(t *testing.T) {
-	e := NewEngine(EngineConfig{MinClassifyRounds: 1})
-	drive(e, 2, 2, time.Hour, func(b, r int) float64 {
+	e := NewEngine(EngineConfig{})
+	drive(e, 2, 2, time.Hour, func(b, r int) monitor.RoundPub {
 		if b == 1 {
-			return math.Inf(1)
+			return avail(math.Inf(1))
 		}
-		return 0.5
+		return avail(0.5)
 	})
 	s := NewServer(e, ServerConfig{now: fixedNow()})
 	if w := get(t, s, "/v1/block/10.0.0"); w.Code != 200 {
