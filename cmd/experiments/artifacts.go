@@ -8,6 +8,7 @@ import (
 
 	"sleepnet/internal/analysis"
 	"sleepnet/internal/core"
+	"sleepnet/internal/dsp"
 	"sleepnet/internal/geo"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/report"
@@ -167,16 +168,19 @@ func (e *env) printSample(run *core.BlockRun, res core.DiurnalResult, truth []fl
 	}
 	if fftToo {
 		e.printf("\nFFT amplitude (bins 1..%d; diurnal bin N_d = %d):\n", 4*run.Days, run.Days)
-		e.printSpectrum(res, run.Days)
+		e.printSpectrum(run)
 		e.printf("diurnal amp %.2f, next strongest non-harmonic %.2f, peak bin %d\n",
 			res.DiurnalAmp, res.NextAmp, res.PeakBin)
 	}
 }
 
-// printSpectrum charts amplitude bins 1..4·days.
-func (e *env) printSpectrum(res core.DiurnalResult, days int) {
-	amps := res.Spectrum.Amp
-	hi := min(4*days, len(amps)-1)
+// printSpectrum charts amplitude bins 1..4·days of the spectrum the detector
+// classified run by: its midnight-trimmed series, detrended as
+// core.DetectDiurnal detrends it.
+func (e *env) printSpectrum(run *core.BlockRun) {
+	vals := run.Trimmed.Values
+	amps := dsp.NewSpectrumScratch(dsp.DetrendLinearInto(make([]float64, len(vals)), vals), nil).Amp
+	hi := min(4*run.Days, len(amps)-1)
 	e.printf("%s", report.Series(amps[1:hi+1], 100, 8))
 }
 
@@ -236,7 +240,7 @@ func fig6(e *env) []claim {
 	e.printf("class=%s fundamental bin=%d (N_d=%d) amp=%.2f next=%.2f\n",
 		res.Class, res.FundamentalBin, run.Days,
 		res.DiurnalAmp, res.NextAmp)
-	e.printSpectrum(res, run.Days)
+	e.printSpectrum(run)
 	return peakClaims(res, res.FundamentalBin, run.Days)
 }
 

@@ -34,7 +34,7 @@ type campaign struct {
 func campaignFlags(fs *flag.FlagSet) *campaign {
 	return &campaign{
 		blocks:      fs.Int("blocks", 500, "number of /24 blocks in the world"),
-		rounds:      fs.Int("rounds", 131, "rounds to monitor (131 x 11 min is about one day)"),
+		rounds:      fs.Int("rounds", 400, "rounds to monitor, 11 min each; a block has a class from round 299, two whole UTC days after the 17:18 UTC start"),
 		shards:      fs.Int("shards", 4, "worker shards (execution detail; results are shard-count independent)"),
 		seed:        fs.Uint64("seed", 42, "seed"),
 		outages:     fs.Float64("outages", 0.15, "base outage episodes per block-week (0 disables)"),

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"sleepnet/internal/monitor"
+	"sleepnet/internal/serve"
 )
 
 func TestExplainWALError(t *testing.T) {
@@ -79,6 +81,42 @@ func TestResumeHintNamesTheCampaign(t *testing.T) {
 			got.Seed, got.Start, got.Rounds, got.Shards, got.WALDir,
 			want.Seed, want.Start, want.Rounds, want.Shards, want.WALDir)
 	}
+}
+
+// TestDefaultRoundsDecideAClass runs the campaign the default flags
+// describe, on a small world, into a serve engine. A block has a class only
+// once its series holds two whole UTC days, so the default -rounds must
+// reach past that: the final epoch serves at least one decided class.
+func TestDefaultRoundsDecideAClass(t *testing.T) {
+	fs := flag.NewFlagSet("sleepscan serve", flag.ContinueOnError)
+	c := campaignFlags(fs)
+	if err := fs.Parse([]string{"-blocks", "20"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, stop, err := c.monitorConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	eng := serve.NewEngine(serve.EngineConfig{Metrics: c.reg})
+	cfg.Sink = eng
+	m, err := monitor.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run(context.Background())
+	if err != nil || !res.Completed {
+		t.Fatalf("campaign did not complete: %v (%+v)", err, res)
+	}
+	sum, err := eng.Epoch().Summary(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum.Unknown == sum.Blocks {
+		t.Fatalf("-rounds %d: every one of %d blocks is unknown at epoch %d", *c.rounds, sum.Blocks, sum.Epoch)
+	}
+	t.Logf("epoch %d: %d strict, %d relaxed, %d non-diurnal, %d unknown", sum.Epoch,
+		sum.Strict, sum.Relaxed, sum.NonDiurnal, sum.Unknown)
 }
 
 // TestMonitorCampaign drives sleepscan monitor end to end over one -wal

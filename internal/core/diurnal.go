@@ -66,8 +66,6 @@ type DiurnalResult struct {
 	// Phase is the angle of the 1-cycle/day FFT coefficient in (-pi, pi];
 	// meaningful only for diurnal blocks (random otherwise).
 	Phase float64
-	// Spectrum retains the one-sided spectrum for plotting (Figs 1, 3, 6).
-	Spectrum *dsp.Spectrum
 }
 
 // scratchPool shares warm dsp workspaces across the concurrent pipeline
@@ -87,10 +85,10 @@ func DetectDiurnal(values []float64, days int) (DiurnalResult, error) {
 	return DetectDiurnalScratch(values, days, sc)
 }
 
-// DetectDiurnalScratch is DetectDiurnal staging the detrended series and
-// transform temporaries through the caller's scratch. Steady state it
-// allocates only the retained Spectrum; the scratch must not be shared
-// across goroutines.
+// DetectDiurnalScratch is DetectDiurnal staging the detrended series, the
+// transform temporaries and the spectrum's bins through the caller's
+// scratch. Steady state it allocates nothing; the scratch must not be
+// shared across goroutines.
 func DetectDiurnalScratch(values []float64, days int, sc *dsp.Scratch) (DiurnalResult, error) {
 	if days < 2 {
 		return DiurnalResult{}, fmt.Errorf("core: DetectDiurnal needs >= 2 days, got %d", days)
@@ -101,8 +99,8 @@ func DetectDiurnalScratch(values []float64, days int, sc *dsp.Scratch) (DiurnalR
 	// Remove the mean so bin 0 does not dominate, and remove any linear
 	// trend so slow drift is not mistaken for low-frequency strength.
 	detrended := dsp.DetrendLinearInto(sc.Floats(len(values)), values)
-	spec := dsp.NewSpectrumScratch(detrended, sc)
-	res := DiurnalResult{Days: days, Spectrum: spec}
+	spec := dsp.ScratchSpectrum(detrended, sc)
+	res := DiurnalResult{Days: days}
 
 	kd := days
 	// Fundamental: the stronger of bins N_d and N_d+1.

@@ -291,7 +291,7 @@ func (p *Plan) RealForward(dst []complex128, x []float64, s *Scratch) []complex1
 	if p.n > 0 {
 		keep = p.n/2 + 1
 	}
-	dst = growComplex(dst, keep)
+	dst = grow(dst, keep)
 	stop := observeFFT(p.n)
 	p.realForwardInto(dst, x, s)
 	if stop != nil {
@@ -496,21 +496,22 @@ func (p *radix2Plan) butterflies(a []complex128, inverse bool, from int) {
 // call. A Scratch must not be used concurrently; keep one per goroutine
 // (or pass nil to borrow from a pool).
 type Scratch struct {
-	a []complex128 // Bluestein convolution work array (length m)
-	z []complex128 // real-input staging / packed half-length series
-	f []float64    // detrended-values staging for callers
+	a    []complex128 // Bluestein convolution work array (length m)
+	z    []complex128 // real-input staging / packed half-length series
+	f    []float64    // detrended-values staging for callers
+	spec Spectrum     // ScratchSpectrum's bins
 }
 
 // NewScratch returns an empty workspace; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
 
 func (s *Scratch) complexA(n int) []complex128 {
-	s.a = growComplex(s.a, n)
+	s.a = grow(s.a, n)
 	return s.a
 }
 
 func (s *Scratch) complexZ(n int) []complex128 {
-	s.z = growComplex(s.z, n)
+	s.z = grow(s.z, n)
 	return s.z
 }
 
@@ -518,18 +519,15 @@ func (s *Scratch) complexZ(n int) []complex128 {
 // callers staging derived series (e.g. detrended values) without
 // allocating per call. Contents are unspecified on return.
 func (s *Scratch) Floats(n int) []float64 {
-	if cap(s.f) < n {
-		s.f = make([]float64, n)
-	}
-	s.f = s.f[:n]
+	s.f = grow(s.f, n)
 	return s.f
 }
 
-// growComplex returns b resized to length n, reallocating only when
-// capacity is short. Contents are unspecified.
-func growComplex(b []complex128, n int) []complex128 {
+// grow returns b resized to length n, reallocating only when capacity is
+// short. Contents are unspecified.
+func grow[T any](b []T, n int) []T {
 	if cap(b) < n {
-		return make([]complex128, n)
+		return make([]T, n)
 	}
 	return b[:n]
 }

@@ -379,7 +379,8 @@ func TestKernelMatchesStageLoop(t *testing.T) {
 // TestSpectrumMatchesStageLoop holds NewSpectrumScratch — the gathers,
 // the folded first stage and the fused kernel together — to the plain
 // passes' coefficient bits, over planTestLengths plus the 7-day and
-// 14-day series lengths (915 and 1832).
+// 14-day series lengths (915 and 1832). ScratchSpectrum, whose bins are the
+// one scratch's across every length, must give the same bits.
 func TestSpectrumMatchesStageLoop(t *testing.T) {
 	r := rand.New(rand.NewSource(48))
 	s := NewScratch()
@@ -391,9 +392,17 @@ func TestSpectrumMatchesStageLoop(t *testing.T) {
 		for in, x := range inputs {
 			want := refExact(x)
 			got := NewSpectrumScratch(x, s).Coef
+			staged := ScratchSpectrum(x, s)
+			if len(staged.Coef) != len(got) || len(staged.Amp) != len(got) || staged.N != n {
+				t.Fatalf("n=%d: ScratchSpectrum has N %d, %d coefficients and %d amplitudes, want %d bins",
+					n, staged.N, len(staged.Coef), len(staged.Amp), len(got))
+			}
 			for k := range want {
 				if !sameBits(got[k], want[k]) {
 					t.Fatalf("n=%d input %d bin %d: %v, plain passes %v", n, in, k, got[k], want[k])
+				}
+				if !sameBits(staged.Coef[k], want[k]) {
+					t.Fatalf("n=%d input %d bin %d: ScratchSpectrum %v, plain passes %v", n, in, k, staged.Coef[k], want[k])
 				}
 			}
 		}
@@ -441,12 +450,17 @@ func TestBluesteinMatchesStageLoop(t *testing.T) {
 
 // TestSpectrumScratchAllocs pins the warm exact transform at the 14-day
 // series length: NewSpectrumScratch allocates the returned Spectrum (the
-// struct and its Coef and Amp slices) and nothing else.
+// struct and its Coef and Amp slices) and nothing else, and
+// ScratchSpectrum allocates nothing.
 func TestSpectrumScratchAllocs(t *testing.T) {
 	x := randReal(rand.New(rand.NewSource(49)), 1832)
 	s := NewScratch()
 	NewSpectrumScratch(x, s)
 	if avg := testing.AllocsPerRun(50, func() { NewSpectrumScratch(x, s) }); avg != 3 {
 		t.Fatalf("warm NewSpectrumScratch allocates %.2f times, want 3 (Spectrum, Coef, Amp)", avg)
+	}
+	ScratchSpectrum(x, s)
+	if avg := testing.AllocsPerRun(50, func() { ScratchSpectrum(x, s) }); avg != 0 {
+		t.Fatalf("warm ScratchSpectrum allocates %.2f times, want 0", avg)
 	}
 }

@@ -33,16 +33,31 @@ func NewSpectrumScratch(x []float64, sc *Scratch) *Spectrum {
 		sc = getScratch()
 		defer putScratch(sc)
 	}
+	s := new(Spectrum)
+	s.fill(x, sc)
+	return s
+}
+
+// ScratchSpectrum is NewSpectrumScratch with the bins staged in sc as well:
+// warm, it allocates nothing. sc must not be nil: the returned Spectrum
+// belongs to it and is overwritten by its next use, so a caller that keeps
+// bins copies them.
+func ScratchSpectrum(x []float64, sc *Scratch) *Spectrum {
+	sc.spec.fill(x, sc)
+	return &sc.spec
+}
+
+// fill computes the spectrum of x into s, reusing s's Coef and Amp storage
+// where it is large enough.
+func (s *Spectrum) fill(x []float64, sc *Scratch) {
 	n := len(x)
 	keep := n/2 + 1
 	if n == 0 {
 		keep = 0
 	}
-	s := &Spectrum{
-		N:    n,
-		Coef: make([]complex128, keep),
-		Amp:  make([]float64, keep),
-	}
+	s.N = n
+	s.Coef = grow(s.Coef, keep)
+	s.Amp = grow(s.Amp, keep)
 	stop := observeFFT(n)
 	PlanFor(n).realForwardExactInto(s.Coef, x, sc)
 	if stop != nil {
@@ -51,7 +66,6 @@ func NewSpectrumScratch(x []float64, sc *Scratch) *Spectrum {
 	for k := 0; k < keep; k++ {
 		s.Amp[k] = cmplx.Abs(s.Coef[k])
 	}
-	return s
 }
 
 // Phase returns the phase angle of bin k in radians in (-pi, pi].

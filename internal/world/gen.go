@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"sleepnet/internal/netsim"
@@ -116,6 +118,10 @@ func Generate(cfg Config) (*World, error) {
 		Config:     cfg,
 	}
 	r := rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x51eef))
+	// Every draw from r stays on this goroutine, in generation order; only
+	// the block-keyed outage schedules leave it (see outageWorkers).
+	sched := startOutageWorkers(cfg)
+	built := make([]*netsim.Block, 0, cfg.Blocks) // generation order, registered once sched is done
 	total := TotalWeight()
 	nextSlash8 := 1
 	nextASN := 1000
@@ -211,11 +217,17 @@ func Generate(cfg Config) (*World, error) {
 			info.DesignedDiurnal = r.Float64() < p
 
 			blk := buildBlock(info, cfg, r)
-			injectOutages(blk, info, cfg)
-			w.Net.AddBlock(blk)
+			sched.schedule(blk, c.GDP)
+			built = append(built, blk)
 			w.Blocks = append(w.Blocks, info)
 			w.ByID[id] = info
 		}
+	}
+	sched.wait()
+	// AddBlock converts each block's Outages into its span list, so it runs
+	// only once every schedule is written.
+	for _, blk := range built {
+		w.Net.AddBlock(blk)
 	}
 	sort.Slice(w.Blocks, func(i, j int) bool { return w.Blocks[i].ID < w.Blocks[j].ID })
 	return w, nil
@@ -365,32 +377,91 @@ func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 	return blk
 }
 
-// injectOutages schedules whole-block outages over the horizon. Rates scale
-// with national infrastructure quality: at the same base rate, a $5k-GDP
-// country sees several times the outages of a $50k one — the reliability
-// gradient the Trinocular line of work reports. A dedicated RNG keyed by
-// block id keeps outage draws from perturbing the rest of generation.
-func injectOutages(blk *netsim.Block, info *BlockInfo, cfg Config) {
+// outageJob is one block whose outage schedule a worker writes.
+type outageJob struct {
+	blk *netsim.Block
+	gdp float64
+}
+
+// outageWorkers computes outage schedules off the generator's serial loop.
+// A schedule is a pure function of the block id, its country's GDP and the
+// config, and draws nothing from the generator's stream, so GOMAXPROCS
+// workers can write them in any order while the loop goes on drawing; the
+// world is the same at every worker count. A nil *outageWorkers (a world
+// without outages) schedules nothing and starts no goroutine.
+type outageWorkers struct {
+	cfg  Config
+	jobs chan outageJob
+	wg   sync.WaitGroup
+}
+
+// startOutageWorkers starts the workers, or returns nil when cfg plants no
+// outages.
+func startOutageWorkers(cfg Config) *outageWorkers {
 	if cfg.OutagesPerBlockWeek <= 0 {
-		return
+		return nil
 	}
-	r := rand.New(rand.NewSource(int64(uint64(info.ID)*0x9e3779b9 ^ cfg.Seed ^ 0x07a6e)))
-	mult := clampF(2.6-2.2*info.Country.GDP/50000, 0.3, 2.6)
+	n := runtime.GOMAXPROCS(0)
+	// 64 jobs a worker let the loop run ahead of a worker that is
+	// briefly descheduled instead of stalling on it, while the queue stays
+	// a few KB rather than one job a block of the world.
+	o := &outageWorkers{cfg: cfg, jobs: make(chan outageJob, 64*n)}
+	o.wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func() {
+			defer o.wg.Done()
+			// One source a worker, reseeded per block: Seed(k) restarts the
+			// stream rand.NewSource(k) would give, without allocating one.
+			r := rand.New(rand.NewSource(0))
+			for j := range o.jobs {
+				j.blk.Outages = outageSchedule(r, j.blk.ID, j.gdp, o.cfg)
+			}
+		}()
+	}
+	return o
+}
+
+// schedule hands blk to the workers; blk is not to be touched again until
+// wait returns.
+func (o *outageWorkers) schedule(blk *netsim.Block, gdp float64) {
+	if o != nil {
+		o.jobs <- outageJob{blk, gdp}
+	}
+}
+
+// wait returns once every scheduled block has its outages.
+func (o *outageWorkers) wait() {
+	if o != nil {
+		close(o.jobs)
+		o.wg.Wait()
+	}
+}
+
+// outageSchedule returns block id's whole-block outages over the horizon.
+// Rates scale with national infrastructure quality: at the same base rate,
+// a $5k-GDP country sees several times the outages of a $50k one — the
+// reliability gradient the Trinocular line of work reports. r is reseeded
+// with a key of the block id, which keeps outage draws from perturbing the
+// rest of generation.
+func outageSchedule(r *rand.Rand, id netsim.BlockID, gdp float64, cfg Config) []netsim.Interval {
+	r.Seed(int64(uint64(id)*0x9e3779b9 ^ cfg.Seed ^ 0x07a6e))
+	mult := clampF(2.6-2.2*gdp/50000, 0.3, 2.6)
 	rate := cfg.OutagesPerBlockWeek * mult // episodes per week
 	// Poisson process via exponential gaps.
+	var out []netsim.Interval
 	t := time.Duration(0)
 	epoch := time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC)
 	for {
 		gap := time.Duration(r.ExpFloat64() / rate * float64(7*24*time.Hour))
 		t += gap
 		if t >= outageHorizon {
-			return
+			return out
 		}
 		// Lognormal-ish duration around two hours, clamped to [22m, 48h].
 		durHours := math.Exp(math.Log(2) + r.NormFloat64())
 		dur := time.Duration(clampF(durHours, 0.37, 48) * float64(time.Hour))
 		start := epoch.Add(t)
-		blk.Outages = append(blk.Outages, netsim.Interval{Start: start, End: start.Add(dur)})
+		out = append(out, netsim.Interval{Start: start, End: start.Add(dur)})
 		t += dur
 	}
 }

@@ -1,6 +1,9 @@
 package world
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -149,23 +152,59 @@ func TestGenerateBasics(t *testing.T) {
 	}
 }
 
-func TestGenerateDeterministic(t *testing.T) {
-	w1, err := Generate(Config{Blocks: 400, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := Generate(Config{Blocks: 400, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w1.Blocks) != len(w2.Blocks) {
-		t.Fatalf("lengths differ: %d vs %d", len(w1.Blocks), len(w2.Blocks))
-	}
-	for i := range w1.Blocks {
-		a, b := w1.Blocks[i], w2.Blocks[i]
-		if a.ID != b.ID || a.DesignedDiurnal != b.DesignedDiurnal || a.LinkType != b.LinkType || a.Lon != b.Lon {
-			t.Fatalf("block %d differs: %+v vs %+v", i, a, b)
+// worldDigest hashes everything a generated world holds: every BlockInfo
+// field, each netsim block's path parameters, seed, hops and outage
+// intervals, its ever-active addresses, and its ground-truth answers
+// (TrueCounts) at fixed instants spread over a week of the campaign.
+func worldDigest(w *World) string {
+	h := sha256.New()
+	start := time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
+	for _, b := range w.Blocks {
+		fmt.Fprintln(h, b.ID, b.Country.Code, b.Lat, b.Lon, b.CountryCentroid, b.ASN, b.OrgName,
+			b.LinkType, b.Slash8, b.AllocDate.UnixNano(), b.DesignedDiurnal,
+			b.NumStable, b.NumDiurnal, b.NumIntermittent, b.LocalOnHour, int64(b.LeasePeriod))
+		blk := w.Net.Block(b.ID)
+		fmt.Fprintln(h, blk.Loss, int64(blk.LatencyBase), int64(blk.LatencyJitter), blk.Seed, blk.PathHops(),
+			blk.ReplyRateLimit, blk.GatewayUnreachableProb, blk.EverActive())
+		for _, iv := range blk.Outages {
+			fmt.Fprintln(h, iv.Start.UnixNano(), iv.End.UnixNano())
 		}
+		for k := 0; k < 24; k++ {
+			up, ever := blk.TrueCounts(start.Add(time.Duration(k) * (7*time.Hour + 13*time.Minute)))
+			fmt.Fprintln(h, up, ever)
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGenerateDeterministic pins two whole worlds to the digests they had
+// when every outage schedule was drawn inline in the generator's serial
+// loop: the benchmark's study shape (outage schedules on workers) and an
+// outage-free world (no workers). Each must come out the same at every
+// worker count.
+func TestGenerateDeterministic(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"study", Config{Blocks: 2500, Seed: 42, OutagesPerBlockWeek: 0.15}, "79e44d69c27c20f5c4c74e0407b17d7472f0cc081d1b373a6e550e8e4db4b10c"},
+		{"outage-free", Config{Blocks: 400, Seed: 11}, "8b876fb33581a1c4a3b683706134d4876281dd2416172b29584b2b4d68147dd5"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, procs := range []int{1, 2, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				w, err := Generate(tc.cfg)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := worldDigest(w); got != tc.want {
+					t.Errorf("GOMAXPROCS %d: world digest %s, want %s", procs, got, tc.want)
+				}
+			}
+		})
 	}
 }
 
@@ -333,12 +372,27 @@ func TestRegionHelpers(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate2000(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(Config{Blocks: 2000, Seed: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
+// BenchmarkGenerate times whole worlds: an outage-free one, which takes the
+// serial loop alone, and the benchmark's study shape, whose outage
+// schedules run on the workers.
+func BenchmarkGenerate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"outage-free-2000", Config{Blocks: 2000}},
+		{"study-2500", Config{Blocks: 2500, OutagesPerBlockWeek: 0.15}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := bc.cfg
+			for i := 0; i < b.N; i++ {
+				cfg.Seed = uint64(i)
+				if _, err := Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
