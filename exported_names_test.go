@@ -36,7 +36,6 @@ var exportedWithoutCallers = map[string]string{
 	"faults.SlowLoris":               testHarness, // and, by name, faults.Malformed
 	"faults.ConnChurn":               testHarness,
 	"faults.Flood":                   testHarness,
-	"netsim.Network.ProbesToBlock":   observedState,
 	"faults.Injector.Totals":         observedState,
 	"metrics.Snapshot.Deterministic": observedState,
 	"dsp.SetPlanCacheLimit":          observedState,

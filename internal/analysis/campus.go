@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sync"
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
@@ -44,17 +43,18 @@ func ValidateCampus(c *world.Campus, sc StudyConfig) (*CampusResult, error) {
 	for i, cb := range c.Blocks {
 		ids[i] = cb.ID
 	}
-	res := &CampusResult{PerCategory: make(map[world.CampusCategory]*CampusCategoryResult)}
-	var mu sync.Mutex
-	var firstErr error
+	classes := make([]core.DiurnalClass, len(ids))
+	errs := make([]error, len(ids))
 	pl.RunAll(ids, sc.Workers, func(i int, run *core.BlockRun, err error) {
-		var dr core.DiurnalResult
 		if err == nil {
+			var dr core.DiurnalResult
 			dr, err = pl.Classify(run)
+			classes[i] = dr.Class
 		}
-		class := dr.Class
-		mu.Lock()
-		defer mu.Unlock()
+		errs[i] = err
+	})
+	res := &CampusResult{PerCategory: make(map[world.CampusCategory]*CampusCategoryResult)}
+	for i, err := range errs {
 		cat := res.PerCategory[c.Blocks[i].Category]
 		if cat == nil {
 			cat = &CampusCategoryResult{}
@@ -66,22 +66,17 @@ func ValidateCampus(c *world.Campus, sc StudyConfig) (*CampusResult, error) {
 			cat.Excluded++
 			res.Excluded++
 		case err != nil:
-			if firstErr == nil {
-				firstErr = err
-			}
+			return nil, err
 		default:
 			cat.Probed++
 			res.Measured++
-			if class.IsDiurnal() {
+			if classes[i].IsDiurnal() {
 				cat.Detected++
 			}
-			if class == core.StrictDiurnal {
+			if classes[i] == core.StrictDiurnal {
 				cat.Strict++
 			}
 		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	if res.Measured == 0 {
 		return nil, fmt.Errorf("analysis: no campus blocks measured")

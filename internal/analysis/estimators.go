@@ -3,14 +3,13 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/par"
 	"sleepnet/internal/stats"
 	"sleepnet/internal/timeseries"
 	"sleepnet/internal/world"
@@ -64,29 +63,29 @@ type surveyor interface {
 // forEachSurveyed probes and surveys every block and hands each (run,
 // survey) pair to fn, with the block's index, concurrently. Blocks below
 // Trinocular's policy floor are skipped, by design; any other failure, fn's
-// included, is reported once every block has been tried — the first one
-// wins.
+// included, is reported once every block has been tried — the lowest
+// failing index's, whatever the worker count.
 func forEachSurveyed(pl surveyor, blocks []*world.BlockInfo, workers int, fn func(i int, run *core.BlockRun, sv timeseries.Series) error) error {
 	ids := make([]netsim.BlockID, len(blocks))
 	for i, b := range blocks {
 		ids[i] = b.ID
 	}
-	var first firstError
+	errs := make([]error, len(ids))
 	pl.RunAll(ids, workers, func(i int, run *core.BlockRun, err error) {
 		if err != nil {
 			if !isSparse(err) {
-				first.set(err)
+				errs[i] = err
 			}
 			return
 		}
 		sv, err := pl.Survey(ids[i])
 		if err != nil {
-			first.set(err)
+			errs[i] = err
 			return
 		}
-		first.set(fn(i, run, sv))
+		errs[i] = fn(i, run, sv)
 	})
-	return first.err
+	return lowestError(errs)
 }
 
 // quartileColumns is the number of truth columns Figs 4 and 5 draw quartile
@@ -218,9 +217,6 @@ func (p *truthPartial) column(g int) []float64 {
 // NaN for an empty column — sorting the columns on up to workers
 // goroutines (GOMAXPROCS when workers <= 0), largest first.
 func columnQuartiles(parts []truthPartial, workers int) [][]float64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	var size [quartileColumns]int
 	order := make([]int, quartileColumns)
 	for g := range order {
@@ -232,24 +228,15 @@ func columnQuartiles(parts []truthPartial, workers int) [][]float64 {
 	sort.Slice(order, func(a, b int) bool { return size[order[a]] > size[order[b]] })
 
 	out := make([][]float64, quartileColumns)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := min(workers, quartileColumns); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for k := int(next.Add(1)) - 1; k < quartileColumns; k = int(next.Add(1)) - 1 {
-				g := order[k]
-				col := make([]float64, 0, size[g])
-				for i := range parts {
-					col = append(col, parts[i].column(g)...)
-				}
-				slices.Sort(col)
-				out[g] = stats.QuantilesSorted(col, 0.25, 0.5, 0.75)
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(quartileColumns, 1, workers, func(k, _ int) {
+		g := order[k]
+		col := make([]float64, 0, size[g])
+		for i := range parts {
+			col = append(col, parts[i].column(g)...)
+		}
+		slices.Sort(col)
+		out[g] = stats.QuantilesSorted(col, 0.25, 0.5, 0.75)
+	})
 	return out
 }
 
@@ -349,9 +336,9 @@ func ValidateDiurnalDetection(w *world.World, cfg core.PipelineConfig, workers i
 }
 
 func validateDetection(pl surveyor, blocks []*world.BlockInfo, workers int) (*DiurnalValidation, error) {
-	var mu sync.Mutex
 	var v DiurnalValidation
-	err := forEachSurveyed(pl, blocks, workers, func(_ int, run *core.BlockRun, sv timeseries.Series) error {
+	cells := make([]*int, len(blocks)) // each validated block's cell of v, counted after the loop
+	err := forEachSurveyed(pl, blocks, workers, func(i int, run *core.BlockRun, sv timeseries.Series) error {
 		truthRes, _, err := core.ClassifySeries(sv)
 		if err != nil {
 			return fmt.Errorf("analysis: classifying the survey of %s: %w", run.ID, err)
@@ -362,22 +349,25 @@ func validateDetection(pl surveyor, blocks []*world.BlockInfo, workers int) (*Di
 		}
 		truth := truthRes.Class == core.StrictDiurnal
 		pred := predRes.Class == core.StrictDiurnal
-		mu.Lock()
-		defer mu.Unlock()
 		switch {
 		case truth && pred:
-			v.TruePos++
+			cells[i] = &v.TruePos
 		case !truth && !pred:
-			v.TrueNeg++
+			cells[i] = &v.TrueNeg
 		case truth && !pred:
-			v.FalseNeg++
+			cells[i] = &v.FalseNeg
 		default:
-			v.FalsePos++
+			cells[i] = &v.FalsePos
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	for _, c := range cells {
+		if c != nil {
+			*c++
+		}
 	}
 	if v.Total() == 0 {
 		return nil, fmt.Errorf("analysis: no blocks validated")

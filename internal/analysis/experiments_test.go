@@ -255,35 +255,50 @@ func TestQuartileColumns(t *testing.T) {
 	}
 }
 
-// failingSurvey is a pipeline whose survey of one block fails.
+// failingSurvey is a pipeline whose survey of some blocks fails, each with
+// its own error.
 type failingSurvey struct {
 	*core.Pipeline
-	bad netsim.BlockID
+	bad map[netsim.BlockID]error
 }
 
-var errSurveyLost = errors.New("survey lost")
+var errSurveyLost, errSurveyTorn = errors.New("survey lost"), errors.New("survey torn")
 
 func (f failingSurvey) Survey(id netsim.BlockID) (timeseries.Series, error) {
-	if id == f.bad {
-		return timeseries.Series{}, errSurveyLost
+	if err := f.bad[id]; err != nil {
+		return timeseries.Series{}, err
 	}
 	return f.Pipeline.Survey(id)
 }
 
 // A block whose survey (or survey classification) fails must fail the
-// validation, not quietly shrink the confusion matrix.
+// validation, not quietly shrink the confusion matrix; with two failing
+// blocks the lower index's error is the one reported, at every worker
+// count and whichever block fails first.
 func TestValidateDiurnalDetectionReportsSurveyFailure(t *testing.T) {
 	w := smallWorld(t, 20, 47)
 	pl := core.NewPipeline(w.Net, surveyCfg(3, 9))
 	blocks := w.Blocks[:min(len(w.Blocks), 12)]
-	var bad netsim.BlockID
+	var probed []netsim.BlockID // blocks the validation does not skip as sparse
 	for _, b := range blocks {
 		if _, err := pl.RunBlock(b.ID); err == nil {
-			bad = b.ID // a block the validation does not skip as sparse
+			probed = append(probed, b.ID)
 		}
 	}
-	if _, err := validateDetection(failingSurvey{pl, bad}, blocks, 2); !errors.Is(err, errSurveyLost) {
+	if len(probed) < 2 {
+		t.Fatalf("fixture: %d probed blocks, want two to fail", len(probed))
+	}
+	first, last := probed[0], probed[len(probed)-1]
+	if _, err := validateDetection(failingSurvey{pl, map[netsim.BlockID]error{last: errSurveyLost}}, blocks, 2); !errors.Is(err, errSurveyLost) {
 		t.Fatalf("validation with a failed survey returned %v, want %v", err, errSurveyLost)
+	}
+	two := failingSurvey{pl, map[netsim.BlockID]error{first: errSurveyTorn, last: errSurveyLost}}
+	for _, workers := range []int{1, 2, 8} {
+		for rep := 0; rep < 20; rep++ {
+			if _, err := validateDetection(two, blocks, workers); !errors.Is(err, errSurveyTorn) {
+				t.Fatalf("workers %d, run %d: two failed surveys returned %v, want the lower block's %v", workers, rep, err, errSurveyTorn)
+			}
+		}
 	}
 	if _, err := validateDetection(pl, blocks, 2); err != nil {
 		t.Fatalf("validation over the same blocks with a working survey: %v", err)

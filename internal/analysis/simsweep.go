@@ -3,13 +3,12 @@ package analysis
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/par"
 	"sleepnet/internal/stats"
 )
 
@@ -75,61 +74,36 @@ type SweepPoint struct {
 // runSweepPoint runs Batches x PerBatch controlled experiments and scores
 // strict-diurnal detection accuracy.
 //
-// It keeps a worker pool of its own, GOMAXPROCS wide as RunAll's is, the one
-// batch campaign that does not go through core.Pipeline.RunAll: its jobs are
-// not blocks of one network but whole single-block networks, each with a
-// pipeline seeded per experiment, so regrouping them into one campaign would
-// re-seed every prober and move Figs 7–9. Results are counts, so they do not
-// depend on the pool's width.
+// It is the one batch campaign that does not go through
+// core.Pipeline.RunAll: its jobs are not blocks of one network but whole
+// single-block networks, each with a pipeline seeded per experiment, so
+// regrouping them into one campaign would re-seed every prober and move
+// Figs 7–9. par.For deals the experiments one a chunk across GOMAXPROCS
+// goroutines; job j = batch·PerBatch + exp writes only slot j, and the
+// counts are taken in job order afterwards, so neither the accuracy nor the
+// error reported depends on the worker count.
 func runSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 	cfg = cfg.withDefaults()
 	if cfg.nDiurnal < 1 || cfg.nDiurnal+sweepStable > 255 {
 		return SweepPoint{}, fmt.Errorf("analysis: bad population %d stable + %d diurnal", sweepStable, cfg.nDiurnal)
 	}
 	pt := SweepPoint{X: x, BatchAccuracy: make([]float64, cfg.Batches)}
-	type job struct{ batch, exp int }
-	type res struct {
-		batch    int
-		detected bool
-		err      error
+	jobs := cfg.Batches * cfg.PerBatch
+	detected := make([]bool, jobs)
+	errs := make([]error, jobs)
+	par.For(jobs, 1, 0, func(j, _ int) {
+		detected[j], errs[j] = runControlledExperiment(cfg, j/cfg.PerBatch, j%cfg.PerBatch)
+	})
+	if err := lowestError(errs); err != nil {
+		return SweepPoint{}, err
 	}
-	jobs := make(chan job)
-	results := make(chan res)
-	var wg sync.WaitGroup
-	for wkr := 0; wkr < runtime.GOMAXPROCS(0); wkr++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				det, err := runControlledExperiment(cfg, j.batch, j.exp)
-				results <- res{batch: j.batch, detected: det, err: err}
-			}
-		}()
-	}
-	go func() {
-		for b := 0; b < cfg.Batches; b++ {
-			for e := 0; e < cfg.PerBatch; e++ {
-				jobs <- job{b, e}
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
 	detectedPerBatch := make([]int, cfg.Batches)
 	totalDetected := 0
-	var firstErr error
-	for r := range results {
-		if r.err != nil && firstErr == nil {
-			firstErr = r.err
-		}
-		if r.detected {
-			detectedPerBatch[r.batch]++
+	for j, d := range detected {
+		if d {
+			detectedPerBatch[j/cfg.PerBatch]++
 			totalDetected++
 		}
-	}
-	if firstErr != nil {
-		return SweepPoint{}, firstErr
 	}
 	for b := range pt.BatchAccuracy {
 		pt.BatchAccuracy[b] = float64(detectedPerBatch[b]) / float64(cfg.PerBatch)

@@ -14,7 +14,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"sleepnet/internal/core"
@@ -142,22 +141,16 @@ func (c StudyConfig) pipelineConfig() core.PipelineConfig {
 	}
 }
 
-// firstError keeps the first error reported by RunAll's concurrent
-// callbacks; later ones, and nil, are dropped.
-type firstError struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstError) set(err error) {
-	if err == nil {
-		return
+// lowestError returns the non-nil error of the lowest index, or nil: the
+// one a campaign whose blocks fail concurrently reports, the same whatever
+// order they failed in.
+func lowestError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.err == nil {
-		f.err = err
-	}
+	return nil
 }
 
 // MeasureWorld runs the full §2 pipeline over every block of the world in
@@ -200,7 +193,7 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 			ids = append(ids, b.ID)
 		}
 	}
-	var ckptErr firstError
+	ckptErrs := make([]error, len(ids))
 	pl.RunAll(ids, sc.Workers, func(k int, run *core.BlockRun, err error) {
 		i := todo[k]
 		var res core.DiurnalResult
@@ -212,15 +205,15 @@ func MeasureWorld(w *world.World, sc StudyConfig) (*Study, error) {
 		sm.record(mb)
 		study.Blocks[i] = mb
 		if cw != nil {
-			ckptErr.set(cw.Append(i, mb))
+			ckptErrs[k] = cw.Append(i, mb)
 		}
 	})
 	if cw == nil {
 		return study, nil
 	}
-	if ckptErr.err != nil {
+	if err := lowestError(ckptErrs); err != nil {
 		_ = cw.f.Close() // best effort: the append error is the one to surface; the file stays resumable
-		return nil, ckptErr.err
+		return nil, err
 	}
 	if err := cw.Finish(sc.Metrics); err != nil {
 		return nil, err

@@ -3,12 +3,11 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/par"
 	"sleepnet/internal/prf"
 	"sleepnet/internal/timeseries"
 	"sleepnet/internal/trinocular"
@@ -335,28 +334,15 @@ func (pl *Pipeline) RunAll(ids []netsim.BlockID, workers int, fn func(i int, run
 }
 
 // runAll is RunAll with the group size a parameter, so the invariance test
-// can vary it.
+// can vary it: par.For deals one lockstep group a chunk.
 func (pl *Pipeline) runAll(ids []netsim.BlockID, workers, groupSize int, fn func(i int, run *BlockRun, err error)) {
-	var next atomic.Int64 // start of the next undealt group
-	var wg sync.WaitGroup
-	for w := min(workers, (len(ids)+groupSize-1)/groupSize); w > 0; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(int64(groupSize))) - groupSize
-				if lo >= len(ids) {
-					return
-				}
-				runs, errs := pl.RunBlocks(ids[lo:min(lo+groupSize, len(ids))])
-				for k := range runs {
-					fn(lo+k, runs[k], errs[k])
-					runs[k] = nil
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(len(ids), groupSize, workers, func(lo, hi int) {
+		runs, errs := pl.RunBlocks(ids[lo:hi])
+		for k := range runs {
+			fn(lo+k, runs[k], errs[k])
+			runs[k] = nil
+		}
+	})
 }
 
 type artifactKind int

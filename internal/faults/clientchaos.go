@@ -10,7 +10,10 @@ package faults
 // drawn from internal/prf off the attack seed.
 //
 // Every attacker respects its context: cancel it and the goroutines drain.
-// Counters are collected with atomics and read after Wait returns.
+// Counters are collected with atomics and read after Wait returns. The
+// goroutines are one a client, all live at once until the context ends —
+// the concurrency is the attack — so none is dealt through par.For, which
+// runs at most GOMAXPROCS at a time.
 
 import (
 	"context"

@@ -9,10 +9,11 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
+
+	"sleepnet/internal/par"
 )
 
 // Package is one loaded, type-checked package ready for rule checks.
@@ -179,11 +180,11 @@ func PackageDirs(root string) ([]string, error) {
 // shape: "./..." loads everything, "./internal/world" one package,
 // "./internal/..." a subtree. An empty pattern list means "./...".
 //
-// The type-checking is fanned out over runtime.GOMAXPROCS(0) workers.
-// Type-checking dominates whole-module lint time, so this is where the
-// parallelism pays; rules still run sequentially over the loaded packages
-// (the annotation index and finding order stay trivially deterministic that
-// way). The workers share one Loader, so each dependency is type-checked
+// The type-checking is dealt one package at a time across GOMAXPROCS
+// goroutines (par.For). Type-checking dominates whole-module lint time, so
+// this is where the parallelism pays; rules still run sequentially over the
+// loaded packages (the annotation index and finding order stay trivially
+// deterministic that way). The goroutines share one Loader, so each dependency is type-checked
 // once behind its locked import cache, and packages come back in directory
 // order no matter which worker finished first, so output is byte-identical
 // across runs and worker counts.
@@ -211,31 +212,17 @@ func LoadModule(dir string, patterns []string) ([]*Package, error) {
 			paths[i] = modPath + "/" + filepath.ToSlash(rel)
 		}
 	}
-	workers := min(runtime.GOMAXPROCS(0), len(keep))
 	l := NewLoader()
 	pkgs := make([]*Package, len(keep))
 	errs := make([]error, len(keep))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				pkg, err := l.LoadDir(keep[i], paths[i])
-				if err != nil {
-					errs[i] = fmt.Errorf("lint: loading %s: %w", paths[i], err)
-					continue
-				}
-				pkgs[i] = pkg
-			}
-		}()
-	}
-	for i := range keep {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.For(len(keep), 1, 0, func(i, _ int) {
+		pkg, err := l.LoadDir(keep[i], paths[i])
+		if err != nil {
+			errs[i] = fmt.Errorf("lint: loading %s: %w", paths[i], err)
+			return
+		}
+		pkgs[i] = pkg
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -362,6 +362,8 @@ func (m *Monitor) Run(ctx context.Context) (*Result, error) {
 		})
 	}
 
+	// One supervisor a shard, every one live for the whole run and stopped
+	// through ictx: a supervision tree, not an index pool for par.For.
 	outcomes := make([]shardOutcome, len(m.shards))
 	var shardWg sync.WaitGroup
 	for i, s := range m.shards {

@@ -3,8 +3,8 @@ package netsim
 // Batched delivery: DeliverBatch is the one way a packet enters the
 // simulated edge. It crosses the netsim boundary once for a whole wavefront
 // of probes, amortizing the route lookup, lock acquisition, tap walk, time
-// conversion, outage-schedule evaluation, and per-block counter updates
-// over the batch: routing takes Network.mu once and resolves only the
+// conversion, outage-schedule evaluation and counter updates over the
+// batch: routing takes Network.mu once and resolves only the
 // destinations the buffer's route cache does not already hold at the
 // current topology generation, and the delivery time is converted to one
 // instant for every probe (a probe the tap skews converts its own).
@@ -23,7 +23,6 @@ package netsim
 // for every packet — there is no second implementation to drift.
 
 import (
-	"sync/atomic"
 	"time"
 
 	"sleepnet/internal/icmp"
@@ -31,26 +30,21 @@ import (
 )
 
 // routeEntry is one resolved destination block in a BatchBuffer's route
-// cache. The block and its probe counter are looked up once per topology
-// generation and reused across batches; per-batch probe counts accumulate
-// here so each block gets one atomic add per batch; and downNS/down memoize
-// the block's outage schedule at the instant its probes last shared, so the
-// schedule walk happens once per (block, round) instead of once per probe.
-// The memo is keyed on the exact instant, which makes it self-invalidating
-// across rounds and immune to per-destination clock skew from a tap.
-// 40 bytes.
+// cache. The block is looked up once per topology generation and reused
+// across batches, and downNS/down memoize the block's outage schedule at
+// the instant its probes last shared, so the schedule walk happens once per
+// (block, round) instead of once per probe. The memo is keyed on the exact
+// instant, which makes it self-invalidating across rounds and immune to
+// per-destination clock skew from a tap. 24 bytes.
 type routeEntry struct {
-	blk      *Block        // nil for unrouted space
-	cnt      *atomic.Int64 // per-block probe counter; registered lazily for unrouted blocks
-	probes   int64         // probes accumulated this batch, flushed in pass 5
-	downNS   int64         // the instant down holds for, once ok
-	id       BlockID
+	blk      *Block // nil for unrouted space
+	downNS   int64  // the instant down holds for, once ok
 	down, ok bool
 }
 
 // resolve looks up the route to block id. Callers hold n.mu (read side).
 func (n *Network) resolve(id BlockID) routeEntry {
-	return routeEntry{id: id, blk: n.blocks[id], cnt: n.perBlockProbes[id]}
+	return routeEntry{blk: n.blocks[id]}
 }
 
 // downAt reports whether the route's block is in an outage at Unix
@@ -127,7 +121,7 @@ func (b *BatchBuffer) RetainedBytes() int {
 		return 0
 	}
 	per := int(0)
-	per += cap(b.entries) * (8 + 8 + 8 + 8 + 8) // routeEntry: blk, cnt, probes, downNS, id+down+ok
+	per += cap(b.entries) * (8 + 8 + 8) // routeEntry: blk, downNS, down+ok padded
 	// The map holds one key per entry and clear keeps its buckets, so it
 	// retains what it held at its fullest, which cap(entries) bounds — not
 	// what it holds at the moment, which depends on where the last reset fell.
@@ -235,13 +229,6 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 	if added := len(buf.entries) - newFrom; added > 0 {
 		n.resolved.Add(int64(added))
 	}
-	for i := newFrom; i < len(buf.entries); i++ {
-		if buf.entries[i].cnt == nil {
-			// Unrouted destination: register its counter outside the read
-			// lock (registration takes the write lock).
-			buf.entries[i].cnt = n.registerBlockCounter(buf.entries[i].id)
-		}
-	}
 	var in instant
 	in.set(now)
 
@@ -289,7 +276,6 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 			continue
 		}
 		e := &buf.entries[m.route]
-		e.probes++
 		pkt := pkts[i]
 		payload := pkt[ipv4.HeaderLen:m.hdr.TotalLen]
 		var echo icmp.Echo
@@ -321,20 +307,9 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		buf.spans = append(buf.spans, span{start, end})
 	}
 
-	// Pass 5: flush counters — one atomic add per global counter and per
-	// touched block, found through the batch's own metas rather than a walk
-	// of the whole route cache — and materialize Response.Data views from
-	// the settled arena.
+	// Pass 5: flush the counters — one atomic add per global counter — and
+	// materialize Response.Data views from the settled arena.
 	acc.flush(&n.Stats)
-	for i := range metas {
-		if metas[i].route < 0 {
-			continue
-		}
-		if e := &buf.entries[metas[i].route]; e.probes != 0 {
-			e.cnt.Add(e.probes)
-			e.probes = 0
-		}
-	}
 	for i := range buf.spans {
 		if sp := buf.spans[i]; sp.end > sp.start {
 			buf.resps[i].Data = buf.arena[sp.start:sp.end]

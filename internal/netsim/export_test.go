@@ -72,9 +72,6 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	e := n.resolve(dst.Block)
 	tap := n.tap
 	n.mu.RUnlock()
-	if e.cnt == nil {
-		e.cnt = n.registerBlockCounter(dst.Block)
-	}
 
 	// The tap sees exactly the packets whose delivery reaches it.
 	var pre tapPre
@@ -91,7 +88,6 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	var in instant
 	in.set(now)
 	n.deliverCore(&e, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, &in, pre, &acc, &resp)
-	e.cnt.Add(1)
 	acc.flush(&n.Stats)
 	return resp
 }

@@ -356,12 +356,6 @@ func TestNetworkAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		probeOnce(t, n, b.ID.Addr(1), uint16(i), at(12, i))
 	}
-	if got := n.ProbesToBlock(b.ID); got != 10 {
-		t.Fatalf("ProbesToBlock = %d", got)
-	}
-	if got := n.ProbesToBlock(MakeBlockID(1, 2, 3)); got != 0 {
-		t.Fatalf("unknown block probes = %d", got)
-	}
 	if len(n.BlockIDs()) != 1 {
 		t.Fatal("topology accessors")
 	}

@@ -116,14 +116,6 @@ type Network struct {
 
 	// Stats counts global probe outcomes.
 	Stats Counters
-	// perBlockProbes counts probes per block for radiation-budget checks.
-	// A plain map under mu (counters pre-registered by AddBlock) rather
-	// than a sync.Map: the uint32 key would be boxed on every sync.Map
-	// lookup, putting one allocation on every probe. Counter pointers are
-	// stable for the lifetime of the network (registration never replaces
-	// an existing counter), which is what lets batch route caches hold
-	// them across generations.
-	perBlockProbes map[BlockID]*atomic.Int64
 }
 
 // statsAcc accumulates Counters deltas locally so one delivery (or one
@@ -168,9 +160,8 @@ type tapPre struct {
 // NewNetwork creates an empty simulated network with the given seed.
 func NewNetwork(seed uint64) *Network {
 	return &Network{
-		blocks:         make(map[BlockID]*Block),
-		seed:           seed,
-		perBlockProbes: make(map[BlockID]*atomic.Int64),
+		blocks: make(map[BlockID]*Block),
+		seed:   seed,
 	}
 }
 
@@ -193,9 +184,6 @@ func (n *Network) AddBlock(b *Block) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.blocks[b.ID] = b
-	if n.perBlockProbes[b.ID] == nil {
-		n.perBlockProbes[b.ID] = new(atomic.Int64)
-	}
 	n.gen.Add(1)
 }
 
@@ -405,34 +393,6 @@ func (n *Network) deliverCore(e *routeEntry, tap Tap, icmpScratch, ipScratch []b
 	}
 	resp.Data = wrapped
 	return icmpOut, wrapped
-}
-
-// registerBlockCounter registers (or returns the existing) per-block probe
-// counter for id under the write lock. Counter pointers are stable: once
-// registered a counter is never replaced, so cached pointers stay valid
-// for the network's lifetime. Off the steady-state path — AddBlock
-// pre-registers; only probes into unrouted space land here.
-func (n *Network) registerBlockCounter(id BlockID) *atomic.Int64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c := n.perBlockProbes[id]
-	if c == nil {
-		//lint:allow hotalloc: one-time lazy registration for unrouted blocks, not reached on warm rounds
-		c = new(atomic.Int64)
-		n.perBlockProbes[id] = c
-	}
-	return c
-}
-
-// ProbesToBlock returns how many probes were addressed to the block.
-func (n *Network) ProbesToBlock(id BlockID) int64 {
-	n.mu.RLock()
-	c := n.perBlockProbes[id]
-	n.mu.RUnlock()
-	if c == nil {
-		return 0
-	}
-	return c.Load()
 }
 
 // String summarizes counters for logs.

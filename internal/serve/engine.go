@@ -26,7 +26,6 @@
 package serve
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +33,7 @@ import (
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/par"
 )
 
 // colSet is one shard's published columns at one round count: avail,
@@ -111,34 +111,8 @@ func foldRound(next, cur *colSet, deltas []monitor.RoundPub, lo, hi int) {
 
 // foldChunk is how many blocks one fold task covers. A shard of at most
 // foldChunk blocks folds inline on its publishing goroutine; a larger one is
-// dealt in chunks of this size across GOMAXPROCS goroutines.
+// dealt in chunks of this size across GOMAXPROCS goroutines (par.For).
 const foldChunk = 4096
-
-// eachChunk calls fn over [0, n) in chunks of chunk blocks, dealt to
-// GOMAXPROCS workers the way core's RunAll deals lockstep groups, the
-// calling goroutine among them; it returns when every call has.
-func eachChunk(n, chunk int, fn func(lo, hi int)) {
-	var next atomic.Int64 // start of the next undealt chunk
-	work := func() {
-		for {
-			lo := int(next.Add(int64(chunk))) - chunk
-			if lo >= n {
-				return
-			}
-			fn(lo, min(lo+chunk, n))
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), (n+chunk-1)/chunk); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-}
 
 // engineMetrics caches the engine's instruments (all no-ops without a
 // registry).
@@ -295,9 +269,11 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 	}
 	st.next = nil
 	if n := len(deltas); n <= e.chunk {
+		// Not par.For's own inline path: the closure it is handed would be
+		// allocated on every publish.
 		foldRound(next, cur, deltas, 0, n)
 	} else {
-		eachChunk(n, e.chunk, func(lo, hi int) { foldRound(next, cur, deltas, lo, hi) })
+		par.For(n, e.chunk, 0, func(lo, hi int) { foldRound(next, cur, deltas, lo, hi) })
 	}
 	next.rounds = round + 1
 	e.mu.Lock()

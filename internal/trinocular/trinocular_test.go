@@ -298,7 +298,7 @@ func TestWalkCoversAllHosts(t *testing.T) {
 	}
 	// 30 probes to 30 distinct hosts: total probes to block == 30 and the
 	// walk is a permutation, so every host got exactly one.
-	if got := n.ProbesToBlock(blk.ID); got != 30 {
+	if got := p.ProbesSent(); got != 30 {
 		t.Fatalf("probes = %d", got)
 	}
 }

@@ -388,7 +388,10 @@ type outageJob struct {
 // config, and draws nothing from the generator's stream, so GOMAXPROCS
 // workers can write them in any order while the loop goes on drawing; the
 // world is the same at every worker count. A nil *outageWorkers (a world
-// without outages) schedules nothing and starts no goroutine.
+// without outages) schedules nothing and starts no goroutine. It is a pool
+// of its own, not a par.For, because it consumes blocks while the loop is
+// still drawing them: that overlap is what it saves, and par.For deals a
+// range that exists before it starts.
 type outageWorkers struct {
 	cfg  Config
 	jobs chan outageJob
