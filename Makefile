@@ -57,9 +57,11 @@ fuzz-rdns:
 
 # fuzz-wal fuzzes the monitor's WAL/snapshot decoders: arbitrary bytes must
 # yield either a clean decode or an error chained to ErrCorrupt, never a
-# panic or unbounded allocation.
+# panic or unbounded allocation. Then it fuzzes the study export: any study
+# must encode to json.MarshalIndent's bytes, or both must fail.
 fuzz-wal:
 	$(GO) test -run=^$$ -fuzz=FuzzWALDecode -fuzztime=30s ./internal/monitor
+	$(GO) test -run=^$$ -fuzz=FuzzStudyEncode -fuzztime=30s ./internal/monitor
 
 # fuzz-serve fuzzes the HTTP query parser — arbitrary paths and query
 # strings must yield either a typed ErrBadRequest or a valid Request, never a

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -83,23 +84,29 @@ func TestResumeHintNamesTheCampaign(t *testing.T) {
 	}
 }
 
-// TestDefaultRoundsDecideAClass runs the campaign the default flags
-// describe, on a small world, into a serve engine. A block has a class only
-// once its series holds two whole UTC days, so the default -rounds must
-// reach past that: the final epoch serves at least one decided class.
-func TestDefaultRoundsDecideAClass(t *testing.T) {
-	fs := flag.NewFlagSet("sleepscan serve", flag.ContinueOnError)
+// defaultArgs describe the default campaign on a small world.
+var defaultArgs = []string{"-blocks", "20"}
+
+// defaultCampaign parses defaultArgs and returns the campaign and the
+// monitor configuration it describes.
+func defaultCampaign(t *testing.T) (*campaign, monitor.Config) {
+	t.Helper()
+	fs := flag.NewFlagSet("sleepscan monitor", flag.ContinueOnError)
 	c := campaignFlags(fs)
-	if err := fs.Parse([]string{"-blocks", "20"}); err != nil {
+	if err := fs.Parse(defaultArgs); err != nil {
 		t.Fatal(err)
 	}
 	cfg, stop, err := c.monitorConfig()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stop()
-	eng := serve.NewEngine(serve.EngineConfig{Metrics: c.reg})
-	cfg.Sink = eng
+	t.Cleanup(stop)
+	return c, cfg
+}
+
+// runToCompletion runs a campaign in process and fails unless it completes.
+func runToCompletion(t *testing.T, cfg monitor.Config) *monitor.Result {
+	t.Helper()
 	m, err := monitor.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,6 +115,18 @@ func TestDefaultRoundsDecideAClass(t *testing.T) {
 	if err != nil || !res.Completed {
 		t.Fatalf("campaign did not complete: %v (%+v)", err, res)
 	}
+	return res
+}
+
+// TestDefaultRoundsDecideAClass runs the campaign the default flags
+// describe, on a small world, into a serve engine. A block has a class only
+// once its series holds two whole UTC days, so the default -rounds must
+// reach past that: the final epoch serves at least one decided class.
+func TestDefaultRoundsDecideAClass(t *testing.T) {
+	c, cfg := defaultCampaign(t)
+	eng := serve.NewEngine(serve.EngineConfig{Metrics: c.reg})
+	cfg.Sink = eng
+	runToCompletion(t, cfg)
 	sum, err := eng.Epoch().Summary(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +136,35 @@ func TestDefaultRoundsDecideAClass(t *testing.T) {
 	}
 	t.Logf("epoch %d: %d strict, %d relaxed, %d non-diurnal, %d unknown", sum.Epoch,
 		sum.Strict, sum.Relaxed, sum.NonDiurnal, sum.Unknown)
+}
+
+// TestMonitorWritesTheStudy: sleepscan monitor -o writes, for the default
+// campaign, a file that is valid JSON and is byte for byte the in-process
+// Study.Encode of the same campaign.
+func TestMonitorWritesTheStudy(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "study.json")
+	if err := runMonitor(append([]string{"-o", out}, defaultArgs...)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(got) {
+		t.Fatalf("-o wrote %d bytes that are not valid JSON", len(got))
+	}
+	_, cfg := defaultCampaign(t)
+	st, err := runToCompletion(t, cfg).Study()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := st.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("-o wrote %d bytes, the in-process study encodes to %d other ones", len(got), len(want))
+	}
 }
 
 // TestMonitorCampaign drives sleepscan monitor end to end over one -wal

@@ -33,6 +33,7 @@ import (
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/par"
 	"sleepnet/internal/timeseries"
 )
 
@@ -103,7 +104,8 @@ func (m *Monitor) completesDay(n int) bool {
 	return !end.Truncate(24 * time.Hour).Equal(end.Add(-timeseries.DefaultRound).Truncate(24 * time.Hour))
 }
 
-// classifyBeat is how many blocks a classification pass covers between
+// classifyBeat is a classification pass's chunk: the blocks one goroutine
+// takes at a time, and so how many blocks the pass covers between
 // heartbeats. A 14-day series takes a few hundred µs a block, so a pass over
 // a large shard would otherwise outlast the watchdog's strikes.
 const classifyBeat = 64
@@ -178,15 +180,18 @@ func (b *blockMon) down() bool {
 }
 
 // classify sets every block's verdict in s.pub from its committed series,
-// bumping the heartbeat every classifyBeat blocks.
+// classifyBeat blocks a chunk on up to GOMAXPROCS goroutines, bumping the
+// heartbeat once a chunk. A verdict depends on its block's series alone, so
+// the verdicts are the serial pass's; spreading them shortens the stall a
+// day end puts on the shard's probing.
 func (s *shard) classify() {
-	for i, mon := range s.mons {
-		if i%classifyBeat == 0 {
-			s.hb.Add(1)
+	par.For(len(s.mons), classifyBeat, 0, func(lo, hi int) {
+		s.hb.Add(1)
+		for i := lo; i < hi; i++ {
+			p := &s.pub[i]
+			p.Class, p.Phase = classOf(s.m.cfg.Start, s.mons[i].short)
 		}
-		p := &s.pub[i]
-		p.Class, p.Phase = classOf(s.m.cfg.Start, mon.short)
-	}
+	})
 }
 
 // publishResync re-publishes the shard's full committed state after a

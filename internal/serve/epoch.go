@@ -147,9 +147,9 @@ func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
 	b = append(b, '.')
 	b = strconv.AppendUint(b, uint64(byte(id>>8)), 10)
 	b = append(b, `/24","avail":`...)
-	b = appendJSONFloat(b, avail)
+	b = monitor.AppendJSONFloat(b, avail)
 	b = append(b, `,"long":`...)
-	b = appendJSONFloat(b, long)
+	b = monitor.AppendJSONFloat(b, long)
 	b = append(b, `,"down":`...)
 	b = strconv.AppendBool(b, s.down[i])
 	if f := s.failed[i]; f != 0 {
@@ -161,11 +161,11 @@ func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
 	b = append(b, '"')
 	if diurnal {
 		b = append(b, `,"phase":`...)
-		b = appendJSONFloat(b, phase)
+		b = monitor.AppendJSONFloat(b, phase)
 		b = append(b, `,"peak_utc_hour":`...)
-		b = appendJSONFloat(b, peak)
+		b = monitor.AppendJSONFloat(b, peak)
 		b = append(b, `,"sleep_utc_hour":`...)
-		b = appendJSONFloat(b, sleep)
+		b = monitor.AppendJSONFloat(b, sleep)
 	}
 	return append(b, '}'), true
 }
@@ -175,23 +175,6 @@ func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
 func peakSleepUTC(phase float64) (peak, sleep float64) {
 	peak = analysis.UTCPeakHour(phase)
 	return peak, math.Mod(peak+12, 24)
-}
-
-// appendJSONFloat appends a finite f the way encoding/json writes a
-// float64: the shortest decimal that round-trips, in exponent form below
-// 1e-6 and from 1e21 on, with an exponent's leading zero dropped (1e-7, not
-// 1e-07).
-func appendJSONFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
 }
 
 // Summary is the full-world rollup.
