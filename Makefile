@@ -90,12 +90,13 @@ monitor-chaos:
 # a closed socket shed, and shutdown with connections open. The engine's
 # equivalence tests then run under the race detector on one P and on four,
 # with shards larger than a fold chunk, so a round's fold is split across
-# goroutines while other shards swap their sets in; beside them, the
-# one-detector test holds every served class and phase to
-# core.ClassifySeries at every round of a live campaign.
+# goroutines under the engine mutex; beside them, the one-detector test
+# holds every served class and phase to core.ClassifySeries at every round
+# of a live campaign, and the two-run writers test races publishes, resyncs,
+# a second run's start and quarantines against readers holding epochs.
 serve-chaos:
 	$(GO) test -race -count=1 -run='TestServeChaosAcceptance|TestServeConformsToNetHTTP|TestServeRefusesWithCompleteAnswer|TestServeShedsQueuedRequestOfClosedSocket|TestServeLeaksNoGoroutines' ./internal/serve
-	$(GO) test -race -count=1 -cpu 1,4 -run='TestEngineShardsMatchPerBlockReplay|TestEngineCrashEquivalence|TestEpochClassIsStudyClass' ./internal/serve
+	$(GO) test -race -count=1 -cpu 1,4 -run='TestEngineShardsMatchPerBlockReplay|TestEngineCrashEquivalence|TestEpochClassIsStudyClass|TestEngineConcurrentWritersOfTwoRuns' ./internal/serve
 
 # bench-e2e runs the repository's benchmark (BENCHMARK.json, bench/README.md):
 # every workload untraced for the end-to-end metrics and traced for the

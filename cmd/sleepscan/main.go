@@ -58,14 +58,13 @@ import (
 var errUsage = errors.New("usage")
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		runServe(os.Args[2:])
-		return
-	}
 	var err error
-	if len(os.Args) > 1 && os.Args[1] == "monitor" {
+	switch {
+	case len(os.Args) > 1 && os.Args[1] == "serve":
+		err = runServe(os.Args[2:])
+	case len(os.Args) > 1 && os.Args[1] == "monitor":
 		err = runMonitor(os.Args[2:])
-	} else {
+	default:
 		var out bytes.Buffer
 		err = run(os.Args[1:], &out)
 		fmt.Print(out.String())
@@ -387,12 +386,4 @@ func writeCSV(st *analysis.Study, path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// fatal ends the serve subcommand on an error.
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "sleepscan:", err)
-		os.Exit(1)
-	}
 }

@@ -34,22 +34,33 @@ import (
 	"sleepnet/internal/serve"
 )
 
-func runServe(argv []string) {
-	fs := flag.NewFlagSet("sleepscan serve", flag.ExitOnError)
+// runServe runs the serve subcommand until interrupted. A command line, a
+// -wal directory or a listen address it cannot use is an error, returned
+// before the campaign starts.
+func runServe(argv []string) error {
+	fs := flag.NewFlagSet("sleepscan serve", flag.ContinueOnError)
 	c := campaignFlags(fs)
 	listen := fs.String("listen", "127.0.0.1:8080", "HTTP listen address")
-	_ = fs.Parse(argv) // ExitOnError: Parse never returns an error
+	if err := fs.Parse(argv); err != nil {
+		return errUsage
+	}
 
 	cfg, stopTick, err := c.monitorConfig()
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	defer stopTick()
 	eng := serve.NewEngine(serve.EngineConfig{Metrics: c.reg})
 	cfg.Sink = eng
 	m, err := monitor.New(cfg)
-	fatal(explainWALError(err, *c.walDir))
+	if err != nil {
+		return explainWALError(err, *c.walDir)
+	}
 
 	ln, err := net.Listen("tcp", *listen)
-	fatal(err)
+	if err != nil {
+		return err
+	}
 	srv := serve.NewServer(eng, serve.ServerConfig{Metrics: c.reg})
 	srvCtx, srvStop := context.WithCancel(context.Background())
 	defer srvStop()
@@ -76,8 +87,9 @@ func runServe(argv []string) {
 		// degraded mode, explicit in every response header.
 		fmt.Fprintf(os.Stderr, "monitor failed: %v — serving last epoch degraded\n", err)
 		eng.SetDegraded()
+	case err != nil:
+		return explainWALError(err, *c.walDir)
 	default:
-		fatal(explainWALError(err, *c.walDir))
 		fmt.Printf("stopped without completing (%d shards quarantined); serving degraded\n",
 			len(res.Quarantined))
 		eng.SetDegraded()
@@ -88,7 +100,8 @@ func runServe(argv []string) {
 	<-linger.Done()
 	lingerStop()
 	srvStop()
-	fatal(<-srvDone)
-
-	fatal(c.dumpMetrics())
+	if err := <-srvDone; err != nil {
+		return err
+	}
+	return c.dumpMetrics()
 }

@@ -33,7 +33,8 @@ var exportedWithoutCallers = map[string]string{
 	"faults.ChaosPlan.Fired":         testHarness,
 	"faults.CorruptFileTail":         testHarness,
 	"faults.TruncateFileTail":        testHarness,
-	"faults.SlowLoris":               testHarness, // and, by name, faults.Malformed
+	"faults.SlowLoris":               testHarness,
+	"faults.Malformed":               testHarness,
 	"faults.ConnChurn":               testHarness,
 	"faults.Flood":                   testHarness,
 	"faults.Injector.Totals":         observedState,

@@ -418,9 +418,15 @@ func (m *Monitor) supervise(ctx context.Context, s *shard) shardOutcome {
 	defer s.done.Store(true)
 	backoff := m.backoffBase
 	for {
-		s.newAttempt()
-		err := s.runAttempt(ctx)
-		s.endAttempt()
+		attempt, cancel := context.WithCancelCause(ctx)
+		s.cancel.Store(&cancel)
+		err := s.runAttempt(ctx, attempt)
+		// Until the next attempt there is nothing the watchdog could abort,
+		// and the heartbeat bump tells it that whatever attempt it next sees
+		// silent is not the one it was counting strikes against.
+		s.cancel.Store(nil)
+		cancel(nil)
+		s.hb.Add(1)
 		switch {
 		case err == nil:
 			out.completed = true

@@ -23,9 +23,9 @@ package monitor
 //
 // A nil sink costs one comparison per round. Sink calls run on the shard
 // goroutine: implementations must be fast (no I/O, no unbounded blocking)
-// or they stall probing — the serve engine folds a round into a column set
-// of the shard's own, under a per-shard mutex no reader ever takes, and
-// holds its engine-wide mutex only to swap that set in. A panic inside a
+// or they stall probing — the serve engine copies a round into a column
+// set of the shard's own, a few bytes a block, under a mutex no reader ever
+// takes. A panic inside a
 // sink is absorbed by the shard's supervisor like any other crash.
 
 import (

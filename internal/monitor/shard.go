@@ -21,7 +21,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,7 +42,9 @@ var (
 	// errDrained: the context was cancelled and the shard finished its
 	// in-flight round, wrote a final snapshot, and sealed its WAL.
 	errDrained = errors.New("monitor: shard drained")
-	// errAborted: the watchdog (or supervisor) aborted a wedged attempt.
+	// errAborted: the watchdog aborted a wedged attempt; it is the cause
+	// the attempt's context is cancelled with, which tells an abort from a
+	// drain.
 	errAborted = errors.New("monitor: shard attempt aborted")
 )
 
@@ -91,56 +92,22 @@ type shard struct {
 	// done marks the shard finished (completed, drained, halted, or
 	// quarantined); the watchdog skips done shards.
 	done atomic.Bool
-
-	attemptMu sync.Mutex
-	abort     chan struct{}
-	aborted   bool
+	// cancel cancels the running attempt's context; nil between attempts.
+	cancel atomic.Pointer[context.CancelCauseFunc]
 }
 
 func (s *shard) dir() string { return filepath.Join(s.m.cfg.WALDir, shardDirName(s.idx)) }
 
-// newAttempt arms a fresh abort channel for the next attempt.
-func (s *shard) newAttempt() {
-	s.attemptMu.Lock()
-	s.abort = make(chan struct{})
-	s.aborted = false
-	s.attemptMu.Unlock()
-}
-
-// abortAttempt asks the current attempt to stop (idempotent).
+// abortAttempt cancels the running attempt's context with errAborted
+// (idempotent; a no-op between attempts).
 func (s *shard) abortAttempt() {
-	s.attemptMu.Lock()
-	if !s.aborted && s.abort != nil {
-		close(s.abort)
-		s.aborted = true
+	if cancel := s.cancel.Load(); cancel != nil {
+		(*cancel)(errAborted)
 	}
-	s.attemptMu.Unlock()
 }
 
-// endAttempt marks the attempt over. Until newAttempt there is nothing the
-// watchdog could abort: the supervisor is backing off or giving up, and the
-// heartbeat bump tells the watchdog that whatever attempt it next sees
-// silent is not the one it was counting strikes against.
-func (s *shard) endAttempt() {
-	s.attemptMu.Lock()
-	s.abort = nil
-	s.attemptMu.Unlock()
-	s.hb.Add(1)
-}
-
-// attemptLive reports whether an attempt is running (between newAttempt
-// and endAttempt).
-func (s *shard) attemptLive() bool {
-	s.attemptMu.Lock()
-	defer s.attemptMu.Unlock()
-	return s.abort != nil
-}
-
-func (s *shard) abortCh() <-chan struct{} {
-	s.attemptMu.Lock()
-	defer s.attemptMu.Unlock()
-	return s.abort
-}
+// attemptLive reports whether an attempt is running.
+func (s *shard) attemptLive() bool { return s.cancel.Load() != nil }
 
 // rebuild constructs the attempt's working state purely from configuration
 // and durable state: fresh probers and estimators, then snapshot + WAL
@@ -400,8 +367,9 @@ func (s *shard) applyRecord(rec *walRecord, replay bool) error {
 // runAttempt is one supervised life of the shard: rebuild, then probe and
 // commit rounds until done, drained, halted, aborted, or crashed. Panics
 // (including injected chaos kills) are converted to errors so the
-// supervisor can apply restart policy.
-func (s *shard) runAttempt(ctx context.Context) (err error) {
+// supervisor can apply restart policy. run is the monitor's context and
+// ctx the attempt's, which an abort or a drain cancels.
+func (s *shard) runAttempt(run, ctx context.Context) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if s.wal != nil {
@@ -419,26 +387,18 @@ func (s *shard) runAttempt(ctx context.Context) (err error) {
 	cfg := &s.m.cfg
 	for s.round < cfg.Rounds {
 		r := s.round
-		select {
-		case <-ctx.Done():
-			return s.shutdown()
-		case <-s.abortCh():
-			return s.abandonWith(errAborted)
-		default:
+		if ctx.Err() != nil {
+			return s.stop(ctx)
 		}
 		if s.m.chaos.ShouldHardStall(s.idx, r) {
 			// Wedged beyond the watchdog's abort: only monitor shutdown
 			// (which the watchdog escalates to) releases the shard.
-			<-ctx.Done()
+			<-run.Done()
 			return s.abandonWith(errAborted)
 		}
 		if s.m.chaos.ShouldStall(s.idx, r) {
-			select {
-			case <-s.abortCh():
-				return s.abandonWith(errAborted)
-			case <-ctx.Done():
-				return s.shutdown()
-			}
+			<-ctx.Done()
+			return s.stop(ctx)
 		}
 		s.probeRound(r)
 		if s.m.chaos.ShouldKill(s.idx, r) {
@@ -476,8 +436,18 @@ func (s *shard) runAttempt(ctx context.Context) (err error) {
 	return nil
 }
 
-// shutdown handles context cancellation: a halt abandons the WAL exactly as
-// a kill -9 would; a graceful drain writes a final snapshot and seals.
+// stop ends an attempt whose context is cancelled: an abort abandons the
+// WAL, anything else is the monitor's shutdown.
+func (s *shard) stop(ctx context.Context) error {
+	if errors.Is(context.Cause(ctx), errAborted) {
+		return s.abandonWith(errAborted)
+	}
+	return s.shutdown()
+}
+
+// shutdown handles the monitor's cancellation: a halt abandons the WAL
+// exactly as a kill -9 would; a graceful drain writes a final snapshot and
+// seals.
 func (s *shard) shutdown() error {
 	if s.m.halted.Load() {
 		return s.abandonWith(ErrHalted)

@@ -3,8 +3,7 @@ package netsim
 // Batched delivery: DeliverBatch is the one way a packet enters the
 // simulated edge. It crosses the netsim boundary once for a whole wavefront
 // of probes, amortizing the route lookup, lock acquisition, tap walk, time
-// conversion, outage-schedule evaluation and counter updates over the
-// batch: routing takes Network.mu once and resolves only the
+// conversion and outage-schedule evaluation over the batch: routing takes Network.mu once and resolves only the
 // destinations the buffer's route cache does not already hold at the
 // current topology generation, and the delivery time is converted to one
 // instant for every probe (a probe the tap skews converts its own).
@@ -163,9 +162,8 @@ func (b *BatchBuffer) init() {
 // exactly that of delivering pkts[i] one at a time in order (see the
 // comment at the top of this file for the determinism argument), but
 // routing is resolved once per destination block, the fault tap is
-// consulted once per batch, now is converted once per batch, each block's
-// outage schedule is evaluated once per (block, instant), and global and
-// per-block counters are flushed once per batch.
+// consulted once per batch, now is converted once per batch, and each
+// block's outage schedule is evaluated once per (block, instant).
 //
 // The returned slice and every Response.Data in it are views into buf,
 // valid only until the next DeliverBatch on the same buffer.
@@ -261,7 +259,6 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 	// Pass 4: deliver in input order through deliverCore, appending replies
 	// to the arena. Response.Data is recorded as a span because arena growth
 	// may move the backing mid-batch.
-	var acc statsAcc
 	buf.arena = buf.arena[:0]
 	buf.resps = buf.resps[:0]
 	buf.spans = buf.spans[:0]
@@ -269,8 +266,6 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		m := &metas[i]
 		start := len(buf.arena)
 		if !m.ipOK {
-			acc.probes++
-			acc.malformed++
 			buf.resps = append(buf.resps, Response{Timeout: true})
 			buf.spans = append(buf.spans, span{start, start})
 			continue
@@ -296,7 +291,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		// in pass 5 once the arena has settled.
 		buf.resps = append(buf.resps, Response{})
 		resp := &buf.resps[len(buf.resps)-1]
-		icmpOut, ipOut := n.deliverCore(e, tap, buf.icmp[:0], buf.arena, &m.hdr, m.dst, payload, &echo, m.echoOK, &in, pre, &acc, resp)
+		icmpOut, ipOut := n.deliverCore(e, tap, buf.icmp[:0], buf.arena, &m.hdr, m.dst, payload, &echo, m.echoOK, &in, pre, resp)
 		buf.icmp = icmpOut
 		buf.arena = ipOut
 		end := start
@@ -307,9 +302,7 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 		buf.spans = append(buf.spans, span{start, end})
 	}
 
-	// Pass 5: flush the counters — one atomic add per global counter — and
-	// materialize Response.Data views from the settled arena.
-	acc.flush(&n.Stats)
+	// Pass 5: materialize Response.Data views from the settled arena.
 	for i := range buf.spans {
 		if sp := buf.spans[i]; sp.end > sp.start {
 			buf.resps[i].Data = buf.arena[sp.start:sp.end]

@@ -184,18 +184,6 @@ func respEqual(a, b Response) bool {
 		a.RTT == b.RTT && bytes.Equal(a.Data, b.Data)
 }
 
-// checkNetsEqual compares all observable per-network accounting.
-func checkNetsEqual(t *testing.T, ref, batch *Network) {
-	t.Helper()
-	s, b := &ref.Stats, &batch.Stats
-	if s.Probes.Load() != b.Probes.Load() || s.Replies.Load() != b.Replies.Load() ||
-		s.Timeouts.Load() != b.Timeouts.Load() || s.Lost.Load() != b.Lost.Load() ||
-		s.Malformed.Load() != b.Malformed.Load() || s.RateLimited.Load() != b.RateLimited.Load() {
-		t.Fatalf("stats diverged:\n ref   %s rate=%d\n batch %s rate=%d",
-			s.String(), s.RateLimited.Load(), b.String(), b.RateLimited.Load())
-	}
-}
-
 // deliverRounds drives rounds of the schedule through both paths, the
 // batch side split into chunks of size chunk (0 = whole round in one
 // call), and fails on the first divergent response.
@@ -233,7 +221,6 @@ func deliverRounds(t *testing.T, chunk, rounds int, withTap bool) {
 			}
 		}
 	}
-	checkNetsEqual(t, refNet, bNet)
 }
 
 func TestDeliverBatchEquivalence(t *testing.T) {
@@ -339,7 +326,6 @@ func TestDeliverBatchTopologyMutation(t *testing.T) {
 	if want[0].Timeout {
 		t.Fatal("late block should reply after AddBlock")
 	}
-	checkNetsEqual(t, refNet, bNet)
 }
 
 // TestDeliverBatchBufferLifetime pins the arena contract: all responses of
@@ -489,5 +475,4 @@ func TestDeliverBatchRouteCacheRevalidates(t *testing.T) {
 		t.Fatalf("mixed: resolved %d routes, want 1 (the one new destination)", r)
 	}
 	warm("mixed, warm")
-	checkNetsEqual(t, refNet, bNet)
 }

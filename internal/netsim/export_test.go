@@ -49,17 +49,14 @@ func (b *Block) HostSpec() *Hosts {
 
 // DeliverIPRef delivers one packet by definition — parse, route, run
 // deliverCore with no batch state (the tap asked for a batch of this one
-// packet, a fresh route and instant, fresh reply bytes), flush the
-// counters — and
-// is the sequential oracle DeliverBatch is tested against. It is the body of
+// packet, a fresh route and instant, fresh reply bytes) — and is the
+// sequential oracle DeliverBatch is tested against. It is the body of
 // the per-packet entry point the program had before DeliverBatch became the
 // only one.
 func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	var hdr ipv4.Header
 	payload, err := ipv4.ParseHeader(&hdr, pkt)
 	if err != nil || hdr.Protocol != ipv4.ProtoICMP {
-		n.Stats.Probes.Add(1)
-		n.Stats.Malformed.Add(1)
 		return Response{Timeout: true}
 	}
 	dst := AddrFromIP(hdr.Dst)
@@ -67,7 +64,6 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	var echo icmp.Echo
 	echoOK := icmp.ParseEchoInto(&echo, payload) == nil && !echo.Reply
 
-	var acc statsAcc
 	n.mu.RLock()
 	e := n.resolve(dst.Block)
 	tap := n.tap
@@ -87,8 +83,7 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 	var resp Response
 	var in instant
 	in.set(now)
-	n.deliverCore(&e, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, &in, pre, &acc, &resp)
-	acc.flush(&n.Stats)
+	n.deliverCore(&e, tap, nil, nil, &hdr, dst, payload, &echo, echoOK, &in, pre, &resp)
 	return resp
 }
 

@@ -287,9 +287,6 @@ func TestNetworkProbeReply(t *testing.T) {
 	if resp.RTT < 30*time.Millisecond || resp.RTT > 40*time.Millisecond {
 		t.Fatalf("RTT = %v", resp.RTT)
 	}
-	if n.Stats.Replies.Load() != 1 {
-		t.Fatalf("stats: %s", n.Stats.String())
-	}
 }
 
 func TestNetworkTimeouts(t *testing.T) {
@@ -325,9 +322,6 @@ func TestNetworkMalformedDropped(t *testing.T) {
 	rep, _ := (&icmp.Echo{Reply: true, ID: 1, Seq: 1}).MarshalAppend(nil)
 	if resp := probeICMP(t, n, b.ID.Addr(1), rep, at(12, 0)); !resp.Timeout {
 		t.Fatal("reply-as-probe should time out")
-	}
-	if n.Stats.Malformed.Load() != 2 {
-		t.Fatalf("malformed count = %d", n.Stats.Malformed.Load())
 	}
 }
 
@@ -495,7 +489,6 @@ func TestDeliverIPMalformed(t *testing.T) {
 	n := NewNetwork(1)
 	b := newTestBlock()
 	n.AddBlock(b)
-	before := n.Stats.Malformed.Load()
 	if resp := deliverPkt(n, []byte{0x45, 0, 0}, at(12, 0)); !resp.Timeout {
 		t.Fatal("truncated IPv4 should time out")
 	}
@@ -504,9 +497,6 @@ func TestDeliverIPMalformed(t *testing.T) {
 	pkt, _ := hdr.MarshalAppend(nil, []byte("x"))
 	if resp := deliverPkt(n, pkt, at(12, 0)); !resp.Timeout {
 		t.Fatal("non-ICMP should time out")
-	}
-	if n.Stats.Malformed.Load() != before+2 {
-		t.Fatalf("malformed count = %d", n.Stats.Malformed.Load())
 	}
 }
 
@@ -534,19 +524,18 @@ func TestReplyRateLimit(t *testing.T) {
 	b := newTestBlock()
 	b.ReplyRateLimit = 10
 	n.AddBlock(b)
-	replies := 0
+	replies, timeouts := 0, 0
 	base := at(12, 0)
 	for i := 0; i < 30; i++ {
 		resp := probeOnce(t, n, b.ID.Addr(byte(i%42)), uint16(i), base.Add(time.Duration(i)*time.Second))
-		if !resp.Timeout {
+		if resp.Timeout {
+			timeouts++
+		} else {
 			replies++
 		}
 	}
-	if replies != 10 {
-		t.Fatalf("replies = %d, want 10 (rate limited)", replies)
-	}
-	if n.Stats.RateLimited.Load() != 20 {
-		t.Fatalf("rate-limited count = %d", n.Stats.RateLimited.Load())
+	if replies != 10 || timeouts != 20 {
+		t.Fatalf("replies = %d, timeouts = %d, want 10 and 20 (rate limited)", replies, timeouts)
 	}
 	// A new minute refills the budget.
 	resp := probeOnce(t, n, b.ID.Addr(1), 99, base.Add(61*time.Second))

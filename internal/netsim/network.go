@@ -12,7 +12,6 @@
 package netsim
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -86,17 +85,6 @@ type Tap interface {
 	Inbound(dst Addr, reply []byte, now time.Time) []byte
 }
 
-// Counters accumulates network-wide accounting, used to check the paper's
-// "<20 probes per hour per /24" claim.
-type Counters struct {
-	Probes      atomic.Int64
-	Replies     atomic.Int64
-	Timeouts    atomic.Int64
-	Lost        atomic.Int64
-	Malformed   atomic.Int64
-	RateLimited atomic.Int64
-}
-
 // Network is the simulated Internet edge: a set of /24 blocks addressable
 // by ICMP echo probes. DeliverBatch is safe for concurrent use (one
 // BatchBuffer per goroutine); topology mutation (AddBlock) must not race
@@ -113,41 +101,6 @@ type Network struct {
 	// resolved counts the routes batch caches have resolved under mu: one
 	// per cache miss.
 	resolved atomic.Int64
-
-	// Stats counts global probe outcomes.
-	Stats Counters
-}
-
-// statsAcc accumulates Counters deltas locally so one delivery (or one
-// whole batch) flushes them with at most one atomic add per counter
-// instead of one per event. Flush order differs from the historical
-// per-event adds, but the counters are monotonic totals read after
-// quiescence, so only the totals are observable.
-type statsAcc struct {
-	probes, replies, timeouts, lost, malformed, rateLimited int64
-}
-
-// flush applies the accumulated deltas and resets the accumulator.
-func (a *statsAcc) flush(c *Counters) {
-	if a.probes != 0 {
-		c.Probes.Add(a.probes)
-	}
-	if a.replies != 0 {
-		c.Replies.Add(a.replies)
-	}
-	if a.timeouts != 0 {
-		c.Timeouts.Add(a.timeouts)
-	}
-	if a.lost != 0 {
-		c.Lost.Add(a.lost)
-	}
-	if a.malformed != 0 {
-		c.Malformed.Add(a.malformed)
-	}
-	if a.rateLimited != 0 {
-		c.RateLimited.Add(a.rateLimited)
-	}
-	*a = statsAcc{}
 }
 
 // tapPre carries a probe's outbound tap decision, made for its whole batch
@@ -214,18 +167,16 @@ func (n *Network) BlockIDs() []BlockID {
 // is the caller-parsed request (echoOK false marks a malformed or
 // non-request message). scratch is the empty ICMP-layer scratch to append
 // the reply into (nil allocates fresh); the possibly-grown backing is
-// returned so the owner keeps its capacity. Counter deltas accumulate in
-// acc — the caller flushes. pre is the tap's outbound decision for this
-// probe.
+// returned so the owner keeps its capacity. pre is the tap's outbound
+// decision for this probe.
 //
 // The outcome lands in *resp (an out-parameter so per-probe results are
 // written once instead of copied up the call chain); the ICMP scratch
 // backing is the return value.
-func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, acc *statsAcc, resp *Response) []byte {
+func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pkt []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, resp *Response) []byte {
 	*resp = Response{}
 	blk, now := e.blk, in.now
 	if !echoOK {
-		acc.malformed++
 		resp.Timeout = true
 		return scratch
 	}
@@ -234,19 +185,15 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 		now = pre.t
 		switch pre.v {
 		case TapDrop:
-			acc.lost++
-			acc.timeouts++
 			resp.Timeout = true
 			return scratch
 		case TapSendError:
 			resp.Timeout, resp.SendFailed = true, true
 			return scratch
 		case TapAdminProhibited:
-			acc.rateLimited++
 			unreach := icmp.Unreachable{Code: icmp.CodeAdminProhibited, Original: pkt}
 			un, uerr := unreach.MarshalAppend(scratch)
 			if uerr != nil {
-				acc.timeouts++
 				resp.Timeout = true
 				return scratch
 			}
@@ -255,14 +202,13 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 				rtt = blk.LatencyBase
 			}
 			resp.Data, resp.RTT = un, rtt
-			n.inbound(tap, dst, resp, now, acc)
+			n.inbound(tap, dst, resp, now)
 			return un
 		}
 	}
 
 	if blk == nil {
 		// Unrouted space: silence.
-		acc.timeouts++
 		resp.Timeout = true
 		return scratch
 	}
@@ -279,8 +225,6 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 	if blk.Loss > 0 {
 		k := prf.Float3(n.seed^blk.Seed, dst.key(), uint64(echo.ID)<<16|uint64(echo.Seq), uint64(in.ns))
 		if k < blk.Loss {
-			acc.lost++
-			acc.timeouts++
 			resp.Timeout = true
 			return scratch
 		}
@@ -296,21 +240,17 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 				unreach := icmp.Unreachable{Code: icmp.CodeHostUnreachable, Original: pkt}
 				un, err := unreach.MarshalAppend(scratch)
 				if err == nil {
-					acc.replies++
 					resp.Data, resp.RTT = un, blk.LatencyBase
-					n.inbound(tap, dst, resp, now, acc)
+					n.inbound(tap, dst, resp, now)
 					return un
 				}
 			}
 		}
-		acc.timeouts++
 		resp.Timeout = true
 		return scratch
 	}
 
 	if !blk.allowReply(now) {
-		acc.rateLimited++
-		acc.timeouts++
 		resp.Timeout = true
 		return scratch
 	}
@@ -322,7 +262,6 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 	reply, err := echoReply.MarshalAppend(scratch)
 	if err != nil {
 		// Cannot happen for a parsed request, but fail closed.
-		acc.malformed++
 		resp.Timeout = true
 		return scratch
 	}
@@ -331,21 +270,19 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 		j := prf.Float3(n.seed^blk.Seed^0x9badcafe, dst.key(), uint64(echo.Seq), uint64(in.ns))
 		rtt += time.Duration(j * float64(blk.LatencyJitter))
 	}
-	acc.replies++
 	resp.Data, resp.RTT = reply, rtt
-	n.inbound(tap, dst, resp, now, acc)
+	n.inbound(tap, dst, resp, now)
 	return reply
 }
 
 // inbound runs a delivered reply back through the tap, which may corrupt
 // or drop it, mutating resp in place.
-func (n *Network) inbound(tap Tap, dst Addr, resp *Response, now time.Time, acc *statsAcc) {
+func (n *Network) inbound(tap Tap, dst Addr, resp *Response, now time.Time) {
 	if tap == nil || resp.Data == nil {
 		return
 	}
 	data := tap.Inbound(dst, resp.Data, now)
 	if data == nil {
-		acc.timeouts++
 		*resp = Response{Timeout: true}
 		return
 	}
@@ -360,19 +297,17 @@ func (n *Network) inbound(tap Tap, dst Addr, resp *Response, now time.Time, acc 
 // so the owner keeps their capacity. DeliverBatch runs every packet through
 // it; so does the tests' sequential oracle (DeliverIPRef), which is what
 // makes batching a reordering of work, never of results.
-func (n *Network) deliverCore(e *routeEntry, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, acc *statsAcc, resp *Response) ([]byte, []byte) {
-	acc.probes++
+func (n *Network) deliverCore(e *routeEntry, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, resp *Response) ([]byte, []byte) {
 	hops := 0
 	if blk := e.blk; blk != nil {
 		hops = blk.hops
 		// The packet must survive the path.
 		if int(hdr.TTL) <= hops {
-			acc.timeouts++
 			*resp = Response{Timeout: true}
 			return icmpScratch, ipScratch
 		}
 	}
-	icmpOut := n.probeCore(e, tap, icmpScratch, dst, payload, echo, echoOK, in, pre, acc, resp)
+	icmpOut := n.probeCore(e, tap, icmpScratch, dst, payload, echo, echoOK, in, pre, resp)
 	if resp.Timeout || resp.Data == nil {
 		return icmpOut, ipScratch
 	}
@@ -387,16 +322,9 @@ func (n *Network) deliverCore(e *routeEntry, tap Tap, icmpScratch, ipScratch []b
 	// wrap appends into the distinct IP scratch, so no self-overlapping copy.
 	wrapped, err := replyHdr.MarshalAppend(ipScratch, resp.Data)
 	if err != nil {
-		acc.malformed++
 		*resp = Response{Timeout: true}
 		return icmpOut, ipScratch
 	}
 	resp.Data = wrapped
 	return icmpOut, wrapped
-}
-
-// String summarizes counters for logs.
-func (c *Counters) String() string {
-	return fmt.Sprintf("probes=%d replies=%d timeouts=%d lost=%d malformed=%d",
-		c.Probes.Load(), c.Replies.Load(), c.Timeouts.Load(), c.Lost.Load(), c.Malformed.Load())
 }

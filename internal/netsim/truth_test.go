@@ -385,16 +385,21 @@ func TestTruthPlanConcurrent(t *testing.T) {
 			}
 		}(g)
 	}
+	replies := 0
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		var buf netsim.BatchBuffer
 		for r := 0; r < 2*rounds; r++ {
-			n.DeliverBatch(&buf, probes, dayStart(1).Add(time.Duration(r)*round))
+			for _, resp := range n.DeliverBatch(&buf, probes, dayStart(1).Add(time.Duration(r)*round)) {
+				if !resp.Timeout {
+					replies++
+				}
+			}
 		}
 	}()
 	wg.Wait()
-	if n.Stats.Replies.Load() == 0 {
+	if replies == 0 {
 		t.Fatal("no probe was answered: delivery did not exercise the block")
 	}
 }

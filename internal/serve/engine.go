@@ -2,13 +2,14 @@
 // monitor's per-block state: availability, diurnal class, phase →
 // time-of-sleep, and outage flags, queryable while the campaign runs.
 //
-// The core mechanism is the copy-on-write epoch snapshot. Each shard folds
-// a committed round (internal/monitor's EpochSink hook) into a column set
-// of its own outside the engine mutex, and the engine swaps the set in as
-// the shard's current one. Once every shard has
-// committed round r, the engine seals an immutable Epoch that points at
-// every shard's current set (no column is copied, and a sealed set is never
-// written again) and swaps it in with one atomic pointer store. Readers
+// The core mechanism is the copy-on-write epoch snapshot. The engine folds
+// a shard's committed round (internal/monitor's EpochSink hook) into the
+// shard's current column set under the engine mutex: in place, or, when an
+// epoch points at that set, into a fresh set of the shard's own. Once every
+// shard has committed round r, the engine seals an immutable Epoch that
+// points at every shard's current set (no column is copied, and a sealed
+// set is never written again) and swaps it in with one atomic pointer
+// store. Readers
 // load the pointer and query the frozen epoch — they never take a lock the
 // probe path can contend on, and a reader holding an old epoch keeps a
 // consistent view for as long as it wants.
@@ -39,9 +40,9 @@ import (
 // colSet is one shard's published columns at one round count: avail,
 // long, down, failed, class and phase, 30 B a block, beside the ids fixed
 // by the shard's last resync (shared by every set of that resync, never
-// written after it). A set is written by its own shard alone while it is
-// the shard's next set; the engine swaps it in as the current set, and once
-// an epoch points at it (sealed) it is never written again.
+// written after it). A publish writes the shard's current set in place
+// until an epoch points at it (sealed); from then on it is never written
+// again. Every field is guarded by the engine mutex until the set is sealed.
 type colSet struct {
 	rounds int // committed rounds the columns reflect
 	ids    []netsim.BlockID
@@ -51,7 +52,7 @@ type colSet struct {
 	failed []int32
 	class  []monitor.Class
 	phase  []float64 // 0 outside the diurnal classes
-	sealed bool      // an epoch points at the set; engine mutex
+	sealed bool      // an epoch points at the set
 }
 
 func newColSet(ids []netsim.BlockID) *colSet {
@@ -67,24 +68,16 @@ func newColSet(ids []netsim.BlockID) *colSet {
 	}
 }
 
-// shardState is the writer side of one monitor shard. The shard folds a
-// round into its next column set under its own mutex, outside the engine's;
-// the engine mutex only swaps the set in.
+// shardState is the writer side of one monitor shard, guarded by the
+// engine mutex.
 type shardState struct {
-	// mu serializes the shard's publishes and resyncs. It is taken before
-	// the engine mutex, never while holding it.
-	mu sync.Mutex
-	// next is the set the next publish folds into: one no epoch has ever
-	// pointed at, or nil when the publish has to allocate one.
-	next *colSet
-
-	cur         *colSet // written under mu and the engine mutex; nil until the first resync
-	quarantined bool    // engine mutex
+	cur         *colSet // nil until the first resync
+	quarantined bool
 }
 
 // foldRound applies a round to blocks [lo, hi) of next's columns, carrying
-// down and failed forward from cur. Blocks are independent, so any split
-// into ranges gives the same bits.
+// down and failed forward from cur; next may be cur. Blocks are
+// independent, so any split into ranges gives the same bits.
 //
 //lint:hotpath: per block per round on the publish path; a copy
 func foldRound(next, cur *colSet, deltas []monitor.RoundPub, lo, hi int) {
@@ -185,41 +178,15 @@ func (e *Engine) BeginRun(info monitor.RunInfo) {
 	e.totalRounds.Store(int64(info.Rounds))
 }
 
-// shardAt returns the run's state of shard, or nil when the run has no
-// such shard (or no run has begun).
-func (e *Engine) shardAt(shard int) *shardState {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if shard < 0 || shard >= len(e.shards) {
-		return nil
-	}
-	return e.shards[shard]
-}
-
-// swapLocked makes set the shard's current set and seals what the floor
-// now allows. It reports false, swapping nothing, when a BeginRun has
-// replaced the shard's state since the caller fetched it.
-func (e *Engine) swapLocked(shard int, st *shardState, set *colSet) bool {
-	if shard >= len(e.shards) || e.shards[shard] != st {
-		return false
-	}
-	st.cur = set
-	e.noteRounds(set.rounds)
-	e.sealLocked()
-	return true
-}
-
 // ResyncShard implements monitor.EpochSink: it replaces the shard's state
 // with its committed state. Cold path (attempt starts and recoveries only).
 func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
-	st := e.shardAt(shard)
-	if st == nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if shard < 0 || shard >= len(e.shards) {
 		e.met.publishIgnored.Inc()
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.next = nil
 	set := newColSet(make([]netsim.BlockID, len(blocks)))
 	set.rounds = nextRound
 	for i := range blocks {
@@ -231,30 +198,27 @@ func (e *Engine) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
 		set.failed[i] = int32(b.Failed)
 		set.class[i], set.phase[i] = b.Class, b.Phase
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st.quarantined = false
-	if !e.swapLocked(shard, st, set) {
-		e.met.publishIgnored.Inc()
-		return
-	}
+	st := e.shards[shard]
+	st.cur, st.quarantined = set, false
 	e.met.resyncs.Inc()
+	e.noteRounds(set.rounds)
+	e.sealLocked()
 }
 
 // PublishRound implements monitor.EpochSink: it folds one committed round
-// into the shard's next column set under the shard's own mutex — shards
-// fold concurrently, and a shard larger than foldChunk folds across cores. The
-// engine mutex is held only to swap the set in and seal. Besides the Epoch
-// a seal allocates, a publish allocates nothing unless the set it displaces
-// was sealed, and then one set of its own shard.
+// into the shard's current column set under the engine mutex, and a shard
+// larger than foldChunk folds across cores. The fold writes the set in
+// place unless an epoch points at it; then it writes a fresh set of the
+// shard's own (copy on write). Besides the Epoch a seal allocates, that set
+// is all a publish allocates.
 func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
-	st := e.shardAt(shard)
-	if st == nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if shard < 0 || shard >= len(e.shards) {
 		e.met.publishIgnored.Inc()
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
+	st := e.shards[shard]
 	cur := st.cur
 	if cur == nil || len(deltas) != len(cur.ids) || round != cur.rounds {
 		// A replayed round (engine already covered it via resync) or a gap
@@ -263,11 +227,10 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 		e.met.publishIgnored.Inc()
 		return
 	}
-	next := st.next
-	if next == nil {
+	next := cur
+	if cur.sealed {
 		next = newColSet(cur.ids)
 	}
-	st.next = nil
 	if n := len(deltas); n <= e.chunk {
 		// Not par.For's own inline path: the closure it is handed would be
 		// allocated on every publish.
@@ -276,15 +239,9 @@ func (e *Engine) PublishRound(shard, round int, deltas []monitor.RoundPub) {
 		par.For(n, e.chunk, 0, func(lo, hi int) { foldRound(next, cur, deltas, lo, hi) })
 	}
 	next.rounds = round + 1
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.swapLocked(shard, st, next) {
-		e.met.publishIgnored.Inc()
-		return
-	}
-	if !cur.sealed {
-		st.next = cur // no epoch points at it: the next publish reuses it
-	}
+	st.cur = next
+	e.noteRounds(next.rounds)
+	e.sealLocked()
 }
 
 // ShardDown implements monitor.EpochSink: the shard quarantined and will

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"runtime"
@@ -236,17 +237,14 @@ func (l *setLog) ResyncShard(shard, nextRound int, blocks []monitor.PubBlock) {
 }
 
 func (l *setLog) note(shard int) {
-	st := l.shardAt(shard)
-	if st == nil {
+	l.Engine.mu.Lock()
+	defer l.Engine.mu.Unlock()
+	if shard < 0 || shard >= len(l.shards) || l.shards[shard].cur == nil {
 		return
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.cur == nil {
-		return
-	}
-	v := verdicts{ids: st.cur.ids, class: slices.Clone(st.cur.class), phase: slices.Clone(st.cur.phase)}
-	k := setKey{shard, st.cur.rounds}
+	cur := l.shards[shard].cur
+	v := verdicts{ids: cur.ids, class: slices.Clone(cur.class), phase: slices.Clone(cur.phase)}
+	k := setKey{shard, cur.rounds}
 	if old, ok := l.sets[k]; ok && !sameVerdicts(old, v) {
 		l.mismatch = append(l.mismatch, k)
 	}
@@ -690,8 +688,8 @@ func allocBytes(runs int, f func()) float64 {
 }
 
 // TestPublishRoundAllocs: a publish folds into a column set no epoch points
-// at. When the set it displaces was never sealed, it reuses that set and
-// allocates nothing. When it was sealed, the
+// at. When the shard's current set was never sealed, it writes that set in
+// place and allocates nothing. When it was sealed, the
 // publish allocates one column set of its own shard, 30 B a block, and
 // nothing of any other shard. A seal allocates the Epoch and its segment
 // list, and no column.
@@ -715,7 +713,7 @@ func TestPublishRoundAllocs(t *testing.T) {
 	ahead.publish(e)
 	floor.publish(e)
 	sealed := e.Epoch().Rounds
-	// Past the floor, the shard ahead soon holds two sets no epoch saw.
+	// Past the floor, the shard ahead folds into one set no epoch saw.
 	for r := 0; r < 3*runs; r++ {
 		ahead.publish(e)
 	}
@@ -757,21 +755,35 @@ func TestPublishRoundAllocs(t *testing.T) {
 // listing and the rollup.
 func epochJSON(t *testing.T, ep *Epoch) string {
 	t.Helper()
-	blocks, _, err := ep.Range(context.Background(), 0, ^netsim.BlockID(0), ep.Len(), false)
+	s, err := readEpoch(ep)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return s
+}
+
+// readEpoch is epochJSON for a goroutine other than the test's.
+func readEpoch(ep *Epoch) (string, error) {
+	blocks, _, err := ep.Range(context.Background(), 0, ^netsim.BlockID(0), ep.Len(), false)
+	if err != nil {
+		return "", err
 	}
 	sum, err := ep.Summary(context.Background())
 	if err != nil {
-		t.Fatal(err)
+		return "", err
 	}
-	return mustJSON(t, blocks) + mustJSON(t, sum)
+	b, err := json.Marshal(blocks)
+	if err != nil {
+		return "", err
+	}
+	s, err := json.Marshal(sum)
+	return string(b) + string(s), err
 }
 
 // TestEngineReaderIsolation: a reader holding an epoch keeps its answers
 // while the shards it points at move on — publishing out of step (a shard
-// ahead of the floor reuses a set only if no epoch points at it), resyncing
-// and publishing again.
+// ahead of the floor writes its set in place only while no epoch points at
+// it), resyncing and publishing again.
 func TestEngineReaderIsolation(t *testing.T) {
 	const perShard = 4
 	info := monitor.RunInfo{
@@ -826,5 +838,164 @@ func TestEngineReaderIsolation(t *testing.T) {
 	}
 	if got := e.Epoch().Rounds; got != held.Rounds+4 {
 		t.Fatalf("the engine sealed up to %d, want %d", got, held.Rounds+4)
+	}
+}
+
+// TestEngineConcurrentWritersOfTwoRuns races every writer the engine has
+// against its readers. Run A's shards publish and resync on goroutines of
+// their own while another goroutine begins run B, with one shard fewer,
+// and feeds it; a third quarantines shards; readers hold epochs. A's
+// writers go on past B's start, so some of their calls name a shard B does
+// not have or a round B's shard never reached, and are ignored. Whatever
+// the interleaving, a sealed epoch reads the same forever and the served
+// epoch never goes back.
+func TestEngineConcurrentWritersOfTwoRuns(t *testing.T) {
+	const (
+		shardsA, shardsB, perShard = 3, 2, 20
+		rounds, extra              = 150, 30 // A's rounds before B begins; after
+	)
+	series := func(b, r int) monitor.RoundPub {
+		d := avail(float64((b*7+r)%11) / 10)
+		d.Class = monitor.Class((b + r) % 4)
+		if d.Class.Diurnal() {
+			d.Phase = float64(b+r) / 7
+		}
+		d.Failed = (b+r)%5 == 0
+		return d
+	}
+	reg := metrics.New()
+	e := NewEngine(EngineConfig{Metrics: reg})
+	e.chunk = 7 // every shard folds across goroutines
+	info := func(shards int) monitor.RunInfo {
+		return monitor.RunInfo{
+			Shards: shards, Rounds: 2 * rounds, Blocks: shards * perShard,
+			Start: testEpoch, Period: time.Hour, Seed: 1,
+		}
+	}
+	e.BeginRun(info(shardsA))
+
+	var (
+		writers  sync.WaitGroup
+		begunB   = make(chan struct{})
+		finished = make(chan struct{})
+	)
+	started := make(chan struct{}, shardsA)
+	for s := 0; s < shardsA; s++ {
+		writers.Add(1)
+		go func(s int) {
+			defer writers.Done()
+			f := newShardFeed(s, s*perShard, perShard, series)
+			f.resync(e)
+			started <- struct{}{}
+			for i := 0; i < rounds; i++ {
+				f.publish(e)
+				if i%23 == 22 {
+					f.resync(e)
+				}
+			}
+			<-begunB
+			for i := 0; i < extra; i++ {
+				f.publish(e)
+				if i%7 == 6 {
+					f.resync(e)
+				}
+			}
+		}(s)
+	}
+	writers.Add(1)
+	go func() { // run B
+		defer writers.Done()
+		for range shardsA {
+			<-started
+		}
+		for e.Epoch() == nil || e.Epoch().Rounds < rounds/3 {
+			runtime.Gosched()
+		}
+		e.BeginRun(info(shardsB))
+		close(begunB)
+		feeds := make([]*shardFeed, shardsB)
+		for s := range feeds {
+			feeds[s] = newShardFeed(s, 1000+s*perShard, perShard, series)
+			feeds[s].resync(e)
+		}
+		for i := 0; i < rounds; i++ {
+			for _, f := range feeds {
+				f.publish(e)
+			}
+		}
+	}()
+	writers.Add(1)
+	go func() { // quarantines
+		defer writers.Done()
+		for i := 0; i < 40; i++ {
+			e.ShardDown(i % shardsA)
+			runtime.Gosched()
+		}
+	}()
+
+	type heldEpoch struct {
+		ep   *Epoch
+		json string
+	}
+	var readers sync.WaitGroup
+	held := make([][]heldEpoch, 3)
+	for g := range held {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			last := 0
+			for i, done := 0, false; !done; i++ {
+				select {
+				case <-finished:
+					done = true
+				default:
+				}
+				ep := e.Epoch()
+				if ep == nil {
+					runtime.Gosched()
+					continue
+				}
+				if ep.Rounds < last {
+					t.Errorf("reader %d: the served epoch went back from %d to %d rounds", g, last, ep.Rounds)
+					return
+				}
+				last = ep.Rounds
+				if n := len(held[g]); n < 16 && (n == 0 || held[g][n-1].ep != ep) {
+					got, err := readEpoch(ep)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					held[g] = append(held[g], heldEpoch{ep, got})
+				}
+				h := held[g][i%len(held[g])]
+				got, err := readEpoch(h.ep)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != h.json {
+					t.Errorf("reader %d: epoch %d changed while held", g, h.ep.Rounds)
+					return
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(finished)
+	readers.Wait()
+
+	for g, hs := range held {
+		if len(hs) == 0 {
+			t.Errorf("reader %d held no epoch", g)
+		}
+		for _, h := range hs {
+			if got := epochJSON(t, h.ep); got != h.json {
+				t.Errorf("reader %d: epoch %d reads\n%s\nafter the writers stopped, was\n%s", g, h.ep.Rounds, got, h.json)
+			}
+		}
+	}
+	if reg.Snapshot().Counter("serve.publish_ignored") == 0 {
+		t.Error("no call was ignored: run A's writers never outran run B's start")
 	}
 }
