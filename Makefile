@@ -36,9 +36,8 @@ lint-fixtures:
 # experiments-doc reruns every artifact of the cmd/experiments registry at
 # -quick, seed 42, and rewrites EXPERIMENTS.md's generated tables from their
 # headline numbers. Plain `go test ./cmd/experiments` fails while the file
-# and the registry disagree, or while a gating claim (the agree artifact's
-# live-equals-study equality among them) misses its band; no rewrite happens
-# then.
+# and the registry disagree, or while a gating claim (a paper truth claim
+# marked "(gate)" in the tables) misses its band; no rewrite happens then.
 experiments-doc:
 	SLEEPNET_UPDATE_GOLDEN=1 $(GO) test -count=1 -run='^TestExperimentsDoc$$' ./cmd/experiments
 
@@ -92,7 +91,8 @@ monitor-chaos:
 # with shards larger than a fold chunk, so a round's fold is split across
 # goroutines under the engine mutex; beside them, the one-detector test
 # holds every served class and phase to core.ClassifySeries at every round
-# of a live campaign, and the two-run writers test races publishes, resyncs,
+# of a live campaign and at every UTC day end of twelve scenario × fault
+# campaigns, and the two-run writers test races publishes, resyncs,
 # a second run's start and quarantines against readers holding epochs.
 serve-chaos:
 	$(GO) test -race -count=1 -run='TestServeChaosAcceptance|TestServeConformsToNetHTTP|TestServeRefusesWithCompleteAnswer|TestServeShedsQueuedRequestOfClosedSocket|TestServeLeaksNoGoroutines' ./internal/serve

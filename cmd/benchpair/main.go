@@ -1,12 +1,12 @@
 // Command benchpair measures a change against a base revision the way the
 // choosing-metrics guide (section 8) asks a performance claim to be
 // measured: it exports the base revision into a temporary directory, builds
-// the repository's benchmark (./bench) there and in the working tree, runs
-// the two binaries in pairs with alternating order through the arguments
-// bench/run.sh takes, and prints, per end-to-end metric of BENCHMARK.json,
-// each side's median and quartiles, how many pairs the working tree won, and
-// whether that amounts to a gain, a regression beyond the metric's bound, or
-// neither.
+// the repository's benchmark (./bench) there and in the working tree with
+// -trimpath, runs the two binaries in pairs with alternating order through
+// the arguments bench/run.sh takes, and prints, per end-to-end metric of
+// BENCHMARK.json, each side's median and quartiles, how many pairs the
+// working tree won, and whether that amounts to a gain, a regression beyond
+// the metric's bound, or neither.
 //
 //	go run ./cmd/benchpair -workload truth-7d -base HEAD~1 -pairs 10
 //
@@ -108,7 +108,9 @@ func run(args []string, out *bytes.Buffer) error {
 	}
 	for _, s := range sides {
 		s.samples = make(map[string][]float64)
-		build := exec.Command("go", "build", "-buildvcs=false", "-o", s.bin, "./bench")
+		// -trimpath keeps the checkout's directory out of the binary, so the
+		// two sides differ only by their source.
+		build := exec.Command("go", "build", "-trimpath", "-buildvcs=false", "-o", s.bin, "./bench")
 		build.Dir = s.dir
 		if msg, err := build.CombinedOutput(); err != nil {
 			return fmt.Errorf("building ./bench of %s: %v\n%s", s.label, err, msg)

@@ -50,7 +50,6 @@ var registry = []artifact{
 	{"census", extensionKind, "§5.6 active-address census", census},
 	{"usc", extensionKind, "§3.2.4 campus validation", usc},
 	{"faults", extensionKind, "classification vs injected measurement-path faults", faultsweep},
-	{"agree", extensionKind, "live-vs-study class agreement at every day end (gated contract)", agreement},
 
 	{"ratioewma", ablationKind, "EWMA of p/t directly (the paper's A12w) vs separate EWMAs, at A = 0.5", ratioEWMA},
 	{"strictrelaxed", ablationKind, "population each diurnal rule admits", strictRelaxed},
@@ -218,8 +217,8 @@ func fig2(e *env) []claim {
 // as a multiple of N_d, and how far it stands above the next non-harmonic.
 func peakClaims(res core.DiurnalResult, bin, days int) []claim {
 	return []claim{
-		num("peak bin / N_d", "1", "%.2f", 1, 1, float64(bin)/float64(days)),
-		num("diurnal / next amp", "", "%.1f", 3, 1e3, res.DiurnalAmp/res.NextAmp),
+		gated(num("peak bin / N_d", "1", "%.2f", 1, 1, float64(bin)/float64(days))),
+		gated(num("diurnal / next amp", "", "%.1f", 3, 1e3, res.DiurnalAmp/res.NextAmp)),
 	}
 }
 
@@ -284,7 +283,7 @@ func fig5(e *env) []claim {
 	e.printf("pooled pairs: %d over %d blocks\n", res.Pairs, res.Blocks)
 	e.printf("Âo at or under true A: %s of rounds (paper: 94%%)\n", report.Pct(res.UnderFrac))
 	e.printf("correlation coefficient: %.5f\n", res.R)
-	return []claim{pct("Âo ≤ A", "94%", 0.9, 1, res.UnderFrac)}
+	return []claim{gated(pct("Âo ≤ A", "94%", 0.9, 1, res.UnderFrac))}
 }
 
 func table1(e *env) []claim {
@@ -302,8 +301,8 @@ func table1(e *env) []claim {
 	e.printf("precision: %s (paper: 82.48%%)   accuracy: %s (paper: 90.99%%)\n",
 		report.Pct(v.Precision()), report.Pct(v.Accuracy()))
 	return []claim{
-		pct("precision", "82.5%", 0.75, 1, v.Precision()),
-		pct("accuracy", "91.0%", 0.85, 1, v.Accuracy()),
+		gated(pct("precision", "82.5%", 0.75, 1, v.Precision())),
+		gated(pct("accuracy", "91.0%", 0.85, 1, v.Accuracy())),
 		pct("truly diurnal", "~10%", 0.05, 0.25, share(v.TruePos+v.FalseNeg)),
 	}
 }
@@ -350,8 +349,8 @@ func fig7(e *env) []claim {
 		return analysis.SweepDiurnalCount(counts, cfg)
 	})
 	return []claim{
-		accuracyAt(pts, 2, "n_d = 2", "low", 0, 0.3),
-		accuracyAt(pts, 40, "n_d = 40", "> 85%", 0.85, 1),
+		gated(accuracyAt(pts, 2, "n_d = 2", "low", 0, 0.3)),
+		gated(accuracyAt(pts, 40, "n_d = 40", "> 85%", 0.85, 1)),
 	}
 }
 
@@ -365,8 +364,8 @@ func fig8(e *env) []claim {
 		return analysis.SweepPhaseSpread(hours, cfg)
 	})
 	return []claim{
-		accuracyAt(pts, 8, "Φ = 8 h", "high", 0.9, 1),
-		accuracyAt(pts, 20, "Φ = 20 h", "past the cliff", 0, 0.85),
+		gated(accuracyAt(pts, 8, "Φ = 8 h", "high", 0.9, 1)),
+		gated(accuracyAt(pts, 20, "Φ = 20 h", "past the cliff", 0, 0.85)),
 	}
 }
 
@@ -380,8 +379,8 @@ func fig9(e *env) []claim {
 		return analysis.SweepDurationSigma(hours, cfg)
 	})
 	return []claim{
-		accuracyAt(pts, 6, "σd = 6 h", "high", 0.9, 1),
-		accuracyAt(pts, 24, "σd = 24 h", "slight decline", 0.6, 1),
+		gated(accuracyAt(pts, 6, "σd = 6 h", "high", 0.9, 1)),
+		gated(accuracyAt(pts, 24, "σd = 24 h", "slight decline", 0.6, 1)),
 	}
 }
 
@@ -477,8 +476,8 @@ func fig13(e *env) []claim {
 		}
 	}
 	return []claim{
-		pct("N. America", "dark", 0, 0.05, float64(na[0])/float64(na[1])),
-		pct("Asia", "bright", 0.1, 1, float64(asia[0])/float64(asia[1])),
+		gated(pct("N. America", "dark", 0, 0.05, float64(na[0])/float64(na[1]))),
+		gated(pct("Asia", "bright", 0.1, 1, float64(asia[0])/float64(asia[1]))),
 	}
 }
 
@@ -660,7 +659,7 @@ func fig16(e *env) []claim {
 		vals = append(vals, r.FracDiurnal)
 	}
 	e.printf("%s", report.BarChart(labels, vals, 50))
-	return []claim{num("r", "−0.526", "%.3f", -0.8, -0.3, res.R)}
+	return []claim{gated(num("r", "−0.526", "%.3f", -0.8, -0.3, res.R))}
 }
 
 func table5(e *env) []claim {
@@ -840,17 +839,4 @@ func faultsweep(e *env) []claim {
 		pct("strict agree, fault-free", "", 0.95, 1, strict["fault-free"]),
 		pct("strict agree, 2% loss", "", 0.93, 1, strict["loss=2%"]),
 	}
-}
-
-func agreement(e *env) []claim {
-	e.printf("Extension: live-vs-study class agreement (a monitor campaign serving\n")
-	e.printf("through serve.Engine, per world scenario × fault level, read at every\n")
-	e.printf("UTC day end against core.ClassifySeries on the committed series)\n")
-	blocks, days := 150, 7
-	if e.quick {
-		blocks, days = 90, 5
-	}
-	rep := must(runAgree(e.seed, blocks, days))
-	e.printf("%s", rep.markdown())
-	return rep.claims()
 }

@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"math"
 	"os"
 	"strings"
 	"testing"
@@ -85,22 +84,21 @@ func TestExperimentsDoc(t *testing.T) {
 // band is reported, with its measured value and band; one inside its band,
 // or an ungated one outside it, is not.
 func TestGateMisses(t *testing.T) {
-	gated := func(c claim) claim { c.gate = true; return c }
 	claims := []claim{
-		gated(pct("clean strict agree", "", 0.97, 1, 0.9675)),
-		gated(pct("clean unknown", "", 0, 0.02, 0.01)),
-		pct("fig4 r", "0.957", 0.9, 1, 0.879),
-		gated(num("compared", "", "%.0f", 20, math.Inf(1), 19)),
+		gated(pct("precision", "82.5%", 0.75, 1, 0.7475)),
+		gated(pct("accuracy", "91.0%", 0.85, 1, 0.99)),
+		pct("truly diurnal", "~10%", 0.05, 0.25, 0.3),
+		gated(num("r", "−0.526", "%.3f", -0.8, -0.3, -0.2)),
 	}
-	got := gateMisses("agree", claims)
+	got := append(gateMisses("table1", claims[:3]), gateMisses("fig16", claims[3:])...)
 	want := []string{
-		"agree: clean strict agree 96.8% not in [97.0%, 100.0%]",
-		"agree: compared 19 not in [20, +Inf]",
+		"table1: precision 74.8% not in [75.0%, 100.0%]",
+		"fig16: r -0.200 not in [-0.800, -0.300]",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("gateMisses = %q, want %q", got, want)
 	}
-	if got := gateMisses("agree", claims[1:3]); len(got) != 0 {
+	if got := gateMisses("table1", claims[1:3]); len(got) != 0 {
 		t.Fatalf("gateMisses reported claims that pass the gate: %q", got)
 	}
 }

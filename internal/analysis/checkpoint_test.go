@@ -268,9 +268,10 @@ func TestWriteCSVBlockColumn(t *testing.T) {
 }
 
 // TestLoadStudyReadsParentFormat reads a study saved before the fault
-// model's RateLimitWindow and Epoch and the retry policy's BaseBackoff
-// stopped being fields: its header carries the three keys, always zero,
-// that headers written today lack. sleepscan at commit d25480b wrote it:
+// model's RateLimitWindow and Epoch, the retry policy's BaseBackoff and the
+// world's MeanLoss stopped being fields: its header carries the four keys
+// that headers written today lack, the first three zero and MeanLoss at its
+// old default, 0.01. sleepscan at commit d25480b wrote it:
 //
 //	sleepscan -blocks 20 -days 2 -loss 0.05 -retries 3 -o testdata/study_with_old_header.jsonl
 //
@@ -283,7 +284,7 @@ func TestLoadStudyReadsParentFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	header, _, _ := bytes.Cut(raw, []byte("\n"))
-	for _, key := range []string{`"RateLimitWindow":0`, `"Epoch":"0001-01-01T00:00:00Z"`, `"BaseBackoff":0`} {
+	for _, key := range []string{`"RateLimitWindow":0`, `"Epoch":"0001-01-01T00:00:00Z"`, `"BaseBackoff":0`, `"MeanLoss":0.01`} {
 		if !bytes.Contains(header, []byte(key)) {
 			t.Fatalf("fixture header lacks %s: %s", key, header)
 		}

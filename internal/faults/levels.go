@@ -13,11 +13,11 @@ type Level struct {
 }
 
 // SweepLevels builds the canonical fault-sweep plan shared by the
-// fault-robustness sweep (analysis.FaultSweep) and the live-vs-study
-// agreement sweep (the `agree` artifact of cmd/experiments): the fault-free
-// baseline first, then one level per positive loss rate, then one per
-// positive rate-limit cap. Non-positive entries are skipped, so callers can
-// pass sweeps with explicit zeros. All levels draw from seed^0xfa17,
+// fault-robustness sweep (analysis.FaultSweep) and serve's live-vs-study
+// test (TestEpochClassIsStudyClass): the fault-free baseline first, then
+// one level per positive loss rate, then one per positive rate-limit cap.
+// Non-positive entries are skipped, so callers can pass sweeps with
+// explicit zeros. All levels draw from seed^0xfa17,
 // decorrelating fault fates from the simulation's own randomness while
 // keeping a given level reproducible across harnesses.
 func SweepLevels(seed uint64, lossRates []float64, rateLimits []int) []Level {

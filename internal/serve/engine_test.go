@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,42 +338,94 @@ func TestEngineCrashEquivalence(t *testing.T) {
 	}
 }
 
-// TestEpochClassIsStudyClass is the one-detector contract: a live monitor
-// and engine campaign over four whole UTC days, from a start that is not a
-// midnight, across three shards. Every set a shard installs, at every
-// committed round count n — day ends and the rounds between them — carries
-// for each block exactly core.ClassifySeries of the block's committed
-// series [:n]: its class, or unknown where it errors, and its phase bits
-// (0 outside the diurnal classes).
+// classRow is one campaign of TestEpochClassIsStudyClass.
+type classRow struct {
+	name  string
+	world world.Config
+	// lossy raises every generated block's path loss fivefold, capped at
+	// 0.2, before the campaign.
+	lossy          bool
+	faults         faults.Config
+	rounds, shards int
+	// everyRound checks the sets at every committed round count; otherwise
+	// only at the counts that end a UTC day.
+	everyRound bool
+}
+
+// classRows are the campaigns the one-detector contract is checked on:
+// four whole UTC days across three shards, checked at every round count,
+// then three world scenarios — clean, elevated per-block path loss, and
+// frequent whole-block outages — each under the fault-free level, 2% and
+// 10% loss and a 4-probe rate limit, one shard for five days, checked at
+// every UTC day end.
+func classRows() []classRow {
+	rows := []classRow{{
+		name:   "3 shards, every round",
+		world:  world.Config{Blocks: 24, Seed: 0xd1a1},
+		rounds: 600, shards: 3, everyRound: true, // four whole UTC days
+	}}
+	const seed = 42
+	scenarios := []struct {
+		name  string
+		world world.Config
+		lossy bool
+	}{
+		{name: "clean"},
+		{name: "lossy-net", lossy: true},
+		{name: "outage-heavy", world: world.Config{OutagesPerBlockWeek: 0.5}},
+	}
+	for si, sc := range scenarios {
+		sc.world.Blocks = 90
+		sc.world.Seed = seed ^ (uint64(si+1) * 0x9e3779b97f4a7c15)
+		for _, lvl := range faults.SweepLevels(seed, []float64{0.02, 0.10}, []int{4}) {
+			rows = append(rows, classRow{
+				name: sc.name + " × " + lvl.Label, world: sc.world, lossy: sc.lossy, faults: lvl.Config,
+				rounds: analysis.RoundsForDays(5), shards: 1,
+			})
+		}
+	}
+	return rows
+}
+
+// endsDay reports whether n rounds from start end at or past a UTC midnight
+// that n-1 rounds did not reach. It reads the clock, not the monitor, so the
+// test does not trust the code it checks.
+func endsDay(start time.Time, n int) bool {
+	end := start.Add(time.Duration(n) * timeseries.DefaultRound)
+	return !end.Truncate(24 * time.Hour).Equal(end.Add(-timeseries.DefaultRound).Truncate(24 * time.Hour))
+}
+
+// confusion counts checked block-round-counts by the study's class (row)
+// and the served class (column).
+type confusion [4][4]int
+
+func (c *confusion) String() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%-14s", "study\\served")
+	for col := range c[0] {
+		fmt.Fprintf(&b, " %12v", monitor.Class(col))
+	}
+	for row := range c {
+		fmt.Fprintf(&b, "\n%-14v", monitor.Class(row))
+		for _, n := range c[row] {
+			fmt.Fprintf(&b, " %12d", n)
+		}
+	}
+	return b.String()
+}
+
+// TestEpochClassIsStudyClass is the one-detector contract: in a live
+// monitor and engine campaign, every set a shard installs at a checked
+// committed round count n carries for each block exactly
+// core.ClassifySeries of the block's committed series [:n]: its class, or
+// unknown where it errors, and its phase bits (0 outside the diurnal
+// classes). Every campaign monitors at least 20 blocks and leaves none
+// unknown at its last UTC day end, and the campaigns between them meet
+// every class. A failing campaign prints its confusion matrix.
 func TestEpochClassIsStudyClass(t *testing.T) {
-	const rounds = 600 // 17:18 UTC plus 4 days 14 h: four whole UTC days
-	w, err := world.Generate(world.Config{Blocks: 24, Seed: 0xd1a1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	log := newSetLog(NewEngine(EngineConfig{}))
-	cfg := baseConfig(w.Net, rounds)
-	cfg.Start = time.Date(2013, time.April, 24, 17, 18, 0, 0, time.UTC)
-	cfg.Shards = 3
-	cfg.Sink = log
-	m, err := monitor.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := m.Run(context.Background())
-	if err != nil || !res.Completed {
-		t.Fatalf("run: err=%v res=%+v", err, res)
-	}
-	st, err := res.Study()
-	if err != nil {
-		t.Fatal(err)
-	}
-	series := make(map[string][]float64, len(st.Blocks))
-	for _, b := range st.Blocks {
-		series[b.ID] = b.Short
-	}
+	start := analysis.DefaultStart // 17:18 UTC: not a midnight
 	want := func(short []float64) (monitor.Class, float64) {
-		r, _, err := core.ClassifySeries(timeseries.New(cfg.Start, timeseries.DefaultRound, short))
+		r, _, err := core.ClassifySeries(timeseries.New(start, timeseries.DefaultRound, short))
 		switch {
 		case err != nil:
 			return monitor.ClassUnknown, 0
@@ -382,26 +436,89 @@ func TestEpochClassIsStudyClass(t *testing.T) {
 		}
 		return monitor.ClassNonDiurnal, 0
 	}
-	seen := map[monitor.Class]bool{}
-	for shard := 0; shard < cfg.Shards; shard++ {
-		for n := 0; n <= rounds; n++ {
-			v, ok := log.sets[setKey{shard, n}]
-			if !ok {
-				t.Fatalf("shard %d never installed a set at %d rounds", shard, n)
+	rows := classRows()
+	seen, ran := map[monitor.Class]bool{}, 0
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ran++
+			w, err := world.Generate(row.world)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, id := range v.ids {
-				class, phase := want(series[id.String()][:n])
-				if v.class[i] != class || math.Float64bits(v.phase[i]) != math.Float64bits(phase) {
-					t.Fatalf("shard %d at %d rounds, block %v: served %v %v, ClassifySeries %v %v",
-						shard, n, id, v.class[i], v.phase[i], class, phase)
+			if row.lossy {
+				for _, info := range w.Blocks {
+					blk := w.Net.Block(info.ID)
+					blk.Loss = min(5*blk.Loss, 0.2)
 				}
-				seen[class] = true
 			}
-		}
+			faults.Attach(w.Net, row.faults, start) // the world is this row's alone: never detached
+			log := newSetLog(NewEngine(EngineConfig{}))
+			cfg := baseConfig(w.Net, row.rounds)
+			cfg.Start, cfg.Shards, cfg.Sink = start, row.shards, log
+			m, err := monitor.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := m.Run(context.Background())
+			if err != nil || !res.Completed {
+				t.Fatalf("run: err=%v res=%+v", err, res)
+			}
+			st, err := res.Study()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Blocks) < 20 {
+				t.Fatalf("the campaign monitored %d blocks, want at least 20", len(st.Blocks))
+			}
+			series := make(map[string][]float64, len(st.Blocks))
+			for _, b := range st.Blocks {
+				series[b.ID] = b.Short
+			}
+			lastDayEnd := row.rounds
+			for lastDayEnd > 0 && !endsDay(start, lastDayEnd) {
+				lastDayEnd--
+			}
+
+			var conf confusion
+			var differ, unknownAtEnd int
+			var first string
+			for shard := 0; shard < row.shards; shard++ {
+				for n := 0; n <= row.rounds; n++ {
+					if !row.everyRound && !endsDay(start, n) {
+						continue
+					}
+					v, ok := log.sets[setKey{shard, n}]
+					if !ok {
+						t.Fatalf("shard %d never installed a set at %d rounds", shard, n)
+					}
+					for i, id := range v.ids {
+						class, phase := want(series[id.String()][:n])
+						conf[class][v.class[i]]++
+						seen[class] = true
+						if v.class[i] != class || math.Float64bits(v.phase[i]) != math.Float64bits(phase) {
+							if differ == 0 {
+								first = fmt.Sprintf("shard %d at %d rounds, block %v: served %v %v, ClassifySeries %v %v",
+									shard, n, id, v.class[i], v.phase[i], class, phase)
+							}
+							differ++
+						}
+						if n == lastDayEnd && v.class[i] == monitor.ClassUnknown {
+							unknownAtEnd++
+						}
+					}
+				}
+			}
+			if differ > 0 {
+				t.Errorf("%d served verdicts differ from ClassifySeries; the first: %s\n%v", differ, first, &conf)
+			}
+			if unknownAtEnd > 0 {
+				t.Errorf("%d blocks unknown at the last UTC day end (%d rounds)\n%v", unknownAtEnd, lastDayEnd, &conf)
+			}
+		})
 	}
-	for _, c := range []monitor.Class{monitor.ClassUnknown, monitor.ClassNonDiurnal, monitor.ClassStrict} {
-		if !seen[c] {
-			t.Errorf("no block was ever %v: the fixture no longer covers that class", c)
+	for _, c := range []monitor.Class{monitor.ClassUnknown, monitor.ClassNonDiurnal, monitor.ClassRelaxed, monitor.ClassStrict} {
+		if ran == len(rows) && !seen[c] {
+			t.Errorf("ClassifySeries never said %v: the campaigns no longer cover that class", c)
 		}
 	}
 }

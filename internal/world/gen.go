@@ -19,8 +19,6 @@ type Config struct {
 	Blocks int
 	// Seed makes generation fully deterministic.
 	Seed uint64
-	// MeanLoss is the mean per-block packet loss probability (default 0.01).
-	MeanLoss float64
 	// OutagesPerBlockWeek is the base rate of whole-block outages
 	// (episodes per block per week); the realized per-block rate scales
 	// with national infrastructure (lower GDP, more outages). Zero
@@ -40,14 +38,9 @@ const (
 	// outageHorizon bounds how far ahead of the simulation epoch outages
 	// are scheduled.
 	outageHorizon = 70 * 24 * time.Hour
+	// meanLoss is the mean per-block packet loss probability.
+	meanLoss = 0.01
 )
-
-func (c Config) withDefaults() Config {
-	if c.MeanLoss == 0 {
-		c.MeanLoss = 0.01
-	}
-	return c
-}
 
 // allocEnd is when IANA exhausted the IPv4 /8 pool.
 var allocEnd = time.Date(2011, time.February, 1, 0, 0, 0, 0, time.UTC)
@@ -99,14 +92,13 @@ type World struct {
 	// ISPs lists every operator; ASNOrg maps ASN to operator name.
 	ISPs   []*ISP
 	ASNOrg map[int]string
-	// Config is the (defaulted) configuration the world was generated
-	// from: Generate(w.Config) rebuilds the same world.
+	// Config is the configuration the world was generated from:
+	// Generate(w.Config) rebuilds the same world.
 	Config Config
 }
 
 // Generate builds a synthetic world of cfg.Blocks /24 blocks.
 func Generate(cfg Config) (*World, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Blocks <= 0 {
 		return nil, fmt.Errorf("world: Config.Blocks must be positive, got %d", cfg.Blocks)
 	}
@@ -315,7 +307,7 @@ func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 	blk := &netsim.Block{
 		ID:            info.ID,
 		Seed:          uint64(info.ID) ^ cfg.Seed,
-		Loss:          clampF(r.ExpFloat64()*cfg.MeanLoss, 0, 0.2),
+		Loss:          clampF(r.ExpFloat64()*meanLoss, 0, 0.2),
 		LatencyBase:   time.Duration(20+r.Intn(250)) * time.Millisecond,
 		LatencyJitter: time.Duration(5+r.Intn(40)) * time.Millisecond,
 	}
