@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair
+.PHONY: all build vet test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-rand fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair
 
 all: check
 
@@ -53,6 +53,11 @@ fuzz:
 # fuzz-rdns runs the rDNS keyword-classifier fuzzer for a short budget.
 fuzz-rdns:
 	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=30s ./internal/rdns
+
+# fuzz-rand holds prf.LegacyRand to rand.NewSource's stream at arbitrary
+# seeds and draw counts, across a reseed of the same Rand.
+fuzz-rand:
+	$(GO) test -run=^$$ -fuzz=FuzzLegacyRand -fuzztime=30s ./internal/prf
 
 # fuzz-wal fuzzes the monitor's WAL/snapshot decoders: arbitrary bytes must
 # yield either a clean decode or an error chained to ErrCorrupt, never a

@@ -2,13 +2,13 @@ package analysis
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
 	"sleepnet/internal/core"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/par"
+	"sleepnet/internal/prf"
 	"sleepnet/internal/stats"
 )
 
@@ -120,7 +120,7 @@ func runSweepPoint(x float64, cfg SweepConfig) (SweepPoint, error) {
 // the pipeline classifies it strictly diurnal.
 func runControlledExperiment(cfg SweepConfig, batch, exp int) (bool, error) {
 	seed := cfg.Seed ^ uint64(batch)<<32 ^ uint64(exp)<<8 ^ 0xf00d
-	r := rand.New(rand.NewSource(int64(seed)))
+	r := prf.LegacyRand(int64(seed))
 	id := netsim.MakeBlockID(172, byte(batch), byte(exp))
 	blk := &netsim.Block{ID: id, Seed: seed}
 	var hosts netsim.Hosts

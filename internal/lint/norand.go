@@ -10,19 +10,22 @@ import (
 // rand.Float64, rand.Seed, ...) in non-test code under internal/. Global
 // rand draws from a shared, launch-time-seeded stream, so two runs of the
 // same seed diverge — the exact nondeterminism the golden same-seed test
-// exists to prevent. Explicitly seeded generators (rand.New(rand.NewSource)
-// and methods on *rand.Rand) and the canonical prf package are allowed.
+// exists to prevent. It forbids rand.NewSource there too: its seeding runs
+// 1,841 LCG steps however few draws follow, and prf.LegacyRand gives the
+// same stream, seeded in O(1), so a stream has one way to be seeded.
+// Methods on *rand.Rand, rand.New over another source and the canonical prf
+// package are allowed.
 type NoRand struct{}
 
 func (NoRand) Name() string { return "norand" }
 func (NoRand) Doc() string {
-	return "forbid global math/rand functions in non-test internal/ code; use prf.* or a seeded rand.New"
+	return "forbid global math/rand functions and rand.NewSource in non-test internal/ code; use prf.* or prf.LegacyRand(seed)"
 }
 
-// norandAllowed lists the math/rand package-level names that do not draw
-// from the global stream: constructors and types.
+// norandAllowed lists the math/rand package-level names that neither draw
+// from the global stream nor seed a source eagerly.
 var norandAllowed = map[string]bool{
-	"New": true, "NewSource": true, "NewZipf": true,
+	"New": true, "NewZipf": true,
 }
 
 func (NoRand) Check(p *Pass) {
@@ -45,9 +48,15 @@ func (NoRand) Check(p *Pass) {
 		if strings.HasSuffix(file, "_test.go") || !underInternal(file) {
 			continue
 		}
+		if fn.Name() == "NewSource" {
+			p.Report(id, "norand",
+				"rand.NewSource seeds its whole 607-word state up front, however few draws follow",
+				"use prf.LegacyRand(seed): the same stream, seeded in O(1)")
+			continue
+		}
 		p.Report(id, "norand",
 			fmt.Sprintf("global math/rand.%s draws from the process-seeded stream and breaks same-seed reproducibility", fn.Name()),
-			fmt.Sprintf("use prf.Hash/prf.Float keyed by the run seed, or r := rand.New(rand.NewSource(seed)); r.%s(...)", fn.Name()))
+			fmt.Sprintf("use prf.Hash/prf.Float keyed by the run seed, or r := prf.LegacyRand(seed); r.%s(...)", fn.Name()))
 	}
 }
 

@@ -2,7 +2,11 @@
 // `want norand` must trigger exactly the norand rule and nothing else.
 package norand
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"sleepnet/internal/prf"
+)
 
 // GlobalDraws uses the process-seeded global stream — each is a violation.
 func GlobalDraws() int {
@@ -13,11 +17,15 @@ func GlobalDraws() int {
 	return n + int(f)
 }
 
-// SeededDraws uses an explicitly seeded generator — all legal.
+// SeededDraws uses explicitly seeded generators. rand.NewSource is the
+// eager constructor, a violation; prf.LegacyRand gives its stream and is
+// legal, as are the *rand.Rand methods on either.
 func SeededDraws(seed uint64) int {
-	r := rand.New(rand.NewSource(int64(seed)))
+	r := rand.New(rand.NewSource(int64(seed))) // want norand
 	n := r.Intn(10)
 	_ = r.Float64()
-	_ = r.NormFloat64()
-	return n
+	l := prf.LegacyRand(int64(seed))
+	_ = l.NormFloat64()
+	l.Seed(int64(seed) + 1)
+	return n + l.Intn(10)
 }

@@ -1,12 +1,15 @@
 package trinocular
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/timeseries"
 )
 
 var epoch = time.Date(2013, time.April, 1, 0, 0, 0, 0, time.UTC)
@@ -300,6 +303,72 @@ func TestWalkCoversAllHosts(t *testing.T) {
 	// walk is a permutation, so every host got exactly one.
 	if got := p.ProbesSent(); got != 30 {
 		t.Fatalf("probes = %d", got)
+	}
+}
+
+// TestAddBlockWalkIsSeededShuffle pins AddBlock's walk to its definition,
+// rand.New(rand.NewSource(int64(seed^id))).Shuffle of the ever-active list,
+// for blocks of every size a prober accepts.
+func TestAddBlockWalkIsSeededShuffle(t *testing.T) {
+	const seed = 42
+	for i := 0; i < 100; i++ {
+		id := netsim.MakeBlockID(10, byte(i), byte(3*i))
+		everActive := make([]byte, 0, 256)
+		for h := 0; h < 256 && len(everActive) < MinEverActive+i*241/99; h += 1 + i%3 {
+			everActive = append(everActive, byte(h))
+		}
+		p := New(netsim.NewNetwork(1), Config{}, seed)
+		if err := p.AddBlock(id, everActive); err != nil {
+			t.Fatal(err)
+		}
+		want := append([]byte(nil), everActive...)
+		r := rand.New(rand.NewSource(int64(seed ^ uint64(id))))
+		r.Shuffle(len(want), func(i, j int) { want[i], want[j] = want[j], want[i] })
+		if !bytes.Equal(p.st.walk, want) {
+			t.Fatalf("block %s (%d hosts): walk %v, want %v", id, len(want), p.st.walk, want)
+		}
+	}
+}
+
+// TestColdRoundMatchesSub holds isColdRound's integer-nanosecond form to the
+// time.Time one it replaced, now.Sub(epoch) % RestartInterval <
+// DefaultRound, over random epochs, nows before and after them (landing on
+// and beside restart boundaries) and intervals, zero and negative included.
+func TestColdRoundMatchesSub(t *testing.T) {
+	bySub := func(now, epoch time.Time, interval time.Duration) bool {
+		if interval <= 0 {
+			return false
+		}
+		since := now.Sub(epoch)
+		return since >= 0 && since%interval < timeseries.DefaultRound
+	}
+	r := rand.New(rand.NewSource(1))
+	zones := []*time.Location{time.UTC, time.FixedZone("UTC-8", -8*3600), time.FixedZone("UTC+5:45", 20700)}
+	for i := 0; i < 20000; i++ {
+		// Epochs from 1970 to 2150; nows within ±100 years of them.
+		ep := time.Unix(r.Int63n(180*365*86400), r.Int63n(1e9)).In(zones[i%len(zones)])
+		interval := time.Duration(r.Int63n(int64(48*time.Hour))) - time.Hour
+		if i%7 == 0 {
+			interval = 0
+		}
+		jitter := []time.Duration{-1, 0, 1, timeseries.DefaultRound - 1, timeseries.DefaultRound}[r.Intn(5)]
+		var now time.Time
+		switch i % 5 {
+		case 0: // anywhere, past or future
+			now = ep.Add(time.Duration(r.Int63n(int64(200*365*24*time.Hour))) - 100*365*24*time.Hour)
+		case 1, 2: // on, just before or just after a restart boundary
+			k := time.Duration(r.Int63n(10000) - 100)
+			now = ep.Add(k*interval + jitter)
+		case 3: // beside the epoch itself
+			now = ep.Add(jitter)
+		default: // within a few rounds of the epoch
+			now = ep.Add(time.Duration(r.Int63n(int64(4*timeseries.DefaultRound))) - 2*timeseries.DefaultRound)
+		}
+		p := New(nil, Config{RestartInterval: interval}, 1)
+		p.PinEpoch(ep)
+		if got, want := p.isColdRound(now), bySub(now, ep, interval); got != want {
+			t.Fatalf("epoch %v, now %v, interval %v: isColdRound = %v, want %v", ep, now, interval, got, want)
+		}
 	}
 }
 

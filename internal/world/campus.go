@@ -2,10 +2,10 @@ package world
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/prf"
 )
 
 // CampusConfig sizes a university-campus address plan modeled on the
@@ -80,7 +80,7 @@ func GenerateCampus(cfg CampusConfig) (*Campus, error) {
 	if total == 0 || total > 60000 {
 		return nil, fmt.Errorf("world: campus size %d out of range", total)
 	}
-	r := rand.New(rand.NewSource(int64(cfg.Seed) ^ 0xca3905))
+	r := prf.LegacyRand(int64(cfg.Seed) ^ 0xca3905)
 	c := &Campus{Net: netsim.NewNetwork(cfg.Seed)}
 	const lonLA = -118.3
 	utcShift := -lonLA / 15 // hours to add to local time for UTC

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/prf"
 )
 
 // Config sizes and seeds a synthetic world.
@@ -109,7 +110,7 @@ func Generate(cfg Config) (*World, error) {
 		ASNOrg:     make(map[int]string),
 		Config:     cfg,
 	}
-	r := rand.New(rand.NewSource(int64(cfg.Seed) ^ 0x51eef))
+	r := prf.LegacyRand(int64(cfg.Seed) ^ 0x51eef)
 	// Every draw from r stays on this goroutine, in generation order; only
 	// the block-keyed outage schedules leave it (see outageWorkers).
 	sched := startOutageWorkers(cfg)
@@ -406,8 +407,9 @@ func startOutageWorkers(cfg Config) *outageWorkers {
 		go func() {
 			defer o.wg.Done()
 			// One source a worker, reseeded per block: Seed(k) restarts the
-			// stream rand.NewSource(k) would give, without allocating one.
-			r := rand.New(rand.NewSource(0))
+			// stream rand.NewSource(k) would give, in O(1), and the
+			// schedule's few draws build only the state they read.
+			r := prf.LegacyRand(0)
 			for j := range o.jobs {
 				j.blk.Outages = outageSchedule(r, j.blk.ID, j.gdp, o.cfg)
 			}
