@@ -5,8 +5,8 @@
 // -trimpath, runs the two binaries in pairs with alternating order through
 // the arguments bench/run.sh takes, and prints, per end-to-end metric of
 // BENCHMARK.json, each side's median and quartiles, how many pairs the
-// working tree won, and whether that amounts to a gain, a regression beyond
-// the metric's bound, or neither.
+// working tree won, whether that amounts to a gain, a regression beyond
+// the metric's bound, or neither, and every pair's two values.
 //
 //	go run ./cmd/benchpair -workload truth-7d -base HEAD~1 -pairs 10
 //
@@ -199,10 +199,12 @@ func runOnce(s *side, args []string) (map[string]float64, error) {
 	return got, nil
 }
 
-// report prints one metric's row for each side and the verdict of section 8:
-// a gain needs nine tenths of the pairs and medians further apart than the
+// report prints one metric's row for each side and the verdict of section 8
+// — a gain needs nine tenths of the pairs and medians further apart than the
 // base's own quartiles; a regression is a median worse by more than the
-// metric's bound.
+// metric's bound — and then every pair's two values in run order, the
+// record a claim keeps. Pairs alternate which side runs first, the base
+// in the first pair.
 func report(out *bytes.Buffer, m metricDef, base, head *side) {
 	b, h := base.samples[m.Name], head.samples[m.Name]
 	sign := 1.0 // positive delta = better
@@ -232,6 +234,14 @@ func report(out *bytes.Buffer, m metricDef, base, head *side) {
 	fmt.Fprintf(out, "%-12s %-14s %10.4f [%.4f, %.4f] %s\n", m.Name, "base", bq[1], bq[0], bq[2], m.Unit)
 	fmt.Fprintf(out, "%-12s %-14s %10.4f [%.4f, %.4f] %s  %+.1f%%, working tree won %d lost %d of %d: %s\n",
 		"", "working tree", hq[1], hq[0], hq[2], m.Unit, 100*(hq[1]-bq[1])/bq[1], wins, losses, len(b), verdict)
+	for i := range b {
+		first := "base"
+		if i%2 == 1 {
+			first = "working tree"
+		}
+		fmt.Fprintf(out, "%-12s pair %2d, %-12s first: base %.4f, working tree %.4f %s  %+.1f%%\n",
+			"", i+1, first, b[i], h[i], m.Unit, 100*(h[i]-b[i])/b[i])
+	}
 }
 
 // quartiles returns {q1, median, q3}.

@@ -41,3 +41,59 @@ func TestRejectsBadArgsBeforeBuilding(t *testing.T) {
 		t.Fatalf("-pairs 0: err = %v, want a usage error", err)
 	}
 }
+
+// TestReportVerdictsAndPairs pins report's rows over fixed samples: the
+// medians and quartiles, each verdict — gain, worse within the bound,
+// regression beyond it, no claim — and every pair's two values in run
+// order, the base running first in odd pairs.
+func TestReportVerdictsAndPairs(t *testing.T) {
+	base := &side{samples: map[string][]float64{
+		"gain_s":  {10, 11, 12, 13},
+		"worse_s": {10, 10, 10, 10},
+		"regr_mb": {10, 10, 10, 10},
+		"none_qs": {10, 11, 12, 13},
+	}}
+	head := &side{samples: map[string][]float64{
+		"gain_s":  {8, 8.5, 9, 9.5},
+		"worse_s": {10.5, 10.5, 10.5, 10.5},
+		"regr_mb": {13, 13, 13, 13},
+		"none_qs": {10.5, 10.5, 12.5, 12.5},
+	}}
+	var out bytes.Buffer
+	for _, m := range []metricDef{
+		{Name: "gain_s", Unit: "s", Better: "lower", Bound: 0.25},
+		{Name: "worse_s", Unit: "s", Better: "lower", Bound: 0.25},
+		{Name: "regr_mb", Unit: "MB", Better: "lower", Bound: 0.25},
+		{Name: "none_qs", Unit: "1/s", Better: "higher", Bound: 0.25},
+	} {
+		report(&out, m, base, head)
+	}
+	want := `gain_s       base              11.5000 [10.7500, 12.2500] s
+             working tree       8.7500 [8.3750, 9.1250] s  -23.9%, working tree won 4 lost 0 of 4: gain
+             pair  1, base         first: base 10.0000, working tree 8.0000 s  -20.0%
+             pair  2, working tree first: base 11.0000, working tree 8.5000 s  -22.7%
+             pair  3, base         first: base 12.0000, working tree 9.0000 s  -25.0%
+             pair  4, working tree first: base 13.0000, working tree 9.5000 s  -26.9%
+worse_s      base              10.0000 [10.0000, 10.0000] s
+             working tree      10.5000 [10.5000, 10.5000] s  +5.0%, working tree won 0 lost 4 of 4: worse, within the bound
+             pair  1, base         first: base 10.0000, working tree 10.5000 s  +5.0%
+             pair  2, working tree first: base 10.0000, working tree 10.5000 s  +5.0%
+             pair  3, base         first: base 10.0000, working tree 10.5000 s  +5.0%
+             pair  4, working tree first: base 10.0000, working tree 10.5000 s  +5.0%
+regr_mb      base              10.0000 [10.0000, 10.0000] MB
+             working tree      13.0000 [13.0000, 13.0000] MB  +30.0%, working tree won 0 lost 4 of 4: REGRESSION beyond the 25% bound
+             pair  1, base         first: base 10.0000, working tree 13.0000 MB  +30.0%
+             pair  2, working tree first: base 10.0000, working tree 13.0000 MB  +30.0%
+             pair  3, base         first: base 10.0000, working tree 13.0000 MB  +30.0%
+             pair  4, working tree first: base 10.0000, working tree 13.0000 MB  +30.0%
+none_qs      base              11.5000 [10.7500, 12.2500] 1/s
+             working tree      11.5000 [10.5000, 12.5000] 1/s  +0.0%, working tree won 2 lost 2 of 4: no claim either way
+             pair  1, base         first: base 10.0000, working tree 10.5000 1/s  +5.0%
+             pair  2, working tree first: base 11.0000, working tree 10.5000 1/s  -4.5%
+             pair  3, base         first: base 12.0000, working tree 12.5000 1/s  +4.2%
+             pair  4, working tree first: base 13.0000, working tree 12.5000 1/s  -3.8%
+`
+	if got := out.String(); got != want {
+		t.Errorf("report printed\n%s\nwant\n%s", got, want)
+	}
+}

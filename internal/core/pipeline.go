@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"sleepnet/internal/metrics"
@@ -109,6 +110,12 @@ type Pipeline struct {
 	cfg PipelineConfig
 	net *netsim.Network
 	pm  pipelineMetrics
+
+	// mu guards free, the lane storage RunAll's workers measure into,
+	// parked between groups: at most one laneStore for each worker that
+	// ran at once.
+	mu   sync.Mutex
+	free []*laneStore
 }
 
 // NewPipeline creates a pipeline over the network.
@@ -122,43 +129,44 @@ func NewPipeline(net *netsim.Network, cfg PipelineConfig) *Pipeline {
 // Config returns the effective configuration.
 func (pl *Pipeline) Config() PipelineConfig { return pl.cfg }
 
-// blockRunner is one block's measurement in flight: the per-block prober,
-// estimator, and accumulating record. RunBlocks drives a group of them in
-// lockstep so a whole group's round crosses the netsim boundary as one
-// batched wavefront.
+// blockRunner is one block's measurement in flight: the per-block prober
+// and estimator, the record it fills, and the lane storage the record's
+// per-round data is written to — the round grid of Âs, the Âo and outage
+// arrays. RunBlocks drives a group of them in lockstep so a whole group's
+// round crosses the netsim boundary as one batched wavefront.
 type blockRunner struct {
 	pl      *Pipeline
 	id      netsim.BlockID
 	prober  *trinocular.Prober
 	est     *Estimator
 	run     *BlockRun
-	samples []timeseries.Sample
+	grid    timeseries.Grid
+	ops     []float64
+	outages []OutageEvent
 }
 
-// newBlockRunner validates the block and assembles its measurement state.
-func (pl *Pipeline) newBlockRunner(id netsim.BlockID) (*blockRunner, error) {
+// start validates block id and readies the runner to measure it into run,
+// reusing the runner's lane storage.
+func (br *blockRunner) start(pl *Pipeline, id netsim.BlockID, run *BlockRun) error {
 	blk := pl.net.Block(id)
 	if blk == nil {
-		return nil, fmt.Errorf("core: block %s not in network", id)
+		return fmt.Errorf("core: block %s not in network", id)
 	}
 	if pl.cfg.Rounds <= 0 {
-		return nil, fmt.Errorf("core: pipeline needs Rounds > 0")
+		return fmt.Errorf("core: pipeline needs Rounds > 0")
 	}
 	prober := trinocular.New(pl.net, pl.cfg.Prober, pl.cfg.Seed^uint64(id))
 	if err := prober.AddBlock(id, blk.EverActive()); err != nil {
-		return nil, err
+		return err
 	}
-	return &blockRunner{
-		pl:     pl,
-		id:     id,
-		prober: prober,
-		est:    NewEstimator(InitialA),
-		run: &BlockRun{
-			ID:          id,
-			Operational: make([]float64, 0, pl.cfg.Rounds),
-		},
-		samples: make([]timeseries.Sample, 0, pl.cfg.Rounds),
-	}, nil
+	if cap(br.ops) < pl.cfg.Rounds {
+		br.ops = make([]float64, 0, pl.cfg.Rounds)
+	}
+	br.grid.Reset(pl.cfg.Rounds)
+	*run = BlockRun{ID: id, Operational: br.ops[:0]}
+	br.pl, br.id, br.prober, br.est, br.run = pl, id, prober, NewEstimator(InitialA), run
+	br.outages = br.outages[:0]
+	return nil
 }
 
 // step folds round r's observation into the record. obs is a pointer only
@@ -167,7 +175,7 @@ func (pl *Pipeline) newBlockRunner(id netsim.BlockID) (*blockRunner, error) {
 func (br *blockRunner) step(r int, obs *trinocular.RoundObs) {
 	run, est := br.run, br.est
 	if obs.Changed {
-		run.Outages = append(run.Outages, OutageEvent{Round: r, Down: !obs.Up})
+		br.outages = append(br.outages, OutageEvent{Round: r, Down: !obs.Up})
 	}
 	run.Retries += obs.Retries
 	run.SendErrors += obs.SendErrors
@@ -188,11 +196,12 @@ func (br *blockRunner) step(r int, obs *trinocular.RoundObs) {
 	case artifactMissing:
 	case artifactDuplicate:
 		est.Observe(obs.Positive, obs.Total)
-		s := timeseries.Sample{Round: r, Value: est.ShortTerm()}
-		br.samples = append(br.samples, s, s)
+		v := est.ShortTerm()
+		br.grid.Set(r, v)
+		br.grid.Set(r, v)
 	default:
 		est.Observe(obs.Positive, obs.Total)
-		br.samples = append(br.samples, timeseries.Sample{Round: r, Value: est.ShortTerm()})
+		br.grid.Set(r, est.ShortTerm())
 	}
 	run.Operational = append(run.Operational, est.Operational())
 }
@@ -202,11 +211,14 @@ func (br *blockRunner) step(r int, obs *trinocular.RoundObs) {
 func (br *blockRunner) finish() (*BlockRun, error) {
 	pl, run, id := br.pl, br.run, br.id
 	run.ProbesSent = br.prober.ProbesSent()
+	if len(br.outages) > 0 {
+		run.Outages = br.outages
+	}
 	pl.pm.rounds.Add(int64(pl.cfg.Rounds))
 	pl.pm.failedRounds.Add(int64(run.FailedRounds))
 
 	stopClean := pl.pm.cleanSeconds.Time()
-	cleaned, st, err := timeseries.Clean(br.samples, pl.cfg.Rounds)
+	cleaned, st, err := br.grid.Fill()
 	if err != nil {
 		return nil, fmt.Errorf("core: cleaning block %s: %w", id, err)
 	}
@@ -254,66 +266,98 @@ func (pl *Pipeline) RunBlock(id netsim.BlockID) (*BlockRun, error) {
 // (its own walk seed) and its own record; runs[i]/errs[i] report block
 // ids[i], and are the same whatever group the block is measured in — block
 // state never crosses lanes, so the lockstep interleaving is unobservable.
+// The records are measured into a fresh laneStore and belong to the caller.
 func (pl *Pipeline) RunBlocks(ids []netsim.BlockID) (runs []*BlockRun, errs []error) {
-	runs = make([]*BlockRun, len(ids))
-	errs = make([]error, len(ids))
-	runners := make([]*blockRunner, len(ids))
-	live := make([]int, 0, len(ids))
+	return pl.measureGroup(new(laneStore), ids)
+}
+
+// laneStore is the storage a lockstep group is measured in: one runner
+// (with its round grid, Âo and outage arrays) and one record a lane, the
+// group's BatchContext and its per-group slices. Everything grows to the
+// largest group measured and is reused by the next, so a worker that
+// measures group after group into one store allocates its per-round
+// arrays once.
+type laneStore struct {
+	bc      trinocular.BatchContext
+	runners []blockRunner
+	recs    []BlockRun
+	runs    []*BlockRun
+	errs    []error
+	live    []int
+	probers []*trinocular.Prober
+	bids    []netsim.BlockID
+	aOps    []float64
+	obs     []trinocular.RoundObs
+}
+
+// measureGroup measures ids in lockstep into ls and returns the group's
+// outcomes, which live in ls: they are valid until ls measures again.
+func (pl *Pipeline) measureGroup(ls *laneStore, ids []netsim.BlockID) (runs []*BlockRun, errs []error) {
+	n := len(ids)
+	if len(ls.runners) < n {
+		ls.runners = append(ls.runners, make([]blockRunner, n-len(ls.runners))...)
+		ls.recs = append(ls.recs, make([]BlockRun, n-len(ls.recs))...)
+	}
+	runs, errs = resize(ls.runs, n), resize(ls.errs, n)
+	ls.runs, ls.errs = runs, errs
+	live, probers, bids := ls.live[:0], ls.probers[:0], ls.bids[:0]
 	for i, id := range ids {
-		br, err := pl.newBlockRunner(id)
-		if err != nil {
+		br := &ls.runners[i]
+		if err := br.start(pl, id, &ls.recs[i]); err != nil {
 			errs[i] = err
 			continue
 		}
-		runners[i] = br
 		live = append(live, i)
+		probers = append(probers, br.prober)
+		bids = append(bids, id)
 	}
-
 	// The lanes are fixed for the group; only aOps changes between rounds.
-	bc := trinocular.NewBatchContext()
-	probers := make([]*trinocular.Prober, 0, len(live))
-	bids := make([]netsim.BlockID, 0, len(live))
-	for _, i := range live {
-		probers = append(probers, runners[i].prober)
-		bids = append(bids, runners[i].id)
-	}
-	aOps := make([]float64, len(live))
-	obs := make([]trinocular.RoundObs, len(live))
+	aOps, obs := resize(ls.aOps, len(live)), resize(ls.obs, len(live))
+	ls.live, ls.probers, ls.bids, ls.aOps, ls.obs = live, probers, bids, aOps, obs
 
 	stopProbe := pl.pm.probeSeconds.Time()
 	for r := 0; r < pl.cfg.Rounds && len(live) > 0; r++ {
 		now := pl.cfg.Start.Add(time.Duration(r) * timeseries.DefaultRound)
 		for k, i := range live {
-			aOps[k] = runners[i].est.Operational()
+			aOps[k] = ls.runners[i].est.Operational()
 		}
-		if err := trinocular.ProbeRoundsBatchGroup(bc, probers, bids, aOps, now, obs); err != nil {
+		if err := trinocular.ProbeRoundsBatchGroup(&ls.bc, probers, bids, aOps, now, obs); err != nil {
 			// Only possible for construction invariant violations (untracked
 			// block, shape mismatch); every in-flight block inherits it.
 			for _, i := range live {
 				errs[i] = err
-				runners[i] = nil
 			}
 			live = live[:0]
 		}
 		for k, i := range live {
-			runners[i].step(r, &obs[k])
+			ls.runners[i].step(r, &obs[k])
 		}
 	}
 	stopProbe()
 	for _, i := range live {
-		runs[i], errs[i] = runners[i].finish()
+		runs[i], errs[i] = ls.runners[i].finish()
 	}
 	return runs, errs
 }
 
+// resize returns s with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // maxGroupSize caps a lockstep group: 64 lanes amortize the netsim boundary
-// crossing while keeping a worker's in-flight records small.
+// crossing while keeping a worker's lane storage small.
 const maxGroupSize = 64
 
 // groupSizeFor is how many blocks one RunAll worker measures in lockstep: as
 // many as maxGroupSize, but never so many that a worker gets fewer than 16
-// groups — small campaigns keep every worker busy, and a caller that holds
-// on to what fn sees bounds its in-flight memory by the group.
+// groups, so small campaigns keep every worker busy.
 func groupSizeFor(n, workers int) int {
 	return min(max(n/(16*workers), 1), maxGroupSize)
 }
@@ -321,11 +365,12 @@ func groupSizeFor(n, workers int) int {
 // RunAll measures every block of ids on workers goroutines (GOMAXPROCS when
 // workers <= 0) and is the one driver of a batch campaign: it alone decides
 // how blocks are grouped and dealt. Groups are contiguous slices of ids
-// measured in lockstep by RunBlocks, sized by groupSizeFor. fn is called
-// exactly once per index i with the outcome of ids[i] — concurrently, from
-// the worker that measured it — and the record is dropped as soon as fn
-// returns. Per-block outcomes do not depend on workers or on the grouping
-// (see RunBlocks).
+// measured in lockstep, as by RunBlocks, sized by groupSizeFor. fn is
+// called exactly once per index i with the outcome of ids[i] — concurrently,
+// from the worker that measured it. The record and every slice in it are
+// valid only until fn returns: a worker measures its next group into the
+// same storage, so fn copies whatever it keeps. Per-block outcomes do not
+// depend on workers or on the grouping (see RunBlocks).
 func (pl *Pipeline) RunAll(ids []netsim.BlockID, workers int, fn func(i int, run *BlockRun, err error)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -334,14 +379,28 @@ func (pl *Pipeline) RunAll(ids []netsim.BlockID, workers int, fn func(i int, run
 }
 
 // runAll is RunAll with the group size a parameter, so the invariance test
-// can vary it: par.For deals one lockstep group a chunk.
+// can vary it: par.For deals one lockstep group a chunk. A chunk takes a
+// laneStore from the pipeline's free list and parks it there again once fn
+// has seen the group, so a worker measures every group it takes — and every
+// later campaign of the pipeline — in storage already sized.
 func (pl *Pipeline) runAll(ids []netsim.BlockID, workers, groupSize int, fn func(i int, run *BlockRun, err error)) {
 	par.For(len(ids), groupSize, workers, func(lo, hi int) {
-		runs, errs := pl.RunBlocks(ids[lo:hi])
+		var ls *laneStore
+		pl.mu.Lock()
+		if n := len(pl.free); n > 0 {
+			ls, pl.free = pl.free[n-1], pl.free[:n-1]
+		}
+		pl.mu.Unlock()
+		if ls == nil {
+			ls = new(laneStore)
+		}
+		runs, errs := pl.measureGroup(ls, ids[lo:hi])
 		for k := range runs {
 			fn(lo+k, runs[k], errs[k])
-			runs[k] = nil
 		}
+		pl.mu.Lock()
+		pl.free = append(pl.free, ls)
+		pl.mu.Unlock()
 	})
 }
 

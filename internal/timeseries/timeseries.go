@@ -10,6 +10,7 @@ package timeseries
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 )
 
@@ -66,53 +67,86 @@ type CleanStats struct {
 // value is extrapolated (single-round gaps are the common case the paper
 // describes; longer gaps are filled the same way and reported via
 // CleanStats so callers can reject heavily-gapped blocks). Rounds before
-// the first observation take the first observed value.
+// the first observation take the first observed value. It is a Grid fed
+// the samples in order.
 //
 // It returns an error when samples is empty or nRounds <= 0.
 func Clean(samples []Sample, nRounds int) ([]float64, CleanStats, error) {
-	var st CleanStats
 	if nRounds <= 0 {
-		return nil, st, fmt.Errorf("timeseries: Clean needs nRounds > 0, got %d", nRounds)
+		return nil, CleanStats{}, fmt.Errorf("timeseries: Clean needs nRounds > 0, got %d", nRounds)
 	}
-	if len(samples) == 0 {
-		return nil, st, fmt.Errorf("timeseries: Clean needs at least one sample")
-	}
-	out := make([]float64, nRounds)
-	seen := make([]bool, nRounds)
+	var g Grid
+	g.Reset(nRounds)
 	for _, s := range samples {
-		if s.Round < 0 || s.Round >= nRounds {
-			st.OutOfRange++
-			continue
-		}
-		if seen[s.Round] {
-			st.Duplicates++
-		}
-		// Samples arrive in observation order; the latest assignment wins.
-		out[s.Round] = s.Value
-		seen[s.Round] = true
+		g.Set(s.Round, s.Value)
 	}
-	// Find first observed value for leading fill.
-	first := -1
-	for i, ok := range seen {
-		if ok {
-			first = i
-			break
-		}
+	return g.Fill()
+}
+
+// Grid is the dense round grid cleaning maps observations onto, for a
+// producer that knows each observation's round and writes it in place
+// instead of building a sample list: Reset sizes it, Set records the
+// observations in order, Fill repairs the gaps. A Grid keeps its storage
+// across Resets; the series Fill returns is that storage, valid until the
+// next Reset.
+type Grid struct {
+	vals []float64
+	seen []bool
+	st   CleanStats
+}
+
+// Reset empties the grid and sizes it to nRounds (> 0) rounds.
+func (g *Grid) Reset(nRounds int) {
+	if cap(g.vals) < nRounds {
+		g.vals = make([]float64, nRounds)
+		g.seen = make([]bool, nRounds)
+	} else {
+		g.vals = g.vals[:nRounds]
+		g.seen = g.seen[:nRounds]
+		clear(g.seen)
 	}
-	if first == -1 {
-		return nil, st, fmt.Errorf("timeseries: Clean got no in-range samples")
+	g.st = CleanStats{}
+}
+
+// Set records an observation of round r. Observations arrive in order, so
+// a round set twice counts a duplicate and keeps the later value; a round
+// outside the grid counts as out of range and is dropped.
+func (g *Grid) Set(r int, v float64) {
+	if r < 0 || r >= len(g.vals) {
+		g.st.OutOfRange++
+		return
 	}
+	if g.seen[r] {
+		g.st.Duplicates++
+	}
+	g.vals[r] = v
+	g.seen[r] = true
+}
+
+// Fill extrapolates every unobserved round from the one before it (rounds
+// before the first observation from that observation) and returns the
+// dense series with what cleaning repaired. It is called once a Reset; it
+// fails when no round was observed.
+func (g *Grid) Fill() ([]float64, CleanStats, error) {
+	first := slices.Index(g.seen, true)
+	switch {
+	case first < 0 && g.st.OutOfRange == 0:
+		return nil, g.st, fmt.Errorf("timeseries: Clean needs at least one sample")
+	case first < 0:
+		return nil, g.st, fmt.Errorf("timeseries: Clean got no in-range samples")
+	}
+	out := g.vals
 	for i := 0; i < first; i++ {
 		out[i] = out[first]
-		st.Filled++
+		g.st.Filled++
 	}
-	for i := first + 1; i < nRounds; i++ {
-		if !seen[i] {
+	for i := first + 1; i < len(out); i++ {
+		if !g.seen[i] {
 			out[i] = out[i-1]
-			st.Filled++
+			g.st.Filled++
 		}
 	}
-	return out, st, nil
+	return out, g.st, nil
 }
 
 // TrimToMidnightUTC returns the subseries that starts at the first round

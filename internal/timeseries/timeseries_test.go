@@ -107,6 +107,39 @@ func TestCleanPropertyNoNaNsAndLength(t *testing.T) {
 	}
 }
 
+// TestGridReuseMatchesClean holds one Grid, reset and refilled for stream
+// after stream of every length — out-of-range rounds, duplicates and empty
+// streams included — to Clean on the same stream, series and stats bit for
+// bit: nothing of an earlier stream may survive a Reset.
+func TestGridReuseMatchesClean(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var g Grid
+	for it := 0; it < 300; it++ {
+		n := 1 + r.Intn(120)
+		samples := make([]Sample, r.Intn(2*n))
+		for i := range samples {
+			samples[i] = Sample{Round: r.Intn(n+4) - 2, Value: r.Float64()}
+		}
+		want, wantSt, wantErr := Clean(samples, n)
+		g.Reset(n)
+		for _, s := range samples {
+			g.Set(s.Round, s.Value)
+		}
+		got, st, err := g.Fill()
+		if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+			t.Fatalf("stream %d: error %v, Clean's %v", it, err, wantErr)
+		}
+		if st != wantSt || len(got) != len(want) {
+			t.Fatalf("stream %d: stats %+v over %d rounds, Clean's %+v over %d", it, st, len(got), wantSt, len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("stream %d round %d: %v, Clean's %v", it, i, got[i], want[i])
+			}
+		}
+	}
+}
+
 func mkSeries(start time.Time, n int) Series {
 	v := make([]float64, n)
 	for i := range v {
