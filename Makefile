@@ -123,9 +123,10 @@ bench-e2e:
 #   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10
 #   make bench-pair WORKLOAD=monitor-wal BASE=HEAD~1 PAIRS=10 BENCH_SEED=1234
 #   make bench-pair WORKLOAD=study-14d   BASE=HEAD~1 PAIRS=5    (and truth-7d, serve-mixed)
-# The claim and every pair go to CHANGES.md. cmd/benchpair keeps BASE's
-# export under $TMPDIR; nothing else should be running on the host while
-# pairs are measured.
+# The claim and every pair go to CHANGES.md. cmd/benchpair exports BASE and
+# copies the working tree under $TMPDIR, and builds and runs both from
+# there; nothing else should be running on the host while pairs are
+# measured.
 WORKLOAD ?= truth-7d
 BASE ?= HEAD
 PAIRS ?= 10

@@ -1,8 +1,9 @@
 // Command benchpair measures a change against a base revision the way the
 // choosing-metrics guide (section 8) asks a performance claim to be
-// measured: it exports the base revision into a temporary directory, builds
-// the repository's benchmark (./bench) there and in the working tree with
-// -trimpath, runs the two binaries in pairs with alternating order through
+// measured: it exports the base revision and the working tree into a
+// temporary directory each, builds the repository's benchmark (./bench) in
+// both with -trimpath, runs the two binaries, each from its own export, in
+// pairs with alternating order through
 // the arguments bench/run.sh takes, and prints, per end-to-end metric of
 // BENCHMARK.json, each side's median and quartiles, how many pairs the
 // working tree won, whether that amounts to a gain, a regression beyond
@@ -20,6 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -62,17 +64,17 @@ func main() {
 // run checks the command line against the benchmark's declaration, then
 // measures the pairs and writes the verdicts to out.
 func run(args []string, out *bytes.Buffer) error {
-	fs := flag.NewFlagSet("benchpair", flag.ContinueOnError)
-	workload := fs.String("workload", "", "benchmark workload to run (required), e.g. truth-7d")
-	base := fs.String("base", "HEAD", "revision the working tree is compared against")
-	pairs := fs.Int("pairs", 10, "pairs of runs")
-	seed := fs.Uint64("seed", 42, "workload seed, the same for every run")
-	seconds := fs.Float64("seconds", 20, "measuring time of one run")
-	if err := fs.Parse(args); err != nil {
+	flags := flag.NewFlagSet("benchpair", flag.ContinueOnError)
+	workload := flags.String("workload", "", "benchmark workload to run (required), e.g. truth-7d")
+	base := flags.String("base", "HEAD", "revision the working tree is compared against")
+	pairs := flags.Int("pairs", 10, "pairs of runs")
+	seed := flags.Uint64("seed", 42, "workload seed, the same for every run")
+	seconds := flags.Float64("seconds", 20, "measuring time of one run")
+	if err := flags.Parse(args); err != nil {
 		return errUsage
 	}
-	if *workload == "" || *pairs <= 0 || fs.NArg() > 0 {
-		fs.Usage()
+	if *workload == "" || *pairs <= 0 || flags.NArg() > 0 {
+		flags.Usage()
 		return errUsage
 	}
 	metrics, workloads, err := readBenchmark("BENCHMARK.json")
@@ -102,9 +104,15 @@ func run(args []string, out *bytes.Buffer) error {
 	if err != nil {
 		return err
 	}
+	// The working tree is copied as it stands, uncommitted and untracked
+	// files included, so both sides build and run from a fresh directory.
+	headDir := filepath.Join(tmp, "head")
+	if err := exportTree(wd, headDir, tmp); err != nil {
+		return fmt.Errorf("exporting the working tree: %w", err)
+	}
 	sides := []*side{
 		{label: "base " + *base, dir: baseDir, bin: filepath.Join(tmp, "bench-base")},
-		{label: "working tree", dir: wd, bin: filepath.Join(tmp, "bench-head")},
+		{label: "working tree", dir: headDir, bin: filepath.Join(tmp, "bench-head")},
 	}
 	for _, s := range sides {
 		s.samples = make(map[string][]float64)
@@ -141,6 +149,50 @@ func run(args []string, out *bytes.Buffer) error {
 		report(out, m, sides[0], sides[1])
 	}
 	return nil
+}
+
+// exportTree copies the tree at src to dst, leaving out the repository's
+// .git and the benchmark's .bench_build at the top, and skip (the export's
+// own temporary directory, should it lie inside src). Files keep their
+// permission bits and symbolic links are copied as links.
+func exportTree(src, dst, skip string) error {
+	return filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
+		}
+		if rel == ".git" || rel == ".bench_build" || path == skip {
+			if d.IsDir() {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		to := filepath.Join(dst, rel)
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		switch {
+		case d.IsDir():
+			return os.MkdirAll(to, info.Mode().Perm()|0o700)
+		case d.Type()&fs.ModeSymlink != 0:
+			target, err := os.Readlink(path)
+			if err != nil {
+				return err
+			}
+			return os.Symlink(target, to)
+		case d.Type().IsRegular():
+			data, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			return os.WriteFile(to, data, info.Mode().Perm())
+		}
+		return nil // sockets, pipes, devices: nothing a build reads
+	})
 }
 
 // readBenchmark reads from the benchmark's declaration the metrics a claim

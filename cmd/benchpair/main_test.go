@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -95,5 +96,60 @@ none_qs      base              11.5000 [10.7500, 12.2500] 1/s
 `
 	if got := out.String(); got != want {
 		t.Errorf("report printed\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestExportTreeCopiesTheWorkingTree pins what the working tree's side
+// builds from: every file as it stands, untracked and executable ones
+// included, without the top-level .git and .bench_build and without the
+// export's own directory when it lies inside the tree.
+func TestExportTreeCopiesTheWorkingTree(t *testing.T) {
+	src := t.TempDir()
+	write := func(rel, body string, mode os.FileMode) {
+		path := filepath.Join(src, rel)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), mode); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("go.mod", "module x\n", 0o644)
+	write("bench/run.sh", "#!/bin/sh\n", 0o755)
+	write("internal/p/untracked.go", "package p\n", 0o644)
+	write(".git/HEAD", "ref: refs/heads/main\n", 0o644)
+	write(".bench_build/bench", "binary", 0o755)
+	write("tmp/skip/stale", "left by an earlier export", 0o644)
+	write("cmd/.git", "not the top-level .git", 0o644)
+	if err := os.Symlink("bench/run.sh", filepath.Join(src, "run")); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := filepath.Join(t.TempDir(), "head")
+	if err := exportTree(src, dst, filepath.Join(src, "tmp", "skip")); err != nil {
+		t.Fatal(err)
+	}
+	for rel, body := range map[string]string{
+		"go.mod":                  "module x\n",
+		"bench/run.sh":            "#!/bin/sh\n",
+		"internal/p/untracked.go": "package p\n",
+		"cmd/.git":                "not the top-level .git",
+		"run":                     "#!/bin/sh\n",
+	} {
+		got, err := os.ReadFile(filepath.Join(dst, rel))
+		if err != nil || string(got) != body {
+			t.Errorf("%s: %q, %v; want %q", rel, got, err, body)
+		}
+	}
+	if info, err := os.Stat(filepath.Join(dst, "bench/run.sh")); err != nil || info.Mode().Perm() != 0o755 {
+		t.Errorf("bench/run.sh lost its mode: %v, %v", info, err)
+	}
+	if target, err := os.Readlink(filepath.Join(dst, "run")); err != nil || target != "bench/run.sh" {
+		t.Errorf("run: link %q, %v; want a link to bench/run.sh", target, err)
+	}
+	for _, rel := range []string{".git", ".bench_build", "tmp/skip"} {
+		if _, err := os.Lstat(filepath.Join(dst, rel)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s was exported (err %v)", rel, err)
+		}
 	}
 }

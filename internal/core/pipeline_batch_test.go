@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -162,7 +163,8 @@ func sameOutcome(a *BlockRun, aErr error, b *BlockRun, bErr error) bool {
 // retries mid-phase) with collection artifacts (missing and duplicated
 // rounds), for every worker count and group size — the derived one
 // included — fn sees every index exactly once, with exactly what measuring
-// that block alone returns. The record is compared inside fn, the only
+// that block alone returns. Groups of 64 over its 42 ids run wholly on
+// groupStarts' shrinking tail. The record is compared inside fn, the only
 // time it is valid: a worker measures its next group into the same lane
 // storage, so a grid, Âo or outage array not reset between blocks shows as
 // a divergence. An id the network does not know and a sparse block report
@@ -262,6 +264,55 @@ func TestRunAll(t *testing.T) {
 	pl.RunAll(nil, 2, func(i int, _ *BlockRun, _ error) {
 		t.Errorf("fn called for index %d of an empty campaign", i)
 	})
+}
+
+// TestGroupStarts holds runAll's schedule to what dealing depends on: every
+// index is in exactly one group, groups are contiguous, their sizes never
+// grow and never exceed g, and the schedule is the same on every call. A g
+// of at most minTailGroup is left whole (truth-7d's groups of 6), and a
+// campaign long enough to shrink ends in at least 2·workers groups smaller
+// than g, so no worker measures a full group alone at the end.
+func TestGroupStarts(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 64, 2500} {
+		for _, workers := range []int{1, 2, 8} {
+			for _, g := range []int{1, 6, 64} {
+				starts := groupStarts(n, workers, g)
+				if len(starts) == 0 || starts[0] != 0 && n > 0 || starts[len(starts)-1] != n {
+					t.Fatalf("n %d workers %d g %d: starts %v do not run from 0 to n", n, workers, g, starts)
+				}
+				seen := make([]int, n)
+				prev, small := g, 0
+				for k := 0; k+1 < len(starts); k++ {
+					lo, hi := starts[k], starts[k+1]
+					size := hi - lo
+					if size < 1 || size > prev {
+						t.Fatalf("n %d workers %d g %d: group %d is [%d, %d) after a group of %d", n, workers, g, k, lo, hi, prev)
+					}
+					if g <= minTailGroup && hi < n && size != g {
+						t.Fatalf("n %d workers %d g %d: group %d is %d blocks, want every group but the last g long", n, workers, g, k, size)
+					}
+					if size < g {
+						small++
+					}
+					for i := lo; i < hi; i++ {
+						seen[i]++
+					}
+					prev = size
+				}
+				for i, c := range seen {
+					if c != 1 {
+						t.Fatalf("n %d workers %d g %d: index %d in %d groups", n, workers, g, i, c)
+					}
+				}
+				if g > minTailGroup && n >= 2*workers*g && small < 2*workers {
+					t.Fatalf("n %d workers %d g %d: %d groups below g at the end, want at least %d", n, workers, g, small, 2*workers)
+				}
+				if again := groupStarts(n, workers, g); !slices.Equal(again, starts) {
+					t.Fatalf("n %d workers %d g %d: schedule %v, then %v", n, workers, g, starts, again)
+				}
+			}
+		}
+	}
 }
 
 // TestGroupSizeFor pins the derived group size and the property it exists

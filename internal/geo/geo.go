@@ -12,6 +12,7 @@ import (
 	"sort"
 
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/prf"
 	"sleepnet/internal/world"
 )
 
@@ -58,7 +59,7 @@ func FromWorld(w *world.World, coverage float64, seed uint64) *DB {
 	}
 	entries := make([]Entry, 0, len(w.Blocks))
 	for _, b := range w.Blocks {
-		if hashUnit(seed, uint64(b.ID)) >= coverage {
+		if prf.LegacyFloat(seed, uint64(b.ID)) >= coverage {
 			continue
 		}
 		entries = append(entries, Entry{
@@ -70,17 +71,6 @@ func FromWorld(w *world.World, coverage float64, seed uint64) *DB {
 		})
 	}
 	return Build(entries)
-}
-
-func hashUnit(seed uint64, x uint64) float64 {
-	h := seed + 0x9e3779b97f4a7c15
-	mix := func(v uint64) uint64 {
-		v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-		v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-		return v ^ (v >> 31)
-	}
-	h = mix(mix(h) ^ x)
-	return float64(h>>11) / (1 << 53)
 }
 
 // Grid aggregates blocks on a regular latitude/longitude grid.

@@ -2,7 +2,10 @@ package lint
 
 import (
 	"fmt"
+	"go/ast"
+	"go/token"
 	"go/types"
+	"strconv"
 	"strings"
 )
 
@@ -14,12 +17,22 @@ import (
 // 1,841 LCG steps however few draws follow, and prf.LegacyRand gives the
 // same stream, seeded in O(1), so a stream has one way to be seeded.
 // Methods on *rand.Rand, rand.New over another source and the canonical prf
-// package are allowed.
+// package are allowed. Outside internal/prf it also forbids, in any
+// non-test file, an integer literal equal to one of the SplitMix64
+// finalizer's multipliers: a private copy of the mixer is how a subsystem's
+// draws drift from the canonical chaining unnoticed.
 type NoRand struct{}
 
 func (NoRand) Name() string { return "norand" }
 func (NoRand) Doc() string {
-	return "forbid global math/rand functions and rand.NewSource in non-test internal/ code; use prf.* or prf.LegacyRand(seed)"
+	return "forbid global math/rand functions and rand.NewSource in non-test internal/ code, and SplitMix64 multipliers outside internal/prf; use prf.* or prf.LegacyRand(seed)"
+}
+
+// splitMixMultipliers are the SplitMix64 finalizer's two multipliers, which
+// only internal/prf spells out.
+var splitMixMultipliers = map[uint64]bool{
+	//lint:allow norand: the rule's own table of the constants it looks for, not a mixer
+	0xbf58476d1ce4e5b9: true, 0x94d049bb133111eb: true,
 }
 
 // norandAllowed lists the math/rand package-level names that neither draw
@@ -57,6 +70,24 @@ func (NoRand) Check(p *Pass) {
 		p.Report(id, "norand",
 			fmt.Sprintf("global math/rand.%s draws from the process-seeded stream and breaks same-seed reproducibility", fn.Name()),
 			fmt.Sprintf("use prf.Hash/prf.Float keyed by the run seed, or r := prf.LegacyRand(seed); r.%s(...)", fn.Name()))
+	}
+	for _, f := range p.Files {
+		file := strings.ReplaceAll(p.Fset.Position(f.Pos()).Filename, "\\", "/")
+		if strings.HasSuffix(file, "_test.go") || strings.Contains(file, "/internal/prf/") || strings.HasPrefix(file, "internal/prf/") {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			lit, ok := n.(*ast.BasicLit)
+			if !ok || lit.Kind != token.INT {
+				return true
+			}
+			if v, err := strconv.ParseUint(lit.Value, 0, 64); err == nil && splitMixMultipliers[v] {
+				p.Report(lit, "norand",
+					"a SplitMix64 multiplier outside internal/prf: a private copy of the mixer",
+					"call prf.Mix, prf.Hash, prf.Float or prf.LegacyFloat")
+			}
+			return true
+		})
 	}
 }
 

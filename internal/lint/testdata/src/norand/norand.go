@@ -29,3 +29,11 @@ func SeededDraws(seed uint64) int {
 	l.Seed(int64(seed) + 1)
 	return n + l.Intn(10)
 }
+
+// privateMix copies the SplitMix64 finalizer instead of calling prf: each
+// multiplier is a violation.
+func privateMix(v uint64) uint64 {
+	v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9 // want norand
+	v = (v ^ (v >> 27)) * 0x94d049bb133111eb // want norand
+	return v ^ (v >> 31) + prf.Mix(v)
+}

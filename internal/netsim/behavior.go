@@ -74,7 +74,16 @@ func (b Intermittent) Up(t time.Time) bool {
 	if b.P >= 1 {
 		return true
 	}
-	return b.draw(b.quantumAt(secondsSinceEpoch(t)))
+	return interHost{P: b.P, Seed: b.Seed}.draw(b.quantumAt(secondsSinceEpoch(t)))
+}
+
+// interHost is what draws an Intermittent's availability besides its
+// window: the host table's column of intermittent hosts holds it, 16 B a
+// host, since the column takes only hosts on the default window and so has
+// no Quantum to keep.
+type interHost struct {
+	P    float64
+	Seed uint64
 }
 
 // draw is window q's availability draw, which decides Up when 0 < P < 1.
@@ -82,13 +91,13 @@ func (b Intermittent) Up(t time.Time) bool {
 // directly, with the block-round's q for every host on the default window.
 // Ground truth asks the same question in integer form (key, drawKeyed),
 // hoisted out of its loop over q; the truth tests hold the two together.
-func (b *Intermittent) draw(q uint64) bool { return prf.Float2(b.Seed, q, 0x1a7e) < b.P }
+func (b interHost) draw(q uint64) bool { return prf.Float2(b.Seed, q, 0x1a7e) < b.P }
 
 // key returns what fixes the host's draws besides the quantum: its seed's
 // mix, and the threshold ⌈P·2⁵³⌉ (for 0 < P < 1). prf.Float2 is x/2⁵³ for
 // an integer x < 2⁵³, and x/2⁵³ < P holds exactly when x < ⌈P·2⁵³⌉: the
 // comparison becomes an integer one, with no rounding anywhere.
-func (b *Intermittent) key() (h, thr uint64) {
+func (b interHost) key() (h, thr uint64) {
 	y := b.P * (1 << 53)
 	thr = uint64(y)
 	if float64(thr) < y {

@@ -39,7 +39,7 @@ func (b *Block) HostSpec() *Hosts {
 		case hostDiurnal:
 			hosts[h] = t.diurnal[i]
 		case hostIntermittent:
-			hosts[h] = t.inter[i]
+			hosts[h] = Intermittent{P: t.inter[i].P, Seed: t.inter[i].Seed}
 		case hostOther:
 			hosts[h] = t.other[i]
 		}

@@ -39,7 +39,7 @@ type hostTable struct {
 	idx     [256]uint8 // index into kind's column
 	ever    []byte     // E(b), ascending
 	diurnal []Diurnal
-	inter   []Intermittent
+	inter   []interHost
 	other   []Behavior
 	memo    []dayMemo // indexed like diurnal
 	days    atomic.Pointer[dayTable]
@@ -77,7 +77,7 @@ func compileHosts(hosts *Hosts) *hostTable {
 	}
 	t.ever = make([]byte, 0, len(hosts)-n[hostNever])
 	t.diurnal = make([]Diurnal, 0, n[hostDiurnal])
-	t.inter = make([]Intermittent, 0, n[hostIntermittent])
+	t.inter = make([]interHost, 0, n[hostIntermittent])
 	t.other = make([]Behavior, 0, n[hostOther])
 	for h, bh := range hosts {
 		switch t.kind[h] {
@@ -86,7 +86,8 @@ func compileHosts(hosts *Hosts) *hostTable {
 		case hostDiurnal:
 			t.diurnal = append(t.diurnal, bh.(Diurnal))
 		case hostIntermittent:
-			t.inter = append(t.inter, bh.(Intermittent))
+			v := bh.(Intermittent)
+			t.inter = append(t.inter, interHost{P: v.P, Seed: v.Seed})
 		case hostOther:
 			t.other = append(t.other, bh)
 		}
@@ -228,7 +229,7 @@ func (s *survey) span(lo, hi int, p onPeriod) (a, b int) {
 //     added through a difference array, so it costs O(days·log n);
 //     only a campus host (UpProb in (0,1)) then draws per instant;
 //   - an intermittent host is one pass over the quanta with its seed's mix
-//     hoisted (see Intermittent.key);
+//     hoisted (see interHost.key);
 //   - any other behaviour is asked per instant.
 //
 // Every value read is a pure function of (Seed, day) or (Seed, quantum), so
@@ -285,7 +286,7 @@ func (t *hostTable) countSurvey(start time.Time, step time.Duration, s *survey) 
 // addDraws adds to up[r] the draws at quantum q[r] of every host of inter:
 // the kernel's hottest loop, in a function of its own so that its state
 // stays in registers.
-func addDraws(up []int32, q []uint64, inter []Intermittent) {
+func addDraws(up []int32, q []uint64, inter []interHost) {
 	up = up[:len(q)]
 	for i := range inter {
 		h, thr := inter[i].key()

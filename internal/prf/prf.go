@@ -52,11 +52,12 @@ func mixRaw(x uint64) uint64 {
 }
 
 // LegacyFloat returns a uniform float64 in [0, 1) using the historical
-// chaining of internal/core's collection-artifact draws: the increment is
-// applied to the seed only, not per part. The stream is frozen because
-// recorded datasets and reports must stay reproducible from their seeds
-// (repositioning the ~5% artifact rounds flips borderline classifications).
-// New code must use Float.
+// chaining of internal/core's collection-artifact draws, rdns's name
+// synthesis and geo's coverage draw: the increment is applied to the seed
+// only, not per part. The stream is frozen because recorded datasets and
+// reports must stay reproducible from their seeds (repositioning the ~5%
+// artifact rounds flips borderline classifications). New code must use
+// Float.
 func LegacyFloat(seed uint64, parts ...uint64) float64 {
 	h := mixRaw(seed + 0x9e3779b97f4a7c15)
 	for _, p := range parts {

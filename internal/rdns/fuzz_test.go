@@ -11,8 +11,8 @@ import (
 // checks its invariants, mirroring the icmp FuzzParse pattern: no panics,
 // deterministic output, features drawn only from the kept keywords in
 // canonical order, the 1/15th suppression rule honored, the synthesizer's
-// Domain never injecting features through the zone name, and the streaming
-// BlockFeatures equal to classifying the materialized BlockNames. Run with
+// Domain never injecting features through the zone name, and the one-name
+// BlockFeatures equal to classifying all 256 of BlockNames. Run with
 // `go test -fuzz=FuzzClassify ./internal/rdns`.
 func FuzzClassify(f *testing.F) {
 	f.Add("dhcp-dialup-001.example.com", "host-001.example.net")
@@ -32,7 +32,7 @@ func FuzzClassify(f *testing.F) {
 		order[kw] = i
 	}
 
-	var stream FeatureSet
+	var one FeatureSet
 	var scratch []byte // reused across inputs, as LinkTypes reuses it across blocks
 	f.Fuzz(func(t *testing.T, a, b string) {
 		// match: deterministic, canonical order, real substrings.
@@ -112,13 +112,13 @@ func FuzzClassify(f *testing.F) {
 			t.Fatalf("Domain(%q) = %q injects features %v", a, Domain(a), got)
 		}
 
-		// Streaming a block's names through one buffer classifies it as
-		// materializing them does, whatever the link type and domain are.
+		// Matching one of a block's names classifies it as the tally over
+		// all 256 does, whatever the link type and domain are.
 		synth := &Synthesizer{NamedFrac: 0.6, MultiFrac: 0.3, Seed: uint64(len(a))}
 		id := netsim.MakeBlockID(byte(len(b)), byte(len(a)), 7)
 		slice := ClassifyBlock(synth.BlockNames(id, a, b))
-		stream, scratch = synth.BlockFeatures(scratch, id, a, b)
-		if got := stream.names(); strings.Join(got, ",") != strings.Join(slice.Features, ",") || stream.Len() != len(slice.Features) {
+		one, scratch = synth.BlockFeatures(scratch, id, a, b)
+		if got := one.names(); strings.Join(got, ",") != strings.Join(slice.Features, ",") || one.Len() != len(slice.Features) {
 			t.Fatalf("BlockFeatures(%q, %q) = %v, ClassifyBlock(BlockNames) = %v", a, b, got, slice.Features)
 		}
 	})

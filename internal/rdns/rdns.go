@@ -8,7 +8,11 @@
 // Synthesis runs the other direction for the simulated world: given a
 // block's true access technology it produces names a real ISP of that kind
 // would publish, including the realities the paper reports — only ~46% of
-// blocks carry any keyword at all, and ~11% carry more than one.
+// blocks carry any keyword at all, and ~11% carry more than one. A
+// synthesized block's names differ only in their three-digit host label,
+// which no keyword can match, so the study classifies a block from one of
+// its names (Synthesizer.BlockFeatures); ClassifyBlock over all 256 is the
+// reference it is tested against.
 package rdns
 
 import (
@@ -17,6 +21,7 @@ import (
 	"strings"
 
 	"sleepnet/internal/netsim"
+	"sleepnet/internal/prf"
 )
 
 // ConsideredKeywords are the 16 keywords of §2.3.3, in the paper's order.
@@ -88,6 +93,8 @@ func lower(c byte) byte {
 // "dhcp-dialup-001.example.com" yields both "dhcp" and "dial". It is the one
 // matcher behind ClassifyBlock and BlockFeatures: a single pass over the
 // name that tries, at each byte, only the keywords starting with it.
+// Keywords are lowercase letters only (TestKeywordsAreLowercaseLetters), so
+// a match never spans a digit, '-' or '.'.
 func match[T string | []byte](name T) FeatureSet {
 	var found FeatureSet
 	for i := 0; i < len(name); i++ {
@@ -161,8 +168,8 @@ type BlockClassification struct {
 // rest.
 //
 // Nothing outside tests calls it: with Synthesizer.BlockNames it is the
-// materialized reference that FuzzClassify and
-// TestBlockFeaturesMatchesClassifyBlock hold the streaming BlockFeatures to.
+// full-tally reference that FuzzClassify and
+// TestBlockFeaturesMatchesClassifyBlock hold the one-name BlockFeatures to.
 func ClassifyBlock(names []string) BlockClassification {
 	var t tally
 	for _, n := range names {
@@ -233,7 +240,7 @@ type namer struct {
 
 func (s *Synthesizer) namer(id netsim.BlockID, linkType, domain string) namer {
 	n := namer{seed: s.Seed, id: uint64(id), token: "host", domain: domain}
-	u := hashUnit(s.Seed, uint64(id), 1)
+	u := prf.LegacyFloat(s.Seed, uint64(id), 1)
 	multi := u < s.MultiFrac
 	if !multi && u >= s.NamedFrac {
 		return n // generic: host-hhh.domain whatever the link type
@@ -252,7 +259,7 @@ func (s *Synthesizer) namer(id netsim.BlockID, linkType, domain string) namer {
 // appendName appends address h's reverse name to dst — token[-second]-hhh.domain
 // — or nothing when the address has no PTR record at all.
 func (n *namer) appendName(dst []byte, h int) []byte {
-	if hashUnit(n.seed, n.id, uint64(h), 2) < 0.15 {
+	if prf.LegacyFloat(n.seed, n.id, uint64(h), 2) < 0.15 {
 		return dst
 	}
 	dst = append(append(dst, n.token...), '-')
@@ -266,7 +273,8 @@ func (n *namer) appendName(dst []byte, h int) []byte {
 // BlockNames synthesizes the 256 reverse names for a block with the given
 // true link type and an ISP domain; addresses without a PTR record get the
 // empty string. It is the other half of the reference named at
-// ClassifyBlock; the study streams the same names through BlockFeatures.
+// ClassifyBlock; the study classifies the block with BlockFeatures, which
+// writes and matches one of these names.
 func (s *Synthesizer) BlockNames(id netsim.BlockID, linkType, domain string) []string {
 	names := make([]string, 256)
 	n := s.namer(id, linkType, domain)
@@ -278,19 +286,28 @@ func (s *Synthesizer) BlockNames(id netsim.BlockID, linkType, domain string) []s
 	return names
 }
 
-// BlockFeatures classifies the block BlockNames would name without keeping
-// the names: each is written into scratch, matched and overwritten by the
-// next. The result is ClassifyBlock(s.BlockNames(id, linkType, domain))'s
-// Features as a set; the possibly grown scratch is returned for reuse.
+// BlockFeatures classifies the block BlockNames would name by matching one
+// of its names, not all 256. That is exact: every name of a block is
+// token[-second]-DDD.domain, the same but for the three-digit host label,
+// and no keyword contains a digit, so a keyword found in one name lies
+// wholly in the part before the label or wholly in the part after it, and
+// match finds the same set F in every named address. ClassifyBlock's
+// tally then counts each keyword of F once a named address, every count
+// equals the maximum and none falls under the 1/15 floor: the block's
+// features are F less the discarded keywords if any address has a name,
+// and none otherwise. The result is
+// ClassifyBlock(s.BlockNames(id, linkType, domain))'s Features as a set
+// (FuzzClassify and TestBlockFeaturesMatchesClassifyBlock hold the two
+// equal); the first named address is written into scratch, and the
+// possibly grown scratch is returned for reuse.
 func (s *Synthesizer) BlockFeatures(scratch []byte, id netsim.BlockID, linkType, domain string) (FeatureSet, []byte) {
 	n := s.namer(id, linkType, domain)
-	var t tally
 	for h := 0; h < 256; h++ {
 		if scratch = n.appendName(scratch[:0], h); len(scratch) > 0 {
-			t.add(match(scratch))
+			return match(scratch) &^ discarded, scratch
 		}
 	}
-	return t.features(), scratch
+	return 0, scratch
 }
 
 // Domain derives a plausible ISP reverse-zone domain from an organization
@@ -306,22 +323,8 @@ func Domain(org string) string {
 	}
 	for i, f := range fields {
 		if match(f) != 0 {
-			fields[i] = fmt.Sprintf("z%06d", uint32(hashUnit(0xd011a1, uint64(len(f)), uint64(f[0]))*999999))
+			fields[i] = fmt.Sprintf("z%06d", uint32(prf.LegacyFloat(0xd011a1, uint64(len(f)), uint64(f[0]))*999999))
 		}
 	}
 	return strings.Join(fields, "-") + ".example.net"
-}
-
-func hashUnit(seed uint64, parts ...uint64) float64 {
-	h := seed + 0x9e3779b97f4a7c15
-	mix := func(v uint64) uint64 {
-		v = (v ^ (v >> 30)) * 0xbf58476d1ce4e5b9
-		v = (v ^ (v >> 27)) * 0x94d049bb133111eb
-		return v ^ (v >> 31)
-	}
-	h = mix(h)
-	for _, p := range parts {
-		h = mix(h ^ p)
-	}
-	return float64(h>>11) / (1 << 53)
 }

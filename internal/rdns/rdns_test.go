@@ -1,6 +1,7 @@
 package rdns
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
@@ -204,24 +205,78 @@ func keptKeywords() []string {
 	return kept
 }
 
-// TestBlockFeaturesMatchesClassifyBlock pins the streaming classification
-// Fig 17 uses to the materialized one over the synthesizer's three naming
-// styles, and its reused scratch to zero allocations a block.
+// TestKeywordsAreLowercaseLetters pins the fact BlockFeatures' one-name
+// match rests on: a keyword holds no digit, '-' or '.', so it never matches
+// across the three-digit host label that alone tells a block's names apart.
+func TestKeywordsAreLowercaseLetters(t *testing.T) {
+	for _, kw := range ConsideredKeywords {
+		if kw == "" || strings.Trim(kw, "abcdefghijklmnopqrstuvwxyz") != "" {
+			t.Errorf("keyword %q is not [a-z]+", kw)
+		}
+	}
+}
+
+// TestBlockFeaturesMatchesClassifyBlock pins the one-name classification
+// Fig 17 uses to the full tally over all 256 names: for 3,000 blocks under
+// one fixed zone, for every block of a generated world under its own operator's zone and link type, and for
+// every zone the world's operators get — the z%06d zones Domain substitutes
+// for keyword-bearing tokens included — under every link type the world
+// draws, over the synthesizer's three naming styles. A warm scratch costs
+// no allocation a block.
 func TestBlockFeaturesMatchesClassifyBlock(t *testing.T) {
+	w, err := world.Generate(world.Config{Blocks: 2500, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := NewSynthesizer(42)
 	var scratch []byte
-	kept := keptKeywords()
 	styles := make(map[int]int)
-	for i := 0; i < 3000; i++ {
-		id := netsim.MakeBlockID(byte(i>>16), byte(i>>8), byte(i))
-		link := kept[i%len(kept)]
-		want := ClassifyBlock(s.BlockNames(id, link, "isp.example.net")).Features
+	check := func(id netsim.BlockID, link, domain string) {
+		t.Helper()
+		want := ClassifyBlock(s.BlockNames(id, link, domain)).Features
 		var got FeatureSet
-		got, scratch = s.BlockFeatures(scratch, id, link, "isp.example.net")
+		got, scratch = s.BlockFeatures(scratch, id, link, domain)
 		if strings.Join(got.names(), ",") != strings.Join(want, ",") {
-			t.Fatalf("block %s (%s): BlockFeatures = %v, ClassifyBlock(BlockNames) = %v", id, link, got.names(), want)
+			t.Fatalf("block %s (%s, %s): BlockFeatures = %v, ClassifyBlock(BlockNames) = %v", id, link, domain, got.names(), want)
 		}
 		styles[got.Len()]++
+	}
+
+	kept := keptKeywords()
+	for i := 0; i < 3000; i++ {
+		check(netsim.MakeBlockID(byte(i>>16), byte(i>>8), byte(i)), kept[i%len(kept)], "isp.example.net")
+	}
+	var domains []string
+	seen := make(map[string]bool)
+	links := make(map[string]bool)
+	for _, b := range w.Blocks {
+		d := Domain(b.OrgName)
+		check(b.ID, b.LinkType, d)
+		links[b.LinkType] = true
+		if !seen[d] {
+			seen[d] = true
+			domains = append(domains, d)
+		}
+	}
+	for _, link := range world.LinkTypes {
+		if !links[link] {
+			t.Errorf("the world draws no %s block", link)
+		}
+	}
+	sanitized := regexp.MustCompile(`(^|-)z[0-9]{6}[-.]`)
+	zones := 0
+	for k, d := range domains {
+		if sanitized.MatchString(d) {
+			zones++
+		}
+		for j, link := range world.LinkTypes {
+			for r := 0; r < 4; r++ {
+				check(w.Blocks[(k*len(world.LinkTypes)*4+j*4+r)%len(w.Blocks)].ID, link, d)
+			}
+		}
+	}
+	if zones == 0 {
+		t.Errorf("none of the world's %d zones is a sanitized z%%06d zone", len(domains))
 	}
 	if styles[0] == 0 || styles[1] == 0 || styles[2] == 0 {
 		t.Fatalf("blocks by feature count = %v; want generic, keyword and dual-keyword styles", styles)
