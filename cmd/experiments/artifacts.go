@@ -9,7 +9,6 @@ import (
 	"sleepnet/internal/analysis"
 	"sleepnet/internal/core"
 	"sleepnet/internal/dsp"
-	"sleepnet/internal/geo"
 	"sleepnet/internal/netsim"
 	"sleepnet/internal/report"
 	"sleepnet/internal/stats"
@@ -74,14 +73,9 @@ func (e *env) Study() *analysis.Study {
 		w := e.World()
 		//lint:allow nowallclock: CLI-only elapsed display on a "#" comment line; never parsed or persisted
 		start := time.Now()
-		st := must(analysis.MeasureWorld(w, analysis.StudyConfig{
-			Days:            e.days,
-			Seed:            e.seed ^ 0xabcd,
-			RestartInterval: 5*time.Hour + 30*time.Minute,
-			MissingRate:     0.03,
-			DuplicateRate:   0.02,
-			Metrics:         e.metrics,
-		}))
+		cfg := analysis.DefaultCampaign(e.days, e.seed^0xabcd)
+		cfg.Metrics = e.metrics
+		st := must(analysis.MeasureWorld(w, cfg))
 		e.study = st
 		strict, either := st.DiurnalFraction()
 		e.printf("# study: %d blocks measured in %v; %s strict, %s either diurnal; %.1f probes/block/hour\n",
@@ -90,19 +84,6 @@ func (e *env) Study() *analysis.Study {
 			report.Pct(strict), report.Pct(either), st.ProbeBudget())
 	}
 	return e.study
-}
-
-// Geo is the shared geolocation database of the world.
-func (e *env) Geo() *geo.DB {
-	if e.geoDB == nil {
-		e.geoDB = geo.FromWorld(e.World(), 0.93, e.seed^0x9e0)
-	}
-	return e.geoDB
-}
-
-// minCountryBlocks scales the paper's 1000-block floor to the world size.
-func minCountryBlocks(blocks int) int {
-	return max(blocks/400, 3)
 }
 
 // --- sample blocks (Figs 1-3, 6) ---
@@ -452,7 +433,7 @@ func fig11(e *env) []claim {
 
 func fig12(e *env) []claim {
 	e.printf("Fig 12: observable blocks per 2°x2° cell (log grayscale)\n")
-	maps := must(e.Study().BuildWorldMaps(e.Geo()))
+	maps := must(e.Study().BuildWorldMaps(report.GeoDB(e.World())))
 	e.printf("geolocated blocks: %d; non-empty cells: %d; max cell: %d\n",
 		maps.Geolocated, maps.Counts.NonEmptyCells(), maps.Counts.MaxCount())
 	e.printWorld(maps, false)
@@ -462,7 +443,7 @@ func fig12(e *env) []claim {
 
 func fig13(e *env) []claim {
 	e.printf("Fig 13: percent of observable blocks that are diurnal per cell\n")
-	maps := must(e.Study().BuildWorldMaps(e.Geo()))
+	maps := must(e.Study().BuildWorldMaps(report.GeoDB(e.World())))
 	e.printWorld(maps, true)
 	e.writeWorldPNG(maps, true, "fig13.png")
 	// The map's two ends: North America north of 15°N, and Asia east of 60°E.
@@ -560,23 +541,12 @@ func (e *env) printWorld(maps *analysis.WorldMaps, fractions bool) {
 }
 
 func table3(e *env) []claim {
-	e.printf("Table 3: fraction of diurnal blocks by country (top 20 + US)\n")
-	rows := e.Study().CountryTable(minCountryBlocks(len(e.World().Blocks)))
-	out := [][]string{}
+	text, rows := report.Table3(e.Study())
+	e.printf("%s", text)
 	frac := map[string]float64{}
-	for i, r := range rows {
+	for _, r := range rows {
 		frac[r.Code] = r.FracDiurnal
-		if i >= 20 && r.Code != "US" {
-			continue
-		}
-		lo, hi := stats.WilsonInterval(r.Diurnal, r.Blocks, 0.95)
-		out = append(out, []string{
-			r.Code, r.Region, fmt.Sprint(r.Blocks), report.F(r.FracDiurnal),
-			fmt.Sprintf("[%.3f, %.3f]", lo, hi),
-			fmt.Sprintf("%.0f", r.GDP),
-		})
 	}
-	e.printf("%s", report.Table([]string{"country", "region", "blocks", "frac diurnal", "95% CI", "GDP (US$)"}, out))
 	return []claim{
 		num("CN", "0.498", "%.3f", 0.35, 0.65, frac["CN"]),
 		num("US", "0.002", "%.3f", 0, 0.02, frac["US"]),
@@ -584,15 +554,12 @@ func table3(e *env) []claim {
 }
 
 func table4(e *env) []claim {
-	e.printf("Table 4: fraction of diurnal blocks by region\n")
-	rows := e.Study().RegionTable()
-	out := make([][]string, 0, len(rows))
+	text, rows := report.Table4(e.Study())
+	e.printf("%s", text)
 	frac := map[string]float64{}
 	for _, r := range rows {
-		out = append(out, []string{r.Region, fmt.Sprint(r.Blocks), report.F(r.FracDiurnal)})
 		frac[r.Region] = r.FracDiurnal
 	}
-	e.printf("%s", report.Table([]string{"region", "blocks", "frac diurnal"}, out))
 	return []claim{
 		num("N. America", "0.002", "%.3f", 0, 0.02, frac["Northern America"]),
 		num("E. Asia", "0.28–0.40", "%.3f", 0.2, 0.5, frac["Eastern Asia"]),
@@ -600,25 +567,9 @@ func table4(e *env) []claim {
 }
 
 func fig14(e *env) []claim {
-	e.printf("Fig 14: diurnal phase vs longitude\n")
-	st := e.Study()
-	strict := must(st.PhaseVsLongitude(e.Geo(), false))
-	relaxed := must(st.PhaseVsLongitude(e.Geo(), true))
-	e.printf("(a) strict diurnal:  %d blocks, unrolled-phase/longitude r = %.3f (paper: 0.835)\n",
-		strict.Blocks, strict.R)
-	e.printf("(b) either diurnal:  %d blocks, r = %.3f (paper: 0.763)\n",
-		relaxed.Blocks, relaxed.R)
-	e.printf("(c) longitude predicted from phase (selected phases):\n")
-	rows := [][]string{}
-	for _, ph := range []float64{-3, -2, -1, 0, 1, 2, 3} {
-		lon, sd, ok := relaxed.PredictLongitude(ph)
-		if !ok {
-			rows = append(rows, []string{report.F(ph), "n/a", "n/a"})
-			continue
-		}
-		rows = append(rows, []string{report.F(ph), fmt.Sprintf("%.0f°", lon), fmt.Sprintf("±%.0f°", sd)})
-	}
-	e.printf("%s", report.Table([]string{"phase (rad)", "mean lon", "stddev"}, rows))
+	text, strict, relaxed, err := report.Fig14(e.Study())
+	check(err)
+	e.printf("%s", text)
 	return []claim{
 		num("r strict", "0.835", "%.3f", 0.6, 1, strict.R),
 		num("r either", "0.763", "%.3f", 0.6, 1, relaxed.R),
@@ -627,7 +578,8 @@ func fig14(e *env) []claim {
 
 func fig15(e *env) []claim {
 	e.printf("Fig 15: percent diurnal by /8 allocation month\n")
-	res := must(e.Study().AllocationDateTrend(minCountryBlocks(len(e.World().Blocks))))
+	st := e.Study()
+	res := must(st.AllocationDateTrend(report.CountryFloor(st)))
 	rows := [][]string{}
 	step := len(res.Months)/12 + 1
 	for i := 0; i < len(res.Months); i += step {
@@ -645,26 +597,16 @@ func fig15(e *env) []claim {
 }
 
 func fig16(e *env) []claim {
-	e.printf("Fig 16: diurnal fraction vs per-capita GDP by country\n")
-	res := must(e.Study().CorrelateGDP(minCountryBlocks(len(e.World().Blocks))))
-	e.printf("countries: %d; correlation: %.3f (paper: -0.526)\n", len(res.Rows), res.R)
-	e.printf("fit: frac = %.4f %+.3g * GDP\n", res.Fit.Intercept, res.Fit.Slope)
-	labels := []string{}
-	vals := []float64{}
-	for i, r := range res.Rows {
-		if i >= 12 {
-			break
-		}
-		labels = append(labels, fmt.Sprintf("%s ($%.0fk)", r.Code, r.GDP/1000))
-		vals = append(vals, r.FracDiurnal)
-	}
-	e.printf("%s", report.BarChart(labels, vals, 50))
+	text, res, err := report.Fig16(e.Study())
+	check(err)
+	e.printf("%s", text)
 	return []claim{gated(num("r", "−0.526", "%.3f", -0.8, -0.3, res.R))}
 }
 
 func table5(e *env) []claim {
 	e.printf("Table 5: ANOVA p-values — factors vs diurnal fraction\n")
-	tab := must(e.Study().ANOVATable(minCountryBlocks(len(e.World().Blocks))))
+	st := e.Study()
+	tab := must(st.ANOVATable(report.CountryFloor(st)))
 	// Benjamini-Hochberg over the 15 distinct tests (diagonal + upper
 	// triangle) controls the table's false discovery rate.
 	var pvals []float64
@@ -711,19 +653,13 @@ func table5(e *env) []claim {
 }
 
 func fig17(e *env) []claim {
-	e.printf("Fig 17: fraction of diurnal blocks per access-link keyword\n")
-	res := must(e.Study().LinkTypes(e.seed ^ 0x11d))
-	e.printf("blocks with features: %s (paper: 46.3%%); multiple features: %s (paper: 11.4%%)\n",
-		report.Pct(res.ClassifiedFrac), report.Pct(res.MultiFrac))
-	labels := make([]string, 0, len(res.Rows))
-	vals := make([]float64, 0, len(res.Rows))
+	text, res, err := report.Fig17(e.Study())
+	check(err)
+	e.printf("%s", text)
 	frac := map[string]float64{}
 	for _, r := range res.Rows {
-		labels = append(labels, fmt.Sprintf("%s (n=%d)", r.Keyword, r.Blocks))
-		vals = append(vals, r.FracDiurnal)
 		frac[r.Keyword] = r.FracDiurnal
 	}
-	e.printf("%s", report.BarChart(labels, vals, 50))
 	return []claim{
 		pct("dyn", "19%", 0.1, 0.35, frac["dyn"]),
 		pct("dsl", "11%", 0.05, 0.25, frac["dsl"]),
@@ -736,24 +672,11 @@ func fig17(e *env) []claim {
 // --- extensions ---
 
 func outages(e *env) []claim {
-	e.printf("Extension: outage rates vs economics (paper §7)\n")
 	w := must(world.Generate(world.Config{Blocks: e.blocks, Seed: e.seed ^ 0x0047, OutagesPerBlockWeek: 0.2}))
 	st := must(analysis.MeasureWorld(w, analysis.StudyConfig{Days: e.days, Seed: e.seed, Metrics: e.metrics}))
-	minBlocks := minCountryBlocks(e.blocks)
-	rows := [][]string{}
-	for i, r := range st.OutageTable(minBlocks, true) {
-		if i >= 15 {
-			break
-		}
-		rows = append(rows, []string{
-			r.Code, fmt.Sprint(r.Blocks), fmt.Sprintf("%.3f", r.EpisodesPerBlockWeek),
-			r.Agg.NinesString(), fmt.Sprintf("%.0f", r.GDP),
-		})
-	}
-	e.printf("%s", report.Table([]string{"country", "blocks", "outages/blk-week", "uptime", "GDP"}, rows))
-	r, anova, err := st.OutageGDPCorrelation(minBlocks)
+	text, r, anova, err := report.Outages(st)
 	check(err)
-	e.printf("outage rate vs GDP: r = %.3f, ANOVA p = %s\n", r, report.F(anova.P))
+	e.printf("%s", text)
 	return []claim{
 		num("r vs GDP", "negative", "%.3f", -1, -0.3, r),
 		num("ANOVA p", "", "%.2g", 0, 0.05, anova.P),

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"sleepnet/internal/analysis"
-	"sleepnet/internal/geo"
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/report"
 	"sleepnet/internal/world"
@@ -101,8 +100,8 @@ func must[T any](v T, err error) T {
 }
 
 // env is what every artifact builds its inputs from: the seed, the scale,
-// and the writer its report goes to. The world, study and geolocation
-// database of the world-scale artifacts are built on first use and shared.
+// and the writer its report goes to. The world and study of the world-scale
+// artifacts are built on first use and shared.
 type env struct {
 	w    io.Writer
 	seed uint64
@@ -116,7 +115,6 @@ type env struct {
 
 	world *world.World
 	study *analysis.Study
-	geoDB *geo.DB
 }
 
 // newEnv sizes an env; -quick caps the world at 1,000 blocks.

@@ -3,8 +3,8 @@
 // (or reuse) a synthetic world, probe every block adaptively for the given
 // number of days, estimate availability, detect diurnal blocks, and print
 // the study report: the population and its class counts, the probing
-// budget, the per-region, per-country and per-link-type tables, the GDP and
-// phase–longitude correlations, and reliability.
+// budget, and the paper's study tables as cmd/experiments prints them
+// (Tables 3 and 4, Figs 14, 16 and 17, and the outage table).
 //
 // Usage:
 //
@@ -39,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,7 +46,6 @@ import (
 	"sleepnet/internal/core"
 	"sleepnet/internal/dsp"
 	"sleepnet/internal/faults"
-	"sleepnet/internal/geo"
 	"sleepnet/internal/metrics"
 	"sleepnet/internal/report"
 	"sleepnet/internal/trinocular"
@@ -118,28 +116,22 @@ func run(args []string, out *bytes.Buffer) error {
 	if err != nil {
 		return err
 	}
-	cfg := analysis.StudyConfig{
-		Days:          *days,
-		Seed:          *seed ^ 0x5ca9,
-		MissingRate:   0.03,
-		DuplicateRate: 0.02,
-		Faults: faults.Config{
-			Seed:              *seed ^ 0xfa17,
-			LossRate:          *loss,
-			CorruptRate:       *corrupt,
-			RateLimitPerRound: *rateLimit,
-			BlackoutEvery:     *blackoutEvery,
-			BlackoutFor:       *blackoutFor,
-			ClockSkew:         *skew,
-			ClockDriftPerDay:  *drift,
-		},
-		Retry:          trinocular.RetryConfig{MaxAttempts: *retries},
-		CheckpointPath: *savePath,
-		Resume:         *resume,
+	cfg := analysis.DefaultCampaign(*days, *seed^0x5ca9)
+	if !*restarts {
+		cfg.RestartInterval = 0
 	}
-	if *restarts {
-		cfg.RestartInterval = 5*time.Hour + 30*time.Minute
+	cfg.Faults = faults.Config{
+		Seed:              *seed ^ 0xfa17,
+		LossRate:          *loss,
+		CorruptRate:       *corrupt,
+		RateLimitPerRound: *rateLimit,
+		BlackoutEvery:     *blackoutEvery,
+		BlackoutFor:       *blackoutFor,
+		ClockSkew:         *skew,
+		ClockDriftPerDay:  *drift,
 	}
+	cfg.Retry = trinocular.RetryConfig{MaxAttempts: *retries}
+	cfg.CheckpointPath, cfg.Resume = *savePath, *resume
 	var reg *metrics.Registry
 	if *withMetrics {
 		reg = metrics.New()
@@ -238,18 +230,13 @@ func orgQuery(out *bytes.Buffer, st *analysis.Study, keyword string) {
 		keyword, n, report.Pct(float64(strict)/float64(n)))
 }
 
-// countryFloor is the fewest measured blocks a country needs for a row of
-// the country, reliability and GDP tables (the paper's Tables 3/4 use 1000
-// at full scale): one in 400 of the world's blocks, and at least 3.
-func countryFloor(st *analysis.Study) int {
-	return max(len(st.Blocks)/400, 3)
-}
-
 // writeReport writes the study report to out: what sleepscan prints after
 // measuring a study and what sleepscan inspect prints after loading the
 // saved file. It reads nothing but the study and snap, the run's metrics
 // snapshot (empty for an uninstrumented run), so the two print the same
-// bytes.
+// bytes. Past the study's own counts it prints the paper's study tables as
+// the experiments registry renders them; one whose join fails on this study
+// (too few countries, no diurnal blocks) is left out.
 func writeReport(out *bytes.Buffer, st *analysis.Study, snap metrics.Snapshot) {
 	sparse := 0
 	for _, b := range st.Blocks {
@@ -259,12 +246,11 @@ func writeReport(out *bytes.Buffer, st *analysis.Study, snap metrics.Snapshot) {
 	}
 	strict, either := st.DiurnalFraction()
 	counts := st.CountByClass()
-	floor := countryFloor(st)
 
 	fmt.Fprintf(out, "study: %d blocks (%d measured, %d sparse, %d failed, %d quarantined), from %s, %d rounds\n",
 		len(st.Blocks), len(st.Measured()), sparse, st.ErrorCount(), st.QuarantinedCount(),
 		st.Cfg.Start.Format("2006-01-02"), st.Cfg.Rounds)
-	fmt.Fprintf(out, "probing budget: %.1f probes/block/hour (paper budget: < 20)\n", st.ProbeBudget())
+	fmt.Fprintf(out, "probing budget: %.1f probes/block/hour\n", st.ProbeBudget())
 	if msg := st.FirstError(); msg != "" {
 		fmt.Fprintf(out, "first measurement error: %s\n", msg)
 	}
@@ -280,100 +266,28 @@ func writeReport(out *bytes.Buffer, st *analysis.Study, snap metrics.Snapshot) {
 	fmt.Fprintf(out, "strictly diurnal: %d (%s)   relaxed: %d   non-diurnal: %d\n",
 		counts[core.StrictDiurnal], report.Pct(strict),
 		counts[core.RelaxedDiurnal], counts[core.NonDiurnal])
-	fmt.Fprintf(out, "either diurnal: %s (paper: 11%% strict, 25%% either at full scale)\n\n", report.Pct(either))
+	fmt.Fprintf(out, "either diurnal: %s\n", report.Pct(either))
 
-	fmt.Fprintln(out, "where the Internet sleeps (fraction of diurnal blocks by region):")
-	rows := [][]string{}
-	for _, r := range st.RegionTable() {
-		rows = append(rows, []string{r.Region, fmt.Sprint(r.Blocks), report.F(r.FracDiurnal)})
+	table4, _ := report.Table4(st)
+	table3, _ := report.Table3(st)
+	fmt.Fprintf(out, "\n%s\n%s", table4, table3)
+	if text, _, err := report.Fig16(st); err == nil {
+		fmt.Fprintf(out, "\n%s", text)
 	}
-	fmt.Fprint(out, report.Table([]string{"region", "blocks", "frac diurnal"}, rows))
-
-	fmt.Fprintln(out, "\ntop countries:")
-	rows = rows[:0]
-	for i, r := range st.CountryTable(floor) {
-		if i >= 15 {
-			break
-		}
-		rows = append(rows, []string{r.Code, fmt.Sprint(r.Blocks), report.F(r.FracDiurnal), fmt.Sprintf("%.0f", r.GDP)})
+	if text, _, _, err := report.Fig14(st); err == nil {
+		fmt.Fprintf(out, "\n%s", text)
 	}
-	fmt.Fprint(out, report.Table([]string{"country", "blocks", "frac diurnal", "GDP"}, rows))
-
-	fmt.Fprintln(out, "\nlink types:")
-	linkTable(out, st)
-
-	db := geo.FromWorld(st.World, 0.93, st.World.Config.Seed)
-	if res, err := st.CorrelateGDP(floor); err == nil {
-		fmt.Fprintf(out, "\ndiurnalness vs GDP correlation: %.3f (paper: -0.526)\n", res.R)
+	if text, _, err := report.Fig17(st); err == nil {
+		fmt.Fprintf(out, "\n%s", text)
 	}
-	if pl, err := st.PhaseVsLongitude(db, true); err == nil {
-		fmt.Fprintf(out, "phase vs longitude correlation: %.3f (paper: 0.763 relaxed)\n", pl.R)
-	}
-
-	if st.World.Config.OutagesPerBlockWeek > 0 {
-		fmt.Fprintln(out, "\nreliability (diurnal blocks excluded so sleep is not counted as outage):")
-		rows = rows[:0]
-		for i, r := range st.OutageTable(floor, true) {
-			if i >= 10 {
-				break
-			}
-			rows = append(rows, []string{
-				r.Code, fmt.Sprint(r.Blocks), fmt.Sprintf("%.3f", r.EpisodesPerBlockWeek),
-				r.Agg.NinesString(),
-			})
-		}
-		fmt.Fprint(out, report.Table([]string{"country", "blocks", "outages/blk-week", "uptime"}, rows))
-		if r, anova, err := st.OutageGDPCorrelation(floor); err == nil {
-			fmt.Fprintf(out, "outage rate vs GDP correlation: %.3f (p = %.3g)\n", r, anova.P)
-		}
+	if text, _, _, err := report.Outages(st); err == nil {
+		fmt.Fprintf(out, "\n%s", text)
 	}
 
 	if !snap.Empty() {
 		fmt.Fprintln(out, "\nrun cost:")
 		fmt.Fprint(out, report.RunCost(snap))
 	}
-}
-
-// linkTable writes the measured blocks' strictly diurnal fraction and
-// outage episodes per link type, most diurnal first.
-func linkTable(out *bytes.Buffer, st *analysis.Study) {
-	type agg struct{ n, strict, outages int }
-	m := map[string]*agg{}
-	for _, b := range st.Measured() {
-		a := m[b.Info.LinkType]
-		if a == nil {
-			a = &agg{}
-			m[b.Info.LinkType] = a
-		}
-		a.n++
-		if b.Class == core.StrictDiurnal {
-			a.strict++
-		}
-		a.outages += b.Outage.Episodes
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		fi := float64(m[keys[i]].strict) / float64(m[keys[i]].n)
-		fj := float64(m[keys[j]].strict) / float64(m[keys[j]].n)
-		//lint:allow floateq: exact tie-break inside a comparator; epsilon equality would break strict weak ordering
-		if fi != fj {
-			return fi > fj
-		}
-		return keys[i] < keys[j]
-	})
-	rows := make([][]string, 0, len(keys))
-	for _, k := range keys {
-		a := m[k]
-		rows = append(rows, []string{
-			k, fmt.Sprint(a.n),
-			report.F(float64(a.strict) / float64(a.n)),
-			fmt.Sprint(a.outages),
-		})
-	}
-	fmt.Fprint(out, report.Table([]string{"link", "blocks", "frac strict", "outage episodes"}, rows))
 }
 
 func writeCSV(st *analysis.Study, path string) error {

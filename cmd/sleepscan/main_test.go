@@ -12,6 +12,7 @@ import (
 
 	"sleepnet/internal/analysis"
 	"sleepnet/internal/faults"
+	"sleepnet/internal/report"
 	"sleepnet/internal/world"
 )
 
@@ -66,6 +67,62 @@ func TestReportSameFromMemoryAndFile(t *testing.T) {
 			}
 			if !bytes.Equal(a, b) {
 				t.Fatal("inspect -csv differs from sleepscan -csv")
+			}
+		})
+	}
+}
+
+// TestReportPrintsTheRegistryTables holds sleepscan's report to the
+// experiments registry's rendering of the paper's study tables. On a
+// fault-free and a faulted study, the report past its own counts must be
+// exactly the text report's table functions render for the saved study,
+// in report order: each table byte for byte, one whose join fails on the
+// study left out, and nothing else — the link section is Fig 17's rDNS
+// keyword table, not a count of the generator's link types.
+func TestReportPrintsTheRegistryTables(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		faults []string
+	}{
+		{"fault-free", nil},
+		{"faulted", []string{"-loss", "0.05", "-blackout-every", "6h", "-blackout-for", "30m"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "study.jsonl")
+			var out bytes.Buffer
+			if err := run(append([]string{"-blocks", "200", "-days", "3", "-o", path}, tc.faults...), &out); err != nil {
+				t.Fatal(err)
+			}
+			st, _, err := analysis.LoadStudy(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table4, _ := report.Table4(st)
+			table3, _ := report.Table3(st)
+			fig16, _, err16 := report.Fig16(st)
+			fig14, _, _, err14 := report.Fig14(st)
+			fig17, _, err17 := report.Fig17(st)
+			outages, _, _, errOut := report.Outages(st)
+			var want strings.Builder
+			for _, table := range []struct {
+				text string
+				err  error
+			}{{table4, nil}, {table3, nil}, {fig16, err16}, {fig14, err14}, {fig17, err17}, {outages, errOut}} {
+				if table.err != nil {
+					if tc.faults == nil {
+						t.Fatalf("fixture: a table fails on the fault-free study: %v", table.err)
+					}
+					continue
+				}
+				want.WriteString("\n" + table.text)
+			}
+			printed := reportLines(out.String())
+			_, tables, ok := strings.Cut(printed, "\n\nTable 4: ")
+			if !ok {
+				t.Fatalf("report has no Table 4:\n%s", printed)
+			}
+			if got := "\nTable 4: " + tables; got != want.String() {
+				t.Fatalf("report's study tables:\n%s\nregistry's:\n%s", got, want.String())
 			}
 		})
 	}

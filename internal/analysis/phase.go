@@ -106,20 +106,6 @@ func (s *Study) PhaseVsLongitude(db *geo.DB, includeRelaxed bool) (*PhaseLongitu
 	return out, nil
 }
 
-// UTCPeakHour converts a diurnal 1-cycle/day FFT phase into the UTC time
-// of day (hours) of the block's daily activity peak. It relies on the
-// midnight-UTC trim (§2.2): the series starts at a UTC midnight, so for the
-// diurnal bin k = N_d the coefficient phase θ relates to the peak's
-// time-of-day fraction as θ = -2π·τ/24 — this is the "tie phase to
-// time-of-day" calibration the paper leaves as future work.
-func UTCPeakHour(phase float64) float64 {
-	h := math.Mod(-phase*24/(2*math.Pi), 24)
-	if h < 0 {
-		h += 24
-	}
-	return h
-}
-
 // PredictLongitude estimates a block's longitude from its diurnal phase
 // using the Fig 14c predictor, returning the mean and the uncertainty
 // (stddev) of the matching phase bin. ok is false for phases with no

@@ -432,7 +432,7 @@ func TestLocalPeakHourCalibration(t *testing.T) {
 		if !ok {
 			continue
 		}
-		got := math.Mod(UTCPeakHour(b.Phase)+e.Lon/15+24, 24) // local solar time at the block's longitude
+		got := math.Mod(core.UTCPeakHour(b.Phase)+e.Lon/15+24, 24) // local solar time at the block's longitude
 		want := b.Info.LocalOnHour + 4.5
 		d := got - want
 		for d > 12 {
@@ -455,15 +455,6 @@ func TestLocalPeakHourCalibration(t *testing.T) {
 		t.Fatalf("mean |local peak error| = %.2f h over %d blocks, want <= 2.5", mean, n)
 	}
 	t.Logf("mean local-peak error: %.2f h over %d blocks", mean, n)
-}
-
-func TestUTCPeakHourRange(t *testing.T) {
-	for _, ph := range []float64{-3.14, -1, 0, 1, 3.14, 6, -6} {
-		h := UTCPeakHour(ph)
-		if h < 0 || h >= 24 {
-			t.Fatalf("UTCPeakHour(%v) = %v", ph, h)
-		}
-	}
 }
 
 func TestGDPCorrelationWeighted(t *testing.T) {

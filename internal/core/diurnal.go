@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"sleepnet/internal/dsp"
@@ -66,6 +67,20 @@ type DiurnalResult struct {
 	// Phase is the angle of the 1-cycle/day FFT coefficient in (-pi, pi];
 	// meaningful only for diurnal blocks (random otherwise).
 	Phase float64
+}
+
+// UTCPeakHour converts a diurnal 1-cycle/day FFT phase into the UTC time
+// of day (hours) of the block's daily activity peak. It relies on the
+// midnight-UTC trim (§2.2): the series starts at a UTC midnight, so for the
+// diurnal bin k = N_d the coefficient phase θ relates to the peak's
+// time-of-day fraction as θ = -2π·τ/24 — this is the "tie phase to
+// time-of-day" calibration the paper leaves as future work.
+func UTCPeakHour(phase float64) float64 {
+	h := math.Mod(-phase*24/(2*math.Pi), 24)
+	if h < 0 {
+		h += 24
+	}
+	return h
 }
 
 // scratchPool shares warm dsp workspaces across the concurrent pipeline

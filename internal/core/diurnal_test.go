@@ -251,3 +251,12 @@ func BenchmarkDetectDiurnal35d(b *testing.B) {
 		}
 	}
 }
+
+func TestUTCPeakHourRange(t *testing.T) {
+	for _, ph := range []float64{-3.14, -1, 0, 1, 3.14, 6, -6} {
+		h := UTCPeakHour(ph)
+		if h < 0 || h >= 24 {
+			t.Fatalf("UTCPeakHour(%v) = %v", ph, h)
+		}
+	}
+}

@@ -1,6 +1,7 @@
 // Package report renders experiment results as aligned text tables and
 // ASCII charts — the terminal equivalents of the paper's tables and
-// figures, used by cmd/experiments and the examples.
+// figures, used by cmd/experiments, cmd/sleepscan and the examples — and
+// the paper's study tables of a measured study (study.go).
 package report
 
 import (

@@ -678,7 +678,7 @@ func (f *shardFeed) matchesSent(t *testing.T, ep *Epoch) {
 			t.Fatalf("epoch %d block %v: lookup ok=%v peak=%v, class %v", ep.Rounds, f.ids[b], ok, bs.PeakUTCHour, d.Class)
 		}
 		if d.Class.Diurnal() {
-			peak := analysis.UTCPeakHour(d.Phase)
+			peak := core.UTCPeakHour(d.Phase)
 			if math.Float64bits(*bs.PeakUTCHour) != math.Float64bits(peak) ||
 				math.Float64bits(*bs.SleepUTCHour) != math.Float64bits(math.Mod(peak+12, 24)) {
 				t.Fatalf("epoch %d block %v: served peak/sleep %v/%v for phase %v",

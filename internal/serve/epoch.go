@@ -17,7 +17,7 @@ import (
 	"strconv"
 	"time"
 
-	"sleepnet/internal/analysis"
+	"sleepnet/internal/core"
 	"sleepnet/internal/monitor"
 	"sleepnet/internal/netsim"
 )
@@ -62,7 +62,7 @@ type BlockStatus struct {
 	Class string `json:"class"`
 	// Phase, PeakUTCHour, SleepUTCHour are present for diurnal blocks only.
 	// Phase is the 1 cycle/day FFT phase anchored at midnight UTC, as the
-	// study's; PeakUTCHour is analysis.UTCPeakHour of it, SleepUTCHour
+	// study's; PeakUTCHour is core.UTCPeakHour of it, SleepUTCHour
 	// twelve hours later.
 	Phase        *float64 `json:"phase,omitempty"`
 	PeakUTCHour  *float64 `json:"peak_utc_hour,omitempty"`
@@ -173,7 +173,7 @@ func (ep *Epoch) appendStatus(b []byte, s *colSet, i int) ([]byte, bool) {
 // peakSleepUTC maps a midnight-anchored phase to the UTC hours of peak
 // activity and of sleep (peak + 12h).
 func peakSleepUTC(phase float64) (peak, sleep float64) {
-	peak = analysis.UTCPeakHour(phase)
+	peak = core.UTCPeakHour(phase)
 	return peak, math.Mod(peak+12, 24)
 }
 
