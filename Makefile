@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-rand fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair
+.PHONY: all build vet fmt test race lint lint-fixtures check experiments-doc fuzz fuzz-rdns fuzz-rand fuzz-wal fuzz-serve monitor-chaos serve-chaos bench-e2e bench-pair
 
 all: check
 
@@ -11,6 +11,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing the files, when gofmt would rewrite any file.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -41,31 +45,34 @@ lint-fixtures:
 experiments-doc:
 	SLEEPNET_UPDATE_GOLDEN=1 $(GO) test -count=1 -run='^TestExperimentsDoc$$' ./cmd/experiments
 
-# check is the CI gate: vet, build, sleeplint and the full test suite under
-# the race detector, whose TestExperimentsDoc fails on any gating claim of
-# the cmd/experiments registry that misses its band.
-check: vet build lint race
+# check is the CI gate: vet, build, gofmt, sleeplint and the full test suite
+# under the race detector, whose TestExperimentsDoc fails on any gating
+# claim of the cmd/experiments registry that misses its band.
+check: vet build fmt lint race
+
+# The fuzz targets run each fuzzer for FUZZTIME (CI's smoke runs pass 10s).
+FUZZTIME ?= 30s
 
 # fuzz runs the icmp parser fuzzer for a short budget.
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=30s ./internal/icmp
+	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/icmp
 
 # fuzz-rdns runs the rDNS keyword-classifier fuzzer for a short budget.
 fuzz-rdns:
-	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=30s ./internal/rdns
+	$(GO) test -run=^$$ -fuzz=FuzzClassify -fuzztime=$(FUZZTIME) ./internal/rdns
 
 # fuzz-rand holds prf.LegacyRand to rand.NewSource's stream at arbitrary
 # seeds and draw counts, across a reseed of the same Rand.
 fuzz-rand:
-	$(GO) test -run=^$$ -fuzz=FuzzLegacyRand -fuzztime=30s ./internal/prf
+	$(GO) test -run=^$$ -fuzz=FuzzLegacyRand -fuzztime=$(FUZZTIME) ./internal/prf
 
 # fuzz-wal fuzzes the monitor's WAL/snapshot decoders: arbitrary bytes must
 # yield either a clean decode or an error chained to ErrCorrupt, never a
 # panic or unbounded allocation. Then it fuzzes the study export: any study
 # must encode to json.MarshalIndent's bytes, or both must fail.
 fuzz-wal:
-	$(GO) test -run=^$$ -fuzz=FuzzWALDecode -fuzztime=30s ./internal/monitor
-	$(GO) test -run=^$$ -fuzz=FuzzStudyEncode -fuzztime=30s ./internal/monitor
+	$(GO) test -run=^$$ -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME) ./internal/monitor
+	$(GO) test -run=^$$ -fuzz=FuzzStudyEncode -fuzztime=$(FUZZTIME) ./internal/monitor
 
 # fuzz-serve fuzzes the HTTP query parser — arbitrary paths and query
 # strings must yield either a typed ErrBadRequest or a valid Request, never a
@@ -73,8 +80,8 @@ fuzz-wal:
 # never panic, read past the head, accept a body or accept a head over the
 # limit. -fuzz takes one target a run, hence two commands.
 fuzz-serve:
-	$(GO) test -run=^$$ -fuzz=FuzzParseRequest -fuzztime=30s ./internal/serve
-	$(GO) test -run=^$$ -fuzz=FuzzReadRequestHead -fuzztime=30s ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzParseRequest -fuzztime=$(FUZZTIME) ./internal/serve
+	$(GO) test -run=^$$ -fuzz=FuzzReadRequestHead -fuzztime=$(FUZZTIME) ./internal/serve
 
 # monitor-chaos runs the crash-recovery acceptance property under the race
 # detector: injected shard kills, WAL tail corruption, a hard halt, and a

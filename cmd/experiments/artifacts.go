@@ -370,9 +370,11 @@ func fig9(e *env) []claim {
 func table2(e *env) []claim {
 	e.printf("Table 2: agreement between two vantage points over the same world\n")
 	a := e.Study()
-	b := must(analysis.MeasureWorld(e.World(), analysis.StudyConfig{
-		Days: e.days, Seed: e.seed ^ 0x7e1e, Metrics: e.metrics,
-	}))
+	// Site B runs site A's campaign, restarts and collection artifacts
+	// included, from its own seed: only the vantage point differs.
+	cfgB := analysis.DefaultCampaign(e.days, e.seed^0x7e1e)
+	cfgB.Metrics = e.metrics
+	b := must(analysis.MeasureWorld(e.World(), cfgB))
 	cs := must(analysis.CompareSites(a, b))
 	names := []string{"d (strict)", "e (either)", "N (non)"}
 	rows := make([][]string, 3)

@@ -22,14 +22,29 @@ const fake = "test fake"
 var knobsWithoutCallers = map[string]string{
 	"monitor.Config.Chaos": fake,        // serve's tests kill shards under a live engine
 	"faults.FloodConfig":   testHarness, // configures faults.Flood
+	// No world plants gateway answers, but it is the one source of the
+	// prober's host-unreachable outcome, which the replay, WAL and
+	// batch-equivalence tests drive.
+	"netsim.Block.GatewayUnreachableProb": fake,
+}
+
+// simulationStructs are the structs besides ...Config whose fields are
+// settings: what a generated world makes of a block and its hosts. A field
+// no world sets models traffic no study sees.
+var simulationStructs = map[string]bool{
+	"netsim.Block":        true,
+	"netsim.Diurnal":      true,
+	"netsim.Intermittent": true,
+	"netsim.Periodic":     true,
 }
 
 // TestConfigKnobsAreSet keeps configuration honest: every exported field of
-// an exported ...Config struct under internal/ is set by a non-test file
-// outside the struct's own package — a command, an example or the
-// benchmark — or is on the list above with its reason. A field that only
-// tests or its own package's defaults write is a constant with a longer name;
-// make it one. The check is syntactic and deliberately generous: a field
+// an exported ...Config struct under internal/, and of each of
+// simulationStructs, is set by a non-test file outside the struct's own
+// package — a command, an example, the world generator or the benchmark —
+// or is on the list above with its reason. A field that only tests or its
+// own package's defaults write is a constant with a longer name; make it
+// one. The check is syntactic and deliberately generous: a field
 // counts as set by a keyed literal of its type (an unkeyed one sets them
 // all), or by any assignment to a selector of its name in a file that
 // imports the struct's package.
@@ -81,7 +96,11 @@ func TestConfigKnobsAreSet(t *testing.T) {
 			}
 			for _, spec := range gd.Specs {
 				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || !ts.Name.IsExported() || !strings.HasSuffix(ts.Name.Name, "Config") {
+				if !ok || !ts.Name.IsExported() {
+					continue
+				}
+				qualified := strings.TrimPrefix(path.Dir(p), "internal/") + "." + ts.Name.Name
+				if !strings.HasSuffix(ts.Name.Name, "Config") && !simulationStructs[qualified] {
 					continue
 				}
 				st, ok := ts.Type.(*ast.StructType)
@@ -103,6 +122,12 @@ func TestConfigKnobsAreSet(t *testing.T) {
 	}
 	if len(fields) < 10 {
 		t.Fatalf("found only %d config structs under internal/: the walk is broken", len(fields))
+	}
+	for name := range simulationStructs {
+		pkg, typ, _ := strings.Cut(name, ".")
+		if _, ok := fields[typeKey{"internal/" + pkg, typ}]; !ok {
+			t.Errorf("%s: on simulationStructs but not an exported struct under internal/", name)
+		}
 	}
 
 	// Pass 2: who outside each struct's package sets what.

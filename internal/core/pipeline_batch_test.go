@@ -22,10 +22,10 @@ import (
 const batchRounds = 3*86400/660 + 30
 
 // buildBatchPipeline assembles a fresh hostile fixture: a mixed population
-// (diurnal, stable, flaky, outage-prone, reply-rate-limited, sparse), a wire
-// fault injector, collection artifacts, retries, and restart downtime. Each
-// call builds an independent world so the two probe paths share no state;
-// reg receives the prober's counters.
+// (diurnal, stable, flaky, outage-prone, patchy, sparse), a wire fault
+// injector, collection artifacts, retries, and restart downtime. Each call
+// builds an independent world so the two probe paths share no state; reg
+// receives the prober's counters.
 func buildBatchPipeline(reg *metrics.Registry) (*Pipeline, []netsim.BlockID) {
 	net := netsim.NewNetwork(77)
 
@@ -37,12 +37,11 @@ func buildBatchPipeline(reg *metrics.Registry) (*Pipeline, []netsim.BlockID) {
 	outage.Outages = []netsim.Interval{
 		{Start: start.Add(5 * time.Hour), End: start.Add(9 * time.Hour)},
 	}
-	limited := mkStableBlock(netsim.MakeBlockID(27, 1, 5), 50, 0.7)
-	limited.ReplyRateLimit = 2
+	patchy := mkStableBlock(netsim.MakeBlockID(27, 1, 5), 50, 0.7)
 	sparse := mkStableBlock(netsim.MakeBlockID(27, 1, 6), 4, 1)
 
 	ids := make([]netsim.BlockID, 0, 7)
-	for _, b := range []*netsim.Block{diurnal, stable, flaky, outage, limited, sparse} {
+	for _, b := range []*netsim.Block{diurnal, stable, flaky, outage, patchy, sparse} {
 		net.AddBlock(b)
 		ids = append(ids, b.ID)
 	}

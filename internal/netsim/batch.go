@@ -16,9 +16,8 @@ package netsim
 // batch, outage schedules are memoized per (block, instant) — never
 // observable *results*: every PRF draw is keyed by (seed, destination,
 // probe identity, timestamp), not by position in a batch, and the only
-// order-dependent state in the simulator (per-block reply rate limits,
-// per-block tap state) sees its block's packets in the same relative
-// order either way. The per-packet delivery logic is probeCore/deliverCore
+// order-dependent state in the simulator (per-block tap state) sees its
+// block's packets in the same relative order either way. The per-packet delivery logic is probeCore/deliverCore
 // for every packet — there is no second implementation to drift.
 
 import (
@@ -69,7 +68,6 @@ type pktMeta struct {
 	echoSeq uint16
 	ipOK    bool // IPv4 header parsed and carries ICMP
 	echoOK  bool // payload parsed as a valid echo request
-	ttlDead bool // TTL cannot cover the path; dies before the tap
 }
 
 // span locates one packet's reply inside the batch arena; start == end
@@ -126,7 +124,7 @@ func (b *BatchBuffer) RetainedBytes() int {
 	// what it holds at the moment, which depends on where the last reset fell.
 	per += cap(b.entries) * (4 + 4)
 	per += cap(b.metas) * 48
-	per += cap(b.resps) * 48
+	per += cap(b.resps) * 32
 	per += cap(b.spans) * 16
 	per += cap(b.icmp) + cap(b.arena)
 	per += cap(b.tapDsts)*8 + cap(b.tapTimes)*24 + cap(b.tapVerdicts)*8
@@ -156,8 +154,7 @@ func (b *BatchBuffer) init() {
 // DeliverBatch routes a batch of full IPv4 packets into the simulated edge
 // at virtual time now, returning one Response per packet in input order:
 // each header is parsed and validated, the destination is taken from it,
-// the path's hop count is charged against the TTL, the ICMP payload is
-// answered by the destination block, and replies come back
+// the ICMP payload is answered by the destination block, and replies come back
 // IPv4-encapsulated with source and destination swapped. The result is
 // exactly that of delivering pkts[i] one at a time in order (see the
 // comment at the top of this file for the determinism argument), but
@@ -219,9 +216,6 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 			buf.routes[m.dst.Block] = ri
 		}
 		m.route = ri
-		if blk := buf.entries[ri].blk; blk != nil && int(m.hdr.TTL) <= blk.hops {
-			m.ttlDead = true
-		}
 	}
 	n.mu.RUnlock()
 	if added := len(buf.entries) - newFrom; added > 0 {
@@ -231,15 +225,15 @@ func (n *Network) DeliverBatch(buf *BatchBuffer, pkts [][]byte, now time.Time) [
 	in.set(now)
 
 	// Pass 3: one outbound tap consultation for the whole batch. Only
-	// packets whose delivery reaches the tap participate: an IP-malformed,
-	// echo-malformed, or TTL-dead packet dies before it, so the tap must not
-	// see it (it may keep per-block state, e.g. the fault injector's
-	// rate-limit window).
+	// packets whose delivery reaches the tap participate: an IP-malformed
+	// or echo-malformed packet dies before it, so the tap must not see it
+	// (it may keep per-block state, e.g. the fault injector's rate-limit
+	// window).
 	if tap != nil {
 		buf.tapDsts = buf.tapDsts[:0]
 		for i := range metas {
 			m := &metas[i]
-			if !m.ipOK || !m.echoOK || m.ttlDead {
+			if !m.ipOK || !m.echoOK {
 				continue
 			}
 			m.tap = int32(len(buf.tapDsts))

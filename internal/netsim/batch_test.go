@@ -11,38 +11,25 @@ import (
 )
 
 // buildBatchWorld constructs a fresh network exercising every delivery
-// branch: plain blocks, loss, latency jitter, outages with gateway
-// unreachables, reply rate limits, long paths that kill small TTLs.
-// Called once per network under comparison so the reference and batch runs
-// own identical but independent state (rate-limit windows, counters).
+// branch: a plain block, loss, outages with gateway unreachables. Called
+// once per network under comparison so the reference and batch runs own
+// identical but independent state (day memos, tap counters).
 func buildBatchWorld() *Network {
 	n := NewNetwork(42)
 
-	plain := newTestBlock()
-	plain.LatencyBase = 25 * time.Millisecond
-	plain.LatencyJitter = 10 * time.Millisecond
-	n.AddBlock(plain)
+	n.AddBlock(newTestBlock())
 
-	lossy := &Block{ID: MakeBlockID(10, 0, 2), Seed: 5, Loss: 0.3, LatencyBase: 40 * time.Millisecond}
+	lossy := &Block{ID: MakeBlockID(10, 0, 2), Seed: 5, Loss: 0.3}
 	lossy.SetHosts(alwaysOn(256))
 	n.AddBlock(lossy)
 
 	outage := &Block{
 		ID: MakeBlockID(10, 0, 3), Seed: 9,
-		LatencyBase:            15 * time.Millisecond,
 		GatewayUnreachableProb: 0.5,
 		Outages:                []Interval{{Start: at(11, 0), End: at(13, 0)}},
 	}
 	outage.SetHosts(alwaysOn(128))
 	n.AddBlock(outage)
-
-	limited := &Block{ID: MakeBlockID(10, 0, 4), Seed: 13, ReplyRateLimit: 3, LatencyBase: 10 * time.Millisecond}
-	limited.SetHosts(alwaysOn(256))
-	n.AddBlock(limited)
-
-	far := &Block{ID: MakeBlockID(10, 0, 5), Seed: 21, Hops: 40, LatencyBase: 90 * time.Millisecond}
-	far.SetHosts(alwaysOn(256))
-	n.AddBlock(far)
 
 	return n
 }
@@ -114,15 +101,12 @@ func mkBatchPkt(t testing.TB, dst Addr, id, seq uint16, ttl byte, payload []byte
 }
 
 // batchSchedule builds one round's worth of packets: several probes per
-// block (enough to trip the rate limits), unrouted space, a TTL death, and
+// block (enough to trip the tap's per-block counters), unrouted space, and
 // every malformed shape the parser rejects.
 func batchSchedule(t testing.TB, r int) [][]byte {
 	t.Helper()
 	var pkts [][]byte
-	blocks := []BlockID{
-		MakeBlockID(10, 0, 1), MakeBlockID(10, 0, 2), MakeBlockID(10, 0, 3),
-		MakeBlockID(10, 0, 4), MakeBlockID(10, 0, 5),
-	}
+	blocks := []BlockID{MakeBlockID(10, 0, 1), MakeBlockID(10, 0, 2), MakeBlockID(10, 0, 3)}
 	seq := uint16(r * 100)
 	for i := 0; i < 8; i++ {
 		for _, id := range blocks {
@@ -133,9 +117,6 @@ func batchSchedule(t testing.TB, r int) [][]byte {
 	}
 	// Unrouted space.
 	pkts = append(pkts, mkBatchPkt(t, MakeBlockID(99, 9, 9).Addr(1), 7, seq, 64, nil))
-	seq++
-	// TTL too small for even the shortest derived path.
-	pkts = append(pkts, mkBatchPkt(t, blocks[0].Addr(5), 7, seq, 3, nil))
 	seq++
 	// Malformed: truncated IP header.
 	pkts = append(pkts, []byte{0x45, 0, 0})
@@ -181,7 +162,7 @@ func refDeliverAll(n *Network, pkts [][]byte, now time.Time) []Response {
 
 func respEqual(a, b Response) bool {
 	return a.Timeout == b.Timeout && a.SendFailed == b.SendFailed &&
-		a.RTT == b.RTT && bytes.Equal(a.Data, b.Data)
+		bytes.Equal(a.Data, b.Data)
 }
 
 // deliverRounds drives rounds of the schedule through both paths, the
@@ -196,8 +177,8 @@ func deliverRounds(t *testing.T, chunk, rounds int, withTap bool) {
 	}
 	var bb BatchBuffer
 	for r := 0; r < rounds; r++ {
-		// 40s steps cross rate-limit minute windows mid-sequence; rounds 16+
-		// land inside the outage window of block 10.0.3 (11:00–13:00).
+		// 40s steps: rounds 15+ land inside the outage window of block
+		// 10.0.3 (11:00–13:00).
 		now := at(10, 50).Add(time.Duration(r) * 40 * time.Second)
 		pkts := batchSchedule(t, r)
 		want := refDeliverAll(refNet, pkts, now)
@@ -290,7 +271,7 @@ func TestDeliverBatchTopologyMutation(t *testing.T) {
 	var bb BatchBuffer
 	lateID := MakeBlockID(20, 0, 1)
 	mkLate := func() *Block {
-		late := &Block{ID: lateID, Seed: 33, LatencyBase: 5 * time.Millisecond}
+		late := &Block{ID: lateID, Seed: 33}
 		late.SetHosts(alwaysOn(16))
 		return late
 	}
@@ -373,7 +354,7 @@ func TestDeliverBatchAllocFree(t *testing.T) {
 	var bb BatchBuffer
 	var pkts [][]byte
 	for i := 0; i < 40; i++ {
-		for _, id := range []BlockID{MakeBlockID(10, 0, 1), MakeBlockID(10, 0, 4), MakeBlockID(10, 0, 5), MakeBlockID(99, 9, 9)} {
+		for _, id := range []BlockID{MakeBlockID(10, 0, 1), MakeBlockID(10, 0, 2), MakeBlockID(10, 0, 3), MakeBlockID(99, 9, 9)} {
 			pkts = append(pkts, mkBatchPkt(t, id.Addr(byte(i*3)), 7, uint16(i), 64, []byte("probe-payload")))
 		}
 	}
@@ -399,7 +380,7 @@ func TestDeliverBatchAllocFree(t *testing.T) {
 
 // TestDeliverBatchRouteCacheRevalidates drives one BatchBuffer through the
 // changes its route cache must notice — a block replaced by AddBlock with
-// other hops, loss and outages, a tap installed and removed — and a batch
+// other loss and outages, a tap installed and removed — and a batch
 // that mixes cached and new destinations, holding every response to the
 // sequential oracle. Warm batches must resolve nothing; the mixed batch
 // must resolve exactly its new destination.
@@ -430,15 +411,14 @@ func TestDeliverBatchRouteCacheRevalidates(t *testing.T) {
 		}
 	}
 
-	if r := deliver("cold"); r != 6 {
-		t.Fatalf("cold: resolved %d routes, want 6 (five blocks and unrouted space)", r)
+	if r := deliver("cold"); r != 4 {
+		t.Fatalf("cold: resolved %d routes, want 4 (three blocks and unrouted space)", r)
 	}
 	warm("warm")
 
 	both(func(n *Network) {
 		blk := &Block{
-			ID: MakeBlockID(10, 0, 2), Seed: 77, Hops: 30, Loss: 0.5,
-			LatencyBase: 70 * time.Millisecond, LatencyJitter: 9 * time.Millisecond,
+			ID: MakeBlockID(10, 0, 2), Seed: 77, Loss: 0.5,
 			GatewayUnreachableProb: 0.5,
 			Outages:                []Interval{{Start: at(10, 51), End: at(10, 54)}},
 		}
@@ -466,7 +446,7 @@ func TestDeliverBatchRouteCacheRevalidates(t *testing.T) {
 
 	newID := MakeBlockID(10, 0, 6)
 	both(func(n *Network) {
-		blk := &Block{ID: newID, Seed: 3, LatencyBase: 8 * time.Millisecond}
+		blk := &Block{ID: newID, Seed: 3}
 		blk.SetHosts(alwaysOn(64))
 		n.AddBlock(blk)
 	})

@@ -43,29 +43,19 @@ type AlwaysOn struct{}
 func (AlwaysOn) Up(time.Time) bool { return true }
 func (AlwaysOn) EverActive() bool  { return true }
 
-// Intermittent answers each probing quantum independently with probability
-// P — the "dense but low availability" population of Figure 2. Quantum is
-// the consistency window; probes within the same quantum get the same
-// answer. A zero Quantum defaults to the 11-minute round.
+// Intermittent answers each 11-minute round independently with
+// probability P — the "dense but low availability" population of Figure 2.
+// Probes within the same round get the same answer.
 type Intermittent struct {
-	P       float64
-	Quantum time.Duration
-	Seed    uint64
+	P    float64
+	Seed uint64
 }
 
-// roundSeconds is the default consistency window: the 11-minute round.
+// roundSeconds is the consistency window: the 11-minute round.
 const roundSeconds = float64(timeseries.DefaultRound / time.Second)
 
-// roundQuantum returns the index of the default window sec falls in.
+// roundQuantum returns the index of the round sec falls in.
 func roundQuantum(sec float64) uint64 { return uint64(sec / roundSeconds) }
-
-// quantumAt returns the index of the host's consistency window at sec.
-func (b Intermittent) quantumAt(sec float64) uint64 {
-	if b.Quantum <= 0 {
-		return roundQuantum(sec)
-	}
-	return uint64(sec / b.Quantum.Seconds())
-}
 
 func (b Intermittent) Up(t time.Time) bool {
 	if b.P <= 0 {
@@ -74,30 +64,21 @@ func (b Intermittent) Up(t time.Time) bool {
 	if b.P >= 1 {
 		return true
 	}
-	return interHost{P: b.P, Seed: b.Seed}.draw(b.quantumAt(secondsSinceEpoch(t)))
+	return b.draw(roundQuantum(secondsSinceEpoch(t)))
 }
 
-// interHost is what draws an Intermittent's availability besides its
-// window: the host table's column of intermittent hosts holds it, 16 B a
-// host, since the column takes only hosts on the default window and so has
-// no Quantum to keep.
-type interHost struct {
-	P    float64
-	Seed uint64
-}
-
-// draw is window q's availability draw, which decides Up when 0 < P < 1.
-// The host table sorts the other hosts out once and then calls it
-// directly, with the block-round's q for every host on the default window.
-// Ground truth asks the same question in integer form (key, drawKeyed),
-// hoisted out of its loop over q; the truth tests hold the two together.
-func (b interHost) draw(q uint64) bool { return prf.Float2(b.Seed, q, 0x1a7e) < b.P }
+// draw is round quantum q's availability draw, which decides Up when
+// 0 < P < 1. The host table sorts the other hosts out once and then calls
+// it directly, with the block-round's q. Ground truth asks the same
+// question in integer form (key, drawKeyed), hoisted out of its loop over
+// q; the truth tests hold the two together.
+func (b Intermittent) draw(q uint64) bool { return prf.Float2(b.Seed, q, 0x1a7e) < b.P }
 
 // key returns what fixes the host's draws besides the quantum: its seed's
 // mix, and the threshold ⌈P·2⁵³⌉ (for 0 < P < 1). prf.Float2 is x/2⁵³ for
 // an integer x < 2⁵³, and x/2⁵³ < P holds exactly when x < ⌈P·2⁵³⌉: the
 // comparison becomes an integer one, with no rounding anywhere.
-func (b interHost) key() (h, thr uint64) {
+func (b Intermittent) key() (h, thr uint64) {
 	y := b.P * (1 << 53)
 	thr = uint64(y)
 	if float64(thr) < y {

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -57,49 +56,37 @@ func (iv Interval) Contains(t time.Time) bool {
 	return !t.Before(iv.Start) && t.Before(iv.End)
 }
 
-// Block is one simulated /24: its hosts plus path characteristics and an
-// outage schedule.
+// Block is one simulated /24: its hosts plus path loss and an outage
+// schedule.
 //
 // The hosts are given once, through SetHosts, and kept as a compact typed
 // host table (see hostTable) that delivery and ground truth both answer
 // from; an address that never responds costs two bytes. Register the block
-// with Network.AddBlock, and again after changing Hops or Outages: delivery
-// reads what AddBlock derived from them. Probes to one block are delivered
-// by one goroutine at a time; ground truth (TrueA, TrueCounts) may be asked
-// by any number of goroutines, alongside delivery. Neither may race with
-// SetHosts or AddBlock.
+// with Network.AddBlock, and again after changing Outages: delivery reads
+// the schedule AddBlock converted. Probes to one block are delivered by one
+// goroutine at a time; ground truth (TrueA, TrueCounts) may be asked by any
+// number of goroutines, alongside delivery. Neither may race with SetHosts
+// or AddBlock.
 type Block struct {
 	ID BlockID
 	// Loss is the probability a probe or its reply is lost in transit
 	// (applied once per round trip).
 	Loss float64
-	// LatencyBase and LatencyJitter shape the reported round-trip time.
-	LatencyBase   time.Duration
-	LatencyJitter time.Duration
 	// Outages lists spans when the whole block is unreachable.
 	Outages []Interval
-	// Hops is the path length from the vantage point; zero derives a
-	// deterministic 8..23 from the block id. Probes whose IPv4 TTL cannot
-	// cover the path die in transit.
-	Hops int
-	// ReplyRateLimit caps ICMP replies per minute for the whole block
-	// (real gateways rate-limit echo responses); zero means unlimited.
-	ReplyRateLimit int
 	// GatewayUnreachableProb is the probability that, while the block is
 	// in an outage, an upstream gateway answers a probe with an ICMP
 	// destination-unreachable instead of silence — a negative-but-
 	// informative answer, unlike a timeout.
 	GatewayUnreachableProb float64
-	// Seed decorrelates this block's loss/latency draws from other blocks.
+	// Seed decorrelates this block's loss and gateway draws from other
+	// blocks.
 	Seed uint64
 
-	rl rateLimitState
 	// hosts is nil until SetHosts: a block without hosts has an empty E(b).
 	hosts *hostTable
-	// hops and outages are PathHops and Outages as AddBlock found them, in
-	// the form the per-packet TTL check and the per-round outage lookup
-	// read.
-	hops    int
+	// outages is Outages as AddBlock found them, in the form the per-round
+	// outage lookup reads.
 	outages []nsSpan
 }
 
@@ -110,40 +97,6 @@ type nsSpan struct{ start, end int64 }
 // compiled into the block's host table; hosts itself is not retained and
 // may be reused for the next block.
 func (b *Block) SetHosts(hosts *Hosts) { b.hosts = compileHosts(hosts) }
-
-// rateLimitState tracks the per-minute reply budget.
-type rateLimitState struct {
-	mu     sync.Mutex
-	window int64
-	count  int
-}
-
-// allowReply charges one reply against the block's per-minute budget.
-func (b *Block) allowReply(t time.Time) bool {
-	if b.ReplyRateLimit <= 0 {
-		return true
-	}
-	w := t.Unix() / 60
-	b.rl.mu.Lock()
-	defer b.rl.mu.Unlock()
-	if w != b.rl.window {
-		b.rl.window = w
-		b.rl.count = 0
-	}
-	if b.rl.count >= b.ReplyRateLimit {
-		return false
-	}
-	b.rl.count++
-	return true
-}
-
-// PathHops returns the effective hop count.
-func (b *Block) PathHops() int {
-	if b.Hops > 0 {
-		return b.Hops
-	}
-	return 8 + int(uint64(b.ID)>>8%16)
-}
 
 // InOutage reports whether the block is down at t.
 func (b *Block) InOutage(t time.Time) bool {

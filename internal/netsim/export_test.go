@@ -39,7 +39,7 @@ func (b *Block) HostSpec() *Hosts {
 		case hostDiurnal:
 			hosts[h] = t.diurnal[i]
 		case hostIntermittent:
-			hosts[h] = Intermittent{P: t.inter[i].P, Seed: t.inter[i].Seed}
+			hosts[h] = t.inter[i]
 		case hostOther:
 			hosts[h] = t.other[i]
 		}
@@ -71,7 +71,7 @@ func (n *Network) DeliverIPRef(pkt []byte, now time.Time) Response {
 
 	// The tap sees exactly the packets whose delivery reaches it.
 	var pre tapPre
-	if tap != nil && echoOK && (e.blk == nil || int(hdr.TTL) > e.blk.hops) {
+	if tap != nil && echoOK {
 		var (
 			times    [1]time.Time
 			verdicts [1]TapVerdict

@@ -19,8 +19,8 @@ const (
 	hostNever        hostKind = iota // outside E(b): nil, or anything whose EverActive is false
 	hostAlways                       // AlwaysOn, Intermittent with P >= 1: no parameters to hold
 	hostDiurnal                      // Diurnal with Duration > 0
-	hostIntermittent                 // Intermittent with 0 < P < 1 on the default quantum
-	hostOther                        // Periodic, custom quanta, behaviours defined elsewhere
+	hostIntermittent                 // Intermittent with 0 < P < 1
+	hostOther                        // Periodic, and behaviours defined elsewhere
 )
 
 // hostTable is the one representation a block keeps of its hosts: octet to
@@ -30,16 +30,16 @@ const (
 // makes an interface call for the types this package defines.
 //
 // Everything is immutable once compiled, except: memo, which belongs to
-// delivery and, like the rate limiter, relies on one block being probed by
-// one goroutine at a time; and days, which belongs to ground truth and is an
-// immutable table swapped in whole, so concurrent surveyors on different
-// days cost each other rebuilds but never see a mixed table.
+// delivery and relies on one block being probed by one goroutine at a
+// time; and days, which belongs to ground truth and is an immutable table
+// swapped in whole, so concurrent surveyors on different days cost each
+// other rebuilds but never see a mixed table.
 type hostTable struct {
 	kind    [256]hostKind
 	idx     [256]uint8 // index into kind's column
 	ever    []byte     // E(b), ascending
 	diurnal []Diurnal
-	inter   []interHost
+	inter   []Intermittent
 	other   []Behavior
 	memo    []dayMemo // indexed like diurnal
 	days    atomic.Pointer[dayTable]
@@ -55,12 +55,10 @@ func kindOf(bh Behavior) hostKind {
 	case Diurnal:
 		return hostDiurnal
 	case Intermittent:
-		switch {
-		case v.P >= 1:
+		if v.P >= 1 {
 			return hostAlways
-		case v.Quantum <= 0:
-			return hostIntermittent
 		}
+		return hostIntermittent
 	}
 	return hostOther
 }
@@ -77,7 +75,7 @@ func compileHosts(hosts *Hosts) *hostTable {
 	}
 	t.ever = make([]byte, 0, len(hosts)-n[hostNever])
 	t.diurnal = make([]Diurnal, 0, n[hostDiurnal])
-	t.inter = make([]interHost, 0, n[hostIntermittent])
+	t.inter = make([]Intermittent, 0, n[hostIntermittent])
 	t.other = make([]Behavior, 0, n[hostOther])
 	for h, bh := range hosts {
 		switch t.kind[h] {
@@ -86,8 +84,7 @@ func compileHosts(hosts *Hosts) *hostTable {
 		case hostDiurnal:
 			t.diurnal = append(t.diurnal, bh.(Diurnal))
 		case hostIntermittent:
-			v := bh.(Intermittent)
-			t.inter = append(t.inter, interHost{P: v.P, Seed: v.Seed})
+			t.inter = append(t.inter, bh.(Intermittent))
 		case hostOther:
 			t.other = append(t.other, bh)
 		}
@@ -229,7 +226,7 @@ func (s *survey) span(lo, hi int, p onPeriod) (a, b int) {
 //     added through a difference array, so it costs O(days·log n);
 //     only a campus host (UpProb in (0,1)) then draws per instant;
 //   - an intermittent host is one pass over the quanta with its seed's mix
-//     hoisted (see interHost.key);
+//     hoisted (see Intermittent.key);
 //   - any other behaviour is asked per instant.
 //
 // Every value read is a pure function of (Seed, day) or (Seed, quantum), so
@@ -286,7 +283,7 @@ func (t *hostTable) countSurvey(start time.Time, step time.Duration, s *survey) 
 // addDraws adds to up[r] the draws at quantum q[r] of every host of inter:
 // the kernel's hottest loop, in a function of its own so that its state
 // stays in registers.
-func addDraws(up []int32, q []uint64, inter []interHost) {
+func addDraws(up []int32, q []uint64, inter []Intermittent) {
 	up = up[:len(q)]
 	for i := range inter {
 		h, thr := inter[i].key()

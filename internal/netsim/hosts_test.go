@@ -46,7 +46,6 @@ func TestHostTableMatchesBehaviors(t *testing.T) {
 
 	t.Run("every-branch", func(t *testing.T) {
 		blk, hosts := everyBranchBlock()
-		blk.ReplyRateLimit = 0 // every host that is up must be heard
 		n := netsim.NewNetwork(1)
 		n.AddBlock(blk)
 		if check(t, n, blk, hosts, wanderingInstants(), 1) == 0 {
@@ -56,7 +55,6 @@ func TestHostTableMatchesBehaviors(t *testing.T) {
 		// yesterday whose on-periods spill into 01:00.
 		for _, first := range []time.Duration{13 * time.Hour, 25 * time.Hour} {
 			blk, hosts := everyBranchBlock()
-			blk.ReplyRateLimit = 0
 			n.AddBlock(blk)
 			if check(t, n, blk, hosts, []time.Time{netsim.SimEpoch.Add(first)}, 1) < 10 {
 				t.Fatalf("at %v few hosts are up: the instant does not test the diurnal ones", first)

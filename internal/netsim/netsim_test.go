@@ -270,8 +270,6 @@ func probeOnce(t *testing.T, n *Network, dst Addr, seq uint16, when time.Time) R
 func TestNetworkProbeReply(t *testing.T) {
 	n := NewNetwork(1)
 	b := newTestBlock()
-	b.LatencyBase = 30 * time.Millisecond
-	b.LatencyJitter = 10 * time.Millisecond
 	n.AddBlock(b)
 	resp := probeOnce(t, n, b.ID.Addr(5), 9, at(12, 0))
 	if resp.Timeout {
@@ -283,9 +281,6 @@ func TestNetworkProbeReply(t *testing.T) {
 	}
 	if !e.Matches(1, 9) {
 		t.Fatalf("reply = %+v", e)
-	}
-	if resp.RTT < 30*time.Millisecond || resp.RTT > 40*time.Millisecond {
-		t.Fatalf("RTT = %v", resp.RTT)
 	}
 }
 
@@ -460,8 +455,8 @@ func TestDeliverIPRoundTrip(t *testing.T) {
 	if hdr.Src != ipv4.Addr(b.ID.Addr(5).IP()) || hdr.Dst != (ipv4.Addr{198, 51, 100, 1}) {
 		t.Fatalf("reply header = %+v", hdr)
 	}
-	if hdr.TTL == 0 || hdr.TTL >= ipv4.DefaultTTL {
-		t.Fatalf("reply TTL = %d, want decremented by path", hdr.TTL)
+	if hdr.TTL != ipv4.DefaultTTL {
+		t.Fatalf("reply TTL = %d, want %d", hdr.TTL, ipv4.DefaultTTL)
 	}
 	var e icmp.Echo
 	if err := icmp.ParseEchoInto(&e, payload); err != nil {
@@ -469,19 +464,6 @@ func TestDeliverIPRoundTrip(t *testing.T) {
 	}
 	if !e.Matches(7, 3) {
 		t.Fatalf("inner echo = %+v", e)
-	}
-}
-
-func TestDeliverIPTTLExpires(t *testing.T) {
-	n := NewNetwork(1)
-	b := newTestBlock()
-	b.Hops = 12
-	n.AddBlock(b)
-	if resp := deliverOnce(t, n, b.ID.Addr(5), 1, 5, at(12, 0)); !resp.Timeout {
-		t.Fatal("TTL 5 must not cover 12 hops")
-	}
-	if resp := deliverOnce(t, n, b.ID.Addr(5), 2, 13, at(12, 0)); resp.Timeout {
-		t.Fatal("TTL 13 covers 12 hops")
 	}
 }
 
@@ -500,56 +482,10 @@ func TestDeliverIPMalformed(t *testing.T) {
 	}
 }
 
-func TestPathHops(t *testing.T) {
-	b := &Block{ID: MakeBlockID(1, 2, 3)}
-	h := b.PathHops()
-	if h < 8 || h > 23 {
-		t.Fatalf("derived hops = %d", h)
-	}
-	b.Hops = 3
-	if b.PathHops() != 3 {
-		t.Fatal("explicit hops should win")
-	}
-}
-
 func TestAddrIPRoundTrip(t *testing.T) {
 	a := MakeBlockID(10, 20, 30).Addr(40)
 	if got := AddrFromIP(a.IP()); got != a {
 		t.Fatalf("round trip = %v", got)
-	}
-}
-
-func TestReplyRateLimit(t *testing.T) {
-	n := NewNetwork(1)
-	b := newTestBlock()
-	b.ReplyRateLimit = 10
-	n.AddBlock(b)
-	replies, timeouts := 0, 0
-	base := at(12, 0)
-	for i := 0; i < 30; i++ {
-		resp := probeOnce(t, n, b.ID.Addr(byte(i%42)), uint16(i), base.Add(time.Duration(i)*time.Second))
-		if resp.Timeout {
-			timeouts++
-		} else {
-			replies++
-		}
-	}
-	if replies != 10 || timeouts != 20 {
-		t.Fatalf("replies = %d, timeouts = %d, want 10 and 20 (rate limited)", replies, timeouts)
-	}
-	// A new minute refills the budget.
-	resp := probeOnce(t, n, b.ID.Addr(1), 99, base.Add(61*time.Second))
-	if resp.Timeout {
-		t.Fatal("budget should refill next minute")
-	}
-	// Unlimited by default.
-	b2 := newTestBlock()
-	b2.ID = MakeBlockID(10, 0, 9)
-	n.AddBlock(b2)
-	for i := 0; i < 50; i++ {
-		if resp := probeOnce(t, n, b2.ID.Addr(1), uint16(i), base); resp.Timeout {
-			t.Fatal("unlimited block should always reply")
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package netsim simulates the IPv4 edge the paper measures: /24 blocks of
 // addresses with per-address behaviour models (always-on, diurnal with
-// phase and noise, intermittent, dead), per-block loss and latency, and
+// phase and noise, intermittent, dead), per-block path loss, and
 // whole-block outages. Probes enter and leave as marshalled ICMP packets,
 // so the measurement pipeline above exercises a real encode/decode path.
 //
@@ -29,8 +29,6 @@ type Response struct {
 	// Lifetime: Data is a view into the BatchBuffer the probe was delivered
 	// through, valid only until the next DeliverBatch on that buffer.
 	Data []byte
-	// RTT is the simulated round-trip time for delivered replies.
-	RTT time.Duration
 	// Timeout is true when no reply arrived (address down, block in outage,
 	// or packet loss) — indistinguishable causes, as on the real Internet.
 	Timeout bool
@@ -129,7 +127,6 @@ func (n *Network) SetTap(t Tap) {
 
 // AddBlock registers a block. Re-adding a BlockID replaces it.
 func (n *Network) AddBlock(b *Block) {
-	b.hops = b.PathHops()
 	b.outages = b.outages[:0]
 	for _, iv := range b.Outages {
 		b.outages = append(b.outages, nsSpan{iv.Start.UnixNano(), iv.End.UnixNano()})
@@ -197,11 +194,7 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 				resp.Timeout = true
 				return scratch
 			}
-			rtt := 20 * time.Millisecond
-			if blk != nil {
-				rtt = blk.LatencyBase
-			}
-			resp.Data, resp.RTT = un, rtt
+			resp.Data = un
 			n.inbound(tap, dst, resp, now)
 			return un
 		}
@@ -240,17 +233,12 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 				unreach := icmp.Unreachable{Code: icmp.CodeHostUnreachable, Original: pkt}
 				un, err := unreach.MarshalAppend(scratch)
 				if err == nil {
-					resp.Data, resp.RTT = un, blk.LatencyBase
+					resp.Data = un
 					n.inbound(tap, dst, resp, now)
 					return un
 				}
 			}
 		}
-		resp.Timeout = true
-		return scratch
-	}
-
-	if !blk.allowReply(now) {
 		resp.Timeout = true
 		return scratch
 	}
@@ -265,12 +253,7 @@ func (n *Network) probeCore(e *routeEntry, tap Tap, scratch []byte, dst Addr, pk
 		resp.Timeout = true
 		return scratch
 	}
-	rtt := blk.LatencyBase
-	if blk.LatencyJitter > 0 {
-		j := prf.Float3(n.seed^blk.Seed^0x9badcafe, dst.key(), uint64(echo.Seq), uint64(in.ns))
-		rtt += time.Duration(j * float64(blk.LatencyJitter))
-	}
-	resp.Data, resp.RTT = reply, rtt
+	resp.Data = reply
 	n.inbound(tap, dst, resp, now)
 	return reply
 }
@@ -290,30 +273,20 @@ func (n *Network) inbound(tap Tap, dst Addr, resp *Response, now time.Time) {
 }
 
 // deliverCore is the IP-layer delivery path with routing resolved and the
-// payload echo pre-parsed: charge the path's hop count against the TTL,
-// run the ICMP core, and wrap any reply back into an IPv4 datagram with
-// source and destination swapped. The outcome lands in *resp (see
-// probeCore); it returns the possibly-grown ICMP and IP scratch backings
-// so the owner keeps their capacity. DeliverBatch runs every packet through
+// payload echo pre-parsed: run the ICMP core, and wrap any reply back into
+// an IPv4 datagram with source and destination swapped and the default
+// TTL. The outcome lands in *resp (see probeCore); it returns the
+// possibly-grown ICMP and IP scratch backings so the owner keeps their
+// capacity. DeliverBatch runs every packet through
 // it; so does the tests' sequential oracle (DeliverIPRef), which is what
 // makes batching a reordering of work, never of results.
 func (n *Network) deliverCore(e *routeEntry, tap Tap, icmpScratch, ipScratch []byte, hdr *ipv4.Header, dst Addr, payload []byte, echo *icmp.Echo, echoOK bool, in *instant, pre tapPre, resp *Response) ([]byte, []byte) {
-	hops := 0
-	if blk := e.blk; blk != nil {
-		hops = blk.hops
-		// The packet must survive the path.
-		if int(hdr.TTL) <= hops {
-			*resp = Response{Timeout: true}
-			return icmpScratch, ipScratch
-		}
-	}
 	icmpOut := n.probeCore(e, tap, icmpScratch, dst, payload, echo, echoOK, in, pre, resp)
 	if resp.Timeout || resp.Data == nil {
 		return icmpOut, ipScratch
 	}
 	replyHdr := ipv4.Header{
 		ID:       hdr.ID,
-		TTL:      byte(ipv4.DefaultTTL - min(hops, ipv4.DefaultTTL-1)),
 		Protocol: ipv4.ProtoICMP,
 		Src:      hdr.Dst,
 		Dst:      hdr.Src,

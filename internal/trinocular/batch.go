@@ -16,7 +16,7 @@ package trinocular
 // lane that sees one simply leaves the wavefront and finishes its round
 // probe by probe (retrySendErrors, then sequentialRound), identically.
 // Blocks never share netsim or fault-injector state across lanes
-// (rate-limit windows, reply budgets, and tap counters are all per block;
+// (rate-limit windows, day memos, and tap counters are all per block;
 // global counters are order-free sums), so interleaving lanes is
 // unobservable. The round logic itself is the roundState machine ProbeRound
 // runs — there is no second belief/stop/debounce implementation to drift.

@@ -59,10 +59,10 @@ func (w *wavefrontWorld) newProber(t *testing.T, blk *netsim.Block) *Prober {
 // buildWavefrontWorld assembles a hostile fixture that exercises every probe
 // outcome: an always-up block (first-probe positives), a flaky block
 // (multi-probe negative runs), an outage block whose gateway sometimes
-// answers unreachable, and a reply-rate-limited block. The fault injector
-// adds loss, reply corruption, admin-prohibited rate limiting, clock skew,
-// and periodic vantage blackouts (send errors → retries → lanes that leave
-// the wavefront).
+// answers unreachable, and a patchy block whose hosts answer half the
+// rounds. The fault injector adds loss, reply corruption, admin-prohibited
+// rate limiting, clock skew, and periodic vantage blackouts (send errors →
+// retries → lanes that leave the wavefront).
 func buildWavefrontWorld(t *testing.T, withFaults, sharedSeed bool) *wavefrontWorld {
 	t.Helper()
 	n := netsim.NewNetwork(42)
@@ -75,8 +75,7 @@ func buildWavefrontWorld(t *testing.T, withFaults, sharedSeed bool) *wavefrontWo
 		{Start: at(0, 3, 0), End: at(0, 7, 0)},
 		{Start: at(0, 14, 0), End: at(0, 16, 0)},
 	}
-	limited := buildBlock(netsim.MakeBlockID(10, 3, 4), 0, 90, 0.5)
-	limited.ReplyRateLimit = 2
+	patchy := buildBlock(netsim.MakeBlockID(10, 3, 4), 0, 90, 0.5)
 
 	w := &wavefrontWorld{net: n, reg: metrics.New(), sharedSeed: sharedSeed}
 	if withFaults {
@@ -91,7 +90,7 @@ func buildWavefrontWorld(t *testing.T, withFaults, sharedSeed bool) *wavefrontWo
 		}, epoch)
 		n.SetTap(w.inj)
 	}
-	for _, blk := range []*netsim.Block{up, flaky, outage, limited} {
+	for _, blk := range []*netsim.Block{up, flaky, outage, patchy} {
 		n.AddBlock(blk)
 		w.probers = append(w.probers, w.newProber(t, blk))
 		w.ids = append(w.ids, blk.ID)

@@ -306,12 +306,14 @@ func makeISPs(c *Country, r *rand.Rand, nextASN *int) []*ISP {
 // buildBlock wires the netsim behaviours for one block.
 func buildBlock(info *BlockInfo, cfg Config, r *rand.Rand) *netsim.Block {
 	blk := &netsim.Block{
-		ID:            info.ID,
-		Seed:          uint64(info.ID) ^ cfg.Seed,
-		Loss:          clampF(r.ExpFloat64()*meanLoss, 0, 0.2),
-		LatencyBase:   time.Duration(20+r.Intn(250)) * time.Millisecond,
-		LatencyJitter: time.Duration(5+r.Intn(40)) * time.Millisecond,
+		ID:   info.ID,
+		Seed: uint64(info.ID) ^ cfg.Seed,
+		Loss: clampF(r.ExpFloat64()*meanLoss, 0, 0.2),
 	}
+	// Two draws of a latency model nothing read: still taken, so that the
+	// serial stream, and with it every generated world, stays as it was.
+	r.Intn(250)
+	r.Intn(40)
 	var hosts netsim.Hosts
 	host := 1 // leave .0 unused, as in real blocks
 	info.NumStable = 20 + r.Intn(41)
